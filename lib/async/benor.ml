@@ -123,44 +123,64 @@ let protocol ~t =
 (* The splitter scheduler                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Report values delivered to one receiver, indexed by phase; phases past
+   the end of an array have had none. *)
+type tally = { mutable zeros : int array; mutable ones : int array }
+
+let tally_get a phase = if phase < Array.length a then a.(phase) else 0
+
+let tally_bump a phase =
+  let a =
+    if phase < Array.length a then a
+    else begin
+      let grown = Array.make (Stdlib.max (phase + 1) (2 * Array.length a)) 0 in
+      Array.blit a 0 grown 0 (Array.length a);
+      grown
+    end
+  in
+  a.(phase) <- a.(phase) + 1;
+  a
+
 let splitter () =
-  (* (receiver, phase) -> report values delivered so far. *)
-  let delivered : (int * int, counters) Hashtbl.t = Hashtbl.create 64 in
+  let delivered = ref [||] in
   let pick view rng =
-    if view.Scheduler.steps_taken <= 1 then Hashtbl.reset delivered;
     let n = view.Scheduler.n in
+    if view.Scheduler.steps_taken <= 1 then
+      delivered := Array.init n (fun _ -> { zeros = [||]; ones = [||] });
     let half = n / 2 in
     (* Score: lower is better for the adversary. *)
     let score (m : msg Scheduler.in_flight) =
       match m.Scheduler.payload with
       | Proposal { v = None; _ } -> 0
       | Report { phase; v } ->
-          let c = table_get delivered (m.Scheduler.dst, phase) in
-          let same = if v = 1 then c.ones else c.zeros in
-          let other = if v = 1 then c.zeros else c.ones in
+          let c = !delivered.(m.Scheduler.dst) in
+          let same = tally_get (if v = 1 then c.ones else c.zeros) phase in
+          let other = tally_get (if v = 1 then c.zeros else c.ones) phase in
           if same >= half then 3 (* would complete a candidate majority *)
           else if same <= other then 1 (* minority side: keeps the sample balanced *)
           else 2
       | Proposal { v = Some _; _ } -> 4
     in
-    let best =
-      List.fold_left
-        (fun acc m ->
-          let sc = score m in
-          match acc with
-          | Some (_, best_sc) when best_sc <= sc -> acc
-          | _ -> Some (m, sc))
-        None view.Scheduler.pending
-    in
-    match best with
-    | None -> assert false (* pick is never called with nothing pending *)
-    | Some (m, _) ->
-        (match m.Scheduler.payload with
-        | Report { phase; v } ->
-            let c = table_get delivered (m.Scheduler.dst, phase) in
-            if v = 1 then c.ones <- c.ones + 1 else c.zeros <- c.zeros + 1
-        | Proposal _ -> ());
-        ignore rng;
-        Scheduler.Deliver m.Scheduler.id
+    (* Arg-min keeping the earliest (oldest) minimum; 0 is the floor. *)
+    let best = ref 0 in
+    let best_sc = ref (score (view.Scheduler.pending_nth 0)) in
+    let k = ref 1 in
+    while !best_sc > 0 && !k < view.Scheduler.pending_count do
+      let sc = score (view.Scheduler.pending_nth !k) in
+      if sc < !best_sc then begin
+        best := !k;
+        best_sc := sc
+      end;
+      incr k
+    done;
+    let m = view.Scheduler.pending_nth !best in
+    (match m.Scheduler.payload with
+    | Report { phase; v } ->
+        let c = !delivered.(m.Scheduler.dst) in
+        if v = 1 then c.ones <- tally_bump c.ones phase
+        else c.zeros <- tally_bump c.zeros phase
+    | Proposal _ -> ());
+    ignore rng;
+    Scheduler.Deliver m.Scheduler.id
   in
   { Scheduler.name = "splitter"; pick }

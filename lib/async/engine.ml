@@ -23,18 +23,33 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
   let decisions = Array.make n None in
   let proc_rngs = Prng.Rng.split_n rng n in
   let sched_rng = Prng.Rng.split rng in
-  let pending : (int, m Scheduler.in_flight) Hashtbl.t = Hashtbl.create 256 in
-  (* Send-ordered view of [pending], maintained incrementally: new messages
-     are pushed newest-first and the oldest-first view is rebuilt by a
-     filter + reverse (no sort); the backing list is compacted when mostly
-     tombstones. *)
-  let rev_pending : m Scheduler.in_flight list ref = ref [] in
-  let live m = Hashtbl.mem pending m.Scheduler.id in
-  let pending_view () =
-    let view = List.rev (List.filter live !rev_pending) in
-    if 2 * List.length view < List.length !rev_pending then
-      rev_pending := List.filter live !rev_pending;
-    view
+  (* In-flight messages in [pending.(0 .. !count - 1)], ascending by id.
+     Ids are issued in send order, so appending keeps the store sorted;
+     delivery binary-searches and closes the gap, a crash filters in
+     place. Slots past [!count] are stale and never read. *)
+  let pending : m Scheduler.in_flight array ref = ref [||] in
+  let count = ref 0 in
+  let push m =
+    if !count = Array.length !pending then begin
+      let grown = Array.make (Stdlib.max 64 (2 * !count)) m in
+      Array.blit !pending 0 grown 0 !count;
+      pending := grown
+    end;
+    !pending.(!count) <- m;
+    incr count
+  in
+  let index_of id =
+    let a = !pending in
+    let lo = ref 0 and hi = ref !count in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if a.(mid).Scheduler.id < id then lo := mid + 1 else hi := mid
+    done;
+    if !lo < !count && a.(!lo).Scheduler.id = id then !lo else -1
+  in
+  let pending_nth k =
+    if k < 0 || k >= !count then invalid_arg "Async.Scheduler.pending_nth";
+    !pending.(k)
   in
   let next_id = ref 0 in
   let sends = ref 0 in
@@ -50,9 +65,7 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
         if not crashed.(dst) then begin
           let id = !next_id in
           incr next_id;
-          let m = { Scheduler.id; src; dst; payload } in
-          Hashtbl.replace pending id m;
-          rev_pending := m :: !rev_pending
+          push { Scheduler.id; src; dst; payload }
         end)
       sendlist
   in
@@ -92,10 +105,9 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
   let steps = ref 0 in
   let continue = ref true in
   while !continue && !steps < max_steps do
-    if Hashtbl.length pending = 0 || all_live_decided () then continue := false
+    if !count = 0 || all_live_decided () then continue := false
     else begin
       incr steps;
-      let pending_list = pending_view () in
       let view =
         {
           Scheduler.n;
@@ -103,7 +115,8 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
           crash_budget_left = !crash_budget;
           crashed = Array.copy crashed;
           decided = Array.copy decisions;
-          pending = pending_list;
+          pending_count = !count;
+          pending_nth;
           steps_taken = !steps;
         }
       in
@@ -127,23 +140,25 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
                    delivered_to = 0;
                  });
           (* Its in-flight traffic evaporates, both directions. *)
-          let doomed =
-            (* Sorted so the removal set never depends on bucket layout
-               (removal commutes, but cheap determinism beats a waiver). *)
-            Hashtbl.fold
-              (fun id m acc ->
-                if m.Scheduler.src = pid || m.Scheduler.dst = pid then id :: acc
-                else acc)
-              pending []
-            |> List.sort Int.compare
-          in
-          List.iter (Hashtbl.remove pending) doomed
+          let a = !pending in
+          let kept = ref 0 in
+          for i = 0 to !count - 1 do
+            let m = a.(i) in
+            if m.Scheduler.src <> pid && m.Scheduler.dst <> pid then begin
+              a.(!kept) <- m;
+              incr kept
+            end
+          done;
+          count := !kept
       | Scheduler.Deliver id -> (
-          match Hashtbl.find_opt pending id with
-          | None ->
+          match index_of id with
+          | -1 ->
               raise (Invalid_action (Printf.sprintf "message %d not in flight" id))
-          | Some m ->
-              Hashtbl.remove pending id;
+          | i ->
+              let a = !pending in
+              let m = a.(i) in
+              Array.blit a (i + 1) a i (!count - i - 1);
+              decr count;
               let dst = m.Scheduler.dst in
               if not crashed.(dst) then begin
                 incr deliveries;

@@ -6,7 +6,8 @@ type 'msg view = {
   crash_budget_left : int;
   crashed : bool array;
   decided : int option array;
-  pending : 'msg in_flight list;
+  pending_count : int;
+  pending_nth : int -> 'msg in_flight;
   steps_taken : int;
 }
 
@@ -14,30 +15,12 @@ type action = Deliver of int | Crash of int
 
 type 'msg t = { name : string; pick : 'msg view -> Prng.Rng.t -> action }
 
-let nth_pending view k = (List.nth view.pending k).id
+let deliver_uniform view rng =
+  Deliver (view.pending_nth (Prng.Rng.int rng view.pending_count)).id
 
-let fair =
-  {
-    name = "fair";
-    pick =
-      (fun view rng ->
-        Deliver (nth_pending view (Prng.Rng.int rng (List.length view.pending))));
-  }
+let fair = { name = "fair"; pick = deliver_uniform }
 
-let fifo =
-  {
-    name = "fifo";
-    pick =
-      (fun view _rng ->
-        let oldest =
-          List.fold_left
-            (fun acc m -> match acc with
-              | None -> Some m
-              | Some best -> if m.id < best.id then Some m else acc)
-            None view.pending
-        in
-        match oldest with Some m -> Deliver m.id | None -> assert false);
-  }
+let fifo = { name = "fifo"; pick = (fun view _rng -> Deliver (view.pending_nth 0).id) }
 
 let random_crash ~p =
   if p < 0.0 || p > 1.0 then invalid_arg "Scheduler.random_crash";
@@ -53,7 +36,5 @@ let random_crash ~p =
           view.crash_budget_left > 0 && live <> []
           && Prng.Rng.bernoulli rng p
         then Crash (List.nth live (Prng.Rng.int rng (List.length live)))
-        else
-          Deliver
-            (nth_pending view (Prng.Rng.int rng (List.length view.pending))));
+        else deliver_uniform view rng);
   }

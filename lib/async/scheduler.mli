@@ -24,12 +24,21 @@ type 'msg view = {
   crash_budget_left : int;
   crashed : bool array;
   decided : int option array;
-  pending : 'msg in_flight list;  (** Never empty when [pick] is called; in send order. *)
+  pending_count : int;  (** In-flight messages; never 0 when [pick] is called. *)
+  pending_nth : int -> 'msg in_flight;
+      (** [pending_nth k] for [0 <= k < pending_count], oldest first: ids
+          strictly ascend with [k]. Raises [Invalid_argument] out of
+          range. *)
   steps_taken : int;
 }
+(** The pending accessors are a zero-copy, read-only window onto the
+    engine's own message store, valid only during the [pick] call that
+    received them: the engine mutates the store as soon as [pick]
+    returns. A scheduler that keeps messages past its call must copy
+    what it keeps. *)
 
 type action =
-  | Deliver of int  (** Message id from [pending]. *)
+  | Deliver of int  (** Message id of a pending message. *)
   | Crash of int  (** Process id; must be alive and within budget. *)
 
 type 'msg t = {

@@ -1,76 +1,96 @@
-type msg = (int list * int) list
-(** Level snapshot: (label, claimed value) pairs. *)
+(* A label [q1; ...; qk] of distinct pids is the base-n integer with q1 as
+   its most significant digit, so ascending codes are lexicographic label
+   order and the child [label @ [q]] is [code * n + q]. Each tree level is
+   one flat array indexed by code, holding the node's value or [absent]. *)
+
+let absent = -1
+
+type msg = { level : int; values : int array }
+(** Level snapshot: [values.(code)] for every label of length [level]. *)
 
 type state = {
   n : int;
   t : int;
-  pid : int;
-  input : int;
-  tree : (int list, int) Hashtbl.t;
+  levels : int array array;
+      (** [levels.(k)] for k = 0..t+1; level 0 is [| input |]. Filled in
+          place as rounds complete and shared by a process's successive
+          states, and by the messages that snapshot a completed level. *)
   rounds_done : int;
   decision : int option;
 }
 
-let tree_size s = Hashtbl.length s.tree
+let tree_size s =
+  let size = ref 0 in
+  for k = 1 to Array.length s.levels - 1 do
+    Array.iter (fun v -> if v <> absent then incr size) s.levels.(k)
+  done;
+  !size
+
+(* Whether pid [q] is one of the [digits] base-n digits of [code]. *)
+let rec label_mem ~n code ~digits q =
+  digits > 0 && (code mod n = q || label_mem ~n (code / n) ~digits:(digits - 1) q)
 
 let protocol ~t =
-  let init ~n ~pid ~input =
+  let init ~n ~pid:_ ~input =
     if t < 0 then invalid_arg "Eig.protocol: negative t";
     if n <= 3 * t then invalid_arg "Eig.protocol: needs n > 3t";
-    { n; t; pid; input; tree = Hashtbl.create 64; rounds_done = 0; decision = None }
+    let leaves = ref 1 in
+    for _ = 0 to t do
+      if !leaves > Sys.max_array_length / n then
+        invalid_arg "Eig.protocol: n^(t+1) labels do not fit an array";
+      leaves := !leaves * n
+    done;
+    let levels = Array.make (t + 2) [||] in
+    levels.(0) <- [| input |];
+    { n; t; levels; rounds_done = 0; decision = None }
   in
   let phase_a s _rng =
     let level = s.rounds_done in
-    let payload =
-      if level = 0 then [ ([], s.input) ]
-      else
-        (* Sorted by label so the broadcast payload never depends on the
-           tree's internal bucket layout. *)
-        Hashtbl.fold
-          (fun label v acc -> if List.length label = level then (label, v) :: acc else acc)
-          s.tree []
-        |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-    in
-    (s, payload)
+    (s, { level; values = s.levels.(level) })
   in
   let phase_b s ~round:_ ~received =
     let level = s.rounds_done in
+    let n = s.n in
     (* Install level+1 nodes: src's relay of each level-[level] label. *)
-    Array.iter
-      (fun (src, pairs) ->
-        List.iter
-          (fun (label, v) ->
-            if
-              List.length label = level
-              && (not (List.mem src label))
-              && List.length label <= s.t
-              && (v = 0 || v = 1)
-            then begin
-              let extended = label @ [ src ] in
-              if not (Hashtbl.mem s.tree extended) then
-                Hashtbl.replace s.tree extended v
-            end)
-          pairs)
-      received;
+    if level <= s.t then begin
+      let next = Array.make (n * Array.length s.levels.(level)) absent in
+      Array.iter
+        (fun (src, m) ->
+          if m.level = level then
+            Array.iteri
+              (fun code v ->
+                if (v = 0 || v = 1) && not (label_mem ~n code ~digits:level src)
+                then next.((code * n) + src) <- v)
+              m.values)
+        received;
+      s.levels.(level + 1) <- next
+    end;
     let rounds_done = s.rounds_done + 1 in
     let decision =
       if rounds_done < s.t + 1 then None
       else begin
         (* Bottom-up strict-majority resolution; absent nodes and ties
-           default to 0. *)
-        let rec resolve label =
-          if List.length label = s.t + 1 then
-            Option.value (Hashtbl.find_opt s.tree label) ~default:0
+           default to 0. [used] marks the pids on the current label. *)
+        let used = Array.make n false in
+        let rec resolve depth code =
+          if depth = s.t + 1 then begin
+            let v = s.levels.(depth).(code) in
+            if v = absent then 0 else v
+          end
           else begin
             let ones = ref 0 and zeros = ref 0 in
-            for q = 0 to s.n - 1 do
-              if not (List.mem q label) then
-                if resolve (label @ [ q ]) = 1 then incr ones else incr zeros
+            for q = 0 to n - 1 do
+              if not used.(q) then begin
+                used.(q) <- true;
+                if resolve (depth + 1) ((code * n) + q) = 1 then incr ones
+                else incr zeros;
+                used.(q) <- false
+              end
             done;
             if !ones > !zeros then 1 else 0
           end
         in
-        Some (resolve [])
+        Some (resolve 0 0)
       end
     in
     { s with rounds_done; decision }
@@ -115,9 +135,12 @@ let liar ?(budget_fraction = 1.0) () =
             (fun ~src ~dst ->
               if dst land 1 = 0 then Adversary.Honest
               else
+                let m = view.Adversary.pending.(src) in
                 Adversary.Forge
-                  (List.map
-                     (fun (label, v) -> (label, 1 - v))
-                     view.Adversary.pending.(src)));
+                  {
+                    m with
+                    values =
+                      Array.map (fun v -> if v = absent then absent else 1 - v) m.values;
+                  });
         });
   }

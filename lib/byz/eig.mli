@@ -11,14 +11,23 @@
     pid is honest, which anchors the majority argument.
 
     Message size grows as n^r — fine for the small n this substrate is
-    exercised at, and the very reason [GM93] was a contribution. *)
+    exercised at, and the very reason [GM93] was a contribution.
+
+    Labels are stored as base-n integer codes, most significant digit
+    first, so ascending code order is lexicographic label order; each
+    tree level is one flat array of n^k slots indexed by code. A message
+    is a snapshot of one level and carries that level, so receivers drop
+    wrong-level messages, labels already containing the sender, and
+    non-bit values. *)
 
 type state
 
 type msg
 
 val protocol : t:int -> (state, msg) Protocol.t
-(** Requires n > 3t (checked at init). Decides after exactly t+1 rounds. *)
+(** Requires n > 3t and n^(t+1) <= [Sys.max_array_length] (both checked
+    at init, raising [Invalid_argument]). Decides after exactly t+1
+    rounds. *)
 
 val liar : ?budget_fraction:float -> unit -> (state, msg) Adversary.t
 (** Corrupts [budget_fraction * t] processes (default all of t) in round 1

@@ -51,11 +51,9 @@ let test_crash_drops_messages () =
         (fun view rng ->
           if not view.Async.Scheduler.crashed.(0) then Async.Scheduler.Crash 0
           else
-            let k =
-              Prng.Rng.int rng (List.length view.Async.Scheduler.pending)
-            in
+            let k = Prng.Rng.int rng view.Async.Scheduler.pending_count in
             Async.Scheduler.Deliver
-              (List.nth view.Async.Scheduler.pending k).Async.Scheduler.id);
+              (view.Async.Scheduler.pending_nth k).Async.Scheduler.id);
     }
   in
   let o = run_echo crash0 ~inputs:[| 1; 0; 0 |] ~t:1 ~seed:3 in
@@ -66,6 +64,82 @@ let test_crash_drops_messages () =
   (* p0's 3 hellos evaporated; messages TO p0 from others too. *)
   check_bool "fewer deliveries than sends" true
     (o.Async.Engine.deliveries < o.Async.Engine.sends)
+
+let test_redelivery_rejected () =
+  (* Deliver message 0, then ask for it again. *)
+  let again =
+    {
+      Async.Scheduler.name = "again";
+      pick = (fun _ _ -> Async.Scheduler.Deliver 0);
+    }
+  in
+  check_bool "re-delivery raises" true
+    (try
+       ignore (run_echo again ~inputs:[| 1; 0; 0 |] ~t:0 ~seed:4);
+       false
+     with Async.Engine.Invalid_action _ -> true)
+
+let pending_list view =
+  List.init view.Async.Scheduler.pending_count view.Async.Scheduler.pending_nth
+
+let test_crash_purges_view () =
+  (* Crash p1 at step 2; from step 3 on no pending message may touch it. *)
+  let violations = ref 0 and checked = ref 0 in
+  let purger =
+    {
+      Async.Scheduler.name = "purger";
+      pick =
+        (fun view rng ->
+          if view.Async.Scheduler.steps_taken = 2 then Async.Scheduler.Crash 1
+          else begin
+            if view.Async.Scheduler.crashed.(1) then begin
+              incr checked;
+              List.iter
+                (fun m ->
+                  if m.Async.Scheduler.src = 1 || m.Async.Scheduler.dst = 1 then
+                    incr violations)
+                (pending_list view)
+            end;
+            Async.Scheduler.fair.Async.Scheduler.pick view rng
+          end);
+    }
+  in
+  let o =
+    Async.Engine.run (Async.Benor.protocol ~t:1) purger
+      ~inputs:[| 0; 1; 0; 1 |] ~t:1 ~rng:(Prng.Rng.create 14)
+  in
+  check_bool "p1 crashed" true o.Async.Engine.crashed.(1);
+  check_bool "views checked after the crash" true (!checked > 0);
+  check_int "no message to or from p1" 0 !violations
+
+let test_pending_ascending () =
+  (* Under the splitter (deliveries from the middle of the store) and
+     random crashes (in-place filtering), ids stay strictly ascending. *)
+  let bad = ref 0 and steps = ref 0 in
+  let watch (inner : Async.Benor.msg Async.Scheduler.t) =
+    {
+      inner with
+      Async.Scheduler.pick =
+        (fun view rng ->
+          incr steps;
+          for k = 1 to view.Async.Scheduler.pending_count - 1 do
+            if
+              (view.Async.Scheduler.pending_nth (k - 1)).Async.Scheduler.id
+              >= (view.Async.Scheduler.pending_nth k).Async.Scheduler.id
+            then incr bad
+          done;
+          inner.Async.Scheduler.pick view rng);
+    }
+  in
+  List.iter
+    (fun sched ->
+      ignore
+        (Async.Engine.run_trials ~max_steps:20_000 ~trials:3 ~seed:15
+           ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng 5)
+           ~t:2 (Async.Benor.protocol ~t:2) (watch sched)))
+    [ Async.Benor.splitter (); Async.Scheduler.random_crash ~p:0.05 ];
+  check_bool "steps observed" true (!steps > 0);
+  check_int "strictly ascending ids" 0 !bad
 
 let test_crash_budget_enforced () =
   let crasher =
@@ -211,6 +285,9 @@ let suites =
         tc "echo terminates" test_echo_terminates;
         tc "fifo deterministic" test_fifo_deterministic;
         tc "crash drops messages" test_crash_drops_messages;
+        tc "re-delivery rejected" test_redelivery_rejected;
+        tc "crash purges the view" test_crash_purges_view;
+        tc "pending ascending by id" test_pending_ascending;
         tc "crash budget enforced" test_crash_budget_enforced;
         tc "step cap" test_step_cap;
         tc "decision discipline" test_decision_discipline;

@@ -427,14 +427,42 @@ let eig_suite =
       (s.Byz.Engine.agreement_errors + s.Byz.Engine.validity_errors > 0)
   in
   let test_tree_grows () =
-    let exec_inputs = Array.init 7 (fun i -> i land 1) in
-    let o =
-      Byz.Engine.run (Byz.Eig.protocol ~t:2) Byz.Adversary.null
-        ~inputs:exec_inputs ~t:0 ~rng:(Prng.Rng.create 5)
+    (* Drive the protocol record by hand, all honest: every process stores
+       all labels of distinct pids at levels 1..t+1 = 7 + 7*6 + 7*6*5. *)
+    let n = 7 and t = 2 in
+    let p = Byz.Eig.protocol ~t in
+    let rng = Prng.Rng.create 5 in
+    let states =
+      Array.init n (fun pid -> p.Byz.Protocol.init ~n ~pid ~input:(pid land 1))
     in
-    (* All honest: levels 1..3 full: 7 + 42 + 210... level 3 only stored up
-       to label length t+1 = 3: 7*6*5 = 210. Decision well-defined. *)
-    check_bool "terminates" true (o.Byz.Engine.rounds_to_decide <> None)
+    for round = 1 to t + 1 do
+      let staged =
+        Array.mapi
+          (fun pid s ->
+            let s', m = p.Byz.Protocol.phase_a s rng in
+            states.(pid) <- s';
+            (pid, m))
+          states
+      in
+      Array.iteri
+        (fun pid s ->
+          states.(pid) <- p.Byz.Protocol.phase_b s ~round ~received:staged)
+        states
+    done;
+    Array.iter
+      (fun s ->
+        check_int "tree size" (7 + 42 + 210) (Byz.Eig.tree_size s);
+        check_bool "decided" true (p.Byz.Protocol.decision s <> None))
+      states
+  in
+  let test_oversized_tree_rejected () =
+    (* n > 3t holds, but 61^21 leaf slots overflow any array. *)
+    check_bool "n^(t+1) past the array limit rejected" true
+      (try
+         ignore ((Byz.Eig.protocol ~t:20).Byz.Protocol.init ~n:61 ~pid:0 ~input:0);
+         false
+       with Invalid_argument msg ->
+         msg = "Eig.protocol: n^(t+1) labels do not fit an array")
   in
   ( "byz.eig",
     [
@@ -444,6 +472,7 @@ let eig_suite =
       tc "validity unanimous under liar" test_validity_unanimous;
       tc "breaks over budget" test_breaks_over_budget;
       tc "tree machinery" test_tree_grows;
+      tc "oversized tree rejected" test_oversized_tree_rejected;
     ] )
 
 let suites = suites @ [ eig_suite ]

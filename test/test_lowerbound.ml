@@ -413,6 +413,26 @@ let determinism_suite =
             Alcotest.(check string) (id ^ " reproducible") a b)
       [ "e2"; "e5" ]
   in
+  let test_contrast_tables_pinned () =
+    (* MD5 of the rendered quick-profile tables, taken from the list-based
+       async engine and the int-list EIG tree: the array-backed stores
+       must reproduce every byte. *)
+    List.iter
+      (fun (id, seed, md5) ->
+        match Core.Experiments.by_id id with
+        | None -> Alcotest.failf "unknown experiment %s" id
+        | Some f ->
+            let r = Stats.Table.render (f Core.Experiments.Quick ~seed) in
+            Alcotest.(check string)
+              (Printf.sprintf "%s seed %d" id seed)
+              md5
+              (Digest.to_hex (Digest.string r)))
+      [
+        ("e9", 42, "615547139cc06f249cb91e5baa47df34");
+        ("e11", 42, "e19e8006e06451dfafcdbb8e4162cf99");
+        ("e9", 7, "6cbbd529df1d99fa2cc29604586bda34");
+      ]
+  in
   let test_ids_complete () =
     Alcotest.(check int) "twelve experiments" 12
       (List.length Core.Experiments.ids);
@@ -426,6 +446,7 @@ let determinism_suite =
   ( "core.experiments",
     [
       tc "tables reproducible" test_tables_reproducible;
+      tc "E9/E11 tables pinned" test_contrast_tables_pinned;
       tc "all ids resolvable" test_ids_complete;
     ] )
 
