@@ -6,7 +6,9 @@
    properties in test_delivery.ml then localize it. The cohort and
    bitkernel legs replay the same discipline against the compressed and
    bit-packed engines (outcomes, traces, metrics digest, event-stream
-   digest — any byte of difference fails tier-1).
+   digest — any byte of difference fails tier-1). A large-n leg compares
+   all three engines, lockstep batching and the legacy exchange at n up
+   to 4096, where the differential suites do not reach.
 
    Also smoke-validates the observability layer: one captured band-control
    workload at --jobs 1 vs --jobs 3 must produce byte-identical metrics
@@ -213,6 +215,71 @@ let bitkernel_smoke () =
   done;
   print_endline "bench-smoke: bitkernel engine byte-identical to concrete"
 
+(* Large-n replay under the null adversary: the differential suites and
+   the legs above stop at n <= 96, so this is where the engines meet at
+   the sizes the benchmark times. Concrete, bitkernel and cohort must
+   agree at n = 4096 for SynRan (random inputs) and FloodSet; a lockstep
+   [run_batch] of 8 trials must equal running them one at a time; and one
+   SynRan trial at n = 1024 must match the legacy materialized exchange.
+   No timing: speed is the benchmark's business (perf/). *)
+let large_n_smoke () =
+  let inputs_for n i = Prng.Sample.random_bits (Prng.Rng.create (42 + i)) n in
+  let rng_of i = Prng.Rng.create (100 + i) in
+  let engines name protocol ~n ~max_rounds =
+    for i = 1 to 2 do
+      let inputs = inputs_for n i in
+      let concrete =
+        Sim.Engine.run ~max_rounds protocol Sim.Adversary.null ~inputs ~t:0
+          ~rng:(rng_of i)
+      in
+      let bit =
+        Sim.Bitkernel.run ~max_rounds protocol Sim.Adversary.null ~inputs
+          ~t:0 ~rng:(rng_of i)
+      in
+      let cohort =
+        Sim.Cohort.run ~max_rounds protocol
+          (Sim.Cohort.Concrete Sim.Adversary.null)
+          ~inputs ~t:0 ~rng:(rng_of i)
+      in
+      let what engine = Printf.sprintf "%s n=%d trial %d: %s" name n i engine in
+      check (what "bitkernel = concrete") (outcomes_equal concrete bit);
+      check (what "cohort = concrete") (outcomes_equal concrete cohort)
+    done
+  in
+  let n = 4096 in
+  let synran = Core.Synran.protocol n in
+  engines "synran" synran ~n ~max_rounds:400;
+  engines "floodset"
+    (Baselines.Floodset.protocol ~rounds:17 ())
+    ~n ~max_rounds:20;
+  let b = 8 and max_rounds = 400 in
+  let batched =
+    Sim.Bitkernel.run_batch ~max_rounds synran
+      ~adversary_of:(fun _ -> Sim.Adversary.null)
+      ~inputs_of:(inputs_for n) ~rng_of ~t:0 ~trials:b
+  in
+  let sequential =
+    Array.init b (fun i ->
+        Sim.Bitkernel.run ~max_rounds synran Sim.Adversary.null
+          ~inputs:(inputs_for n i) ~t:0 ~rng:(rng_of i))
+  in
+  check
+    (Printf.sprintf "bitkernel run_batch n=%d x %d = sequential run" n b)
+    (Array.length batched = b
+    && Array.for_all2 outcomes_equal batched sequential);
+  let n = 1024 in
+  let p = Core.Synran.protocol n in
+  let run p =
+    Sim.Engine.run ~max_rounds:400 p Sim.Adversary.null
+      ~inputs:(inputs_for n 1) ~t:0 ~rng:(rng_of 1)
+  in
+  check
+    (Printf.sprintf "synran n=%d: fast path = legacy" n)
+    (outcomes_equal (run p) (run (Sim.Protocol.legacy p)));
+  print_endline
+    "bench-smoke: engines agree at n=4096, run_batch = sequential, legacy = \
+     fast at n=1024"
+
 (* Chaos replay: a pinned survivable fault plan — three faults across
    three sites, one of them a torn checkpoint write that the retry must
    quarantine and recompute — replayed at jobs 1 and jobs 3. The whole
@@ -362,6 +429,7 @@ let () =
   done;
   cohort_smoke ();
   bitkernel_smoke ();
+  large_n_smoke ();
   obs_smoke ();
   chaos_smoke ();
   if !failures > 0 then begin

@@ -464,10 +464,6 @@ let experiments_cmd =
   let run profile seed jobs which csv resume deadline_s metrics_out events_out
       retries fault_plan =
     Printexc.record_backtrace true;
-    let profile =
-      Option.value (Core.Experiments.profile_of_string profile)
-        ~default:Core.Experiments.Quick
-    in
     let profile_label =
       match profile with Core.Experiments.Quick -> "quick" | Full -> "full"
     in
@@ -554,7 +550,11 @@ let experiments_cmd =
   in
   let profile_arg =
     Arg.(
-      value & opt string "quick"
+      value
+      & opt
+          (enum
+             [ ("quick", Core.Experiments.Quick); ("full", Core.Experiments.Full) ])
+          Core.Experiments.Quick
       & info [ "profile" ] ~docv:"PROFILE" ~doc:"quick or full.")
   in
   let experiment_id =

@@ -1,10 +1,5 @@
 type profile = Quick | Full
 
-let profile_of_string = function
-  | "quick" -> Some Quick
-  | "full" -> Some Full
-  | _ -> None
-
 let pick p ~quick ~full = match p with Quick -> quick | Full -> full
 
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,6 @@
 (** Experiment drivers: one per reproduced claim (see DESIGN.md section 4
     and EXPERIMENTS.md). Each returns a {!Stats.Table.t} that
-    [bench/main.exe] and [bin/consensus_cli.exe experiments] render.
+    [bin/consensus_cli.exe experiments] renders.
 
     [Quick] keeps every experiment under a few seconds for CI-style runs;
     [Full] uses the trial counts and sweeps reported in EXPERIMENTS.md.
@@ -19,8 +19,6 @@
     supervised run's tables are bit-identical to an unsupervised run's. *)
 
 type profile = Quick | Full
-
-val profile_of_string : string -> profile option
 
 val e1_coin_control :
   ?jobs:int -> ?sup:Supervise.ctx -> profile -> seed:int -> Stats.Table.t

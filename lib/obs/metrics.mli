@@ -8,8 +8,8 @@
     every combining operation (counter addition, histogram addition,
     Welford's exact merge) is performed in that fixed order, every metric
     value — and hence {!to_json} and {!digest} — is byte-identical at any
-    [--jobs]. Nothing here reads a clock: wall-time lives in {!Clock} and
-    is banned from registries by construction (detlint R6).
+    [--jobs]. Nothing here reads a clock: wall-time is banned from
+    registries by construction (detlint R2 flags any raw clock read).
 
     A name has one kind forever; observing it at a different kind raises
     [Invalid_argument]. *)

@@ -21,9 +21,9 @@
      the whole graph is loaded, so local helpers and siblings link up.
    - nondeterminism sources: global [Random] (R1), wall-clock/entropy (R2),
      [Gc] statistics (R2), unsorted [Hashtbl] iteration (R3), polymorphic
-     [compare] (R5), [Domain] identity (T1), and [Obs.Clock] outside the
-     lib/obs + bench quarantine (R6). The Hashtbl check reuses the
-     syntactic pass's escape heuristic (a fold feeding a sort is ordered).
+     [compare] (R5) and [Domain] identity (T1). The Hashtbl check reuses
+     the syntactic pass's escape heuristic (a fold feeding a sort is
+     ordered).
    - float folds (R8): [fold_left]/[fold_right] applications whose result
      type is [float] — order-sensitive accumulations, checked against the
      merge-flow region by the taint pass.
@@ -59,7 +59,6 @@ type source_kind =
   | Sk_gc  (* Gc statistics (alloc counters, heap words) -> R2 *)
   | Sk_hashtbl_order  (* unsorted Hashtbl.iter/fold        -> R3 *)
   | Sk_polycompare  (* bare polymorphic compare            -> R5 *)
-  | Sk_clock  (* Obs.Clock outside lib/obs and bench       -> R6 *)
   | Sk_domain_id  (* Domain.self: scheduling identity      -> T1 *)
 
 let source_kind_name = function
@@ -68,7 +67,6 @@ let source_kind_name = function
   | Sk_gc -> "gc-stats"
   | Sk_hashtbl_order -> "hashtbl-order"
   | Sk_polycompare -> "poly-compare"
-  | Sk_clock -> "obs-clock"
   | Sk_domain_id -> "domain-identity"
 
 (* The waiver rule that silences a given source kind. *)
@@ -77,7 +75,6 @@ let source_rule = function
   | Sk_wallclock | Sk_gc -> "R2"
   | Sk_hashtbl_order -> "R3"
   | Sk_polycompare -> "R5"
-  | Sk_clock -> "R6"
   | Sk_domain_id -> "T1"
 
 type occurrence = {
@@ -219,11 +216,6 @@ let in_scope_r5 file =
     (fun p -> Option.is_some (strip_prefix ~prefix:p file))
     [ "lib/stats/"; "lib/sim/"; "lib/core/"; "lib/coinflip/" ]
 
-let in_scope_r6 file =
-  not
-    (Option.is_some (strip_prefix ~prefix:"lib/obs/" file)
-    || Option.is_some (strip_prefix ~prefix:"bench/" file))
-
 (* ------------------------------------------------------------------ *)
 (* Compiler-libs helpers                                               *)
 (* ------------------------------------------------------------------ *)
@@ -238,7 +230,7 @@ let loc_of (l : Location.t) ~file =
 (* Same surface syntax as the ppxlib pass: [@detlint.allow "R<n>: why"].
    Rules outside the known set are left to the syntactic pass's W0. *)
 let known_rules =
-  [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9"; "T1" ]
+  [ "R1"; "R2"; "R3"; "R4"; "R5"; "R7"; "R8"; "R9"; "T1" ]
 
 let parse_waiver ~file (attr : Parsetree.attribute) =
   if attr.Parsetree.attr_name.Location.txt <> "detlint.allow" then None
@@ -382,11 +374,6 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
     if List.mem name gc_fns then add Sk_gc;
     if List.mem name domain_id_fns then add Sk_domain_id;
     if name = "compare" && in_scope_r5 file then add Sk_polycompare;
-    if
-      (Option.is_some (strip_prefix ~prefix:"Obs.Clock." name)
-      || name = "Obs.Clock")
-      && in_scope_r6 file
-    then add Sk_clock;
     if List.mem name hashtbl_order_fns && !sorted_depth = 0 then begin
       add Sk_hashtbl_order;
       let w = active_waiver [ "R7"; "R3" ] in

@@ -16,7 +16,7 @@
 
    Walks every PATH recursively for [.ml] files (skipping [_build], [.git]
    and the deliberately-bad [lint_fixtures] corpus), lints each against
-   rules R1-R6, optionally layers the typed-tree taint analysis (T1,
+   rules R1-R5 and R10, optionally layers the typed-tree taint analysis (T1,
    R7-R9) on top, prints human-readable findings, and exits non-zero iff
    any unwaived violation remains. *)
 
