@@ -8,7 +8,8 @@
    bit-packed engines (outcomes, traces, metrics digest, event-stream
    digest — any byte of difference fails tier-1). A large-n leg compares
    all three engines, lockstep batching and the legacy exchange at n up
-   to 4096, where the differential suites do not reach.
+   to 4096 under the null adversary and at n = 8192 under band control,
+   where the differential suites do not reach.
 
    Also smoke-validates the observability layer: one captured band-control
    workload at --jobs 1 vs --jobs 3 must produce byte-identical metrics
@@ -215,12 +216,14 @@ let bitkernel_smoke () =
   done;
   print_endline "bench-smoke: bitkernel engine byte-identical to concrete"
 
-(* Large-n replay under the null adversary: the differential suites and
-   the legs above stop at n <= 96, so this is where the engines meet at
-   the sizes the benchmark times. Concrete, bitkernel and cohort must
+(* Large-n replay: the differential suites and the legs above stop at
+   n <= 96, so this is where the engines meet at the sizes the benchmark
+   times. Under the null adversary, concrete, bitkernel and cohort must
    agree at n = 4096 for SynRan (random inputs) and FloodSet; a lockstep
    [run_batch] of 8 trials must equal running them one at a time; and one
    SynRan trial at n = 1024 must match the legacy materialized exchange.
+   Under band control, the three engines must agree on outcomes and on the
+   metrics digest for two SynRan trials at n = 8192.
    No timing: speed is the benchmark's business (perf/). *)
 let large_n_smoke () =
   let inputs_for n i = Prng.Sample.random_bits (Prng.Rng.create (42 + i)) n in
@@ -276,9 +279,44 @@ let large_n_smoke () =
   check
     (Printf.sprintf "synran n=%d: fast path = legacy" n)
     (outcomes_equal (run p) (run (Sim.Protocol.legacy p)));
+  (* Band control at n = 8192: kill rounds with partial deliveries, which
+     every engine runs through the shared round rules and bitkernel runs
+     through Engine's own delivery code. Cohort plans with the native
+     port, as [--engine cohort] does. *)
+  let n = 8192 in
+  let t = n - 1 and rules = Core.Onesided.paper in
+  let synran = Core.Synran.protocol ~rules n in
+  let band () =
+    Core.Lb_adversary.band_control ~rules ~bit_of_msg:Core.Synran.bit_of_msg ()
+  in
+  for i = 1 to 2 do
+    let inputs = inputs_for n i in
+    let concrete, mc, _ =
+      observed (fun sink ->
+          Sim.Engine.run ~sink ~max_rounds:2000 synran (band ()) ~inputs ~t
+            ~rng:(rng_of i))
+    in
+    let bit, mb, _ =
+      observed (fun sink ->
+          Sim.Bitkernel.run ~sink ~max_rounds:2000 synran (band ()) ~inputs ~t
+            ~rng:(rng_of i))
+    in
+    let cohort, mco, _ =
+      observed (fun sink ->
+          Sim.Cohort.run ~sink ~max_rounds:2000 synran
+            (Core.Lb_adversary.band_control_cohort ~rules
+               ~bit_of_msg:Core.Synran.bit_of_msg ())
+            ~inputs ~t ~rng:(rng_of i))
+    in
+    let what engine =
+      Printf.sprintf "synran n=%d vs band-control trial %d: %s" n i engine
+    in
+    check (what "bitkernel = concrete") (outcomes_equal concrete bit && mb = mc);
+    check (what "cohort = concrete") (outcomes_equal concrete cohort && mco = mc)
+  done;
   print_endline
-    "bench-smoke: engines agree at n=4096, run_batch = sequential, legacy = \
-     fast at n=1024"
+    "bench-smoke: engines agree at n=4096 and under band control at n=8192, \
+     run_batch = sequential, legacy = fast at n=1024"
 
 (* Chaos replay: a pinned survivable fault plan — three faults across
    three sites, one of them a torn checkpoint write that the retry must

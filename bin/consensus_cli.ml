@@ -12,9 +12,6 @@ open Cmdliner
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Master PRNG seed.")
 
-let n_arg =
-  Arg.(value & opt int 64 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
-
 (* Reject non-positive counts at the command line with a clear error
    instead of silently coercing them to a default deeper down. *)
 let positive_int what =
@@ -25,6 +22,12 @@ let positive_int what =
     | None -> Error (`Msg (Printf.sprintf "%s must be an integer (got %S)" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let n_arg =
+  Arg.(
+    value
+    & opt (positive_int "N") 64
+    & info [ "n" ] ~docv:"N" ~doc:"Number of processes (must be >= 1).")
 
 let jobs_arg =
   Arg.(
@@ -130,6 +133,21 @@ let t_arg =
     value
     & opt (some int) None
     & info [ "t" ] ~docv:"T" ~doc:"Adversary budget (default n-1).")
+
+(* N and the budget T together: T defaults to [default_t n] and must lie
+   in [0, N], so a bad -t is a usage error instead of an exception from
+   the engine. *)
+let n_t_args ~default_t =
+  let check n t =
+    let t = Option.value t ~default:(default_t n) in
+    if t < 0 || t > n then
+      `Error
+        ( true,
+          Printf.sprintf "option '-t': T must lie in [0, N] (got %d with N = %d)"
+            t n )
+    else `Ok (n, t)
+  in
+  Term.(ret (const check $ n_arg $ t_arg))
 
 let trials_arg =
   Arg.(
@@ -271,9 +289,8 @@ let print_summary name (s : Sim.Runner.summary) =
     (Stats.Histogram.render ~width:30 s.Sim.Runner.rounds_hist)
 
 let run_cmd =
-  let run n t trials seed jobs chunk_size engine rules adv_name proto_name
+  let run (n, t) trials seed jobs chunk_size engine rules adv_name proto_name
       inputs metrics_out events_out retries fault_plan fault_seed =
-    let t = Option.value t ~default:(n - 1) in
     let gen = gen_of_inputs inputs ~n in
     let capture = capture_for ~metrics_out ~events_out in
     let fault =
@@ -289,9 +306,9 @@ let run_cmd =
           Some p
       | None, None -> None
     in
-    (* The legacy loop stays the zero-overhead default; any fault or
-       retry option routes through the supervised fold, whose successful
-       summaries are byte-identical to the legacy ones. *)
+    (* Every run goes through the supervised fold: without faults or
+       retries its summary is the one [Sim.Runner.run_trials] returns, and
+       a failed chunk is reported instead of escaping as an exception. *)
     let finish_report (r : Sim.Runner.report) =
       (match r.Sim.Runner.retried with
       | [] -> ()
@@ -316,7 +333,6 @@ let run_cmd =
             r.Sim.Runner.completed_trials r.Sim.Runner.total_trials;
           exit 1
     in
-    let supervised = retries > 0 || Option.is_some fault in
     (match proto_name with
     | "synran" | "leader" ->
         let make_adversary () = adversary_of_name adv_name ~rules ~n ~t ~seed in
@@ -344,15 +360,10 @@ let run_cmd =
         in
         let protocol = Core.Synran.protocol ~rules ~coin n in
         let s =
-          if supervised then
-            finish_report
-              (Sim.Runner.run_trials_supervised ~max_rounds:2000 ~jobs
-                 ?chunk_size ?capture ~engine ?cohort_adversary ~retries ?fault
-                 ~trials ~seed ~gen_inputs:gen ~t protocol make_adversary)
-          else
-            Sim.Runner.run_trials ~max_rounds:2000 ~jobs ?chunk_size ?capture
-              ~engine ?cohort_adversary ~trials ~seed ~gen_inputs:gen ~t
-              protocol make_adversary
+          finish_report
+            (Sim.Runner.run_trials_supervised ~max_rounds:2000 ~jobs
+               ?chunk_size ?capture ~engine ?cohort_adversary ~retries ?fault
+               ~trials ~seed ~gen_inputs:gen ~t protocol make_adversary)
         in
         print_summary
           (Printf.sprintf "%s vs %s (n=%d t=%d)" protocol.Sim.Protocol.name
@@ -369,15 +380,10 @@ let run_cmd =
         let make_adversary () = generic_adversary_of_name adv_name ~n ~t ~seed in
         let protocol = Baselines.Floodset.protocol ~rounds:(t + 1) () in
         let s =
-          if supervised then
-            finish_report
-              (Sim.Runner.run_trials_supervised ~max_rounds:(t + 2) ~jobs
-                 ?chunk_size ?capture ~engine ~retries ?fault ~trials ~seed
-                 ~gen_inputs:gen ~t protocol make_adversary)
-          else
-            Sim.Runner.run_trials ~max_rounds:(t + 2) ~jobs ?chunk_size
-              ?capture ~engine ~trials ~seed ~gen_inputs:gen ~t protocol
-              make_adversary
+          finish_report
+            (Sim.Runner.run_trials_supervised ~max_rounds:(t + 2) ~jobs
+               ?chunk_size ?capture ~engine ~retries ?fault ~trials ~seed
+               ~gen_inputs:gen ~t protocol make_adversary)
         in
         print_summary
           (Printf.sprintf "%s vs %s (n=%d t=%d)" protocol.Sim.Protocol.name
@@ -387,17 +393,17 @@ let run_cmd =
   in
   let term =
     Term.(
-      const run $ n_arg $ t_arg $ trials_arg $ seed_arg $ jobs_arg
-      $ chunk_size_arg $ engine_arg $ rules_arg $ adversary_arg $ protocol_arg
-      $ inputs_arg $ metrics_out_arg $ events_out_arg $ retries_arg
-      $ fault_plan_arg $ fault_seed_arg)
+      const run
+      $ n_t_args ~default_t:(fun n -> n - 1)
+      $ trials_arg $ seed_arg $ jobs_arg $ chunk_size_arg $ engine_arg
+      $ rules_arg $ adversary_arg $ protocol_arg $ inputs_arg $ metrics_out_arg
+      $ events_out_arg $ retries_arg $ fault_plan_arg $ fault_seed_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run many trials of a protocol under an adversary")
     term
 
 let trace_cmd =
-  let run n t seed rules adv_name inputs =
-    let t = Option.value t ~default:(n - 1) in
+  let run (n, t) seed rules adv_name inputs =
     let rng = Prng.Rng.create seed in
     let gen = gen_of_inputs inputs ~n in
     let input_bits = gen rng in
@@ -421,8 +427,9 @@ let trace_cmd =
   in
   let term =
     Term.(
-      const run $ n_arg $ t_arg $ seed_arg $ rules_arg $ adversary_arg
-      $ inputs_arg)
+      const run
+      $ n_t_args ~default_t:(fun n -> n - 1)
+      $ seed_arg $ rules_arg $ adversary_arg $ inputs_arg)
   in
   Cmd.v (Cmd.info "trace" ~doc:"Run one execution and dump the round trace") term
 
@@ -522,7 +529,7 @@ let experiments_cmd =
     (* Plans can arm the manifest site itself; an injector with zero
        chunk slots still carries the run-scope slot the site uses. *)
     let manifest_fault =
-      Option.map (fun p -> Core.Fault.injector p) fault_plan
+      Option.map (fun p -> Sim.Fault.injector p) fault_plan
     in
     (try
        Core.Supervise.write_manifest ?fault:manifest_fault
@@ -634,8 +641,7 @@ let bounds_cmd =
   Cmd.v (Cmd.info "bounds" ~doc:"Print the closed-form bounds for n, t") term
 
 let valency_cmd =
-  let run n t seed rounds adv_name rules =
-    let t = Option.value t ~default:(n - 1) in
+  let run (n, t) seed rounds adv_name rules =
     let adversary = adversary_of_name adv_name ~rules ~n ~t ~seed in
     Printf.printf
       "Valency trajectory (Sec 3.2): n=%d t=%d adversary=%s\n\n" n t
@@ -656,8 +662,9 @@ let valency_cmd =
   in
   let term =
     Term.(
-      const run $ n_arg $ t_arg $ seed_arg $ rounds_arg $ adversary_arg
-      $ rules_arg)
+      const run
+      $ n_t_args ~default_t:(fun n -> n - 1)
+      $ seed_arg $ rounds_arg $ adversary_arg $ rules_arg)
   in
   Cmd.v
     (Cmd.info "valency"
@@ -665,8 +672,7 @@ let valency_cmd =
     term
 
 let async_cmd =
-  let run n t seed trials scheduler_name =
-    let t = Option.value t ~default:((n - 1) / 2) in
+  let run (n, t) seed trials scheduler_name =
     let scheduler =
       match scheduler_name with
       | "fair" -> Async.Scheduler.fair
@@ -697,15 +703,17 @@ let async_cmd =
           ~doc:"Scheduler: fair, fifo, crash, or splitter (adversarial).")
   in
   let term =
-    Term.(const run $ n_arg $ t_arg $ seed_arg $ trials_arg $ scheduler_arg)
+    Term.(
+      const run
+      $ n_t_args ~default_t:(fun n -> (n - 1) / 2)
+      $ seed_arg $ trials_arg $ scheduler_arg)
   in
   Cmd.v
     (Cmd.info "async" ~doc:"Run asynchronous Ben-Or under a chosen scheduler")
     term
 
 let byzantine_cmd =
-  let run n t seed trials proto_name adv_name =
-    let t = Option.value t ~default:((n - 1) / 5) in
+  let run (n, t) seed trials proto_name adv_name =
     let adversary () =
       match adv_name with
       | "null" -> Byz.Adversary.null
@@ -788,7 +796,10 @@ let byzantine_cmd =
           ~doc:"null, equivocator, king-spoofer (protocol-tailored), or crash.")
   in
   let term =
-    Term.(const run $ n_arg $ t_arg $ seed_arg $ trials_arg $ proto_arg $ adv_arg)
+    Term.(
+      const run
+      $ n_t_args ~default_t:(fun n -> (n - 1) / 5)
+      $ seed_arg $ trials_arg $ proto_arg $ adv_arg)
   in
   Cmd.v
     (Cmd.info "byzantine"

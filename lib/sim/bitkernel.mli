@@ -10,7 +10,11 @@
     individuates (kills, partial deliveries) or whose branch needs
     per-process data (the protocol's [bo_step] returns [None])
     materialize the scalar states, run through the exact {!Engine}
-    aggregate delivery path, and re-pack when uniformity returns.
+    aggregate delivery path, and re-pack when uniformity returns. The
+    kernel's scalar half is Engine's own state record, and its unpacked
+    rounds call Engine's Phase A, delivery and commit code; kill
+    validation, the decision discipline, events and the outcome are the
+    round rules all three engines share (DESIGN §5).
 
     {b Byte-identity:} every observable — outcomes, decision rounds,
     traces, the event stream (Decisions ascending by pid, Kills in plan

@@ -1,9 +1,12 @@
 (* The population-compressed engine: processes are grouped into equivalence
    classes of identical state, rounds advance whole classes at once, and
    per-round work scales with the number of distinct states plus the
-   processes the adversary individuates — not with n. Every observable
-   (outcomes, traces, events, RNG consumption) is byte-identical to
-   [Engine]; the cohort.differential suite pins this. *)
+   processes the adversary individuates — not with n. Delivery is
+   class-level and lives here; the round rules (start-up checks, kill
+   validation, the decision discipline, kills and events, the outcome) are
+   [Round]'s one copy, shared with Engine. Every observable (outcomes,
+   traces, events, RNG consumption) is byte-identical to [Engine]; the
+   cohort.differential suite pins this. *)
 
 type 'state cls = {
   cls_state : 'state;
@@ -12,23 +15,11 @@ type 'state cls = {
 
 type ('state, 'msg) exec = {
   protocol : ('state, 'msg) Protocol.t;
-  n : int;
-  t : int;
-  mutable classes : 'state cls list;  (* sorted by least member *)
   (* Per-process scalars: O(n) memory, but touched only on decision, halt
      and kill — never scanned on the per-round hot path. *)
-  alive : bool array;
-  halted : bool array;
-  decisions : int option array;
-  decision_round : int array;  (* -1 = undecided *)
-  proc_rngs : Prng.Rng.t array;
-  mutable adv_rng : Prng.Rng.t;
-  mutable round : int;
-  mutable kills_used : int;
+  lg : 'msg Round.ledger;
+  mutable classes : 'state cls list;  (* sorted by least member *)
   mutable active : int;  (* alive and not halted *)
-  trace : Trace.t option;
-  sink : Obs.Sink.t;
-  observer : ('msg -> bool) option;
 }
 
 type ('state, 'msg) cohort_class = {
@@ -101,28 +92,15 @@ let merge_classes ~equal ~hash groups =
     tbl []
   |> List.sort (fun a b -> Int.compare a.cls_members.(0) b.cls_members.(0))
 
-let start ?(record_trace = false) ?observer ?(sink = Obs.Sink.null) protocol
-    ~inputs ~t ~rng =
-  let n = Array.length inputs in
-  if n = 0 then invalid_arg "Cohort.start: no processes";
-  if t < 0 || t > n then invalid_arg "Cohort.start: budget out of [0, n]";
-  Array.iter
-    (fun b -> if b <> 0 && b <> 1 then invalid_arg "Cohort.start: inputs must be bits")
-    inputs;
+let start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
   if not (Protocol.cohort_capable protocol) then
     invalid_arg
       (Printf.sprintf "Cohort.start: protocol %s declares no cohort ops"
          protocol.Protocol.name);
-  let trace = if record_trace then Some (Trace.create ~n) else None in
-  let sink =
-    match trace with None -> sink | Some tr -> Obs.Sink.tee (Trace.sink tr) sink
+  let lg =
+    Round.ledger ~who:"Cohort.start" ?record_trace ?observer ?sink ~inputs ~t
+      rng
   in
-  (* [Engine.start] builds its exec as one record expression, which OCaml
-     evaluates right-to-left: the adversary stream splits off the master
-     rng BEFORE the per-process streams do. Replicating that order is part
-     of the byte-identity contract. *)
-  let adv_rng = Prng.Rng.split rng in
-  let proc_rngs = Prng.Rng.split_n rng n in
   let classes =
     match protocol.Protocol.aggregate with
     | Some (Protocol.Aggregate { cohort = Some c; _ }) ->
@@ -130,34 +108,13 @@ let start ?(record_trace = false) ?observer ?(sink = Obs.Sink.null) protocol
           Array.to_list
             (Array.mapi
                (fun pid input ->
-                 (protocol.Protocol.init ~n ~pid ~input, [| pid |]))
+                 (protocol.Protocol.init ~n:lg.n ~pid ~input, [| pid |]))
                inputs)
         in
         merge_classes ~equal:c.Protocol.c_equal ~hash:c.Protocol.c_hash groups
     | Some (Protocol.Aggregate { cohort = None; _ }) | None -> assert false
   in
-  {
-    protocol;
-    n;
-    t;
-    classes;
-    alive = Array.make n true;
-    halted = Array.make n false;
-    decisions = Array.make n None;
-    decision_round = Array.make n (-1);
-    proc_rngs;
-    adv_rng;
-    round = 0;
-    kills_used = 0;
-    active = n;
-    trace;
-    sink;
-    observer;
-  }
-
-let budget_left e = e.t - e.kills_used
-
-let active_at e i = e.alive.(i) && not e.halted.(i)
+  { protocol; lg; classes; active = lg.n }
 
 (* Binary search for [pid] in an ascending member array. *)
 let mem_index ms pid =
@@ -177,7 +134,8 @@ let step e adversary =
   else
     match e.protocol.Protocol.aggregate with
     | Some (Protocol.Aggregate ({ cohort = Some co; _ } as a)) ->
-        let round = e.round + 1 in
+        let lg = e.lg in
+        let round = lg.round + 1 in
         let active_before = e.active in
         (* Phase A: split each class by this round's coin draws. Per-member
            draw order within a class is ascending, and each process's
@@ -187,7 +145,7 @@ let step e adversary =
           e.classes
           |> List.concat_map (fun cl ->
                  co.Protocol.c_phase_a cl.cls_state ~members:cl.cls_members
-                   ~rng_of:(fun pid -> e.proc_rngs.(pid)))
+                   ~rng_of:(fun pid -> lg.proc_rngs.(pid)))
           |> Array.of_list
         in
         let nsubs = Array.length subs in
@@ -201,7 +159,6 @@ let step e adversary =
           in
           go 0
         in
-        let budget = budget_left e in
         let kills =
           match adversary with
           | Aware { aplan; _ } ->
@@ -220,73 +177,35 @@ let step e adversary =
               aplan
                 {
                   cv_round = round;
-                  cv_n = e.n;
-                  cv_t = e.t;
-                  cv_budget_left = budget;
+                  cv_n = lg.n;
+                  cv_t = lg.t;
+                  cv_budget_left = Round.budget_left lg;
                   cv_classes;
-                  cv_active = (fun i -> active_at e i);
-                  cv_decision = (fun i -> e.decisions.(i));
+                  cv_active = (fun i -> Round.active_at lg i);
+                  cv_decision = (fun i -> lg.decisions.(i));
                 }
-                e.adv_rng
+                lg.adv_rng
           | Concrete adv ->
               (* Compatibility view for concrete adversaries: exact but
                  per-pid accessors cost O(#subs * log n) each, so this path
                  is for differentials and small n, not the large-n runs. *)
-              let view =
-                {
-                  Adversary.round;
-                  n = e.n;
-                  t = e.t;
-                  budget_left = budget;
-                  alive = (fun i -> e.alive.(i));
-                  active = (fun i -> active_at e i);
-                  state =
-                    (fun i ->
-                      match find_member i with
-                      | Some (si, _) -> subs.(si).Protocol.sub_state
-                      | None ->
-                          invalid_arg
-                            "Cohort: state of an inactive process is not retained");
-                  pending =
-                    (fun i ->
-                      match find_member i with
-                      | Some (si, k) -> Some (co.Protocol.c_msg subs.(si) k)
-                      | None -> None);
-                  decision = (fun i -> e.decisions.(i));
-                }
-              in
-              adv.Adversary.plan view e.adv_rng
+              adv.Adversary.plan
+                (Round.view lg ~round
+                   ~state:(fun i ->
+                     match find_member i with
+                     | Some (si, _) -> subs.(si).Protocol.sub_state
+                     | None ->
+                         invalid_arg
+                           "Cohort: state of an inactive process is not retained")
+                   ~pending:(fun i ->
+                     match find_member i with
+                     | Some (si, k) -> Some (co.Protocol.c_msg subs.(si) k)
+                     | None -> None))
+                lg.adv_rng
         in
-        (* Same checks, messages and exceptions as [Engine.validate_kills],
-           with a kill-sized table instead of an O(n) seen array. *)
-        let seen = Hashtbl.create 8 in
-        List.iter
-          (fun { Adversary.victim; deliver_to } ->
-            if victim < 0 || victim >= e.n then
-              raise
-                (Engine.Invalid_kill (Printf.sprintf "victim %d out of range" victim));
-            if not (active_at e victim) then
-              raise
-                (Engine.Invalid_kill (Printf.sprintf "victim %d is not active" victim));
-            if Hashtbl.mem seen victim then
-              raise
-                (Engine.Invalid_kill (Printf.sprintf "victim %d named twice" victim));
-            Hashtbl.add seen victim ();
-            List.iter
-              (fun r ->
-                if r < 0 || r >= e.n then
-                  raise
-                    (Engine.Invalid_kill
-                       (Printf.sprintf "recipient %d out of range" r)))
-              deliver_to)
-          kills;
-        let nkills = List.length kills in
-        if nkills > budget then
-          raise
-            (Engine.Budget_exceeded
-               (Printf.sprintf "round %d: %d kills requested, %d left" round
-                  nkills budget));
-        let is_killed pid = Hashtbl.mem seen pid in
+        let victims = Round.validate_kills lg kills in
+        let nkills = Hashtbl.length victims in
+        let is_killed pid = Hashtbl.mem victims pid in
         let except = if nkills = 0 then None else Some is_killed in
         (* Base accumulator: every surviving sender, absorbed class-wise.
            Absorb order differs from the concrete engine's ascending-pid
@@ -306,50 +225,36 @@ let step e adversary =
           (fun { Adversary.victim; deliver_to } ->
             List.iter
               (fun r ->
-                if r >= 0 && r < e.n && active_at e r && not (is_killed r) then
+                if Round.active_at lg r && not (is_killed r) then
                   match Hashtbl.find_opt extras r with
                   | Some (v :: _) when v = victim -> ()
                   | Some vs -> Hashtbl.replace extras r (victim :: vs)
                   | None -> Hashtbl.add extras r [ victim ])
               deliver_to)
           kills;
-        let emit_on = Obs.Sink.enabled e.sink in
+        let emit_on = Obs.Sink.enabled lg.sink in
         let delivered = ref (nsurvivors * (active_before - nkills)) in
         let newly_decided = ref 0 in
         let newly_halted = ref 0 in
-        let decision_events = ref [] in
+        let deciders = ref [] in
         let committed = ref [] in
         (* Class-uniform Phase-B commit: one decision-discipline check per
-           group, per-member writes only on decide/halt. *)
+           group, per-member writes only on decide/halt. Decision events
+           wait for the end of the round, to go out in pid order. *)
         let commit_group ~members state' =
           let j0 = members.(0) in
-          let before = e.decisions.(j0) in
           let after = e.protocol.Protocol.decision state' in
-          (match (before, after) with
-          | Some v, Some v' when v <> v' ->
-              raise
-                (Engine.Decision_changed
-                   (Printf.sprintf "process %d changed decision %d -> %d" j0 v v'))
-          | Some v, None ->
-              raise
-                (Engine.Decision_changed
-                   (Printf.sprintf "process %d revoked decision %d" j0 v))
-          | None, Some v ->
-              newly_decided := !newly_decided + Array.length members;
-              Array.iter
-                (fun j ->
-                  e.decisions.(j) <- Some v;
-                  e.decision_round.(j) <- round;
-                  if emit_on then decision_events := (j, v) :: !decision_events)
-                members
-          | None, None | Some _, Some _ -> ());
+          if Round.commit_decision lg ~round ~emit:false j0 after then begin
+            Array.iter
+              (fun j -> ignore (Round.commit_decision lg ~round ~emit:false j after))
+              members;
+            newly_decided := !newly_decided + Array.length members;
+            if emit_on then deciders := members :: !deciders
+          end;
           if e.protocol.Protocol.halted state' then begin
-            if after = None then
-              raise
-                (Engine.Decision_changed
-                   (Printf.sprintf "process %d halted without deciding" j0));
+            if Option.is_none after then Round.halted_undecided j0;
             newly_halted := !newly_halted + Array.length members;
-            Array.iter (fun j -> e.halted.(j) <- true) members
+            Array.iter (fun j -> lg.halted.(j) <- true) members
           end
           else committed := (state', members) :: !committed
         in
@@ -418,71 +323,33 @@ let step e adversary =
             if Array.length members > 0 then
               commit_group ~members (a.finish s.Protocol.sub_state ~round base))
           subs;
-        (* Victims are dead from now on. *)
-        let partial_count = ref 0 in
-        List.iter
-          (fun { Adversary.victim; deliver_to } ->
-            e.alive.(victim) <- false;
-            if deliver_to <> [] then incr partial_count)
-          kills;
-        e.kills_used <- e.kills_used + nkills;
-        e.round <- round;
+        (* Same per-round event order as the concrete engine: Decisions
+           ascending by pid, Kills in plan order, one Round. *)
+        if emit_on then
+          Array.concat !deciders |> Array.to_list |> List.sort Int.compare
+          |> List.iter (fun pid ->
+                 Round.emit_decision lg ~round pid (Option.get lg.decisions.(pid)));
+        Round.apply_kills lg ~round kills;
         e.active <- active_before - nkills - !newly_halted;
         e.classes <-
           merge_classes ~equal:co.Protocol.c_equal ~hash:co.Protocol.c_hash
             !committed;
-        if emit_on then begin
-          (* Same per-round event shape and order as the concrete engine:
-             Decisions ascending by pid, Kills in plan order, one Round. *)
-          !decision_events
-          |> List.sort (fun (p1, _) (p2, _) -> Int.compare p1 p2)
-          |> List.iter (fun (pid, value) ->
-                 Obs.Sink.emit e.sink
-                   (Obs.Event.Decision
-                      { engine = Obs.Event.Sync; round; pid; value }));
-          List.iter
-            (fun { Adversary.victim; deliver_to } ->
-              Obs.Sink.emit e.sink
-                (Obs.Event.Kill
-                   {
-                     engine = Obs.Event.Sync;
-                     round;
-                     victim;
-                     delivered_to = List.length deliver_to;
-                   }))
-            kills;
-          let ones =
-            match e.observer with
-            | None -> None
-            | Some f ->
-                let c = ref 0 in
-                Array.iter
-                  (fun s ->
-                    for k = 0 to Array.length s.Protocol.sub_members - 1 do
-                      if f (co.Protocol.c_msg s k) then incr c
-                    done)
-                  subs;
-                Some !c
-          in
-          let victims =
-            kills
-            |> List.map (fun k -> k.Adversary.victim)
-            |> List.sort Int.compare |> Array.of_list
-          in
-          Obs.Sink.emit e.sink
-            (Obs.Event.Round
-               {
-                 engine = Obs.Event.Sync;
-                 round;
-                 active = active_before;
-                 victims;
-                 partial_sends = !partial_count;
-                 delivered = !delivered;
-                 newly_decided = !newly_decided;
-                 newly_halted = !newly_halted;
-                 ones_pending = ones;
-               })
-        end;
+        if emit_on then
+          Round.emit_round lg ~round kills ~active:active_before
+            ~delivered:!delivered ~newly_decided:!newly_decided
+            ~newly_halted:!newly_halted
+            ~ones:
+              (match lg.observer with
+              | None -> None
+              | Some f ->
+                  let c = ref 0 in
+                  Array.iter
+                    (fun s ->
+                      for k = 0 to Array.length s.Protocol.sub_members - 1 do
+                        if f (co.Protocol.c_msg s k) then incr c
+                      done)
+                    subs;
+                  Some !c);
         `Continue
     | Some (Protocol.Aggregate { cohort = None; _ }) | None ->
         (* [start] refuses such protocols. *)
@@ -490,38 +357,12 @@ let step e adversary =
 
 let run_until e adversary ~max_rounds =
   let rec loop () =
-    if e.round >= max_rounds then ()
+    if e.lg.round >= max_rounds then ()
     else match step e adversary with `Quiescent -> () | `Continue -> loop ()
   in
   loop ()
 
-let alive_count e =
-  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 e.alive
-
-let outcome e =
-  let rounds_to_decide =
-    let vacuous = alive_count e = 0 in
-    if vacuous then Some e.round
-    else begin
-      let worst = ref 0 and all = ref true in
-      for i = 0 to e.n - 1 do
-        if e.alive.(i) then
-          if e.decision_round.(i) < 0 then all := false
-          else if e.decision_round.(i) > !worst then worst := e.decision_round.(i)
-      done;
-      if !all then Some !worst else None
-    end
-  in
-  {
-    Engine.rounds_executed = e.round;
-    rounds_to_decide;
-    decisions = Array.copy e.decisions;
-    faulty = Array.map not e.alive;
-    halted = Array.copy e.halted;
-    kills_used = e.kills_used;
-    quiescent = e.active = 0;
-    trace = e.trace;
-  }
+let outcome e = Round.outcome e.lg ~quiescent:(e.active = 0)
 
 let run ?record_trace ?observer ?sink ?(max_rounds = 10_000) protocol adversary
     ~inputs ~t ~rng =
@@ -529,11 +370,11 @@ let run ?record_trace ?observer ?sink ?(max_rounds = 10_000) protocol adversary
   run_until e adversary ~max_rounds;
   outcome e
 
-let round (e : _ exec) = e.round
+let round (e : _ exec) = e.lg.round
 
-let n (e : _ exec) = e.n
+let n (e : _ exec) = e.lg.n
 
-let kills_used (e : _ exec) = e.kills_used
+let kills_used (e : _ exec) = e.lg.kills_used
 
 let active_count (e : _ exec) = e.active
 

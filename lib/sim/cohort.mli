@@ -8,7 +8,9 @@
     states plus the processes the adversary individuates by killing or
     partial delivery — for SynRan a handful of classes plus the
     O(sqrt(n log n)) adversary-touched processes — instead of O(n) array
-    scans.
+    scans. Delivery is class-level; start-up, kill validation, the
+    decision discipline, events and the outcome are the round rules all
+    three engines share (DESIGN §5).
 
     {b Byte-identity:} every observable — outcomes, decision rounds,
     traces, the event stream, and RNG consumption (per-process streams and

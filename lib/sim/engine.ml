@@ -1,32 +1,13 @@
-exception Budget_exceeded of string
-exception Invalid_kill of string
-exception Decision_changed of string
+(* The round rules and the scalar execution live in [Round], shared with
+   Bitkernel and Cohort; this module is their public face. *)
 
-type ('state, 'msg) exec = {
-  protocol : ('state, 'msg) Protocol.t;
-  n : int;
-  t : int;
-  states : 'state array;
-  alive : bool array;
-  halted : bool array;
-  decisions : int option array;
-  decision_round : int array;  (* -1 = undecided *)
-  proc_rngs : Prng.Rng.t array;
-  mutable adv_rng : Prng.Rng.t;
-  mutable round : int;
-  mutable kills_used : int;
-  trace : Trace.t option;
-  sink : Obs.Sink.t;
-  observer : ('msg -> bool) option;
-  (* Round-scoped scratch, reused across rounds to keep honest-round
-     allocation O(1). Contents are dead between steps; each buffer is
-     cleared before use. *)
-  pending : 'msg option array;
-  killed : bool array;
-  kill_seen : bool array;
-}
+exception Budget_exceeded = Round.Budget_exceeded
+exception Invalid_kill = Round.Invalid_kill
+exception Decision_changed = Round.Decision_changed
 
-type outcome = {
+type ('state, 'msg) exec = ('state, 'msg) Round.scalar
+
+type outcome = Round.outcome = {
   rounds_executed : int;
   rounds_to_decide : int option;
   decisions : int option array;
@@ -37,334 +18,38 @@ type outcome = {
   trace : Trace.t option;
 }
 
-let start ?(record_trace = false) ?observer ?(sink = Obs.Sink.null) protocol
-    ~inputs ~t ~rng =
-  let n = Array.length inputs in
-  if n = 0 then invalid_arg "Engine.start: no processes";
-  if t < 0 || t > n then invalid_arg "Engine.start: budget out of [0, n]";
-  Array.iter
-    (fun b -> if b <> 0 && b <> 1 then invalid_arg "Engine.start: inputs must be bits")
-    inputs;
-  let trace = if record_trace then Some (Trace.create ~n) else None in
-  (* The trace is a façade: it consumes the same Round events as any
-     caller-supplied sink, through a tee. With neither, the effective sink
-     is [null] and every emission site reduces to one boolean load. *)
-  let sink =
-    match trace with None -> sink | Some tr -> Obs.Sink.tee (Trace.sink tr) sink
-  in
-  {
-    protocol;
-    n;
-    t;
-    states = Array.mapi (fun pid input -> protocol.Protocol.init ~n ~pid ~input) inputs;
-    alive = Array.make n true;
-    halted = Array.make n false;
-    decisions = Array.make n None;
-    decision_round = Array.make n (-1);
-    proc_rngs = Prng.Rng.split_n rng n;
-    adv_rng = Prng.Rng.split rng;
-    round = 0;
-    kills_used = 0;
-    trace;
-    sink;
-    observer;
-    pending = Array.make n None;
-    killed = Array.make n false;
-    kill_seen = Array.make n false;
-  }
+let start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
+  Round.scalar ~who:"Engine.start" ?record_trace ?observer ?sink protocol
+    ~inputs ~t ~rng
 
-let active_at e i = e.alive.(i) && not e.halted.(i)
-
-let active_count e =
-  let c = ref 0 in
-  for i = 0 to e.n - 1 do
-    if active_at e i then incr c
-  done;
-  !c
-
-let alive_count e =
-  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 e.alive
-
-let budget_left e = e.t - e.kills_used
-
-let validate_kills e kills =
-  let seen = e.kill_seen in
-  Array.fill seen 0 e.n false;
-  List.iter
-    (fun { Adversary.victim; deliver_to } ->
-      if victim < 0 || victim >= e.n then
-        raise (Invalid_kill (Printf.sprintf "victim %d out of range" victim));
-      if not (active_at e victim) then
-        raise (Invalid_kill (Printf.sprintf "victim %d is not active" victim));
-      if seen.(victim) then
-        raise (Invalid_kill (Printf.sprintf "victim %d named twice" victim));
-      seen.(victim) <- true;
-      List.iter
-        (fun r ->
-          if r < 0 || r >= e.n then
-            raise (Invalid_kill (Printf.sprintf "recipient %d out of range" r)))
-        deliver_to)
-    kills;
-  let count = List.length kills in
-  if count > budget_left e then
-    raise
-      (Budget_exceeded
-         (Printf.sprintf "round %d: %d kills requested, %d left" (e.round + 1)
-            count (budget_left e)))
-
-let step e adversary =
-  if active_count e = 0 then `Quiescent
+let step (e : _ exec) adversary =
+  let lg = e.lg in
+  if Round.active_count lg = 0 then `Quiescent
   else begin
-    let round = e.round + 1 in
-    let pending = e.pending in
-    Array.fill pending 0 e.n None;
-    (* Phase A: every active process computes and stages its broadcast. *)
-    for i = 0 to e.n - 1 do
-      if active_at e i then begin
-        let state', msg = e.protocol.Protocol.phase_a e.states.(i) e.proc_rngs.(i) in
-        e.states.(i) <- state';
-        pending.(i) <- Some msg
-      end
-    done;
+    let round = lg.round + 1 in
+    Round.phase_a e;
     (* The adversary observes everything and picks its kills. The view is
        zero-copy: its accessors read the live arrays, which the engine does
        not touch until [plan] returns. *)
-    let view =
-      {
-        Adversary.round;
-        n = e.n;
-        t = e.t;
-        budget_left = budget_left e;
-        alive = (fun i -> e.alive.(i));
-        active = (fun i -> active_at e i);
-        state = (fun i -> e.states.(i));
-        pending = (fun i -> pending.(i));
-        decision = (fun i -> e.decisions.(i));
-      }
+    let kills =
+      Round.plan lg adversary
+        (Round.view lg ~round
+           ~state:(fun i -> e.states.(i))
+           ~pending:(fun i -> e.pending.(i)))
     in
-    let kills = adversary.Adversary.plan view e.adv_rng in
-    validate_kills e kills;
-    let killed = e.killed in
-    Array.fill killed 0 e.n false;
-    let partial = Hashtbl.create 8 in
-    List.iter
-      (fun { Adversary.victim; deliver_to } ->
-        killed.(victim) <- true;
-        if deliver_to <> [] then begin
-          let mask = Array.make e.n false in
-          List.iter (fun r -> mask.(r) <- true) deliver_to;
-          Hashtbl.replace partial victim mask
-        end)
-      kills;
-    (* Message exchange: receiver j gets sender i's message iff i was active
-       and either survived, or is j itself (own value is always counted), or
-       was killed but the adversary let the i->j message through. *)
-    let delivered = ref 0 in
-    let newly_decided = ref 0 in
-    let newly_halted = ref 0 in
-    (* One boolean load per round decides whether any event is built. *)
-    let emit_on = Obs.Sink.enabled e.sink in
-    (* Shared Phase-B bookkeeping: decision discipline, halting, counters. *)
-    let commit j state' =
-      let before = e.decisions.(j) in
-      let after = e.protocol.Protocol.decision state' in
-      (match (before, after) with
-      | Some v, Some v' when v <> v' ->
-          raise
-            (Decision_changed
-               (Printf.sprintf "process %d changed decision %d -> %d" j v v'))
-      | Some v, None ->
-          raise
-            (Decision_changed (Printf.sprintf "process %d revoked decision %d" j v))
-      | None, Some v ->
-          incr newly_decided;
-          e.decision_round.(j) <- round;
-          if emit_on then
-            Obs.Sink.emit e.sink
-              (Obs.Event.Decision
-                 { engine = Obs.Event.Sync; round; pid = j; value = v })
-      | None, None | Some _, Some _ -> ());
-      e.decisions.(j) <- after;
-      if e.protocol.Protocol.halted state' && not e.halted.(j) then begin
-        if after = None then
-          raise
-            (Decision_changed
-               (Printf.sprintf "process %d halted without deciding" j));
-        incr newly_halted;
-        e.halted.(j) <- true
-      end;
-      e.states.(j) <- state'
-    in
-    (match e.protocol.Protocol.aggregate with
-    | Some (Protocol.Aggregate a) when kills = [] ->
-        (* Shared-broadcast fast path: with no kills every receiver sees the
-           identical sender set, so one O(n) fold serves all of them. The
-           absorb order (ascending sender) matches the legacy received
-           array exactly, so this agrees even for non-commutative folds. *)
-        let acc = ref (a.init ()) in
-        let nsenders = ref 0 in
-        for i = 0 to e.n - 1 do
-          match pending.(i) with
-          | None -> ()
-          | Some m ->
-              acc := a.absorb !acc ~pid:i m;
-              incr nsenders
-        done;
-        let shared = !acc in
-        for j = 0 to e.n - 1 do
-          if active_at e j then begin
-            delivered := !delivered + !nsenders;
-            commit j (a.finish e.states.(j) ~round shared)
-          end
-        done
-    | Some (Protocol.Aggregate a) ->
-        (* Kill round: fold the surviving senders once, then replay each
-           receiver's partial deliveries on top. Sound because [absorb] is
-           commutative (Protocol contract): a receiver's extras land after
-           the survivors instead of interleaved by sender id. *)
-        let base = ref (a.init ()) in
-        let nsurvivors = ref 0 in
-        for i = 0 to e.n - 1 do
-          match pending.(i) with
-          | Some m when not killed.(i) ->
-              base := a.absorb !base ~pid:i m;
-              incr nsurvivors
-          | _ -> ()
-        done;
-        let base = !base in
-        let delta = Array.make e.n [] in
-        for i = 0 to e.n - 1 do
-          if killed.(i) then
-            match (pending.(i), Hashtbl.find_opt partial i) with
-            | Some m, Some mask ->
-                for j = 0 to e.n - 1 do
-                  if mask.(j) then delta.(j) <- (i, m) :: delta.(j)
-                done
-            | _ -> ()
-        done;
-        for j = 0 to e.n - 1 do
-          if active_at e j && not killed.(j) then begin
-            let acc = ref base in
-            List.iter
-              (fun (i, m) ->
-                acc := a.absorb !acc ~pid:i m;
-                incr delivered)
-              delta.(j);
-            delivered := !delivered + !nsurvivors;
-            commit j (a.finish e.states.(j) ~round !acc)
-          end
-        done
-    | None ->
-        (* Legacy exchange: materialize each receiver's (sender, msg) array. *)
-        for j = 0 to e.n - 1 do
-          if active_at e j && not killed.(j) then begin
-            let received = ref [] in
-            for i = e.n - 1 downto 0 do
-              match pending.(i) with
-              | None -> ()
-              | Some msg ->
-                  let gets_it =
-                    if not killed.(i) then true
-                    else if i = j then true
-                    else
-                      match Hashtbl.find_opt partial i with
-                      | None -> false
-                      | Some mask -> mask.(j)
-                  in
-                  if gets_it then begin
-                    received := (i, msg) :: !received;
-                    incr delivered
-                  end
-            done;
-            commit j
-              (e.protocol.Protocol.phase_b e.states.(j) ~round
-                 ~received:(Array.of_list !received))
-          end
-        done);
-    (* Victims are dead from now on. *)
-    let kill_count = ref 0 and partial_count = ref 0 in
-    List.iter
-      (fun { Adversary.victim; deliver_to } ->
-        e.alive.(victim) <- false;
-        incr kill_count;
-        if deliver_to <> [] then incr partial_count;
-        if emit_on then
-          Obs.Sink.emit e.sink
-            (Obs.Event.Kill
-               {
-                 engine = Obs.Event.Sync;
-                 round;
-                 victim;
-                 delivered_to = List.length deliver_to;
-               }))
-      kills;
-    e.kills_used <- e.kills_used + !kill_count;
-    e.round <- round;
-    if emit_on then begin
-      let ones =
-        match e.observer with
-        | None -> None
-        | Some f ->
-            Some
-              (Array.fold_left
-                 (fun acc m -> match m with Some m when f m -> acc + 1 | _ -> acc)
-                 0 pending)
-      in
-      let victims =
-        kills |> List.map (fun k -> k.Adversary.victim) |> List.sort Int.compare
-        |> Array.of_list
-      in
-      Obs.Sink.emit e.sink
-        (Obs.Event.Round
-           {
-             engine = Obs.Event.Sync;
-             round;
-             active =
-               Array.fold_left
-                 (fun acc m -> if Option.is_some m then acc + 1 else acc)
-                 0 pending;
-             victims;
-             partial_sends = !partial_count;
-             delivered = !delivered;
-             newly_decided = !newly_decided;
-             newly_halted = !newly_halted;
-             ones_pending = ones;
-           })
-    end;
+    Round.phase_b e kills ~round;
     `Continue
   end
 
-let run_until e adversary ~max_rounds =
+let run_until (e : _ exec) adversary ~max_rounds =
   let rec loop () =
-    if e.round >= max_rounds then ()
+    if e.lg.round >= max_rounds then ()
     else match step e adversary with `Quiescent -> () | `Continue -> loop ()
   in
   loop ()
 
-let outcome e =
-  let rounds_to_decide =
-    let vacuous = alive_count e = 0 in
-    if vacuous then Some e.round
-    else begin
-      let worst = ref 0 and all = ref true in
-      for i = 0 to e.n - 1 do
-        if e.alive.(i) then
-          if e.decision_round.(i) < 0 then all := false
-          else if e.decision_round.(i) > !worst then worst := e.decision_round.(i)
-      done;
-      if !all then Some !worst else None
-    end
-  in
-  {
-    rounds_executed = e.round;
-    rounds_to_decide;
-    decisions = Array.copy e.decisions;
-    faulty = Array.map not e.alive;
-    halted = Array.copy e.halted;
-    kills_used = e.kills_used;
-    quiescent = active_count e = 0;
-    trace = e.trace;
-  }
+let outcome (e : _ exec) =
+  Round.outcome e.lg ~quiescent:(Round.active_count e.lg = 0)
 
 let run ?record_trace ?observer ?sink ?(max_rounds = 10_000) protocol adversary
     ~inputs ~t ~rng =
@@ -372,45 +57,56 @@ let run ?record_trace ?observer ?sink ?(max_rounds = 10_000) protocol adversary
   run_until e adversary ~max_rounds;
   outcome e
 
-let snapshot e =
+let snapshot (e : _ exec) =
+  let lg = e.lg in
   {
     e with
+    lg =
+      {
+        lg with
+        alive = Array.copy lg.alive;
+        halted = Array.copy lg.halted;
+        decisions = Array.copy lg.decisions;
+        decision_round = Array.copy lg.decision_round;
+        proc_rngs = Array.map Prng.Rng.copy lg.proc_rngs;
+        adv_rng = Prng.Rng.copy lg.adv_rng;
+        trace = None;
+        (* Observation does not survive the copy: the Monte-Carlo valency
+           continuations step snapshots thousands of times and must stay
+           on the zero-cost path (and must not interleave phantom events
+           into the original's stream). *)
+        sink = Obs.Sink.null;
+      };
     states = Array.copy e.states;
-    alive = Array.copy e.alive;
-    halted = Array.copy e.halted;
-    decisions = Array.copy e.decisions;
-    decision_round = Array.copy e.decision_round;
-    proc_rngs = Array.map Prng.Rng.copy e.proc_rngs;
-    adv_rng = Prng.Rng.copy e.adv_rng;
-    trace = None;
-    (* Observation does not survive the copy: the Monte-Carlo valency
-       continuations step snapshots thousands of times and must stay on
-       the zero-cost path (and must not interleave phantom events into
-       the original's stream). *)
-    sink = Obs.Sink.null;
     (* Scratch is dead between steps but must not be shared: the copy and
        the original may be stepped independently. *)
-    pending = Array.make e.n None;
-    killed = Array.make e.n false;
-    kill_seen = Array.make e.n false;
+    pending = Array.make lg.n None;
+    killed = Array.make lg.n false;
   }
 
-let reseed e rng =
-  for i = 0 to e.n - 1 do
-    e.proc_rngs.(i) <- Prng.Rng.split rng
+let reseed (e : _ exec) rng =
+  let lg = e.lg in
+  for i = 0 to lg.n - 1 do
+    lg.proc_rngs.(i) <- Prng.Rng.split rng
   done;
-  e.adv_rng <- Prng.Rng.split rng
+  lg.adv_rng <- Prng.Rng.split rng
 
-let round (e : _ exec) = e.round
+let round (e : _ exec) = e.lg.round
 
-let n (e : _ exec) = e.n
+let n (e : _ exec) = e.lg.n
 
-let kills_used (e : _ exec) = e.kills_used
+let budget_left (e : _ exec) = Round.budget_left e.lg
 
-let alive (e : _ exec) = Array.copy e.alive
+let kills_used (e : _ exec) = e.lg.kills_used
 
-let active_mask (e : _ exec) = Array.init e.n (active_at e)
+let alive (e : _ exec) = Array.copy e.lg.alive
+
+let active_mask (e : _ exec) = Array.init e.lg.n (Round.active_at e.lg)
 
 let states (e : _ exec) = Array.copy e.states
 
-let decisions (e : _ exec) = Array.copy e.decisions
+let decisions (e : _ exec) = Array.copy e.lg.decisions
+
+let alive_count (e : _ exec) = Round.alive_count e.lg
+
+let active_count (e : _ exec) = Round.active_count e.lg

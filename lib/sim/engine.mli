@@ -24,7 +24,7 @@ exception Decision_changed of string
 type ('state, 'msg) exec
 (** A (possibly partial) execution. *)
 
-type outcome = {
+type outcome = Round.outcome = {
   rounds_executed : int;
   rounds_to_decide : int option;
       (** Round by which every non-faulty process had decided — the paper's

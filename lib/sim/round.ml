@@ -1,0 +1,394 @@
+(* The synchronous round rules, written once (DESIGN §5). Engine, Bitkernel
+   and Cohort hold the population differently, but each of them calls this
+   one copy of: the start-up checks and RNG split, kill-plan validation, the
+   decision discipline, kill application with its events, the Round
+   summary and the outcome. Engine's scalar execution lives here as well,
+   so Bitkernel's unpacked rounds run Engine's own Phase A, delivery and
+   commit code. *)
+
+exception Budget_exceeded of string
+exception Invalid_kill of string
+exception Decision_changed of string
+
+type outcome = {
+  rounds_executed : int;
+  rounds_to_decide : int option;
+  decisions : int option array;
+  faulty : bool array;
+  halted : bool array;
+  kills_used : int;
+  quiescent : bool;
+  trace : Trace.t option;
+}
+
+type 'msg ledger = {
+  n : int;
+  t : int;
+  alive : bool array;
+  halted : bool array;
+  decisions : int option array;
+  decision_round : int array;  (* -1 = undecided *)
+  proc_rngs : Prng.Rng.t array;
+  mutable adv_rng : Prng.Rng.t;
+  mutable round : int;
+  mutable kills_used : int;
+  trace : Trace.t option;
+  sink : Obs.Sink.t;
+  observer : ('msg -> bool) option;
+}
+
+let ledger ~who ?(record_trace = false) ?observer ?(sink = Obs.Sink.null)
+    ~inputs ~t rng =
+  let n = Array.length inputs in
+  if n = 0 then invalid_arg (who ^ ": no processes");
+  if t < 0 || t > n then invalid_arg (who ^ ": budget out of [0, n]");
+  Array.iter
+    (fun b -> if b <> 0 && b <> 1 then invalid_arg (who ^ ": inputs must be bits"))
+    inputs;
+  let trace = if record_trace then Some (Trace.create ~n) else None in
+  (* The trace is a façade: it consumes the same Round events as any
+     caller-supplied sink, through a tee. With neither, the effective sink
+     is [null] and every emission site reduces to one boolean load. *)
+  let sink =
+    match trace with None -> sink | Some tr -> Obs.Sink.tee (Trace.sink tr) sink
+  in
+  (* The adversary stream splits off the master first, then one stream per
+     process: every engine consumes [rng] in this order. *)
+  let adv_rng = Prng.Rng.split rng in
+  let proc_rngs = Prng.Rng.split_n rng n in
+  {
+    n;
+    t;
+    alive = Array.make n true;
+    halted = Array.make n false;
+    decisions = Array.make n None;
+    decision_round = Array.make n (-1);
+    proc_rngs;
+    adv_rng;
+    round = 0;
+    kills_used = 0;
+    trace;
+    sink;
+    observer;
+  }
+
+let active_at lg i = lg.alive.(i) && not lg.halted.(i)
+
+let active_count lg =
+  let c = ref 0 in
+  for i = 0 to lg.n - 1 do
+    if active_at lg i then incr c
+  done;
+  !c
+
+let alive_count lg =
+  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 lg.alive
+
+let budget_left lg = lg.t - lg.kills_used
+
+let view lg ~round ~state ~pending =
+  {
+    Adversary.round;
+    n = lg.n;
+    t = lg.t;
+    budget_left = budget_left lg;
+    alive = (fun i -> lg.alive.(i));
+    active = (fun i -> active_at lg i);
+    state;
+    pending;
+    decision = (fun i -> lg.decisions.(i));
+  }
+
+let invalid_kill fmt = Printf.ksprintf (fun s -> raise (Invalid_kill s)) fmt
+
+let validate_kills lg kills =
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun { Adversary.victim; deliver_to } ->
+      if victim < 0 || victim >= lg.n then
+        invalid_kill "victim %d out of range" victim;
+      if not (active_at lg victim) then
+        invalid_kill "victim %d is not active" victim;
+      if Hashtbl.mem seen victim then invalid_kill "victim %d named twice" victim;
+      Hashtbl.add seen victim ();
+      List.iter
+        (fun r -> if r < 0 || r >= lg.n then invalid_kill "recipient %d out of range" r)
+        deliver_to)
+    kills;
+  let count = Hashtbl.length seen in
+  if count > budget_left lg then
+    raise
+      (Budget_exceeded
+         (Printf.sprintf "round %d: %d kills requested, %d left" (lg.round + 1)
+            count (budget_left lg)));
+  seen
+
+let plan lg (adversary : _ Adversary.t) view =
+  let kills = adversary.Adversary.plan view lg.adv_rng in
+  (* An empty plan is vacuously valid; skipping the check keeps clean
+     rounds free of the kill table. *)
+  if kills <> [] then ignore (validate_kills lg kills);
+  kills
+
+let decision_changed fmt =
+  Printf.ksprintf (fun s -> raise (Decision_changed s)) fmt
+
+let emit_decision lg ~round pid value =
+  Obs.Sink.emit lg.sink
+    (Obs.Event.Decision { engine = Obs.Event.Sync; round; pid; value })
+
+let commit_decision lg ~round ~emit j after =
+  match (lg.decisions.(j), after) with
+  | Some v, Some v' when v <> v' ->
+      decision_changed "process %d changed decision %d -> %d" j v v'
+  | Some v, None -> decision_changed "process %d revoked decision %d" j v
+  | None, Some v ->
+      lg.decisions.(j) <- after;
+      lg.decision_round.(j) <- round;
+      if emit then emit_decision lg ~round j v;
+      true
+  | None, None | Some _, Some _ -> false
+
+let halted_undecided j = decision_changed "process %d halted without deciding" j
+
+let apply_kills lg ~round kills =
+  let emit_on = Obs.Sink.enabled lg.sink in
+  List.iter
+    (fun { Adversary.victim; deliver_to } ->
+      lg.alive.(victim) <- false;
+      if emit_on then
+        Obs.Sink.emit lg.sink
+          (Obs.Event.Kill
+             {
+               engine = Obs.Event.Sync;
+               round;
+               victim;
+               delivered_to = List.length deliver_to;
+             }))
+    kills;
+  lg.kills_used <- lg.kills_used + List.length kills;
+  lg.round <- round
+
+let emit_round lg ~round kills ~active ~delivered ~newly_decided ~newly_halted
+    ~ones =
+  let victims =
+    kills |> List.map (fun k -> k.Adversary.victim) |> List.sort Int.compare
+    |> Array.of_list
+  in
+  let partial_sends =
+    List.fold_left
+      (fun acc k -> if k.Adversary.deliver_to <> [] then acc + 1 else acc)
+      0 kills
+  in
+  Obs.Sink.emit lg.sink
+    (Obs.Event.Round
+       {
+         engine = Obs.Event.Sync;
+         round;
+         active;
+         victims;
+         partial_sends;
+         delivered;
+         newly_decided;
+         newly_halted;
+         ones_pending = ones;
+       })
+
+let outcome lg ~quiescent =
+  let rounds_to_decide =
+    let vacuous = alive_count lg = 0 in
+    if vacuous then Some lg.round
+    else begin
+      let worst = ref 0 and all = ref true in
+      for i = 0 to lg.n - 1 do
+        if lg.alive.(i) then
+          if lg.decision_round.(i) < 0 then all := false
+          else if lg.decision_round.(i) > !worst then worst := lg.decision_round.(i)
+      done;
+      if !all then Some !worst else None
+    end
+  in
+  {
+    rounds_executed = lg.round;
+    rounds_to_decide;
+    decisions = Array.copy lg.decisions;
+    faulty = Array.map not lg.alive;
+    halted = Array.copy lg.halted;
+    kills_used = lg.kills_used;
+    quiescent;
+    trace = lg.trace;
+  }
+
+(* --- Engine's scalar execution ------------------------------------- *)
+
+type ('state, 'msg) scalar = {
+  protocol : ('state, 'msg) Protocol.t;
+  lg : 'msg ledger;
+  states : 'state array;
+  (* Round-scoped scratch, reused across rounds to keep honest-round
+     allocation O(1). Contents are dead between steps; each buffer is
+     cleared before use. *)
+  pending : 'msg option array;
+  killed : bool array;
+}
+
+let scalar ~who ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
+  let lg = ledger ~who ?record_trace ?observer ?sink ~inputs ~t rng in
+  {
+    protocol;
+    lg;
+    states =
+      Array.mapi (fun pid input -> protocol.Protocol.init ~n:lg.n ~pid ~input) inputs;
+    pending = Array.make lg.n None;
+    killed = Array.make lg.n false;
+  }
+
+let phase_a e =
+  let lg = e.lg and pending = e.pending in
+  Array.fill pending 0 lg.n None;
+  for i = 0 to lg.n - 1 do
+    if active_at lg i then begin
+      let state', msg = e.protocol.Protocol.phase_a e.states.(i) lg.proc_rngs.(i) in
+      e.states.(i) <- state';
+      pending.(i) <- Some msg
+    end
+  done
+
+let phase_b e kills ~round =
+  let lg = e.lg and pending = e.pending in
+  let n = lg.n in
+  let killed = e.killed in
+  Array.fill killed 0 n false;
+  let partial = Hashtbl.create 8 in
+  List.iter
+    (fun { Adversary.victim; deliver_to } ->
+      killed.(victim) <- true;
+      if deliver_to <> [] then begin
+        let mask = Array.make n false in
+        List.iter (fun r -> mask.(r) <- true) deliver_to;
+        Hashtbl.replace partial victim mask
+      end)
+    kills;
+  (* Message exchange: receiver j gets sender i's message iff i was active
+     and either survived, or is j itself (own value is always counted), or
+     was killed but the adversary let the i->j message through. *)
+  let delivered = ref 0 in
+  let newly_decided = ref 0 in
+  let newly_halted = ref 0 in
+  (* One boolean load per round decides whether any event is built. *)
+  let emit_on = Obs.Sink.enabled lg.sink in
+  (* Shared Phase-B bookkeeping: decision discipline, halting, counters. *)
+  let commit j state' =
+    let after = e.protocol.Protocol.decision state' in
+    if commit_decision lg ~round ~emit:emit_on j after then incr newly_decided;
+    if e.protocol.Protocol.halted state' && not lg.halted.(j) then begin
+      if Option.is_none after then halted_undecided j;
+      incr newly_halted;
+      lg.halted.(j) <- true
+    end;
+    e.states.(j) <- state'
+  in
+  (match e.protocol.Protocol.aggregate with
+  | Some (Protocol.Aggregate a) when kills = [] ->
+      (* Shared-broadcast fast path: with no kills every receiver sees the
+         identical sender set, so one O(n) fold serves all of them. The
+         absorb order (ascending sender) matches the legacy received
+         array exactly, so this agrees even for non-commutative folds. *)
+      let acc = ref (a.init ()) in
+      let nsenders = ref 0 in
+      for i = 0 to n - 1 do
+        match pending.(i) with
+        | None -> ()
+        | Some m ->
+            acc := a.absorb !acc ~pid:i m;
+            incr nsenders
+      done;
+      let shared = !acc in
+      for j = 0 to n - 1 do
+        if active_at lg j then begin
+          delivered := !delivered + !nsenders;
+          commit j (a.finish e.states.(j) ~round shared)
+        end
+      done
+  | Some (Protocol.Aggregate a) ->
+      (* Kill round: fold the surviving senders once, then replay each
+         receiver's partial deliveries on top. Sound because [absorb] is
+         commutative (Protocol contract): a receiver's extras land after
+         the survivors instead of interleaved by sender id. *)
+      let base = ref (a.init ()) in
+      let nsurvivors = ref 0 in
+      for i = 0 to n - 1 do
+        match pending.(i) with
+        | Some m when not killed.(i) ->
+            base := a.absorb !base ~pid:i m;
+            incr nsurvivors
+        | _ -> ()
+      done;
+      let base = !base in
+      let delta = Array.make n [] in
+      for i = 0 to n - 1 do
+        if killed.(i) then
+          match (pending.(i), Hashtbl.find_opt partial i) with
+          | Some m, Some mask ->
+              for j = 0 to n - 1 do
+                if mask.(j) then delta.(j) <- (i, m) :: delta.(j)
+              done
+          | _ -> ()
+      done;
+      for j = 0 to n - 1 do
+        if active_at lg j && not killed.(j) then begin
+          let acc = ref base in
+          List.iter
+            (fun (i, m) ->
+              acc := a.absorb !acc ~pid:i m;
+              incr delivered)
+            delta.(j);
+          delivered := !delivered + !nsurvivors;
+          commit j (a.finish e.states.(j) ~round !acc)
+        end
+      done
+  | None ->
+      (* Legacy exchange: materialize each receiver's (sender, msg) array. *)
+      for j = 0 to n - 1 do
+        if active_at lg j && not killed.(j) then begin
+          let received = ref [] in
+          for i = n - 1 downto 0 do
+            match pending.(i) with
+            | None -> ()
+            | Some msg ->
+                let gets_it =
+                  if not killed.(i) then true
+                  else if i = j then true
+                  else
+                    match Hashtbl.find_opt partial i with
+                    | None -> false
+                    | Some mask -> mask.(j)
+                in
+                if gets_it then begin
+                  received := (i, msg) :: !received;
+                  incr delivered
+                end
+          done;
+          commit j
+            (e.protocol.Protocol.phase_b e.states.(j) ~round
+               ~received:(Array.of_list !received))
+        end
+      done);
+  (* Victims are dead from now on. *)
+  apply_kills lg ~round kills;
+  if emit_on then
+    emit_round lg ~round kills
+      ~active:
+        (Array.fold_left
+           (fun acc m -> if Option.is_some m then acc + 1 else acc)
+           0 pending)
+      ~delivered:!delivered ~newly_decided:!newly_decided
+      ~newly_halted:!newly_halted
+      ~ones:
+        (match lg.observer with
+        | None -> None
+        | Some f ->
+            Some
+              (Array.fold_left
+                 (fun acc m -> match m with Some m when f m -> acc + 1 | _ -> acc)
+                 0 pending))

@@ -1,0 +1,156 @@
+(** The synchronous round rules of Section 3.1, shared by every engine.
+
+    {!Engine}, {!Bitkernel} and {!Cohort} represent the population
+    differently (arrays, bit planes, equivalence classes) but apply one
+    rule set, and this module is its only copy: start-up checks and the
+    adversary-first RNG split, kill-plan validation, the decision
+    discipline, kill application, the per-round events and the outcome.
+    {!Engine}'s scalar execution ({!scalar}, {!phase_a}, {!phase_b}) lives
+    here too, so {!Bitkernel}'s unpacked rounds run exactly Engine's code.
+    Library-private: the public face is {!Engine}. *)
+
+exception Budget_exceeded of string
+exception Invalid_kill of string
+exception Decision_changed of string
+
+type outcome = {
+  rounds_executed : int;
+  rounds_to_decide : int option;
+  decisions : int option array;
+  faulty : bool array;
+  halted : bool array;
+  kills_used : int;
+  quiescent : bool;
+  trace : Trace.t option;
+}
+(** {!Engine.outcome}; see there for the field contracts. *)
+
+type 'msg ledger = {
+  n : int;
+  t : int;
+  alive : bool array;
+  halted : bool array;
+  decisions : int option array;
+  decision_round : int array;  (** [-1] = undecided. *)
+  proc_rngs : Prng.Rng.t array;
+  mutable adv_rng : Prng.Rng.t;
+  mutable round : int;  (** Rounds executed so far. *)
+  mutable kills_used : int;
+  trace : Trace.t option;
+  sink : Obs.Sink.t;  (** Already teed into [trace] when one is recorded. *)
+  observer : ('msg -> bool) option;
+}
+(** The per-process bookkeeping every engine keeps, whatever its
+    representation of the states. *)
+
+val ledger :
+  who:string ->
+  ?record_trace:bool ->
+  ?observer:('msg -> bool) ->
+  ?sink:Obs.Sink.t ->
+  inputs:int array ->
+  t:int ->
+  Prng.Rng.t ->
+  'msg ledger
+(** The {!Engine.start} contract: checks [inputs] and [t] (raising
+    [Invalid_argument] prefixed with [who]), tees the trace into the sink,
+    and splits the adversary stream off the master before the
+    per-process streams. *)
+
+val active_at : 'msg ledger -> int -> bool
+(** Alive and not halted. *)
+
+val active_count : 'msg ledger -> int
+(** O(n) scan. *)
+
+val alive_count : 'msg ledger -> int
+
+val budget_left : 'msg ledger -> int
+
+val view :
+  'msg ledger ->
+  round:int ->
+  state:(int -> 'state) ->
+  pending:(int -> 'msg option) ->
+  ('state, 'msg) Adversary.view
+(** The adversary's view of round [round], with the engine's own state and
+    staged-message accessors. *)
+
+val validate_kills : 'msg ledger -> Adversary.kill list -> (int, unit) Hashtbl.t
+(** Check a plan against the model before any of it applies: victims in
+    range, active and named once, recipients in range ({!Invalid_kill}),
+    and at most the remaining budget ({!Budget_exceeded}). Returns the
+    victims as a table sized by the plan, not by [n]. *)
+
+val plan :
+  'msg ledger ->
+  ('state, 'msg) Adversary.t ->
+  ('state, 'msg) Adversary.view ->
+  Adversary.kill list
+(** Ask the adversary for its plan (from the adversary stream) and
+    validate it. *)
+
+val commit_decision :
+  'msg ledger -> round:int -> emit:bool -> int -> int option -> bool
+(** [commit_decision lg ~round ~emit j after]: the decision discipline for
+    process [j], whose decision at the end of round [round] is [after]. A
+    decision may appear once and then never change or disappear
+    ({!Decision_changed} otherwise). A first decision is recorded, emits
+    its [Decision] event when [emit], and returns [true]. *)
+
+val emit_decision : 'msg ledger -> round:int -> int -> int -> unit
+(** [emit_decision lg ~round pid value], for engines that record first
+    decisions out of pid order and emit them sorted afterwards. *)
+
+val halted_undecided : int -> 'a
+(** Raise {!Decision_changed}: the process halted without deciding. *)
+
+val apply_kills : 'msg ledger -> round:int -> Adversary.kill list -> unit
+(** Close round [round]: the victims die, one [Kill] event each in plan
+    order (after the round's [Decision] events), the budget is charged and
+    the round counter advances. *)
+
+val emit_round :
+  'msg ledger ->
+  round:int ->
+  Adversary.kill list ->
+  active:int ->
+  delivered:int ->
+  newly_decided:int ->
+  newly_halted:int ->
+  ones:int option ->
+  unit
+(** Emit the round's [Round] summary, the last event of the round. The
+    caller guards the call with [Obs.Sink.enabled]. *)
+
+val outcome : 'msg ledger -> quiescent:bool -> outcome
+
+(** {2 Engine's scalar execution} *)
+
+type ('state, 'msg) scalar = {
+  protocol : ('state, 'msg) Protocol.t;
+  lg : 'msg ledger;
+  states : 'state array;
+  pending : 'msg option array;  (** This round's staged broadcasts. *)
+  killed : bool array;  (** Scratch. *)
+}
+
+val scalar :
+  who:string ->
+  ?record_trace:bool ->
+  ?observer:('msg -> bool) ->
+  ?sink:Obs.Sink.t ->
+  ('state, 'msg) Protocol.t ->
+  inputs:int array ->
+  t:int ->
+  rng:Prng.Rng.t ->
+  ('state, 'msg) scalar
+
+val phase_a : ('state, 'msg) scalar -> unit
+(** Every active process computes and stages its broadcast. *)
+
+val phase_b : ('state, 'msg) scalar -> Adversary.kill list -> round:int -> unit
+(** Deliver the staged broadcasts under a validated plan (the aggregate
+    paths of DESIGN §5b, or the legacy materialized exchange), commit
+    every receiver under the decision discipline, apply the kills and
+    emit the round's events. *)

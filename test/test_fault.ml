@@ -275,7 +275,7 @@ let test_manifest_fault_fails_write () =
   with_root @@ fun root ->
   let path = Filename.concat root "m.json" in
   let fault =
-    Core.Fault.injector (plan_exn "manifest@run#0:sys_error")
+    Sim.Fault.injector (plan_exn "manifest@run#0:sys_error")
   in
   (try
      Core.Supervise.write_manifest ~fault ~path ~profile:"quick" ~seed:1

@@ -237,6 +237,63 @@ let test_invalid_victim () =
        false
      with Sim.Engine.Invalid_kill _ -> true)
 
+(* Every engine validates a plan with the same shared rules: each bad
+   plan must raise the same exception, with the same message, on concrete,
+   bitkernel and cohort. SynRan runs on all three. *)
+let test_bad_plans_fail_alike () =
+  let n = 8 in
+  let protocol = Core.Synran.protocol n in
+  let inputs = [| 0; 1; 0; 1; 1; 0; 0; 1 |] in
+  let raised run =
+    match run () with
+    | (_ : Sim.Engine.outcome) -> "no exception"
+    | exception Sim.Engine.Invalid_kill m -> "Invalid_kill: " ^ m
+    | exception Sim.Engine.Budget_exceeded m -> "Budget_exceeded: " ^ m
+  in
+  let plans =
+    [
+      ("victim out of range", n, (fun _ -> [ Sim.Adversary.kill_silent 99 ]),
+        "Invalid_kill: victim 99 out of range");
+      ( "victim not active",
+        n,
+        (* Process 3 dies in round 1, so naming it in round 2 is invalid. *)
+        (fun _ -> [ Sim.Adversary.kill_silent 3 ]),
+        "Invalid_kill: victim 3 is not active" );
+      ( "victim named twice",
+        n,
+        (fun _ -> [ Sim.Adversary.kill_silent 2; Sim.Adversary.kill_silent 2 ]),
+        "Invalid_kill: victim 2 named twice" );
+      ( "recipient out of range",
+        n,
+        (fun _ -> [ Sim.Adversary.kill_after_send 0 ~recipients:[ 1; 42 ] ]),
+        "Invalid_kill: recipient 42 out of range" );
+      ( "over budget",
+        1,
+        (fun _ -> [ Sim.Adversary.kill_silent 0; Sim.Adversary.kill_silent 1 ]),
+        "Budget_exceeded: round 1: 2 kills requested, 1 left" );
+    ]
+  in
+  List.iter
+    (fun (what, t, kills, expected) ->
+      let adversary = { Sim.Adversary.name = what; plan = (fun v _ -> kills v) } in
+      let rng () = Prng.Rng.create 11 in
+      let concrete =
+        raised (fun () -> Sim.Engine.run protocol adversary ~inputs ~t ~rng:(rng ()))
+      in
+      let bitkernel =
+        raised (fun () ->
+            Sim.Bitkernel.run protocol adversary ~inputs ~t ~rng:(rng ()))
+      in
+      let cohort =
+        raised (fun () ->
+            Sim.Cohort.run protocol (Sim.Cohort.Concrete adversary) ~inputs ~t
+              ~rng:(rng ()))
+      in
+      Alcotest.(check string) (what ^ ": concrete") expected concrete;
+      Alcotest.(check string) (what ^ ": bitkernel") expected bitkernel;
+      Alcotest.(check string) (what ^ ": cohort") expected cohort)
+    plans
+
 (* --- Protocol discipline ----------------------------------------------- *)
 
 (* A buggy protocol that flips its decision every round. *)
@@ -515,6 +572,7 @@ let suites =
       [
         tc "budget enforced" test_budget_enforced;
         tc "invalid kills rejected" test_invalid_victim;
+        tc "bad plans fail alike on every engine" test_bad_plans_fail_alike;
       ] );
     ( "sim.protocol-discipline",
       [

@@ -244,7 +244,6 @@ let r10_trigger_files =
     "lib/sim/parallel.ml";
     "lib/sim/checkpoint.ml";
     "lib/sim/runner.ml";
-    "lib/core/fault.ml";
     "lib/core/supervise.ml";
   ]
 
@@ -518,7 +517,7 @@ class linter ~relpath ~mutable_globals ~(emit : finding -> unit)
           ~hint:
             "Fault.fire/Fault.trip may only run inside the fault engine and \
              the supervised runner stack (lib/sim/fault.ml, parallel.ml, \
-             checkpoint.ml, runner.ml, lib/core/fault.ml, supervise.ml); \
+             checkpoint.ml, runner.ml, lib/core/supervise.ml); \
              thread a fault plan through Sim.Runner.run_trials_supervised / \
              Core.Supervise.create instead of tripping sites ad hoc";
       if p = "compare" && in_scope_r5 relpath then
