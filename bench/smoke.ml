@@ -210,7 +210,7 @@ let bitkernel_smoke () =
       (Baselines.Floodset.protocol ~rounds:9 ())
       (fun () ->
         Baselines.Adversaries.valency_steer ~per_round:2
-          ~msg_is_one:(fun (m : Baselines.Floodset.msg) -> m.has_one)
+          ~msg_is_one:Baselines.Floodset.msg_has_one
           ())
       ~n:48 ~t:24 ~seed
   done;
@@ -255,6 +255,26 @@ let large_n_smoke () =
   engines "floodset"
     (Baselines.Floodset.protocol ~rounds:17 ())
     ~n ~max_rounds:20;
+  (* Leader_priority at n = 4096, on maximally divided inputs so the first
+     round is a flip: the packed path reads the leader's bit from a lane
+     scan and must match the concrete engine's aggregate. *)
+  let leader = Core.Synran.protocol ~coin:Core.Synran.Leader_priority n in
+  for i = 1 to 2 do
+    let inputs = Sim.Runner.input_gen_split ~n (rng_of i) in
+    let concrete, mc, _ =
+      observed (fun sink ->
+          Sim.Engine.run ~sink ~max_rounds:400 leader Sim.Adversary.null
+            ~inputs ~t:0 ~rng:(rng_of i))
+    in
+    let bit, mb, _ =
+      observed (fun sink ->
+          Sim.Bitkernel.run ~sink ~max_rounds:400 leader Sim.Adversary.null
+            ~inputs ~t:0 ~rng:(rng_of i))
+    in
+    check
+      (Printf.sprintf "synran leader n=%d trial %d: bitkernel = concrete" n i)
+      (outcomes_equal concrete bit && mb = mc)
+  done;
   let b = 8 and max_rounds = 400 in
   let batched =
     Sim.Bitkernel.run_batch ~max_rounds synran
@@ -315,8 +335,8 @@ let large_n_smoke () =
     check (what "cohort = concrete") (outcomes_equal concrete cohort && mco = mc)
   done;
   print_endline
-    "bench-smoke: engines agree at n=4096 and under band control at n=8192, \
-     run_batch = sequential, legacy = fast at n=1024"
+    "bench-smoke: engines agree at n=4096 (leader coin too) and under band \
+     control at n=8192, run_batch = sequential, legacy = fast at n=1024"
 
 (* Chaos replay: a pinned survivable fault plan — three faults across
    three sites, one of them a torn checkpoint write that the retry must

@@ -1,4 +1,4 @@
-type msg = { has_zero : bool; has_one : bool }
+type msg = Sim.Protocol.word
 
 type state = {
   rounds_total : int;
@@ -11,157 +11,80 @@ type state = {
 
 let word s = (s.has_zero, s.has_one)
 
+let msg_has_one (m : msg) = m.regs land 2 <> 0
+
+(* Registers: has_zero = bit 0, has_one = bit 1 — the value word is the
+   whole per-process state. FloodSet draws no coins. *)
+let bo_pack s = Bool.to_int s.has_zero lor (Bool.to_int s.has_one lsl 1)
+
+let bo_unpack t regs =
+  { t with has_zero = regs land 1 = 1; has_one = regs land 2 = 2 }
+
+let bo_uniform a b =
+  a.rounds_total = b.rounds_total && a.default = b.default
+  && a.rounds_done = b.rounds_done
+  && Option.equal Int.equal a.decision b.decision
+
+let codec =
+  {
+    Sim.Protocol.bo_width = 2;
+    bo_pack;
+    bo_unpack;
+    bo_uniform;
+    bo_coin_reg = None;
+    bo_aux_draw = None;
+  }
+
+let state_hash s =
+  let b2i b = if b then 1 else 0 in
+  (((s.rounds_done * 4) + (b2i s.has_zero * 2) + b2i s.has_one) * 31)
+  + (match s.decision with None -> 3 | Some v -> v)
+
+(* The flooded union: a process's own word is among the tallied ones (own
+   message always delivered), so the union — and hence the final decision
+   — is the same for every receiver. *)
+let transition s ~round:_ ~nrecv:_ ~(tallies : Sim.Protocol.tallies) =
+  let z = tallies.counts.(0) > 0 and o = tallies.counts.(1) > 0 in
+  let ws_regs = [| Sim.Protocol.Fill z; Fill o |] in
+  let rounds_done = s.rounds_done + 1 in
+  if rounds_done < s.rounds_total then
+    {
+      Sim.Protocol.ws_state = { s with rounds_done };
+      ws_regs;
+      ws_decide = None;
+      ws_halt = false;
+    }
+  else
+    let v =
+      match (z, o) with
+      | true, false -> 0
+      | false, true -> 1
+      | true, true -> s.default
+      | false, false ->
+          (* Unreachable: a process always sees its own input. *)
+          assert false
+    in
+    {
+      Sim.Protocol.ws_state = { s with rounds_done; decision = Some v };
+      ws_regs;
+      ws_decide = Some (Decide_const v);
+      ws_halt = true;
+    }
+
 let protocol ~rounds ?(default = 0) () =
   if rounds < 1 then invalid_arg "Floodset.protocol: rounds must be >= 1";
   if default <> 0 && default <> 1 then invalid_arg "Floodset.protocol: default";
-  let init ~n:_ ~pid:_ ~input =
-    {
-      rounds_total = rounds;
-      default;
-      has_zero = input = 0;
-      has_one = input = 1;
-      rounds_done = 0;
-      decision = None;
-    }
-  in
-  let phase_a s _rng = (s, { has_zero = s.has_zero; has_one = s.has_one }) in
-  (* The round's messages collapse to the OR of their value words — a
-     commutative fold, so the engine's shared-aggregate path applies. *)
-  let absorb (z, o) ~pid:_ (m : msg) = (z || m.has_zero, o || m.has_one) in
-  let finish s ~round:_ (z, o) =
-    let has_zero = s.has_zero || z and has_one = s.has_one || o in
-    let rounds_done = s.rounds_done + 1 in
-    let decision =
-      if rounds_done < s.rounds_total then None
-      else
-        match (has_zero, has_one) with
-        | true, false -> Some 0
-        | false, true -> Some 1
-        | true, true -> Some s.default
-        | false, false ->
-            (* Unreachable: a process always sees its own input. *)
-            assert false
-    in
-    { s with has_zero; has_one; rounds_done; decision }
-  in
-  (* Cohort operations: FloodSet draws no coins and its message is a pure
-     function of the state, so a whole class moves as one subclass, and the
-     boolean-or absorb is idempotent — one representative stands in for any
-     number of surviving members. Per-round cost is O(#classes). *)
-  let state_equal (a : state) (b : state) =
-    a.rounds_total = b.rounds_total && a.default = b.default
-    && Bool.equal a.has_zero b.has_zero
-    && Bool.equal a.has_one b.has_one
-    && a.rounds_done = b.rounds_done
-    && (match (a.decision, b.decision) with
-       | None, None -> true
-       | Some x, Some y -> x = y
-       | None, Some _ | Some _, None -> false)
-  in
-  let state_hash (s : state) =
-    let b2i b = if b then 1 else 0 in
-    (((s.rounds_done * 4) + (b2i s.has_zero * 2) + b2i s.has_one) * 31)
-    + (match s.decision with None -> 3 | Some v -> v)
-  in
-  let c_phase_a s ~members ~rng_of:_ =
-    [ { Sim.Protocol.sub_state = s; sub_members = members; sub_priv = [||] } ]
-  in
-  let c_absorb (z, o) (sub : state Sim.Protocol.subclass) ~except =
-    let survivors =
-      match except with
-      | None -> Array.length sub.Sim.Protocol.sub_members
-      | Some dead ->
-          Array.fold_left
-            (fun c pid -> if dead pid then c else c + 1)
-            0 sub.Sim.Protocol.sub_members
-    in
-    if survivors = 0 then (z, o)
-    else
-      let st = sub.Sim.Protocol.sub_state in
-      (z || st.has_zero, o || st.has_one)
-  in
-  let c_msg (sub : state Sim.Protocol.subclass) _i =
-    let st = sub.Sim.Protocol.sub_state in
-    { has_zero = st.has_zero; has_one = st.has_one }
-  in
-  (* Bit-plane operations: the value word is the whole per-process state
-     (registers has_zero = bit 0, has_one = bit 1); FloodSet draws no
-     coins. A process's own flags are subsumed by the sender tallies
-     (own message always delivered), so the flooded union — and hence
-     the final decision — is uniform, and every round is a word-level
-     [Fill]. *)
-  let bo_pack s =
-    (if s.has_zero then 1 else 0) lor ((if s.has_one then 1 else 0) lsl 1)
-  in
-  let bo_unpack t regs =
-    { t with has_zero = regs land 1 = 1; has_one = (regs lsr 1) land 1 = 1 }
-  in
-  let bo_uniform (a : state) (b : state) =
-    a.rounds_total = b.rounds_total && a.default = b.default
-    && a.rounds_done = b.rounds_done
-    && match (a.decision, b.decision) with
-       | None, None -> true
-       | Some x, Some y -> x = y
-       | None, Some _ | Some _, None -> false
-  in
-  let bo_msg s ~priv:_ = { has_zero = s.has_zero; has_one = s.has_one } in
-  let bo_step s ~round:_ ~nrecv:_ ~tallies =
-    let z = tallies.(0) > 0 and o = tallies.(1) > 0 in
-    let rounds_done = s.rounds_done + 1 in
-    if rounds_done < s.rounds_total then
-      Some
-        {
-          Sim.Protocol.ws_state = { s with rounds_done };
-          ws_regs = [| Fill z; Fill o |];
-          ws_decide = None;
-          ws_halt = false;
-        }
-    else
-      let v =
-        match (z, o) with
-        | true, false -> 0
-        | false, true -> 1
-        | true, true -> s.default
-        | false, false ->
-            (* Unreachable: a process always sees its own input. *)
-            assert false
-      in
-      Some
-        {
-          Sim.Protocol.ws_state = { s with rounds_done; decision = Some v };
-          ws_regs = [| Fill z; Fill o |];
-          ws_decide = Some (Decide_const v);
-          ws_halt = true;
-        }
-  in
-  Sim.Protocol.with_bitops
-    (Sim.Protocol.with_aggregate
-       ~name:(Printf.sprintf "floodset[r=%d]" rounds)
-       ~init ~phase_a
-       ~decision:(fun s -> s.decision)
-       ~halted:(fun s -> Option.is_some s.decision)
-       (Sim.Protocol.Aggregate
-          {
-            init = (fun () -> (false, false));
-            absorb;
-            finish;
-            cohort =
-              Some
-                {
-                  Sim.Protocol.c_equal = state_equal;
-                  c_hash = state_hash;
-                  c_phase_a;
-                  c_absorb;
-                  c_msg;
-                };
-          }))
-    {
-      Sim.Protocol.bo_width = 2;
-      bo_pack;
-      bo_unpack;
-      bo_uniform;
-      bo_coin_reg = None;
-      bo_aux_draw = None;
-      bo_msg;
-      bo_step;
-    }
+  Sim.Protocol.registers
+    ~name:(Printf.sprintf "floodset[r=%d]" rounds)
+    ~init:(fun ~n:_ ~pid:_ ~input ->
+      {
+        rounds_total = rounds;
+        default;
+        has_zero = input = 0;
+        has_one = input = 1;
+        rounds_done = 0;
+        decision = None;
+      })
+    ~decision:(fun s -> s.decision)
+    ~halted:(fun s -> Option.is_some s.decision)
+    ~hash:state_hash ~transition codec

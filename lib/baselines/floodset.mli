@@ -11,13 +11,17 @@
 
 type state
 
-type msg = { has_zero : bool; has_one : bool }
+type msg = Sim.Protocol.word
+(** The sender's seen-set as registers: bit 0 = 0 seen, bit 1 = 1 seen. *)
 
 val protocol :
   rounds:int -> ?default:int -> unit -> (state, msg) Sim.Protocol.t
 (** [protocol ~rounds ()] floods for [rounds] rounds. [default] (0) is the
     decision when both values survive. For t-resilience use
     [rounds = t + 1]. *)
+
+val msg_has_one : msg -> bool
+(** Whether the message's seen-set contains 1 — a trace observer. *)
 
 val word : state -> bool * bool
 (** The (has_zero, has_one) pair of the current seen-set — exposed for

@@ -2,7 +2,7 @@ type stage = Probabilistic | Switching | Deterministic of { left : int }
 
 type coin = Local_flip | Leader_priority | Shared_oracle of int
 
-type msg = { bit : int; prio : int; det : (bool * bool) option }
+type msg = Sim.Protocol.word
 
 type state = {
   rules : Onesided.rules;
@@ -23,7 +23,7 @@ type state = {
      (the paper's N^-1 = N^0 = n convention). All three registers are
      load-bearing: the stopping rule must bound the kills of the three
      rounds r-2, r-1, r, which requires comparing N^r against N^(r-3).
-     See the stability check in [step_probabilistic]. *)
+     See the stability check in [transition]. *)
   n1 : int;
   n2 : int;
   n3 : int;
@@ -36,11 +36,11 @@ let switch_threshold ~n =
 let det_stage_rounds ~n =
   Stdlib.max 1 (int_of_float (Float.ceil (switch_threshold ~n)))
 
-let bit_of_msg m = m.bit
+let bit_of_msg (m : msg) = m.regs land 1
 
-let prio_of_msg m = m.prio
+let prio_of_msg (m : msg) = m.priv
 
-let msg_is_one m = m.bit = 1
+let msg_is_one m = bit_of_msg m = 1
 
 let stage_name s =
   match s.stage with
@@ -51,56 +51,6 @@ let stage_name s =
 let current_b s = s.b
 
 let decided_flag s = s.decided_flag
-
-(* Everything SynRan needs from a round's messages, as a commutative fold:
-   the vote tally, the max-(prio, pid) leader (the argmax is unique because
-   pids are distinct, so absorption order cannot matter), and the OR of the
-   broadcast values/value-sets. This is the engine's aggregate: receivers
-   never see a materialized array. *)
-type acc = {
-  a_ones : int;
-  a_nrecv : int;
-  a_best_prio : int;
-  a_best_pid : int;  (* -1 = no message absorbed yet *)
-  a_best_bit : int;
-  a_saw_zero : bool;
-  a_saw_one : bool;
-}
-
-let acc_init () =
-  {
-    a_ones = 0;
-    a_nrecv = 0;
-    a_best_prio = min_int;
-    a_best_pid = -1;
-    a_best_bit = -1;
-    a_saw_zero = false;
-    a_saw_one = false;
-  }
-
-let acc_absorb acc ~pid m =
-  (* The leader comparator is lexicographic (prio, pid) on ints — the
-     Section 1.2 "dictator" tie-break, spelled out with int comparisons. *)
-  let better =
-    m.prio > acc.a_best_prio || (m.prio = acc.a_best_prio && pid > acc.a_best_pid)
-  in
-  let det_zero, det_one =
-    match m.det with None -> (false, false) | Some (z, o) -> (z, o)
-  in
-  {
-    a_ones = acc.a_ones + m.bit;
-    a_nrecv = acc.a_nrecv + 1;
-    a_best_prio = (if better then m.prio else acc.a_best_prio);
-    a_best_pid = (if better then pid else acc.a_best_pid);
-    a_best_bit = (if better then m.bit else acc.a_best_bit);
-    a_saw_zero = acc.a_saw_zero || m.bit = 0 || det_zero;
-    a_saw_one = acc.a_saw_one || m.bit = 1 || det_one;
-  }
-
-(* The leader coin: the bit of the highest-(priority, pid) message received
-   this round. Received sets are never empty (own message always arrives). *)
-let leader_bit acc =
-  if acc.a_best_pid < 0 then assert false else acc.a_best_bit
 
 (* End of the deterministic stage: the surviving-value rule of Lemma 4.3 —
    the unique value if one survived, otherwise the default 0. *)
@@ -120,236 +70,15 @@ let oracle_bit ~seed ~round =
     (Prng.Splitmix64.mix (Int64.of_int ((seed * 1_000_003) + round)))
   land 1
 
-let step_probabilistic s ~round ~acc =
-  let ones = acc.a_ones and nrecv = acc.a_nrecv in
-  let zeros = nrecv - ones in
-  let flip_value () =
-    match s.coin_mode with
-    | Local_flip -> s.coin
-    | Leader_priority -> leader_bit acc
-    | Shared_oracle seed -> oracle_bit ~seed ~round
-  in
-  if float_of_int nrecv < s.threshold then
-    (* Too few survivors: freeze b, run the one-round delay, then flood. *)
-    { s with stage = Switching; n1 = nrecv; n2 = s.n1; n3 = s.n2 }
-  else if s.decided_flag && 10 * (s.n3 - nrecv) <= s.n2 then
-    (* Stable population for three rounds: stop, outputting b.
-       The window deliberately reaches back to N^(r-3): it bounds the kills
-       of rounds r-2..r by N^(r-2)/10, which is exactly the slack between
-       the decide threshold (7/10) and the propose threshold (6/10). If p
-       decided b=1 at round r-1 it saw ones > 0.7*N^(r-2); any survivor q
-       saw ones_q >= ones_p - k_{r-1} over N_q <= N^(r-2) + k_{r-2}
-       processes, so k_{r-1} + 0.6*k_{r-2} <= 0.1*N^(r-2) guarantees q at
-       least proposed 1 before p stops — agreement with probability 1.
-       A shorter window over only N^(r-2), N^(r-1) bounds k_{r-1} alone and
-       is unsound: under the band voting attack at n=192 it yields real
-       agreement violations (see the trial-30 regression in test_synran). *)
-    { s with output = Some s.b; halted = true; n1 = nrecv; n2 = s.n1; n3 = s.n2 }
-  else begin
-    let b, decided_flag =
-      match Onesided.classify s.rules ~ones ~zeros ~n_prev:s.n1 with
-      | Onesided.Decide v -> (v, true)
-      | Onesided.Propose v -> (v, false)
-      | Onesided.Flip -> (flip_value (), false)
-    in
-    {
-      s with
-      b;
-      decided_flag;
-      has_zero = b = 0;
-      has_one = b = 1;
-      n1 = nrecv;
-      n2 = s.n1;
-      n3 = s.n2;
-    }
-  end
-
-(* Merge the round's broadcast values and value-sets into W (Lemma 4.3's
-   FloodSet union). *)
-let merged_values s ~acc =
-  (s.has_zero || acc.a_saw_zero, s.has_one || acc.a_saw_one)
-
-let step_switching s ~acc =
-  let has_zero, has_one = merged_values s ~acc in
-  { s with stage = Deterministic { left = s.det_rounds }; has_zero; has_one }
-
-let step_deterministic s ~left ~acc =
-  let has_zero, has_one = merged_values s ~acc in
-  let left = left - 1 in
-  if left = 0 then
-    let v = det_decision ~has_zero ~has_one in
-    {
-      s with
-      stage = Deterministic { left };
-      has_zero;
-      has_one;
-      b = v;
-      output = Some v;
-      halted = true;
-    }
-  else { s with stage = Deterministic { left }; has_zero; has_one }
-
-(* ------------------------------------------------------------------ *)
-(* Cohort operations                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Everything below must be observationally equal to the scalar
-   [phase_a]/[acc_absorb] above — the cohort engine's byte-identity with
-   the concrete engine (cohort.differential suite) rests on it. *)
-
-let det_word s =
-  match s.stage with
-  | Deterministic _ -> (s.has_zero, s.has_one)
-  | Probabilistic | Switching -> (false, false)
-
-(* Phase A for a whole class: per member (ascending), draw this round's
-   coin then its leader priority — the exact two draws the scalar
-   [phase_a] makes from the member's private stream. The class splits into
-   at most two subclasses (coin = 0 / coin = 1); priorities stay
-   per-member in [sub_priv]. *)
-let c_phase_a s ~members ~rng_of =
-  let k = Array.length members in
-  let coins = Array.make k 0 in
-  let prios = Array.make k 0 in
-  let zeros = ref 0 in
-  for i = 0 to k - 1 do
-    let rng = rng_of members.(i) in
-    coins.(i) <- Prng.Rng.bit rng;
-    prios.(i) <- Prng.Rng.int rng 1_000_000_000;
-    if coins.(i) = 0 then incr zeros
-  done;
-  let mk coin count =
-    if count = 0 then []
-    else begin
-      let ms = Array.make count 0 in
-      let pv = Array.make count 0 in
-      let j = ref 0 in
-      for i = 0 to k - 1 do
-        if coins.(i) = coin then begin
-          ms.(!j) <- members.(i);
-          pv.(!j) <- prios.(i);
-          incr j
-        end
-      done;
-      [ { Sim.Protocol.sub_state = { s with coin }; sub_members = ms; sub_priv = pv } ]
-    end
-  in
-  mk 0 !zeros @ mk 1 (k - !zeros)
-
-(* Class-level absorb: the vote tally and saw-flags collapse to counted
-   contributions (bit and value word are class-uniform); only the leader
-   argmax needs a per-member scan over the stored priorities. *)
-let c_absorb acc (sub : state Sim.Protocol.subclass) ~except =
-  let ms = sub.Sim.Protocol.sub_members in
-  let pv = sub.Sim.Protocol.sub_priv in
-  let st = sub.Sim.Protocol.sub_state in
-  let count = ref 0 in
-  let best_prio = ref acc.a_best_prio in
-  let best_pid = ref acc.a_best_pid in
-  let absorb_one i =
-    incr count;
-    let prio = pv.(i) and pid = ms.(i) in
-    if prio > !best_prio || (prio = !best_prio && pid > !best_pid) then begin
-      best_prio := prio;
-      best_pid := pid
-    end
-  in
-  (match except with
-  | None ->
-      for i = 0 to Array.length ms - 1 do
-        absorb_one i
-      done
-  | Some dead ->
-      for i = 0 to Array.length ms - 1 do
-        if not (dead ms.(i)) then absorb_one i
-      done);
-  if !count = 0 then acc
-  else begin
-    let det_zero, det_one = det_word st in
-    {
-      a_ones = acc.a_ones + (st.b * !count);
-      a_nrecv = acc.a_nrecv + !count;
-      a_best_prio = !best_prio;
-      a_best_pid = !best_pid;
-      a_best_bit = (if !best_pid = acc.a_best_pid then acc.a_best_bit else st.b);
-      a_saw_zero = acc.a_saw_zero || st.b = 0 || det_zero;
-      a_saw_one = acc.a_saw_one || st.b = 1 || det_one;
-    }
-  end
-
-let c_msg (sub : state Sim.Protocol.subclass) i =
-  let st = sub.Sim.Protocol.sub_state in
-  let det =
-    match st.stage with
-    | Deterministic _ -> Some (st.has_zero, st.has_one)
-    | Probabilistic | Switching -> None
-  in
-  { bit = st.b; prio = sub.Sim.Protocol.sub_priv.(i); det }
-
-(* Every process of one run shares [rules]/[coin_mode]/[threshold]/
-   [det_rounds] (closure constants of [protocol]), so physical equality is
-   exact for them; the remaining fields are scalars. *)
-let state_equal s1 s2 =
-  s1.b = s2.b && s1.coin = s2.coin
-  && Bool.equal s1.decided_flag s2.decided_flag
-  && (match (s1.output, s2.output) with
-     | None, None -> true
-     | Some x, Some y -> x = y
-     | None, Some _ | Some _, None -> false)
-  && Bool.equal s1.halted s2.halted
-  && (match (s1.stage, s2.stage) with
-     | Probabilistic, Probabilistic | Switching, Switching -> true
-     | Deterministic { left = l1 }, Deterministic { left = l2 } -> l1 = l2
-     | (Probabilistic | Switching | Deterministic _), _ -> false)
-  && Bool.equal s1.has_zero s2.has_zero
-  && Bool.equal s1.has_one s2.has_one
-  && s1.n1 = s2.n1 && s1.n2 = s2.n2 && s1.n3 = s2.n3
-  && s1.rules == s2.rules
-  && (match (s1.coin_mode, s2.coin_mode) with
-     | Local_flip, Local_flip | Leader_priority, Leader_priority -> true
-     | Shared_oracle a, Shared_oracle b -> a = b
-     | (Local_flip | Leader_priority | Shared_oracle _), _ -> false)
-  && Float.equal s1.threshold s2.threshold
-  && s1.det_rounds = s2.det_rounds
-
-let state_hash s =
-  let b2i x = if x then 1 else 0 in
-  let stage_tag =
-    match s.stage with
-    | Probabilistic -> 0
-    | Switching -> 1
-    | Deterministic { left } -> 2 + left
-  in
-  let out = match s.output with None -> -1 | Some v -> v in
-  let h = s.b in
-  let h = (h * 31) + s.coin in
-  let h = (h * 31) + b2i s.decided_flag in
-  let h = (h * 31) + stage_tag in
-  let h = (h * 31) + (b2i s.has_zero * 2) + b2i s.has_one in
-  let h = (h * 31) + s.n1 in
-  let h = (h * 31) + s.n2 in
-  let h = (h * 31) + s.n3 in
-  (h * 31) + out
-
-let cohort_ops =
-  {
-    Sim.Protocol.c_equal = state_equal;
-    c_hash = state_hash;
-    c_phase_a;
-    c_absorb;
-    c_msg;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Bit-plane operations                                                *)
-(* ------------------------------------------------------------------ *)
-
 (* Register layout: bit 0 = b, bit 1 = coin, bit 2 = has_zero, bit 3 =
    has_one; everything else is template-uniform across active processes.
-   Two invariants carry the reconstruction:
+   Three invariants carry the transition:
    - an active process's [output] is [None] or [Some b] — output is only
      assigned at the two halt points, each time from b — so [bo_unpack]
      rebuilds the value from the b register and the template's is-Some;
+   - b = v implies v ∈ W (W starts as {b}, and b only ever takes a value
+     that the same round puts in W), so the W tallies already count
+     every sender's b;
    - own messages are always delivered, so a process's own has_zero /
      has_one is subsumed by the round's sender tallies and the merged
      value set of Lemma 4.3 is the same for every receiver — which is
@@ -390,131 +119,133 @@ let bo_uniform s1 s2 =
   && Float.equal s1.threshold s2.threshold
   && s1.det_rounds = s2.det_rounds
 
-let bo_msg s ~priv =
-  let det =
+let state_hash s =
+  let b2i x = if x then 1 else 0 in
+  let stage_tag =
     match s.stage with
-    | Deterministic _ -> Some (s.has_zero, s.has_one)
-    | Probabilistic | Switching -> None
+    | Probabilistic -> 0
+    | Switching -> 1
+    | Deterministic { left } -> 2 + left
   in
-  { bit = s.b; prio = priv; det }
+  let out = match s.output with None -> -1 | Some v -> v in
+  let h = s.b in
+  let h = (h * 31) + s.coin in
+  let h = (h * 31) + b2i s.decided_flag in
+  let h = (h * 31) + stage_tag in
+  let h = (h * 31) + (b2i s.has_zero * 2) + b2i s.has_one in
+  let h = (h * 31) + s.n1 in
+  let h = (h * 31) + s.n2 in
+  let h = (h * 31) + s.n3 in
+  (h * 31) + out
 
-let keep4 = [| Sim.Protocol.Keep; Keep; Keep; Keep |]
+let next ws_state ws_regs =
+  { Sim.Protocol.ws_state; ws_regs; ws_decide = None; ws_halt = false }
 
-(* The word-level [finish]: tallies.(0/2/3) count senders with b /
-   has_zero / has_one set. Everything [step_probabilistic] and friends
-   read from the accumulator is recoverable from those counts — except
-   the leader argmax, so Leader_priority flip rounds return [None] and
-   run through the scalar fallback. *)
-let bo_step s ~round ~nrecv ~tallies =
-  let ones = tallies.(0) in
-  let zeros = nrecv - ones in
+let keep = [| Sim.Protocol.Keep; Keep; Keep; Keep |]
+
+(* b := v and W := {v}, indexed by v. *)
+let set_b =
+  [|
+    [| Sim.Protocol.Fill false; Keep; Fill true; Fill false |];
+    [| Sim.Protocol.Fill true; Keep; Fill false; Fill true |];
+  |]
+
+(* b := coin and W := {coin}. *)
+let b_of_coin = [| Sim.Protocol.Copy 1; Keep; Not 1; Copy 1 |]
+
+(* The round, for every receiver that heard [nrecv] messages with these
+   tallies: counts.(0) is O, and counts.(2)/(3) say whether 0/1 is in the
+   union of the senders' W — the merged value set of Lemma 4.3, since the
+   receiver's own message is among them. *)
+let transition s ~round ~nrecv ~(tallies : Sim.Protocol.tallies) =
+  let counts = tallies.counts in
+  let hz = counts.(2) > 0 and ho = counts.(3) > 0 in
   match s.stage with
   | Switching ->
-      (* [merged_values]: det words are all (false, false) here and own b
-         is among the senders, so the merge is the sender-value OR. *)
-      Some
+      next { s with stage = Deterministic { left = s.det_rounds } }
+        [| Keep; Keep; Fill hz; Fill ho |]
+  | Deterministic { left } ->
+      let left = left - 1 in
+      if left > 0 then
+        next
+          { s with stage = Deterministic { left } }
+          [| Keep; Keep; Fill hz; Fill ho |]
+      else
+        (* The surviving-value rule of Lemma 4.3. *)
+        let v = det_decision ~has_zero:hz ~has_one:ho in
         {
           Sim.Protocol.ws_state =
-            { s with stage = Deterministic { left = s.det_rounds } };
-          ws_regs = [| Keep; Keep; Fill (zeros > 0); Fill (ones > 0) |];
-          ws_decide = None;
-          ws_halt = false;
+            {
+              s with
+              stage = Deterministic { left };
+              output = Some 0 (* value rebuilt from b by bo_unpack *);
+              halted = true;
+            };
+          ws_regs = [| Fill (v = 1); Keep; Fill hz; Fill ho |];
+          ws_decide = Some (Decide_const v);
+          ws_halt = true;
         }
-  | Deterministic { left } ->
-      let hz = zeros > 0 || tallies.(2) > 0 in
-      let ho = ones > 0 || tallies.(3) > 0 in
-      let left = left - 1 in
-      if left = 0 then
-        let v = det_decision ~has_zero:hz ~has_one:ho in
-        Some
-          {
-            Sim.Protocol.ws_state =
-              {
-                s with
-                stage = Deterministic { left };
-                output = Some 0 (* value rebuilt from b by bo_unpack *);
-                halted = true;
-              };
-            ws_regs = [| Fill (v = 1); Keep; Fill hz; Fill ho |];
-            ws_decide = Some (Decide_const v);
-            ws_halt = true;
-          }
-      else
-        Some
-          {
-            Sim.Protocol.ws_state = { s with stage = Deterministic { left } };
-            ws_regs = [| Keep; Keep; Fill hz; Fill ho |];
-            ws_decide = None;
-            ws_halt = false;
-          }
   | Probabilistic ->
       if float_of_int nrecv < s.threshold then
-        Some
-          {
-            Sim.Protocol.ws_state =
-              { s with stage = Switching; n1 = nrecv; n2 = s.n1; n3 = s.n2 };
-            ws_regs = keep4;
-            ws_decide = None;
-            ws_halt = false;
-          }
+        (* Too few survivors: freeze b, run the one-round delay, then flood. *)
+        next { s with stage = Switching; n1 = nrecv; n2 = s.n1; n3 = s.n2 } keep
       else if s.decided_flag && 10 * (s.n3 - nrecv) <= s.n2 then
-        Some
-          {
-            Sim.Protocol.ws_state =
-              {
-                s with
-                output = Some 0 (* value rebuilt from b by bo_unpack *);
-                halted = true;
-                n1 = nrecv;
-                n2 = s.n1;
-                n3 = s.n2;
-              };
-            ws_regs = keep4;
-            ws_decide = Some (Decide_reg 0);
-            ws_halt = true;
-          }
-      else begin
-        let shifted = { s with n1 = nrecv; n2 = s.n1; n3 = s.n2 } in
-        let classified v decided_flag =
-          Some
+        (* Stable population for three rounds: stop, outputting b.
+           The window deliberately reaches back to N^(r-3): it bounds the kills
+           of rounds r-2..r by N^(r-2)/10, which is exactly the slack between
+           the decide threshold (7/10) and the propose threshold (6/10). If p
+           decided b=1 at round r-1 it saw ones > 0.7*N^(r-2); any survivor q
+           saw ones_q >= ones_p - k_{r-1} over N_q <= N^(r-2) + k_{r-2}
+           processes, so k_{r-1} + 0.6*k_{r-2} <= 0.1*N^(r-2) guarantees q at
+           least proposed 1 before p stops — agreement with probability 1.
+           A shorter window over only N^(r-2), N^(r-1) bounds k_{r-1} alone and
+           is unsound: under the band voting attack at n=192 it yields real
+           agreement violations (see the trial-30 regression in test_synran). *)
+        {
+          Sim.Protocol.ws_state =
             {
-              Sim.Protocol.ws_state = { shifted with decided_flag };
-              ws_regs = [| Fill (v = 1); Keep; Fill (v = 0); Fill (v = 1) |];
-              ws_decide = None;
-              ws_halt = false;
-            }
+              s with
+              output = Some 0 (* value rebuilt from b by bo_unpack *);
+              halted = true;
+              n1 = nrecv;
+              n2 = s.n1;
+              n3 = s.n2;
+            };
+          ws_regs = keep;
+          ws_decide = Some (Decide_reg 0);
+          ws_halt = true;
+        }
+      else
+        let ones = counts.(0) in
+        (* Shift the receive-count history; b and W come from [ws_regs]. *)
+        let shift decided_flag ws_regs =
+          next { s with decided_flag; n1 = nrecv; n2 = s.n1; n3 = s.n2 } ws_regs
         in
-        match Onesided.classify s.rules ~ones ~zeros ~n_prev:s.n1 with
-        | Onesided.Decide v -> classified v true
-        | Onesided.Propose v -> classified v false
+        let set v decided_flag = shift decided_flag set_b.(v) in
+        match
+          Onesided.classify s.rules ~ones ~zeros:(nrecv - ones) ~n_prev:s.n1
+        with
+        | Onesided.Decide v -> set v true
+        | Onesided.Propose v -> set v false
         | Onesided.Flip -> (
             match s.coin_mode with
-            | Local_flip ->
-                (* b := coin; the value set keeps tracking b. *)
-                Some
-                  {
-                    Sim.Protocol.ws_state = { shifted with decided_flag = false };
-                    ws_regs = [| Copy 1; Keep; Not 1; Copy 1 |];
-                    ws_decide = None;
-                    ws_halt = false;
-                  }
-            | Shared_oracle seed -> classified (oracle_bit ~seed ~round) false
-            | Leader_priority ->
-                (* The flip needs the max-(prio, pid) leader's bit — a
-                   per-process scan of the private payloads. *)
-                None)
-      end
+            | Local_flip -> shift false b_of_coin
+            | Leader_priority -> set (Lazy.force tallies.leader land 1) false
+            | Shared_oracle seed -> set (oracle_bit ~seed ~round) false)
 
-let bitops =
+let bo_aux_draw _ rng = Prng.Rng.int rng 1_000_000_000
+
+let codec =
   {
     Sim.Protocol.bo_width = 4;
     bo_pack;
     bo_unpack;
     bo_uniform;
+    (* Phase A pre-draws this round's potential flip and leader priority:
+       the adversary legitimately sees every coin before choosing kills
+       (full-information model). *)
     bo_coin_reg = Some 1;
-    bo_aux_draw = Some (fun _ rng -> Prng.Rng.int rng 1_000_000_000);
-    bo_msg;
-    bo_step;
+    bo_aux_draw = Some bo_aux_draw;
   }
 
 let protocol ?(rules = Onesided.paper) ?(coin = Local_flip) n =
@@ -542,37 +273,15 @@ let protocol ?(rules = Onesided.paper) ?(coin = Local_flip) n =
       n3 = n;
     }
   in
-  let phase_a s rng =
-    (* Pre-draw this round's potential flip and this round's leader
-       priority: the adversary legitimately sees every coin before choosing
-       kills (full-information model). *)
-    let s = { s with coin = Prng.Rng.bit rng } in
-    let prio = Prng.Rng.int rng 1_000_000_000 in
-    let det =
-      match s.stage with
-      | Deterministic _ -> Some (s.has_zero, s.has_one)
-      | Probabilistic | Switching -> None
-    in
-    (s, { bit = s.b; prio; det })
-  in
-  let finish s ~round acc =
-    match s.stage with
-    | Probabilistic -> step_probabilistic s ~round ~acc
-    | Switching -> step_switching s ~acc
-    | Deterministic { left } -> step_deterministic s ~left ~acc
-  in
-  Sim.Protocol.with_bitops
-    (Sim.Protocol.with_aggregate
-       ~name:
-         (Printf.sprintf "synran[%s%s,n=%d]" rules.Onesided.label
-            (match coin with
-            | Local_flip -> ""
-            | Leader_priority -> ",leader"
-            | Shared_oracle _ -> ",oracle")
-            n)
-       ~init ~phase_a
-       ~decision:(fun s -> s.output)
-       ~halted:(fun s -> s.halted)
-       (Sim.Protocol.Aggregate
-          { init = acc_init; absorb = acc_absorb; finish; cohort = Some cohort_ops }))
-    bitops
+  Sim.Protocol.registers
+    ~name:
+      (Printf.sprintf "synran[%s%s,n=%d]" rules.Onesided.label
+         (match coin with
+         | Local_flip -> ""
+         | Leader_priority -> ",leader"
+         | Shared_oracle _ -> ",oracle")
+         n)
+    ~init
+    ~decision:(fun s -> s.output)
+    ~halted:(fun s -> s.halted)
+    ~hash:state_hash ~transition codec

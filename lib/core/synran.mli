@@ -50,9 +50,10 @@ type coin =
           coin disables the Lemma 2.1 coin-control mechanism entirely
           (experiment E10). *)
 
-type msg
-(** Carries the sender's current bit and leader priority, plus its
-    value-set during the deterministic stage. *)
+type msg = Sim.Protocol.word
+(** The sender's registers after Phase A — its current bit [b] at bit 0,
+    this round's coin at bit 1, and its value set W at bits 2 (0 ∈ W) and
+    3 (1 ∈ W) — and, as [priv], this round's leader priority. *)
 
 val protocol :
   ?rules:Onesided.rules -> ?coin:coin -> int -> (state, msg) Sim.Protocol.t

@@ -3,14 +3,12 @@
    Register state lives in bit planes (one int array row per register,
    lane i of word i/lanes = process i, see Bitwords); the non-register
    fields of every active process are held once in a shared [template].
-   A round with no kills whose Phase-B branch is uniform (the protocol's
-   [bo_step] returns [Some _]) executes entirely at word granularity:
-   coins are drawn word-at-a-time, tallies are popcounts, and the
-   transition is a handful of plane blits.  Rounds the adversary
-   individuates (kills, partial deliveries) or whose branch needs
-   per-process data ([bo_step] returns [None]) materialize the scalar
-   states and run Engine's own delivery and commit code ([Round.phase_b]),
-   then re-pack when uniformity returns.
+   A round with no kills executes entirely at word granularity: coins
+   are drawn word-at-a-time, tallies are popcounts, and the protocol's
+   transition ([bo_step]) is a handful of plane blits. Rounds the
+   adversary individuates (kills, partial deliveries) materialize the
+   scalar states and run Engine's own delivery and commit code
+   ([Round.phase_b]), then re-pack when uniformity returns.
 
    The scalar half of the state is Engine's record, built by Engine's
    start-up code, and every round rule (kill validation, the decision
@@ -26,6 +24,7 @@ type ('state, 'msg) exec = {
          (the truth is template + planes) while entries of halted/dead
          processes stay valid forever. *)
   bo : ('state, 'msg) Protocol.bitops;
+  cd : 'state Protocol.codec;
   nw : int;  (* Bitwords.words_for n *)
   (* Packed representation. *)
   mutable packed : bool;
@@ -49,12 +48,25 @@ let active_count e = if e.packed then e.active_cnt else Round.active_count e.sc.
 (* Gather process i's packed registers from the current planes. *)
 let regs_at e i =
   let bits = ref 0 in
-  for r = 0 to e.bo.Protocol.bo_width - 1 do
+  for r = 0 to e.cd.Protocol.bo_width - 1 do
     if Bitwords.get e.cur.(r) i then bits := !bits lor (1 lsl r)
   done;
   !bits
 
-let unpack_at e i = e.bo.Protocol.bo_unpack e.template (regs_at e i)
+let unpack_at e i = e.cd.Protocol.bo_unpack e.template (regs_at e i)
+
+(* Process i's message this round: its post-Phase-A registers and priv. *)
+let msg_at (type s m) (e : (s, m) exec) i : m =
+  match e.bo.Protocol.bo_word with
+  | Type.Equal -> { Protocol.regs = regs_at e i; priv = e.priv.(i) }
+
+(* Registers of this round's max-(priv, pid) active sender. *)
+let leader_regs e =
+  let best = ref (-1) in
+  Bitwords.iter_ones e.amask e.nw (fun i ->
+      (* Lanes ascend, so a priv tie goes to the larger pid. *)
+      if !best < 0 || e.priv.(i) >= e.priv.(!best) then best := i);
+  regs_at e !best
 
 let first_active e =
   let rec go i =
@@ -82,12 +94,12 @@ let try_pack e =
         let tmpl = states.(j0) in
         let uniform = ref true in
         for i = j0 + 1 to lg.n - 1 do
-          if Round.active_at lg i && not (e.bo.Protocol.bo_uniform tmpl states.(i))
+          if Round.active_at lg i && not (e.cd.Protocol.bo_uniform tmpl states.(i))
           then uniform := false
         done;
         if !uniform then begin
           Array.fill e.amask 0 e.nw 0;
-          for r = 0 to e.bo.Protocol.bo_width - 1 do
+          for r = 0 to e.cd.Protocol.bo_width - 1 do
             Array.fill e.cur.(r) 0 e.nw 0
           done;
           let cnt = ref 0 in
@@ -95,8 +107,8 @@ let try_pack e =
             if Round.active_at lg i then begin
               incr cnt;
               Bitwords.set e.amask i true;
-              let bits = e.bo.Protocol.bo_pack states.(i) in
-              for r = 0 to e.bo.Protocol.bo_width - 1 do
+              let bits = e.cd.Protocol.bo_pack states.(i) in
+              for r = 0 to e.cd.Protocol.bo_width - 1 do
                 if (bits lsr r) land 1 = 1 then Bitwords.set e.cur.(r) i true
               done
             end
@@ -124,20 +136,23 @@ let start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
   in
   let n = sc.lg.n in
   let nw = Bitwords.words_for n in
+  let cd = bo.Protocol.bo_codec in
+  let planes () = Array.init cd.Protocol.bo_width (fun _ -> Array.make nw 0) in
   let e =
     {
       sc;
       bo;
+      cd;
       nw;
       packed = false;
       template = sc.states.(0);
-      cur = Array.init bo.Protocol.bo_width (fun _ -> Array.make nw 0);
-      nxt = Array.init bo.Protocol.bo_width (fun _ -> Array.make nw 0);
+      cur = planes ();
+      nxt = planes ();
       amask = Array.make nw 0;
       active_cnt = 0;
       any_active_decided = false;
       priv = Array.make n 0;
-      tallies = Array.make bo.Protocol.bo_width 0;
+      tallies = Array.make cd.Protocol.bo_width 0;
       packed_rounds = 0;
       scalar_rounds = 0;
     }
@@ -155,9 +170,8 @@ let materialize e =
     let pending = e.sc.pending in
     Array.fill pending 0 e.sc.lg.n None;
     Bitwords.iter_ones e.amask e.nw (fun i ->
-        let s = unpack_at e i in
-        e.sc.states.(i) <- s;
-        pending.(i) <- Some (e.bo.Protocol.bo_msg s ~priv:e.priv.(i)));
+        e.sc.states.(i) <- unpack_at e i;
+        pending.(i) <- Some (msg_at e i));
     e.packed <- false
   end
 
@@ -168,7 +182,7 @@ let materialize e =
    each stream still sees its coin bit first, then its aux draws. *)
 let packed_phase_a e =
   let proc_rngs = e.sc.lg.proc_rngs in
-  (match e.bo.Protocol.bo_coin_reg with
+  (match e.cd.Protocol.bo_coin_reg with
   | None -> ()
   | Some r ->
       let plane = e.cur.(r) in
@@ -178,7 +192,7 @@ let packed_phase_a e =
           Prng.Sample.coin_word ~rng_of ~base:(w * Bitwords.lanes)
             ~mask:e.amask.(w)
       done);
-  match e.bo.Protocol.bo_aux_draw with
+  match e.cd.Protocol.bo_aux_draw with
   | None -> ()
   | Some f ->
       Bitwords.iter_ones e.amask e.nw (fun i ->
@@ -199,12 +213,11 @@ let packed_phase_b e ws round =
       | Some f ->
           let c = ref 0 in
           Bitwords.iter_ones e.amask e.nw (fun i ->
-              if f (e.bo.Protocol.bo_msg (unpack_at e i) ~priv:e.priv.(i)) then
-                incr c);
+              if f (msg_at e i) then incr c);
           Some !c
   in
   (* Simultaneous register update: read [cur], write [nxt], swap. *)
-  for r = 0 to e.bo.Protocol.bo_width - 1 do
+  for r = 0 to e.cd.Protocol.bo_width - 1 do
     let dst = e.nxt.(r) in
     match ws.Protocol.ws_regs.(r) with
     | Protocol.Keep -> Array.blit e.cur.(r) 0 dst 0 e.nw
@@ -276,27 +289,20 @@ let step e adversary =
              else e.sc.states.(i))
            ~pending:(fun i ->
              if e.packed then
-               if Round.active_at e.sc.lg i then
-                 Some (e.bo.Protocol.bo_msg (unpack_at e i) ~priv:e.priv.(i))
-               else None
+               if Round.active_at e.sc.lg i then Some (msg_at e i) else None
              else e.sc.pending.(i)))
     in
-    let batched =
-      e.packed && kills = []
-      &&
-      match
-        let tallies = e.tallies in
-        for r = 0 to e.bo.Protocol.bo_width - 1 do
-          tallies.(r) <- Bitwords.popcount_masked e.cur.(r) e.amask e.nw
-        done;
-        e.bo.Protocol.bo_step e.template ~round ~nrecv:e.active_cnt ~tallies
-      with
-      | Some ws ->
-          packed_phase_b e ws round;
-          true
-      | None -> false
-    in
-    if not batched then begin
+    if e.packed && kills = [] then begin
+      let tallies = e.tallies in
+      for r = 0 to e.cd.Protocol.bo_width - 1 do
+        tallies.(r) <- Bitwords.popcount_masked e.cur.(r) e.amask e.nw
+      done;
+      packed_phase_b e
+        (e.bo.Protocol.bo_step e.template ~round ~nrecv:e.active_cnt
+           ~tallies:{ Protocol.counts = tallies; leader = lazy (leader_regs e) })
+        round
+    end
+    else begin
       materialize e;
       Round.phase_b e.sc kills ~round;
       e.scalar_rounds <- e.scalar_rounds + 1;

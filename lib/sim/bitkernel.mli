@@ -3,13 +3,11 @@
     Packs each binary register of every active process into bit planes
     ({!Bitwords} layout: lane [i mod lanes] of word [i / lanes]) and holds
     the shared non-register fields in one template state. A round with no
-    kills whose Phase-B branch is uniform runs entirely at word
-    granularity — coins via {!Prng.Sample.coin_word}, tallies via
-    popcount, the register transition as a handful of plane blits — at
-    O(n / word_size) cost instead of O(n). Rounds the adversary
-    individuates (kills, partial deliveries) or whose branch needs
-    per-process data (the protocol's [bo_step] returns [None])
-    materialize the scalar states, run through the exact {!Engine}
+    kills runs entirely at word granularity — coins via
+    {!Prng.Sample.coin_word}, tallies via popcount, the protocol's
+    transition as a handful of plane blits — at O(n / word_size) cost
+    instead of O(n). Rounds the adversary individuates (kills, partial
+    deliveries) materialize the scalar states, run through the exact {!Engine}
     aggregate delivery path, and re-pack when uniformity returns. The
     kernel's scalar half is Engine's own state record, and its unpacked
     rounds call Engine's Phase A, delivery and commit code; kill
@@ -27,9 +25,9 @@
     (packed states are unpacked on demand), so any concrete adversary —
     including adaptive ones — runs unchanged.
 
-    Protocols opt in by declaring {!Protocol.bitops} (and an aggregate,
-    which the kill-round fallback uses); {!start} refuses others —
-    callers fall back to {!Engine}. *)
+    Protocols built by {!Protocol.registers} carry the {!Protocol.bitops}
+    and the aggregate (used on kill rounds) it needs; {!start} refuses
+    others — callers fall back to {!Engine}. *)
 
 type ('state, 'msg) exec
 

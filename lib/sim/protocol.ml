@@ -35,16 +35,26 @@ type 'state word_step = {
   ws_halt : bool;
 }
 
-type ('state, 'msg) bitops = {
+type word = { regs : int; priv : int }
+
+type tallies = { counts : int array; leader : int Lazy.t }
+
+type 'state codec = {
   bo_width : int;
   bo_pack : 'state -> int;
   bo_unpack : 'state -> int -> 'state;
   bo_uniform : 'state -> 'state -> bool;
   bo_coin_reg : int option;
   bo_aux_draw : ('state -> Prng.Rng.t -> int) option;
-  bo_msg : 'state -> priv:int -> 'msg;
-  bo_step :
-    'state -> round:int -> nrecv:int -> tallies:int array -> 'state word_step option;
+}
+
+type 'state transition =
+  'state -> round:int -> nrecv:int -> tallies:tallies -> 'state word_step
+
+type ('state, 'msg) bitops = {
+  bo_codec : 'state codec;
+  bo_step : 'state transition;
+  bo_word : ('msg, word) Type.eq;
 }
 
 type ('state, 'msg) t = {
@@ -94,15 +104,208 @@ let with_aggregate ~name ~init ~phase_a ~decision ~halted aggregate =
     bitops = None;
   }
 
-let with_bitops p bitops =
-  if Option.is_none p.aggregate then
-    invalid_arg
-      (Printf.sprintf
-         "Protocol.with_bitops: %s declares no aggregate (Bitkernel's \
-          fallback path requires one)"
-         p.name);
-  (match bitops.bo_coin_reg with
-  | Some r when r < 0 || r >= bitops.bo_width ->
-      invalid_arg "Protocol.with_bitops: bo_coin_reg out of range"
+(* --- Register protocols ---------------------------------------------- *)
+
+(* A register protocol's aggregate: the tallies as a commutative fold. The
+   leader is the max-(priv, pid) sender, unique because pids are distinct,
+   so absorption order cannot matter. The counts are fields, not an array:
+   absorb runs once per delivered message, and copying an array per call
+   costs about three times the rest of it. *)
+type 'state tally = {
+  nrecv : int;
+  c0 : int;
+  c1 : int;
+  c2 : int;
+  c3 : int;
+  lead_pid : int;
+  lead : word;
+  mutable step : ('state * int * 'state word_step) option;
+      (* The last step [finish] computed from this tally, with its template
+         and round. Every receiver of a no-kill round shares one tally, so
+         a uniform population runs the transition once per round, as the
+         packed kernel does. *)
+}
+
+let max_width = 4
+
+(* Fold [count] senders whose messages all carry [m]'s registers in, with
+   (m.priv, pid) as their leader candidate. *)
+let add_senders a ~count ~pid m =
+  let r = m.regs in
+  let leads =
+    m.priv > a.lead.priv || (m.priv = a.lead.priv && pid > a.lead_pid)
+  in
+  {
+    nrecv = a.nrecv + count;
+    c0 = a.c0 + (count * (r land 1));
+    c1 = a.c1 + (count * ((r lsr 1) land 1));
+    c2 = a.c2 + (count * ((r lsr 2) land 1));
+    c3 = a.c3 + (count * ((r lsr 3) land 1));
+    lead_pid = (if leads then pid else a.lead_pid);
+    lead = (if leads then m else a.lead);
+    step = None;
+  }
+
+(* One process's registers after [ws_regs]: a simultaneous update, every
+   source reads the pre-transition [regs]. *)
+let apply_regs ws_regs regs =
+  let out = ref 0 in
+  for r = 0 to Array.length ws_regs - 1 do
+    let bit =
+      match ws_regs.(r) with
+      | Keep -> (regs lsr r) land 1
+      | Fill b -> Bool.to_int b
+      | Copy i -> (regs lsr i) land 1
+      | Not i -> 1 - ((regs lsr i) land 1)
+    in
+    out := !out lor (bit lsl r)
+  done;
+  !out
+
+let registers ~name ~init ~decision ~halted ~hash ~transition codec =
+  let { bo_width = width; bo_pack = pack; bo_unpack = unpack; bo_coin_reg; _ } =
+    codec
+  in
+  if width < 1 || width > max_width then
+    invalid_arg "Protocol.registers: bo_width out of [1, 4]";
+  (match bo_coin_reg with
+  | Some r when r < 0 || r >= width ->
+      invalid_arg "Protocol.registers: bo_coin_reg out of range"
   | Some _ | None -> ());
-  { p with bitops = Some bitops }
+  let with_coin regs coin =
+    match bo_coin_reg with
+    | None -> regs
+    | Some r ->
+        if coin = 1 then regs lor (1 lsl r) else regs land lnot (1 lsl r)
+  in
+  let draw_coin rng =
+    match bo_coin_reg with None -> 0 | Some _ -> Prng.Rng.bit rng
+  in
+  let draw_aux s rng =
+    match codec.bo_aux_draw with None -> 0 | Some f -> f s rng
+  in
+  (* The coin bit first, then the aux draws: the order the kernel's
+     word-level Phase A keeps on every stream. *)
+  let phase_a s rng =
+    match bo_coin_reg with
+    | None -> (s, { regs = pack s; priv = draw_aux s rng })
+    | Some _ ->
+        let regs = with_coin (pack s) (draw_coin rng) in
+        let s = unpack s regs in
+        (s, { regs; priv = draw_aux s rng })
+  in
+  (* [finish] is the transition over a population of one: the process's
+     own registers are the planes, and its state a template for every
+     uniform receiver of the same tally. *)
+  let finish s ~round a =
+    let ws =
+      match a.step with
+      | Some (t, r, ws) when r = round && codec.bo_uniform t s -> ws
+      | Some _ | None ->
+          let counts = [| a.c0; a.c1; a.c2; a.c3 |] in
+          let counts =
+            if width = max_width then counts else Array.sub counts 0 width
+          in
+          let ws =
+            transition s ~round ~nrecv:a.nrecv
+              ~tallies:{ counts; leader = Lazy.from_val a.lead.regs }
+          in
+          a.step <- Some (s, round, ws);
+          ws
+    in
+    unpack ws.ws_state (apply_regs ws.ws_regs (pack s))
+  in
+  (* A class splits by coin into at most two subclasses (coin 0 first);
+     priv payloads stay per member. With neither coin nor aux draws the
+     class passes through whole, at O(1). *)
+  let c_phase_a s ~members ~rng_of =
+    if Option.is_none bo_coin_reg && Option.is_none codec.bo_aux_draw then
+      [ { sub_state = s; sub_members = members; sub_priv = [||] } ]
+    else begin
+      let k = Array.length members in
+      let coins = Array.make k 0 and privs = Array.make k 0 in
+      for i = 0 to k - 1 do
+        let rng = rng_of members.(i) in
+        coins.(i) <- draw_coin rng;
+        privs.(i) <- draw_aux s rng
+      done;
+      let subclass coin =
+        let size =
+          Array.fold_left (fun c x -> if x = coin then c + 1 else c) 0 coins
+        in
+        if size = 0 then []
+        else begin
+          let ms = Array.make size 0 and pv = Array.make size 0 and j = ref 0 in
+          for i = 0 to k - 1 do
+            if coins.(i) = coin then begin
+              ms.(!j) <- members.(i);
+              pv.(!j) <- privs.(i);
+              incr j
+            end
+          done;
+          let sub_state =
+            match bo_coin_reg with
+            | None -> s
+            | Some _ -> unpack s (with_coin (pack s) coin)
+          in
+          [ { sub_state; sub_members = ms; sub_priv = pv } ]
+        end
+      in
+      subclass 0 @ subclass 1
+    end
+  in
+  let priv_at sub i =
+    if Array.length sub.sub_priv = 0 then 0 else sub.sub_priv.(i)
+  in
+  let c_msg sub i = { regs = pack sub.sub_state; priv = priv_at sub i } in
+  (* Every survivor of a subclass carries the same registers, so the counts
+     grow by one multiple; only the leader needs the per-member priv. *)
+  let c_absorb acc sub ~except =
+    let ms = sub.sub_members in
+    let count, best =
+      match except with
+      | None when Array.length sub.sub_priv = 0 ->
+          (Array.length ms, Array.length ms - 1)
+      | _ ->
+          let priv = priv_at sub in
+          let count = ref 0 and best = ref (-1) in
+          for i = 0 to Array.length ms - 1 do
+            match except with
+            | Some dead when dead ms.(i) -> ()
+            | Some _ | None ->
+                incr count;
+                (* Members ascend, so a priv tie goes to the larger pid. *)
+                if !best < 0 || priv i >= priv !best then best := i
+          done;
+          (!count, !best)
+    in
+    if count = 0 then acc
+    else add_senders acc ~count ~pid:ms.(best) (c_msg sub best)
+  in
+  let absorb acc ~pid m = add_senders acc ~count:1 ~pid m in
+  let c_equal a b = codec.bo_uniform a b && pack a = pack b in
+  let aggregate =
+    Aggregate
+      {
+        init =
+          (fun () ->
+            {
+              nrecv = 0;
+              c0 = 0;
+              c1 = 0;
+              c2 = 0;
+              c3 = 0;
+              lead_pid = -1;
+              lead = { regs = 0; priv = min_int };
+              step = None;
+            });
+        absorb;
+        finish;
+        cohort = Some { c_equal; c_hash = hash; c_phase_a; c_absorb; c_msg };
+      }
+  in
+  {
+    (with_aggregate ~name ~init ~phase_a ~decision ~halted aggregate) with
+    bitops =
+      Some { bo_codec = codec; bo_step = transition; bo_word = Type.Equal };
+  }

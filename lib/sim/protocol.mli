@@ -18,10 +18,9 @@ type 'state subclass = {
       (** Post-Phase-A state, identical for every member of the subclass. *)
   sub_members : int array;  (** Member pids, ascending. *)
   sub_priv : int array;
-      (** Per-member private payload, indexed like [sub_members] — protocol
-          data that varies within the subclass (e.g. SynRan's per-process
-          leader priorities). [[||]] when the protocol needs none; only the
-          protocol's own [c_absorb]/[c_msg] interpret it. *)
+      (** Per-member private payload, indexed like [sub_members]: the
+          {!word}'s [priv] (e.g. SynRan's leader priorities). [[||]] when
+          the protocol makes no aux draws. *)
 }
 (** One post-Phase-A equivalence class of the cohort engine: a set of
     processes that entered the round in the same state and drew the same
@@ -54,11 +53,11 @@ type ('state, 'msg, 'acc) cohort = {
       (** Reconstruct the exact message member [i] (an index into
           [sub_members]) broadcast — what the scalar [phase_a] returned. *)
 }
-(** Cohort operations: the additional contract a protocol provides to run on
-    {!Cohort}, the population-compressed engine. All three functions must be
-    observationally equal to the scalar [phase_a]/[absorb] they compress, so
-    the cohort engine is byte-identical to {!Engine} (pinned by the
-    [cohort.differential] test suite). *)
+(** Cohort operations: what {!Cohort}, the population-compressed engine,
+    runs a protocol from. All five must be observationally equal to the
+    scalar [phase_a]/[absorb] they compress, so the cohort engine is
+    byte-identical to {!Engine} ([cohort.differential] pins it).
+    {!registers} derives them from the protocol's codec and transition. *)
 
 type ('state, 'msg) aggregate =
   | Aggregate : {
@@ -108,63 +107,83 @@ type decide_src =
 type 'state word_step = {
   ws_state : 'state;
       (** Next non-register template state, shared by every active
-          process. Ignored when [ws_halt] (the register planes still
-          determine per-process decisions via [ws_decide]). *)
+          process: each process's next state is [bo_unpack ws_state] of
+          its post-transition registers. *)
   ws_regs : reg_src array;  (** One source per register, length [bo_width]. *)
   ws_decide : decide_src option;
-      (** If set, every active process decides this round. The engine's
-          decision discipline (no change, no revocation) still applies. *)
-  ws_halt : bool;  (** Halt every active process after this round. *)
+      (** If set, every active process decides this round. Must agree with
+          [decision] of the next states. The engine's decision discipline
+          (no change, no revocation) still applies. *)
+  ws_halt : bool;
+      (** Halt every active process after this round. Must agree with
+          [halted] of the next states. *)
 }
-(** A whole round's Phase-B transition for all active processes at once,
-    valid only when the transition is {e uniform}: the same branch of the
-    protocol applies to every active process and per-process variation is
-    confined to the register planes. *)
+(** A whole round's Phase-B transition for all active processes at once:
+    the same branch of the protocol applies to every active process, and
+    per-process variation is confined to the register planes. *)
 
-type ('state, 'msg) bitops = {
-  bo_width : int;  (** Number of binary registers (bit planes). *)
+type word = { regs : int; priv : int }
+(** A register protocol's message: the sender's registers after Phase A,
+    packed as by [bo_pack], and its private payload from [bo_aux_draw]
+    (0 when the protocol makes no aux draws). *)
+
+type tallies = {
+  counts : int array;
+      (** [counts.(i)] is the number of received messages whose register
+          [i] is set. Length [bo_width]. *)
+  leader : int Lazy.t;
+      (** The registers of the max-(priv, pid) sender. Forced only by
+          transitions that need it: the bit-packed kernel scans every
+          lane to compute it. *)
+}
+(** What a round's delivered messages tell a register protocol. *)
+
+type 'state codec = {
+  bo_width : int;
+      (** Number of binary registers (bit planes), 1 to 4: the aggregate
+          keeps one count field per register, so absorbing a message
+          allocates one small record and copies no array. *)
   bo_pack : 'state -> int;
       (** Pack the state's registers into the low [bo_width] bits
           (register [i] at bit [i]). *)
   bo_unpack : 'state -> int -> 'state;
       (** [bo_unpack template regs] rebuilds a full state from the
-          template's non-register fields and the packed registers. Must
-          be a left inverse of [bo_pack]:
-          [bo_pack (bo_unpack t (bo_pack s)) = bo_pack s]. *)
+          template's non-register fields and the packed registers:
+          [bo_unpack t (bo_pack s) = s] whenever [bo_uniform t s]. *)
   bo_uniform : 'state -> 'state -> bool;
       (** Whether two states agree on every {e non-register} field — the
           condition for sharing a packed template. Register fields are
           ignored. *)
   bo_coin_reg : int option;
       (** If set, Phase A's {e first} draw on each process's stream is one
-          [Prng.Rng.bit] stored in this register; the kernel draws it
-          word-granularly via [Prng.Sample.coin_word]. [None] means
-          Phase A flips no coins. *)
+          [Prng.Rng.bit] stored in this register. [None] means Phase A
+          flips no coin. *)
   bo_aux_draw : ('state -> Prng.Rng.t -> int) option;
       (** The rest of Phase A's draws on each process's stream (after the
-          coin), collapsed to one private int payload for [bo_msg]. Must
-          consume exactly what the scalar [phase_a] would. [None] when
-          the coin (or nothing) is all Phase A draws. *)
-  bo_msg : 'state -> priv:int -> 'msg;
-      (** Reconstruct the exact message the scalar [phase_a] would have
-          returned, from the post-Phase-A state and the private payload.
-          Used when a kill round forces materialized delivery. *)
-  bo_step :
-    'state -> round:int -> nrecv:int -> tallies:int array -> 'state word_step option;
-      (** The word-level Phase B: given any active process's pre-round
-          state as a template (its register fields MUST NOT be read),
-          the number of received messages [nrecv] (uniform on batched
-          rounds) and per-register sender tallies [tallies.(i)] = number
-          of senders whose register [i] was set, return the uniform
-          transition — or [None] when this round's branch depends on
-          per-process data beyond the registers (the kernel then runs
-          the round through the scalar engine path and re-packs). *)
+          coin), collapsed to the message's [priv]. Must not read the
+          registers. [None] when Phase A draws nothing more. *)
 }
-(** Bit-plane operations: the opt-in contract for {!Bitkernel}, mirroring
-    the {!aggregate}/{!cohort} pattern. All functions must be
-    observationally equal to the scalar [phase_a]/[phase_b] they
-    vectorize, so the bit-packed engine is byte-identical to {!Engine}
-    (pinned by the [bitkernel.differential] suite). *)
+(** How a state splits into binary registers and a non-register rest. *)
+
+type 'state transition =
+  'state -> round:int -> nrecv:int -> tallies:tallies -> 'state word_step
+(** A register protocol's whole round: given any receiver's post-Phase-A
+    state as a template (its registers MUST NOT be read), the number of
+    messages it received, and their tallies, the next template and
+    register sources. The receiver's own message is always among the
+    tallied ones. *)
+
+type ('state, 'msg) bitops = {
+  bo_codec : 'state codec;
+  bo_step : 'state transition;
+      (** The protocol's transition, called by {!Bitkernel} on packed
+          rounds with the tallies of every active process. *)
+  bo_word : ('msg, word) Type.eq;  (** The message is the register {!word}. *)
+}
+(** Bit-plane operations: what {!Bitkernel} runs a protocol's packed rounds
+    from. Only {!registers} builds them, from the same codec and
+    transition it derives the scalar round from, so the packed and scalar
+    rounds agree by construction ([bitkernel.differential] pins it). *)
 
 type ('state, 'msg) t = {
   name : string;
@@ -230,6 +249,26 @@ val with_aggregate :
     given aggregate — the only way the fast and legacy paths are
     guaranteed to agree. *)
 
-val with_bitops : ('state, 'msg) t -> ('state, 'msg) bitops -> ('state, 'msg) t
-(** Attach bit-plane operations. Raises [Invalid_argument] if the protocol
-    has no aggregate or [bo_coin_reg] is out of range. *)
+val registers :
+  name:string ->
+  init:(n:int -> pid:int -> input:int -> 'state) ->
+  decision:('state -> int option) ->
+  halted:('state -> bool) ->
+  hash:('state -> int) ->
+  transition:'state transition ->
+  'state codec ->
+  ('state, word) t
+(** A protocol whose state is binary registers plus a rest shared by every
+    process in the same stage, and whose round depends only on the
+    {!tallies}. Everything else is derived from the codec and the one
+    transition:
+    - [phase_a] draws the coin into [bo_coin_reg], then the aux draws,
+      and broadcasts the {!word};
+    - the aggregate folds words into {!tallies}, and [finish] is the
+      transition applied to a population of one;
+    - the cohort ops split classes by coin, with [c_equal] = [bo_uniform]
+      and equal registers, and [c_hash] = [hash] (which must be
+      consistent with that equality);
+    - the bitops hand the transition to {!Bitkernel} as [bo_step].
+    Raises [Invalid_argument] if [bo_width] is outside [1, 4] or
+    [bo_coin_reg] is out of range. *)

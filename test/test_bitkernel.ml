@@ -183,8 +183,9 @@ let synran_tests =
           Core.Lb_adversary.band_control ~rules
             ~bit_of_msg:Core.Synran.bit_of_msg ())
         ~n:129 ~max_t:128 ();
-      (* Leader_priority flips return None from bo_step — every flip
-         round must take the scalar fallback and still match. *)
+      (* Leader_priority flips read the max-(priv, pid) sender's bit:
+         packed rounds compute it from the lanes, kill rounds from the
+         aggregate, and both must match. *)
       differential ~count:15
         ~name:"synran n=33 leader coin bitkernel vs engine (crash)"
         ~observer:Core.Synran.msg_is_one
@@ -205,7 +206,7 @@ let floodset_tests =
     (fun (aname, adversary) ->
       differential
         ~name:(Printf.sprintf "floodset n=40 bitkernel vs engine (%s)" aname)
-        ~observer:(fun (m : Baselines.Floodset.msg) -> m.has_one)
+        ~observer:Baselines.Floodset.msg_has_one
         ~protocol:(Baselines.Floodset.protocol ~rounds:9 ())
         ~adversary ~n:40 ~max_t:39 ())
     [
@@ -215,7 +216,7 @@ let floodset_tests =
       ( "valency-steer",
         fun () ->
           Baselines.Adversaries.valency_steer ~per_round:2
-            ~msg_is_one:(fun (m : Baselines.Floodset.msg) -> m.has_one)
+            ~msg_is_one:Baselines.Floodset.msg_has_one
             () );
     ]
 
@@ -236,6 +237,24 @@ let test_null_rounds_all_packed () =
   Alcotest.(check bool)
     "run decided" true
     (Option.is_some (Sim.Bitkernel.outcome e).Sim.Engine.rounds_to_decide)
+
+(* A Leader_priority flip is packed too: 65 ones of 129 is a flip round,
+   and the leader's bit comes from a lane scan, with no scalar fallback. *)
+let test_leader_flips_packed () =
+  let n = 129 in
+  let protocol = Core.Synran.protocol ~coin:Core.Synran.Leader_priority n in
+  let inputs = Array.init n (fun i -> if i < 65 then 1 else 0) in
+  let e = Sim.Bitkernel.start protocol ~inputs ~t:0 ~rng:(Prng.Rng.create 4) in
+  Sim.Bitkernel.run_until e Sim.Adversary.null ~max_rounds:400;
+  Alcotest.(check int) "no scalar fallback rounds" 0
+    (Sim.Bitkernel.scalar_rounds e);
+  let concrete =
+    Sim.Engine.run protocol Sim.Adversary.null ~inputs ~t:0
+      ~rng:(Prng.Rng.create 4)
+  in
+  Alcotest.(check bool)
+    "same outcome as the concrete engine" true
+    (Test_delivery.outcomes_equal concrete (Sim.Bitkernel.outcome e))
 
 (* Adaptive kills force the fallback, and the kernel re-packs after.
    FloodSet runs exactly 9 rounds; drip with budget 3 individuates the
@@ -303,6 +322,8 @@ let suites =
       @ [
           Alcotest.test_case "null-adversary rounds all batched" `Quick
             test_null_rounds_all_packed;
+          Alcotest.test_case "leader flips stay packed" `Quick
+            test_leader_flips_packed;
           Alcotest.test_case "kills fall back to scalar then re-pack" `Quick
             test_kills_fall_back_and_repack;
         ] );

@@ -385,6 +385,19 @@ let test_bitkernel_roots () =
     (fun fn -> Alcotest.(check string) fn "det" (entry_class good fn))
     [ "Bitwords.popcount"; "Bitkernel.step" ]
 
+let test_register_transition_rooted () =
+  (* A register protocol's round lives in its transition, which engines
+     reach only through records: the name alone must root it. *)
+  let _, bad = analyze_typed_fixture "bad_register_transition" in
+  check_strings "T1 on Random in a transition" [ "T1" ] (taint_rules bad);
+  (match bad.Detlint_taint.findings with
+  | [ f ] ->
+      Alcotest.(check bool)
+        "finding names the transition" true
+        (contains ~needle:"transition" f.Detlint.message)
+  | fs -> Alcotest.failf "expected exactly one T1, got %d" (List.length fs));
+  Alcotest.(check string) "transition" "nondet" (entry_class bad "transition")
+
 let test_stale_waiver_detected () =
   let g, r = analyze_typed_fixture "stale_waiver" in
   check_strings "no rule findings" [] (taint_rules r);
@@ -504,6 +517,7 @@ let suites =
         tc "R7 descending member order" test_r7_fires_and_clean;
         tc "R8 float fold vs absorb algebra" test_r8_fires_and_clean;
         tc "bitkernel word ops are sink-rooted" test_bitkernel_roots;
+        tc "register transitions are sink-rooted" test_register_transition_rooted;
         tc "R9 escaping ref vs chunk-local state" test_r9_fires_and_clean;
         tc "stale waivers are detected" test_stale_waiver_detected;
         tc "purity ledger is byte-stable" test_ledger_byte_stable;

@@ -520,6 +520,38 @@ let test_checker_assert_ok () =
        false
      with Failure _ -> true)
 
+(* Hand-built outcomes of random size, decisions and faults: two
+   disagreeing deciders must fail agreement, a decision other than a
+   unanimous input must fail validity, and a clean outcome must pass. *)
+let checker_property =
+  QCheck.Test.make ~name:"checker flags disagreement and invalidity, passes clean"
+    ~count:300
+    QCheck.(pair (int_range 2 8) small_nat)
+    (fun (n, seed) ->
+      let rng = Prng.Rng.create seed in
+      let bit () = Prng.Rng.bit rng in
+      let faulty = Array.init n (fun _ -> Prng.Rng.int rng 4 = 0) in
+      let some_decisions () =
+        Array.init n (fun _ -> if bit () = 1 then Some (bit ()) else None)
+      in
+      let check ~inputs decisions =
+        Sim.Checker.check ~inputs (outcome_with ~decisions ~faulty)
+      in
+      let inputs = Array.init n (fun _ -> bit ()) in
+      let i = Prng.Rng.int rng n in
+      let j = (i + 1 + Prng.Rng.int rng (n - 1)) mod n in
+      let disagree = some_decisions () in
+      disagree.(i) <- Some 0;
+      disagree.(j) <- Some 1;
+      let v = bit () in
+      let invalid = some_decisions () in
+      invalid.(i) <- Some (1 - v);
+      let w = inputs.(j) in
+      let clean = Array.map (fun f -> if f && bit () = 1 then None else Some w) faulty in
+      (not (check ~inputs disagree).Sim.Checker.agreement)
+      && (not (check ~inputs:(Array.make n v) invalid).Sim.Checker.validity)
+      && Sim.Checker.ok (check ~inputs clean))
+
 (* --- Trace ------------------------------------------------------------------- *)
 
 let test_trace_records () =
@@ -599,6 +631,7 @@ let suites =
         tc "validity violation" test_checker_validity_violation;
         tc "termination violation" test_checker_termination_violation;
         tc "assert_ok" test_checker_assert_ok;
+        QCheck_alcotest.to_alcotest checker_property;
       ] );
     ("sim.trace", [ tc "records" test_trace_records ]);
   ]

@@ -203,6 +203,98 @@ let test_stage_transitions () =
   let o = Sim.Engine.outcome exec in
   Sim.Checker.assert_ok ~inputs o
 
+(* --- The round by hand (Section 4) ---------------------------------------- *)
+
+(* These cases drive the protocol record directly — init, phase_a, then
+   phase_b on a hand-built delivery — so the transition is checked against
+   hand-computed values, not against another engine. *)
+
+let hand_rng = Prng.Rng.create 17
+
+(* [k] copies of message [m], from senders [first], [first + 1], ... *)
+let copies ?(first = 0) k m = Array.init k (fun i -> (first + i, m))
+
+(* One round of process [s]: its Phase A, then Phase B on [received]. *)
+let hand_round (p : _ Sim.Protocol.t) s ~round received =
+  let s, _ = p.phase_a s hand_rng in
+  p.phase_b s ~round ~received
+
+let hand_msg (p : _ Sim.Protocol.t) ~n v = snd (p.phase_a (p.init ~n ~pid:0 ~input:v) hand_rng)
+
+let test_hand_stop_window () =
+  (* N^0 = n = 110. Round 1 hears 70 ones of N^1 = 100 (Propose 1: 700 is in
+     (660, 770]); round 2 hears N^2 = 100 ones (Decide 1). At round 3 the
+     stop rule 10·(N^0 − N^3) ≤ N^1 holds with equality at N^3 = 100, and
+     one more kill (N^3 = 99) breaks it. *)
+  let n = 110 in
+  let p = Core.Synran.protocol n in
+  let m1 = hand_msg p ~n 1 and m0 = hand_msg p ~n 0 in
+  let s = hand_round p (p.init ~n ~pid:0 ~input:1) ~round:1
+      (Array.append (copies 70 m1) (copies ~first:70 30 m0)) in
+  check_bool "round 1 proposes" false (Core.Synran.decided_flag s);
+  check_int "round 1 b" 1 (Core.Synran.current_b s);
+  let s = hand_round p s ~round:2 (copies 100 m1) in
+  check_bool "round 2 decides" true (Core.Synran.decided_flag s);
+  check_bool "round 2 runs on" false (p.halted s);
+  let stop = hand_round p s ~round:3 (copies 100 m1) in
+  Alcotest.(check (option int)) "N^3 = 100 stops with b" (Some 1) (p.decision stop);
+  check_bool "N^3 = 100 halts" true (p.halted stop);
+  let go_on = hand_round p s ~round:3 (copies 99 m1) in
+  Alcotest.(check (option int)) "N^3 = 99 does not stop" None (p.decision go_on);
+  check_bool "N^3 = 99 runs on" false (p.halted go_on);
+  check_bool "N^3 = 99 decides again" true (Core.Synran.decided_flag go_on)
+
+let test_hand_switch_threshold () =
+  (* sqrt(64 / ln 64) = 3.92: hearing 3 switches, hearing 4 does not. *)
+  let n = 64 in
+  let p = Core.Synran.protocol n in
+  let m1 = hand_msg p ~n 1 in
+  let after k = hand_round p (p.init ~n ~pid:0 ~input:1) ~round:1 (copies k m1) in
+  Alcotest.(check string) "nrecv 3" "switching" (Core.Synran.stage_name (after 3));
+  Alcotest.(check string) "nrecv 4" "probabilistic" (Core.Synran.stage_name (after 4))
+
+let test_hand_det_stage () =
+  (* Both values survive every round: round 1 switches (3 < 3.92), round 2
+     enters the deterministic stage, and the stage decides the default 0
+     after exactly det_stage_rounds = 4 more rounds. *)
+  let n = 64 in
+  let p = Core.Synran.protocol n in
+  let m1 = hand_msg p ~n 1 and m0 = hand_msg p ~n 0 in
+  let both = [| (0, m1); (1, m0); (2, m1) |] in
+  let s = ref (p.init ~n ~pid:0 ~input:1) in
+  let det = Core.Synran.det_stage_rounds ~n in
+  check_int "det_stage_rounds" 4 det;
+  for round = 1 to 2 + det - 1 do
+    s := hand_round p !s ~round both;
+    Alcotest.(check (option int)) (Printf.sprintf "undecided after round %d" round)
+      None (p.decision !s)
+  done;
+  Alcotest.(check string) "stage" "deterministic" (Core.Synran.stage_name !s);
+  let s = hand_round p !s ~round:(2 + det) both in
+  Alcotest.(check (option int)) "decides 0" (Some 0) (p.decision s);
+  check_bool "halts" true (p.halted s)
+
+let test_hand_leader_flip () =
+  (* 5 ones and 5 zeros of N = 10 is a flip; under Leader_priority it takes
+     the bit of the max-(priority, pid) sender, ties going to the larger pid. *)
+  let n = 10 in
+  let p = Core.Synran.protocol ~coin:Core.Synran.Leader_priority n in
+  let m1 = hand_msg p ~n 1 and m0 = hand_msg p ~n 0 in
+  let flip prios =
+    let received =
+      Array.init n (fun pid ->
+          let m = if pid mod 2 = 0 then m1 else m0 in
+          (pid, { m with Sim.Protocol.priv = prios.(pid) }))
+    in
+    let s = hand_round p (p.init ~n ~pid:0 ~input:1) ~round:1 received in
+    check_bool "a flip does not decide" false (Core.Synran.decided_flag s);
+    Core.Synran.current_b s
+  in
+  check_int "top priority is a 0-sender" 0 (flip [| 5; 5; 5; 9; 5; 5; 5; 5; 5; 5 |]);
+  check_int "top priority is a 1-sender" 1 (flip [| 5; 5; 5; 5; 5; 5; 9; 5; 5; 5 |]);
+  check_int "tie: larger pid, a 0-sender" 0 (flip [| 9; 5; 5; 5; 5; 9; 5; 5; 5; 5 |]);
+  check_int "tie: larger pid, a 1-sender" 1 (flip [| 5; 9; 5; 5; 5; 5; 5; 5; 9; 5 |])
+
 let test_det_stage_round_count () =
   check_int "n=64" 4 (Core.Synran.det_stage_rounds ~n:64);
   check_int "n=1" 1 (Core.Synran.det_stage_rounds ~n:1);
@@ -368,6 +460,10 @@ let suites =
         tc "zero-rule ablation breaks validity"
           test_validity_violated_without_zero_rule;
         tc "stage transitions" test_stage_transitions;
+        tc "by hand: stop window" test_hand_stop_window;
+        tc "by hand: switch threshold" test_hand_switch_threshold;
+        tc "by hand: deterministic stage" test_hand_det_stage;
+        tc "by hand: leader flip" test_hand_leader_flip;
         tc "det stage rounds" test_det_stage_round_count;
         tc "single process" test_single_process;
         tc "two processes" test_two_processes;

@@ -101,11 +101,12 @@ let protocol_base_pats = [ "phase_a"; "phase_b"; "absorb"; "finish" ]
 
 let cohort_base_names = [ "c_phase_a"; "c_absorb"; "c_msg" ]
 
-(* Bitops implementations are likewise reached through the
-   [Protocol.bitops] record (the bit-packed kernel calls [bo.bo_step]),
-   so they root by the documented field names. *)
+(* Register protocols are likewise reached through records: the kernel
+   calls [bo.bo_step], and [Protocol.registers] wraps the protocol's
+   codec and [~transition] into phase_a/finish/cohort closures. They root
+   by the documented codec field names and the transition's name. *)
 let bitops_base_names =
-  [ "bo_pack"; "bo_unpack"; "bo_uniform"; "bo_aux_draw"; "bo_msg"; "bo_step" ]
+  [ "bo_pack"; "bo_unpack"; "bo_uniform"; "bo_aux_draw"; "bo_step"; "transition" ]
 
 let ends_with ~suffix s =
   let ls = String.length suffix and l = String.length s in
