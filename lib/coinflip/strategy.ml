@@ -114,7 +114,7 @@ let toward_value =
           loop rest
     in
     loop order;
-    if g.Game.eval masked = target then List.rev !hidden else List.rev !hidden
+    List.rev !hidden
   in
   { name = "toward-value"; act }
 

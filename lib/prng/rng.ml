@@ -6,7 +6,7 @@ let create seed = of_int64 (Int64.of_int seed)
 
 let bits64 = Xoshiro256.next
 
-let split g = Xoshiro256.of_seed (Splitmix64.mix (Xoshiro256.next g))
+let split = Xoshiro256.split
 
 let split_n g k = Array.init k (fun _ -> split g)
 
@@ -18,39 +18,45 @@ let of_seed_index ~seed ~index =
   let key =
     Splitmix64.mix
       (add (Splitmix64.mix (of_int seed))
-         (mul 0x9E3779B97F4A7C15L (add (of_int index) 1L)))
+         (mul Xoshiro256.golden_gamma (add (of_int index) 1L)))
   in
   Xoshiro256.of_seed key
 
 let copy = Xoshiro256.copy
 
-let bool g = Int64.compare (Xoshiro256.next g) 0L < 0
+(* The draws read the step's bits as immediate ints, so none allocates.
+   [bool] is bit 63. *)
+let[@inline] bool g = Xoshiro256.next_high g < 0
 
 let bit g = if bool g then 1 else 0
 
-(* Uniform int in [0, bound) by rejection from the top 62 bits, so every
-   value is equally likely (no modulo bias). *)
+(* Uniform int in [0, bound) by rejection on the low bits under the
+   smallest all-ones mask covering [bound - 1], so every value is equally
+   likely (no modulo bias). Smearing the top set bit of [bound - 1]
+   downwards builds that mask in six steps. *)
 let int g bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let mask_bits x =
-    (* Smallest all-ones mask covering [x]. *)
-    let rec widen m = if m >= x then m else widen ((m lsl 1) lor 1) in
-    widen 1
-  in
-  let mask = mask_bits (bound - 1) in
-  let rec draw () =
-    let v = Int64.to_int (Xoshiro256.next g) land mask in
-    if v < bound then v else draw ()
-  in
-  if bound = 1 then 0 else draw ()
+  if bound = 1 then 0
+  else begin
+    let m = bound - 1 in
+    let m = m lor (m lsr 1) in
+    let m = m lor (m lsr 2) in
+    let m = m lor (m lsr 4) in
+    let m = m lor (m lsr 8) in
+    let m = m lor (m lsr 16) in
+    let mask = m lor (m lsr 32) in
+    let v = ref (Xoshiro256.next_low g land mask) in
+    while !v >= bound do
+      v := Xoshiro256.next_low g land mask
+    done;
+    !v
+  end
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int g (hi - lo + 1)
 
-let float g =
-  (* Top 53 bits, scaled to [0, 1). *)
-  let v = Int64.shift_right_logical (Xoshiro256.next g) 11 in
-  Int64.to_float v *. 0x1p-53
+(* Top 53 bits, scaled to [0, 1). *)
+let[@inline] float g = Float.of_int (Xoshiro256.next_high g lsr 10) *. 0x1p-53
 
 let bernoulli g p = if p >= 1.0 then true else if p <= 0.0 then false else float g < p

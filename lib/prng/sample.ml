@@ -69,15 +69,10 @@ let random_bits g n = Array.init n (fun _ -> Rng.bit g)
 let coin_word ~rng_of ~base ~mask =
   (* Ascending lane order so each stream sees exactly the draws the
      scalar per-process loop would make. *)
-  let w = ref 0 and m = ref mask in
+  let w = ref 0 and m = ref mask and k = ref 0 in
   while !m <> 0 do
-    let bit = !m land - !m in
-    let k =
-      (* index of the single set bit of [bit] *)
-      let rec go i b = if b land 1 = 1 then i else go (i + 1) (b lsr 1) in
-      go 0 bit
-    in
-    if Rng.bit (rng_of (base + k)) = 1 then w := !w lor bit;
-    m := !m lxor bit
+    if !m land 1 = 1 && Rng.bit (rng_of (base + !k)) = 1 then w := !w lor (1 lsl !k);
+    m := !m lsr 1;
+    incr k
   done;
   !w

@@ -1,14 +1,11 @@
 type t = { mutable state : int64 }
 
-let golden_gamma = 0x9E3779B97F4A7C15L
+(* Xoshiro256's seeding inlines the finalizer, so it is defined there. *)
+let golden_gamma = Xoshiro256.golden_gamma
+
+let mix = Xoshiro256.mix
 
 let create seed = { state = seed }
-
-let mix z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
 
 let next g =
   g.state <- Int64.add g.state golden_gamma;

@@ -1,60 +1,72 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* Nothing allocates on the draw path. The four state words s0..s3 live
+   unboxed in one 32-byte block, at byte offsets 0, 8, 16 and 24: a record of
+   [mutable int64] fields would box a fresh Int64 on every store (the
+   compiler has no flambda). [next] reads the words into let-bound locals,
+   which the native compiler keeps in registers, and stores them back raw.
 
-let rotl x k =
+   Dune's dev profile compiles every unit with -opaque, so nothing inlines
+   across compilation units. Everything that needs the step's raw 64 bits
+   therefore lives in this unit: the SplitMix64 finalizer and seeding, [split],
+   and the two immediate projections [next_high]/[next_low] from which {!Rng}
+   builds its draws. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let golden_gamma = 0x9E3779B97F4A7C15L
+
+let[@inline] mix z =
+  let open Int64 in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+  logxor z (shift_right_logical z 31)
+
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
+let[@inline] make s0 s1 s2 s3 =
+  let g = Bytes.create 32 in
+  set g 0 s0;
+  set g 8 s1;
+  set g 16 s2;
+  set g 24 s3;
+  g
+
 let of_state s0 s1 s2 s3 =
-  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then
-    invalid_arg "Xoshiro256.of_state: all-zero state";
-  { s0; s1; s2; s3 }
+  if Int64.equal s0 0L && Int64.equal s1 0L && Int64.equal s2 0L && Int64.equal s3 0L
+  then invalid_arg "Xoshiro256.of_state: all-zero state";
+  make s0 s1 s2 s3
 
-let of_seed seed =
-  let sm = Splitmix64.create seed in
-  let s0 = Splitmix64.next sm in
-  let s1 = Splitmix64.next sm in
-  let s2 = Splitmix64.next sm in
-  let s3 = Splitmix64.next sm in
-  (* SplitMix64 outputs are never all zero for any seed, but guard anyway. *)
-  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then of_state 1L 0L 0L 0L
-  else { s0; s1; s2; s3 }
+(* The first four outputs of [Splitmix64.create seed]. [mix] is a bijection
+   and its four inputs are distinct, so at most one word is zero. *)
+let[@inline] of_seed seed =
+  let z0 = Int64.add seed golden_gamma in
+  let z1 = Int64.add z0 golden_gamma in
+  let z2 = Int64.add z1 golden_gamma in
+  let z3 = Int64.add z2 golden_gamma in
+  make (mix z0) (mix z1) (mix z2) (mix z3)
 
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
+let copy = Bytes.copy
 
-let next g =
-  let result = Int64.mul (rotl (Int64.mul g.s1 5L) 7) 9L in
-  let t = Int64.shift_left g.s1 17 in
-  g.s2 <- Int64.logxor g.s2 g.s0;
-  g.s3 <- Int64.logxor g.s3 g.s1;
-  g.s1 <- Int64.logxor g.s1 g.s2;
-  g.s0 <- Int64.logxor g.s0 g.s3;
-  g.s2 <- Int64.logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+let[@inline] next g =
+  let s0 = get g 0 and s1 = get g 8 and s2 = get g 16 and s3 = get g 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let t = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  let s2 = Int64.logxor s2 t in
+  let s3 = rotl s3 45 in
+  set g 0 s0;
+  set g 8 s1;
+  set g 16 s2;
+  set g 24 s3;
   result
 
-let jump_table =
-  [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL;
-     0x39ABDC4529B1661CL |]
+let next_high g = Int64.to_int (Int64.shift_right_logical (next g) 1)
 
-let jump g =
-  let s0 = ref 0L and s1 = ref 0L and s2 = ref 0L and s3 = ref 0L in
-  Array.iter
-    (fun word ->
-      for b = 0 to 63 do
-        if Int64.logand word (Int64.shift_left 1L b) <> 0L then begin
-          s0 := Int64.logxor !s0 g.s0;
-          s1 := Int64.logxor !s1 g.s1;
-          s2 := Int64.logxor !s2 g.s2;
-          s3 := Int64.logxor !s3 g.s3
-        end;
-        ignore (next g)
-      done)
-    jump_table;
-  g.s0 <- !s0;
-  g.s1 <- !s1;
-  g.s2 <- !s2;
-  g.s3 <- !s3
+let next_low g = Int64.to_int (next g)
+
+let split g = of_seed (mix (next g))

@@ -36,7 +36,28 @@ let test_splitmix_advances () =
   let y = Prng.Splitmix64.next g in
   check_bool "consecutive outputs differ" false (x = y)
 
+let test_splitmix_reference () =
+  (* First outputs for seed 0 of the reference C implementation. *)
+  let g = Prng.Splitmix64.create 0L in
+  List.iteri
+    (fun i want ->
+      Alcotest.(check int64) (Printf.sprintf "output %d" i) want (Prng.Splitmix64.next g))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ]
+
 (* --- Xoshiro256 ------------------------------------------------------ *)
+
+let test_xoshiro_reference () =
+  (* First outputs of the reference xoshiro256starstar.c from state
+     (1, 2, 3, 4), as unsigned decimals. *)
+  let g = Prng.Xoshiro256.of_state 1L 2L 3L 4L in
+  List.iteri
+    (fun i want ->
+      Alcotest.(check string)
+        (Printf.sprintf "output %d" i)
+        want
+        (Printf.sprintf "%Lu" (Prng.Xoshiro256.next g)))
+    [ "11520"; "0"; "1509978240"; "1215971899390074240"; "1216172134540287360";
+      "607988272756665600" ]
 
 let test_xoshiro_zero_state_rejected () =
   Alcotest.check_raises "all-zero state"
@@ -52,16 +73,6 @@ let test_xoshiro_copy_replays () =
       (Printf.sprintf "replay %d" i)
       (Prng.Xoshiro256.next g) (Prng.Xoshiro256.next h)
   done
-
-let test_xoshiro_jump_diverges () =
-  let g = Prng.Xoshiro256.of_seed 5L in
-  let h = Prng.Xoshiro256.copy g in
-  Prng.Xoshiro256.jump h;
-  let equal = ref 0 in
-  for _ = 1 to 64 do
-    if Prng.Xoshiro256.next g = Prng.Xoshiro256.next h then incr equal
-  done;
-  check_bool "jumped stream decorrelated" true (!equal <= 1)
 
 let test_xoshiro_sign_bit_balance () =
   let g = Prng.Xoshiro256.of_seed 2024L in
@@ -178,6 +189,57 @@ let test_rng_bit_values () =
     let b = Prng.Rng.bit g in
     check_bool "bit in {0,1}" true (b = 0 || b = 1)
   done
+
+let test_rng_stream_pinned () =
+  (* Pins the Rng streams themselves, independently of any table digest:
+     seeding, the rejection order of [int], the bit and float extraction,
+     and [split]. *)
+  let r = Prng.Rng.of_seed_index ~seed:42 ~index:0 in
+  let ints = List.init 4 (fun _ -> Prng.Rng.int r 1_000_000_000) in
+  Alcotest.(check (list int)) "int" [ 35101263; 675175476; 700002986; 457927830 ] ints;
+  let bits = List.init 8 (fun _ -> Prng.Rng.bit r) in
+  Alcotest.(check (list int)) "bit" [ 1; 0; 1; 1; 1; 0; 1; 0 ] bits;
+  Alcotest.(check (float 0.0)) "float" 0x1.7d37a3aea8858p-3 (Prng.Rng.float r);
+  Alcotest.(check int64) "split" (-840715807768259157L) (Prng.Rng.bits64 (Prng.Rng.split r));
+  (* Masks from 1 bit to 62 bits wide. *)
+  let r = Prng.Rng.of_seed_index ~seed:7 ~index:3 in
+  List.iter
+    (fun (bound, want) ->
+      check_int (Printf.sprintf "int below %d" bound) want (Prng.Rng.int r bound))
+    [ (2, 1); (3, 1); (1000, 46); ((1 lsl 33) + 5, 6900120297);
+      ((1 lsl 61) + 1, 1538848557962364882); (max_int, 2855266050307363427) ]
+
+(* Minor-heap words per call of [f], averaged over 10^4 calls. *)
+let words_per_call f =
+  f ();
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let test_rng_draws_do_not_allocate () =
+  (* Only native code keeps the generator state and the drawn bits
+     unboxed; bytecode boxes every int64. A float returned from a call that
+     is not inlined is always boxed (2 words), and dune's dev profile
+     compiles with -opaque, so [float] is held to that box and no more;
+     [bernoulli] consumes its float inside the library and allocates
+     nothing. *)
+  if Sys.backend_type = Sys.Native then begin
+    let g = Prng.Rng.create 14 in
+    let under limit name f =
+      let w = words_per_call f in
+      check_bool (Printf.sprintf "%s: %.2f words/call < %g" name w limit) true (w < limit)
+    in
+    under 1.0 "bit" (fun () -> ignore (Prng.Rng.bit g));
+    under 1.0 "bool" (fun () -> ignore (Prng.Rng.bool g));
+    under 1.0 "int" (fun () -> ignore (Prng.Rng.int g 1000));
+    under 1.0 "int_in" (fun () -> ignore (Prng.Rng.int_in g (-3) 3));
+    under 2.5 "float" (fun () -> ignore (Prng.Rng.float g));
+    under 1.0 "bernoulli" (fun () -> ignore (Prng.Rng.bernoulli g 0.3));
+    under 12.0 "split" (fun () -> ignore (Prng.Rng.split g))
+  end
 
 (* --- Sample ----------------------------------------------------------- *)
 
@@ -306,13 +368,14 @@ let suites =
         tc "seed sensitivity" test_splitmix_seed_sensitivity;
         tc "mix injective on sample" test_splitmix_mix_injective_sample;
         tc "advances" test_splitmix_advances;
+        tc "reference outputs" test_splitmix_reference;
       ] );
     ( "prng.xoshiro256",
       [
         tc "zero state rejected" test_xoshiro_zero_state_rejected;
         tc "copy replays" test_xoshiro_copy_replays;
-        tc "jump diverges" test_xoshiro_jump_diverges;
         tc "sign bit balance" test_xoshiro_sign_bit_balance;
+        tc "reference outputs" test_xoshiro_reference;
       ] );
     ( "prng.rng",
       [
@@ -328,6 +391,8 @@ let suites =
         tc "bernoulli extremes" test_rng_bernoulli_extremes;
         tc "bernoulli frequency" test_rng_bernoulli_frequency;
         tc "bit values" test_rng_bit_values;
+        tc "stream pinned" test_rng_stream_pinned;
+        tc "draws do not allocate" test_rng_draws_do_not_allocate;
       ] );
     ( "prng.sample",
       [
