@@ -8,8 +8,9 @@
    bit-packed engines (outcomes, traces, metrics digest, event-stream
    digest — any byte of difference fails tier-1). A large-n leg compares
    all three engines, lockstep batching and the legacy exchange at n up
-   to 4096 under the null adversary and at n = 8192 under band control,
-   where the differential suites do not reach.
+   to 4096 under the null adversary, the legacy exchange at n = 1024
+   under voting band control, and the engines at n = 8192 under band
+   control, where the differential suites do not reach.
 
    Also smoke-validates the observability layer: one captured band-control
    workload at --jobs 1 vs --jobs 3 must produce byte-identical metrics
@@ -222,8 +223,10 @@ let bitkernel_smoke () =
    agree at n = 4096 for SynRan (random inputs) and FloodSet; a lockstep
    [run_batch] of 8 trials must equal running them one at a time; and one
    SynRan trial at n = 1024 must match the legacy materialized exchange.
-   Under band control, the three engines must agree on outcomes and on the
-   metrics digest for two SynRan trials at n = 8192.
+   One SynRan trial at n = 1024 under voting band control (the band_n1024
+   benchmark attack) must match the legacy exchange as well. Under band
+   control, the three engines must agree on outcomes and on the metrics
+   digest for two SynRan trials at n = 8192.
    No timing: speed is the benchmark's business (perf/). *)
 let large_n_smoke () =
   let inputs_for n i = Prng.Sample.random_bits (Prng.Rng.create (42 + i)) n in
@@ -299,6 +302,20 @@ let large_n_smoke () =
   check
     (Printf.sprintf "synran n=%d: fast path = legacy" n)
     (outcomes_equal (run p) (run (Sim.Protocol.legacy p)));
+  (* The same comparison under the benchmark's band_n1024 attack, whose
+     kill rounds deliver thousands of partial sends through the delivery
+     index. *)
+  let rules = Core.Onesided.paper in
+  let p = Core.Synran.protocol ~rules n in
+  let run_band p =
+    Sim.Engine.run ~record_trace:true ~max_rounds:2000 p
+      (Core.Lb_adversary.band_control ~config:Core.Lb_adversary.voting_config
+         ~rules ~bit_of_msg:Core.Synran.bit_of_msg ())
+      ~inputs:(inputs_for n 1) ~t:(n - 1) ~rng:(rng_of 1)
+  in
+  check
+    (Printf.sprintf "synran n=%d vs voting band control: fast path = legacy" n)
+    (outcomes_equal (run_band p) (run_band (Sim.Protocol.legacy p)));
   (* Band control at n = 8192: kill rounds with partial deliveries, which
      every engine runs through the shared round rules and bitkernel runs
      through Engine's own delivery code. Cohort plans with the native
@@ -336,7 +353,8 @@ let large_n_smoke () =
   done;
   print_endline
     "bench-smoke: engines agree at n=4096 (leader coin too) and under band \
-     control at n=8192, run_batch = sequential, legacy = fast at n=1024"
+     control at n=8192, run_batch = sequential, legacy = fast at n=1024 \
+     (null and voting band control)"
 
 (* Chaos replay: a pinned survivable fault plan — three faults across
    three sites, one of them a torn checkpoint write that the retry must

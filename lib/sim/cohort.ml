@@ -219,7 +219,7 @@ let step e adversary =
         let nsurvivors = active_before - nkills in
         (* Receivers owed extra deliveries: victim lists per receiver, with
            duplicate recipients inside one victim's deliver_to collapsed
-           (the concrete engine's mask does the same). *)
+           (the concrete engine's delivery index does the same). *)
         let extras = Hashtbl.create 8 in
         List.iter
           (fun { Adversary.victim; deliver_to } ->

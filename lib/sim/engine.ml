@@ -82,6 +82,9 @@ let snapshot (e : _ exec) =
        the original may be stepped independently. *)
     pending = Array.make lg.n None;
     killed = Array.make lg.n false;
+    head = [||];
+    src = [||];
+    next = [||];
   }
 
 let reseed (e : _ exec) rng =

@@ -230,6 +230,14 @@ type ('state, 'msg) scalar = {
      cleared before use. *)
   pending : 'msg option array;
   killed : bool array;
+  (* Kill-round delivery index: receiver j's killed senders whose message
+     still reaches it, as a list threaded from [head.(j)] through
+     [src]/[next] (-1 ends it), in descending sender pid. Allocated by the
+     first kill round and grown on demand, so rounds without kills never
+     touch it. *)
+  mutable head : int array;
+  mutable src : int array;
+  mutable next : int array;
 }
 
 let scalar ~who ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
@@ -241,6 +249,9 @@ let scalar ~who ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
       Array.mapi (fun pid input -> protocol.Protocol.init ~n:lg.n ~pid ~input) inputs;
     pending = Array.make lg.n None;
     killed = Array.make lg.n false;
+    head = [||];
+    src = [||];
+    next = [||];
   }
 
 let phase_a e =
@@ -254,24 +265,59 @@ let phase_a e =
     end
   done
 
+(* Build the delivery index in one walk over the [deliver_to] lists:
+   O(n + sum of |deliver_to|). Victims are taken in ascending pid and each
+   entry is pushed on the front of its receiver's list, so every list reads
+   in descending sender pid. Only receivers are indexed: a recipient that
+   is dead, halted or killed this round (the victim itself included) is
+   skipped, so [killed] must be set first. While one victim is indexed, its
+   earlier entry for a recipient is that recipient's head, so a recipient
+   named twice by one victim is indexed once. *)
+let index_partial_sends e kills =
+  let lg = e.lg in
+  let n = lg.n in
+  if Array.length e.head < n then e.head <- Array.make n (-1)
+  else Array.fill e.head 0 n (-1);
+  let head = e.head in
+  let len = ref 0 in
+  let push r victim =
+    if !len = Array.length e.src then begin
+      let grow a =
+        let b = Array.make (max 64 (2 * !len)) 0 in
+        Array.blit a 0 b 0 !len;
+        b
+      in
+      e.src <- grow e.src;
+      e.next <- grow e.next
+    end;
+    e.src.(!len) <- victim;
+    e.next.(!len) <- head.(r);
+    head.(r) <- !len;
+    incr len
+  in
+  List.iter
+    (fun { Adversary.victim; deliver_to } ->
+      List.iter
+        (fun r ->
+          if active_at lg r && not e.killed.(r) then begin
+            let h = head.(r) in
+            if h < 0 || e.src.(h) <> victim then push r victim
+          end)
+        deliver_to)
+    (List.sort
+       (fun a b -> Int.compare a.Adversary.victim b.Adversary.victim)
+       kills)
+
 let phase_b e kills ~round =
   let lg = e.lg and pending = e.pending in
   let n = lg.n in
   let killed = e.killed in
   Array.fill killed 0 n false;
-  let partial = Hashtbl.create 8 in
-  List.iter
-    (fun { Adversary.victim; deliver_to } ->
-      killed.(victim) <- true;
-      if deliver_to <> [] then begin
-        let mask = Array.make n false in
-        List.iter (fun r -> mask.(r) <- true) deliver_to;
-        Hashtbl.replace partial victim mask
-      end)
-    kills;
-  (* Message exchange: receiver j gets sender i's message iff i was active
-     and either survived, or is j itself (own value is always counted), or
-     was killed but the adversary let the i->j message through. *)
+  List.iter (fun k -> killed.(k.Adversary.victim) <- true) kills;
+  if kills <> [] then index_partial_sends e kills;
+  (* Message exchange: receiver j (never a victim) gets sender i's message
+     iff i was active and either survived, or was killed but the adversary
+     let the i->j message through, i.e. i is on j's index list. *)
   let delivered = ref 0 in
   let newly_decided = ref 0 in
   let newly_halted = ref 0 in
@@ -311,10 +357,11 @@ let phase_b e kills ~round =
         end
       done
   | Some (Protocol.Aggregate a) ->
-      (* Kill round: fold the surviving senders once, then replay each
-         receiver's partial deliveries on top. Sound because [absorb] is
-         commutative (Protocol contract): a receiver's extras land after
-         the survivors instead of interleaved by sender id. *)
+      (* Kill round: fold the surviving senders once, then absorb each
+         receiver's indexed killed senders on top, in descending pid. Sound
+         because [absorb] is commutative (Protocol contract): a receiver's
+         extras land after the survivors instead of interleaved by sender
+         id. *)
       let base = ref (a.init ()) in
       let nsurvivors = ref 0 in
       for i = 0 to n - 1 do
@@ -324,45 +371,43 @@ let phase_b e kills ~round =
             incr nsurvivors
         | _ -> ()
       done;
-      let base = !base in
-      let delta = Array.make n [] in
-      for i = 0 to n - 1 do
-        if killed.(i) then
-          match (pending.(i), Hashtbl.find_opt partial i) with
-          | Some m, Some mask ->
-              for j = 0 to n - 1 do
-                if mask.(j) then delta.(j) <- (i, m) :: delta.(j)
-              done
-          | _ -> ()
-      done;
+      let base = !base and head = e.head and src = e.src and next = e.next in
       for j = 0 to n - 1 do
         if active_at lg j && not killed.(j) then begin
           let acc = ref base in
-          List.iter
-            (fun (i, m) ->
-              acc := a.absorb !acc ~pid:i m;
-              incr delivered)
-            delta.(j);
+          let c = ref head.(j) in
+          while !c >= 0 do
+            let i = src.(!c) in
+            (match pending.(i) with
+            | Some m ->
+                acc := a.absorb !acc ~pid:i m;
+                incr delivered
+            | None -> ());
+            c := next.(!c)
+          done;
           delivered := !delivered + !nsurvivors;
           commit j (a.finish e.states.(j) ~round !acc)
         end
       done
   | None ->
-      (* Legacy exchange: materialize each receiver's (sender, msg) array. *)
+      (* Legacy exchange: materialize each receiver's (sender, msg) array.
+         [c] walks j's index list in step with the descending sender
+         loop. *)
       for j = 0 to n - 1 do
         if active_at lg j && not killed.(j) then begin
           let received = ref [] in
+          let c = ref (if kills = [] then -1 else e.head.(j)) in
           for i = n - 1 downto 0 do
             match pending.(i) with
             | None -> ()
             | Some msg ->
                 let gets_it =
                   if not killed.(i) then true
-                  else if i = j then true
-                  else
-                    match Hashtbl.find_opt partial i with
-                    | None -> false
-                    | Some mask -> mask.(j)
+                  else if !c >= 0 && e.src.(!c) = i then begin
+                    c := e.next.(!c);
+                    true
+                  end
+                  else false
                 in
                 if gets_it then begin
                   received := (i, msg) :: !received;

@@ -133,6 +133,11 @@ type ('state, 'msg) scalar = {
   states : 'state array;
   pending : 'msg option array;  (** This round's staged broadcasts. *)
   killed : bool array;  (** Scratch. *)
+  mutable head : int array;
+  mutable src : int array;
+  mutable next : int array;
+      (** Scratch: the kill-round delivery index, one list of killed
+          senders per receiver. Empty until the first kill round. *)
 }
 
 val scalar :

@@ -121,6 +121,134 @@ let game_tests =
         ])
     generic_adversaries
 
+(* Hostile partial-send plans: victims listed in descending or shuffled pid
+   order, each delivering to itself, to every victim of the round and to
+   pids drawn from all of [0, n), dead and halted ones included, with
+   repeats. The adversaries in lib/ never send such a plan. *)
+let hostile () =
+  {
+    Sim.Adversary.name = "hostile";
+    plan =
+      (fun view rng ->
+        let n = view.Sim.Adversary.n in
+        let victims =
+          Sim.Adversary.active_pids view
+          |> List.filter (fun _ -> Prng.Rng.bernoulli rng 0.2)
+          |> List.filteri (fun i _ -> i < view.Sim.Adversary.budget_left)
+          |> Array.of_list
+        in
+        if Prng.Rng.bool rng then Prng.Sample.shuffle rng victims
+        else Array.sort (fun a b -> Int.compare b a) victims;
+        let victims = Array.to_list victims in
+        List.map
+          (fun v ->
+            let drawn =
+              List.init (Prng.Rng.int rng (2 * n)) (fun _ -> Prng.Rng.int rng n)
+            in
+            Sim.Adversary.kill_after_send v
+              ~recipients:((v :: victims) @ drawn @ [ v ]))
+          victims);
+  }
+
+(* Four runs of one execution: the concrete engine's aggregate path, its
+   legacy exchange, Bitkernel (whose kill rounds run the concrete delivery
+   code) and Cohort (whose class-level delivery shares none of it). *)
+let hostile_four_engines ~name ~protocol ~n =
+  QCheck.Test.make ~name ~count:20
+    QCheck.(pair small_int small_int)
+    (fun (seed, tsel) ->
+      let t = (n / 2) + (tsel mod (n / 2)) in
+      let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
+      let rng () = Prng.Rng.create seed in
+      let concrete p =
+        Sim.Engine.run ~record_trace:true ~max_rounds:500 p (hostile ())
+          ~inputs ~t ~rng:(rng ())
+      in
+      let reference = concrete protocol in
+      outcomes_equal reference (concrete (Sim.Protocol.legacy protocol))
+      && outcomes_equal reference
+           (Sim.Bitkernel.run ~record_trace:true ~max_rounds:500 protocol
+              (hostile ()) ~inputs ~t ~rng:(rng ()))
+      && outcomes_equal reference
+           (Sim.Cohort.run ~record_trace:true ~max_rounds:500 protocol
+              (Sim.Cohort.Concrete (hostile ()))
+              ~inputs ~t ~rng:(rng ())))
+
+let hostile_tests =
+  [
+    hostile_four_engines ~name:"synran n=33 vs hostile plans"
+      ~protocol:(Core.Synran.protocol 33) ~n:33;
+    hostile_four_engines ~name:"floodset n=21 vs hostile plans"
+      ~protocol:(Baselines.Floodset.protocol ~rounds:6 ())
+      ~n:21;
+  ]
+
+(* By hand, n = 5: every process broadcasts its pid and records the set of
+   senders it heard each round; pid 4 decides and halts after round 1.
+   Round 1 (all active): victims 3 and 1, listed in descending order;
+   3 -> [0; 0; 3; 1; 2], 1 -> [2; 4; 4]. Receivers 0, 2 and 4 hear the
+   survivors {0, 2, 4}; 0 also hears 3 (once), 2 hears 3 and 1, 4 hears 1
+   (once): 4 + 5 + 4 = 13 deliveries. Round 2 (active 0 and 2; 1 and 3
+   dead, 4 halted): victim 2 -> [0; 1; 3; 4; 2; 0]; receiver 0 hears
+   itself and 2 (once): 2 deliveries. *)
+type heard = { pid : int; heard : int list list (* most recent first *) }
+
+let heard_protocol =
+  Sim.Protocol.with_aggregate ~name:"heard"
+    ~init:(fun ~n:_ ~pid ~input:_ -> { pid; heard = [] })
+    ~phase_a:(fun s _rng -> (s, s.pid))
+    ~decision:(fun s -> if s.pid = 4 && s.heard <> [] then Some 0 else None)
+    ~halted:(fun s -> s.pid = 4 && s.heard <> [])
+    (Sim.Protocol.Aggregate
+       {
+         init = (fun () -> []);
+         absorb = (fun acc ~pid:_ sender -> List.merge Int.compare [ sender ] acc);
+         finish = (fun s ~round:_ acc -> { s with heard = acc :: s.heard });
+         cohort = None;
+       })
+
+let test_hand_computed_deliveries () =
+  let adversary =
+    {
+      Sim.Adversary.name = "by-hand";
+      plan =
+        (fun view _ ->
+          match view.Sim.Adversary.round with
+          | 1 ->
+              [
+                Sim.Adversary.kill_after_send 3 ~recipients:[ 0; 0; 3; 1; 2 ];
+                Sim.Adversary.kill_after_send 1 ~recipients:[ 2; 4; 4 ];
+              ]
+          | 2 -> [ Sim.Adversary.kill_after_send 2 ~recipients:[ 0; 1; 3; 4; 2; 0 ] ]
+          | _ -> []);
+    }
+  in
+  List.iter
+    (fun (path, protocol) ->
+      let e =
+        Sim.Engine.start ~record_trace:true protocol ~inputs:(Array.make 5 0)
+          ~t:3 ~rng:(Prng.Rng.create 1)
+      in
+      Sim.Engine.run_until e adversary ~max_rounds:2;
+      let heard = Array.map (fun s -> s.heard) (Sim.Engine.states e) in
+      Alcotest.(check (array (list (list int))))
+        (path ^ ": senders heard per round")
+        [| [ [ 0; 2 ]; [ 0; 2; 3; 4 ] ]; []; [ [ 0; 1; 2; 3; 4 ] ]; [];
+           [ [ 0; 1; 2; 4 ] ] |]
+        heard;
+      let records =
+        match (Sim.Engine.outcome e).Sim.Engine.trace with
+        | Some tr -> Sim.Trace.records tr
+        | None -> []
+      in
+      Alcotest.(check (list (pair int int)))
+        (path ^ ": (partial sends, delivered) per round")
+        [ (2, 13); (1, 2) ]
+        (List.map
+           (fun r -> (r.Sim.Trace.partial_sends, r.Sim.Trace.messages_delivered))
+           records))
+    [ ("aggregate", heard_protocol); ("legacy", Sim.Protocol.legacy heard_protocol) ]
+
 (* The tally games must also agree with the generic [of_eval] bridge over
    the corresponding [Games] evaluator — same engine coins, so outcomes
    match exactly, pinning the aggregate against an independent spelling. *)
@@ -187,6 +315,9 @@ let suites =
   [
     ( "delivery.differential",
       List.map to_alcotest (synran_tests @ baseline_tests @ game_tests) );
+    ( "delivery.hostile-plans",
+      Alcotest.test_case "by hand: n=5 deliveries" `Quick test_hand_computed_deliveries
+      :: List.map to_alcotest hostile_tests );
     ( "delivery.algebra",
       List.map to_alcotest [ prop_tally_matches_eval; prop_synran_absorb_commutes ]
     );

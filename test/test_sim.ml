@@ -403,6 +403,71 @@ let test_snapshot_replays_same_coins () =
     (decisions_key (Sim.Engine.outcome e))
     (decisions_key (Sim.Engine.outcome c))
 
+(* Snapshot mid-run under voting band control, reseed the copy so the two
+   executions diverge, then step the original and the copy alternately
+   through the kill rounds that follow, whose partial sends go through each
+   execution's own delivery scratch. Each must finish exactly like an
+   un-snapshotted run from the same state: the original like a run from
+   the start, the copy like a twin execution reseeded at the same round.
+   Band control keeps per-run trackers, so every execution gets its own
+   adversary, brought to the snapshot round by the same views. *)
+let test_snapshot_through_kill_rounds () =
+  let n = 64 and split = 2 and max_rounds = 500 in
+  let protocol = Core.Synran.protocol n in
+  let inputs = Prng.Sample.random_bits (Prng.Rng.create 5) n in
+  let prefix ?record_trace () =
+    let x =
+      Sim.Engine.start ?record_trace protocol ~inputs ~t:(n - 1)
+        ~rng:(Prng.Rng.create 6)
+    in
+    let adv =
+      Core.Lb_adversary.band_control ~config:Core.Lb_adversary.voting_config
+        ~rules:Core.Onesided.paper ~bit_of_msg:Core.Synran.bit_of_msg ()
+    in
+    Sim.Engine.run_until x adv ~max_rounds:split;
+    (x, adv)
+  in
+  let e, be = prefix () in
+  let _, bc = prefix () in
+  let c = Sim.Engine.snapshot e in
+  Sim.Engine.reseed c (Prng.Rng.create 77);
+  let live x adv =
+    Sim.Engine.round x < max_rounds && Sim.Engine.step x adv = `Continue
+  in
+  let rec alternate () =
+    let a = live e be in
+    let b = live c bc in
+    if a || b then alternate ()
+  in
+  alternate ();
+  let reference, br = prefix ~record_trace:true () in
+  Sim.Engine.run_until reference br ~max_rounds;
+  let twin, bt = prefix ~record_trace:true () in
+  Sim.Engine.reseed twin (Prng.Rng.create 77);
+  Sim.Engine.run_until twin bt ~max_rounds;
+  let partial_kill_rounds x =
+    match (Sim.Engine.outcome x).Sim.Engine.trace with
+    | None -> 0
+    | Some tr ->
+        List.length
+          (List.filter
+             (fun r -> r.Sim.Trace.round > split && r.Sim.Trace.partial_sends > 0)
+             (Sim.Trace.records tr))
+  in
+  check_bool "original: partial-send kill rounds after the snapshot" true
+    (partial_kill_rounds reference > 0);
+  check_bool "copy: partial-send kill rounds after the snapshot" true
+    (partial_kill_rounds twin > 0);
+  check_bool "the reseeded copy diverged" false
+    (Sim.Engine.states e = Sim.Engine.states c);
+  let same x y =
+    { (Sim.Engine.outcome x) with trace = None }
+    = { (Sim.Engine.outcome y) with trace = None }
+    && Sim.Engine.states x = Sim.Engine.states y
+  in
+  check_bool "original = un-snapshotted run" true (same e reference);
+  check_bool "copy = un-snapshotted reseeded twin" true (same c twin)
+
 let test_reseed_changes_coins () =
   let e =
     Sim.Engine.start coin_protocol ~inputs:(Array.make 64 0) ~t:0
@@ -617,6 +682,7 @@ let suites =
         tc "snapshot independent" test_snapshot_independent;
         tc "snapshot replays coins" test_snapshot_replays_same_coins;
         tc "reseed changes coins" test_reseed_changes_coins;
+        tc "snapshot through kill rounds" test_snapshot_through_kill_rounds;
       ] );
     ( "sim.runner",
       [
