@@ -1,8 +1,25 @@
-(* detlint's typed front end: reads the [.cmt] typed trees dune already
-   produces (-bin-annot is on by default; [dune build @check] materializes
-   them for every library and executable), extracts per-function facts, and
+(* detlint's one walk: reads the [.cmt] typed trees dune already produces
+   (-bin-annot is on by default; [dune build @check] materializes them for
+   every library and executable), reports the local rules on the spot, and
    builds the interprocedural call graph the taint pass (detlint_taint.ml)
    propagates over.
+
+   Local findings ([graph.local]), each waived by an enclosing
+   [@detlint.allow] naming its rule:
+
+   - R1 global [Random] (also [open Random] / [module R = Random]) outside
+     lib/prng; R2 wall-clock reads; R3 unsorted [Hashtbl] iteration (a
+     fold in the argument position of a sort is ordered); R5 bare
+     [compare], [=]/[<>] on a syntactically float operand, comparisons on
+     a tuple literal (scoped to the hot-path libraries); R10 fault-site
+     triggers outside the injector stack.
+   - R4: module-level mutable bindings captured by a closure literal
+     handed to [Domain.spawn] or an unsupervised [Parallel] entry.
+   - W0: a malformed waiver (it suppresses nothing). P0: a source file
+     under the given trees without a loadable typed tree.
+
+   Graph facts, all carrying precise source locations and the innermost
+   active waiver if one matches their underlying rule:
 
    One [node] per named function: every value binding whose right-hand side
    is syntactically a function, qualified by its enclosing modules and
@@ -12,18 +29,12 @@
    any function (module-level initialization code) attach to a per-unit
    "(toplevel)" node.
 
-   Extracted facts, all carrying precise source locations and the innermost
-   active [@detlint.allow] waiver if one matches their underlying rule:
-
    - call edges: every identifier referenced in the body. [Pdot] paths are
      global names ("Sim.Protocol.cohort_capable", already display-form in
      the typed tree); [Pident]s are resolved against enclosing scopes after
      the whole graph is loaded, so local helpers and siblings link up.
-   - nondeterminism sources: global [Random] (R1), wall-clock/entropy (R2),
-     [Gc] statistics (R2), unsorted [Hashtbl] iteration (R3), polymorphic
-     [compare] (R5) and [Domain] identity (T1). The Hashtbl check reuses
-     the syntactic pass's escape heuristic (a fold feeding a sort is
-     ordered).
+   - nondeterminism sources: the R1/R2/R3/R5 occurrences above, plus [Gc]
+     statistics and [Domain] identity, which only matter through T1.
    - float folds (R8): [fold_left]/[fold_right] applications whose result
      type is [float] — order-sensitive accumulations, checked against the
      merge-flow region by the taint pass.
@@ -35,8 +46,9 @@
      literals passed to [fold_chunks_supervised] — state that escapes the
      chunk boundary.
 
-   Every waiver the typed pass sees is also registered (by source location)
-   so main.ml can audit staleness (W1) across both passes. *)
+   Every well-formed waiver is registered by the location of its attribute
+   (and marked when it suppresses a local finding) so the taint pass can
+   audit staleness (W1). *)
 
 type loc = { l_file : string; l_line : int; l_col : int }
 
@@ -120,8 +132,9 @@ type node = {
 
 type graph = {
   nodes : (string, node) Hashtbl.t;
-  mutable units : string list;  (* display unit names, for reporting *)
-  mutable waivers_seen : waiver list;  (* every waiver in the typed trees *)
+  mutable local : Detlint.finding list;  (* R1-R5, R10, W0, P0 *)
+  mutable waivers_seen : waiver list;  (* every well-formed waiver *)
+  mutable waivers_used : loc list;  (* those that waived a local finding *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -133,6 +146,8 @@ let strip_prefix ~prefix s =
   if String.length s >= lp && String.sub s 0 lp = prefix then
     Some (String.sub s lp (String.length s - lp))
   else None
+
+let has_prefix ~prefix s = Option.is_some (strip_prefix ~prefix s)
 
 (* "Sim__Cohort" -> "Sim.Cohort"; "Dune__exe__Main" -> "Main". *)
 let normalize_unit m =
@@ -178,7 +193,7 @@ let suffix_matches ~suffix name =
   && name.[ln - ls - 1] = '.'
 
 (* ------------------------------------------------------------------ *)
-(* Source / pattern tables                                             *)
+(* Rule tables and scopes                                              *)
 (* ------------------------------------------------------------------ *)
 
 let wallclock_fns = [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]
@@ -202,19 +217,68 @@ let sort_fns =
 let fold_fns =
   [ "List.fold_left"; "List.fold_right"; "Array.fold_left"; "Array.fold_right" ]
 
+(* Closure literals handed to these run on other domains (R4); the
+   supervised fold's chunk closures are R9's business. All are
+   dotted-suffix matched. *)
+let parallel_entries =
+  [
+    "Domain.spawn"; "Parallel.fold_chunks"; "Parallel.map";
+    "Parallel.run_workers";
+  ]
+
 let supervised_entries = [ "Parallel.fold_chunks_supervised" ]
 
-let mutable_head_ctors =
-  [ "ref"; "Hashtbl.t"; "Buffer.t"; "Queue.t"; "Stack.t" ]
+(* Head type constructors that make a captured variable shared mutable
+   state: R9's set, and R4's, which also counts arrays and bytes
+   ([Atomic.t] is the sanctioned cross-domain cell in both). *)
+let r9_mutable = [ "ref"; "Hashtbl.t"; "Buffer.t"; "Queue.t"; "Stack.t" ]
+
+let r4_mutable = "array" :: "bytes" :: r9_mutable
 
 let cohort_field_names = [ "c_phase_a"; "c_absorb"; "c_msg" ]
 
-let in_scope_r1 file = not (String.length file >= 9 && String.sub file 0 9 = "lib/prng/")
+(* R5's syntactic "this operand is float-valued" shapes. *)
+let float_ops = [ "+."; "-."; "*."; "/."; "**" ]
+
+let float_returning =
+  [ "float_of_int"; "sqrt"; "exp"; "log"; "Float.abs"; "Float.min"; "Float.max" ]
+
+let comparison_ops = [ "="; "<>"; "<"; ">"; "<="; ">=" ]
+
+let in_scope_r1 file = not (has_prefix ~prefix:"lib/prng/" file)
 
 let in_scope_r5 file =
   List.exists
-    (fun p -> Option.is_some (strip_prefix ~prefix:p file))
+    (fun prefix -> has_prefix ~prefix file)
     [ "lib/stats/"; "lib/sim/"; "lib/core/"; "lib/coinflip/" ]
+
+(* The chaos-replay quarantine: fault-site triggers are confined to the
+   injector engine and the supervised runner stack that threads it.
+   Anywhere else, a fire/trip would inject failures outside the
+   retry/quarantine machinery, and [--fault-plan] replays would no longer
+   place every fault identically. Plan construction and parsing are legal
+   anywhere; the unit-test tree is exempt because tests exercise the
+   injector directly. *)
+let r10_trigger_files =
+  [
+    "lib/sim/fault.ml";
+    "lib/sim/parallel.ml";
+    "lib/sim/checkpoint.ml";
+    "lib/sim/runner.ml";
+    "lib/core/supervise.ml";
+  ]
+
+let in_scope_r10 file =
+  (not (List.mem file r10_trigger_files)) && not (has_prefix ~prefix:"test/" file)
+
+(* "Fault.fire" / "Sim.Fault.trip" / "Core.Fault.fire": any path whose
+   last two components name a fault-site trigger. *)
+let is_fault_trigger p =
+  suffix_matches ~suffix:"Fault.fire" p || suffix_matches ~suffix:"Fault.trip" p
+
+let random_hint =
+  "route all randomness through the seeded Prng.Rng (lib/prng); the global \
+   Random breaks (seed, trial_index) reproducibility"
 
 (* ------------------------------------------------------------------ *)
 (* Compiler-libs helpers                                               *)
@@ -227,13 +291,11 @@ let loc_of (l : Location.t) ~file =
     l_col = l.Location.loc_start.Lexing.pos_cnum - l.Location.loc_start.Lexing.pos_bol;
   }
 
-(* Same surface syntax as the ppxlib pass: [@detlint.allow "R<n>: why"].
-   Rules outside the known set are left to the syntactic pass's W0. *)
-let known_rules =
-  [ "R1"; "R2"; "R3"; "R4"; "R5"; "R7"; "R8"; "R9"; "T1" ]
+type waiver_parse = Not_a_waiver | Malformed of string | Waiver of waiver
 
+(* [@detlint.allow "R<n>: why"] — the only accepted form. *)
 let parse_waiver ~file (attr : Parsetree.attribute) =
-  if attr.Parsetree.attr_name.Location.txt <> "detlint.allow" then None
+  if attr.Parsetree.attr_name.Location.txt <> "detlint.allow" then Not_a_waiver
   else
     match attr.Parsetree.attr_payload with
     | Parsetree.PStr
@@ -245,23 +307,34 @@ let parse_waiver ~file (attr : Parsetree.attribute) =
                   _ );
             _;
           };
-        ] ->
-        let rule, rest =
-          match String.index_opt s ':' with
-          | Some i ->
-              ( String.trim (String.sub s 0 i),
-                String.trim (String.sub s (i + 1) (String.length s - i - 1)) )
-          | None -> (String.trim s, "")
-        in
-        if List.mem rule known_rules && rest <> "" then
-          Some
-            {
-              w_rule = rule;
-              w_just = rest;
-              w_loc = loc_of attr.Parsetree.attr_loc ~file;
-            }
-        else None
-    | _ -> None
+        ] -> (
+        match String.index_opt s ':' with
+        | None ->
+            Malformed
+              (Printf.sprintf "%S has no \"R<n>:\" rule tag before its \
+                               justification" s)
+        | Some i ->
+            let rule = String.trim (String.sub s 0 i)
+            and just =
+              String.trim (String.sub s (i + 1) (String.length s - i - 1))
+            in
+            if not (List.mem rule Detlint.rule_ids) then
+              Malformed
+                (Printf.sprintf "unknown rule %S (expected one of %s)" rule
+                   (String.concat ", " Detlint.rule_ids))
+            else if just = "" then
+              Malformed
+                (Printf.sprintf
+                   "waiver for %s is missing a justification (use \"%s: why\")"
+                   rule rule)
+            else
+              Waiver
+                {
+                  w_rule = rule;
+                  w_just = just;
+                  w_loc = loc_of attr.Parsetree.attr_loc ~file;
+                })
+    | _ -> Malformed "payload must be a string literal \"R<n>: justification\""
 
 let head_ctor_name ty =
   match Types.get_desc ty with
@@ -270,21 +343,74 @@ let head_ctor_name ty =
 
 (* Typedtree keeps constraints/coercions in [exp_extra], not the
    description, so no unwrapping is needed. *)
-let unwrap_texp (e : Typedtree.expression) = e
-
-let rec head_ident (e : Typedtree.expression) =
-  match (unwrap_texp e).Typedtree.exp_desc with
-  | Typedtree.Texp_ident (p, _, _) -> Some p
-  | Typedtree.Texp_apply (f, _) -> head_ident f
+let ident_name (e : Typedtree.expression) =
+  match e.Typedtree.exp_desc with
+  | Typedtree.Texp_ident (p, _, _) -> Some (normalize_path (Path.name p))
   | _ -> None
 
-let head_ident_name e =
-  Option.map (fun p -> normalize_path (Path.name p)) (head_ident e)
+(* Head function of a (possibly partial) application, e.g. [List.sort] in
+   [List.sort cmp]. *)
+let rec head_ident_name (e : Typedtree.expression) =
+  match e.Typedtree.exp_desc with
+  | Typedtree.Texp_apply (f, _) -> head_ident_name f
+  | _ -> ident_name e
 
-let is_function e =
-  match (unwrap_texp e).Typedtree.exp_desc with
+let is_function (e : Typedtree.expression) =
+  match e.Typedtree.exp_desc with
   | Typedtree.Texp_function _ -> true
   | _ -> false
+
+let floatish (e : Typedtree.expression) =
+  match e.Typedtree.exp_desc with
+  | Typedtree.Texp_constant (Asttypes.Const_float _) -> true
+  | Typedtree.Texp_apply (f, _) -> (
+      match ident_name f with
+      | Some p -> List.mem p float_ops || List.mem p float_returning
+      | None -> false)
+  | _ -> false
+
+let is_tuple (e : Typedtree.expression) =
+  match e.Typedtree.exp_desc with Typedtree.Texp_tuple _ -> true | _ -> false
+
+(* Every occurrence, in source order, of a variable free in [body] whose
+   type's head constructor is in [ctors]: (display name, path, head
+   constructor, location). *)
+let closure_captures (body : Typedtree.expression) ~ctors =
+  let bound = Hashtbl.create 16 in
+  let free = ref [] in
+  let pat_iter : type k.
+      Tast_iterator.iterator -> k Typedtree.general_pattern -> unit =
+   fun sub p ->
+    (match p.Typedtree.pat_desc with
+    | Typedtree.Tpat_var (id, _) -> Hashtbl.replace bound (Ident.name id) ()
+    | Typedtree.Tpat_alias (_, id, _) -> Hashtbl.replace bound (Ident.name id) ()
+    | _ -> ());
+    Tast_iterator.default_iterator.pat sub p
+  in
+  let expr_iter sub (e : Typedtree.expression) =
+    (match e.Typedtree.exp_desc with
+    | Typedtree.Texp_for (id, _, _, _, _, _) ->
+        Hashtbl.replace bound (Ident.name id) ()
+    | Typedtree.Texp_ident (p, _, _) -> (
+        let name =
+          match p with
+          | Path.Pident id -> Some (Ident.name id)
+          | Path.Pdot _ -> Some (normalize_path (Path.name p))
+          | _ -> None
+        in
+        match (name, head_ctor_name e.Typedtree.exp_type) with
+        | Some name, Some ctor
+          when List.mem ctor ctors && not (Hashtbl.mem bound name) ->
+            free := (name, p, ctor, e.Typedtree.exp_loc) :: !free
+        | _ -> ())
+    | _ -> ());
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let it =
+    { Tast_iterator.default_iterator with pat = pat_iter; expr = expr_iter }
+  in
+  it.Tast_iterator.expr it body;
+  List.rev !free
 
 (* ------------------------------------------------------------------ *)
 (* The walker                                                          *)
@@ -299,6 +425,8 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
   let current : node option ref = ref None in
   let waiver_stack : waiver list ref = ref [] in
   let sorted_depth = ref 0 in
+  (* Idents bound by structure-level [let]s: R4's module-level state. *)
+  let module_level = Hashtbl.create 64 in
   let get_node name ~line =
     match Hashtbl.find_opt graph.nodes name with
     | Some n -> n
@@ -331,17 +459,55 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
   let active_waiver rules =
     List.find_opt (fun w -> List.mem w.w_rule rules) !waiver_stack
   in
-  let push_waivers attrs k =
-    let ws = List.filter_map (parse_waiver ~file) attrs in
-    List.iter (fun w -> graph.waivers_seen <- w :: graph.waivers_seen) ws;
+  (* A local finding, waived by the innermost waiver naming its rule. *)
+  let report ~rule (l : Location.t) ~message ~hint =
+    let loc = loc_of l ~file in
+    let severity, justification =
+      match active_waiver [ rule ] with
+      | Some w ->
+          graph.waivers_used <- w.w_loc :: graph.waivers_used;
+          (Detlint.Waived, Some w.w_just)
+      | None -> (Detlint.Violation, None)
+    in
+    graph.local <-
+      {
+        Detlint.rule;
+        file;
+        line = loc.l_line;
+        col = loc.l_col;
+        message;
+        hint;
+        severity;
+        justification;
+      }
+      :: graph.local
+  in
+  let parse_waivers ~loc attrs =
+    List.filter_map
+      (fun a ->
+        match parse_waiver ~file a with
+        | Not_a_waiver -> None
+        | Malformed why ->
+            report ~rule:"W0" loc
+              ~message:("malformed [@detlint.allow]: " ^ why)
+              ~hint:
+                "write [@detlint.allow \"R<n>: one-line justification\"]; a \
+                 malformed waiver suppresses nothing";
+            None
+        | Waiver w ->
+            graph.waivers_seen <- w :: graph.waivers_seen;
+            Some w)
+      attrs
+  in
+  let push_waivers ~loc attrs k =
+    let ws = parse_waivers ~loc attrs in
     let saved = !waiver_stack in
     waiver_stack := ws @ !waiver_stack;
-    Fun.protect ~finally:(fun () -> waiver_stack := saved) k
+    Fun.protect ~finally:(fun () -> waiver_stack := saved) (fun () -> k ws)
   in
   let record_ident p (l : Location.t) =
     let line = l.Location.loc_start.Lexing.pos_lnum in
     let n = fact_node ~line in
-    let loc = loc_of l ~file in
     let name = normalize_path (Path.name p) in
     (* Resolve later against the enclosing scopes: bare [Pident]s only make
        sense relative to a scope, and dotted paths may name a sibling
@@ -361,96 +527,153 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
         (List.rev !scopes)
     in
     n.calls <- { callee = name; local_scopes = Some scope_names } :: n.calls;
-    (* Source detection mirrors the syntactic rules, on resolved paths. *)
-    let add kind =
+    (* A source occurrence, quarantined for the taint pass by a waiver
+       naming its rule or T1. *)
+    let source kind =
       let w = active_waiver [ source_rule kind; "T1" ] in
       n.sources <-
-        { o_kind = kind; o_path = name; o_loc = loc; o_waiver = w } :: n.sources
+        { o_kind = kind; o_path = name; o_loc = loc_of l ~file; o_waiver = w }
+        :: n.sources
+    in
+    (* ...that is also a local finding of that rule. *)
+    let local_source kind ~message ~hint =
+      source kind;
+      report ~rule:(source_rule kind) l ~message ~hint
     in
     (match String.split_on_char '.' name with
-    | "Random" :: _ :: _ when in_scope_r1 file -> add Sk_random
+    | "Random" :: _ :: _ when in_scope_r1 file ->
+        local_source Sk_random
+          ~message:(Printf.sprintf "call to global %s" name)
+          ~hint:random_hint
     | _ -> ());
-    if List.mem name wallclock_fns then add Sk_wallclock;
-    if List.mem name gc_fns then add Sk_gc;
-    if List.mem name domain_id_fns then add Sk_domain_id;
-    if name = "compare" && in_scope_r5 file then add Sk_polycompare;
+    if List.mem name wallclock_fns then
+      local_source Sk_wallclock
+        ~message:(Printf.sprintf "wall-clock/entropy source %s" name)
+        ~hint:
+          "experiment results must be pure functions of the seed; if this \
+           is genuinely a timing measurement, waive it with \
+           [@detlint.allow \"R2: why\"]";
+    if List.mem name gc_fns then source Sk_gc;
+    if List.mem name domain_id_fns then source Sk_domain_id;
+    if name = "compare" && in_scope_r5 file then
+      local_source Sk_polycompare
+        ~message:"polymorphic compare in a determinism-critical library"
+        ~hint:
+          "use the monomorphic Float.compare / Int.compare / String.compare \
+           (NaN-safe, no structural-compare surprises, faster)";
     if List.mem name hashtbl_order_fns && !sorted_depth = 0 then begin
-      add Sk_hashtbl_order;
-      let w = active_waiver [ "R7"; "R3" ] in
-      n.order_ops <- (Hashtbl_iteration, name, loc, w) :: n.order_ops
-    end
+      local_source Sk_hashtbl_order
+        ~message:
+          (Printf.sprintf
+             "%s result escapes without a subsequent sort (iteration order \
+              is unspecified)"
+             name)
+        ~hint:
+          "pipe the result into List.sort/Array.sort, or waive with \
+           [@detlint.allow \"R3: why the consumer is order-insensitive\"]";
+      n.order_ops <-
+        (Hashtbl_iteration, name, loc_of l ~file, active_waiver [ "R7"; "R3" ])
+        :: n.order_ops
+    end;
+    if is_fault_trigger name && in_scope_r10 file then
+      report ~rule:"R10" l
+        ~message:
+          (Printf.sprintf
+             "fault-site trigger %s outside the injector-mediated call paths"
+             name)
+        ~hint:
+          "Fault.fire/Fault.trip may only run inside the fault engine and \
+           the supervised runner stack (lib/sim/fault.ml, parallel.ml, \
+           checkpoint.ml, runner.ml, lib/core/supervise.ml); thread a fault \
+           plan through Sim.Runner.run_trials_supervised / \
+           Core.Supervise.create instead of tripping sites ad hoc"
   in
-  (* Free mutable variables of a closure literal (R9). *)
-  let closure_captures (body : Typedtree.expression) ~entry =
-    let bound = Hashtbl.create 16 in
-    let free = ref [] in
-    let pat_iter : type k.
-        Tast_iterator.iterator -> k Typedtree.general_pattern -> unit =
-     fun sub p ->
-      (match p.Typedtree.pat_desc with
-      | Typedtree.Tpat_var (id, _) -> Hashtbl.replace bound (Ident.name id) ()
-      | Typedtree.Tpat_alias (_, id, _) ->
-          Hashtbl.replace bound (Ident.name id) ()
-      | _ -> ());
-      Tast_iterator.default_iterator.pat sub p
-    in
-    let expr_iter sub (e : Typedtree.expression) =
-      (match e.Typedtree.exp_desc with
-      | Typedtree.Texp_for (id, _, _, _, _, _) ->
-          Hashtbl.replace bound (Ident.name id) ()
-      | Typedtree.Texp_ident (Path.Pident id, _, _) -> (
-          let name = Ident.name id in
-          if not (Hashtbl.mem bound name) then
-            match head_ctor_name e.Typedtree.exp_type with
-            | Some ctor when List.mem ctor mutable_head_ctors ->
-                free := (name, ctor, loc_of e.Typedtree.exp_loc ~file) :: !free
-            | _ -> ())
-      | Typedtree.Texp_ident ((Path.Pdot _ as p), _, _) -> (
-          (* Module-level mutable state from another module, captured by a
-             chunk closure: the interprocedural face of R4. *)
-          match head_ctor_name e.Typedtree.exp_type with
-          | Some ctor when List.mem ctor mutable_head_ctors ->
-              free :=
-                ( normalize_path (Path.name p),
-                  ctor,
-                  loc_of e.Typedtree.exp_loc ~file )
-                :: !free
-          | _ -> ())
-      | _ -> ());
-      Tast_iterator.default_iterator.expr sub e
-    in
-    let it =
-      { Tast_iterator.default_iterator with pat = pat_iter; expr = expr_iter }
-    in
-    it.Tast_iterator.expr it body;
-    (* One capture per escaping variable: report its first occurrence. *)
-    let seen = Hashtbl.create 8 in
-    let firsts =
-      List.filter
-        (fun (name, _, _) ->
-          if Hashtbl.mem seen name then false
-          else begin
-            Hashtbl.replace seen name ();
-            true
-          end)
-        (List.rev !free)
-    in
-    List.map
-      (fun (name, ctor, loc) ->
-        {
-          cap_name = name;
-          cap_ty = ctor;
-          cap_entry = entry;
-          cap_loc = loc;
-          cap_waiver = active_waiver [ "R9"; "R4" ];
-        })
-      firsts
+  (* R5's operator shapes: [=]/[<>] with a float-valued operand, and any
+     comparison on a tuple literal (e.g. [(m.prio, pid) > (bp, bpid)]). *)
+  let check_comparison (f : Typedtree.expression) args =
+    match (ident_name f, args) with
+    | Some op, [ (_, Some l); (_, Some r) ]
+      when List.mem op comparison_ops && in_scope_r5 file ->
+        if (op = "=" || op = "<>") && (floatish l || floatish r) then
+          report ~rule:"R5" f.Typedtree.exp_loc
+            ~message:
+              (Printf.sprintf "polymorphic (%s) applied to a float-valued \
+                               operand" op)
+            ~hint:
+              "use Float.equal / Float.compare (or an epsilon test); \
+               polymorphic equality at float type is NaN-hostile";
+        if is_tuple l || is_tuple r then
+          report ~rule:"R5" f.Typedtree.exp_loc
+            ~message:
+              (Printf.sprintf "polymorphic (%s) applied to a tuple literal" op)
+            ~hint:
+              "spell the lexicographic comparison out with Int.compare / \
+               Float.compare per component; structural comparison \
+               allocates and hides float/NaN hazards on hot paths"
+    | _ -> ()
+  in
+  (* The closure literals among an application's arguments. *)
+  let closure_args args =
+    List.filter_map
+      (fun (_, a) ->
+        match a with Some ae when is_function ae -> Some ae | _ -> None)
+      args
+  in
+  let check_parallel_entry entry args =
+    if List.exists (fun s -> suffix_matches ~suffix:s entry) parallel_entries
+    then
+      (* R4: every use of a module-level mutable binding inside the
+         closure; another module's global is module-level by definition. *)
+      List.iter
+        (fun ae ->
+          List.iter
+            (fun (name, p, _, l) ->
+              let module_level_path =
+                match p with
+                | Path.Pident id -> Hashtbl.mem module_level (Ident.unique_name id)
+                | _ -> true
+              in
+              if module_level_path then
+                report ~rule:"R4" l
+                  ~message:
+                    (Printf.sprintf
+                       "module-level mutable binding %S captured by a \
+                        closure passed to Domain.spawn / Sim.Parallel"
+                       name)
+                  ~hint:
+                    "pass per-chunk state through the ~create/~merge \
+                     accumulator or use Atomic; unsynchronized cross-domain \
+                     mutation is a data race")
+            (closure_captures ae ~ctors:r4_mutable))
+        (closure_args args);
+    if List.exists (fun s -> suffix_matches ~suffix:s entry) supervised_entries
+    then
+      (* R9: one capture per escaping variable, at its first use. *)
+      List.iter
+        (fun ae ->
+          let n = fact_node ~line:ae.Typedtree.exp_loc.loc_start.pos_lnum in
+          let seen = Hashtbl.create 8 in
+          List.iter
+            (fun (name, _, ctor, l) ->
+              if not (Hashtbl.mem seen name) then begin
+                Hashtbl.replace seen name ();
+                n.captures <-
+                  {
+                    cap_name = name;
+                    cap_ty = ctor;
+                    cap_entry = entry;
+                    cap_loc = loc_of l ~file;
+                    cap_waiver = active_waiver [ "R9"; "R4" ];
+                  }
+                  :: n.captures
+              end)
+            (closure_captures ae ~ctors:r9_mutable))
+        (closure_args args)
   in
   let rec expr_iter sub (e : Typedtree.expression) =
-    push_waivers e.Typedtree.exp_attributes (fun () ->
+    push_waivers ~loc:e.Typedtree.exp_loc e.Typedtree.exp_attributes (fun _ ->
         match e.Typedtree.exp_desc with
-        | Typedtree.Texp_ident (p, lid, _) ->
-            record_ident p lid.Location.loc
+        | Typedtree.Texp_ident (p, _, _) -> record_ident p e.Typedtree.exp_loc
         | Typedtree.Texp_for (_, _, lo, hi, dir, body) ->
             expr_iter sub lo;
             expr_iter sub hi;
@@ -495,25 +718,23 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
                     else begin
                       (* A punned or named cohort field marks its function
                          binding as a cohort root during edge resolution. *)
-                      (if List.mem label cohort_field_names then
-                         match head_ident_name fe with
-                         | Some _ ->
-                             let n =
-                               fact_node
-                                 ~line:fe.Typedtree.exp_loc.loc_start.pos_lnum
-                             in
-                             n.calls <-
-                               (match (unwrap_texp fe).Typedtree.exp_desc with
-                               | Typedtree.Texp_ident (Path.Pident _, _, _) ->
-                                   { callee = "cohort-field!"; local_scopes = None }
-                                   :: n.calls
-                               | _ -> n.calls)
-                         | None -> ());
+                      (match fe.Typedtree.exp_desc with
+                      | Typedtree.Texp_ident (Path.Pident _, _, _)
+                        when List.mem label cohort_field_names ->
+                          let n =
+                            fact_node
+                              ~line:fe.Typedtree.exp_loc.loc_start.pos_lnum
+                          in
+                          n.calls <-
+                            { callee = "cohort-field!"; local_scopes = None }
+                            :: n.calls
+                      | _ -> ());
                       expr_iter sub fe
                     end)
               fields
         | Typedtree.Texp_apply (f, args) ->
             let head = head_ident_name f in
+            check_comparison f args;
             (* R8: fully applied float-typed fold. *)
             (match head with
             | Some h when List.mem h fold_fns -> (
@@ -527,64 +748,32 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
                       :: n.float_folds
                 | _ -> ())
             | _ -> ());
-            (* R9: closure literals handed to the supervised chunk fold. *)
-            (match head with
-            | Some h
-              when List.exists
-                     (fun s -> suffix_matches ~suffix:s h)
-                     supervised_entries ->
-                List.iter
-                  (fun (_, a) ->
-                    match a with
-                    | Some ae when is_function ae ->
-                        let n =
-                          fact_node
-                            ~line:ae.Typedtree.exp_loc.loc_start.pos_lnum
-                        in
-                        n.captures <- closure_captures ae ~entry:h @ n.captures
-                    | _ -> ())
-                  args
-            | _ -> ());
-            (* Sorted-escape bookkeeping for the Hashtbl-order source: the
-               same three shapes the syntactic pass recognises. *)
-            let sorted_arg_positions =
-              match (head_ident_name f, args) with
-              | Some "|>", [ (_, Some lhs); (_, Some rhs) ]
-                when Option.fold ~none:false
-                       ~some:(fun p -> List.mem p sort_fns)
-                       (head_ident_name rhs) ->
-                  Some (`Pipe_lhs (lhs, rhs))
-              | Some "@@", [ (_, Some lhs); (_, Some rhs) ]
-                when Option.fold ~none:false
-                       ~some:(fun p -> List.mem p sort_fns)
-                       (head_ident_name lhs) ->
-                  Some (`App_rhs (lhs, rhs))
-              | _ -> (
-                  match head with
-                  | Some h when List.mem h sort_fns -> Some `All_args
-                  | _ -> None)
+            Option.iter (fun h -> check_parallel_entry h args) head;
+            (* R3's escape heuristic: a Hashtbl fold is ordered when it is
+               the piped-in value of a sort, the [@@] argument of one, or a
+               direct argument of one. *)
+            let is_sort e =
+              Option.fold ~none:false
+                ~some:(fun p -> List.mem p sort_fns)
+                (head_ident_name e)
             in
-            (match sorted_arg_positions with
-            | Some (`Pipe_lhs (lhs, rhs)) ->
-                expr_iter sub f;
-                incr sorted_depth;
-                expr_iter sub lhs;
-                decr sorted_depth;
+            let sorted k =
+              incr sorted_depth;
+              Fun.protect ~finally:(fun () -> decr sorted_depth) k
+            in
+            let visit_args () =
+              List.iter (fun (_, a) -> Option.iter (expr_iter sub) a) args
+            in
+            expr_iter sub f;
+            (match (ident_name f, args) with
+            | Some "|>", [ (_, Some lhs); (_, Some rhs) ] when is_sort rhs ->
+                sorted (fun () -> expr_iter sub lhs);
                 expr_iter sub rhs
-            | Some (`App_rhs (lhs, rhs)) ->
-                expr_iter sub f;
+            | Some "@@", [ (_, Some lhs); (_, Some rhs) ] when is_sort lhs ->
                 expr_iter sub lhs;
-                incr sorted_depth;
-                expr_iter sub rhs;
-                decr sorted_depth
-            | Some `All_args ->
-                expr_iter sub f;
-                incr sorted_depth;
-                List.iter (fun (_, a) -> Option.iter (expr_iter sub) a) args;
-                decr sorted_depth
-            | None ->
-                expr_iter sub f;
-                List.iter (fun (_, a) -> Option.iter (expr_iter sub) a) args)
+                sorted (fun () -> expr_iter sub rhs)
+            | _ when is_sort f -> sorted visit_args
+            | _ -> visit_args ())
         | _ -> Tast_iterator.default_iterator.expr sub e)
   and value_binding sub (vb : Typedtree.value_binding) =
     let name =
@@ -593,7 +782,7 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
       | Typedtree.Tpat_alias (_, id, _) -> Some (Ident.name id)
       | _ -> None
     in
-    push_waivers vb.Typedtree.vb_attributes (fun () ->
+    push_waivers ~loc:vb.Typedtree.vb_loc vb.Typedtree.vb_attributes (fun ws ->
         match name with
         | Some n when is_function vb.Typedtree.vb_expr ->
             let saved = !current and saved_scopes = !scopes in
@@ -602,9 +791,7 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
               get_node (node_of_scopes ())
                 ~line:vb.Typedtree.vb_loc.Location.loc_start.Lexing.pos_lnum
             in
-            (match
-               List.filter_map (parse_waiver ~file) vb.Typedtree.vb_attributes
-             with
+            (match ws with
             | w :: _ when node.fn_waiver = None -> node.fn_waiver <- Some w
             | _ -> ());
             current := Some node;
@@ -613,26 +800,47 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
             scopes := saved_scopes
         | _ -> expr_iter sub vb.Typedtree.vb_expr)
   in
+  let random_module (me : Typedtree.module_expr) =
+    match me.Typedtree.mod_desc with
+    | Typedtree.Tmod_ident (p, _) ->
+        normalize_path (Path.name p) = "Random" && in_scope_r1 file
+    | _ -> false
+  in
   let structure_item sub (item : Typedtree.structure_item) =
+    let loc = item.Typedtree.str_loc in
     match item.Typedtree.str_desc with
-    | Typedtree.Tstr_value (_, vbs) -> List.iter (value_binding sub) vbs
+    | Typedtree.Tstr_value (_, vbs) ->
+        List.iter
+          (fun (vb : Typedtree.value_binding) ->
+            List.iter
+              (fun id -> Hashtbl.replace module_level (Ident.unique_name id) ())
+              (Typedtree.pat_bound_idents vb.Typedtree.vb_pat))
+          vbs;
+        List.iter (value_binding sub) vbs
+    | Typedtree.Tstr_eval (e, attrs) ->
+        push_waivers ~loc attrs (fun _ -> expr_iter sub e)
+    | Typedtree.Tstr_open od when random_module od.Typedtree.open_expr ->
+        report ~rule:"R1" loc ~message:"open of the global Random module"
+          ~hint:random_hint
     | Typedtree.Tstr_module mb ->
-        let saved_scopes = !scopes and saved = !current in
+        if random_module mb.Typedtree.mb_expr then
+          report ~rule:"R1" loc ~message:"alias of the global Random module"
+            ~hint:random_hint;
+        let saved_scopes = !scopes
+        and saved = !current
+        and saved_waivers = !waiver_stack in
         (match mb.Typedtree.mb_id with
         | Some id -> scopes := Ident.name id :: !scopes
         | None -> ());
         current := None;
         Tast_iterator.default_iterator.module_binding sub mb;
         scopes := saved_scopes;
-        current := saved
-    | Typedtree.Tstr_attribute a -> (
-        (* File-level waivers apply to the rest of the unit; modelled as a
-           push with no pop (the stack resets per file anyway). *)
-        match parse_waiver ~file a with
-        | Some w ->
-            graph.waivers_seen <- w :: graph.waivers_seen;
-            waiver_stack := w :: !waiver_stack
-        | None -> ())
+        current := saved;
+        waiver_stack := saved_waivers
+    | Typedtree.Tstr_attribute a ->
+        (* A floating [@@@detlint.allow] covers the rest of its structure;
+           the enclosing module's end (or the file's) pops it. *)
+        waiver_stack := parse_waivers ~loc [ a ] @ !waiver_stack
     | _ -> Tast_iterator.default_iterator.structure_item sub item
   in
   let it =
@@ -649,56 +857,79 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
 (* Loading                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let create () =
+  { nodes = Hashtbl.create 512; local = []; waivers_seen = []; waivers_used = [] }
+
+(* Walk one implementation [.cmt]; its source file (as the compiler was
+   given it, e.g. "lib/sim/engine.ml"), or None when it cannot be read. *)
 let load_cmt graph path =
   match Cmt_format.read_cmt path with
-  | exception _ -> ()  (* unreadable / version-skewed cmt: skip *)
-  | cmt -> (
-      match cmt.Cmt_format.cmt_annots with
-      | Cmt_format.Implementation str ->
-          let unit_name = normalize_unit cmt.Cmt_format.cmt_modname in
-          let file =
-            match cmt.Cmt_format.cmt_sourcefile with
-            | Some f -> f
-            | None -> path
-          in
-          graph.units <- unit_name :: graph.units;
-          walk_structure graph ~unit_name ~file str
-      | _ -> ())
+  | exception _ -> None
+  | { Cmt_format.cmt_annots = Cmt_format.Implementation str; cmt_modname;
+      cmt_sourcefile; _ } ->
+      let file = Option.value cmt_sourcefile ~default:path in
+      walk_structure graph ~unit_name:(normalize_unit cmt_modname) ~file str;
+      Some file
+  | _ -> None
 
-let rec walk_cmt_files acc path =
+(* Sorted files ending in [suffix] under [path]; [_build], [.git] and
+   [lint_fixtures] (the deliberately-bad test corpus) are skipped. *)
+let rec files_under ~suffix path =
   if Sys.file_exists path && Sys.is_directory path then
-    let base = Filename.basename path in
-    if base = "_build" || base = ".git" then acc
+    if List.mem (Filename.basename path) [ "_build"; ".git"; "lint_fixtures" ]
+    then []
     else
       Sys.readdir path |> Array.to_list
       |> List.sort String.compare
-      |> List.fold_left
-           (fun acc name -> walk_cmt_files acc (Filename.concat path name))
-           acc
-  else if Filename.check_suffix path ".cmt" then path :: acc
-  else acc
+      |> List.concat_map (fun name ->
+             files_under ~suffix (Filename.concat path name))
+  else if Filename.check_suffix path suffix then [ path ]
+  else []
 
-let create () = { nodes = Hashtbl.create 512; units = []; waivers_seen = [] }
-
-let load_files paths =
+(* Lint the trees under [paths]: every [.ml] source (returned, sorted)
+   must map to a readable implementation [.cmt] — dune hides those in
+   .objs/.eobjs dirs, which the walk visits, and when a path holds none
+   (running from the source root instead of the build dir) they are
+   looked up under _build/default, so `detlint lib` works from a checkout
+   too. A source without one gets a P0 instead of silently going
+   unlinted. *)
+let load paths =
   let g = create () in
-  List.iter (load_cmt g) (List.sort String.compare paths);
-  g
-
-(* Walk [paths] for .cmt files (dune hides them in .objs/.eobjs dirs, which
-   a plain directory walk visits). When a path holds none — the common case
-   of running from the source root instead of the build dir — retry under
-   _build/default so `detlint --taint lib` works from a checkout too. *)
-let load_paths paths =
-  let files =
+  let sources = List.concat_map (files_under ~suffix:".ml") paths in
+  let cmts =
     List.concat_map
       (fun p ->
-        match walk_cmt_files [] p with
-        | [] -> walk_cmt_files [] (Filename.concat "_build/default" p)
+        match files_under ~suffix:".cmt" p with
+        | [] -> files_under ~suffix:".cmt" (Filename.concat "_build/default" p)
         | fs -> fs)
       paths
   in
-  (files, load_files files)
+  let typed = List.filter_map (load_cmt g) (List.sort String.compare cmts) in
+  List.iter
+    (fun s ->
+      if
+        not
+          (List.exists
+             (fun f -> s = f || Filename.check_suffix s ("/" ^ f))
+             typed)
+      then
+        g.local <-
+          {
+            Detlint.rule = "P0";
+            file = s;
+            line = 1;
+            col = 0;
+            message = "no loadable typed tree (.cmt) for this source file";
+            hint =
+              "detlint reads the .cmt files dune writes; run `dune build \
+               @check` first (a missing or unreadable .cmt leaves the file \
+               unlinted)";
+            severity = Detlint.Violation;
+            justification = None;
+          }
+          :: g.local)
+    sources;
+  (sources, g)
 
 (* ------------------------------------------------------------------ *)
 (* Edge resolution                                                     *)

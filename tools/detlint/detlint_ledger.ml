@@ -12,21 +12,6 @@ module T = Detlint_taint
 
 let schema_version = 2
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let class_name = function
   | T.Det -> "det"
   | T.Nondet _ -> "nondet"
@@ -38,7 +23,7 @@ let entry_json (e : T.entry) =
     (Printf.sprintf
        "    { \"fn\": \"%s\", \"file\": \"%s\", \"line\": %d, \"class\": \
         \"%s\""
-       (json_escape e.T.e_fn) (json_escape e.T.e_file) e.T.e_line
+       (Detlint.json_escape e.T.e_fn) (Detlint.json_escape e.T.e_file) e.T.e_line
        (class_name e.T.e_class));
   (match e.T.e_class with
   | T.Det -> ()
@@ -49,16 +34,16 @@ let entry_json (e : T.entry) =
             \"file\": \"%s\", \"line\": %d, \"col\": %d },\n      \
             \"chain\": [%s]"
            (G.source_kind_name source.G.o_kind)
-           (json_escape source.G.o_path)
-           (json_escape source.G.o_loc.G.l_file)
+           (Detlint.json_escape source.G.o_path)
+           (Detlint.json_escape source.G.o_loc.G.l_file)
            source.G.o_loc.G.l_line source.G.o_loc.G.l_col
            (String.concat ", "
-              (List.map (fun f -> "\"" ^ json_escape f ^ "\"") chain)))
+              (List.map (fun f -> "\"" ^ Detlint.json_escape f ^ "\"") chain)))
   | T.Quarantined { q_rule; q_just } ->
       Buffer.add_string b
         (Printf.sprintf
            ", \"waiver_rule\": \"%s\", \"justification\": \"%s\"" q_rule
-           (json_escape q_just)));
+           (Detlint.json_escape q_just)));
   Buffer.add_string b " }";
   Buffer.contents b
 
@@ -84,9 +69,3 @@ let to_json (r : T.result) =
     r.T.entries;
   Buffer.add_string b "  ]\n}\n";
   Buffer.contents b
-
-let write_file path (r : T.result) =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_json r))

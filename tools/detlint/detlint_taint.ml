@@ -1,10 +1,10 @@
 (* detlint's interprocedural taint pass.
 
-   Inputs: the call graph and per-function facts extracted from the typed
-   trees by detlint_callgraph.ml. Outputs: a purity classification for
-   every function (the ledger, serialized by detlint_ledger.ml), plus
-   findings in the syntactic pass's [Detlint.finding] shape so main.ml
-   renders and gates both passes uniformly:
+   Input: the call graph, per-function facts and local findings extracted
+   from the typed trees by detlint_callgraph.ml. Outputs: a purity
+   classification for every function (the ledger, serialized by
+   detlint_ledger.ml), plus every finding of the run — the walk's local
+   ones and these:
 
    T1  an unwaivered nondeterminism source inside the protected region —
        the forward call-closure of the experiment sinks (engine step
@@ -20,6 +20,7 @@
        use the commutative init/absorb/finish algebra or carry a waiver.
    R9  mutable state ([ref]/[Hashtbl.t]/[Buffer.t]/[Queue.t]/[Stack.t])
        captured across the [fold_chunks_supervised] chunk boundary.
+   W1  a well-formed waiver that suppresses nothing.
 
    Taint propagates callee → caller: a function calling a nondet function
    is nondet, with the shortest call chain to the underlying source
@@ -48,8 +49,7 @@ type entry = {
 
 type result = {
   entries : entry list;  (* name-sorted, one per function *)
-  findings : Detlint.finding list;
-  used_waivers : G.loc list;  (* attribute locations that earned their keep *)
+  findings : Detlint.finding list;  (* every finding, in report order *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -249,7 +249,7 @@ let analyze (g : G.graph) =
   let cohort_pred = forward_closure succ cohort_root_names in
   (* ---- findings -------------------------------------------------- *)
   let findings = ref [] in
-  let used : G.loc list ref = ref [] in
+  let used : G.loc list ref = ref g.G.waivers_used in
   let mark_used (w : G.waiver option) =
     match w with Some w -> used := w.G.w_loc :: !used | None -> ()
   in
@@ -405,18 +405,25 @@ let analyze (g : G.graph) =
         { e_fn = fn; e_file = n.G.n_file; e_line = n.G.n_line; e_class = cls })
       names
   in
+  (* W1: waivers nothing was attributed to, once per attribute. *)
+  let used = List.sort_uniq G.compare_loc !used in
+  List.iter
+    (fun (w : G.waiver) ->
+      if not (List.exists (fun u -> G.compare_loc u w.G.w_loc = 0) used) then
+        emit ~rule:"W1" ~loc:w.G.w_loc
+          ~message:
+            (Printf.sprintf
+               "stale waiver: [@detlint.allow \"%s: ...\"] suppresses nothing"
+               w.G.w_rule)
+          ~hint:
+            "delete the waiver (the code it excused is gone), or fix the \
+             rule tag if it excuses something else")
+    (List.sort_uniq
+       (fun (a : G.waiver) (b : G.waiver) ->
+         let c = G.compare_loc a.G.w_loc b.G.w_loc in
+         if c <> 0 then c else String.compare a.G.w_rule b.G.w_rule)
+       g.G.waivers_seen);
   {
     entries;
-    findings = List.rev !findings;
-    used_waivers = List.sort_uniq G.compare_loc !used;
+    findings = List.stable_sort Detlint.compare_findings (g.G.local @ !findings);
   }
-
-(* Typed-pass waiver audit: every waiver the typed trees carry, paired
-   with whether this analysis attributed any suppression to it. main.ml
-   unions this with the syntactic pass's sites before flagging W1. *)
-let waiver_sites (g : G.graph) (r : result) =
-  let used l = List.exists (fun u -> G.compare_loc u l = 0) r.used_waivers in
-  List.sort
-    (fun (a : G.waiver) (b : G.waiver) -> G.compare_loc a.G.w_loc b.G.w_loc)
-    g.G.waivers_seen
-  |> List.map (fun (w : G.waiver) -> (w, used w.G.w_loc))
