@@ -7,10 +7,12 @@
    bitkernel legs replay the same discipline against the compressed and
    bit-packed engines (outcomes, traces, metrics digest, event-stream
    digest — any byte of difference fails tier-1). A large-n leg compares
-   all three engines, lockstep batching and the legacy exchange at n up
-   to 4096 under the null adversary, the legacy exchange at n = 1024
+   all three engines and the legacy exchange at n up to 4096 under the
+   null adversary, the legacy exchange at n = 1024
    under voting band control, and the engines at n = 8192 under band
-   control, where the differential suites do not reach.
+   control, where the differential suites do not reach. A coin-game leg
+   plays E1's counting games at n = 1024 through the hide cursor's tally
+   and through the same games rebuilt from their [eval] alone.
 
    Also smoke-validates the observability layer: one captured band-control
    workload at --jobs 1 vs --jobs 3 must produce byte-identical metrics
@@ -220,8 +222,7 @@ let bitkernel_smoke () =
 (* Large-n replay: the differential suites and the legs above stop at
    n <= 96, so this is where the engines meet at the sizes the benchmark
    times. Under the null adversary, concrete, bitkernel and cohort must
-   agree at n = 4096 for SynRan (random inputs) and FloodSet; a lockstep
-   [run_batch] of 8 trials must equal running them one at a time; and one
+   agree at n = 4096 for SynRan (random inputs) and FloodSet, and one
    SynRan trial at n = 1024 must match the legacy materialized exchange.
    One SynRan trial at n = 1024 under voting band control (the band_n1024
    benchmark attack) must match the legacy exchange as well. Under band
@@ -278,21 +279,6 @@ let large_n_smoke () =
       (Printf.sprintf "synran leader n=%d trial %d: bitkernel = concrete" n i)
       (outcomes_equal concrete bit && mb = mc)
   done;
-  let b = 8 and max_rounds = 400 in
-  let batched =
-    Sim.Bitkernel.run_batch ~max_rounds synran
-      ~adversary_of:(fun _ -> Sim.Adversary.null)
-      ~inputs_of:(inputs_for n) ~rng_of ~t:0 ~trials:b
-  in
-  let sequential =
-    Array.init b (fun i ->
-        Sim.Bitkernel.run ~max_rounds synran Sim.Adversary.null
-          ~inputs:(inputs_for n i) ~t:0 ~rng:(rng_of i))
-  in
-  check
-    (Printf.sprintf "bitkernel run_batch n=%d x %d = sequential run" n b)
-    (Array.length batched = b
-    && Array.for_all2 outcomes_equal batched sequential);
   let n = 1024 in
   let p = Core.Synran.protocol n in
   let run p =
@@ -353,8 +339,50 @@ let large_n_smoke () =
   done;
   print_endline
     "bench-smoke: engines agree at n=4096 (leader coin too) and under band \
-     control at n=8192, run_batch = sequential, legacy = fast at n=1024 \
+     control at n=8192, legacy = fast at n=1024 \
      (null and voting band control)"
+
+(* Coin-game replay at n = 1024, the full profile's largest E1 size: the
+   four counting games under E1's strategy, budgets and targets, 8 trials
+   each, must force the same number of trials whether the cursor runs on
+   the (sum, present) tally or on the masked array and [eval] of the same
+   game rebuilt without its counting rule. *)
+let coinflip_smoke () =
+  let n = 1024 in
+  List.iter
+    (fun (g : Coinflip.Game.t) ->
+      let eval_only =
+        Coinflip.Game.make ~name:g.name ~n ~k:g.k ~draw:g.draw g.eval
+      in
+      List.iter
+        (fun budget ->
+          for target = 0 to g.k - 1 do
+            let forced game =
+              (Coinflip.Control.control_probability ~trials:8 ~jobs:1 ~seed:42
+                 ~budget ~target ~strategy:Coinflip.Strategy.best_available
+                 game)
+                .Coinflip.Control.forced
+            in
+            check
+              (Printf.sprintf "%s budget %d target %d: tally = eval" g.name
+                 budget target)
+              (forced g = forced eval_only)
+          done)
+        [
+          0;
+          int_of_float (Float.ceil (sqrt (float_of_int n)));
+          Stdlib.min n
+            (int_of_float (Float.ceil (Coinflip.Bounds.lemma_budget ~k:g.k n)));
+        ])
+    [
+      Coinflip.Games.majority_default_zero n;
+      Coinflip.Games.majority_ignore_missing n;
+      Coinflip.Games.parity n;
+      Coinflip.Games.sum_mod ~k:3 n;
+    ];
+  print_endline
+    "bench-smoke: counting games force the same trials via tally and eval \
+     at n=1024"
 
 (* Chaos replay: a pinned survivable fault plan — three faults across
    three sites, one of them a torn checkpoint write that the retry must
@@ -506,6 +534,7 @@ let () =
   cohort_smoke ();
   bitkernel_smoke ();
   large_n_smoke ();
+  coinflip_smoke ();
   obs_smoke ();
   chaos_smoke ();
   if !failures > 0 then begin

@@ -17,7 +17,7 @@ let control_probability ?(trials = 1000) ?jobs ?cancel ~seed ~budget ~target
       ~create:(fun () -> ref 0)
       ~work:(fun index acc ->
         let rng = Prng.Rng.of_seed_index ~seed ~index in
-        let values = game.Game.sample rng in
+        let values = Game.sample game rng in
         let outcome =
           Strategy.forced_outcome game values ~strategy ~budget ~target
         in
@@ -60,35 +60,16 @@ let best_controllable_outcome ?trials ?jobs ?cancel ~seed ~budget ~strategy
 let exact_force_probability ~budget ~target game ~values_of_player =
   let n = game.Game.n in
   if values_of_player < 1 then invalid_arg "Control.exact_force_probability";
+  (* Strategy.exhaustive's subset search, uncapped so the answer is exact. *)
+  let search = Strategy.exhaustive ~subset_limit:max_int () in
   let total = ref 0 and forceable = ref 0 in
   let values = Array.make n 0 in
-  let masked = Array.make n None in
-  (* Can some hide-set of size <= budget force [target]? DFS with the same
-     subset tree as Strategy.exhaustive, but inlined for speed. *)
-  let exists_force () =
-    for i = 0 to n - 1 do
-      masked.(i) <- Some values.(i)
-    done;
-    let found = ref false in
-    let rec search start left =
-      if !found then ()
-      else if game.Game.eval masked = target then found := true
-      else if left > 0 then
-        for i = start to n - 1 do
-          if not !found then begin
-            masked.(i) <- None;
-            search (i + 1) (left - 1);
-            masked.(i) <- Some values.(i)
-          end
-        done
-    in
-    search 0 budget;
-    !found
-  in
   let rec enumerate pos =
     if pos = n then begin
       incr total;
-      if exists_force () then incr forceable
+      let c = Game.cursor game values in
+      let hidden = search.Strategy.act c ~budget ~target in
+      if Game.outcome_with c ~hidden = target then incr forceable
     end
     else
       for v = 0 to values_of_player - 1 do

@@ -1,5 +1,6 @@
 (** Concrete one-round games from the paper and the coin-flipping
-    literature. *)
+    literature. [majority_default_zero], [majority_ignore_missing],
+    [parity] and [sum_mod] are counting games ({!Game.counting}). *)
 
 val majority_default_zero : int -> Game.t
 (** The paper's running example: unbiased bits, missing values counted as 0,

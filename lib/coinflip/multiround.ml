@@ -13,41 +13,19 @@ let make ?name ~rounds base =
 type strategy = {
   sname : string;
   act :
-    t ->
-    round:int ->
-    values:int array ->
-    already_hidden:bool array ->
-    budget_left:int ->
-    target:int ->
-    int list;
+    t -> round:int -> Game.cursor -> budget_left:int -> target:int -> int list;
 }
 
 let passive =
-  {
-    sname = "passive";
-    act = (fun _ ~round:_ ~values:_ ~already_hidden:_ ~budget_left:_ ~target:_ -> []);
-  }
-
-(* Run a one-round strategy against the visible sub-population: hidden
-   players are presented as already-masked by evaluating through a wrapper
-   game whose eval re-hides them. *)
-let one_round_hides base_strategy game ~values ~already_hidden ~budget ~target =
-  let masked_eval masked =
-    let m = Array.copy masked in
-    Array.iteri (fun i h -> if h then m.(i) <- None) already_hidden;
-    game.Game.eval m
-  in
-  let visible_game = { game with Game.eval = masked_eval } in
-  base_strategy.Strategy.act visible_game values ~budget ~target
-  |> List.filter (fun i -> not already_hidden.(i))
+  { sname = "passive"; act = (fun _ ~round:_ _ ~budget_left:_ ~target:_ -> []) }
 
 let uniform_split base_strategy =
   {
     sname = "uniform-split[" ^ base_strategy.Strategy.name ^ "]";
     act =
-      (fun mr ~round:_ ~values ~already_hidden ~budget_left ~target ->
+      (fun mr ~round:_ c ~budget_left ~target ->
         let per_round = budget_left / Stdlib.max 1 mr.rounds in
-        one_round_hides base_strategy mr.base ~values ~already_hidden
+        base_strategy.Strategy.act c
           ~budget:(Stdlib.min per_round budget_left) ~target);
   }
 
@@ -55,38 +33,33 @@ let front_loaded base_strategy =
   {
     sname = "front-loaded[" ^ base_strategy.Strategy.name ^ "]";
     act =
-      (fun mr ~round:_ ~values ~already_hidden ~budget_left ~target ->
-        one_round_hides base_strategy mr.base ~values ~already_hidden
-          ~budget:budget_left ~target);
+      (fun _ ~round:_ c ~budget_left ~target ->
+        base_strategy.Strategy.act c ~budget:budget_left ~target);
   }
 
 let play mr rng ~strategy ~budget ~target =
   let n = mr.base.Game.n in
-  let hidden = Array.make n false in
+  let halted = ref [] in
   let budget_left = ref budget in
   let wins = ref 0 in
   for round = 1 to mr.rounds do
-    let values = mr.base.Game.sample rng in
+    let c = Game.cursor mr.base (Game.sample mr.base rng) in
+    List.iter (Game.hide c) !halted;
     let halts =
-      strategy.act mr ~round ~values ~already_hidden:hidden
-        ~budget_left:!budget_left ~target
+      strategy.act mr ~round c ~budget_left:!budget_left ~target
     in
     if List.length halts > !budget_left then
       invalid_arg (strategy.sname ^ ": overspent the budget");
     List.iter
       (fun i ->
         if i < 0 || i >= n then invalid_arg (strategy.sname ^ ": bad index");
-        if hidden.(i) then invalid_arg (strategy.sname ^ ": halted twice");
-        hidden.(i) <- true;
+        if Game.is_hidden c i then
+          invalid_arg (strategy.sname ^ ": halted twice");
+        Game.hide c i;
+        halted := i :: !halted;
         decr budget_left)
       halts;
-    let all_hidden =
-      Array.to_list hidden
-      |> List.mapi (fun i h -> (i, h))
-      |> List.filter_map (fun (i, h) -> if h then Some i else None)
-    in
-    if Game.eval_with_hidden mr.base values ~hidden:all_hidden = target then
-      incr wins
+    if Game.outcome c = target then incr wins
   done;
   if 2 * !wins > mr.rounds then target
   else 1 - target (* ties go against the adversary *)

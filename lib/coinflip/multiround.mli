@@ -28,14 +28,10 @@ val make : ?name:string -> rounds:int -> Game.t -> t
 type strategy = {
   sname : string;
   act :
-    t ->
-    round:int ->
-    values:int array ->
-    already_hidden:bool array ->
-    budget_left:int ->
-    target:int ->
-    int list;
-      (** Players to halt this round; must be alive and within budget. *)
+    t -> round:int -> Game.cursor -> budget_left:int -> target:int -> int list;
+      (** Players to halt this round, given the round's drawn values on a
+          cursor with the already halted players hidden; must be alive and
+          within budget. *)
 }
 
 val passive : strategy

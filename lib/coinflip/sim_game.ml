@@ -4,83 +4,51 @@ let outcome s = s.outcome
 
 let value s = s.value
 
-let check_n ~expect ~got name =
-  if expect <> got then
-    invalid_arg (Printf.sprintf "Sim_game.%s: built for n=%d, ran with n=%d" name expect got)
-
-let init_state ~game_name n = fun ~n:n' ~pid:_ ~input:_ ->
-  check_n ~expect:n ~got:n' game_name;
-  { n; value = 0; outcome = None }
-
-let phase_a_of_sample sample = fun s rng ->
-  let v = sample rng in
-  ({ s with value = v }, v)
-
-let of_eval ?(sample = Prng.Rng.bit) ~name ~eval n =
-  if n < 1 then invalid_arg "Sim_game.of_eval";
-  (* Generic bridge: rebuild the game's masked value vector (hidden/killed
-     players are [None]) and apply [eval] — necessarily the legacy
-     materialized exchange, since an arbitrary [eval] is not a fold. *)
-  let phase_b s ~round:_ ~received =
-    let masked = Array.make s.n None in
-    Array.iter (fun (pid, v) -> masked.(pid) <- Some v) received;
-    { s with outcome = Some (eval masked) }
-  in
-  {
-    Sim.Protocol.name;
-    init = init_state ~game_name:name n;
-    phase_a = phase_a_of_sample sample;
-    phase_b;
-    decision = outcome;
-    halted = (fun s -> Option.is_some s.outcome);
-    aggregate = None;
-    bitops = None;
-  }
-
 let of_game (g : Game.t) =
-  (* Per-player sampling replaces [g.sample]'s vector draw, so outcomes
-     match [Game.play] in distribution, not coin-for-coin. *)
-  of_eval ~name:("sim:" ^ g.name) ~eval:g.eval g.n
-
-(* Counting games collapse a round to (sum, present) — a commutative fold,
-   so these run on the engine's shared-aggregate fast path. *)
-let of_tally ?(sample = Prng.Rng.bit) ~name ~decide n =
-  if n < 1 then invalid_arg "Sim_game.of_tally";
-  let finish s ~round:_ (sum, present) =
-    { s with outcome = Some (decide ~n:s.n ~sum ~present) }
+  let name = "sim:" ^ g.name in
+  let init ~n ~pid:_ ~input:_ =
+    if n <> g.n then
+      invalid_arg
+        (Printf.sprintf "Sim_game.%s: built for n=%d, ran with n=%d" name g.n
+           n);
+    { n; value = 0; outcome = None }
   in
-  Sim.Protocol.with_aggregate ~name
-    ~init:(init_state ~game_name:name n)
-    ~phase_a:(phase_a_of_sample sample)
-    ~decision:outcome
-    ~halted:(fun s -> Option.is_some s.outcome)
-    (Sim.Protocol.Aggregate
-       {
-         init = (fun () -> (0, 0));
-         absorb = (fun (sum, present) ~pid:_ v -> (sum + v, present + 1));
-         finish;
-         cohort = None;
-       })
-
-let majority0 n =
-  of_tally ~name:(Printf.sprintf "sim:majority0[n=%d]" n)
-    ~decide:(fun ~n ~sum ~present:_ -> if 2 * sum > n then 1 else 0)
-    n
-
-let majority_ignore_missing n =
-  of_tally ~name:(Printf.sprintf "sim:majority[n=%d]" n)
-    ~decide:(fun ~n:_ ~sum ~present -> if 2 * sum > present then 1 else 0)
-    n
-
-let parity n =
-  of_tally ~name:(Printf.sprintf "sim:parity[n=%d]" n)
-    ~decide:(fun ~n:_ ~sum ~present:_ -> sum land 1)
-    n
-
-let sum_mod ~k n =
-  if k < 2 then invalid_arg "Sim_game.sum_mod: k must be >= 2";
-  of_tally
-    ~sample:(fun rng -> Prng.Rng.int rng k)
-    ~name:(Printf.sprintf "sim:sum_mod%d[n=%d]" k n)
-    ~decide:(fun ~n:_ ~sum ~present:_ -> sum mod k)
-    n
+  let phase_a s rng =
+    let v = g.draw rng in
+    ({ s with value = v }, v)
+  in
+  let halted s = Option.is_some s.outcome in
+  match g.decide with
+  | Some decide ->
+      (* A counting game collapses a round to (sum, present) — a
+         commutative fold, so it runs on the engine's shared-aggregate
+         fast path. *)
+      Sim.Protocol.with_aggregate ~name ~init ~phase_a ~decision:outcome ~halted
+        (Sim.Protocol.Aggregate
+           {
+             init = (fun () -> (0, 0));
+             absorb = (fun (sum, present) ~pid:_ v -> (sum + v, present + 1));
+             finish =
+               (fun s ~round:_ (sum, present) ->
+                 { s with outcome = Some (decide ~sum ~present) });
+             cohort = None;
+           })
+  | None ->
+      (* Any other game rebuilds the masked value vector (hidden/killed
+         players are [None]) for [eval] — the legacy materialized exchange,
+         since an arbitrary [eval] is not a fold. *)
+      let phase_b s ~round:_ ~received =
+        let masked = Array.make s.n None in
+        Array.iter (fun (pid, v) -> masked.(pid) <- Some v) received;
+        { s with outcome = Some (g.eval masked) }
+      in
+      {
+        Sim.Protocol.name;
+        init;
+        phase_a;
+        phase_b;
+        decision = outcome;
+        halted;
+        aggregate = None;
+        bitops = None;
+      }

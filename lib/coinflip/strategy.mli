@@ -1,12 +1,15 @@
 (** Adversary strategies for one-round games.
 
-    A strategy sees the drawn values (full information) and returns the set
-    of players to hide, at most [budget] of them, trying to force outcome
-    [target]. *)
+    A strategy sees the drawn values (full information) on a {!Game.cursor}
+    and returns visible players to hide, at most [budget] of them, trying
+    to force outcome [target]. It may hide and unhide on the cursor while
+    it searches but leaves it as it found it; players already hidden on
+    the cursor (halted in an earlier round) stay hidden and are never
+    returned. *)
 
 type t = {
   name : string;
-  act : Game.t -> int array -> budget:int -> target:int -> int list;
+  act : Game.cursor -> budget:int -> target:int -> int list;
 }
 
 val do_nothing : t
@@ -15,13 +18,13 @@ val do_nothing : t
 val greedy : t
 (** Iteratively hides the single player whose removal gets the outcome to
     [target], or failing that, the player whose removal changes the outcome
-    at all (a generic hill-climbing heuristic — evaluates [f] O(budget * n)
-    times). Effective on all the monotone games in {!Games}. *)
+    at all (a generic hill-climbing heuristic — O(budget * n) cursor
+    queries). Effective on all the monotone games in {!Games}. *)
 
 val exhaustive : ?subset_limit:int -> unit -> t
 (** Exact search: tries all hide-subsets in increasing size until [f] equals
     [target] (breadth-first, so it finds a minimum-size forcing set).
-    Explores at most [subset_limit] subsets (default 2_000_000) before
+    Evaluates at most [subset_limit] subsets (default 2_000_000) before
     giving up — only for small [n] or tiny budgets. *)
 
 val toward_value : t

@@ -326,49 +326,11 @@ let run ?record_trace ?observer ?sink ?(max_rounds = 10_000) protocol adversary
   run_until e adversary ~max_rounds;
   outcome e
 
-(* B independent trials advanced in lockstep: one round per sweep across
-   the batch, each trial on its own packed planes and its own streams.
-   Trials whose adversary individuates a round fall back per-trial; the
-   others stay word-level. Because every stream (per-process and
-   adversary) is private to its trial, the interleaving is invisible:
-   each trial's outcome and RNG consumption are byte-identical to
-   running it alone — pinned by the batch-vs-sequential property. *)
-let run_batch ?(max_rounds = 10_000) protocol ~adversary_of ~inputs_of ~rng_of
-    ~t ~trials =
-  if trials < 0 then invalid_arg "Bitkernel.run_batch: negative trial count";
-  let execs =
-    Array.init trials (fun i ->
-        start protocol ~inputs:(inputs_of i) ~t ~rng:(rng_of i))
-  in
-  let advs = Array.init trials (fun i -> adversary_of i) in
-  let live = Array.make trials true in
-  let remaining = ref trials in
-  while !remaining > 0 do
-    for i = 0 to trials - 1 do
-      if live.(i) then begin
-        let e = execs.(i) in
-        if e.sc.lg.round >= max_rounds then begin
-          live.(i) <- false;
-          decr remaining
-        end
-        else
-          match step e advs.(i) with
-          | `Quiescent ->
-              live.(i) <- false;
-              decr remaining
-          | `Continue -> ()
-      end
-    done
-  done;
-  Array.map outcome execs
-
 let round (e : _ exec) = e.sc.lg.round
 
 let n (e : _ exec) = e.sc.lg.n
 
 let kills_used (e : _ exec) = e.sc.lg.kills_used
-
-let is_packed (e : _ exec) = e.packed
 
 let packed_rounds (e : _ exec) = e.packed_rounds
 

@@ -70,22 +70,6 @@ val run :
   Engine.outcome
 (** [start] + [run_until] + [outcome]. Default [max_rounds] is 10_000. *)
 
-val run_batch :
-  ?max_rounds:int ->
-  ('state, 'msg) Protocol.t ->
-  adversary_of:(int -> ('state, 'msg) Adversary.t) ->
-  inputs_of:(int -> int array) ->
-  rng_of:(int -> Prng.Rng.t) ->
-  t:int ->
-  trials:int ->
-  Engine.outcome array
-(** Advance [trials] independent trials in lockstep, one round per sweep
-    across the batch; trial [i] uses [inputs_of i], [rng_of i] and
-    [adversary_of i]. Rounds an adversary individuates fall back
-    per-trial, the rest stay word-level. Every stream is private to its
-    trial, so each outcome — and each trial's RNG consumption — is
-    byte-identical to running that trial alone through {!run}. *)
-
 (** {2 Inspection} *)
 
 val round : ('state, 'msg) exec -> int
@@ -95,10 +79,6 @@ val n : ('state, 'msg) exec -> int
 val kills_used : ('state, 'msg) exec -> int
 
 val active_count : ('state, 'msg) exec -> int
-
-val is_packed : ('state, 'msg) exec -> bool
-(** Whether the execution currently holds its active states in packed
-    form (O(1) to ask; flips as the kernel falls back and re-packs). *)
 
 val packed_rounds : ('state, 'msg) exec -> int
 (** Rounds executed entirely at word granularity. *)

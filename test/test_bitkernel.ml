@@ -273,38 +273,6 @@ let test_kills_fall_back_and_repack () =
   Alcotest.(check int) "remaining rounds stayed word-level" 6
     (Sim.Bitkernel.packed_rounds e)
 
-(* ------------------------------------------------------------------ *)
-(* Lockstep batch = sequential trials                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* n = 100 (not a multiple of the 63-lane word) and B = 7 (not a
-   multiple of it either): outcomes of the lockstep batch must be
-   byte-identical to running each trial alone, because every RNG stream
-   is private to its trial. *)
-let batch_vs_sequential =
-  QCheck.Test.make ~name:"run_batch = sequential runs (n=100, B=7)" ~count:20
-    QCheck.small_int
-    (fun seed ->
-      let protocol = Core.Synran.protocol 100 in
-      let trials = 7 in
-      let inputs_of i =
-        Prng.Sample.random_bits (Prng.Rng.create (seed + (1000 * i))) 100
-      in
-      let rng_of i = Prng.Rng.of_seed_index ~seed ~index:i in
-      let adversary_of _ = Baselines.Adversaries.random_crash ~p:0.05 in
-      let batched =
-        Sim.Bitkernel.run_batch ~max_rounds:400 protocol ~adversary_of
-          ~inputs_of ~rng_of ~t:10 ~trials
-      in
-      let sequential =
-        Array.init trials (fun i ->
-            Sim.Bitkernel.run ~max_rounds:400 protocol (adversary_of i)
-              ~inputs:(inputs_of i) ~t:10 ~rng:(rng_of i))
-      in
-      Array.for_all2
-        (fun a b -> Test_delivery.outcomes_equal a b)
-        batched sequential)
-
 let suites =
   [
     ( "bitkernel.words",
@@ -315,7 +283,6 @@ let suites =
           pack_unpack_roundtrip;
           iter_ones_ascending;
           coin_word_matches_scalar;
-          batch_vs_sequential;
         ] );
     ( "bitkernel.differential",
       List.map to_alcotest (synran_tests @ floodset_tests)

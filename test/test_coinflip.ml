@@ -90,7 +90,8 @@ let test_weighted_majority () =
 let test_do_nothing () =
   let g = Coinflip.Games.parity 4 in
   Alcotest.(check (list int)) "hides nobody" []
-    (Coinflip.Strategy.do_nothing.Coinflip.Strategy.act g [| 1; 0; 1; 0 |]
+    (Coinflip.Strategy.do_nothing.Coinflip.Strategy.act
+       (Coinflip.Game.cursor g [| 1; 0; 1; 0 |])
        ~budget:4 ~target:0)
 
 let test_greedy_on_parity () =
@@ -115,8 +116,9 @@ let test_toward_value_on_majority () =
 let test_toward_value_budget_respected () =
   let g = Coinflip.Games.majority_default_zero 9 in
   let hidden =
-    Coinflip.Strategy.toward_value.Coinflip.Strategy.act g
-      [| 1; 1; 1; 1; 1; 1; 1; 1; 1 |] ~budget:3 ~target:0
+    Coinflip.Strategy.toward_value.Coinflip.Strategy.act
+      (Coinflip.Game.cursor g [| 1; 1; 1; 1; 1; 1; 1; 1; 1 |])
+      ~budget:3 ~target:0
   in
   check_int "spends at most budget" 3 (List.length hidden)
 
@@ -133,7 +135,9 @@ let test_first_success () =
   check_int "falls through to toward_value" 0 out;
   (* Unreachable target: returns empty hide-set rather than overspending. *)
   let hidden =
-    s.Coinflip.Strategy.act g [| 0; 0; 0; 0; 0; 0; 0 |] ~budget:7 ~target:1
+    s.Coinflip.Strategy.act
+      (Coinflip.Game.cursor g [| 0; 0; 0; 0; 0; 0; 0 |])
+      ~budget:7 ~target:1
   in
   Alcotest.(check (list int)) "gives up cleanly" [] hidden
 
@@ -142,19 +146,49 @@ let test_exhaustive_minimal () =
   let e = Coinflip.Strategy.exhaustive () in
   (* 4 ones of 5: need to hide exactly 2 to drop to 2 (not > 2.5). *)
   let hidden =
-    e.Coinflip.Strategy.act g [| 1; 1; 1; 1; 0 |] ~budget:5 ~target:0
+    e.Coinflip.Strategy.act
+      (Coinflip.Game.cursor g [| 1; 1; 1; 1; 0 |])
+      ~budget:5 ~target:0
   in
   check_int "minimum hide-set" 2 (List.length hidden);
   (* Already at target: empty set. *)
-  let hidden = e.Coinflip.Strategy.act g [| 0; 0; 1; 0; 0 |] ~budget:5 ~target:0 in
+  let hidden =
+    e.Coinflip.Strategy.act
+      (Coinflip.Game.cursor g [| 0; 0; 1; 0; 0 |])
+      ~budget:5 ~target:0
+  in
   check_int "no hides needed" 0 (List.length hidden)
+
+let test_exhaustive_cap_is_exact () =
+  (* All ones at n = 8 need five hides to force 0, far past the cap, so the
+     search must stop after exactly [subset_limit] evaluations. *)
+  let base = Coinflip.Games.majority_default_zero 8 in
+  let evals = ref 0 in
+  let g =
+    Coinflip.Game.make ~name:"counted" ~n:8 ~k:2 ~draw:base.Coinflip.Game.draw
+      (fun masked ->
+        incr evals;
+        base.Coinflip.Game.eval masked)
+  in
+  List.iter
+    (fun subset_limit ->
+      evals := 0;
+      let e = Coinflip.Strategy.exhaustive ~subset_limit () in
+      let hidden =
+        e.Coinflip.Strategy.act (Coinflip.Game.cursor g (Array.make 8 1))
+          ~budget:8 ~target:0
+      in
+      Alcotest.(check (list int)) "gives up" [] hidden;
+      check_int (Printf.sprintf "evaluations at subset_limit %d" subset_limit)
+        subset_limit !evals)
+    [ 0; 1; 10 ]
 
 let test_forced_outcome_discipline () =
   let g = Coinflip.Games.parity 3 in
   let cheater =
     {
       Coinflip.Strategy.name = "cheater";
-      act = (fun _ _ ~budget:_ ~target:_ -> [ 0; 1; 2 ]);
+      act = (fun _ ~budget:_ ~target:_ -> [ 0; 1; 2 ]);
     }
   in
   check_bool "overspending rejected" true
@@ -167,7 +201,7 @@ let test_forced_outcome_discipline () =
   let doubler =
     {
       Coinflip.Strategy.name = "doubler";
-      act = (fun _ _ ~budget:_ ~target:_ -> [ 0; 0 ]);
+      act = (fun _ ~budget:_ ~target:_ -> [ 0; 0 ]);
     }
   in
   check_bool "duplicate hides rejected" true
@@ -324,6 +358,7 @@ let suites =
         tc "toward_value budget" test_toward_value_budget_respected;
         tc "first_success" test_first_success;
         tc "exhaustive minimal" test_exhaustive_minimal;
+        tc "exhaustive subset cap is exact" test_exhaustive_cap_is_exact;
         tc "budget discipline" test_forced_outcome_discipline;
       ] );
     ( "coinflip.control",
@@ -375,7 +410,7 @@ let multiround_suite =
       {
         Coinflip.Multiround.sname = "cheater";
         act =
-          (fun _ ~round:_ ~values:_ ~already_hidden:_ ~budget_left:_ ~target:_ ->
+          (fun _ ~round:_ _ ~budget_left:_ ~target:_ ->
             [ 0; 1; 2; 3 ]);
       }
     in
@@ -394,7 +429,7 @@ let multiround_suite =
       {
         Coinflip.Multiround.sname = "repeat";
         act =
-          (fun _ ~round:_ ~values:_ ~already_hidden:_ ~budget_left:_ ~target:_ ->
+          (fun _ ~round:_ _ ~budget_left:_ ~target:_ ->
             [ 0 ]);
       }
     in
@@ -511,3 +546,116 @@ let bol89_suite =
     ] )
 
 let suites = suites @ [ bol89_suite ]
+
+(* --- The hide cursor against independent references ----------------------- *)
+
+(* Hand-written masked-array evaluators for the four counting games,
+   spelled apart from their [decide] rules. *)
+let reference_counting_games n =
+  let ones m =
+    Array.fold_left (fun a v -> match v with Some 1 -> a + 1 | _ -> a) 0 m
+  in
+  let present m =
+    Array.fold_left (fun a v -> match v with Some _ -> a + 1 | None -> a) 0 m
+  in
+  let total m =
+    Array.fold_left (fun a v -> match v with Some x -> a + x | None -> a) 0 m
+  in
+  [
+    (Coinflip.Games.majority_default_zero n, fun m -> if 2 * ones m > n then 1 else 0);
+    ( Coinflip.Games.majority_ignore_missing n,
+      fun m -> if 2 * ones m > present m then 1 else 0 );
+    (Coinflip.Games.parity n, fun m -> ones m mod 2);
+    (Coinflip.Games.sum_mod ~k:3 n, fun m -> total m mod 3);
+  ]
+
+(* The same game with its counting rule forgotten: the cursor falls back to
+   the masked array and [eval]. *)
+let eval_only (g : Coinflip.Game.t) =
+  Coinflip.Game.make ~name:g.name ~n:g.n ~k:g.k ~draw:g.draw g.eval
+
+let prop_cursor_matches_reference =
+  QCheck.Test.make ~name:"cursor = masked reference after hide/unhide runs"
+    ~count:100
+    QCheck.(pair small_int (int_range 1 64))
+    (fun (seed, n) ->
+      let rng = Prng.Rng.create seed in
+      List.for_all
+        (fun (g, reference) ->
+          let values = Coinflip.Game.sample g rng in
+          let masked = Array.map Option.some values in
+          let c = Coinflip.Game.cursor g values in
+          List.for_all
+            (fun _ ->
+              let i = Prng.Rng.int rng n in
+              if Coinflip.Game.is_hidden c i then begin
+                Coinflip.Game.unhide c i;
+                masked.(i) <- Some values.(i)
+              end
+              else begin
+                let ahead =
+                  let m = Array.copy masked in
+                  m.(i) <- None;
+                  reference m
+                in
+                if Coinflip.Game.outcome_if_hidden c i <> ahead then
+                  QCheck.Test.fail_reportf "%s: outcome_if_hidden %d" g.name i;
+                Coinflip.Game.hide c i;
+                masked.(i) <- None
+              end;
+              Coinflip.Game.outcome c = reference masked)
+            (List.init 40 Fun.id))
+        (reference_counting_games n))
+
+let prop_tally_strategies_match_eval_only =
+  QCheck.Test.make
+    ~name:"strategies hide the same players via tally and via eval" ~count:60
+    QCheck.(triple small_int (int_range 1 64) (int_bound 64))
+    (fun (seed, n, budget) ->
+      let rng = Prng.Rng.create seed in
+      List.for_all
+        (fun (g, _) ->
+          let values = Coinflip.Game.sample g rng in
+          List.for_all
+            (fun s ->
+              List.for_all
+                (fun target ->
+                  let hides g =
+                    s.Coinflip.Strategy.act (Coinflip.Game.cursor g values)
+                      ~budget ~target
+                  in
+                  hides g = hides (eval_only g))
+                (List.init g.Coinflip.Game.k Fun.id))
+            Coinflip.Strategy.[ greedy; toward_value; best_available ])
+        (reference_counting_games n))
+
+(* Phase A draws with the game's own [draw]: a sum_mod 3 game must see
+   every value in [0, 3), and under no adversary every process decides
+   the sum of all of them mod 3. *)
+let test_sim_game_draws_game_values () =
+  let n = 12 in
+  let e =
+    Sim.Engine.start
+      (Coinflip.Sim_game.of_game (Coinflip.Games.sum_mod ~k:3 n))
+      ~inputs:(Array.make n 0) ~t:0 ~rng:(Prng.Rng.create 1)
+  in
+  Sim.Engine.run_until e Sim.Adversary.null ~max_rounds:1;
+  let values = Array.map Coinflip.Sim_game.value (Sim.Engine.states e) in
+  check_bool "some process drew 2" true (Array.exists (( = ) 2) values);
+  let sum = Array.fold_left ( + ) 0 values in
+  Array.iter
+    (fun s ->
+      Alcotest.(check (option int)) "decides the sum mod 3" (Some (sum mod 3))
+        (Coinflip.Sim_game.outcome s))
+    (Sim.Engine.states e)
+
+let suites =
+  suites
+  @ [
+      ( "coinflip.cursor",
+        [
+          QCheck_alcotest.to_alcotest prop_cursor_matches_reference;
+          QCheck_alcotest.to_alcotest prop_tally_strategies_match_eval_only;
+          tc "sim_game draws the game's values" test_sim_game_draws_game_values;
+        ] );
+    ]

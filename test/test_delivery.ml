@@ -114,10 +114,10 @@ let game_tests =
             ~name:(Printf.sprintf "%s vs %s" p.Sim.Protocol.name aname)
             ~protocol:p ~adversary:make ~n:19 ~max_t:18 ())
         [
-          Coinflip.Sim_game.majority0 19;
-          Coinflip.Sim_game.majority_ignore_missing 19;
-          Coinflip.Sim_game.parity 19;
-          Coinflip.Sim_game.sum_mod ~k:3 19;
+          Coinflip.Sim_game.of_game (Coinflip.Games.majority_default_zero 19);
+          Coinflip.Sim_game.of_game (Coinflip.Games.majority_ignore_missing 19);
+          Coinflip.Sim_game.of_game (Coinflip.Games.parity 19);
+          Coinflip.Sim_game.of_game (Coinflip.Games.sum_mod ~k:3 19);
         ])
     generic_adversaries
 
@@ -249,37 +249,6 @@ let test_hand_computed_deliveries () =
            records))
     [ ("aggregate", heard_protocol); ("legacy", Sim.Protocol.legacy heard_protocol) ]
 
-(* The tally games must also agree with the generic [of_eval] bridge over
-   the corresponding [Games] evaluator — same engine coins, so outcomes
-   match exactly, pinning the aggregate against an independent spelling. *)
-let prop_tally_matches_eval =
-  QCheck.Test.make ~name:"sim_game tally = of_eval on the Games evaluators"
-    ~count:60
-    QCheck.(pair small_int (int_range 1 24))
-    (fun (seed, n) ->
-      let pairs =
-        [
-          ( Coinflip.Sim_game.majority0 n,
-            Coinflip.Sim_game.of_game (Coinflip.Games.majority_default_zero n)
-          );
-          ( Coinflip.Sim_game.majority_ignore_missing n,
-            Coinflip.Sim_game.of_game
-              (Coinflip.Games.majority_ignore_missing n) );
-          ( Coinflip.Sim_game.parity n,
-            Coinflip.Sim_game.of_game (Coinflip.Games.parity n) );
-        ]
-      in
-      List.for_all
-        (fun (tally, generic) ->
-          let run p =
-            Sim.Engine.run p
-              (Baselines.Adversaries.random_crash ~p:0.25)
-              ~inputs:(Array.make n 0) ~t:(n - 1)
-              ~rng:(Prng.Rng.create seed)
-          in
-          (run tally).Sim.Engine.decisions = (run generic).Sim.Engine.decisions)
-        pairs)
-
 (* The soundness condition the engine relies on for kill rounds: absorbing
    the messages in any order yields the same accumulator. *)
 let prop_synran_absorb_commutes =
@@ -319,6 +288,6 @@ let suites =
       Alcotest.test_case "by hand: n=5 deliveries" `Quick test_hand_computed_deliveries
       :: List.map to_alcotest hostile_tests );
     ( "delivery.algebra",
-      List.map to_alcotest [ prop_tally_matches_eval; prop_synran_absorb_commutes ]
+      List.map to_alcotest [ prop_synran_absorb_commutes ]
     );
   ]

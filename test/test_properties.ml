@@ -153,15 +153,15 @@ let prop_strategies_respect_budget =
     QCheck.(triple game_arb small_int (int_bound 12))
     (fun (g, seed, budget) ->
       let rng = Prng.Rng.create seed in
-      let values = g.Coinflip.Game.sample rng in
+      let c = Coinflip.Game.cursor g (Coinflip.Game.sample g rng) in
+      let players = List.init g.Coinflip.Game.n Fun.id in
       List.for_all
         (fun strategy ->
           List.for_all
             (fun target ->
-              let hidden =
-                strategy.Coinflip.Strategy.act g values ~budget ~target
-              in
-              List.length hidden <= budget
+              let hidden = strategy.Coinflip.Strategy.act c ~budget ~target in
+              List.for_all (fun i -> not (Coinflip.Game.is_hidden c i)) players
+              && List.length hidden <= budget
               && List.length (List.sort_uniq compare hidden) = List.length hidden
               && List.for_all (fun i -> i >= 0 && i < g.Coinflip.Game.n) hidden)
             (List.init g.Coinflip.Game.k Fun.id))
@@ -177,7 +177,7 @@ let prop_hiding_everything_defaults =
     QCheck.(pair (int_range 1 16) small_int)
     (fun (n, seed) ->
       let g = Coinflip.Games.majority_default_zero n in
-      let values = g.Coinflip.Game.sample (Prng.Rng.create seed) in
+      let values = Coinflip.Game.sample g (Prng.Rng.create seed) in
       Coinflip.Game.eval_with_hidden g values ~hidden:(List.init n Fun.id) = 0)
 
 let prop_majority0_never_biased_to_one =
@@ -187,7 +187,7 @@ let prop_majority0_never_biased_to_one =
     (fun (n, seed) ->
       let g = Coinflip.Games.majority_default_zero n in
       let rng = Prng.Rng.create seed in
-      let values = g.Coinflip.Game.sample rng in
+      let values = Coinflip.Game.sample g rng in
       if Coinflip.Game.eval_with_hidden g values ~hidden:[] = 1 then
         QCheck.assume_fail ()
       else begin

@@ -76,7 +76,6 @@ let sink_roots =
     Fn "Bitkernel.step";
     Fn "Bitkernel.run";
     Fn "Bitkernel.run_until";
-    Fn "Bitkernel.run_batch";
     (* The word primitives feed every packed round's tallies and
        iteration order; a nondet source there corrupts experiment
        tables as surely as one in Engine.step. *)
