@@ -45,7 +45,9 @@ val run :
     is: {!Obs.Event.Kill} (crash steps, [delivered_to = 0] — crashes
     never piggyback on deliveries here) or {!Obs.Event.Decision} (the
     delivery step on which the receiver first decided). A disabled sink
-    costs one boolean load per potential event. *)
+    costs one boolean load per potential event.
+    Kept for tests: the single-run driver behind {!run_trials}; the async
+    tests read one execution's outcome through it. *)
 
 type summary = {
   trials : int;

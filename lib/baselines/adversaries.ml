@@ -1,7 +1,5 @@
 open Sim
 
-let null = Adversary.null
-
 let take_budget view kills =
   let rec take n = function
     | [] -> []

@@ -6,9 +6,6 @@
     which the paper's lower bound provably does {e not} hold (experiment
     E7). *)
 
-val null : ('s, 'm) Sim.Adversary.t
-(** Never fails anyone (re-exported from {!Sim.Adversary} for symmetry). *)
-
 val random_crash : p:float -> ('s, 'm) Sim.Adversary.t
 (** Each round, each active process is killed independently with
     probability [p] (silent kill), while budget remains. *)
@@ -20,7 +17,9 @@ val random_partial : p:float -> ('s, 'm) Sim.Adversary.t
 
 val static_schedule : (int * int) list -> ('s, 'm) Sim.Adversary.t
 (** [static_schedule [(round, pid); ...]] kills [pid] in [round] if it is
-    still active — a fully oblivious adversary fixed before execution. *)
+    still active — a fully oblivious adversary fixed before execution.
+    Kept for tests: the oblivious schedule {!static_random} draws; the
+    baselines tests pin its kill timing. *)
 
 val static_random :
   seed:int -> n:int -> budget:int -> horizon:int -> ('s, 'm) Sim.Adversary.t

@@ -13,8 +13,6 @@ type state = {
   early : bool;
 }
 
-let decided_early s = s.early
-
 type acc = { saw_zero : bool; saw_one : bool; senders : IntSet.t }
 
 let protocol ~rounds ?(default = 0) () =

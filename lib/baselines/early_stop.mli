@@ -16,7 +16,3 @@ type msg
 
 val protocol : rounds:int -> ?default:int -> unit -> (state, msg) Sim.Protocol.t
 (** [rounds] is the fallback bound (use t+1). *)
-
-val decided_early : state -> bool
-(** Whether the decision came from the clean-round rule rather than the
-    round bound — exposed for tests and measurements. *)

@@ -9,8 +9,6 @@ type state = {
   decision : int option;
 }
 
-let word s = (s.has_zero, s.has_one)
-
 let msg_has_one (m : msg) = m.regs land 2 <> 0
 
 (* Registers: has_zero = bit 0, has_one = bit 1 — the value word is the

@@ -22,7 +22,3 @@ val protocol :
 
 val msg_has_one : msg -> bool
 (** Whether the message's seen-set contains 1 — a trace observer. *)
-
-val word : state -> bool * bool
-(** The (has_zero, has_one) pair of the current seen-set — exposed for
-    tests. *)

@@ -36,9 +36,6 @@ type ('state, 'msg) t = {
   act : ('state, 'msg) view -> Prng.Rng.t -> ('state, 'msg) plan;
 }
 
-val honest_plan : ('state, 'msg) plan
-(** Corrupt nobody, change nothing. *)
-
 val null : ('state, 'msg) t
 
 val crash_like : victims:(int * int) list -> ('state, 'msg) t

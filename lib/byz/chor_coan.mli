@@ -26,9 +26,13 @@ val protocol : t:int -> group_size:int -> (state, msg) Protocol.t
 (** Requires n > 5t and 1 <= group_size <= n (checked at init). *)
 
 val groups : n:int -> group_size:int -> int
-(** Number of groups: ceil(n / group_size). *)
+(** Number of groups: ceil(n / group_size).
+    Kept for tests: pins the [CC85] group count that the protocol and
+    {!group_corruptor} share. *)
 
 val active_group : round:int -> n:int -> group_size:int -> int
+(** Kept for tests: pins the [CC85] rotation that the protocol and
+    {!group_corruptor} share. *)
 
 val group_corruptor : group_size:int -> unit -> (state, msg) Adversary.t
 (** The adaptive attack: corrupt the members of each round's active group

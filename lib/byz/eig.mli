@@ -36,4 +36,6 @@ val liar : ?budget_fraction:float -> unit -> (state, msg) Adversary.t
     lies. *)
 
 val tree_size : state -> int
-(** Number of stored tree nodes — for tests (growth ~ sum of level sizes). *)
+(** Number of stored tree nodes.
+    Kept for tests: pins the n^r tree growth that makes EIG's messages
+    exponential. *)

@@ -257,10 +257,6 @@ let check ~inputs (o : outcome) =
   done;
   { agreement = !agreement; validity = !validity; termination = !termination }
 
-let check_ok ~inputs o =
-  let v = check ~inputs o in
-  v.agreement && v.validity && v.termination
-
 type summary = {
   trials : int;
   rounds : Stats.Welford.t;

@@ -43,15 +43,17 @@ val run :
     one {!Obs.Event.Round} summary ([victims] = that round's corruptions
     sorted ascending; [partial_sends = 0] always; [ones_pending] is the
     observer's staged-ones count, [None] without an observer). A
-    disabled sink costs one boolean load per potential event. *)
+    disabled sink costs one boolean load per potential event.
+    Kept for tests: the single-run driver behind {!run_trials}; the byz tests
+    read one execution's outcome through it. *)
 
 type verdict = { agreement : bool; validity : bool; termination : bool }
 
 val check : inputs:int array -> outcome -> verdict
 (** The three conditions among honest processes (validity: unanimous
-    {e honest} inputs force that decision). *)
-
-val check_ok : inputs:int array -> outcome -> bool
+    {e honest} inputs force that decision).
+    Kept for tests: the per-run verdict {!run_trials} counts, which the byz
+    tests and properties apply to single runs. *)
 
 type summary = {
   trials : int;

@@ -108,9 +108,3 @@ let king_spoofer () =
               Adversary.Forge { v = (if dst land 1 = 0 then 0 else 1) });
         });
   }
-
-let current_value s = s.value
-let current_phase s = s.phase
-let current_maj s = s.maj
-let current_mult s = s.mult
-let msg_value m = m.v

@@ -24,10 +24,9 @@ val protocol : t:int -> (state, msg) Protocol.t
     at init). Always runs exactly 2(t+1) rounds. *)
 
 val rounds_needed : t:int -> int
-(** 2(t+1). *)
-
-val king_of_phase : int -> int
-(** [king_of_phase k] = k - 1. *)
+(** 2(t+1).
+    Kept for tests: the deterministic 2(t+1)-round count, pinned against
+    measured runs. *)
 
 val king_spoofer : unit -> (state, msg) Adversary.t
 (** The adaptive attack on the king schedule: corrupt each phase's king
@@ -36,11 +35,3 @@ val king_spoofer : unit -> (state, msg) Adversary.t
     corruptions it burns the first t phases; the (t+1)-th king is honest
     by construction, which is exactly why t+1 phases are necessary and
     sufficient. *)
-
-(** {2 Introspection (tests and debugging)} *)
-
-val current_value : state -> int
-val current_phase : state -> int
-val current_maj : state -> int
-val current_mult : state -> int
-val msg_value : msg -> int

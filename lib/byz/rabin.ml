@@ -10,8 +10,6 @@ type state = {
   oracle_seed : int;
 }
 
-let msg_value m = m.v
-
 let coin ~seed ~round =
   Int64.to_int (Prng.Splitmix64.mix (Int64.of_int ((seed * 7_368_787) + round)))
   land 1

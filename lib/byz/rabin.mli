@@ -19,5 +19,3 @@ val protocol : t:int -> oracle_seed:int -> (state, msg) Protocol.t
 (** Requires n > 5t (checked at init). The per-round coin is derived from
     [oracle_seed]; the modelling assumption is that adversaries do not read
     it (ours never do). *)
-
-val msg_value : msg -> int

@@ -12,7 +12,3 @@ let schechtman_expansion ~alpha ~l n =
   let l0 = schechtman_l0 ~alpha n in
   if l <= l0 then 0.0
   else 1.0 -. exp (-.((l -. l0) ** 2.0) /. (4.0 *. float_of_int n))
-
-let control_failure_bound n = 1.0 /. float_of_int n
-
-let per_round_kill_bound n = h n +. 1.0

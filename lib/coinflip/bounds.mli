@@ -12,16 +12,12 @@ val lemma_budget : k:int -> int -> float
 
 val schechtman_l0 : alpha:float -> int -> float
 (** [schechtman_l0 ~alpha n] = 2 sqrt(n log (1/alpha)): the critical radius
-    in Schechtman's theorem for a set of measure [alpha]. *)
+    in Schechtman's theorem for a set of measure [alpha].
+    Kept for tests: Schechtman's inequality behind Lemma 2.1 (see
+    {!schechtman_expansion}). *)
 
 val schechtman_expansion : alpha:float -> l:float -> int -> float
 (** Lower bound on Pr(B(A, l)) for Pr(A) = alpha: 1 - exp(-(l - l0)^2 / 4n),
-    valid for l >= l0 (clamped to 0 below). *)
-
-val control_failure_bound : int -> float
-(** [control_failure_bound n] = 1/n: Lemma 2.1's bound on Pr(U^v) for the
-    guaranteed outcome. *)
-
-val per_round_kill_bound : int -> float
-(** [per_round_kill_bound n] = 4 sqrt(n log n) + 1: the per-round budget of
-    the lower-bound adversary (Section 3.2). *)
+    valid for l >= l0 (clamped to 0 below).
+    Kept for tests: the bounds tests check that it reaches 1 - 1/n at radius
+    {!h}, the step in Lemma 2.1's proof. *)

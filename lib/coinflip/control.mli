@@ -51,7 +51,9 @@ val exact_force_probability :
 (** Exact Pr over input vectors that {e some} hide-set of size <= budget
     forces [target], by full enumeration. Player values are assumed uniform
     on [0, values_of_player). Exponential in [n]; intended for n <= ~14 with
-    small budgets. This is exactly 1 - Pr(U^target) from Lemma 2.1. *)
+    small budgets. This is exactly 1 - Pr(U^target) from Lemma 2.1.
+    Kept for tests: the exact oracle the Monte-Carlo control estimates are
+    checked against. *)
 
 val controls : estimate -> n:int -> bool
 (** The paper's control criterion: forcing probability > 1 - 1/n (applied to

@@ -75,11 +75,16 @@ val outcome_with : cursor -> hidden:int list -> int
 (** {2 One-shot evaluation} *)
 
 val eval_with_hidden : t -> int array -> hidden:int list -> int
-(** Evaluate [f] on concrete values with the listed players hidden. *)
+(** Evaluate [f] on concrete values with the listed players hidden.
+    Kept for tests: the direct evaluation the cursor tallies and the
+    strategies are checked against. *)
 
 val play : t -> Prng.Rng.t -> hidden:int list -> int
-(** Sample inputs, hide the listed players, evaluate. *)
+(** Sample inputs, hide the listed players, evaluate.
+    Kept for tests: one draw of the game as E1 plays it, checked to stay in
+    range. *)
 
 val validate : t -> Prng.Rng.t -> unit
 (** Cheap sanity check: [n] and [k] are positive and outcomes stay in
-    range on a few random hide-sets. Raises [Failure] otherwise. *)
+    range on a few random hide-sets. Raises [Failure] otherwise.
+    Kept for tests: the range check run over every game in the battery. *)

@@ -19,7 +19,9 @@ val parity : int -> Game.t
 
 val dictator : int -> Game.t
 (** Player 0's bit decides; if hidden, the lowest-indexed visible player
-    decides; 0 if everyone is hidden. Controlled with tiny budget. *)
+    decides; 0 if everyone is hidden. Controlled with tiny budget.
+    Kept for tests: the control-extremes test needs a game every full budget
+    forces; the CLI reaches it through {!all}. *)
 
 val sum_mod : k:int -> int -> Game.t
 (** Players draw uniform values in [0, k); outcome is their sum mod [k]
@@ -27,7 +29,9 @@ val sum_mod : k:int -> int -> Game.t
     form. *)
 
 val weighted_majority : weights:int array -> Game.t
-(** Majority with per-player vote weights (missing counted as 0). *)
+(** Majority with per-player vote weights (missing counted as 0).
+    Kept for tests: the one non-counting game through {!Game.make}'s masked
+    path, where hiding a single heavy player flips the outcome. *)
 
 val tribes : tribe_size:int -> tribes:int -> Game.t
 (** Ben-Or & Linial's tribes function [BOL89]: players are split into

@@ -11,7 +11,11 @@
 
     The adversary interface mirrors {!Strategy} but is stateful across
     rounds: it sees each round's drawn values and decides whom to halt,
-    subject to the global budget. *)
+    subject to the global budget.
+
+    Kept for tests: no driver calls this module. It backs the Section 1.2
+    Aspnes remark that EXPERIMENTS.md cites from the coinflip.multiround
+    tests. *)
 
 type t = {
   name : string;
@@ -23,7 +27,8 @@ val make : ?name:string -> rounds:int -> Game.t -> t
 (** [make ~rounds base] is the [rounds]-fold repetition with majority
     combining (per-round ties in the combined count go against the
     adversary). Raises [Invalid_argument] if [rounds < 1] or the base game
-    is not 2-outcome. *)
+    is not 2-outcome.
+    Kept for tests (see the module doc). *)
 
 type strategy = {
   sname : string;
@@ -35,24 +40,28 @@ type strategy = {
 }
 
 val passive : strategy
-(** Halts nobody in any round. *)
+(** Halts nobody in any round.
+    Kept for tests (see the module doc). *)
 
 val uniform_split : Strategy.t -> strategy
 (** Spreads the budget evenly: each round plays the given one-round
-    strategy with budget [total / rounds] — the naive allocation. *)
+    strategy with budget [total / rounds] — the naive allocation.
+    Kept for tests (see the module doc). *)
 
 val front_loaded : Strategy.t -> strategy
 (** Plays the whole remaining budget every round (halted players stay
     halted, so early rounds get the most): the "win early rounds
     permanently" allocation, which dominates uniform splitting on majority
     combining because permanently halted opponents bias {e every} later
-    round. *)
+    round.
+    Kept for tests (see the module doc). *)
 
 val play :
   t -> Prng.Rng.t -> strategy:strategy -> budget:int -> target:int -> int
 (** Run one multi-round game under the adversary; returns the combined
     outcome. Raises [Invalid_argument] if the strategy overspends or halts
-    a dead player. *)
+    a dead player.
+    Kept for tests (see the module doc). *)
 
 val bias_probability :
   ?trials:int ->
@@ -62,4 +71,5 @@ val bias_probability :
   strategy:strategy ->
   t ->
   float
-(** Monte-Carlo Pr[combined outcome = target] (default 600 trials). *)
+(** Monte-Carlo Pr[combined outcome = target] (default 600 trials).
+    Kept for tests (see the module doc). *)

@@ -13,13 +13,17 @@ type t = {
 }
 
 val do_nothing : t
-(** The honest "adversary": hides nobody (baseline bias measurement). *)
+(** The honest "adversary": hides nobody (baseline bias measurement).
+    Kept for tests: the zero-hide baseline of the strategies-respect-budget
+    property. *)
 
 val greedy : t
 (** Iteratively hides the single player whose removal gets the outcome to
     [target], or failing that, the player whose removal changes the outcome
     at all (a generic hill-climbing heuristic — O(budget * n) cursor
-    queries). Effective on all the monotone games in {!Games}. *)
+    queries). Effective on all the monotone games in {!Games}.
+    Kept for tests: a component of {!best_available}, pinned on its own by the
+    coinflip.strategy tests. *)
 
 val exhaustive : ?subset_limit:int -> unit -> t
 (** Exact search: tries all hide-subsets in increasing size until [f] equals
@@ -30,13 +34,17 @@ val exhaustive : ?subset_limit:int -> unit -> t
 val toward_value : t
 (** Hides players whose drawn value differs from [target], most-common
     foreign value first, until the outcome is [target] or the budget runs
-    out. The natural play on counting games (majority, weighted majority),
-    where {!greedy}'s one-step lookahead cannot see progress. *)
+    out. The natural play on counting games (the majorities),
+    where {!greedy}'s one-step lookahead cannot see progress.
+    Kept for tests: a component of {!best_available}, pinned on its own by the
+    coinflip.strategy tests. *)
 
 val first_success : t list -> t
 (** Runs each strategy on the same values and returns the first hide-set
     that forces [target] ([[]] if none does). The measurement default:
-    a computationally unbounded adversary plays every idea it has. *)
+    a computationally unbounded adversary plays every idea it has.
+    Kept for tests: the combinator {!best_available} is built with, pinned on
+    its own by the coinflip.strategy tests. *)
 
 val best_available : t
 (** [first_success [greedy; toward_value]] — the default measurement

@@ -115,7 +115,7 @@ let e1_coin_control ?jobs ?sup p ~seed =
 (* E2: binomial tail lower bound (Lemma 4.4, Corollary 4.5)             *)
 (* ------------------------------------------------------------------ *)
 
-let e2_tail_bound ?sup p =
+let e2_tail_bound ?jobs:_ ?sup p ~seed:_ =
   let table =
     Supervise.register sup
       (Stats.Table.create
@@ -698,7 +698,7 @@ let e8_ablation ?jobs ?sup p ~seed =
 (* E9: the asynchronous contrast (Section 1.2)                          *)
 (* ------------------------------------------------------------------ *)
 
-let e9_async_contrast ?sup p ~seed =
+let e9_async_contrast ?jobs:_ ?sup p ~seed =
   let table =
     Supervise.register sup
       (Stats.Table.create
@@ -805,7 +805,7 @@ let e10_coin_assumptions ?jobs ?sup p ~seed =
 (* E11: the Byzantine neighbourhood (Section 1 context)                 *)
 (* ------------------------------------------------------------------ *)
 
-let e11_byzantine ?sup p ~seed =
+let e11_byzantine ?jobs:_ ?sup p ~seed =
   let n = pick p ~quick:17 ~full:26 in
   let t = (n - 1) / 5 in
   let table =
@@ -872,7 +872,7 @@ let e11_byzantine ?sup p ~seed =
 (* E12: Chor-Coan group coins (Section 1.2)                             *)
 (* ------------------------------------------------------------------ *)
 
-let e12_chor_coan ?sup p ~seed =
+let e12_chor_coan ?jobs:_ ?sup p ~seed =
   let n = pick p ~quick:61 ~full:101 in
   let t = (n - 1) / 5 in
   let table =
@@ -922,36 +922,26 @@ let e12_chor_coan ?sup p ~seed =
 
 (* ------------------------------------------------------------------ *)
 
-let all ?jobs p ~seed =
+(* The registry, in table order: every driver shares one signature. *)
+let registry :
+    (string
+    * (?jobs:int -> ?sup:Supervise.ctx -> profile -> seed:int -> Stats.Table.t))
+    list =
   [
-    e1_coin_control ?jobs p ~seed;
-    e2_tail_bound p;
-    e3_scaling_n ?jobs p ~seed;
-    e4_scaling_t ?jobs p ~seed;
-    e5_small_n_adversaries ?jobs p ~seed;
-    e6_deterministic_crossover ?jobs p ~seed;
-    e7_nonadaptive ?jobs p ~seed;
-    e8_ablation ?jobs p ~seed;
-    e9_async_contrast p ~seed;
-    e10_coin_assumptions ?jobs p ~seed;
-    e11_byzantine p ~seed;
-    e12_chor_coan p ~seed;
+    ("e1", e1_coin_control);
+    ("e2", e2_tail_bound);
+    ("e3", e3_scaling_n);
+    ("e4", e4_scaling_t);
+    ("e5", e5_small_n_adversaries);
+    ("e6", e6_deterministic_crossover);
+    ("e7", e7_nonadaptive);
+    ("e8", e8_ablation);
+    ("e9", e9_async_contrast);
+    ("e10", e10_coin_assumptions);
+    ("e11", e11_byzantine);
+    ("e12", e12_chor_coan);
   ]
 
-let ids =
-  [ "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "e10"; "e11"; "e12" ]
+let ids = List.map fst registry
 
-let by_id = function
-  | "e1" -> Some e1_coin_control
-  | "e2" -> Some (fun ?jobs:_ ?sup p ~seed:_ -> e2_tail_bound ?sup p)
-  | "e3" -> Some e3_scaling_n
-  | "e4" -> Some e4_scaling_t
-  | "e5" -> Some e5_small_n_adversaries
-  | "e6" -> Some e6_deterministic_crossover
-  | "e7" -> Some e7_nonadaptive
-  | "e8" -> Some e8_ablation
-  | "e9" -> Some (fun ?jobs:_ ?sup p ~seed -> e9_async_contrast ?sup p ~seed)
-  | "e10" -> Some e10_coin_assumptions
-  | "e11" -> Some (fun ?jobs:_ ?sup p ~seed -> e11_byzantine ?sup p ~seed)
-  | "e12" -> Some (fun ?jobs:_ ?sup p ~seed -> e12_chor_coan ?sup p ~seed)
-  | _ -> None
+let by_id id = List.assoc_opt id registry

@@ -82,6 +82,3 @@ let expected_rounds ?rules ~ones n =
     | Flip_all -> g_flip ?rules n
   in
   1.0 +. g
-
-let initial_ones_of_inputs inputs =
-  Array.fold_left ( + ) 0 inputs

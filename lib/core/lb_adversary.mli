@@ -100,6 +100,8 @@ type mc_config = {
 }
 
 val default_mc_config : mc_config
+(** Kept for tests: the [config] default, which the lower-bound tests override
+    field by field. *)
 
 val force_long_execution :
   ?config:mc_config ->

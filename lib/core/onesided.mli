@@ -47,4 +47,6 @@ val classify : rules -> ones:int -> zeros:int -> n_prev:int -> action
 val apply : rules -> ones:int -> zeros:int -> n_prev:int -> Prng.Rng.t ->
   int * bool
 (** [apply] runs {!classify} and resolves [Flip] with the given stream;
-    returns (new value of b, decided flag). *)
+    returns (new value of b, decided flag).
+    Kept for tests: the scalar one-process reading of the ladder, checked to
+    flip a fair coin and never decide on [Flip]. *)

@@ -303,22 +303,6 @@ let merged_metrics results =
       Obs.Metrics.merge acc (Obs.Metrics.prefixed (r.id ^ ".") r.metrics))
     (Obs.Metrics.create ()) results
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | ch when Char.code ch < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char b ch)
-    s;
-  Buffer.contents b
-
 let write_manifest ?fault ~path ~profile ~seed ~jobs ~resume ~deadline_s
     results =
   Sim.Fault.trip fault Sim.Fault.Manifest_write ~scope:Sim.Fault.run_scope;
@@ -338,7 +322,7 @@ let write_manifest ?fault ~path ~profile ~seed ~jobs ~resume ~deadline_s
         \  \"resume\": %b,\n\
         \  \"deadline_s\": %s,\n\
         \  \"experiments\": [\n"
-        (json_escape profile) seed jobs resume
+        (Obs.Json.escape profile) seed jobs resume
         (match deadline_s with
         | Some d -> Printf.sprintf "%g" d
         | None -> "null");
@@ -350,12 +334,12 @@ let write_manifest ?fault ~path ~profile ~seed ~jobs ~resume ~deadline_s
             | Completed -> "null"
             | Timed_out -> "\"timed out\""
             | Failed { message; _ } ->
-                Printf.sprintf "\"%s\"" (json_escape message)
+                Printf.sprintf "\"%s\"" (Obs.Json.escape message)
           in
           let engines =
             String.concat ", "
               (List.map
-                 (fun e -> Printf.sprintf "\"%s\"" (json_escape e))
+                 (fun e -> Printf.sprintf "\"%s\"" (Obs.Json.escape e))
                  r.engines)
           in
           Printf.fprintf oc
@@ -364,7 +348,7 @@ let write_manifest ?fault ~path ~profile ~seed ~jobs ~resume ~deadline_s
              \"chunk_retries\": %d, \"completed_trials\": %d, \
              \"total_trials\": %d, \"engines\": [%s], \"metrics_digest\": \
              \"%s\", \"failure\": %s }%s\n"
-            (json_escape r.id)
+            (Obs.Json.escape r.id)
             (status_string r.status)
             r.elapsed_s r.chunks_done r.chunks_resumed r.chunk_retries
             r.completed_trials r.total_trials engines

@@ -74,19 +74,23 @@ val msg_is_one : msg -> bool
 (** Trace observer: counts broadcast 1-proposals. *)
 
 val stage_name : state -> string
-(** ["probabilistic"], ["switching"], or ["deterministic"] — for tests and
-    traces. *)
+(** ["probabilistic"], ["switching"], or ["deterministic"].
+    Kept for tests: the hand-computed Section 4 round cases read it. *)
 
 val current_b : state -> int
+(** Kept for tests: the hand-computed Section 4 round cases read it. *)
 
 val decided_flag : state -> bool
 (** The paper's (resettable) decided flag — distinct from the irrevocable
     decision reported to the engine, which is only set when the process
-    stops. *)
+    stops.
+    Kept for tests: the hand-computed Section 4 round cases read it. *)
 
 val switch_threshold : n:int -> float
 (** sqrt(n / log n) (natural log), the population size at which the
     deterministic stage takes over; 1.0 for n = 1. *)
 
 val det_stage_rounds : n:int -> int
-(** ceil of {!switch_threshold}, and at least 1. *)
+(** ceil of {!switch_threshold}, and at least 1.
+    Kept for tests: the deterministic stage's length, pinned by the
+    core.synran tests. *)

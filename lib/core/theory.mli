@@ -29,4 +29,6 @@ val per_round_kills : n:int -> float
 val crossover_t : n:int -> int
 (** Smallest t at which the deterministic t+1 protocol is predicted to beat
     neither bound, i.e. where the randomized Theta-shape falls below t+1 —
-    essentially always, but the experiment reports the measured version. *)
+    essentially always, but the experiment reports the measured version.
+    Kept for tests: the paper's §1 contrast (Theta-shape against t + 1),
+    pinned to be tiny at n = 256. *)

@@ -15,7 +15,8 @@ val to_string : classification -> string
 val epsilon : n:int -> k:int -> float
 (** eps_k = 1/sqrt(n) - k/n — the paper's round-k decision threshold.
     Becomes negative for k > sqrt(n); callers should stop classifying
-    there. *)
+    there.
+    Kept for tests: the paper's eps_k, pinned by the core.valency tests. *)
 
 val classify : n:int -> k:int -> min_r:float -> max_r:float -> classification
 (** The table of Section 3.2:
@@ -23,7 +24,10 @@ val classify : n:int -> k:int -> min_r:float -> max_r:float -> classification
     max > 1-eps only: 1-valent; neither: null-valent. *)
 
 val is_univalent : classification -> bool
+(** Kept for tests: the probe's end-of-trajectory check. *)
 
 val keeps_running : classification -> bool
 (** Bivalent and null-valent states are the ones the adversary can hold on
-    to (Lemmas 3.1 and Corollary 3.4). *)
+    to (Lemmas 3.1 and Corollary 3.4).
+    Kept for tests: that partition of the Section 3.2 table, pinned by the
+    core.valency tests. *)

@@ -28,7 +28,9 @@ val probe :
   estimate
 (** Estimate the valency of the current state of a SynRan execution
     (default 60 samples per policy, horizon 60 rounds). The exec is
-    snapshotted; the caller's execution is not disturbed. *)
+    snapshotted; the caller's execution is not disturbed.
+    Kept for tests: the probe-fields test checks one estimate's bounds and
+    that the caller's exec is left untouched. *)
 
 val trajectory :
   ?samples:int ->

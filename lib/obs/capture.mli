@@ -26,4 +26,6 @@ val metrics_json : t -> string
 val events_jsonl : t -> string
 
 val digest : t -> string
-(** One fingerprint over both the metrics JSON and the event JSONL. *)
+(** One fingerprint over both the metrics JSON and the event JSONL.
+    Kept for tests: the jobs-invariance tests compare whole captures through
+    this one fingerprint. *)

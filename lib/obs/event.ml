@@ -32,17 +32,6 @@ type t =
 
 let engine_label = function Sync -> "sim" | Async -> "async" | Byz -> "byz"
 
-let label = function
-  | Round _ -> "round"
-  | Kill _ -> "kill"
-  | Decision _ -> "decision"
-  | Valency_probe _ -> "valency_probe"
-  | Band _ -> "band"
-  | Checkpoint _ -> "checkpoint"
-  | Chunk_retry _ -> "chunk_retry"
-  | Chunk_failed _ -> "chunk_failed"
-  | Watchdog _ -> "watchdog"
-
 (* Keys below are written in ascending ASCII order by hand; the JSONL
    digest tests pin the exact bytes. *)
 let to_json ev =

@@ -63,8 +63,5 @@ type t =
 val engine_label : engine -> string
 (** ["sim"], ["async"], or ["byz"]. *)
 
-val label : t -> string
-(** The event's ["event"] tag, e.g. ["round"], ["valency_probe"]. *)
-
 val to_json : t -> string
 (** Single-line JSON object, keys sorted ascending, no trailing newline. *)

@@ -1,6 +1,5 @@
 type metric =
   | Counter of { mutable count : int }
-  | Gauge of { mutable value : float }
   | Int_hist of Stats.Histogram.t
   | Float_stats of Stats.Welford.t
 
@@ -10,7 +9,6 @@ let create () = { tbl = Hashtbl.create 32 }
 
 let kind_name = function
   | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
   | Int_hist _ -> "int_histogram"
   | Float_stats _ -> "float_stats"
 
@@ -25,12 +23,6 @@ let incr ?(by = 1) t name =
   | None -> Hashtbl.replace t.tbl name (Counter { count = by })
   | Some (Counter c) -> c.count <- c.count + by
   | Some m -> clash name m "counter"
-
-let set_gauge t name v =
-  match Hashtbl.find_opt t.tbl name with
-  | None -> Hashtbl.replace t.tbl name (Gauge { value = v })
-  | Some (Gauge g) -> g.value <- v
-  | Some m -> clash name m "gauge"
 
 let observe_int t name v =
   match Hashtbl.find_opt t.tbl name with
@@ -111,7 +103,6 @@ let counter_value t name =
    fresh values, including against an empty operand). *)
 let copy_metric = function
   | Counter { count } -> Counter { count }
-  | Gauge { value } -> Gauge { value }
   | Int_hist h -> Int_hist (Stats.Histogram.merge h (Stats.Histogram.create ()))
   | Float_stats w -> Float_stats (Stats.Welford.merge w (Stats.Welford.create ()))
 
@@ -129,10 +120,6 @@ let merge a b =
           match mb with
           | Counter c' -> c.count <- c.count + c'.count
           | m -> clash name m "counter")
-      | Some (Gauge g) -> (
-          match mb with
-          | Gauge g' -> g.value <- g'.value
-          | m -> clash name m "gauge")
       | Some (Int_hist h) -> (
           match mb with
           | Int_hist h' ->
@@ -158,8 +145,6 @@ let prefixed prefix t =
 
 let metric_json = function
   | Counter { count } -> Printf.sprintf "{\"count\":%d,\"kind\":\"counter\"}" count
-  | Gauge { value } ->
-      Printf.sprintf "{\"kind\":\"gauge\",\"value\":%s}" (Json.float_str value)
   | Int_hist h ->
       let bins =
         Stats.Histogram.bins h

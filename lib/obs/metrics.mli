@@ -1,5 +1,5 @@
-(** The metrics registry: named counters, gauges, int histograms, and
-    float summaries.
+(** The metrics registry: named counters, int histograms, and float
+    summaries.
 
     Determinism contract — the same one the trial runner makes for its
     summaries: a registry is {e per-domain} state (one per chunk
@@ -22,15 +22,8 @@ val incr : ?by:int -> t -> string -> unit
 (** Bump a counter (created at 0). [by] defaults to 1 and may be any
     non-negative amount. *)
 
-val set_gauge : t -> string -> float -> unit
-(** Set a gauge: last write wins; under {!merge} the right operand's
-    value wins (chunk order makes that the latest chunk). *)
-
 val observe_int : t -> string -> int -> unit
 (** Add one sample to an int histogram (backed by {!Stats.Histogram}). *)
-
-val observe : t -> string -> float -> unit
-(** Add one sample to a float summary (backed by {!Stats.Welford}). *)
 
 val absorb_event : t -> Event.t -> unit
 (** The standard event-to-metrics fold: every event bumps a small fixed
@@ -41,9 +34,6 @@ val absorb_event : t -> Event.t -> unit
     {!Event.Chunk_failed} bumps ["runner.chunk_failures"] (the retry
     budget is exhausted and the chunk is lost). *)
 
-val names : t -> string list
-(** Registered names, ascending. *)
-
 val is_empty : t -> bool
 
 val counter_value : t -> string -> int
@@ -51,8 +41,8 @@ val counter_value : t -> string -> int
 
 val merge : t -> t -> t
 (** A fresh registry combining both (inputs unchanged): counters add,
-    gauges take the right operand when it is set, histograms and float
-    summaries merge exactly. [Invalid_argument] on a kind clash. *)
+    histograms and float summaries merge exactly. [Invalid_argument] on a
+    kind clash. *)
 
 val prefixed : string -> t -> t
 (** A fresh deep copy with every name prefixed (e.g. ["e3." ^ name]) —
@@ -61,7 +51,7 @@ val prefixed : string -> t -> t
 val to_json : t -> string
 (** Schema [metrics/v1]: names ascending, one single-line object per
     metric, every float printed exactly; ends with a newline. Counters:
-    [{"count":c,"kind":"counter"}]; gauges: [{"kind":"gauge","value":v}];
+    [{"count":c,"kind":"counter"}];
     int histograms: [{"bins":[[v,c],...],"count":n,"kind":"int_histogram"}]
     with bins ascending by value; float summaries:
     [{"count":n,"kind":"float_stats","max":_,"mean":_,"min":_,"total":_}]. *)

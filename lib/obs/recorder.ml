@@ -1,16 +1,12 @@
-type t = { mutable rev : Event.t list; mutable count : int }
+type t = { mutable rev : Event.t list }
 
-let create () = { rev = []; count = 0 }
+let create () = { rev = [] }
 
-let push t ev =
-  t.rev <- ev :: t.rev;
-  t.count <- t.count + 1
-
-let length t = t.count
+let push t ev = t.rev <- ev :: t.rev
 
 let events t = List.rev t.rev
 
-let merge a b = { rev = b.rev @ a.rev; count = a.count + b.count }
+let merge a b = { rev = b.rev @ a.rev }
 
 let to_jsonl t =
   match t.rev with

@@ -13,8 +13,6 @@ val create : unit -> t
 
 val push : t -> Event.t -> unit
 
-val length : t -> int
-
 val events : t -> Event.t list
 (** In emission order. *)
 
@@ -22,9 +20,6 @@ val merge : t -> t -> t
 (** Fresh recorder: all of the left operand's events, then all of the
     right's (inputs unchanged). *)
 
-val to_jsonl : t -> string
-(** One {!Event.to_json} line per event; empty string when empty,
-    newline-terminated otherwise. *)
-
 val digest : t -> string
-(** Hex digest of {!to_jsonl}. *)
+(** Hex digest of the events rendered as JSONL, one {!Event.to_json}
+    line each. *)

@@ -30,7 +30,9 @@ val emit : t -> Event.t -> unit
     callback. *)
 
 val received : t -> int
-(** Events accepted so far. *)
+(** Events accepted so far.
+    Kept for tests: pins the zero-cost contract (a disabled sink accepts
+    nothing). *)
 
 val tee : t -> t -> t
 (** A sink forwarding to both arguments (each still applies its own

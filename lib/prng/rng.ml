@@ -1,8 +1,6 @@
 type t = Xoshiro256.t
 
-let of_int64 seed = Xoshiro256.of_seed seed
-
-let create seed = of_int64 (Int64.of_int seed)
+let create seed = Xoshiro256.of_seed (Int64.of_int seed)
 
 let bits64 = Xoshiro256.next
 

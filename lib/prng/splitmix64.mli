@@ -10,10 +10,13 @@ type t
 (** Mutable generator state. *)
 
 val create : int64 -> t
-(** [create seed] builds a generator; any seed (including [0L]) is valid. *)
+(** [create seed] builds a generator; any seed (including [0L]) is valid.
+    Kept for tests: with {!next}, the known-answer oracle for the reference
+    SplitMix64 stream that {!Xoshiro256.of_seed} expands a seed with. *)
 
 val next : t -> int64
-(** [next g] advances [g] and returns the next 64-bit output. *)
+(** [next g] advances [g] and returns the next 64-bit output.
+    Kept for tests (see {!create}). *)
 
 val mix : int64 -> int64
 (** [mix z] is the stateless SplitMix64 finalizer: a bijective mixing

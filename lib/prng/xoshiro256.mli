@@ -20,7 +20,9 @@ val of_seed : int64 -> t
 
 val of_state : int64 -> int64 -> int64 -> int64 -> t
 (** [of_state s0 s1 s2 s3] uses the given words directly. At least one word
-    must be non-zero; raises [Invalid_argument] otherwise. *)
+    must be non-zero; raises [Invalid_argument] otherwise.
+    Kept for tests: the known-answer oracle seeds the reference xoshiro256**
+    vectors with it. *)
 
 val copy : t -> t
 (** [copy g] is an independent generator that will replay [g]'s future. *)

@@ -16,13 +16,6 @@ type ('state, 'msg) view = {
   decision : int -> int option;
 }
 
-let alive_count v =
-  let c = ref 0 in
-  for i = 0 to v.n - 1 do
-    if v.alive i then incr c
-  done;
-  !c
-
 let active_pids v =
   let acc = ref [] in
   for i = v.n - 1 downto 0 do

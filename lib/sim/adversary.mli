@@ -42,8 +42,6 @@ type ('state, 'msg) view = {
     their own invocation must copy what they keep (all in-tree adversaries
     extract scalars or fresh lists, which is safe by construction). *)
 
-val alive_count : ('state, 'msg) view -> int
-
 val active_pids : ('state, 'msg) view -> int list
 (** Pids with [view.active], ascending. *)
 

@@ -328,12 +328,6 @@ let run ?record_trace ?observer ?sink ?(max_rounds = 10_000) protocol adversary
 
 let round (e : _ exec) = e.sc.lg.round
 
-let n (e : _ exec) = e.sc.lg.n
-
-let kills_used (e : _ exec) = e.sc.lg.kills_used
-
 let packed_rounds (e : _ exec) = e.packed_rounds
 
 let scalar_rounds (e : _ exec) = e.scalar_rounds
-
-let decisions (e : _ exec) = Array.copy e.sc.lg.decisions

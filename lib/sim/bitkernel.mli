@@ -51,9 +51,6 @@ val step :
 (** One full round; same kill validation, exceptions, and event emission
     as {!Engine.step}. *)
 
-val run_until :
-  ('state, 'msg) exec -> ('state, 'msg) Adversary.t -> max_rounds:int -> unit
-
 val outcome : ('state, 'msg) exec -> Engine.outcome
 (** The same outcome record {!Engine.outcome} computes, field for field. *)
 
@@ -68,22 +65,16 @@ val run :
   t:int ->
   rng:Prng.Rng.t ->
   Engine.outcome
-(** [start] + [run_until] + [outcome]. Default [max_rounds] is 10_000. *)
+(** [start], then {!step} until quiescent or [max_rounds], then
+    {!outcome}. Default [max_rounds] is 10_000. *)
 
 (** {2 Inspection} *)
 
 val round : ('state, 'msg) exec -> int
 
-val n : ('state, 'msg) exec -> int
-
-val kills_used : ('state, 'msg) exec -> int
-
-val active_count : ('state, 'msg) exec -> int
-
 val packed_rounds : ('state, 'msg) exec -> int
 (** Rounds executed entirely at word granularity. *)
 
 val scalar_rounds : ('state, 'msg) exec -> int
-(** Rounds that ran through the scalar fallback path. *)
-
-val decisions : ('state, 'msg) exec -> int option array
+(** Rounds that ran through the scalar fallback path.
+    Kept for tests: pins which rounds fell back from the packed path. *)

@@ -1,22 +1,18 @@
 (* Word-level bit-plane primitives for the bit-packed kernel.
 
-   A "plane" stores one binary register for every process: lane [i land
-   (lanes - 1)]... no — lane [i mod lanes] of word [i / lanes] holds the
-   bit for process [i].  OCaml's native [int] gives [Sys.int_size] usable
-   lanes per word (63 on 64-bit platforms); we deliberately use the full
-   width rather than rounding down to 64, so masks like [full] are just
-   [-1] and no boxing ever happens. *)
+   A "plane" stores one binary register for every process: lane [i mod
+   lanes] of word [i / lanes] holds the bit for process [i].  OCaml's
+   native [int] gives [Sys.int_size] usable lanes per word (63 on 64-bit
+   platforms); we deliberately use the full width rather than rounding
+   down to 64, so an all-ones mask is just [-1] and no boxing ever
+   happens. *)
 
 let lanes = Sys.int_size
 let words_for n = (n + lanes - 1) / lanes
 
-(* All [lanes] bits set.  [-1] is the all-ones pattern for OCaml's
-   tagged int, whatever the platform width. *)
-let full = -1
-
 let mask_upto k =
   (* Bits [0, k): [1 lsl k] is unspecified for k >= int_size, so guard. *)
-  if k >= lanes then full else (1 lsl k) - 1
+  if k >= lanes then -1 else (1 lsl k) - 1
 
 (* SWAR popcount.  The classic 64-bit constants (0x5555555555555555...)
    overflow OCaml's 63-bit literals, so count the two 32-bit halves

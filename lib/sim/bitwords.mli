@@ -9,14 +9,14 @@ val lanes : int
 val words_for : int -> int
 (** [words_for n] is the plane length needed for [n] processes. *)
 
-val full : int
-(** All [lanes] bits set (the untagged view of [-1]). *)
-
 val mask_upto : int -> int
-(** [mask_upto k] has bits [0, k) set; returns {!full} when [k >= lanes]. *)
+(** [mask_upto k] has bits [0, k) set; all [lanes] bits when [k >= lanes].
+    Kept for tests: with {!popcount}, pins the lane width the planes assume. *)
 
 val popcount : int -> int
-(** Number of set bits among the [lanes] usable bits of a word. *)
+(** Number of set bits among the [lanes] usable bits of a word.
+    Kept for tests: the word count {!popcount_masked} sums, checked against
+    a naive bit loop. *)
 
 val get : int array -> int -> bool
 (** [get plane i] reads process [i]'s bit. *)

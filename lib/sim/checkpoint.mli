@@ -58,7 +58,9 @@ val create :
     the directory is created on first {!store}. *)
 
 val dir : t -> string
-(** The store's directory (may not exist yet). *)
+(** The store's directory (may not exist yet).
+    Kept for tests: the crash-recovery tests plant torn, stale and corrupt
+    chunk files here. *)
 
 val store : ?fault:Fault.injector -> t -> chunk:int -> 'acc -> unit
 (** Persist one chunk accumulator (write, fsync, rename). Safe to call

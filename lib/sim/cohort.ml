@@ -46,10 +46,6 @@ type ('state, 'msg) adversary =
       aplan : ('state, 'msg) cview -> Prng.Rng.t -> Adversary.kill list;
     }
 
-let adversary_name = function
-  | Concrete a -> a.Adversary.name
-  | Aware { aname; _ } -> aname
-
 (* Merge candidate (state, members) groups into classes: groups with equal
    state coalesce, members stay ascending, classes sort by least member.
    The Hashtbl is bucket storage only — its iteration order never escapes
@@ -372,13 +368,7 @@ let run ?record_trace ?observer ?sink ?(max_rounds = 10_000) protocol adversary
 
 let round (e : _ exec) = e.lg.round
 
-let n (e : _ exec) = e.lg.n
-
-let kills_used (e : _ exec) = e.lg.kills_used
-
 let active_count (e : _ exec) = e.active
-
-let class_count (e : _ exec) = List.length e.classes
 
 let classes (e : _ exec) =
   List.map (fun cl -> (cl.cls_state, Array.copy cl.cls_members)) e.classes

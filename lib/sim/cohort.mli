@@ -59,8 +59,6 @@ type ('state, 'msg) adversary =
       aplan : ('state, 'msg) cview -> Prng.Rng.t -> Adversary.kill list;
     }  (** A cohort-native adversary planning from the class view. *)
 
-val adversary_name : ('state, 'msg) adversary -> string
-
 val start :
   ?record_trace:bool ->
   ?observer:('msg -> bool) ->
@@ -82,9 +80,6 @@ val step :
     (Decisions ascending by pid, Kills in plan order, one Round summary)
     as {!Engine.step}. *)
 
-val run_until :
-  ('state, 'msg) exec -> ('state, 'msg) adversary -> max_rounds:int -> unit
-
 val outcome : ('state, 'msg) exec -> Engine.outcome
 (** The same outcome record {!Engine.outcome} computes, field for field. *)
 
@@ -99,22 +94,21 @@ val run :
   t:int ->
   rng:Prng.Rng.t ->
   Engine.outcome
-(** [start] + [run_until] + [outcome]. Default [max_rounds] is 10_000. *)
+(** [start], then {!step} until quiescent or [max_rounds], then
+    {!outcome}. Default [max_rounds] is 10_000. *)
 
 (** {2 Inspection} *)
 
 val round : ('state, 'msg) exec -> int
 
-val n : ('state, 'msg) exec -> int
-
-val kills_used : ('state, 'msg) exec -> int
-
 val active_count : ('state, 'msg) exec -> int
-(** Alive and not halted — maintained incrementally, O(1). *)
-
-val class_count : ('state, 'msg) exec -> int
+(** Alive and not halted — maintained incrementally, O(1).
+    Kept for tests: the lockstep decomposition test checks it against the
+    concrete engine. *)
 
 val classes : ('state, 'msg) exec -> ('state * int array) list
 (** The current decomposition: disjoint classes sorted by least member,
     members ascending, covering exactly the active processes. Member
-    arrays are copies. *)
+    arrays are copies.
+    Kept for tests: the lockstep decomposition test checks it against the
+    concrete engine. *)

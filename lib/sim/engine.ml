@@ -98,8 +98,6 @@ let round (e : _ exec) = e.lg.round
 
 let n (e : _ exec) = e.lg.n
 
-let budget_left (e : _ exec) = Round.budget_left e.lg
-
 let kills_used (e : _ exec) = e.lg.kills_used
 
 let alive (e : _ exec) = Array.copy e.lg.alive
@@ -107,9 +105,3 @@ let alive (e : _ exec) = Array.copy e.lg.alive
 let active_mask (e : _ exec) = Array.init e.lg.n (Round.active_at e.lg)
 
 let states (e : _ exec) = Array.copy e.states
-
-let decisions (e : _ exec) = Array.copy e.lg.decisions
-
-let alive_count (e : _ exec) = Round.alive_count e.lg
-
-let active_count (e : _ exec) = Round.active_count e.lg

@@ -109,22 +109,17 @@ val round : ('state, 'msg) exec -> int
 
 val n : ('state, 'msg) exec -> int
 
-val budget_left : ('state, 'msg) exec -> int
-
 val kills_used : ('state, 'msg) exec -> int
 
 val alive : ('state, 'msg) exec -> bool array
-(** A copy. *)
+(** A copy.
+    Kept for tests: the hand-computed round cases read it. *)
 
 val active_mask : ('state, 'msg) exec -> bool array
 (** Alive and not halted — the processes an adversary may name as victims
     next round. A copy. *)
 
 val states : ('state, 'msg) exec -> 'state array
-(** A copy of the state vector. *)
-
-val decisions : ('state, 'msg) exec -> int option array
-
-val alive_count : ('state, 'msg) exec -> int
-
-val active_count : ('state, 'msg) exec -> int
+(** A copy of the state vector.
+    Kept for tests: the hand-computed round cases and the cohort and game
+    differentials read per-process state. *)

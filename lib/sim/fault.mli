@@ -65,7 +65,9 @@ val run_scope : int
 val every_hit : int
 (** Matches every hit ([-1]); written [*] in the plan grammar. An
     [every_hit] arm on a retryable site makes every attempt fail —
-    the deliberate budget-exhaustion plan. *)
+    the deliberate budget-exhaustion plan.
+    Kept for tests: part of the {!arm} contract; the plan round-trip property
+    generates it. *)
 
 exception Injected of { site : site; scope : int; kind : kind }
 (** The {!Crash} fault (and the corruption kinds at sites that cannot
@@ -76,16 +78,10 @@ val site_label : site -> string
 (** Grammar token: [body], [store], [load], [merge], [sink],
     [manifest]. *)
 
-val kind_label : kind -> string
-(** Grammar token: [raise], [sys_error], [torn], [bitflip]. *)
-
-val arm_to_string : arm -> string
-(** [site@scope#hit:kind], e.g. ["body@1#2:raise"],
-    ["store@2#0:torn"], ["manifest@run#0:sys_error"],
-    ["body@0#*:raise"]. *)
-
 val plan_to_string : plan -> string
-(** Comma-joined {!arm_to_string}; [""] for the empty plan. *)
+(** Comma-joined arms, each [site@scope#hit:kind], e.g.
+    ["body@1#2:raise"], ["store@2#0:torn"], ["manifest@run#0:sys_error"],
+    ["body@0#*:raise"]; [""] for the empty plan. *)
 
 val plan_of_string : string -> (plan, string) result
 (** Inverse of {!plan_to_string} (whitespace around arms tolerated).

@@ -70,9 +70,10 @@ let run_workers ~jobs ~nchunks ~cancel ~run_chunk =
 let fold_chunks_supervised ?jobs ?(chunk_size = default_chunk_size)
     ?(cancel = fun () -> false) ?(retries = 0) ?fault ?saved ?persist ~n
     ~create ~work ~merge () =
-  if n < 0 then invalid_arg "Parallel.fold_chunks: negative n";
-  if chunk_size < 1 then invalid_arg "Parallel.fold_chunks: chunk_size";
-  if retries < 0 then invalid_arg "Parallel.fold_chunks: retries";
+  if n < 0 then invalid_arg "Parallel.fold_chunks_supervised: negative n";
+  if chunk_size < 1 then
+    invalid_arg "Parallel.fold_chunks_supervised: chunk_size";
+  if retries < 0 then invalid_arg "Parallel.fold_chunks_supervised: retries";
   let jobs =
     match jobs with Some j when j >= 1 -> j | Some _ | None -> default_jobs ()
   in
@@ -191,15 +192,15 @@ let fold_chunks ?jobs ?chunk_size ~n ~create ~work ~merge () =
   let s = fold_chunks_supervised ?jobs ?chunk_size ~n ~create ~work ~merge () in
   match s.failures with
   | f :: _ ->
-      (* Legacy all-or-nothing path: re-raise the first failure in chunk
-         order with its original backtrace. *)
+      (* All-or-nothing: re-raise the first failure in chunk order with its
+         original backtrace. *)
       Printexc.raise_with_backtrace f.exn f.backtrace
   | [] -> (
       match s.value with
       | Some a -> a
       | None ->
           (* No failure and no value: only possible under a cancel hook,
-             which the legacy entry point does not take. *)
+             which this entry point does not take. *)
           assert false)
 
 let map ?jobs ?chunk_size ~n f =

@@ -89,9 +89,12 @@ val fold_chunks_supervised :
   merge:('acc -> 'acc -> 'acc) ->
   unit ->
   'acc supervised
-(** Supervised core of {!fold_chunks}: same deterministic chunking and
-    chunk-ordered merge, but failures are captured instead of raised and
-    completed partials are salvaged.
+(** [fold_chunks_supervised ~n ~create ~work ~merge ()] folds indices
+    [0 .. n-1]: each chunk gets a fresh [create ()] accumulator, [work i
+    acc] is called for each index of the chunk in ascending order, and
+    chunk partials are combined with [merge] in chunk order. [jobs]
+    defaults to {!default_jobs}. Failures are captured instead of raised
+    and completed partials are salvaged.
 
     {ul
     {- A raising [work] call poisons the pool: peers drain their in-flight
@@ -138,17 +141,16 @@ val fold_chunks :
   merge:('acc -> 'acc -> 'acc) ->
   unit ->
   'acc
-(** [fold_chunks ~n ~create ~work ~merge ()] folds indices [0 .. n-1]:
-    each chunk gets a fresh [create ()] accumulator, [work i acc] is called
-    for each index of the chunk in ascending order, and chunk partials are
-    combined with [merge] in chunk order. [jobs] defaults to
-    {!default_jobs}; the result is the same for every [jobs >= 1]. This is
-    the all-or-nothing policy over {!fold_chunks_supervised}: if any
-    [work] call raises, the first failure in chunk order is re-raised with
-    its original backtrace after all workers stop (no pending chunk is
-    started once a failure is recorded). *)
+(** The all-or-nothing policy over {!fold_chunks_supervised}: the merged
+    value of a clean run, or, if any [work] call raises, the first failure
+    in chunk order re-raised with its original backtrace after all workers
+    stop.
+    Kept for tests: the plain fold the jobs-invariance and
+    failure-propagation tests drive. *)
 
 val map :
   ?jobs:int -> ?chunk_size:int -> n:int -> (int -> 'a) -> 'a array
 (** [map ~n f] is [[| f 0; ...; f (n-1) |]] computed across domains. [f]
-    must be safe to call concurrently at distinct indices. *)
+    must be safe to call concurrently at distinct indices.
+    Kept for tests: checks every index lands in its own slot whatever the
+    chunking. *)

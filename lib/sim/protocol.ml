@@ -68,8 +68,6 @@ type ('state, 'msg) t = {
   bitops : ('state, 'msg) bitops option;
 }
 
-let decided p s = Option.is_some (p.decision s)
-
 let legacy p = { p with aggregate = None; bitops = None }
 
 let cohort_capable p =

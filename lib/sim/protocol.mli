@@ -211,9 +211,6 @@ type ('state, 'msg) t = {
           off the bit-packed {!Bitkernel} engine. *)
 }
 
-val decided : ('state, 'msg) t -> 'state -> bool
-(** [decided p s] is [true] iff [p.decision s] is [Some _]. *)
-
 val legacy : ('state, 'msg) t -> ('state, 'msg) t
 (** [legacy p] is [p] with its aggregate dropped: the engine will run it
     through the materialized-array exchange. Used by the differential
@@ -228,15 +225,6 @@ val bitkernel_capable : ('state, 'msg) t -> bool
     can run on the bit-packed {!Bitkernel} engine (whose kill-round
     fallback uses the aggregate delivery path). *)
 
-val phase_b_of_aggregate :
-  ('state, 'msg) aggregate ->
-  'state ->
-  round:int ->
-  received:(int * 'msg) array ->
-  'state
-(** The [phase_b] a given aggregate induces: fold [absorb] over the
-    received array in ascending-sender order, then [finish]. *)
-
 val with_aggregate :
   name:string ->
   init:(n:int -> pid:int -> input:int -> 'state) ->
@@ -245,9 +233,9 @@ val with_aggregate :
   halted:('state -> bool) ->
   ('state, 'msg) aggregate ->
   ('state, 'msg) t
-(** Build a protocol whose [phase_b] is {!phase_b_of_aggregate} of the
-    given aggregate — the only way the fast and legacy paths are
-    guaranteed to agree. *)
+(** Build a protocol whose [phase_b] folds the aggregate's [absorb] over
+    the received array in ascending-sender order, then applies [finish] —
+    the only way the fast and legacy paths are guaranteed to agree. *)
 
 val registers :
   name:string ->

@@ -45,7 +45,7 @@ let ledger ~who ?(record_trace = false) ?observer ?(sink = Obs.Sink.null)
   Array.iter
     (fun b -> if b <> 0 && b <> 1 then invalid_arg (who ^ ": inputs must be bits"))
     inputs;
-  let trace = if record_trace then Some (Trace.create ~n) else None in
+  let trace = if record_trace then Some (Trace.create ()) else None in
   (* The trace is a façade: it consumes the same Round events as any
      caller-supplied sink, through a tee. With neither, the effective sink
      is [null] and every emission site reduces to one boolean load. *)

@@ -63,8 +63,6 @@ val active_at : 'msg ledger -> int -> bool
 val active_count : 'msg ledger -> int
 (** O(n) scan. *)
 
-val alive_count : 'msg ledger -> int
-
 val budget_left : 'msg ledger -> int
 
 val view :

@@ -36,8 +36,9 @@ type obs_scope = {
   oevents : bool;  (* also record the raw stream, not just metrics *)
 }
 
-(* Per-chunk accumulator; merged in chunk order by Parallel.fold_chunks, so
-   the summary is identical for every worker count. *)
+(* Per-chunk accumulator; merged in chunk order by
+   Parallel.fold_chunks_supervised, so the summary is identical for every
+   worker count. *)
 type acc = {
   acc_rounds : Stats.Welford.t;
   acc_hist : Stats.Histogram.t;

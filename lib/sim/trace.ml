@@ -9,13 +9,11 @@ type round_record = {
   ones_pending : int option;
 }
 
-type t = { n : int; mutable rev_records : round_record list; mutable count : int }
+type t = { mutable rev_records : round_record list }
 
-let create ~n = { n; rev_records = []; count = 0 }
+let create () = { rev_records = [] }
 
-let record t r =
-  t.rev_records <- r :: t.rev_records;
-  t.count <- t.count + 1
+let record t r = t.rev_records <- r :: t.rev_records
 
 (* The façade over the unified event stream: decode the engine's Round
    events back into the record shape this module has always stored. Other
@@ -50,16 +48,6 @@ let sink t =
       | _ -> ())
 
 let records t = List.rev t.rev_records
-
-let length t = t.count
-
-let n t = t.n
-
-let total_kills t =
-  List.fold_left (fun acc r -> acc + Array.length r.killed) 0 t.rev_records
-
-let final_active t =
-  match t.rev_records with [] -> None | r :: _ -> Some r.active_before
 
 let to_csv t =
   let header =

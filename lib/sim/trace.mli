@@ -4,8 +4,7 @@
     Since the observability layer landed, the trace is a {e façade} over
     the unified event stream: the engine emits {!Obs.Event.Round} events
     through its sink, and {!sink} decodes them back into
-    {!type:round_record}s. The storage, accessors, and renderings below
-    are unchanged, so existing consumers need no migration. *)
+    {!type:round_record}s. *)
 
 type round_record = {
   round : int;
@@ -23,9 +22,7 @@ type round_record = {
 
 type t
 
-val create : n:int -> t
-
-val record : t -> round_record -> unit
+val create : unit -> t
 
 val sink : t -> Obs.Sink.t
 (** An always-enabled sink that decodes synchronous-engine
@@ -35,15 +32,6 @@ val sink : t -> Obs.Sink.t
 
 val records : t -> round_record list
 (** In execution order. *)
-
-val length : t -> int
-
-val n : t -> int
-
-val total_kills : t -> int
-
-val final_active : t -> int option
-(** Active count entering the last recorded round. *)
 
 val render : t -> string
 (** Compact one-line-per-round rendering; [ones_pending = None] prints
@@ -55,4 +43,6 @@ val to_csv : t -> string
     [round,active,kills,partial_sends,delivered,newly_decided,newly_halted,ones_pending]
     where [active] is {!round_record.active_before}, [kills] is the
     victim count, [delivered] is {!round_record.messages_delivered}, and
-    the [ones_pending] cell is empty when no observer was supplied. *)
+    the [ones_pending] cell is empty when no observer was supplied.
+    Kept for tests: the flat per-round dump whose row the trace-csv test
+    pins against the engine's message count. *)

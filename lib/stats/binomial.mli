@@ -4,24 +4,26 @@
     upper tail of Binomial(n, 1/2) by e^(-4(t+1)^2) / sqrt(2 pi); here we
     compute the tail exactly so the bound can be tabulated against truth. *)
 
-val log_pmf : n:int -> k:int -> p:float -> float
-(** [log_pmf ~n ~k ~p] = ln Pr[X = k], X ~ Binomial(n, p). *)
-
 val pmf : n:int -> k:int -> p:float -> float
 
-val log_cdf : n:int -> k:int -> p:float -> float
-(** [log_cdf ~n ~k ~p] = ln Pr[X <= k]. *)
-
 val log_sf : n:int -> k:int -> p:float -> float
-(** [log_sf ~n ~k ~p] = ln Pr[X >= k] (survival, inclusive). *)
+(** [log_sf ~n ~k ~p] = ln Pr[X >= k] (survival, inclusive).
+    Kept for tests: pins that E2's extreme tails stay finite in log space. *)
 
 val cdf : n:int -> k:int -> p:float -> float
+(** Kept for tests: with {!sf}, the complement and symmetry oracle for the
+    tail E2 tabulates. *)
 
 val sf : n:int -> k:int -> p:float -> float
+(** Kept for tests: with {!cdf}, the complement and symmetry oracle for the
+    tail E2 tabulates. *)
 
 val mean : n:int -> p:float -> float
+(** Kept for tests: with {!variance}, the moments the pmf tests and the
+    Lemma 4.4 deviation [t sqrt n] are measured from. *)
 
 val variance : n:int -> p:float -> float
+(** Kept for tests: see {!mean}. *)
 
 val tail_above_mean : n:int -> dev:float -> float
 (** [tail_above_mean ~n ~dev] = Pr[X - E X >= dev] for X ~ Binomial(n, 1/2),

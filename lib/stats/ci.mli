@@ -2,11 +2,6 @@
 
 type interval = { lo : float; hi : float }
 
-val z_of_confidence : float -> float
-(** Two-sided normal quantile for the given confidence level (e.g. 0.95 ->
-    1.96). Supported levels: 0.80, 0.90, 0.95, 0.98, 0.99, 0.999; other
-    inputs fall back to an Acklam-style inverse-normal approximation. *)
-
 val mean_interval : ?confidence:float -> Welford.t -> interval
 (** Normal-approximation CI for the mean of an aggregate (default 95%). *)
 

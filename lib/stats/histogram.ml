@@ -3,7 +3,6 @@ type t = { tbl : (int, int) Hashtbl.t; mutable total : int }
 let create () = { tbl = Hashtbl.create 64; total = 0 }
 
 let add_many h v c =
-  if c < 0 then invalid_arg "Histogram.add_many: negative count";
   let cur = Option.value ~default:0 (Hashtbl.find_opt h.tbl v) in
   Hashtbl.replace h.tbl v (cur + c);
   h.total <- h.total + c
@@ -21,39 +20,9 @@ let merge a b =
      merge-commutativity/associativity property)"]);
   m
 
-let count_of h v = Option.value ~default:0 (Hashtbl.find_opt h.tbl v)
-
 let bins h =
   Hashtbl.fold (fun v c acc -> (v, c) :: acc) h.tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-let min_value h = match bins h with [] -> None | (v, _) :: _ -> Some v
-
-let max_value h =
-  match List.rev (bins h) with [] -> None | (v, _) :: _ -> Some v
-
-let mean h =
-  if h.total = 0 then Float.nan
-  else
-    let s =
-      (Hashtbl.fold (fun v c acc -> acc +. (float_of_int v *. float_of_int c)) h.tbl 0.0
-      [@detlint.allow
-        "R3: sums v*c products of ints; for any fixed operation history the \
-         table layout (hence fold order) is deterministic, and the values \
-         are exact in double precision far beyond any trial count we run"])
-    in
-    s /. float_of_int h.total
-
-let mass_at_least h v =
-  if h.total = 0 then Float.nan
-  else
-    let s =
-      (Hashtbl.fold (fun v' c acc -> if v' >= v then acc + c else acc) h.tbl 0
-      [@detlint.allow
-        "R3: integer tail count; addition of per-key counts commutes, so \
-         iteration order cannot affect the result"])
-    in
-    float_of_int s /. float_of_int h.total
 
 let quantile h q =
   if q < 0.0 || q > 1.0 then invalid_arg "Histogram.quantile";

@@ -7,9 +7,6 @@ val create : unit -> t
 val add : t -> int -> unit
 (** Record one observation (e.g. the round count of one trial). *)
 
-val add_many : t -> int -> int -> unit
-(** [add_many h v c] records [c] observations of value [v]. *)
-
 val count : t -> int
 (** Total number of observations. *)
 
@@ -17,18 +14,6 @@ val merge : t -> t -> t
 (** [merge a b] is a fresh histogram holding every observation of [a] and
     [b]; the arguments are unchanged. Bin counts are integers, so merging is
     exactly order-independent (unlike floating-point moments). *)
-
-val count_of : t -> int -> int
-(** Observations equal to the given value. *)
-
-val min_value : t -> int option
-
-val max_value : t -> int option
-
-val mean : t -> float
-
-val mass_at_least : t -> int -> float
-(** [mass_at_least h v] is the empirical Pr[X >= v]. *)
 
 val quantile : t -> float -> int option
 (** [quantile h q] is the smallest value at or above the [q]-quantile

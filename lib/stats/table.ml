@@ -23,10 +23,6 @@ let add_row t row =
 
 let rows t = List.rev t.rev_rows
 
-let title t = t.title
-
-let columns t = t.columns
-
 let render t =
   let header = t.columns in
   let body = List.map (List.map cell_to_string) (rows t) in

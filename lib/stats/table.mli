@@ -14,15 +14,7 @@ val create : title:string -> columns:string list -> t
 val add_row : t -> cell list -> unit
 (** Raises [Invalid_argument] if the row width does not match the header. *)
 
-val rows : t -> cell list list
-
-val title : t -> string
-
-val columns : t -> string list
-
 val render : t -> string
 (** Aligned ASCII rendering with title and header rule. *)
 
 val to_csv : t -> string
-
-val cell_to_string : cell -> string

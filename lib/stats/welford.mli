@@ -20,8 +20,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; NaN below two observations. *)
 
-val stddev : t -> float
-
 val std_error : t -> float
 (** Standard error of the mean. *)
 
@@ -39,3 +37,5 @@ val merge : t -> t -> t
     added to one accumulator (Chan's parallel update). *)
 
 val of_array : float array -> t
+(** Kept for tests: the sequential aggregate that {!merge}, the combine behind
+    every parallel fold, is checked against. *)

@@ -106,7 +106,7 @@ let run_synran ~n ~t ~seed adversary =
   (inputs, Sim.Engine.run ~max_rounds:2000 protocol adversary ~inputs ~t ~rng)
 
 let test_null_no_kills () =
-  let _, o = run_synran ~n:16 ~t:8 ~seed:1 Baselines.Adversaries.null in
+  let _, o = run_synran ~n:16 ~t:8 ~seed:1 Sim.Adversary.null in
   check_int "no kills" 0 o.Sim.Engine.kills_used
 
 let test_random_crash_respects_budget () =
@@ -171,7 +171,7 @@ let test_all_generic_adversaries_safe_for_synran () =
   (* SynRan (paper rules) must stay safe under every generic adversary. *)
   let adversaries ~n ~t ~seed =
     [
-      Baselines.Adversaries.null;
+      Sim.Adversary.null;
       Baselines.Adversaries.random_crash ~p:0.1;
       Baselines.Adversaries.random_partial ~p:0.15;
       Baselines.Adversaries.static_random ~seed ~n ~budget:t ~horizon:6;

@@ -222,13 +222,22 @@ let floodset_tests =
 
 (* The kernel must actually batch: under the null adversary every round
    is uniform, so no scalar fallback may fire. *)
+(* Step [e] until quiescent, at most 400 rounds. *)
+let drive e adversary =
+  while
+    Sim.Bitkernel.round e < 400
+    && Sim.Bitkernel.step e adversary = `Continue
+  do
+    ()
+  done
+
 let test_null_rounds_all_packed () =
   let protocol = Core.Synran.protocol 200 in
   let inputs = Prng.Sample.random_bits (Prng.Rng.create 11) 200 in
   let e =
     Sim.Bitkernel.start protocol ~inputs ~t:0 ~rng:(Prng.Rng.create 3)
   in
-  Sim.Bitkernel.run_until e Sim.Adversary.null ~max_rounds:400;
+  drive e Sim.Adversary.null;
   Alcotest.(check int) "no scalar fallback rounds" 0
     (Sim.Bitkernel.scalar_rounds e);
   Alcotest.(check bool)
@@ -245,7 +254,7 @@ let test_leader_flips_packed () =
   let protocol = Core.Synran.protocol ~coin:Core.Synran.Leader_priority n in
   let inputs = Array.init n (fun i -> if i < 65 then 1 else 0) in
   let e = Sim.Bitkernel.start protocol ~inputs ~t:0 ~rng:(Prng.Rng.create 4) in
-  Sim.Bitkernel.run_until e Sim.Adversary.null ~max_rounds:400;
+  drive e Sim.Adversary.null;
   Alcotest.(check int) "no scalar fallback rounds" 0
     (Sim.Bitkernel.scalar_rounds e);
   let concrete =
@@ -265,9 +274,7 @@ let test_kills_fall_back_and_repack () =
   let e =
     Sim.Bitkernel.start protocol ~inputs ~t:3 ~rng:(Prng.Rng.create 5)
   in
-  Sim.Bitkernel.run_until e
-    (Baselines.Adversaries.drip ~per_round:1)
-    ~max_rounds:400;
+  drive e (Baselines.Adversaries.drip ~per_round:1);
   Alcotest.(check int) "three drip rounds ran scalar" 3
     (Sim.Bitkernel.scalar_rounds e);
   Alcotest.(check int) "remaining rounds stayed word-level" 6

@@ -298,10 +298,10 @@ let test_bounds_values () =
   close ~eps:1e-9 "lemma budget k=3"
     (3.0 *. Coinflip.Bounds.h 100)
     (Coinflip.Bounds.lemma_budget ~k:3 100);
-  close ~eps:1e-9 "control failure" 0.01 (Coinflip.Bounds.control_failure_bound 100);
+  (* The lower-bound adversary's per-round budget (Section 3.2) is h + 1. *)
   close ~eps:1e-9 "per-round kills"
     (Coinflip.Bounds.h 100 +. 1.0)
-    (Coinflip.Bounds.per_round_kill_bound 100)
+    (Core.Theory.per_round_kills ~n:100)
 
 let test_schechtman () =
   let n = 400 in

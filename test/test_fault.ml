@@ -67,7 +67,7 @@ let prop_plan_roundtrip =
       return { Sim.Fault.site; scope; hit; kind })
   in
   let arm_arb =
-    QCheck.make ~print:Sim.Fault.arm_to_string arm_gen
+    QCheck.make ~print:(fun a -> Sim.Fault.plan_to_string [ a ]) arm_gen
   in
   QCheck.Test.make ~name:"plan_of_string inverts plan_to_string" ~count:200
     QCheck.(list_of_size Gen.(int_range 0 6) arm_arb)

@@ -455,11 +455,27 @@ let determinism_suite =
           (Option.is_some (Core.Experiments.by_id id)))
       Core.Experiments.ids
   in
+  let test_ids_in_order () =
+    Alcotest.(check (list string)) "e1 .. e12 in table order"
+      (List.init 12 (fun i -> Printf.sprintf "e%d" (i + 1)))
+      Core.Experiments.ids
+  in
+  let test_unknown_id () =
+    List.iter
+      (fun id ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S unknown" id)
+          true
+          (Option.is_none (Core.Experiments.by_id id)))
+      [ ""; "e0"; "e13"; "E1"; " e1" ]
+  in
   ( "core.experiments",
     [
       tc "tables reproducible" test_tables_reproducible;
       tc "E1–E12 quick tables pinned" test_quick_tables_pinned;
       tc "all ids resolvable" test_ids_complete;
+      tc "ids in table order" test_ids_in_order;
+      tc "unknown ids rejected" test_unknown_id;
     ] )
 
 let suites = suites @ [ determinism_suite ]

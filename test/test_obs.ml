@@ -7,6 +7,11 @@ let to_alcotest = QCheck_alcotest.to_alcotest
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let contains s sub =
+  let ls = String.length s and lsub = String.length sub in
+  let rec at i = i + lsub <= ls && (String.sub s i lsub = sub || at (i + 1)) in
+  at 0
+
 (* --- digests are --jobs-independent (the QCheck satellite) -------------- *)
 
 let sim_digest ~jobs ~n ~t ~trials ~seed protocol make_adversary =
@@ -157,6 +162,34 @@ let test_tee () =
 
 (* --- event JSON: shape and escaping ------------------------------------- *)
 
+(* --- Json ---------------------------------------------------------------- *)
+
+(* The one string escaper behind events, metrics and the run manifest. *)
+let test_json_escape () =
+  let check = Alcotest.(check string) in
+  check "plain text untouched" "e1 ok" (Obs.Json.escape "e1 ok");
+  check "quote and backslash" {|a\"b\\c|} (Obs.Json.escape {|a"b\c|});
+  check "named controls" {|\n\r\t|} (Obs.Json.escape "\n\r\t");
+  check "other controls as \\u" {|\u0000\u0001\u001f|}
+    (Obs.Json.escape "\x00\x01\x1f");
+  check "DEL and UTF-8 bytes pass through" "\x7f\xc3\xa9"
+    (Obs.Json.escape "\x7f\xc3\xa9")
+
+let test_json_float_str () =
+  List.iter
+    (fun x ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%h round-trips" x)
+        true
+        (Float.equal x (float_of_string (Obs.Json.float_str x))))
+    [ 0.0; -0.0; 0.1; 1.0 /. 3.0; 1e-300; 5e-324; Float.max_float; -2.5 ];
+  Alcotest.(check string) "0.1 exact" "0.10000000000000001"
+    (Obs.Json.float_str 0.1);
+  Alcotest.(check string) "nan" {|"nan"|} (Obs.Json.float_str Float.nan);
+  Alcotest.(check string) "inf" {|"inf"|} (Obs.Json.float_str Float.infinity);
+  Alcotest.(check string) "-inf" {|"-inf"|}
+    (Obs.Json.float_str Float.neg_infinity)
+
 let test_event_json_escaped () =
   (* Regression pin: failure text flows into events verbatim, and
      Printexc renders [Failure "boom"] with embedded quotes — the error
@@ -221,14 +254,14 @@ let test_metrics_merge () =
   check_int "counters add under merge" 5 (Obs.Metrics.counter_value m "x");
   check_int "inputs unchanged" 2 (Obs.Metrics.counter_value a "x");
   check_bool "histogram carried over" true
-    (List.mem "h" (Obs.Metrics.names m))
+    (contains (Obs.Metrics.to_json m) "\"h\": {\"bins\":[[7,1]]")
 
 let test_metrics_kind_clash () =
   let m = Obs.Metrics.create () in
   Obs.Metrics.incr m "x";
-  check_bool "observing a counter as a gauge raises" true
+  check_bool "observing a counter as a histogram raises" true
     (try
-       Obs.Metrics.set_gauge m "x" 1.0;
+       Obs.Metrics.observe_int m "x" 1;
        false
      with Invalid_argument _ -> true)
 
@@ -239,7 +272,7 @@ let test_metrics_prefixed () =
   check_int "prefixed name holds the value" 1
     (Obs.Metrics.counter_value p "e3.trials");
   check_bool "original name gone" true
-    (not (List.mem "trials" (Obs.Metrics.names p)))
+    (not (contains (Obs.Metrics.to_json p) "\"trials\""))
 
 let suites =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -258,6 +291,11 @@ let suites =
         tc "enabled sink receives" test_enabled_sink_receives;
         tc "outcome unchanged by sink" test_sink_outcome_unchanged;
         tc "tee forwards and gates" test_tee;
+      ] );
+    ( "obs.json",
+      [
+        tc "escape" test_json_escape;
+        tc "float_str" test_json_float_str;
       ] );
     ( "obs.events",
       [

@@ -59,6 +59,26 @@ let test_xoshiro_reference () =
     [ "11520"; "0"; "1509978240"; "1215971899390074240"; "1216172134540287360";
       "607988272756665600" ]
 
+let test_xoshiro_seeded_by_splitmix () =
+  (* [of_seed s] is the state made of the first four SplitMix64 outputs for
+     [s], as the authors recommend; the SplitMix64 stream itself is pinned
+     to the reference above. *)
+  List.iter
+    (fun seed ->
+      let sm = Prng.Splitmix64.create seed in
+      let s0 = Prng.Splitmix64.next sm in
+      let s1 = Prng.Splitmix64.next sm in
+      let s2 = Prng.Splitmix64.next sm in
+      let s3 = Prng.Splitmix64.next sm in
+      let a = Prng.Xoshiro256.of_seed seed
+      and b = Prng.Xoshiro256.of_state s0 s1 s2 s3 in
+      for i = 1 to 4 do
+        Alcotest.(check int64)
+          (Printf.sprintf "seed %Ld output %d" seed i)
+          (Prng.Xoshiro256.next b) (Prng.Xoshiro256.next a)
+      done)
+    [ 0L; 1L; 0x0123456789ABCDEFL; -1L ]
+
 let test_xoshiro_zero_state_rejected () =
   Alcotest.check_raises "all-zero state"
     (Invalid_argument "Xoshiro256.of_state: all-zero state") (fun () ->
@@ -376,6 +396,7 @@ let suites =
         tc "copy replays" test_xoshiro_copy_replays;
         tc "sign bit balance" test_xoshiro_sign_bit_balance;
         tc "reference outputs" test_xoshiro_reference;
+        tc "seeded by SplitMix64" test_xoshiro_seeded_by_splitmix;
       ] );
     ( "prng.rng",
       [

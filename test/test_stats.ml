@@ -213,27 +213,37 @@ let test_histogram_counts () =
   let h = Stats.Histogram.create () in
   List.iter (Stats.Histogram.add h) [ 3; 1; 3; 5; 3; 1 ];
   check_int "total" 6 (Stats.Histogram.count h);
-  check_int "count of 3" 3 (Stats.Histogram.count_of h 3);
-  check_int "count of 9" 0 (Stats.Histogram.count_of h 9);
-  Alcotest.(check (option int)) "min" (Some 1) (Stats.Histogram.min_value h);
-  Alcotest.(check (option int)) "max" (Some 5) (Stats.Histogram.max_value h);
-  close ~eps:1e-9 "mean" (16.0 /. 6.0) (Stats.Histogram.mean h)
+  Alcotest.(check (list (pair int int)))
+    "sorted bins" [ (1, 2); (3, 3); (5, 1) ] (Stats.Histogram.bins h)
 
-let test_histogram_quantiles_mass () =
+let test_histogram_quantiles () =
   let h = Stats.Histogram.create () in
-  Stats.Histogram.add_many h 1 50;
-  Stats.Histogram.add_many h 10 50;
+  for _ = 1 to 50 do
+    Stats.Histogram.add h 1;
+    Stats.Histogram.add h 10
+  done;
   Alcotest.(check (option int)) "median" (Some 1) (Stats.Histogram.quantile h 0.5);
-  Alcotest.(check (option int)) "q90" (Some 10) (Stats.Histogram.quantile h 0.9);
-  close ~eps:1e-9 "mass >= 10" 0.5 (Stats.Histogram.mass_at_least h 10);
-  close ~eps:1e-9 "mass >= 0" 1.0 (Stats.Histogram.mass_at_least h 0)
+  Alcotest.(check (option int)) "q90" (Some 10) (Stats.Histogram.quantile h 0.9)
 
 let test_histogram_invalid () =
   let h = Stats.Histogram.create () in
-  Alcotest.check_raises "negative count"
-    (Invalid_argument "Histogram.add_many: negative count") (fun () ->
-      Stats.Histogram.add_many h 1 (-1));
   Alcotest.(check (option int)) "empty quantile" None (Stats.Histogram.quantile h 0.5)
+
+let test_histogram_quantile_endpoints () =
+  (* E5's p10 reads [quantile]: q = 0 and q = 1 land on the extreme bins,
+     and q outside [0, 1] is rejected. *)
+  let h = Stats.Histogram.create () in
+  List.iter (Stats.Histogram.add h) [ 7; 2; 9; 2; 4 ];
+  Alcotest.(check (option int)) "q0 is the least value" (Some 2)
+    (Stats.Histogram.quantile h 0.0);
+  Alcotest.(check (option int)) "q1 is the greatest value" (Some 9)
+    (Stats.Histogram.quantile h 1.0);
+  Alcotest.(check (option int)) "q0.4 covers both 2s" (Some 2)
+    (Stats.Histogram.quantile h 0.4);
+  Alcotest.check_raises "q > 1" (Invalid_argument "Histogram.quantile")
+    (fun () -> ignore (Stats.Histogram.quantile h 1.5));
+  Alcotest.check_raises "q < 0" (Invalid_argument "Histogram.quantile")
+    (fun () -> ignore (Stats.Histogram.quantile h (-0.1)))
 
 let test_histogram_render () =
   let h = Stats.Histogram.create () in
@@ -264,48 +274,19 @@ let test_histogram_merge () =
     "empty left" (Stats.Histogram.bins b)
     (Stats.Histogram.bins (Stats.Histogram.merge e b))
 
-(* --- Quantile ---------------------------------------------------------- *)
-
-let test_quantile_basics () =
-  let xs = [| 4.0; 1.0; 3.0; 2.0 |] in
-  close "min" 1.0 (Stats.Quantile.quantile xs 0.0);
-  close "max" 4.0 (Stats.Quantile.quantile xs 1.0);
-  close "median interpolated" 2.5 (Stats.Quantile.median xs);
-  close ~eps:1e-9 "iqr" 1.5 (Stats.Quantile.iqr xs);
-  (* Input untouched. *)
-  Alcotest.(check (list (float 0.0))) "no mutation" [ 4.0; 1.0; 3.0; 2.0 ]
-    (Array.to_list xs)
-
-let test_quantile_summary () =
-  let mn, q1, md, q3, mx = Stats.Quantile.summary [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
-  close "min" 1.0 mn;
-  close "q1" 2.0 q1;
-  close "median" 3.0 md;
-  close "q3" 4.0 q3;
-  close "max" 5.0 mx
-
-let test_quantile_invalid () =
-  Alcotest.check_raises "empty" (Invalid_argument "Quantile.quantile: empty sample")
-    (fun () -> ignore (Stats.Quantile.quantile [||] 0.5));
-  Alcotest.check_raises "q out of range"
-    (Invalid_argument "Quantile.quantile: q out of [0,1]") (fun () ->
-      ignore (Stats.Quantile.quantile [| 1.0 |] 1.5))
-
-let test_quantile_nan_rejected () =
-  (* NaN has no place in a total order: with polymorphic compare it sorted
-     "somewhere" and silently poisoned the interpolation; now it is an
-     explicit error. *)
-  Alcotest.check_raises "NaN input"
-    (Invalid_argument "Quantile.quantile: NaN in sample") (fun () ->
-      ignore (Stats.Quantile.median [| 1.0; Float.nan; 2.0 |]))
-
 (* --- Ci ----------------------------------------------------------------- *)
 
 let test_z_levels () =
-  close "95%" 1.96 (Stats.Ci.z_of_confidence 0.95);
-  close "99%" 2.5758 (Stats.Ci.z_of_confidence 0.99);
+  (* Mean 1, standard error 1: the interval's half-width is the normal
+     quantile z itself. *)
+  let z confidence =
+    (Stats.Ci.mean_interval ~confidence (Stats.Welford.of_array [| 0.0; 2.0 |]))
+      .Stats.Ci.hi -. 1.0
+  in
+  close ~eps:1e-12 "95%" 1.96 (z 0.95);
+  close ~eps:1e-12 "99%" 2.5758 (z 0.99);
   (* Nonstandard level via the inverse-normal approximation. *)
-  let z = Stats.Ci.z_of_confidence 0.954 in
+  let z = z 0.954 in
   check_bool "custom level plausible" true (z > 1.9 && z < 2.1)
 
 let test_mean_interval () =
@@ -375,7 +356,8 @@ let test_table_roundtrip () =
   let t = Stats.Table.create ~title:"demo" ~columns:[ "a"; "b" ] in
   Stats.Table.add_row t [ Stats.Table.Int 1; Stats.Table.Float 2.5 ];
   Stats.Table.add_row t [ Stats.Table.Str "x"; Stats.Table.Sci 1e-30 ];
-  check_int "two rows" 2 (List.length (Stats.Table.rows t));
+  check_int "header and two rows" 3
+    (List.length (String.split_on_char '\n' (Stats.Table.to_csv t)));
   let r = Stats.Table.render t in
   check_bool "has title" true
     (String.length r >= 8 && String.sub r 0 8 = "== demo ");
@@ -435,17 +417,11 @@ let suites =
     ( "stats.histogram",
       [
         tc "counts" test_histogram_counts;
-        tc "quantiles and mass" test_histogram_quantiles_mass;
+        tc "quantiles" test_histogram_quantiles;
         tc "invalid input" test_histogram_invalid;
+        tc "quantile endpoints" test_histogram_quantile_endpoints;
         tc "render" test_histogram_render;
         tc "merge" test_histogram_merge;
-      ] );
-    ( "stats.quantile",
-      [
-        tc "basics" test_quantile_basics;
-        tc "summary" test_quantile_summary;
-        tc "invalid" test_quantile_invalid;
-        tc "nan rejected" test_quantile_nan_rejected;
       ] );
     ( "stats.ci",
       [
