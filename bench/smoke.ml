@@ -463,24 +463,20 @@ let chaos_smoke () =
      manifest's metrics_digest) must not change, while the retries land
      in the manifest-only chunk_retries counter. *)
   let sup_run ?fault ~retries ~tag () =
-    let ctx = Core.Supervise.create ?fault ~retries () in
+    let ctx = Core.Supervise.create ~checkpoints:root ?fault ~retries () in
     Core.Supervise.run_experiment ctx ~id:"chaos" (fun () ->
-        let checkpoint =
-          Sim.Checkpoint.create ~root ~exp:tag ~seed ~chunk_size:8 ~n:trials
-        in
         (* The sink-site arm only fires when events actually flow, so the
            supervised leg captures too. *)
         let capture = Obs.Capture.create ~events:true () in
         ignore
-          (Core.Supervise.commit (Some ctx)
-             (Sim.Runner.run_trials_supervised ~max_rounds:500 ~jobs:1
-                ~chunk_size:8 ~checkpoint ~capture
-                ?retries:(Core.Supervise.retries (Some ctx))
-                ?fault:(Core.Supervise.fault_plan (Some ctx))
-                ~trials ~seed
-                ~gen_inputs:(Sim.Runner.input_gen_random ~n)
-                ~t:2 (Core.Synran.protocol n)
-                (fun () -> Sim.Adversary.null)));
+          (Core.Supervise.fold (Some ctx) ~key:tag ~seed ~trials
+             (fun ?cancel ?checkpoint ?retries ?fault () ->
+               Sim.Runner.run_trials_supervised ~max_rounds:500 ~jobs:1
+                 ~chunk_size:8 ?cancel ?checkpoint ~capture ?retries ?fault
+                 ~trials ~seed
+                 ~gen_inputs:(Sim.Runner.input_gen_random ~n)
+                 ~t:2 (Core.Synran.protocol n)
+                 (fun () -> Sim.Adversary.null)));
         Stats.Table.create ~title:"chaos" ~columns:[ "c" ])
   in
   let r_free = sup_run ~retries:0 ~tag:"sup-base" () in

@@ -673,7 +673,7 @@ let valency_cmd =
 
 let async_cmd =
   let run (n, t) seed trials scheduler_name =
-    let scheduler =
+    let make_scheduler () =
       match scheduler_name with
       | "fair" -> Async.Scheduler.fair
       | "fifo" -> Async.Scheduler.fifo
@@ -681,10 +681,11 @@ let async_cmd =
       | _ -> Async.Benor.splitter ()
     in
     let s =
-      Async.Engine.run_trials ~max_steps:400_000 ~phase_of:Async.Benor.phase
-        ~trials ~seed
-        ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
-        ~t (Async.Benor.protocol ~t) scheduler
+      Sim.Runner.value
+        (Async.Engine.run_trials ~max_steps:400_000
+           ~phase_of:Async.Benor.phase ~trials ~seed
+           ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
+           ~t (Async.Benor.protocol ~t) make_scheduler)
     in
     Printf.printf "async Ben-Or, n=%d t=%d scheduler=%s (%d trials)\n" n t
       scheduler_name trials;
@@ -723,7 +724,8 @@ let byzantine_cmd =
           Byz.Adversary.crash_like
             ~victims:(List.init t (fun i -> (i + 1, i)))
     in
-    let report name s =
+    let report name r =
+      let s = Sim.Runner.value r in
       Printf.printf "%s vs %s (n=%d t=%d, %d trials)\n" name adv_name n t
         trials;
       Printf.printf "  mean rounds        %.2f\n"
@@ -739,10 +741,10 @@ let byzantine_cmd =
            are content-agnostic. *)
         report "phase-king"
           (Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed ~gen_inputs:gen
-             ~t (Byz.Phase_king.protocol ~t) (adversary ()))
+             ~t (Byz.Phase_king.protocol ~t) adversary)
     | "eig" ->
         let t = Stdlib.min t 2 in
-        let adv =
+        let adv () =
           match adv_name with
           | "king-spoofer" -> Byz.Eig.liar ()
           | "null" -> Byz.Adversary.null
@@ -754,7 +756,7 @@ let byzantine_cmd =
              ~t (Byz.Eig.protocol ~t) adv)
     | "chor-coan" ->
         let g = Stdlib.max 1 (int_of_float (log (float_of_int n) /. log 2.0)) in
-        let adv =
+        let adv () =
           match adv_name with
           | "king-spoofer" -> Byz.Chor_coan.group_corruptor ~group_size:g ()
           | "null" -> Byz.Adversary.null
@@ -768,7 +770,7 @@ let byzantine_cmd =
     | _ ->
         (* king-spoofer forges Phase King payloads; swap it for the generic
            equivocator against Rabin. *)
-        let adv =
+        let adv () =
           match adv_name with
           | "null" -> Byz.Adversary.null
           | "crash" ->

@@ -13,20 +13,21 @@
 let async_row n =
   let t = (n - 1) / 2 in
   let protocol = Async.Benor.protocol ~t in
-  let measure scheduler trials =
+  let measure make_scheduler trials =
     let s =
-      Async.Engine.run_trials ~max_steps:400_000 ~phase_of:Async.Benor.phase
-        ~trials ~seed:11
-        ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
-        ~t protocol scheduler
+      Sim.Runner.value
+        (Async.Engine.run_trials ~max_steps:400_000
+           ~phase_of:Async.Benor.phase ~trials ~seed:11
+           ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
+           ~t protocol make_scheduler)
     in
     (Stats.Welford.mean s.Async.Engine.phases,
      Stats.Welford.mean s.Async.Engine.flips,
      s.Async.Engine.disagreements)
   in
-  let fair_phases, fair_flips, fair_dis = measure Async.Scheduler.fair 20 in
+  let fair_phases, fair_flips, fair_dis = measure (fun () -> Async.Scheduler.fair) 20 in
   let split_phases, split_flips, split_dis =
-    measure (Async.Benor.splitter ()) (if n >= 8 then 5 else 10)
+    measure Async.Benor.splitter (if n >= 8 then 5 else 10)
   in
   Printf.printf "  %4d  %12.1f  %12.1f  %14.1f  %14.1f   %s\n" n fair_phases
     split_phases fair_flips split_flips

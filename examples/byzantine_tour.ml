@@ -8,9 +8,11 @@
 let run ?(trials = 80) ~n ~t ?(t_actual = -1) protocol adversary =
   let t_actual = if t_actual < 0 then t else t_actual in
   let s =
-    Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed:11
-      ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
-      ~t:t_actual protocol adversary
+    Sim.Runner.value
+      (Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed:11
+         ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
+         ~t:t_actual protocol
+         (fun () -> adversary))
   in
   Printf.printf "  %-26s vs %-22s %6.2f rounds   %s\n"
     protocol.Byz.Protocol.name adversary.Byz.Adversary.name

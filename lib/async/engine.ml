@@ -195,93 +195,74 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
   }
 
 type summary = {
-  trials : int;
   deliveries : Stats.Welford.t;
   phases : Stats.Welford.t;
   flips : Stats.Welford.t;
-  non_terminating : int;
-  disagreements : int;
-  validity_errors : int;
+  mutable non_terminating : int;
+  mutable disagreements : int;
+  mutable validity_errors : int;
 }
 
-let run_trials ?max_steps ?phase_of ?capture ~trials ~seed ~gen_inputs ~t
-    protocol scheduler =
-  if trials <= 0 then invalid_arg "Async.Engine.run_trials";
-  let master = Prng.Rng.create seed in
-  let deliveries = Stats.Welford.create () in
-  let phases = Stats.Welford.create () in
-  let flips = Stats.Welford.create () in
-  let non_terminating = ref 0 in
-  let disagreements = ref 0 in
-  let validity_errors = ref 0 in
-  (* Sequential loop, so one registry/recorder pair serves every trial;
-     the event order is the deterministic trial-then-step order. *)
-  let obs =
-    Option.map
-      (fun c ->
-        let om = Obs.Metrics.create () in
-        let orec = Obs.Recorder.create () in
-        let events = Obs.Capture.record_events c in
-        let sink =
-          Obs.Sink.create (fun ev ->
-              Obs.Metrics.absorb_event om ev;
-              if events then Obs.Recorder.push orec ev)
-        in
-        (om, orec, sink))
-      capture
-  in
-  for _ = 1 to trials do
-    let rng = Prng.Rng.split master in
-    let inputs = gen_inputs rng in
-    let o =
-      match obs with
-      | None -> run ?max_steps ?phase_of protocol scheduler ~inputs ~t ~rng
-      | Some (_, _, sink) ->
-          run ?max_steps ?phase_of ~sink protocol scheduler ~inputs ~t ~rng
-    in
-    (match obs with
-    | None -> ()
-    | Some (om, _, _) ->
-        Obs.Metrics.incr om "async.trials";
-        Obs.Metrics.observe_int om "async.deliveries" o.deliveries;
-        Obs.Metrics.observe_int om "async.sends" o.sends;
-        Obs.Metrics.observe_int om "async.coin_flips" o.coin_flips;
-        if not o.all_decided then Obs.Metrics.incr om "async.non_terminating");
-    if not o.all_decided then incr non_terminating
-    else begin
-      Stats.Welford.add_int deliveries o.deliveries;
-      Stats.Welford.add_int flips o.coin_flips;
-      match o.max_phase with
-      | Some p -> Stats.Welford.add_int phases p
-      | None -> ()
-    end;
-    (* Agreement among all deciders; validity on unanimous inputs. *)
-    let first = ref None in
-    Array.iter
-      (fun d ->
-        match (d, !first) with
-        | Some v, None -> first := Some v
-        | Some v, Some v' when v <> v' -> incr disagreements
-        | _ -> ())
-      o.decisions;
-    let v0 = inputs.(0) in
-    if Array.for_all (fun x -> x = v0) inputs then
-      Array.iter
-        (function
-          | Some d when d <> v0 -> incr validity_errors
-          | Some _ | None -> ())
-        o.decisions
-  done;
-  (match (capture, obs) with
-  | Some c, Some (om, orec, _) ->
-      Obs.Capture.set c ~metrics:om ~events:(Obs.Recorder.events orec)
-  | _ -> ());
+let summary_create () =
   {
-    trials;
-    deliveries;
-    phases;
-    flips;
-    non_terminating = !non_terminating;
-    disagreements = !disagreements;
-    validity_errors = !validity_errors;
+    deliveries = Stats.Welford.create ();
+    phases = Stats.Welford.create ();
+    flips = Stats.Welford.create ();
+    non_terminating = 0;
+    disagreements = 0;
+    validity_errors = 0;
   }
+
+let summary_merge a b =
+  {
+    deliveries = Stats.Welford.merge a.deliveries b.deliveries;
+    phases = Stats.Welford.merge a.phases b.phases;
+    flips = Stats.Welford.merge a.flips b.flips;
+    non_terminating = a.non_terminating + b.non_terminating;
+    disagreements = a.disagreements + b.disagreements;
+    validity_errors = a.validity_errors + b.validity_errors;
+  }
+
+let run_trials ?max_steps ?phase_of ?jobs ?cancel ?checkpoint ?capture
+    ?retries ?fault ~trials ~seed ~gen_inputs ~t protocol make_scheduler =
+  Sim.Runner.fold ?jobs ?cancel ?checkpoint ?capture ?retries ?fault
+    ~engine:"async" ~trials ~create:summary_create ~merge:summary_merge
+    (fun ~index probe s ->
+      let rng = Prng.Rng.nth_split ~seed ~index in
+      let inputs = gen_inputs rng in
+      let sink = Option.map (fun p -> p.Sim.Runner.sink) probe in
+      let o =
+        run ?max_steps ?phase_of ?sink protocol (make_scheduler ()) ~inputs ~t
+          ~rng
+      in
+      (match probe with
+      | None -> ()
+      | Some { Sim.Runner.metrics = om; _ } ->
+          Obs.Metrics.incr om "async.trials";
+          Obs.Metrics.observe_int om "async.deliveries" o.deliveries;
+          Obs.Metrics.observe_int om "async.sends" o.sends;
+          Obs.Metrics.observe_int om "async.coin_flips" o.coin_flips;
+          if not o.all_decided then Obs.Metrics.incr om "async.non_terminating");
+      if not o.all_decided then s.non_terminating <- s.non_terminating + 1
+      else begin
+        Stats.Welford.add_int s.deliveries o.deliveries;
+        Stats.Welford.add_int s.flips o.coin_flips;
+        Option.iter (Stats.Welford.add_int s.phases) o.max_phase
+      end;
+      (* Agreement among all deciders; validity on unanimous inputs. *)
+      let first = ref None in
+      Array.iter
+        (fun d ->
+          match (d, !first) with
+          | Some v, None -> first := Some v
+          | Some v, Some v' when v <> v' ->
+              s.disagreements <- s.disagreements + 1
+          | _ -> ())
+        o.decisions;
+      let v0 = inputs.(0) in
+      if Array.for_all (fun x -> x = v0) inputs then
+        Array.iter
+          (function
+            | Some d when d <> v0 -> s.validity_errors <- s.validity_errors + 1
+            | Some _ | None -> ())
+          o.decisions)

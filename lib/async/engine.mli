@@ -50,32 +50,41 @@ val run :
     tests read one execution's outcome through it. *)
 
 type summary = {
-  trials : int;
   deliveries : Stats.Welford.t;
   phases : Stats.Welford.t;
   flips : Stats.Welford.t;
-  non_terminating : int;
-  disagreements : int;
-  validity_errors : int;
+  mutable non_terminating : int;
+  mutable disagreements : int;
+  mutable validity_errors : int;
 }
+(** Also the fold's per-chunk accumulator, hence the mutable counters. *)
 
 val run_trials :
   ?max_steps:int ->
   ?phase_of:('state -> int) ->
+  ?jobs:int ->
+  ?cancel:(unit -> bool) ->
+  ?checkpoint:Sim.Checkpoint.t ->
   ?capture:Obs.Capture.t ->
+  ?retries:int ->
+  ?fault:Sim.Fault.plan ->
   trials:int ->
   seed:int ->
   gen_inputs:(Prng.Rng.t -> int array) ->
   t:int ->
   ('state, 'msg) Protocol.t ->
-  'msg Scheduler.t ->
-  summary
-(** Aggregate repeated runs, checking agreement and validity on each.
+  (unit -> 'msg Scheduler.t) ->
+  summary Sim.Runner.folded
+(** Aggregate repeated runs through {!Sim.Runner.fold}, checking agreement
+    and validity on each; [jobs], [cancel], [checkpoint], [retries] and
+    [fault] behave as there, and {!Sim.Runner.value} reads the summary
+    all-or-nothing. Trial [i] draws from {!Prng.Rng.nth_split}[ ~seed
+    ~index:i] and runs a fresh [make_scheduler ()] (schedulers such as the
+    splitter keep per-run state).
 
     [capture] attaches the observability layer: engine events feed a
     metrics registry ([async.trials], [async.deliveries], [async.sends],
     [async.coin_flips], [async.non_terminating], plus the per-event
     [async.*] counters from {!Obs.Metrics.absorb_event}) and, when the
-    capture asks for events, the raw stream in trial-then-step order.
-    The loop is sequential, so the capture is deterministic for a fixed
-    [seed]. *)
+    capture asks for events, the raw stream in trial-then-step order,
+    identical at any [jobs]. *)

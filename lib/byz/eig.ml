@@ -1,17 +1,19 @@
 (* A label [q1; ...; qk] of distinct pids is the base-n integer with q1 as
    its most significant digit, so ascending codes are lexicographic label
    order and the child [label @ [q]] is [code * n + q]. Each tree level is
-   one flat array indexed by code, holding the node's value or [absent]. *)
+   one flat byte string indexed by code, holding the node's value (a
+   signed byte) or [absent]: a byte a node keeps the n^(t+1)-slot leaf
+   level an eighth of an int array's size. *)
 
 let absent = -1
 
-type msg = { level : int; values : int array }
-(** Level snapshot: [values.(code)] for every label of length [level]. *)
+type msg = { level : int; values : Bytes.t }
+(** Level snapshot: the value of every label of length [level]. *)
 
 type state = {
   n : int;
   t : int;
-  levels : int array array;
+  levels : Bytes.t array;
       (** [levels.(k)] for k = 0..t+1; level 0 is [| input |]. Filled in
           place as rounds complete and shared by a process's successive
           states, and by the messages that snapshot a completed level. *)
@@ -22,7 +24,9 @@ type state = {
 let tree_size s =
   let size = ref 0 in
   for k = 1 to Array.length s.levels - 1 do
-    Array.iter (fun v -> if v <> absent then incr size) s.levels.(k)
+    for code = 0 to Bytes.length s.levels.(k) - 1 do
+      if Bytes.get_int8 s.levels.(k) code <> absent then incr size
+    done
   done;
   !size
 
@@ -40,8 +44,8 @@ let protocol ~t =
         invalid_arg "Eig.protocol: n^(t+1) labels do not fit an array";
       leaves := !leaves * n
     done;
-    let levels = Array.make (t + 2) [||] in
-    levels.(0) <- [| input |];
+    let levels = Array.make (t + 2) Bytes.empty in
+    levels.(0) <- Bytes.make 1 (Char.chr input);
     { n; t; levels; rounds_done = 0; decision = None }
   in
   let phase_a s _rng =
@@ -53,15 +57,15 @@ let protocol ~t =
     let n = s.n in
     (* Install level+1 nodes: src's relay of each level-[level] label. *)
     if level <= s.t then begin
-      let next = Array.make (n * Array.length s.levels.(level)) absent in
+      let next = Bytes.make (n * Bytes.length s.levels.(level)) '\255' in
       Array.iter
         (fun (src, m) ->
           if m.level = level then
-            Array.iteri
-              (fun code v ->
-                if (v = 0 || v = 1) && not (label_mem ~n code ~digits:level src)
-                then next.((code * n) + src) <- v)
-              m.values)
+            for code = 0 to Bytes.length m.values - 1 do
+              let v = Bytes.get_int8 m.values code in
+              if (v = 0 || v = 1) && not (label_mem ~n code ~digits:level src)
+              then Bytes.set_int8 next ((code * n) + src) v
+            done)
         received;
       s.levels.(level + 1) <- next
     end;
@@ -74,7 +78,7 @@ let protocol ~t =
         let used = Array.make n false in
         let rec resolve depth code =
           if depth = s.t + 1 then begin
-            let v = s.levels.(depth).(code) in
+            let v = Bytes.get_int8 s.levels.(depth) code in
             if v = absent then 0 else v
           end
           else begin
@@ -140,7 +144,10 @@ let liar ?(budget_fraction = 1.0) () =
                   {
                     m with
                     values =
-                      Array.map (fun v -> if v = absent then absent else 1 - v) m.values;
+                      Bytes.map
+                        (function
+                          | '\000' -> '\001' | '\001' -> '\000' | c -> c)
+                        m.values;
                   });
         });
   }

@@ -258,67 +258,48 @@ let check ~inputs (o : outcome) =
   { agreement = !agreement; validity = !validity; termination = !termination }
 
 type summary = {
-  trials : int;
   rounds : Stats.Welford.t;
-  non_terminating : int;
-  agreement_errors : int;
-  validity_errors : int;
+  mutable non_terminating : int;
+  mutable agreement_errors : int;
+  mutable validity_errors : int;
 }
 
-let run_trials ?max_rounds ?capture ~trials ~seed ~gen_inputs ~t protocol
-    adversary =
-  if trials <= 0 then invalid_arg "Byz.Engine.run_trials";
-  let master = Prng.Rng.create seed in
-  let rounds = Stats.Welford.create () in
-  let non_terminating = ref 0 in
-  let agreement_errors = ref 0 in
-  let validity_errors = ref 0 in
-  (* Sequential loop: one registry/recorder pair serves every trial, and
-     the event order is the deterministic trial-then-round order. *)
-  let obs =
-    Option.map
-      (fun c ->
-        let om = Obs.Metrics.create () in
-        let orec = Obs.Recorder.create () in
-        let events = Obs.Capture.record_events c in
-        let sink =
-          Obs.Sink.create (fun ev ->
-              Obs.Metrics.absorb_event om ev;
-              if events then Obs.Recorder.push orec ev)
-        in
-        (om, orec, sink))
-      capture
-  in
-  for _ = 1 to trials do
-    let rng = Prng.Rng.split master in
-    let inputs = gen_inputs rng in
-    let o =
-      match obs with
-      | None -> run ?max_rounds protocol adversary ~inputs ~t ~rng
-      | Some (_, _, sink) ->
-          run ?max_rounds ~sink protocol adversary ~inputs ~t ~rng
-    in
-    (match obs with
-    | None -> ()
-    | Some (om, _, _) ->
-        Obs.Metrics.incr om "byz.trials";
-        Obs.Metrics.observe_int om "byz.corruptions_used" o.corruptions_used;
-        if not o.quiescent then Obs.Metrics.incr om "byz.round_cap_hits");
-    (match o.rounds_to_decide with
-    | Some r -> Stats.Welford.add_int rounds r
-    | None -> incr non_terminating);
-    let v = check ~inputs o in
-    if not v.agreement then incr agreement_errors;
-    if not v.validity then incr validity_errors
-  done;
-  (match (capture, obs) with
-  | Some c, Some (om, orec, _) ->
-      Obs.Capture.set c ~metrics:om ~events:(Obs.Recorder.events orec)
-  | _ -> ());
+let summary_create () =
   {
-    trials;
-    rounds;
-    non_terminating = !non_terminating;
-    agreement_errors = !agreement_errors;
-    validity_errors = !validity_errors;
+    rounds = Stats.Welford.create ();
+    non_terminating = 0;
+    agreement_errors = 0;
+    validity_errors = 0;
   }
+
+let summary_merge a b =
+  {
+    rounds = Stats.Welford.merge a.rounds b.rounds;
+    non_terminating = a.non_terminating + b.non_terminating;
+    agreement_errors = a.agreement_errors + b.agreement_errors;
+    validity_errors = a.validity_errors + b.validity_errors;
+  }
+
+let run_trials ?max_rounds ?jobs ?cancel ?checkpoint ?capture ?retries ?fault
+    ~trials ~seed ~gen_inputs ~t protocol make_adversary =
+  Sim.Runner.fold ?jobs ?cancel ?checkpoint ?capture ?retries ?fault
+    ~engine:"byz" ~trials ~create:summary_create ~merge:summary_merge
+    (fun ~index probe s ->
+      let rng = Prng.Rng.nth_split ~seed ~index in
+      let inputs = gen_inputs rng in
+      let sink = Option.map (fun p -> p.Sim.Runner.sink) probe in
+      let o =
+        run ?max_rounds ?sink protocol (make_adversary ()) ~inputs ~t ~rng
+      in
+      (match probe with
+      | None -> ()
+      | Some { Sim.Runner.metrics = om; _ } ->
+          Obs.Metrics.incr om "byz.trials";
+          Obs.Metrics.observe_int om "byz.corruptions_used" o.corruptions_used;
+          if not o.quiescent then Obs.Metrics.incr om "byz.round_cap_hits");
+      (match o.rounds_to_decide with
+      | Some r -> Stats.Welford.add_int s.rounds r
+      | None -> s.non_terminating <- s.non_terminating + 1);
+      let v = check ~inputs o in
+      if not v.agreement then s.agreement_errors <- s.agreement_errors + 1;
+      if not v.validity then s.validity_errors <- s.validity_errors + 1)

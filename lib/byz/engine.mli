@@ -56,26 +56,36 @@ val check : inputs:int array -> outcome -> verdict
     tests and properties apply to single runs. *)
 
 type summary = {
-  trials : int;
   rounds : Stats.Welford.t;
-  non_terminating : int;
-  agreement_errors : int;
-  validity_errors : int;
+  mutable non_terminating : int;
+  mutable agreement_errors : int;
+  mutable validity_errors : int;
 }
+(** Also the fold's per-chunk accumulator, hence the mutable counters. *)
 
 val run_trials :
   ?max_rounds:int ->
+  ?jobs:int ->
+  ?cancel:(unit -> bool) ->
+  ?checkpoint:Sim.Checkpoint.t ->
   ?capture:Obs.Capture.t ->
+  ?retries:int ->
+  ?fault:Sim.Fault.plan ->
   trials:int ->
   seed:int ->
   gen_inputs:(Prng.Rng.t -> int array) ->
   t:int ->
   ('state, 'msg) Protocol.t ->
-  ('state, 'msg) Adversary.t ->
-  summary
-(** [capture] attaches the observability layer: engine events feed a
+  (unit -> ('state, 'msg) Adversary.t) ->
+  summary Sim.Runner.folded
+(** Aggregate repeated runs through {!Sim.Runner.fold}, counting each
+    run's {!check} verdict; [jobs], [cancel], [checkpoint], [retries] and
+    [fault] behave as there, and {!Sim.Runner.value} reads the summary
+    all-or-nothing. Trial [i] draws from {!Prng.Rng.nth_split}[ ~seed
+    ~index:i] and runs a fresh [make_adversary ()].
+
+    [capture] attaches the observability layer: engine events feed a
     metrics registry ([byz.trials], [byz.corruptions_used],
     [byz.round_cap_hits], plus the per-event [byz.*] counters from
     {!Obs.Metrics.absorb_event}) and, when the capture asks for events,
-    the raw stream in trial-then-round order. The loop is sequential, so
-    the capture is deterministic for a fixed [seed]. *)
+    the raw stream in trial-then-round order, identical at any [jobs]. *)

@@ -152,31 +152,20 @@ let e2_tail_bound ?jobs:_ ?sup p ~seed:_ =
 (* ------------------------------------------------------------------ *)
 
 (* Supervised trial loop shared by the SynRan experiments. [exp] names the
-   fold for the checkpoint key; every parameter that shapes trial content
-   (population, t, rules, round cap) is appended so no two distinct
-   computations can share a key. *)
+   fold; population, t, round cap and inputs complete its key. *)
 let supervised_summary ?(max_rounds = 2000) ?jobs ?sup ?(gen = `Random) ~exp
     ~n ~t ~trials ~seed protocol make_adversary =
-  let chunk_size = Sim.Parallel.default_chunk_size in
   let gen_inputs, gen_label =
     match gen with
     | `Random -> (Sim.Runner.input_gen_random ~n, "random")
     | `Split -> (Sim.Runner.input_gen_split ~n, "split")
   in
-  let checkpoint =
-    Supervise.checkpoint sup
-      ~exp:
-        (Printf.sprintf "%s;n=%d;t=%d;mr=%d;gen=%s" exp n t max_rounds
-           gen_label)
-      ~seed ~chunk_size ~n:trials
-  in
-  let r =
-    Sim.Runner.run_trials_supervised ~max_rounds ?jobs ~chunk_size
-      ?cancel:(Supervise.cancel sup) ?checkpoint
-      ?retries:(Supervise.retries sup) ?fault:(Supervise.fault_plan sup)
-      ~trials ~seed ~gen_inputs ~t protocol make_adversary
-  in
-  Supervise.commit sup r
+  Supervise.fold sup ~seed ~trials
+    ~key:
+      (Printf.sprintf "%s;n=%d;t=%d;mr=%d;gen=%s" exp n t max_rounds gen_label)
+    (fun ?cancel ?checkpoint ?retries ?fault () ->
+      Sim.Runner.run_trials_supervised ~max_rounds ?jobs ?cancel ?checkpoint
+        ?retries ?fault ~trials ~seed ~gen_inputs ~t protocol make_adversary)
 
 let synran_summary ?(rules = Onesided.paper) ?max_rounds ?jobs ?sup ~exp ~n ~t
     ~trials ~seed make_adversary =
@@ -389,37 +378,31 @@ let e5_small_n_adversaries ?jobs ?sup p ~seed =
       ~rules:Onesided.paper ~bit_of_msg:Synran.bit_of_msg ()
   in
   add_summary "band-control" (run_simple "band-control" small_band);
-  (* Monte-Carlo valency adversary: its own trial loop, with the same
-     per-index seeding discipline as Runner so the summary is identical
-     for every worker count. *)
+  (* Monte-Carlo valency adversary: its own trial body (a non-terminating
+     trial counts its executed rounds), on the Runner's per-index seeding
+     discipline. *)
   let mc_trials = pick p ~quick:6 ~full:20 in
-  let mc_chunk_size = Sim.Parallel.default_chunk_size in
-  let mc_checkpoint =
-    Supervise.checkpoint sup
-      ~exp:(Printf.sprintf "e5-mc-valency;n=%d;t=%d;mr=300" n t)
-      ~seed:(seed + 17) ~chunk_size:mc_chunk_size ~n:mc_trials
-  in
-  let mc_saved, mc_persist = Supervise.hooks mc_checkpoint in
+  let mc_seed = seed + 17 in
   let rounds, kills =
-    Sim.Parallel.fold_chunks_supervised ?jobs ~chunk_size:mc_chunk_size
-      ?cancel:(Supervise.cancel sup) ?saved:mc_saved ?persist:mc_persist
-      ~n:mc_trials
-      ~create:(fun () -> (Stats.Welford.create (), Stats.Welford.create ()))
-      ~work:(fun index (rounds, kills) ->
-        let rng = Prng.Rng.of_seed_index ~seed:(seed + 17) ~index in
-        let inputs = Sim.Runner.input_gen_split ~n rng in
-        let o =
-          Lb_adversary.force_long_execution ~max_rounds:300 protocol ~inputs
-            ~t ~rng
-        in
-        (match o.Sim.Engine.rounds_to_decide with
-        | Some r -> Stats.Welford.add_int rounds r
-        | None -> Stats.Welford.add_int rounds o.Sim.Engine.rounds_executed);
-        Stats.Welford.add_int kills o.Sim.Engine.kills_used)
-      ~merge:(fun (ra, ka) (rb, kb) ->
-        (Stats.Welford.merge ra rb, Stats.Welford.merge ka kb))
-      ()
-    |> Supervise.commit_fold sup ?checkpoint:mc_checkpoint
+    Supervise.fold sup ~seed:mc_seed ~trials:mc_trials
+      ~key:(Printf.sprintf "e5-mc-valency;n=%d;t=%d;mr=300" n t)
+      (fun ?cancel ?checkpoint ?retries ?fault () ->
+        Sim.Runner.fold ?jobs ?cancel ?checkpoint ?retries ?fault
+          ~engine:"concrete" ~trials:mc_trials
+          ~create:(fun () -> (Stats.Welford.create (), Stats.Welford.create ()))
+          ~merge:(fun (ra, ka) (rb, kb) ->
+            (Stats.Welford.merge ra rb, Stats.Welford.merge ka kb))
+          (fun ~index _ (rounds, kills) ->
+            let rng = Prng.Rng.of_seed_index ~seed:mc_seed ~index in
+            let inputs = Sim.Runner.input_gen_split ~n rng in
+            let o =
+              Lb_adversary.force_long_execution ~max_rounds:300 protocol
+                ~inputs ~t ~rng
+            in
+            Stats.Welford.add_int rounds
+              (Option.value o.Sim.Engine.rounds_to_decide
+                 ~default:o.Sim.Engine.rounds_executed);
+            Stats.Welford.add_int kills o.Sim.Engine.kills_used))
   in
   Stats.Table.add_row table
     [
@@ -615,42 +598,40 @@ let e8_ablation ?jobs ?sup p ~seed =
   in
   let scenario rules name gen_inputs make_adversary =
     let protocol = Synran.protocol ~rules n in
-    let chunk_size = Sim.Parallel.default_chunk_size in
-    let checkpoint =
-      Supervise.checkpoint sup
-        ~exp:
+    let rounds, kills, non_term, validity, agreement =
+      Supervise.fold sup ~seed ~trials
+        ~key:
           (Printf.sprintf "e8-%s-%s;n=%d;t=%d;mr=400" rules.Onesided.label
              name n t)
-        ~seed ~chunk_size ~n:trials
-    in
-    let saved, persist = Supervise.hooks checkpoint in
-    let rounds, kills, non_term, validity, agreement =
-      Sim.Parallel.fold_chunks_supervised ?jobs ~chunk_size
-        ?cancel:(Supervise.cancel sup) ?saved ?persist ~n:trials
-        ~create:(fun () ->
-          (Stats.Welford.create (), Stats.Welford.create (), ref 0, ref 0, ref 0))
-        ~work:(fun index (rounds, kills, non_term, validity, agreement) ->
-          let rng = Prng.Rng.of_seed_index ~seed ~index in
-          let inputs = gen_inputs rng in
-          let o =
-            Sim.Engine.run ~max_rounds:400 protocol (make_adversary ())
-              ~inputs ~t ~rng
-          in
-          (match o.Sim.Engine.rounds_to_decide with
-          | Some r -> Stats.Welford.add_int rounds r
-          | None -> incr non_term);
-          Stats.Welford.add_int kills o.Sim.Engine.kills_used;
-          let v = Sim.Checker.check ~inputs o in
-          if not v.Sim.Checker.validity then incr validity;
-          if not v.Sim.Checker.agreement then incr agreement)
-        ~merge:(fun (ra, ka, na, va, aa) (rb, kb, nb, vb, ab) ->
-          ( Stats.Welford.merge ra rb,
-            Stats.Welford.merge ka kb,
-            ref (!na + !nb),
-            ref (!va + !vb),
-            ref (!aa + !ab) ))
-        ()
-      |> Supervise.commit_fold sup ?checkpoint
+        (fun ?cancel ?checkpoint ?retries ?fault () ->
+          Sim.Runner.fold ?jobs ?cancel ?checkpoint ?retries ?fault
+            ~engine:"concrete" ~trials
+            ~create:(fun () ->
+              ( Stats.Welford.create (),
+                Stats.Welford.create (),
+                ref 0,
+                ref 0,
+                ref 0 ))
+            ~merge:(fun (ra, ka, na, va, aa) (rb, kb, nb, vb, ab) ->
+              ( Stats.Welford.merge ra rb,
+                Stats.Welford.merge ka kb,
+                ref (!na + !nb),
+                ref (!va + !vb),
+                ref (!aa + !ab) ))
+            (fun ~index _ (rounds, kills, non_term, validity, agreement) ->
+              let rng = Prng.Rng.of_seed_index ~seed ~index in
+              let inputs = gen_inputs rng in
+              let o =
+                Sim.Engine.run ~max_rounds:400 protocol (make_adversary ())
+                  ~inputs ~t ~rng
+              in
+              (match o.Sim.Engine.rounds_to_decide with
+              | Some r -> Stats.Welford.add_int rounds r
+              | None -> incr non_term);
+              Stats.Welford.add_int kills o.Sim.Engine.kills_used;
+              let v = Sim.Checker.check ~inputs o in
+              if not v.Sim.Checker.validity then incr validity;
+              if not v.Sim.Checker.agreement then incr agreement))
     in
     Stats.Table.add_row table
       [
@@ -698,7 +679,7 @@ let e8_ablation ?jobs ?sup p ~seed =
 (* E9: the asynchronous contrast (Section 1.2)                          *)
 (* ------------------------------------------------------------------ *)
 
-let e9_async_contrast ?jobs:_ ?sup p ~seed =
+let e9_async_contrast ?jobs ?sup p ~seed =
   let table =
     Supervise.register sup
       (Stats.Table.create
@@ -717,15 +698,16 @@ let e9_async_contrast ?jobs:_ ?sup p ~seed =
     (fun n ->
       let t = (n - 1) / 2 in
       let protocol = Async.Benor.protocol ~t in
-      let row name scheduler trials =
-        (* The async engine is sequential; the watchdog can only fire at
-           row boundaries. *)
-        Supervise.check sup;
+      let row name make_scheduler trials =
         let s =
-          Async.Engine.run_trials ~max_steps:400_000
-            ~phase_of:Async.Benor.phase ~trials ~seed
-            ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
-            ~t protocol scheduler
+          Supervise.fold sup ~seed ~trials
+            ~key:(Printf.sprintf "e9-benor-%s;n=%d;t=%d;ms=400000" name n t)
+            (fun ?cancel ?checkpoint ?retries ?fault () ->
+              Async.Engine.run_trials ~max_steps:400_000
+                ~phase_of:Async.Benor.phase ?jobs ?cancel ?checkpoint ?retries
+                ?fault ~trials ~seed
+                ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
+                ~t protocol make_scheduler)
         in
         Stats.Table.add_row table
           [
@@ -739,10 +721,11 @@ let e9_async_contrast ?jobs:_ ?sup p ~seed =
             Stats.Table.Int (1 lsl (n - 1));
           ]
       in
-      row "fair" Async.Scheduler.fair (pick p ~quick:20 ~full:40);
-      row "random-crash" (Async.Scheduler.random_crash ~p:0.02)
+      row "fair" (fun () -> Async.Scheduler.fair) (pick p ~quick:20 ~full:40);
+      row "random-crash"
+        (fun () -> Async.Scheduler.random_crash ~p:0.02)
         (pick p ~quick:20 ~full:40);
-      row "splitter" (Async.Benor.splitter ())
+      row "splitter" Async.Benor.splitter
         (pick p ~quick:(if n >= 8 then 5 else 10) ~full:(if n >= 10 then 6 else 12)))
     ns;
   table
@@ -805,7 +788,7 @@ let e10_coin_assumptions ?jobs ?sup p ~seed =
 (* E11: the Byzantine neighbourhood (Section 1 context)                 *)
 (* ------------------------------------------------------------------ *)
 
-let e11_byzantine ?jobs:_ ?sup p ~seed =
+let e11_byzantine ?jobs ?sup p ~seed =
   let n = pick p ~quick:17 ~full:26 in
   let t = (n - 1) / 5 in
   let table =
@@ -824,11 +807,16 @@ let e11_byzantine ?jobs:_ ?sup p ~seed =
   in
   let trials = pick p ~quick:60 ~full:200 in
   let gen rng = Prng.Sample.random_bits rng n in
-  let row proto_name protocol ~t_actual adv_name adversary =
-    Supervise.check sup;
+  let row proto_name protocol ~t_actual adv_name make_adversary =
     let s =
-      Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed ~gen_inputs:gen
-        ~t:t_actual protocol adversary
+      Supervise.fold sup ~seed ~trials
+        ~key:
+          (Printf.sprintf "e11-%s-%s;n=%d;t=%d;mr=500" proto_name adv_name n
+             t_actual)
+        (fun ?cancel ?checkpoint ?retries ?fault () ->
+          Byz.Engine.run_trials ~max_rounds:500 ?jobs ?cancel ?checkpoint
+            ?retries ?fault ~trials ~seed ~gen_inputs:gen ~t:t_actual protocol
+            make_adversary)
     in
     Stats.Table.add_row table
       [
@@ -841,38 +829,34 @@ let e11_byzantine ?jobs:_ ?sup p ~seed =
       ]
   in
   let pk = Byz.Phase_king.protocol ~t in
-  row "phase-king" pk ~t_actual:t "null" Byz.Adversary.null;
-  row "phase-king" pk ~t_actual:t "equivocator"
-    (Byz.Adversary.equivocator ~budget_fraction:1.0 ());
-  row "phase-king" pk ~t_actual:t "king-spoofer" (Byz.Phase_king.king_spoofer ());
+  let null () = Byz.Adversary.null in
+  let equivocator () = Byz.Adversary.equivocator ~budget_fraction:1.0 () in
+  row "phase-king" pk ~t_actual:t "null" null;
+  row "phase-king" pk ~t_actual:t "equivocator" equivocator;
+  row "phase-king" pk ~t_actual:t "king-spoofer" Byz.Phase_king.king_spoofer;
   (* One corruption beyond the protocol's design point: the t+1 kings
      argument collapses. *)
   row "phase-king (over budget)" pk ~t_actual:(t + 1) "king-spoofer"
-    (Byz.Phase_king.king_spoofer ());
+    Byz.Phase_king.king_spoofer;
   (* EIG messages grow as n^t (the [GM93] motivation); keep its tree
      tractable regardless of profile. *)
   let eig_t = Stdlib.min 2 (Stdlib.min t ((n - 1) / 3)) in
   let eig = Byz.Eig.protocol ~t:eig_t in
-  row
-    (Printf.sprintf "eig (t=%d)" eig_t)
-    eig ~t_actual:eig_t "liar" (Byz.Eig.liar ());
-  row
-    (Printf.sprintf "eig (t=%d)" eig_t)
-    eig ~t_actual:eig_t "equivocator"
-    (Byz.Adversary.equivocator ~budget_fraction:1.0 ());
+  let eig_name = Printf.sprintf "eig (t=%d)" eig_t in
+  row eig_name eig ~t_actual:eig_t "liar" (fun () -> Byz.Eig.liar ());
+  row eig_name eig ~t_actual:eig_t "equivocator" equivocator;
   let rb = Byz.Rabin.protocol ~t ~oracle_seed:(seed + 5) in
-  row "rabin-oracle" rb ~t_actual:t "null" Byz.Adversary.null;
-  row "rabin-oracle" rb ~t_actual:t "equivocator"
-    (Byz.Adversary.equivocator ~budget_fraction:1.0 ());
-  row "rabin-oracle" rb ~t_actual:t "late equivocator"
-    (Byz.Adversary.equivocator ~corrupt_at:2 ~budget_fraction:1.0 ());
+  row "rabin-oracle" rb ~t_actual:t "null" null;
+  row "rabin-oracle" rb ~t_actual:t "equivocator" equivocator;
+  row "rabin-oracle" rb ~t_actual:t "late equivocator" (fun () ->
+      Byz.Adversary.equivocator ~corrupt_at:2 ~budget_fraction:1.0 ());
   table
 
 (* ------------------------------------------------------------------ *)
 (* E12: Chor-Coan group coins (Section 1.2)                             *)
 (* ------------------------------------------------------------------ *)
 
-let e12_chor_coan ?jobs:_ ?sup p ~seed =
+let e12_chor_coan ?jobs ?sup p ~seed =
   let n = pick p ~quick:61 ~full:101 in
   let t = (n - 1) / 5 in
   let table =
@@ -894,11 +878,16 @@ let e12_chor_coan ?jobs:_ ?sup p ~seed =
   List.iter
     (fun g ->
       let protocol = Byz.Chor_coan.protocol ~t ~group_size:g in
-      let row name adversary =
-        Supervise.check sup;
+      let row name make_adversary =
         let s =
-          Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed ~gen_inputs:gen
-            ~t protocol adversary
+          Supervise.fold sup ~seed ~trials
+            ~key:
+              (Printf.sprintf "e12-chor-coan-g%d-%s;n=%d;t=%d;mr=500" g name n
+                 t)
+            (fun ?cancel ?checkpoint ?retries ?fault () ->
+              Byz.Engine.run_trials ~max_rounds:500 ?jobs ?cancel ?checkpoint
+                ?retries ?fault ~trials ~seed ~gen_inputs:gen ~t protocol
+                make_adversary)
         in
         Stats.Table.add_row table
           [
@@ -909,14 +898,14 @@ let e12_chor_coan ?jobs:_ ?sup p ~seed =
             Stats.Table.Int s.Byz.Engine.agreement_errors;
           ]
       in
-      row "adaptive group-corruptor"
-        (Byz.Chor_coan.group_corruptor ~group_size:g ());
+      row "adaptive group-corruptor" (fun () ->
+          Byz.Chor_coan.group_corruptor ~group_size:g ());
       let rng = Prng.Rng.create (seed + 7) in
       let victims =
         Prng.Sample.choose_k rng n t |> Array.to_list
         |> List.map (fun pid -> (1, pid))
       in
-      row "random non-adaptive" (Byz.Adversary.crash_like ~victims))
+      row "random non-adaptive" (fun () -> Byz.Adversary.crash_like ~victims))
     gs;
   table
 

@@ -8,16 +8,15 @@
     [jobs] (default {!Sim.Parallel.default_jobs}) sets the number of
     domains the trial loops fan out over; every table is bit-identical for
     every [jobs >= 1] because each trial's RNG is a pure function of
-    [(seed, trial index)] (see {!Sim.Parallel}). E2 is closed-form; E9,
-    E11 and E12 run on the sequential async/Byzantine engines. All four
-    ignore [jobs].
+    [(seed, trial index)] (see {!Sim.Parallel}). E2 is closed-form and
+    ignores [jobs].
 
-    [sup] threads a {!Supervise.ctx} through each driver: the parallel
-    trial loops then poll its watchdog at chunk boundaries, persist and
-    resume chunk checkpoints, and report structured failures; the
-    sequential drivers (E9, E11, E12) poll the watchdog at row boundaries
-    only. Omitting [sup] is exactly the old unsupervised behavior, and a
-    supervised run's tables are bit-identical to an unsupervised run's. *)
+    [sup] threads a {!Supervise.ctx} through each driver: every trial
+    fold, the async (E9) and Byzantine (E11, E12) ones included, then
+    polls its watchdog at chunk boundaries, persists and resumes chunk
+    checkpoints, and reports structured failures. Omitting [sup] is
+    exactly the old unsupervised behavior, and a supervised run's tables
+    are bit-identical to an unsupervised run's. *)
 
 type profile = Quick | Full
 

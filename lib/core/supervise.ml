@@ -46,6 +46,8 @@ type ctx = {
       (* Engines the experiment's runner folds executed on, most recent
          first, deduplicated — [`Auto] resolution made auditable. *)
   mutable last_failure : Sim.Parallel.chunk_failed option;
+  mutable stores_rev : string list;
+      (* Checkpoint store directories the experiment's folds opened. *)
   obs_events : Obs.Recorder.t;
       (* Run-level supervision events (watchdog fires, chunk retries and
          terminal chunk failures), accumulated across experiments for
@@ -71,14 +73,11 @@ let create ?deadline_s ?checkpoints ?(resume = false) ?retries ?fault () =
     total_trials = 0;
     engines_rev = [];
     last_failure = None;
+    stores_rev = [];
     obs_events = Obs.Recorder.create ();
   }
 
 let events ctx = Obs.Recorder.events ctx.obs_events
-
-let retries = function None -> None | Some c -> c.retry_budget
-
-let fault_plan = function None -> None | Some c -> c.fault
 
 (* A retried (and by construction recovered) chunk attempt: one
    Chunk_retry event per failed pass, plus the per-experiment retry
@@ -95,11 +94,6 @@ let note_chunk_retried c (f : Sim.Parallel.chunk_failed) =
          trial = f.Sim.Parallel.trial;
          error = Printexc.to_string f.Sim.Parallel.exn;
        })
-
-let note_retried sup (retried : Sim.Parallel.chunk_failed list) =
-  match sup with
-  | None -> ()
-  | Some c -> List.iter (note_chunk_retried c) retried
 
 (* A chunk whose retry budget is exhausted: the distinct terminal
    event. [attempts] counts every failed pass, so a budget of r lands
@@ -129,60 +123,7 @@ let cancel sup =
          domains polling it never read mutable ctx state. *)
       | Some at -> Some (fun () -> now () > at))
 
-let check sup =
-  match sup with
-  | None -> ()
-  | Some c -> (
-      match c.deadline_at with
-      | Some at when now () > at -> raise Sim.Parallel.Cancelled
-      | _ -> ())
-
-let checkpoint sup ~exp ~seed ~chunk_size ~n =
-  match sup with
-  | None -> None
-  | Some c -> (
-      match c.ckpt_root with
-      | None -> None
-      | Some root ->
-          let ck = Sim.Checkpoint.create ~root ~exp ~seed ~chunk_size ~n in
-          (* Without --resume the run is fresh by definition: drop any
-             stale chunks now so they can neither be consumed nor mix
-             with this run's files. *)
-          if not c.resume then Sim.Checkpoint.clear ck;
-          Some ck)
-
-let hooks = function
-  | None -> (None, None)
-  | Some ck ->
-      ( Some (fun chunk -> Sim.Checkpoint.load ck ~chunk),
-        Some (fun chunk acc -> Sim.Checkpoint.store ck ~chunk acc) )
-
-let note_fold sup (s : 'a Sim.Parallel.supervised) =
-  match sup with
-  | None -> ()
-  | Some c ->
-      c.chunks_done <- c.chunks_done + s.Sim.Parallel.chunks_done;
-      c.chunks_resumed <- c.chunks_resumed + s.Sim.Parallel.chunks_resumed
-
-let commit_fold sup ?checkpoint (s : 'a Sim.Parallel.supervised) =
-  note_fold sup s;
-  note_retried sup s.Sim.Parallel.retried;
-  let complete =
-    s.Sim.Parallel.chunks_done = s.Sim.Parallel.chunks_total
-    && s.Sim.Parallel.failures = []
-  in
-  (match checkpoint with
-  | Some ck when complete -> Sim.Checkpoint.clear ck
-  | _ -> ());
-  match s.Sim.Parallel.failures with
-  | f :: _ ->
-      (match sup with Some c -> note_chunk_failed c f | None -> ());
-      Printexc.raise_with_backtrace f.Sim.Parallel.exn f.Sim.Parallel.backtrace
-  | [] -> (
-      if s.Sim.Parallel.cancelled then raise Sim.Parallel.Cancelled;
-      match s.Sim.Parallel.value with Some v -> v | None -> assert false)
-
-let commit sup (r : Sim.Runner.report) =
+let commit sup (r : _ Sim.Runner.folded) =
   (match sup with
   | None -> ()
   | Some c ->
@@ -191,15 +132,37 @@ let commit sup (r : Sim.Runner.report) =
       c.completed_trials <- c.completed_trials + r.Sim.Runner.completed_trials;
       c.total_trials <- c.total_trials + r.Sim.Runner.total_trials;
       if not (List.mem r.Sim.Runner.engine_used c.engines_rev) then
-        c.engines_rev <- r.Sim.Runner.engine_used :: c.engines_rev);
-  note_retried sup r.Sim.Runner.retried;
-  match r.Sim.Runner.failures with
-  | f :: _ ->
-      (match sup with Some c -> note_chunk_failed c f | None -> ());
-      Printexc.raise_with_backtrace f.Sim.Parallel.exn f.Sim.Parallel.backtrace
-  | [] -> (
-      if r.Sim.Runner.cancelled then raise Sim.Parallel.Cancelled;
-      match r.Sim.Runner.partial with Some s -> s | None -> assert false)
+        c.engines_rev <- r.Sim.Runner.engine_used :: c.engines_rev;
+      List.iter (note_chunk_retried c) r.Sim.Runner.retried;
+      match r.Sim.Runner.failures with
+      | f :: _ -> note_chunk_failed c f
+      | [] -> ());
+  Sim.Runner.value r
+
+let fold sup ~key ~seed ~trials run =
+  let checkpoint =
+    match sup with
+    | Some ({ ckpt_root = Some root; _ } as c) ->
+        let ck =
+          Sim.Checkpoint.create ~root ~exp:key ~seed
+            ~chunk_size:Sim.Parallel.default_chunk_size ~n:trials
+        in
+        (* Without --resume the run is fresh by definition: drop any
+           stale chunks now so they can neither be consumed nor mix with
+           this run's files. *)
+        if not c.resume then Sim.Checkpoint.clear ck;
+        c.stores_rev <- Sim.Checkpoint.dir ck :: c.stores_rev;
+        Some ck
+    | Some _ | None -> None
+  in
+  let field f = Option.bind sup f in
+  commit sup
+    (run ?cancel:(cancel sup) ?checkpoint
+       ?retries:(field (fun c -> c.retry_budget))
+       ?fault:(field (fun c -> c.fault))
+       ())
+
+let stores ctx = List.rev ctx.stores_rev
 
 let run_experiment ctx ~id f =
   ctx.table <- None;
@@ -210,6 +173,7 @@ let run_experiment ctx ~id f =
   ctx.total_trials <- 0;
   ctx.engines_rev <- [];
   ctx.last_failure <- None;
+  ctx.stores_rev <- [];
   ctx.deadline_at <- Option.map (fun d -> now () +. d) ctx.deadline_s;
   let t0 = now () in
   let finish table status =

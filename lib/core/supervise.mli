@@ -6,11 +6,11 @@
 
     {ul
     {- {b Watchdogs} — a per-experiment wall-clock deadline that cancels
-       cooperatively: parallel folds poll {!cancel} at chunk boundaries
-       (the shared-counter poison of {!Sim.Parallel}), sequential engines
-       call {!check} at row boundaries. A fired watchdog surfaces as
-       [Timed_out] with the partial table built so far.}
-    {- {b Checkpoint/resume} — {!checkpoint} names a {!Sim.Checkpoint}
+       cooperatively: every trial fold polls {!cancel} at chunk
+       boundaries (the shared-counter poison of {!Sim.Parallel}). A fired
+       watchdog surfaces as [Timed_out] with the partial table built so
+       far.}
+    {- {b Checkpoint/resume} — {!fold} opens a {!Sim.Checkpoint}
        store per fold; completed chunk accumulators are persisted as they
        finish and, under [resume], satisfied from disk instead of
        recomputed. Resumed summaries are byte-identical to uninterrupted
@@ -49,16 +49,17 @@ type result = {
           from [metrics], so a survivable chaos run keeps the manifest's
           [metrics_digest] byte-identical to the fault-free run. *)
   completed_trials : int;
-      (** Trials folded in by {!Sim.Runner}-based loops (the inline E5/E8
-          folds report chunks only). *)
+      (** Trials folded in by every {!Sim.Runner.fold} the experiment
+          committed, whatever its model. *)
   total_trials : int;
   engines : string list;
-      (** Execution engines the experiment's runner folds actually used
-          (["concrete"], ["cohort"], ["bitkernel"]), deduplicated in
-          first-use order — this is where [`Auto]'s resolution becomes
-          auditable. Empty for inline folds that never go through
-          {!commit}. Manifest-only, like [elapsed_s]: engine choice never
-          affects results, so it stays out of [metrics]. *)
+      (** Execution engines the experiment's committed folds actually
+          used (["concrete"], ["cohort"], ["bitkernel"], ["async"],
+          ["byz"]), deduplicated in first-use order — this is where
+          [`Auto]'s resolution becomes auditable. Empty for an experiment
+          with no trial fold (E1's coin games, E2's closed forms).
+          Manifest-only, like [elapsed_s]: engine choice never affects
+          results, so it stays out of [metrics]. *)
   metrics : Obs.Metrics.t;
       (** Per-experiment supervision registry ([supervise.chunks_done],
           [supervise.completed_trials], ...; [supervise.failures] /
@@ -80,19 +81,10 @@ val create :
     [checkpoints] is the checkpoint root directory (e.g.
     ["results/checkpoints"]; absent = checkpointing off); [resume]
     (default [false]) consumes existing chunk files instead of clearing
-    them; [retries] is the per-chunk retry budget handed to the
-    supervised runner folds via {!retries} (absent = no retries);
-    [fault] is a deterministic {!Sim.Fault} plan replayed against every
-    runner fold via {!fault_plan} (each fold builds its own injector, so
-    hit counters are per fold). *)
-
-val retries : ctx option -> int option
-(** The configured retry budget, for threading into
-    {!Sim.Runner.run_trials_supervised}'s [?retries]. *)
-
-val fault_plan : ctx option -> Sim.Fault.plan option
-(** The configured fault plan, for threading into
-    {!Sim.Runner.run_trials_supervised}'s [?fault]. *)
+    them; [retries] is the per-chunk retry budget of every {!fold}
+    (absent = no retries); [fault] is a deterministic {!Sim.Fault} plan
+    replayed against every {!fold} (each fold builds its own injector,
+    so hit counters are per fold). *)
 
 val run_experiment : ctx -> id:string -> (unit -> Stats.Table.t) -> result
 (** Run one experiment under supervision: arms the watchdog, zeroes the
@@ -121,50 +113,44 @@ val register : ctx option -> Stats.Table.t -> Stats.Table.t
     table of every supervised experiment. *)
 
 val cancel : ctx option -> (unit -> bool) option
-(** The cooperative cancellation hook for
-    {!Sim.Parallel.fold_chunks_supervised} / {!Sim.Runner.run_trials_supervised}:
-    [Some poll] iff a deadline is armed. The closure captures the deadline
-    as an immutable float and is safe to poll from worker domains. *)
+(** The cooperative cancellation hook for {!Sim.Runner.fold} and the
+    Coinflip control fold: [Some poll] iff a deadline is armed. The
+    closure captures the deadline as an immutable float and is safe to
+    poll from worker domains. *)
 
-val check : ctx option -> unit
-(** Row-boundary analog of {!cancel} for the sequential engines (E9, E11,
-    E12): raises {!Sim.Parallel.Cancelled} past the deadline. *)
+val commit : ctx option -> 'a Sim.Runner.folded -> 'a
+(** Fold a supervised fold's outcome into the experiment: accumulate chunk
+    and trial counts, record its [engine_used] for the manifest and its
+    retried and failed chunks for {!events}, then read it with
+    {!Sim.Runner.value} — the complete value, the first chunk failure
+    re-raised (recorded for the manifest, original backtrace preserved),
+    or {!Sim.Parallel.Cancelled} on a fired watchdog. *)
 
-val checkpoint :
+val fold :
   ctx option ->
-  exp:string ->
+  key:string ->
   seed:int ->
-  chunk_size:int ->
-  n:int ->
-  Sim.Checkpoint.t option
-(** The checkpoint store for one fold, keyed by [(exp, seed, chunk_size,
-    n)]; [None] when checkpointing is off. [exp] must uniquely name the
-    fold {e and} every parameter that shapes its trials (population size,
-    rules, round caps...) — two folds with equal keys must be the same
-    computation. Without [resume], any stale store is cleared here. *)
-
-val hooks :
-  Sim.Checkpoint.t option ->
-  (int -> 'acc option) option * (int -> 'acc -> unit) option
-(** [(saved, persist)] closures for
-    {!Sim.Parallel.fold_chunks_supervised}; [(None, None)] when
-    checkpointing is off. *)
-
-val commit : ctx option -> Sim.Runner.report -> Sim.Runner.summary
-(** Fold a supervised runner report into the experiment: accumulate chunk
-    and trial counts, record the report's [engine_used] for the manifest,
-    then either return the complete summary, re-raise the first chunk
-    failure (recorded for the manifest, original backtrace preserved), or
-    raise {!Sim.Parallel.Cancelled} on a fired watchdog. *)
-
-val commit_fold :
-  ctx option ->
+  trials:int ->
+  (?cancel:(unit -> bool) ->
   ?checkpoint:Sim.Checkpoint.t ->
-  'acc Sim.Parallel.supervised ->
-  'acc
-(** Same contract as {!commit} for inline {!Sim.Parallel} folds (E5's
-    Monte-Carlo valency loop, E8's scenario folds). A fully successful
-    fold clears its checkpoint store. *)
+  ?retries:int ->
+  ?fault:Sim.Fault.plan ->
+  unit ->
+  'a Sim.Runner.folded) ->
+  'a
+(** Run one {!Sim.Runner.fold} instance under the supervisor and
+    {!commit} it: [run] receives the watchdog, the retry budget, the
+    fault plan and the fold's checkpoint store, keyed by [(key, seed,
+    default chunk size, trials)]. [key] must name the fold and every
+    parameter that shapes its trials (protocol, adversary or scheduler,
+    population, t, round or step cap, inputs): two folds with equal keys
+    must be the same computation. Without [resume], a stale store is
+    cleared first. *)
+
+val stores : ctx -> string list
+(** The checkpoint store directories the current experiment's folds
+    opened, in order.
+    Kept for tests: pins that distinct folds never share a store. *)
 
 val failed : result -> bool
 (** [Failed] or [Timed_out]. *)

@@ -20,6 +20,15 @@ let of_seed_index ~seed ~index =
   in
   Xoshiro256.of_seed key
 
+(* Each split consumes one draw of its parent, so the [index]-th split
+   only needs the parent advanced [index] draws first. *)
+let nth_split ~seed ~index =
+  let g = create seed in
+  for _ = 1 to index do
+    ignore (Xoshiro256.next_low g)
+  done;
+  split g
+
 let copy = Xoshiro256.copy
 
 (* The draws read the step's bits as immediate ints, so none allocates.

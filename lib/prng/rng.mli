@@ -27,6 +27,15 @@ val of_seed_index : seed:int -> index:int -> t
     {!Sim.Parallel}). Uses the SplitMix64 finalizer to decorrelate
     neighbouring pairs. *)
 
+val nth_split : seed:int -> index:int -> t
+(** [nth_split ~seed ~index] is the stream the [(index + 1)]-th
+    sequential {!split} of [create seed] returns — a pure function of the
+    pair, though O([index]) to compute. Async and Byzantine trial [index]
+    draws from it, which keeps the E9, E11 and E12 tables on the streams
+    of their original sequential loops. Moving those trials onto
+    {!of_seed_index} is a re-baseline of the published tables and of the
+    benchmark's golden digest, so it belongs to a benchmark change. *)
+
 val copy : t -> t
 (** [copy g] replays [g]'s future exactly (no independence!). Use [split]
     when independence is wanted. *)

@@ -43,11 +43,12 @@ let create ~root ~exp ~seed ~chunk_size ~n =
   (* [fmt] is the file-format/accumulator-schema generation: bumped
      whenever a checkpointed acc type changes shape or the header format
      changes (fmt=2: the runner acc gained its observability slice;
-     fmt=3: the header gained the payload-digest line), so files from an
+     fmt=3: the header gained the payload-digest line; fmt=4: every fold
+     stores its model acc inside the generic chunk record), so files from an
      older binary are rejected by the key check instead of marshalled
      into the wrong layout. *)
   let key =
-    Printf.sprintf "exp=%s;seed=%d;chunk_size=%d;n=%d;fmt=3" exp seed
+    Printf.sprintf "exp=%s;seed=%d;chunk_size=%d;n=%d;fmt=4" exp seed
       chunk_size n
   in
   { dir; key }

@@ -10,8 +10,8 @@
     different experiment, or an older format generation) can never leak
     into a resumed run, and corrupted bytes are never fed to [Marshal];
     [fmt] is the format generation, bumped whenever a checkpointed acc
-    type or the header layout changes (currently 3: the payload-digest
-    line).
+    type or the header layout changes (currently 4: every fold's model
+    accumulator inside the generic chunk record).
 
     Resuming is {b exact}: the fold merges chunk accumulators in chunk
     order whether they were just computed or loaded from disk, and

@@ -30,31 +30,80 @@ val input_gen_const : n:int -> int -> Prng.Rng.t -> int array
 val input_gen_split : n:int -> Prng.Rng.t -> int array
 (** Half zeros, half ones, randomly assigned — maximally divided inputs. *)
 
-type report = {
-  partial : summary option;
+type 'a folded = {
+  partial : 'a option;
       (** Merge of every completed chunk, in chunk order; [None] iff no
-          chunk completed. A partial summary's [trials] field counts the
-          trials actually folded in, not the requested total. *)
-  completed_trials : int;  (** [= partial.trials] (0 when [None]). *)
+          chunk completed. *)
+  completed_trials : int;  (** Trials folded into [partial]. *)
   total_trials : int;  (** The requested [~trials]. *)
   chunks_done : int;
   chunks_total : int;
   chunks_resumed : int;  (** Chunks satisfied from the checkpoint store. *)
   retried : Parallel.chunk_failed list;
-      (** Failed attempts re-run under the [retries] budget, in (chunk,
-          attempt) order; the recovered chunks contribute normally. *)
+      (** Failed attempts re-run (and recovered) under the [retries]
+          budget, in (chunk, attempt) order. *)
   failures : Parallel.chunk_failed list;
       (** Terminal failures (budget exhausted), in chunk order. *)
   cancelled : bool;  (** The [cancel] watchdog fired. *)
   engine_used : string;
-      (** The engine the trials actually ran on — ["concrete"],
-          ["cohort"] or ["bitkernel"] — after [`Auto] resolution. Recorded
-          in run manifests so an experiment's execution path is
-          auditable. *)
+      (** ["concrete"], ["cohort"] or ["bitkernel"] after [`Auto]
+          resolution, or ["async"] / ["byz"]; run manifests record it. *)
 }
-(** Outcome of a supervised run: the salvaged partial summary plus the
+(** Outcome of a supervised fold: the salvaged partial value plus the
     structured failure record. [failures = [] && not cancelled] implies
-    [chunks_done = chunks_total] and [partial] is the complete summary. *)
+    [partial] is the complete value. *)
+
+type report = summary folded
+
+type probe = { sink : Obs.Sink.t; metrics : Obs.Metrics.t }
+(** A captured trial's engine-event sink and its chunk's metrics. *)
+
+val fold :
+  ?jobs:int ->
+  ?chunk_size:int ->
+  ?cancel:(unit -> bool) ->
+  ?checkpoint:Checkpoint.t ->
+  ?capture:Obs.Capture.t ->
+  ?retries:int ->
+  ?fault:Fault.plan ->
+  engine:string ->
+  trials:int ->
+  create:(unit -> 'acc) ->
+  merge:('acc -> 'acc -> 'acc) ->
+  (index:int -> probe option -> 'acc -> unit) ->
+  'acc folded
+(** The supervised trial fold of every model — {!run_trials_supervised},
+    [Async.Engine.run_trials], [Byz.Engine.run_trials] and the
+    experiments' own trial bodies. The last argument runs trial [index]
+    into its chunk's accumulator: it must draw all randomness from
+    [index] and fixed configuration and build any mutable helper afresh,
+    so a trial is the same on any domain and any retry. [create]/[merge]
+    build and combine chunk accumulators, which must be plain data
+    ([Marshal] checkpoints them).
+
+    Raising trials and a fired [cancel] (polled at chunk boundaries, see
+    {!Parallel.fold_chunks_supervised}) salvage every completed chunk.
+    [checkpoint] persists each completed chunk and satisfies stored ones
+    without recomputation; chunks merge in chunk order and [Marshal]
+    round-trips exactly, so a resumed value is byte-identical to an
+    uninterrupted one. A fully successful fold clears its store.
+    [retries] (default 0) re-runs a failed chunk that many extra times —
+    byte-identical, since each trial is a pure function of its index.
+    [fault] arms one {!Fault} injector for the fold's chunk geometry,
+    tripped before each trial ({!Fault.Chunk_body}), in checkpoint
+    store/load, per captured event ({!Fault.Event_sink}) and in the final
+    sequential merge ({!Fault.Metrics_merge}, terminal); a plan the retry
+    budget absorbs leaves value, events and metrics byte-identical.
+
+    [capture] hands each trial a {!probe}; the per-chunk metrics (and,
+    when asked, event recorders) merge in chunk order into the capture,
+    byte-identical at any [jobs], with checkpoint traffic as
+    {!Obs.Event.Checkpoint} events. Without it trials get [None] and the
+    engines' zero-cost disabled sinks. *)
+
+val value : 'a folded -> 'a
+(** The all-or-nothing reading: the complete value, the first failure in
+    chunk order re-raised with its backtrace, or {!Parallel.Cancelled}. *)
 
 val run_trials_supervised :
   ?max_rounds:int ->
@@ -75,41 +124,11 @@ val run_trials_supervised :
   ('state, 'msg) Protocol.t ->
   (unit -> ('state, 'msg) Adversary.t) ->
   report
-(** Supervised variant of {!run_trials}: raising trials and watchdog
-    cancellation produce a {!report} instead of an exception, salvaging
-    every completed chunk. [cancel] is polled at chunk boundaries (see
-    {!Parallel.fold_chunks_supervised}). [checkpoint] persists each
-    completed chunk accumulator and satisfies already-stored chunks
-    without recomputation; because chunk partials merge in chunk order and
-    [Marshal] round-trips the accumulators exactly, a resumed run's
-    summary is byte-identical to an uninterrupted one. A fully successful
-    run clears its checkpoint store.
-
-    [retries] (default 0) re-runs a failed chunk up to that many extra
-    attempts before it counts as a failure — safe because each trial's
-    RNG is a pure function of [(seed, index)], so the re-run is
-    byte-identical; recovered attempts are listed in [retried]. [fault]
-    arms a deterministic {!Fault} plan over this fold: one injector is
-    built for the run's chunk geometry and threaded through the chunk
-    bodies ({!Fault.Chunk_body}), the checkpoint store/load calls, each
-    chunk's event absorption ({!Fault.Event_sink}, only live under
-    [capture]), and the final sequential merge ({!Fault.Metrics_merge},
-    terminal — there is no chunk attempt to retry into). A survivable
-    plan (every armed fault absorbed by the retry budget) yields a
-    summary, event stream, and metrics digest byte-identical to the
-    fault-free run at any [jobs].
-
-    [capture] attaches the observability layer: every trial's engine
-    events are folded into per-chunk {!Obs.Metrics} (and, when the
-    capture asks for events, an {!Obs.Recorder}), merged in chunk order
-    and written into the capture once the fold completes — so metric
-    values and the event stream are byte-identical at any [jobs], the
-    same contract as the summary itself. Standard runner metrics
-    ([runner.trials], [runner.rounds_to_decide], [runner.kills_per_trial],
-    [runner.non_terminating]) accumulate alongside the per-event ones;
-    checkpoint stores/resumes surface as {!Obs.Event.Checkpoint} events.
-    No capture (the default) keeps trials on the engine's zero-cost
-    disabled-sink path.
+(** {!fold} over the synchronous engines: trial [i] draws from
+    {!Prng.Rng.of_seed_index}[ ~seed ~index:i], runs a fresh
+    [make_adversary ()] and is judged by {!Checker}; [capture] adds
+    [runner.trials], [runner.rounds_to_decide], [runner.kills_per_trial]
+    and [runner.non_terminating].
 
     [engine] (default [`Concrete]) selects the execution engine per trial.
     [`Cohort] runs each trial through the population-compressed
@@ -152,7 +171,8 @@ val run_trials :
     produces a bit-identical summary to [~jobs:1]. [jobs] defaults to
     {!Parallel.default_jobs}; [chunk_size] and [engine]/[cohort_adversary]
     behave as in {!run_trials_supervised} (and like [jobs], neither
-    changes the summary). The last argument builds the adversary; it is
+    changes the summary). Failures and cancellation read as in
+    {!value}. The last argument builds the adversary; it is
     called once per trial because adversaries may carry mutable per-run
     trackers that must not be shared across concurrent trials (the factory
     itself must be deterministic and thread-safe — building from immutable

@@ -131,13 +131,15 @@ let test_pending_ascending () =
           inner.Async.Scheduler.pick view rng);
     }
   in
+  (* One worker: the watch counters are shared across trials. *)
   List.iter
-    (fun sched ->
+    (fun make_scheduler ->
       ignore
-        (Async.Engine.run_trials ~max_steps:20_000 ~trials:3 ~seed:15
+        (Async.Engine.run_trials ~max_steps:20_000 ~jobs:1 ~trials:3 ~seed:15
            ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng 5)
-           ~t:2 (Async.Benor.protocol ~t:2) (watch sched)))
-    [ Async.Benor.splitter (); Async.Scheduler.random_crash ~p:0.05 ];
+           ~t:2 (Async.Benor.protocol ~t:2)
+           (fun () -> watch (make_scheduler ()))))
+    [ Async.Benor.splitter; (fun () -> Async.Scheduler.random_crash ~p:0.05) ];
   check_bool "steps observed" true (!steps > 0);
   check_int "strictly ascending ids" 0 !bad
 
@@ -201,10 +203,12 @@ let test_decision_discipline () =
 
 (* --- Ben-Or ----------------------------------------------------------------- *)
 
-let benor_summary ?(max_steps = 300_000) ~n ~t ~trials ~seed scheduler =
-  Async.Engine.run_trials ~max_steps ~phase_of:Async.Benor.phase ~trials ~seed
-    ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
-    ~t (Async.Benor.protocol ~t) scheduler
+let benor_summary ?(max_steps = 300_000) ~n ~t ~trials ~seed make_scheduler =
+  Sim.Runner.value
+    (Async.Engine.run_trials ~max_steps ~phase_of:Async.Benor.phase ~trials
+       ~seed
+       ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
+       ~t (Async.Benor.protocol ~t) make_scheduler)
 
 let test_benor_validity_unanimous () =
   List.iter
@@ -223,7 +227,7 @@ let test_benor_validity_unanimous () =
     [ 0; 1 ]
 
 let test_benor_safe_under_fair () =
-  let s = benor_summary ~n:7 ~t:3 ~trials:40 ~seed:8 Async.Scheduler.fair in
+  let s = benor_summary ~n:7 ~t:3 ~trials:40 ~seed:8 (fun () -> Async.Scheduler.fair) in
   check_int "no disagreement" 0 s.Async.Engine.disagreements;
   check_int "no validity errors" 0 s.Async.Engine.validity_errors;
   check_int "all terminate" 0 s.Async.Engine.non_terminating
@@ -231,14 +235,14 @@ let test_benor_safe_under_fair () =
 let test_benor_safe_under_crashes () =
   let s =
     benor_summary ~n:9 ~t:4 ~trials:40 ~seed:9
-      (Async.Scheduler.random_crash ~p:0.02)
+      (fun () -> Async.Scheduler.random_crash ~p:0.02)
   in
   check_int "no disagreement" 0 s.Async.Engine.disagreements;
   check_int "all terminate" 0 s.Async.Engine.non_terminating
 
 let test_benor_safe_under_splitter () =
   let s =
-    benor_summary ~n:6 ~t:2 ~trials:8 ~seed:10 (Async.Benor.splitter ())
+    benor_summary ~n:6 ~t:2 ~trials:8 ~seed:10 Async.Benor.splitter
   in
   check_int "no disagreement" 0 s.Async.Engine.disagreements;
   check_int "all terminate" 0 s.Async.Engine.non_terminating
@@ -253,9 +257,9 @@ let test_benor_resilience_validation () =
      with Invalid_argument _ -> true)
 
 let test_splitter_exponential_slowdown () =
-  let fair = benor_summary ~n:6 ~t:2 ~trials:10 ~seed:12 Async.Scheduler.fair in
+  let fair = benor_summary ~n:6 ~t:2 ~trials:10 ~seed:12 (fun () -> Async.Scheduler.fair) in
   let split =
-    benor_summary ~n:6 ~t:2 ~trials:10 ~seed:12 (Async.Benor.splitter ())
+    benor_summary ~n:6 ~t:2 ~trials:10 ~seed:12 Async.Benor.splitter
   in
   let fp = Stats.Welford.mean fair.Async.Engine.phases in
   let sp = Stats.Welford.mean split.Async.Engine.phases in
@@ -270,7 +274,7 @@ let test_splitter_flip_count_grows () =
   let flips n =
     let s =
       benor_summary ~n ~t:((n - 1) / 2) ~trials:6 ~seed:13
-        (Async.Benor.splitter ())
+        Async.Benor.splitter
     in
     Stats.Welford.mean s.Async.Engine.flips
   in

@@ -137,9 +137,11 @@ let test_double_corruption_rejected () =
 
 (* --- Phase King --------------------------------------------------------------- *)
 
+(* The summary helpers share one stateless adversary across trials. *)
 let pk_summary ?(n = 13) ?(t = 3) ?(t_actual = 3) ~seed adversary =
-  Byz.Engine.run_trials ~trials:60 ~seed ~gen_inputs:(gen_random n) ~t:t_actual
-    (Byz.Phase_king.protocol ~t) adversary
+  Sim.Runner.value
+    (Byz.Engine.run_trials ~trials:60 ~seed ~gen_inputs:(gen_random n)
+       ~t:t_actual (Byz.Phase_king.protocol ~t) (fun () -> adversary))
 
 let test_pk_rounds_exact () =
   List.iter
@@ -208,10 +210,11 @@ let test_pk_breaks_over_budget () =
 (* --- Rabin oracle-coin --------------------------------------------------------- *)
 
 let rabin_summary ?(n = 16) ?(t = 3) ~seed adversary =
-  Byz.Engine.run_trials ~max_rounds:500 ~trials:80 ~seed
-    ~gen_inputs:(gen_random n) ~t
-    (Byz.Rabin.protocol ~t ~oracle_seed:1234)
-    adversary
+  Sim.Runner.value
+    (Byz.Engine.run_trials ~max_rounds:500 ~trials:80 ~seed
+       ~gen_inputs:(gen_random n) ~t
+       (Byz.Rabin.protocol ~t ~oracle_seed:1234)
+       (fun () -> adversary))
 
 let test_rabin_constant_rounds () =
   let s = rabin_summary ~seed:10 (Byz.Adversary.equivocator ~budget_fraction:1.0 ()) in
@@ -286,10 +289,11 @@ let chor_coan_suite =
   let tc name f = Alcotest.test_case name `Quick f in
   let n = 31 and t = 5 in
   let summary ~group_size ~seed adversary =
-    Byz.Engine.run_trials ~max_rounds:300 ~trials:50 ~seed
-      ~gen_inputs:(gen_random n) ~t
-      (Byz.Chor_coan.protocol ~t ~group_size)
-      adversary
+    Sim.Runner.value
+      (Byz.Engine.run_trials ~max_rounds:300 ~trials:50 ~seed
+         ~gen_inputs:(gen_random n) ~t
+         (Byz.Chor_coan.protocol ~t ~group_size)
+         (fun () -> adversary))
   in
   let test_groups_arithmetic () =
     check_int "ceil division" 11 (Byz.Chor_coan.groups ~n:31 ~group_size:3);
@@ -362,8 +366,9 @@ let eig_suite =
   let tc name f = Alcotest.test_case name `Quick f in
   let summary ?(n = 7) ?(t = 2) ?t_actual ~seed adversary =
     let t_actual = Option.value t_actual ~default:t in
-    Byz.Engine.run_trials ~trials:50 ~seed ~gen_inputs:(gen_random n)
-      ~t:t_actual (Byz.Eig.protocol ~t) adversary
+    Sim.Runner.value
+      (Byz.Engine.run_trials ~trials:50 ~seed ~gen_inputs:(gen_random n)
+         ~t:t_actual (Byz.Eig.protocol ~t) (fun () -> adversary))
   in
   let test_rounds_exact () =
     List.iter
@@ -419,9 +424,10 @@ let eig_suite =
        deeper schedule via equivocator at full actual budget instead. *)
     ignore s;
     let s =
-      Byz.Engine.run_trials ~trials:50 ~seed:4 ~gen_inputs:(gen_random 7) ~t:3
-        (Byz.Eig.protocol ~t:2)
-        (Byz.Adversary.equivocator ~budget_fraction:1.0 ())
+      Sim.Runner.value
+        (Byz.Engine.run_trials ~trials:50 ~seed:4 ~gen_inputs:(gen_random 7)
+           ~t:3 (Byz.Eig.protocol ~t:2) (fun () ->
+             Byz.Adversary.equivocator ~budget_fraction:1.0 ()))
     in
     check_bool "violations appear past n > 3t" true
       (s.Byz.Engine.agreement_errors + s.Byz.Engine.validity_errors > 0)

@@ -176,6 +176,7 @@ let matrix =
     ("typed/bad_r7_order.ml", None, [ ("R7", 1) ], []);
     ("typed/bad_r8_floatfold.ml", None, [ ("R8", 1) ], []);
     ("typed/bad_r9_escape.ml", None, [ ("R9", 1) ], []);
+    ("typed/bad_r9_runner_fold.ml", None, [ ("R9", 1) ], []);
     ("typed/bad_register_transition.ml", None, [ ("R1", 1); ("T1", 1) ], []);
     ("typed/bad_taint_chain.ml", None, [ ("R2", 1); ("T1", 1) ], []);
     ("typed/bad_taint_domain.ml", None, [ ("T1", 1) ], []);
@@ -438,7 +439,12 @@ let test_r9_names_variable () =
   let f = only "R9" (lint_fixture "typed/bad_r9_escape.ml") in
   Alcotest.(check bool)
     "finding names the escaping variable" true
-    (contains ~needle:"\"total\"" f.Detlint.message)
+    (contains ~needle:"\"total\"" f.Detlint.message);
+  let g = only "R9" (lint_fixture "typed/bad_r9_runner_fold.ml") in
+  Alcotest.(check bool)
+    "Runner.fold is a supervised entry" true
+    (contains ~needle:"\"seen\" captured by a closure passed to Runner.fold"
+       g.Detlint.message)
 
 let test_bitkernel_roots () =
   (* The bit-packed kernel's word ops sit inside the protected sink

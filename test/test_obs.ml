@@ -49,25 +49,43 @@ let prop_floodset_digest_jobs =
       in
       digest 1 = digest 3)
 
-let prop_eig_digest_stable =
-  (* Byz.Engine.run_trials is sequential, so its jobs knob is the repeat:
-     two runs at the same seed must produce byte-identical captures. *)
-  QCheck.Test.make ~name:"EIG capture digest identical across repeat runs"
-    ~count:6
+(* A fold's capture digest paired with its summary, at one worker count. *)
+let digest_and_summary run =
+  let capture = Obs.Capture.create ~events:true () in
+  let s = Sim.Runner.value (run capture) in
+  (Obs.Capture.digest capture, s)
+
+let prop_eig_digest_jobs =
+  QCheck.Test.make
+    ~name:"EIG capture digest and summary identical at jobs 1 vs 3" ~count:6
     QCheck.(pair (int_range 1 1000) (int_range 8 20))
     (fun (seed, trials) ->
       let t = 2 in
       let n = (3 * t) + 1 in
-      let digest () =
-        let capture = Obs.Capture.create ~events:true () in
-        ignore
-          (Byz.Engine.run_trials ~capture ~trials ~seed
-             ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
-             ~t (Byz.Eig.protocol ~t)
-             (Byz.Adversary.crash_like ~victims:[ (1, 0) ]));
-        Obs.Capture.digest capture
+      let at jobs =
+        digest_and_summary (fun capture ->
+            Byz.Engine.run_trials ~jobs ~capture ~trials ~seed
+              ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
+              ~t (Byz.Eig.protocol ~t)
+              (fun () -> Byz.Adversary.crash_like ~victims:[ (1, 0) ]))
       in
-      digest () = digest ())
+      at 1 = at 3)
+
+let prop_async_splitter_digest_jobs =
+  QCheck.Test.make
+    ~name:"async Ben-Or splitter capture digest and summary identical at jobs 1 vs 3"
+    ~count:4
+    QCheck.(pair (int_range 1 1000) (int_range 8 20))
+    (fun (seed, trials) ->
+      let n = 4 and t = 1 in
+      let at jobs =
+        digest_and_summary (fun capture ->
+            Async.Engine.run_trials ~phase_of:Async.Benor.phase ~jobs ~capture
+              ~trials ~seed
+              ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
+              ~t (Async.Benor.protocol ~t) Async.Benor.splitter)
+      in
+      at 1 = at 3)
 
 (* --- capture contents --------------------------------------------------- *)
 
@@ -281,7 +299,8 @@ let suites =
       [
         to_alcotest prop_synran_digest_jobs;
         to_alcotest prop_floodset_digest_jobs;
-        to_alcotest prop_eig_digest_stable;
+        to_alcotest prop_eig_digest_jobs;
+        to_alcotest prop_async_splitter_digest_jobs;
         tc "capture counts trials and tags engines" test_capture_counts_trials;
         tc "metrics without event recording" test_capture_without_events;
       ] );

@@ -123,6 +123,23 @@ let test_rng_split_independent () =
   done;
   check_bool "split streams differ" true (!equal <= 1)
 
+let test_rng_nth_split () =
+  (* Pinned against the sequential loop it replaces: the async and
+     Byzantine trial streams are the k-th split of one master. *)
+  List.iter
+    (fun seed ->
+      let master = Prng.Rng.create seed in
+      for index = 0 to 20 do
+        let sequential = Prng.Rng.split master in
+        let direct = Prng.Rng.nth_split ~seed ~index in
+        for _ = 1 to 4 do
+          Alcotest.(check int64)
+            (Printf.sprintf "seed %d split %d" seed index)
+            (Prng.Rng.bits64 sequential) (Prng.Rng.bits64 direct)
+        done
+      done)
+    [ 0; 7; 42 ]
+
 let test_rng_split_n () =
   let g = Prng.Rng.create 4 in
   let streams = Prng.Rng.split_n g 8 in
@@ -403,6 +420,7 @@ let suites =
         tc "deterministic" test_rng_deterministic;
         tc "split independence" test_rng_split_independent;
         tc "split_n" test_rng_split_n;
+        tc "nth_split = k sequential splits" test_rng_nth_split;
         tc "int range" test_rng_int_in_range;
         tc "int covers range" test_rng_int_covers_small_range;
         tc "int invalid bound" test_rng_int_invalid_bound;

@@ -402,16 +402,18 @@ let prop_async_benor_safe =
     QCheck.(triple (int_range 0 2) small_int (int_bound 2))
     (fun (t, seed, tag) ->
       let n = (2 * t) + 2 + (seed mod 3) in
-      let scheduler =
+      let make_scheduler () =
         match tag with
         | 0 -> Async.Scheduler.fair
         | 1 -> Async.Scheduler.fifo
         | _ -> Async.Scheduler.random_crash ~p:0.02
       in
       let s =
-        Async.Engine.run_trials ~max_steps:200_000 ~trials:3 ~seed:(seed + 19)
-          ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
-          ~t (Async.Benor.protocol ~t) scheduler
+        Sim.Runner.value
+          (Async.Engine.run_trials ~max_steps:200_000 ~trials:3
+             ~seed:(seed + 19)
+             ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
+             ~t (Async.Benor.protocol ~t) make_scheduler)
       in
       s.Async.Engine.disagreements = 0 && s.Async.Engine.validity_errors = 0)
 

@@ -586,6 +586,115 @@ let test_runner_auto_engine () =
   check_bool "manifest records both engines" true
     (mem "\"engines\": [\"concrete\", \"bitkernel\"]")
 
+(* --- Sim.Runner.fold: the async and Byzantine instances ---------------- *)
+
+(* A Byzantine fold (EIG under the equivocator) with full capture and its
+   own checkpoint store: the summary and the capture digest. *)
+let byz_fold ?fault ?(retries = 0) ~root ~tag ~jobs () =
+  let capture = Obs.Capture.create ~events:true () in
+  let checkpoint =
+    Sim.Checkpoint.create ~root ~exp:tag ~seed:23 ~chunk_size:8 ~n:30
+  in
+  let r =
+    Byz.Engine.run_trials ~jobs ~checkpoint ~capture ~retries ?fault
+      ~trials:30 ~seed:23
+      ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng 7)
+      ~t:2 (Byz.Eig.protocol ~t:2)
+      (fun () -> Byz.Adversary.equivocator ~budget_fraction:1.0 ())
+  in
+  (r, Obs.Capture.digest capture)
+
+let test_byz_pinned_plan_invisible () =
+  (* The bench-smoke chaos plan (a raising trial, a torn checkpoint write,
+     a raising event sink) against a Byzantine fold: with a retry budget
+     it is byte-invisible at any worker count. *)
+  with_temp_root "byz_chaos" @@ fun root ->
+  let plan = plan_of_string_exn "body@1#2:raise,store@2#0:torn,sink@3#5:raise" in
+  let base, base_digest = byz_fold ~root ~tag:"base" ~jobs:1 () in
+  let base = Sim.Runner.value base in
+  List.iter
+    (fun jobs ->
+      let r, digest =
+        byz_fold ~fault:plan ~retries:2 ~root
+          ~tag:(Printf.sprintf "chaos-j%d" jobs)
+          ~jobs ()
+      in
+      check_int
+        (Printf.sprintf "three retried attempts at jobs %d" jobs)
+        3
+        (List.length r.Sim.Runner.retried);
+      check_bool
+        (Printf.sprintf "summary byte-identical at jobs %d" jobs)
+        true
+        (Sim.Runner.value r = base);
+      check_string
+        (Printf.sprintf "capture digest byte-identical at jobs %d" jobs)
+        base_digest digest)
+    [ 1; 3 ]
+
+let test_async_resume_exact () =
+  (* Interrupt an async Ben-Or fold under the splitter after three chunks,
+     resume it at another worker count: the stored chunks short-circuit
+     and the summary comes back byte-identical. *)
+  let trials = 40 and seed = 31 in
+  let run ?cancel ?checkpoint ~jobs () =
+    Async.Engine.run_trials ~phase_of:Async.Benor.phase ~jobs ?cancel
+      ?checkpoint ~trials ~seed
+      ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng 4)
+      ~t:1 (Async.Benor.protocol ~t:1) Async.Benor.splitter
+  in
+  let baseline = Sim.Runner.value (run ~jobs:1 ()) in
+  with_temp_root "async_resume" @@ fun root ->
+  let make_ck () =
+    Sim.Checkpoint.create ~root ~exp:"async" ~seed ~chunk_size:8 ~n:trials
+  in
+  let polls = ref 0 in
+  let cancel () =
+    incr polls;
+    !polls > 3
+  in
+  let interrupted = run ~cancel ~checkpoint:(make_ck ()) ~jobs:1 () in
+  check_bool "interrupted" true interrupted.Sim.Runner.cancelled;
+  check_int "three chunks done" 3 interrupted.Sim.Runner.chunks_done;
+  check_int "their trials counted" 24 interrupted.Sim.Runner.completed_trials;
+  let resumed = run ~checkpoint:(make_ck ()) ~jobs:3 () in
+  check_int "three chunks from disk" 3 resumed.Sim.Runner.chunks_resumed;
+  check_int "every trial counted" trials resumed.Sim.Runner.completed_trials;
+  check_string "engine recorded" "async" resumed.Sim.Runner.engine_used;
+  check_bool "resumed summary = uninterrupted summary" true
+    (Sim.Runner.value resumed = baseline)
+
+let test_e11_rows_distinct_stores () =
+  (* E11 runs phase-king against the king-spoofer at t and at t + 1: the
+     rows differ only in the corruption budget, so the checkpoint key must
+     carry it or the second row would resume from the first one's
+     chunks. Every fold of the experiment gets its own store. *)
+  with_temp_root "e11_stores" @@ fun root ->
+  let ctx = Core.Supervise.create ~checkpoints:root () in
+  let driver = Option.get (Core.Experiments.by_id "e11") in
+  let r =
+    Core.Supervise.run_experiment ctx ~id:"e11" (fun () ->
+        driver ~jobs:1 ~sup:ctx Core.Experiments.Quick ~seed:42)
+  in
+  check_bool "completed" false (Core.Supervise.failed r);
+  let stores = Core.Supervise.stores ctx in
+  check_int "one store per row" 9 (List.length stores);
+  check_int "no two rows share a store" 9
+    (List.length (List.sort_uniq String.compare stores));
+  let has prefix =
+    List.exists
+      (fun d -> String.starts_with ~prefix (Filename.basename d))
+      stores
+  in
+  check_bool "king-spoofer at t has its store" true
+    (has "e11-phase-king-king-spoofer_n_17_t_3_");
+  check_bool "king-spoofer at t + 1 has another" true
+    (has "e11-phase-king__over_budget_-king-spoofer_n_17_t_4_");
+  check_int "trials counted for the manifest" (9 * 60)
+    r.Core.Supervise.completed_trials;
+  Alcotest.(check (list string)) "engine recorded" [ "byz" ]
+    r.Core.Supervise.engines
+
 (* --- Core.Supervise ----------------------------------------------------- *)
 
 let test_supervise_failure_record () =
@@ -623,15 +732,23 @@ let test_supervise_timeout_salvages_table () =
 
 let test_supervise_armed_watchdog () =
   (* A deadline in the past fires on the first poll: cancel reports true
-     and check raises, without any sleeping in the test. *)
+     and a fold committed under it raises, without any sleeping in the
+     test. *)
   let ctx = Core.Supervise.create ~deadline_s:(-1.0) () in
   let r =
     Core.Supervise.run_experiment ctx ~id:"ex" (fun () ->
         (match Core.Supervise.cancel (Some ctx) with
         | Some poll -> check_bool "expired deadline polls true" true (poll ())
         | None -> Alcotest.fail "watchdog not armed");
-        Core.Supervise.check (Some ctx);
-        Alcotest.fail "check did not raise past the deadline")
+        ignore
+          (Core.Supervise.commit (Some ctx)
+             (Sim.Runner.run_trials_supervised ~jobs:1
+                ?cancel:(Core.Supervise.cancel (Some ctx))
+                ~trials:4 ~seed:5
+                ~gen_inputs:(Sim.Runner.input_gen_random ~n:8)
+                ~t:2 (Core.Synran.protocol 8)
+                (fun () -> Sim.Adversary.null)));
+        Alcotest.fail "commit did not raise past the deadline")
   in
   (match r.Core.Supervise.status with
   | Core.Supervise.Timed_out -> ()
@@ -639,7 +756,6 @@ let test_supervise_armed_watchdog () =
   (* Unarmed supervisors are inert. *)
   check_bool "no deadline, no cancel hook" true
     (Core.Supervise.cancel (Some (Core.Supervise.create ())) = None);
-  Core.Supervise.check None;
   check_bool "cancel None is None" true (Core.Supervise.cancel None = None)
 
 let test_supervise_isolation_and_exit () =
@@ -659,16 +775,15 @@ let test_supervise_isolation_and_exit () =
 
 let supervised_fold ctx =
   (* The production wiring in miniature: the supervisor carries the fault
-     plan and retry budget, the runner fold consumes them via the same
-     accessors Core.Experiments uses, and commit folds the report back. *)
-  Core.Supervise.commit (Some ctx)
-    (Sim.Runner.run_trials_supervised ~max_rounds:500 ~jobs:1 ~chunk_size:4
-       ?retries:(Core.Supervise.retries (Some ctx))
-       ?fault:(Core.Supervise.fault_plan (Some ctx))
-       ~trials:16 ~seed:5
-       ~gen_inputs:(Sim.Runner.input_gen_random ~n:8)
-       ~t:2 (Core.Synran.protocol 8)
-       (fun () -> Sim.Adversary.null))
+     plan and retry budget, and Supervise.fold hands them to the runner
+     fold and commits the report back, as Core.Experiments does. *)
+  Core.Supervise.fold (Some ctx) ~key:"mini" ~seed:5 ~trials:16
+    (fun ?cancel ?checkpoint ?retries ?fault () ->
+      Sim.Runner.run_trials_supervised ~max_rounds:500 ~jobs:1 ~chunk_size:4
+        ?cancel ?checkpoint ?retries ?fault ~trials:16 ~seed:5
+        ~gen_inputs:(Sim.Runner.input_gen_random ~n:8)
+        ~t:2 (Core.Synran.protocol 8)
+        (fun () -> Sim.Adversary.null))
 
 let test_supervise_retry_accounting () =
   let ctx =
@@ -832,6 +947,12 @@ let suites =
           test_runner_chunk_size_identity;
         tc "auto engine resolution is identical and audited"
           test_runner_auto_engine;
+        tc "pinned fault plan is invisible to a Byzantine fold"
+          test_byz_pinned_plan_invisible;
+        tc "interrupted async fold resumes byte-identical"
+          test_async_resume_exact;
+        tc "E11's rows get distinct checkpoint stores"
+          test_e11_rows_distinct_stores;
       ] );
     ( "supervised.ctx",
       [

@@ -43,8 +43,9 @@
      against the cohort-op closure by the taint pass.
    - supervised captures (R9): free variables of mutable type ([ref],
      [Hashtbl.t], [Buffer.t], [Queue.t], [Stack.t]) captured by closure
-     literals passed to [fold_chunks_supervised] — state that escapes the
-     chunk boundary.
+     literals passed to [fold_chunks_supervised] or to [Runner.fold]
+     (whose trial closure runs inside every model's chunks) — state that
+     escapes the chunk boundary.
 
    Every well-formed waiver is registered by the location of its attribute
    (and marked when it suppresses a local finding) so the taint pass can
@@ -226,7 +227,7 @@ let parallel_entries =
     "Parallel.run_workers";
   ]
 
-let supervised_entries = [ "Parallel.fold_chunks_supervised" ]
+let supervised_entries = [ "Parallel.fold_chunks_supervised"; "Runner.fold" ]
 
 (* Head type constructors that make a captured variable shared mutable
    state: R9's set, and R4's, which also counts arrays and bytes

@@ -19,7 +19,8 @@
        order-sensitive accumulation flowing toward merged registries must
        use the commutative init/absorb/finish algebra or carry a waiver.
    R9  mutable state ([ref]/[Hashtbl.t]/[Buffer.t]/[Queue.t]/[Stack.t])
-       captured across the [fold_chunks_supervised] chunk boundary.
+       captured across the [fold_chunks_supervised] / [Runner.fold]
+       chunk boundary.
    W1  a well-formed waiver that suppresses nothing.
 
    Taint propagates callee → caller: a function calling a nondet function
@@ -67,6 +68,9 @@ let sink_roots =
   [
     Fn "Runner.run_trials";
     Fn "Runner.run_trials_supervised";
+    (* Every model's trial loop: the async and Byzantine engines and the
+       experiments' own trial bodies run inside its chunks. *)
+    Fn "Runner.fold";
     Fn "Engine.step";
     Fn "Engine.run";
     Fn "Engine.run_until";
