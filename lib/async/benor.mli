@@ -16,7 +16,12 @@
     asynchronous weakness that motivates the paper's synchronous
     question. *)
 
-type msg
+type msg = private
+  | Report of { phase : int; v : int }
+  | Proposal of { phase : int; v : int option }
+      (** [v = None]: no candidate emerged from the sender's reports. *)
+(** Readable, so a scheduler (or a test's reference scan) can score a
+    pending message; only the protocol builds them. *)
 
 type state
 
@@ -35,5 +40,13 @@ val splitter : unit -> msg Scheduler.t
     first), so no candidate emerges and every process flips, every phase.
     It only loses when the collective coin flips land so lopsided that
     balancing is impossible — an exponentially rare event, making expected
-    phases exponential in n. Stateful per run (resets on a fresh run's
-    first step). *)
+    phases exponential in n.
+
+    Each pick delivers the oldest message of the lowest score, in
+    O(log groups) time, where a group is a (receiver, phase, value) class
+    of reports: pending messages queue per group, and one delivery
+    rescores only the two groups of its (receiver, phase). State is per
+    run: a pick whose [steps_taken] does not exceed the previous pick's
+    starts afresh, so one instance may serve consecutive runs, and a
+    pending store that lost messages other than its own picks (a crash
+    by a wrapping scheduler) is re-read whole. *)

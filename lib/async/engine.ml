@@ -76,6 +76,8 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
         enqueue pid sendlist;
         state)
   in
+  (* Live processes still undecided: the run stops when it reaches 0. *)
+  let undecided = ref n in
   let record_decision pid state ~step =
     let after = protocol.Protocol.decision state in
     match (decisions.(pid), after) with
@@ -88,6 +90,7 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
           (Decision_changed (Printf.sprintf "process %d revoked decision %d" pid v))
     | None, Some v ->
         decisions.(pid) <- after;
+        decr undecided;
         (* Async has no rounds; the step index is the event's timeline. *)
         if emit_on then
           Obs.Sink.emit sink
@@ -95,17 +98,10 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
                { engine = Obs.Event.Async; round = step; pid; value = v })
     | _, after -> decisions.(pid) <- after
   in
-  let all_live_decided () =
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      if (not crashed.(i)) && decisions.(i) = None then ok := false
-    done;
-    !ok
-  in
   let steps = ref 0 in
   let continue = ref true in
   while !continue && !steps < max_steps do
-    if !count = 0 || all_live_decided () then continue := false
+    if !count = 0 || !undecided = 0 then continue := false
     else begin
       incr steps;
       let view =
@@ -113,8 +109,8 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
           Scheduler.n;
           t;
           crash_budget_left = !crash_budget;
-          crashed = Array.copy crashed;
-          decided = Array.copy decisions;
+          crashed;
+          decided = decisions;
           pending_count = !count;
           pending_nth;
           steps_taken = !steps;
@@ -130,6 +126,7 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
             raise (Invalid_action "crash budget exhausted");
           decr crash_budget;
           crashed.(pid) <- true;
+          if decisions.(pid) = None then decr undecided;
           if emit_on then
             Obs.Sink.emit sink
               (Obs.Event.Kill
@@ -189,7 +186,7 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
     deliveries = !deliveries;
     sends = !sends;
     coin_flips;
-    all_decided = all_live_decided ();
+    all_decided = !undecided = 0;
     steps = !steps;
     max_phase;
   }

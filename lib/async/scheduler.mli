@@ -31,11 +31,11 @@ type 'msg view = {
           range. *)
   steps_taken : int;
 }
-(** The pending accessors are a zero-copy, read-only window onto the
-    engine's own message store, valid only during the [pick] call that
-    received them: the engine mutates the store as soon as [pick]
-    returns. A scheduler that keeps messages past its call must copy
-    what it keeps. *)
+(** [crashed], [decided] and the pending accessors are zero-copy,
+    read-only windows onto the engine's own state, valid only during the
+    [pick] call that received them: the engine mutates them as soon as
+    [pick] returns, and a scheduler must never write to them. A scheduler
+    that keeps any of it past its call must copy what it keeps. *)
 
 type action =
   | Deliver of int  (** Message id of a pending message. *)

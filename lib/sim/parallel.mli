@@ -17,7 +17,15 @@
 
     Work items must be independent: the [work] callback may only touch its
     chunk accumulator and per-index state (e.g. a freshly built adversary),
-    never shared mutable structures. *)
+    never shared mutable structures.
+
+    Workers persist across folds. The calling domain is always worker 0;
+    the others are helper domains, spawned on first need (never more than
+    the largest [jobs - 1] asked for) and parked between folds, so a fold
+    costs no [Domain.spawn]/[Domain.join]. A fold that finds every helper
+    busy, such as one nested in a chunk body, runs on fewer workers, which
+    by the rules above changes nothing but its speed. Helpers record
+    backtraces exactly when the domain that started the fold does. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the worker count the [--jobs]

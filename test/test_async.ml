@@ -280,6 +280,113 @@ let test_splitter_flip_count_grows () =
   in
   check_bool "flips grow superlinearly" true (flips 8 > 4.0 *. flips 4)
 
+(* The splitter's specification as a plain arg-min scan: score every
+   pending message against this scan's own tally of delivered reports and
+   take the earliest minimum. *)
+let reference_pick tally (view : Async.Benor.msg Async.Scheduler.view) =
+  let half = view.Async.Scheduler.n / 2 in
+  let delivered dst phase v =
+    Option.value ~default:0 (Hashtbl.find_opt tally (dst, phase, v))
+  in
+  let score (m : Async.Benor.msg Async.Scheduler.in_flight) =
+    match m.Async.Scheduler.payload with
+    | Async.Benor.Proposal { v = None; _ } -> 0
+    | Async.Benor.Proposal { v = Some _; _ } -> 4
+    | Async.Benor.Report { phase; v } ->
+        let dst = m.Async.Scheduler.dst in
+        let same = delivered dst phase v and other = delivered dst phase (1 - v) in
+        if same >= half then 3 else if same <= other then 1 else 2
+  in
+  let best = ref (view.Async.Scheduler.pending_nth 0) in
+  for k = 1 to view.Async.Scheduler.pending_count - 1 do
+    let m = view.Async.Scheduler.pending_nth k in
+    if score m < score !best then best := m
+  done;
+  !best
+
+(* Run the splitter and the reference side by side, counting the steps on
+   which they pick different ids. With [crash_p > 0] the wrapper also
+   crashes random processes after the first step, so the splitter sees
+   its pending store shrink behind its back. *)
+let splitter_vs_reference ~n ~seed ~max_steps ~crash_p =
+  let t = (n - 1) / 2 in
+  let split = Async.Benor.splitter () in
+  let tally = Hashtbl.create 64 in
+  let picks = ref 0 and mismatches = ref 0 in
+  let both =
+    {
+      Async.Scheduler.name = "splitter-vs-scan";
+      pick =
+        (fun view rng ->
+          let live =
+            List.filter
+              (fun i -> not view.Async.Scheduler.crashed.(i))
+              (List.init n Fun.id)
+          in
+          if
+            view.Async.Scheduler.steps_taken > 1
+            && view.Async.Scheduler.crash_budget_left > 0
+            && Prng.Rng.bernoulli rng crash_p
+          then Async.Scheduler.Crash (List.nth live (Prng.Rng.int rng (List.length live)))
+          else begin
+            let want = reference_pick tally view in
+            let got = split.Async.Scheduler.pick view rng in
+            incr picks;
+            if got <> Async.Scheduler.Deliver want.Async.Scheduler.id then
+              incr mismatches;
+            (match want.Async.Scheduler.payload with
+            | Async.Benor.Report { phase; v } ->
+                let key = (want.Async.Scheduler.dst, phase, v) in
+                Hashtbl.replace tally key
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt tally key))
+            | Async.Benor.Proposal _ -> ());
+            got
+          end);
+    }
+  in
+  let rng = Prng.Rng.create seed in
+  let inputs = Prng.Sample.random_bits rng n in
+  ignore
+    (Async.Engine.run ~max_steps (Async.Benor.protocol ~t) both ~inputs ~t ~rng);
+  (!picks, !mismatches)
+
+let prop_splitter_matches_scan =
+  QCheck.Test.make ~count:60
+    ~name:"splitter picks the reference scan's id at every step"
+    QCheck.(
+      quad (int_range 3 7) (int_range 0 100_000) (int_range 1_000 4_000) bool)
+    (fun (n, seed, max_steps, crashes) ->
+      let picks, mismatches =
+        splitter_vs_reference ~n ~seed ~max_steps
+          ~crash_p:(if crashes then 0.01 else 0.0)
+      in
+      picks > 0 && mismatches = 0)
+
+let test_splitter_reused_across_runs () =
+  (* One instance serving two consecutive runs must play the second
+     exactly as a fresh instance would: it resets on that run's first
+     step instead of carrying the first run's tallies and queues. *)
+  let run scheduler inputs seed =
+    let o =
+      Async.Engine.run ~phase_of:Async.Benor.phase (Async.Benor.protocol ~t:2)
+        scheduler ~inputs ~t:2 ~rng:(Prng.Rng.create seed)
+    in
+    ( o.Async.Engine.steps,
+      o.Async.Engine.deliveries,
+      o.Async.Engine.coin_flips,
+      o.Async.Engine.max_phase,
+      Array.to_list o.Async.Engine.decisions )
+  in
+  (* The second run also has a different n, so stale groups would not
+     even line up. *)
+  let first = [| 0; 1; 1; 0; 1 |] and second = [| 1; 0; 0; 1; 0; 1 |] in
+  let shared = Async.Benor.splitter () in
+  let a = run shared first 21 in
+  let b = run shared second 22 in
+  check_bool "first run as fresh" true (a = run (Async.Benor.splitter ()) first 21);
+  check_bool "second run as fresh" true
+    (b = run (Async.Benor.splitter ()) second 22)
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -305,5 +412,7 @@ let suites =
         tc "resilience validation" test_benor_resilience_validation;
         tc "splitter slows exponentially" test_splitter_exponential_slowdown;
         tc "flip count grows" test_splitter_flip_count_grows;
+        tc "splitter reused across runs" test_splitter_reused_across_runs;
+        QCheck_alcotest.to_alcotest prop_splitter_matches_scan;
       ] );
   ]

@@ -445,6 +445,20 @@ let determinism_suite =
         ("e9", 7, "6cbbd529df1d99fa2cc29604586bda34");
       ]
   in
+  let test_full_e9_pinned () =
+    (* The full-profile E9 table: the MD5 of its block in
+       results/full_tables.txt without the two trailing newlines. The
+       splitter rows at n = 8 and 10 run hundreds of phases, so this pins
+       the incremental splitter far past the quick profile. *)
+    match Core.Experiments.by_id "e9" with
+    | None -> Alcotest.fail "unknown experiment e9"
+    | Some f ->
+        Alcotest.(check string)
+          "e9 full seed 42" "96f38df53bb3efb6749e344b43adab1c"
+          (Digest.to_hex
+             (Digest.string
+                (Stats.Table.render (f Core.Experiments.Full ~seed:42))))
+  in
   let test_ids_complete () =
     Alcotest.(check int) "twelve experiments" 12
       (List.length Core.Experiments.ids);
@@ -473,6 +487,7 @@ let determinism_suite =
     [
       tc "tables reproducible" test_tables_reproducible;
       tc "E1–E12 quick tables pinned" test_quick_tables_pinned;
+      tc "E9 full table pinned" test_full_e9_pinned;
       tc "all ids resolvable" test_ids_complete;
       tc "ids in table order" test_ids_in_order;
       tc "unknown ids rejected" test_unknown_id;

@@ -190,6 +190,130 @@ let test_cancel_at_chunk_boundary () =
   | Some v -> Alcotest.(check (list int)) "partial prefix" [ 0; 1; 2; 3; 4; 5; 6; 7 ] !v
   | None -> Alcotest.fail "partial value missing"
 
+(* --- the persistent worker pool ---------------------------------------- *)
+
+(* Helper domains outlive their folds, so these check that a fold leaves
+   the pool as it found it whatever happened inside. [clean ()] is a
+   plain fold whose result every test compares against [jobs = 1]. *)
+let clean ?(jobs = 2) () =
+  match
+    (indices_fold ~jobs ~chunk_size:3 ~n:50 ~crash_at:[] ()).Sim.Parallel.value
+  with
+  | Some v -> !v
+  | None -> Alcotest.fail "clean fold lost its value"
+
+let all_indices = List.init 50 Fun.id
+
+let test_pool_nested_fold () =
+  (* Every chunk body runs a jobs=2 fold of its own while the outer fold
+     holds the pool's helper: the inner folds must finish (on fewer
+     workers) and the whole equals the sequential fold. *)
+  let nested jobs =
+    Sim.Parallel.fold_chunks ~jobs ~chunk_size:2 ~n:12
+      ~create:(fun () -> ref [])
+      ~work:(fun i acc ->
+        let inner =
+          Sim.Parallel.fold_chunks ~jobs ~chunk_size:3 ~n:(10 + i)
+            ~create:(fun () -> ref 0)
+            ~work:(fun k sum -> sum := !sum + (i * k))
+            ~merge:(fun a b ->
+              a := !a + !b;
+              a)
+            ()
+        in
+        acc := !acc @ [ !inner ])
+      ~merge:(fun a b ->
+        a := !a @ !b;
+        a)
+      ()
+  in
+  Alcotest.(check (list int)) "nested jobs=2 = jobs=1" !(nested 1) !(nested 2);
+  Alcotest.(check (list int)) "pool usable after nesting" all_indices (clean ())
+
+(* Spin until [flag] counts [k] arrivals; bounded, so a pool that never
+   runs the other side fails the test instead of hanging it. *)
+let rendezvous flag k =
+  Atomic.incr flag;
+  let spins = ref 0 in
+  while Atomic.get flag < k && !spins < 100_000_000 do
+    incr spins;
+    Domain.cpu_relax ()
+  done
+
+let test_pool_worker_failure () =
+  (* Chunks 0 and 1 wait for each other before raising, so they run on
+     different workers at jobs=2: one of the two failures comes from the
+     pooled helper, which must report it in full and stay usable. *)
+  let was = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  let met = Atomic.make 0 in
+  let s =
+    Fun.protect
+      ~finally:(fun () -> Printexc.record_backtrace was)
+      (fun () ->
+        Sim.Parallel.fold_chunks_supervised ~jobs:2 ~chunk_size:4 ~n:40
+          ~create:(fun () -> ref [])
+          ~work:(fun i acc ->
+            if i = 1 || i = 5 then begin
+              rendezvous met 2;
+              failwith (Printf.sprintf "boom %d" i)
+            end;
+            acc := i :: !acc)
+          ~merge:(fun a b ->
+            a := !b @ !a;
+            a)
+          ())
+  in
+  check_int "both sides met" 2 (Atomic.get met);
+  (match s.Sim.Parallel.failures with
+  | [ f0; f1 ] ->
+      check_int "first failing chunk" 0 f0.Sim.Parallel.chunk;
+      check_int "its trial" 1 f0.Sim.Parallel.trial;
+      check_int "second failing chunk" 1 f1.Sim.Parallel.chunk;
+      check_int "its trial" 5 f1.Sim.Parallel.trial;
+      List.iter
+        (fun f ->
+          check_bool "exception kept" true
+            (f.Sim.Parallel.exn
+            = Failure (Printf.sprintf "boom %d" f.Sim.Parallel.trial));
+          check_bool "backtrace kept" true
+            (Printexc.raw_backtrace_length f.Sim.Parallel.backtrace > 0))
+        [ f0; f1 ]
+  | fs -> Alcotest.failf "expected chunks 0 and 1 to fail, got %d failures"
+            (List.length fs));
+  Alcotest.(check (list int)) "next fold runs clean" all_indices (clean ())
+
+let test_pool_back_to_back () =
+  let reference = clean ~jobs:1 () in
+  for k = 1 to 200 do
+    if clean () <> reference then Alcotest.failf "fold %d differs" k
+  done
+
+let test_pool_cancel_mid_fold () =
+  (* The hook fires on its fifth poll (shared by both workers), so the
+     fold stops early; then it raises instead, which must surface from
+     the fold. Either way the pool serves the next fold cleanly. *)
+  let polls = Atomic.make 0 in
+  let s =
+    indices_fold ~jobs:2 ~chunk_size:3 ~n:50 ~crash_at:[]
+      ~cancel:(fun () -> Atomic.fetch_and_add polls 1 >= 4)
+      ()
+  in
+  check_bool "cancelled" true s.Sim.Parallel.cancelled;
+  check_bool "stopped early" true
+    (s.Sim.Parallel.chunks_done < s.Sim.Parallel.chunks_total);
+  Alcotest.(check (list int)) "pool usable after a cancel" all_indices (clean ());
+  let polls = Atomic.make 0 in
+  Alcotest.check_raises "a raising hook surfaces" (Failure "hook") (fun () ->
+      ignore
+        (indices_fold ~jobs:2 ~chunk_size:3 ~n:50 ~crash_at:[]
+           ~cancel:(fun () ->
+             if Atomic.fetch_and_add polls 1 >= 4 then failwith "hook";
+             false)
+           ()));
+  Alcotest.(check (list int)) "pool usable after a raising hook" all_indices
+    (clean ())
+
 (* --- checkpoint store -------------------------------------------------- *)
 
 (* Every checkpoint store in these tests lives under a per-test temp root,
@@ -923,6 +1047,14 @@ let suites =
         tc "exhausted retry budget is a terminal failure"
           test_retry_budget_exhausted;
         tc "negative retries rejected" test_retries_validated;
+      ] );
+    ( "supervised.pool",
+      [
+        tc "fold nested in a chunk body" test_pool_nested_fold;
+        tc "failure on a pooled worker is reported in full"
+          test_pool_worker_failure;
+        tc "200 back-to-back folds agree" test_pool_back_to_back;
+        tc "cancel mid-fold leaves the pool usable" test_pool_cancel_mid_fold;
       ] );
     ( "supervised.checkpoint",
       [
