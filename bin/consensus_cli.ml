@@ -477,21 +477,6 @@ let experiments_cmd =
     let ids =
       match which with [] -> Core.Experiments.ids | ids -> ids
     in
-    let drivers :
-        (string
-        * (?jobs:int ->
-          ?sup:Core.Supervise.ctx ->
-          Core.Experiments.profile ->
-          seed:int ->
-          Stats.Table.t))
-        list =
-      List.map
-        (fun id ->
-          match Core.Experiments.by_id id with
-          | Some f -> (id, f)
-          | None -> failwith ("unknown experiment id " ^ id))
-        ids
-    in
     (* One supervisor for the whole run: each experiment gets its own
        watchdog deadline and failure record; a crash or timeout in one
        experiment never loses the others. *)
@@ -501,15 +486,9 @@ let experiments_cmd =
     in
     let results =
       List.map
-        (fun (id, f) ->
-          let (f :
-                ?jobs:int ->
-                ?sup:Core.Supervise.ctx ->
-                Core.Experiments.profile ->
-                seed:int ->
-                Stats.Table.t) =
-            f
-          in
+        (fun id ->
+          (* The experiment_id converter has validated every id. *)
+          let f = Option.get (Core.Experiments.by_id id) in
           let r =
             Core.Supervise.run_experiment ctx ~id (fun () ->
                 f ~jobs ~sup:ctx profile ~seed)
@@ -524,7 +503,7 @@ let experiments_cmd =
           | _ -> print_endline ("*** " ^ Core.Supervise.status_line r ^ " ***"));
           if not csv then print_newline ();
           r)
-        drivers
+        ids
     in
     (* Plans can arm the manifest site itself; an injector with zero
        chunk slots still carries the run-scope slot the site uses. *)
@@ -565,15 +544,7 @@ let experiments_cmd =
       & info [ "profile" ] ~docv:"PROFILE" ~doc:"quick or full.")
   in
   let experiment_id =
-    let parse s =
-      if List.mem s Core.Experiments.ids then Ok s
-      else
-        Error
-          (`Msg
-             (Printf.sprintf "unknown experiment id %s (expected %s)" s
-                (String.concat ", " Core.Experiments.ids)))
-    in
-    Arg.conv (parse, Format.pp_print_string)
+    Arg.enum (List.map (fun id -> (id, id)) Core.Experiments.ids)
   in
   let which_arg =
     Arg.(
@@ -592,10 +563,21 @@ let experiments_cmd =
              interrupted run instead of clearing them; the resumed tables \
              are byte-identical to an uninterrupted run.")
   in
+  (* A NaN deadline never fires and an infinite one is not JSON: both
+     fail here instead of disarming the watchdog or breaking the
+     manifest. *)
+  let finite_float =
+    let parse s =
+      match float_of_string_opt s with
+      | Some v when Float.is_finite v -> Ok v
+      | _ -> Error (`Msg ("SECONDS must be a finite number (got " ^ s ^ ")"))
+    in
+    Arg.conv (parse, Format.pp_print_float)
+  in
   let deadline_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite_float) None
       & info [ "deadline-s" ] ~docv:"SECONDS"
           ~doc:
             "Per-experiment wall-clock deadline. A run past its deadline is \

@@ -11,12 +11,18 @@
     [(seed, trial index)] (see {!Sim.Parallel}). E2 is closed-form and
     ignores [jobs].
 
-    [sup] threads a {!Supervise.ctx} through each driver: every trial
-    fold, the async (E9) and Byzantine (E11, E12) ones included, then
-    polls its watchdog at chunk boundaries, persists and resumes chunk
-    checkpoints, and reports structured failures. Omitting [sup] is
-    exactly the old unsupervised behavior, and a supervised run's tables
-    are bit-identical to an unsupervised run's. *)
+    [sup] supervises the run (see {!Supervise}). Each driver registers its
+    table before its first trial, so a failed or timed-out run reports the
+    rows added so far. Every trial population is one keyed supervised
+    fold ({!Supervise.fold}): it polls the watchdog at chunk boundaries,
+    persists and resumes chunk checkpoints under its key, and reports
+    structured failures. Only two pieces of trial work run outside such a
+    fold. E1's coin-game estimates poll the watchdog but keep no
+    checkpoint: a quick pass makes ~64 of them, and storing their ~1,200
+    chunks would cost a fifth of the battery's time. E6's FloodSet column
+    is one deterministic run per row, with nothing to chunk. Without
+    [sup] nothing is polled or stored, and the tables are bit-identical
+    either way. *)
 
 type profile = Quick | Full
 

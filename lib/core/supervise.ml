@@ -58,6 +58,13 @@ let create ?deadline_s ?checkpoints ?(resume = false) ?retries ?fault () =
   (match retries with
   | Some r when r < 0 -> invalid_arg "Supervise.create: retries"
   | _ -> ());
+  (* A NaN deadline would never fire, and neither it nor an infinite one
+     can be written to the manifest as JSON. A negative one fires on the
+     first poll. *)
+  (match deadline_s with
+  | Some d when not (Float.is_finite d) ->
+      invalid_arg "Supervise.create: deadline_s"
+  | _ -> ());
   {
     deadline_s;
     ckpt_root = checkpoints;

@@ -2,7 +2,7 @@
 
     The experiment pipeline (E1–E12) is minutes of Monte-Carlo work; this
     module bounds the blast radius of any one failure. It threads three
-    mechanisms through the drivers in {!Experiments}:
+    mechanisms through the run-context helpers of {!Experiments}:
 
     {ul
     {- {b Watchdogs} — a per-experiment wall-clock deadline that cancels
@@ -77,14 +77,16 @@ val create :
   ?fault:Sim.Fault.plan ->
   unit ->
   ctx
-(** [deadline_s] arms the per-experiment watchdog (off by default);
+(** [deadline_s] arms the per-experiment watchdog (off by default; a
+    negative one fires on the first poll);
     [checkpoints] is the checkpoint root directory (e.g.
     ["results/checkpoints"]; absent = checkpointing off); [resume]
     (default [false]) consumes existing chunk files instead of clearing
     them; [retries] is the per-chunk retry budget of every {!fold}
     (absent = no retries); [fault] is a deterministic {!Sim.Fault} plan
     replayed against every {!fold} (each fold builds its own injector,
-    so hit counters are per fold). *)
+    so hit counters are per fold). Raises [Invalid_argument] on a
+    non-finite [deadline_s] or a negative [retries]. *)
 
 val run_experiment : ctx -> id:string -> (unit -> Stats.Table.t) -> result
 (** Run one experiment under supervision: arms the watchdog, zeroes the

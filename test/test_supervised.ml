@@ -161,6 +161,18 @@ let test_retries_validated () =
       ignore
         (indices_fold ~jobs:1 ~chunk_size:4 ~n:8 ~crash_at:[] ~retries:(-1) ()))
 
+let test_deadline_validated () =
+  (* A NaN deadline would never fire; neither it nor an infinite one is
+     JSON in the manifest. A past (negative) deadline stays legal. *)
+  List.iter
+    (fun d ->
+      Alcotest.check_raises
+        (Printf.sprintf "deadline %g rejected" d)
+        (Invalid_argument "Supervise.create: deadline_s") (fun () ->
+          ignore (Core.Supervise.create ~deadline_s:d ())))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  ignore (Core.Supervise.create ~deadline_s:(-1.0) ())
+
 (* --- fold_chunks_supervised: cooperative cancellation ------------------ *)
 
 let test_cancel_before_first_chunk () =
@@ -788,36 +800,87 @@ let test_async_resume_exact () =
   check_bool "resumed summary = uninterrupted summary" true
     (Sim.Runner.value resumed = baseline)
 
-let test_e11_rows_distinct_stores () =
-  (* E11 runs phase-king against the king-spoofer at t and at t + 1: the
-     rows differ only in the corruption budget, so the checkpoint key must
-     carry it or the second row would resume from the first one's
-     chunks. Every fold of the experiment gets its own store. *)
-  with_temp_root "e11_stores" @@ fun root ->
-  let ctx = Core.Supervise.create ~checkpoints:root () in
-  let driver = Option.get (Core.Experiments.by_id "e11") in
-  let r =
-    Core.Supervise.run_experiment ctx ~id:"e11" (fun () ->
-        driver ~jobs:1 ~sup:ctx Core.Experiments.Quick ~seed:42)
-  in
-  check_bool "completed" false (Core.Supervise.failed r);
-  let stores = Core.Supervise.stores ctx in
-  check_int "one store per row" 9 (List.length stores);
-  check_int "no two rows share a store" 9
-    (List.length (List.sort_uniq String.compare stores));
-  let has prefix =
-    List.exists
-      (fun d -> String.starts_with ~prefix (Filename.basename d))
-      stores
-  in
-  check_bool "king-spoofer at t has its store" true
-    (has "e11-phase-king-king-spoofer_n_17_t_3_");
-  check_bool "king-spoofer at t + 1 has another" true
-    (has "e11-phase-king__over_budget_-king-spoofer_n_17_t_4_");
-  check_int "trials counted for the manifest" (9 * 60)
-    r.Core.Supervise.completed_trials;
-  Alcotest.(check (list string)) "engine recorded" [ "byz" ]
-    r.Core.Supervise.engines
+let test_rows_distinct_stores () =
+  (* Every fold of every experiment gets its own checkpoint store: two
+     folds with equal keys would resume from each other's chunks. The MD5
+     of each experiment's store basenames, in fold order, pins how the
+     keys are spelled, so a run interrupted by an older build of the same
+     tables still resumes. E1 and E2 open no store. *)
+  List.iter
+    (fun (id, stores, md5) ->
+      with_temp_root ("stores_" ^ id) @@ fun root ->
+      let ctx = Core.Supervise.create ~checkpoints:root () in
+      let driver = Option.get (Core.Experiments.by_id id) in
+      let r =
+        Core.Supervise.run_experiment ctx ~id (fun () ->
+            driver ~jobs:1 ~sup:ctx Core.Experiments.Quick ~seed:42)
+      in
+      check_bool (id ^ " completed") false (Core.Supervise.failed r);
+      let names = List.map Filename.basename (Core.Supervise.stores ctx) in
+      check_int (id ^ ": one store per fold") stores (List.length names);
+      check_int (id ^ ": no two folds share a store") stores
+        (List.length (List.sort_uniq String.compare names));
+      check_string (id ^ ": store names pinned") md5
+        (Digest.to_hex (Digest.string (String.concat "\n" names)));
+      if id = "e11" then begin
+        (* Phase-king meets the king-spoofer at t and at t + 1: rows that
+           differ only in the corruption budget, which the key carries. *)
+        let has prefix = List.exists (String.starts_with ~prefix) names in
+        check_bool "king-spoofer at t has its store" true
+          (has "e11-phase-king-king-spoofer_n_17_t_3_");
+        check_bool "king-spoofer at t + 1 has another" true
+          (has "e11-phase-king__over_budget_-king-spoofer_n_17_t_4_");
+        check_int "trials counted for the manifest" (9 * 60)
+          r.Core.Supervise.completed_trials;
+        Alcotest.(check (list string))
+          "engine recorded" [ "byz" ] r.Core.Supervise.engines
+      end)
+    [
+      ("e1", 0, "d41d8cd98f00b204e9800998ecf8427e");
+      ("e2", 0, "d41d8cd98f00b204e9800998ecf8427e");
+      ("e3", 6, "9e43d12a96068d9d3387a0977bb77aa2");
+      ("e4", 12, "bd70a05d24a5670b312e01ee15ad5e59");
+      ("e5", 6, "7c945f183bbd0b850255fb29ce73ec93");
+      ("e6", 12, "8ca40719f0fb7b7560c2b2de4252fd39");
+      ("e7", 14, "2cb0e8849dfd0210badc795d727111a2");
+      ("e8", 12, "ce77d3eb06f0fd8457e676a2485102cb");
+      ("e9", 9, "66ca6d561fd251d13868367755848338");
+      ("e10", 12, "2b086d1c3db65ae46cd46aa0fe7484c6");
+      ("e11", 9, "ddddd2c8f120695a1222555654107a51");
+      ("e12", 8, "0e346059f3fca469ceb72f6b5cd07166");
+    ]
+
+let test_drivers_register_first () =
+  (* Every driver registers its table before its first trial: under an
+     expired deadline each one times out on its first fold and still
+     reports its table, with no row. E2 is closed-form and completes. *)
+  let ctx = Core.Supervise.create ~deadline_s:(-1.0) () in
+  List.iter
+    (fun id ->
+      let driver = Option.get (Core.Experiments.by_id id) in
+      let r =
+        Core.Supervise.run_experiment ctx ~id (fun () ->
+            driver ~jobs:1 ~sup:ctx Core.Experiments.Quick ~seed:42)
+      in
+      match (id, r.Core.Supervise.status, r.Core.Supervise.table) with
+      | "e2", Core.Supervise.Completed, Some _ -> ()
+      | "e2", _, _ -> Alcotest.fail "e2 did not complete"
+      | _, Core.Supervise.Timed_out, Some tbl -> (
+          match String.split_on_char '\n' (Stats.Table.render tbl) with
+          | [ title; _header; rule ] ->
+              check_bool (id ^ ": title line") true
+                (String.starts_with
+                   ~prefix:("== " ^ String.uppercase_ascii id ^ " ")
+                   title);
+              check_bool (id ^ ": rule line") true
+                (String.for_all (fun c -> c = ' ' || c = '-') rule)
+          | lines ->
+              Alcotest.failf "%s: %d lines, expected title, header, rule" id
+                (List.length lines))
+      | _, Core.Supervise.Timed_out, None ->
+          Alcotest.failf "%s: table not registered" id
+      | _ -> Alcotest.failf "%s did not time out" id)
+    Core.Experiments.ids
 
 (* --- Core.Supervise ----------------------------------------------------- *)
 
@@ -1047,6 +1110,7 @@ let suites =
         tc "exhausted retry budget is a terminal failure"
           test_retry_budget_exhausted;
         tc "negative retries rejected" test_retries_validated;
+        tc "non-finite deadline rejected" test_deadline_validated;
       ] );
     ( "supervised.pool",
       [
@@ -1083,8 +1147,10 @@ let suites =
           test_byz_pinned_plan_invisible;
         tc "interrupted async fold resumes byte-identical"
           test_async_resume_exact;
-        tc "E11's rows get distinct checkpoint stores"
-          test_e11_rows_distinct_stores;
+        tc "every experiment's folds get distinct, pinned stores"
+          test_rows_distinct_stores;
+        tc "every driver registers its table before its first trial"
+          test_drivers_register_first;
       ] );
     ( "supervised.ctx",
       [
