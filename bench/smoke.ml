@@ -159,9 +159,10 @@ let cohort_smoke () =
   print_endline "bench-smoke: cohort engine byte-identical to concrete"
 
 (* Bitkernel-vs-concrete replay: same contract as the cohort leg. The
-   null adversary keeps every round packed; band-control and the
-   valency-steer killer force adaptive-kill fallbacks and re-packs, so
-   both halves of the kernel are diffed. *)
+   null adversary keeps every round packed, and so do band-control's
+   silent kills. Only a partial delivery leaves the packed path:
+   random-partial and the valency-steer killer force those scalar
+   fallbacks and re-packs, so both halves of the kernel are diffed. *)
 let bitkernel_compare name protocol ?observer adversary ~n ~t ~seed =
   let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
   let o1, m1, r1 =
@@ -202,6 +203,11 @@ let bitkernel_smoke () =
         Baselines.Adversaries.valency_steer ~per_round:2
           ~msg_is_one:Core.Synran.msg_is_one ())
       ~n:64 ~t:32 ~seed;
+    bitkernel_compare
+      (Printf.sprintf "bitkernel synran n=96 vs random-partial (seed %d)" seed)
+      (Core.Synran.protocol 96) ~observer:Core.Synran.msg_is_one
+      (fun () -> Baselines.Adversaries.random_partial ~p:0.1)
+      ~n:96 ~t:48 ~seed;
     bitkernel_compare
       (Printf.sprintf "bitkernel floodset n=48 vs null (seed %d)" seed)
       (Baselines.Floodset.protocol ~rounds:9 ())
@@ -304,8 +310,8 @@ let large_n_smoke () =
     (outcomes_equal (run_band p) (run_band (Sim.Protocol.legacy p)));
   (* Band control at n = 8192: kill rounds with partial deliveries, which
      every engine runs through the shared round rules and bitkernel runs
-     through Engine's own delivery code. Cohort plans with the native
-     port, as [--engine cohort] does. *)
+     through Engine's own delivery code (its silent bursts stay packed).
+     Cohort plans with the native port, as [--engine cohort] does. *)
   let n = 8192 in
   let t = n - 1 and rules = Core.Onesided.paper in
   let synran = Core.Synran.protocol ~rules n in

@@ -38,11 +38,85 @@ let partition_senders view ~bit_of_msg =
       if bit_of_msg m = 1 then ones := i :: !ones else zeros := i :: !zeros);
   (List.rev !ones, List.rev !zeros)
 
+(* Last round's delivered count per receiver (the band arithmetic's
+   nprev), shared by both ports. Every receiver heard the survivors'
+   broadcast, so the counts are one default plus exceptions for the
+   partial-delivery recipients, held in a reused n-int array ([-1] = no
+   exception) with the list of pids that carry one. Recording and the
+   bounds cost O(kills x recipients), never O(n). *)
+type tracker = {
+  mutable default : int;
+  mutable exc : int array;
+  mutable touched : int list;  (* pids whose [exc] entry is set *)
+  mutable last_burst : int;  (* round of the last stability-breaking burst *)
+}
+
+let tracker () = { default = 0; exc = [||]; touched = []; last_burst = -10 }
+
+let clear_exceptions tr =
+  List.iter (fun j -> tr.exc.(j) <- -1) tr.touched;
+  tr.touched <- []
+
+(* A new run: every receiver starts out having heard all [n]. *)
+let reset tr ~n =
+  if Array.length tr.exc <> n then begin
+    tr.exc <- Array.make n (-1);
+    tr.touched <- []
+  end;
+  clear_exceptions tr;
+  tr.default <- n;
+  tr.last_burst <- -10
+
+let nprev_of tr j =
+  let v = tr.exc.(j) in
+  if v >= 0 then v else tr.default
+
+(* (nmin, nmax) of nprev over the [q] receivers; [None] iff there are
+   none. Exceptions of processes that have since died or halted do not
+   count, and the default counts iff some receiver carries it. *)
+let nprev_bounds tr ~q ~active =
+  let lo = ref max_int and hi = ref min_int and carried = ref 0 in
+  let include_ v =
+    lo := Stdlib.min !lo v;
+    hi := Stdlib.max !hi v
+  in
+  List.iter
+    (fun j ->
+      if active j then begin
+        incr carried;
+        include_ tr.exc.(j)
+      end)
+    tr.touched;
+  if q > !carried then include_ tr.default;
+  if q = 0 then None else Some (!lo, !hi)
+
+(* This round's deliveries: each of the [q] receivers hears the
+   [q - |kills|] survivors, plus one message per partial send naming it.
+   Only receivers are ever read back, and the receivers of a later round
+   are among this round's. *)
+let record tr ~q kills =
+  clear_exceptions tr;
+  let base = q - List.length kills in
+  tr.default <- base;
+  let n = Array.length tr.exc in
+  List.iter
+    (fun { Sim.Adversary.victim = _; deliver_to } ->
+      List.iter
+        (fun j ->
+          if j >= 0 && j < n then begin
+            if tr.exc.(j) < 0 then begin
+              tr.exc.(j) <- base;
+              tr.touched <- j :: tr.touched
+            end;
+            tr.exc.(j) <- tr.exc.(j) + 1
+          end)
+        deliver_to)
+    kills
+
 (* The band-control decision core is shared between the concrete adversary
-   (per-process view, per-receiver nprev array) and the cohort port
-   (class view, run-length-compressed nprev) through this population
-   interface. Receiver/sender id lists are thunks so the cohort side only
-   materializes them on rounds that actually act (trim/rescue/stall). *)
+   (per-process view) and the cohort port (class view) through this
+   population interface. The pid lists are lazy, so neither side builds
+   them on rounds that do not act (trim, rescue, burst, endgame). *)
 type pop = {
   p_round : int;
   p_n : int;
@@ -50,31 +124,34 @@ type pop = {
   p_q : int;  (* receivers (active processes) *)
   p_o : int;  (* 1-senders *)
   p_z : int;  (* 0-senders *)
-  p_recv : unit -> int list;  (* ascending *)
-  p_ones : unit -> int list;  (* ascending *)
-  p_zeros : unit -> int list;  (* ascending *)
-  p_nprev_of : int -> int;  (* last round's delivered count, per receiver *)
-  p_bounds : (int * int) option;  (* (nmin, nmax) of nprev over receivers *)
-  p_last_burst : unit -> int;
-  p_burst_now : unit -> unit;
-  p_record :
-    action:string ->
-    flip_lo:int ->
-    flip_hi:int ->
-    margin:int ->
-    Sim.Adversary.kill list ->
-    unit;
+  p_active : int -> bool;
+  p_recv : int list Lazy.t;  (* ascending *)
+  p_ones : int list Lazy.t;  (* ascending *)
+  p_zeros : int list Lazy.t;  (* ascending *)
 }
 
-let plan_core ~config ~rules pop rng =
+let plan_core ~config ~rules ~sink tr pop rng =
   let q = pop.p_q and o = pop.p_o and z = pop.p_z in
   let budget = pop.p_budget in
   (* Band position for this round's event; stays 0 on rounds that bail
      out before the band is computed. *)
   let ev_flip_lo = ref 0 and ev_flip_hi = ref 0 and ev_margin = ref 0 in
+  (* Record the deliveries and emit the Band event. *)
   let finish ~action kills =
-    pop.p_record ~action ~flip_lo:!ev_flip_lo ~flip_hi:!ev_flip_hi
-      ~margin:!ev_margin kills;
+    record tr ~q kills;
+    if Obs.Sink.enabled sink then
+      Obs.Sink.emit sink
+        (Obs.Event.Band
+           {
+             round = pop.p_round;
+             ones = o;
+             zeros = z;
+             flip_lo = !ev_flip_lo;
+             flip_hi = !ev_flip_hi;
+             margin = !ev_margin;
+             action;
+             kills = List.length kills;
+           });
     kills
   in
   let give_up action = finish ~action [] in
@@ -92,9 +169,9 @@ let plan_core ~config ~rules pop rng =
      and misreported such rounds as "in-band". *)
   if q = 0 || q < config.min_active || budget = 0 then give_up "idle"
   else begin
-    let nprev_of = pop.p_nprev_of in
+    let nprev_of = nprev_of tr in
     let nmin, nmax =
-      match pop.p_bounds with
+      match nprev_bounds tr ~q ~active:pop.p_active with
       | Some b -> b
       | None -> assert false (* q > 0: the receiver set is non-empty *)
     in
@@ -113,21 +190,21 @@ let plan_core ~config ~rules pop rng =
         let burst_size = Stdlib.min (q - 1) ((nmax / 10) + 2) in
         let endgame_cost = q - det_pop in
         let kill_first k =
-          take k (pop.p_recv ()) |> List.map Sim.Adversary.kill_silent
+          take k (Lazy.force pop.p_recv) |> List.map Sim.Adversary.kill_silent
         in
         if
           endgame_cost > 0 && budget >= endgame_cost
           && budget < endgame_cost + burst_size
           && endgame_cost <= 2 * burst_size
         then begin
-          pop.p_burst_now ();
+          tr.last_burst <- pop.p_round;
           finish ~action:"endgame" (cap (kill_first endgame_cost))
         end
         else if
           burst_size > 0 && budget >= burst_size
-          && pop.p_round - pop.p_last_burst () >= 3
+          && pop.p_round - tr.last_burst >= 3
         then begin
-          pop.p_burst_now ();
+          tr.last_burst <- pop.p_round;
           finish ~action:"burst" (cap (kill_first burst_size))
         end
         else give_up "idle"
@@ -160,7 +237,8 @@ let plan_core ~config ~rules pop rng =
       in
       (* Promote the receivers with the smallest thresholds. *)
       let sorted =
-        List.sort (fun a b -> Int.compare (nprev_of a) (nprev_of b)) (pop.p_recv ())
+        List.sort (fun a b -> Int.compare (nprev_of a) (nprev_of b))
+          (Lazy.force pop.p_recv)
       in
       let s = take s_count sorted in
       (* (nmin, nmax) of nprev over S; [None] iff S is empty — no sentinel,
@@ -189,7 +267,7 @@ let plan_core ~config ~rules pop rng =
         (* Cannot hold the band; save the budget for stop-delaying. *)
         stall_move ()
       else begin
-        let victims = take kill_count (pop.p_ones ()) in
+        let victims = take kill_count (Lazy.force pop.p_ones) in
         let deliver_needed = if promotable then Stdlib.min need kill_count else 0 in
         let kills =
           List.mapi
@@ -221,17 +299,17 @@ let plan_core ~config ~rules pop rng =
       let s_size = Stdlib.max 1 ((6 * o / 10) + 1) in
       let s_size = Stdlib.min s_size (o - 1) in
       let s =
-        let arr = Array.of_list (pop.p_ones ()) in
+        let arr = Array.of_list (Lazy.force pop.p_ones) in
         Prng.Sample.shuffle rng arr;
         Array.to_list (Array.sub arr 0 s_size)
       in
       let s_mask = Array.make pop.p_n false in
       List.iter (fun j -> s_mask.(j) <- true) s;
-      let non_s = List.filter (fun j -> not s_mask.(j)) (pop.p_recv ()) in
+      let non_s = List.filter (fun j -> not s_mask.(j)) (Lazy.force pop.p_recv) in
       let kills =
         List.map
           (fun pid -> Sim.Adversary.kill_after_send pid ~recipients:non_s)
-          (pop.p_zeros ())
+          (Lazy.force pop.p_zeros)
       in
       finish ~action:"rescue" (cap kills)
     end
@@ -247,120 +325,51 @@ let band_name config =
     | None -> ""
     | Some c -> Printf.sprintf ",cap=%d" c)
 
-type tracker = {
-  mutable nprev : int array;  (* per-receiver delivered count, last round *)
-  mutable initialized : bool;
-  mutable last_burst : int;  (* round of the last stability-breaking burst *)
-}
-
 let band_control ?(config = default_config) ?(sink = Obs.Sink.null) ~rules
     ~bit_of_msg () =
   Onesided.validate rules;
-  let emit_on = Obs.Sink.enabled sink in
-  let tr = { nprev = [||]; initialized = false; last_burst = -10 } in
+  let tr = tracker () in
   let plan view rng =
     let n = view.Sim.Adversary.n in
-    if view.Sim.Adversary.round = 1 || not tr.initialized then begin
-      tr.nprev <- Array.make n n;
-      tr.initialized <- true;
-      tr.last_burst <- -10
-    end;
-    let recv = receivers view in
-    let q = List.length recv in
-    let ones, zeros = partition_senders view ~bit_of_msg in
-    let o = List.length ones and z = List.length zeros in
-    let nprev_of j = tr.nprev.(j) in
-    let bounds =
-      List.fold_left
-        (fun acc j ->
-          let v = nprev_of j in
-          match acc with
-          | None -> Some (v, v)
-          | Some (mn, mx) -> Some (Stdlib.min mn v, Stdlib.max mx v))
-        None recv
-    in
-    (* Record deliveries and emit the Band event. [extra.(j)] counts killed
-       senders whose message still reaches j. *)
-    let record ~action ~flip_lo ~flip_hi ~margin kills =
-      let extra = Array.make n 0 in
-      List.iter
-        (fun { Sim.Adversary.victim = _; deliver_to } ->
-          List.iter
-            (fun j -> if j >= 0 && j < n then extra.(j) <- extra.(j) + 1)
-            deliver_to)
-        kills;
-      let base = q - List.length kills in
-      List.iter (fun j -> tr.nprev.(j) <- base + extra.(j)) recv;
-      if emit_on then
-        Obs.Sink.emit sink
-          (Obs.Event.Band
-             {
-               round = view.Sim.Adversary.round;
-               ones = o;
-               zeros = z;
-               flip_lo;
-               flip_hi;
-               margin;
-               action;
-               kills = List.length kills;
-             })
-    in
-    plan_core ~config ~rules
+    if view.Sim.Adversary.round = 1 || Array.length tr.exc <> n then
+      reset tr ~n;
+    (* One pass counts the 1/0-senders and allocates nothing. Exactly the
+       active processes stage a message, so the receivers are the
+       senders. *)
+    let o = ref 0 and z = ref 0 in
+    for i = 0 to n - 1 do
+      match view.Sim.Adversary.pending i with
+      | None -> ()
+      | Some m -> if bit_of_msg m = 1 then incr o else incr z
+    done;
+    let senders = lazy (partition_senders view ~bit_of_msg) in
+    plan_core ~config ~rules ~sink tr
       {
         p_round = view.Sim.Adversary.round;
         p_n = n;
         p_budget = view.Sim.Adversary.budget_left;
-        p_q = q;
-        p_o = o;
-        p_z = z;
-        p_recv = (fun () -> recv);
-        p_ones = (fun () -> ones);
-        p_zeros = (fun () -> zeros);
-        p_nprev_of = nprev_of;
-        p_bounds = bounds;
-        p_last_burst = (fun () -> tr.last_burst);
-        p_burst_now = (fun () -> tr.last_burst <- view.Sim.Adversary.round);
-        p_record = record;
+        p_q = !o + !z;
+        p_o = !o;
+        p_z = !z;
+        p_active = view.Sim.Adversary.active;
+        p_recv = lazy (receivers view);
+        p_ones = lazy (fst (Lazy.force senders));
+        p_zeros = lazy (snd (Lazy.force senders));
       }
       rng
   in
   { Sim.Adversary.name = band_name config; plan }
 
-(* Cohort-aware port: same decisions, same Band events, same RNG draws —
-   but everything per-receiver is run-length compressed. The delivered
-   counts collapse to one default (every receiver saw the survivor
-   broadcast) plus explicit exceptions for partial-delivery recipients, so
-   idle/in-band rounds cost O(#classes + #exceptions) instead of O(n). *)
-type ctracker = {
-  mutable cdef : int;  (* nprev for every receiver without an exception *)
-  mutable cexc : (int * int) list;  (* exceptions, ascending pid *)
-  cexc_tbl : (int, int) Hashtbl.t;  (* same data, O(1) lookup *)
-  mutable cinit : bool;
-  mutable clast_burst : int;
-}
-
+(* Cohort-aware port: same decisions, same tracker, same Band events, same
+   RNG draws, with the counts read off the classes, so idle and in-band
+   rounds cost O(#classes + #exceptions) instead of O(n). *)
 let band_control_cohort ?(config = default_config) ?(sink = Obs.Sink.null)
     ~rules ~bit_of_msg () =
   Onesided.validate rules;
-  let emit_on = Obs.Sink.enabled sink in
-  let tr =
-    {
-      cdef = 0;
-      cexc = [];
-      cexc_tbl = Hashtbl.create 16;
-      cinit = false;
-      clast_burst = -10;
-    }
-  in
+  let tr = tracker () in
   let plan (cv : _ Sim.Cohort.cview) rng =
     let n = cv.Sim.Cohort.cv_n in
-    if cv.Sim.Cohort.cv_round = 1 || not tr.cinit then begin
-      tr.cdef <- n;
-      tr.cexc <- [];
-      Hashtbl.reset tr.cexc_tbl;
-      tr.cinit <- true;
-      tr.clast_burst <- -10
-    end;
+    if cv.Sim.Cohort.cv_round = 1 || Array.length tr.exc <> n then reset tr ~n;
     let classes = cv.Sim.Cohort.cv_classes in
     let class_bit c = bit_of_msg (c.Sim.Cohort.cc_msg 0) in
     let q = List.fold_left (fun acc c -> acc + c.Sim.Cohort.cc_size) 0 classes in
@@ -369,92 +378,27 @@ let band_control_cohort ?(config = default_config) ?(sink = Obs.Sink.null)
         (fun acc c -> if class_bit c = 1 then acc + c.Sim.Cohort.cc_size else acc)
         0 classes
     in
-    let z = q - o in
-    let nprev_of j =
-      match Hashtbl.find_opt tr.cexc_tbl j with Some v -> v | None -> tr.cdef
-    in
-    (* Exceptions for processes that have since died or halted must not
-       count toward the bounds; the default participates iff some active
-       receiver carries it. *)
-    let exc_active =
-      List.filter (fun (j, _) -> cv.Sim.Cohort.cv_active j) tr.cexc
-    in
-    let bounds =
-      let init =
-        if q - List.length exc_active > 0 then Some (tr.cdef, tr.cdef) else None
-      in
-      List.fold_left
-        (fun acc (_, v) ->
-          match acc with
-          | None -> Some (v, v)
-          | Some (mn, mx) -> Some (Stdlib.min mn v, Stdlib.max mx v))
-        init exc_active
-    in
-    (* Materialized only on acting rounds: ascending pid lists, identical
-       to what the concrete adversary reads off its per-process view. *)
+    (* Ascending pid lists, identical to what the concrete adversary reads
+       off its per-process view. *)
     let members_of pred =
-      classes
-      |> List.filter pred
-      |> List.concat_map (fun c -> Array.to_list c.Sim.Cohort.cc_members)
-      |> List.sort Int.compare
+      lazy
+        (classes
+        |> List.filter pred
+        |> List.concat_map (fun c -> Array.to_list c.Sim.Cohort.cc_members)
+        |> List.sort Int.compare)
     in
-    let recv = lazy (members_of (fun _ -> true)) in
-    let ones = lazy (members_of (fun c -> class_bit c = 1)) in
-    let zeros = lazy (members_of (fun c -> class_bit c <> 1)) in
-    let record ~action ~flip_lo ~flip_hi ~margin kills =
-      let nkills = List.length kills in
-      let base = q - nkills in
-      (* Count partial-delivery occurrences per active recipient — the
-         compressed image of the concrete tracker's [base + extra.(j)]
-         writes (inactive recipients were never written, and never read). *)
-      Hashtbl.reset tr.cexc_tbl;
-      List.iter
-        (fun { Sim.Adversary.victim = _; deliver_to } ->
-          List.iter
-            (fun j ->
-              if j >= 0 && j < n && cv.Sim.Cohort.cv_active j then
-                Hashtbl.replace tr.cexc_tbl j
-                  (1
-                  + (match Hashtbl.find_opt tr.cexc_tbl j with
-                    | Some c -> c
-                    | None -> 0)))
-            deliver_to)
-        kills;
-      tr.cdef <- base;
-      tr.cexc <-
-        Hashtbl.fold (fun j c acc -> (j, base + c) :: acc) tr.cexc_tbl []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
-      List.iter (fun (j, v) -> Hashtbl.replace tr.cexc_tbl j v) tr.cexc;
-      if emit_on then
-        Obs.Sink.emit sink
-          (Obs.Event.Band
-             {
-               round = cv.Sim.Cohort.cv_round;
-               ones = o;
-               zeros = z;
-               flip_lo;
-               flip_hi;
-               margin;
-               action;
-               kills = nkills;
-             })
-    in
-    plan_core ~config ~rules
+    plan_core ~config ~rules ~sink tr
       {
         p_round = cv.Sim.Cohort.cv_round;
         p_n = n;
         p_budget = cv.Sim.Cohort.cv_budget_left;
         p_q = q;
         p_o = o;
-        p_z = z;
-        p_recv = (fun () -> Lazy.force recv);
-        p_ones = (fun () -> Lazy.force ones);
-        p_zeros = (fun () -> Lazy.force zeros);
-        p_nprev_of = nprev_of;
-        p_bounds = bounds;
-        p_last_burst = (fun () -> tr.clast_burst);
-        p_burst_now = (fun () -> tr.clast_burst <- cv.Sim.Cohort.cv_round);
-        p_record = record;
+        p_z = q - o;
+        p_active = cv.Sim.Cohort.cv_active;
+        p_recv = members_of (fun _ -> true);
+        p_ones = members_of (fun c -> class_bit c = 1);
+        p_zeros = members_of (fun c -> class_bit c <> 1);
       }
       rng
   in

@@ -62,9 +62,12 @@ val band_control :
   unit ->
   ('state, 'msg) Sim.Adversary.t
 (** The band-control adversary. Stateful across the rounds of one run
-    (tracks per-receiver delivered counts); it resets itself when it
+    (tracks per-receiver delivered counts as one shared default plus
+    exceptions for partial-delivery recipients); it resets itself when it
     observes round 1, so reusing the value across sequential trials is
-    safe. Not safe for concurrent executions.
+    safe. Not safe for concurrent executions. A round it does not act on
+    (idle, in-band) costs one allocation-free pass over the view and
+    builds no pid list.
 
     [sink] (default {!Obs.Sink.null}) receives one {!Obs.Event.Band}
     event per activation, exposing the round's observed 1/0-sender
@@ -82,11 +85,10 @@ val band_control_cohort :
   ('state, 'msg) Sim.Cohort.adversary
 (** The same adversary as {!band_control} — same decisions, same RNG
     draws, same {!Obs.Event.Band} stream — planning natively from the
-    cohort engine's class view ({!Sim.Cohort.Aware}). Per-receiver
-    delivered counts are run-length compressed (one shared default plus
-    explicit exceptions for partial-delivery recipients), so idle and
-    in-band rounds cost O(#classes + #exceptions) instead of O(n).
-    Stateful per run, resets on round 1, like {!band_control}. *)
+    cohort engine's class view ({!Sim.Cohort.Aware}), with the same
+    delivered-count tracker, so idle and in-band rounds cost
+    O(#classes + #exceptions) instead of O(n). Stateful per run, resets
+    on round 1, like {!band_control}. *)
 
 (** {2 Monte-Carlo valency adversary (small n)} *)
 

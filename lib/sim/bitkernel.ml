@@ -3,20 +3,22 @@
    Register state lives in bit planes (one int array row per register,
    lane i of word i/lanes = process i, see Bitwords); the non-register
    fields of every active process are held once in a shared [template].
-   A round with no kills executes entirely at word granularity: coins
-   are drawn word-at-a-time, tallies are popcounts, and the protocol's
-   transition ([bo_step]) is a handful of plane blits. Rounds the
-   adversary individuates (kills, partial deliveries) materialize the
-   scalar states and run Engine's own delivery and commit code
-   ([Round.phase_b]), then re-pack when uniformity returns.
+   A round without a partial delivery executes entirely at word
+   granularity: coins are drawn word-at-a-time, tallies are popcounts,
+   and the protocol's transition ([bo_step]) is a handful of plane
+   blits. Silent victims just leave the active mask. Rounds whose plan
+   delivers a victim's message to some receivers individuate them: they
+   materialize the scalar states and run Engine's own delivery and
+   commit code ([Round.phase_b]), then re-pack when uniformity returns.
 
    The scalar half of the state is Engine's record, built by Engine's
    start-up code, and every round rule (kill validation, the decision
    discipline, kills and events, the outcome) is [Round]'s one copy, so
    byte-identity with Engine holds by construction on scalar rounds. The
    packed path keeps the same event order (Decisions ascending by pid,
-   one Round summary) and RNG consumption: each process's stream sees
-   exactly the scalar draws (the coin bit, then the aux draws). *)
+   then Kills in plan order, one Round summary) and RNG consumption:
+   each process's stream sees exactly the scalar draws (the coin bit,
+   then the aux draws). *)
 
 type ('state, 'msg) exec = {
   sc : ('state, 'msg) Round.scalar;
@@ -45,11 +47,14 @@ type ('state, 'msg) exec = {
 
 let active_count e = if e.packed then e.active_cnt else Round.active_count e.sc.lg
 
-(* Gather process i's packed registers from the current planes. *)
+(* Gather process i's packed registers from the current planes: one
+   word index and lane for all of them (the adversary's view calls this
+   once per process per round). *)
 let regs_at e i =
+  let w = i / Bitwords.lanes and lane = i mod Bitwords.lanes in
   let bits = ref 0 in
   for r = 0 to e.cd.Protocol.bo_width - 1 do
-    if Bitwords.get e.cur.(r) i then bits := !bits lor (1 lsl r)
+    bits := !bits lor (((e.cur.(r).(w) lsr lane) land 1) lsl r)
   done;
   !bits
 
@@ -68,11 +73,16 @@ let leader_regs e =
       if !best < 0 || e.priv.(i) >= e.priv.(!best) then best := i);
   regs_at e !best
 
+(* The lowest pid still in [amask]. On a silent-kill round the victims
+   have left [amask] but are alive until the round closes, so this is the
+   first survivor — the process the scalar path's checks would name. *)
 let first_active e =
-  let rec go i =
-    if i >= e.sc.lg.n then invalid_arg "Bitkernel: no active process"
-    else if Round.active_at e.sc.lg i then i
-    else go (i + 1)
+  let rec go w =
+    if w >= e.nw then invalid_arg "Bitkernel: no active process"
+    else
+      let m = e.amask.(w) in
+      if m = 0 then go (w + 1)
+      else (w * Bitwords.lanes) + Bitwords.popcount ((m land -m) - 1)
   in
   go 0
 
@@ -198,13 +208,28 @@ let packed_phase_a e =
       Bitwords.iter_ones e.amask e.nw (fun i ->
           e.priv.(i) <- f e.template proc_rngs.(i))
 
-(* The whole uniform Phase B in word operations. [round] is the 1-based
-   round being executed; planes hold the post-Phase-A values. *)
-let packed_phase_b e ws round =
+(* Drop this round's silent victims from the packed population, pinning
+   each one's post-Phase-A state (a victim is never committed, so that is
+   its final state). A top-level loop: no-kill rounds allocate nothing. *)
+let rec drop_victims e = function
+  | [] -> ()
+  | { Adversary.victim; deliver_to = _ } :: rest ->
+      e.sc.states.(victim) <- unpack_at e victim;
+      Bitwords.set e.amask victim false;
+      e.active_cnt <- e.active_cnt - 1;
+      drop_victims e rest
+
+(* The whole uniform Phase B in word operations, under a plan of silent
+   kills only ([[]] on most rounds). [round] is the 1-based round being
+   executed; planes hold the post-Phase-A values. Every survivor hears
+   the same sender set, the survivors themselves, so one tally serves
+   them all. *)
+let packed_phase_b e kills round =
   let lg = e.sc.lg in
   let emit_on = Obs.Sink.enabled lg.sink in
   (* ones_pending reads the staged messages, i.e. the pre-transition
-     planes — compute it before they are overwritten. *)
+     planes of every sender, victims included — compute it before they
+     are overwritten. *)
   let ones =
     if not emit_on then None
     else
@@ -216,62 +241,77 @@ let packed_phase_b e ws round =
               if f (msg_at e i) then incr c);
           Some !c
   in
-  (* Simultaneous register update: read [cur], write [nxt], swap. *)
-  for r = 0 to e.cd.Protocol.bo_width - 1 do
-    let dst = e.nxt.(r) in
-    match ws.Protocol.ws_regs.(r) with
-    | Protocol.Keep -> Array.blit e.cur.(r) 0 dst 0 e.nw
-    | Protocol.Fill true -> Array.blit e.amask 0 dst 0 e.nw
-    | Protocol.Fill false -> Array.fill dst 0 e.nw 0
-    | Protocol.Copy i -> Array.blit e.cur.(i) 0 dst 0 e.nw
-    | Protocol.Not i ->
-        let src = e.cur.(i) in
-        for w = 0 to e.nw - 1 do
-          dst.(w) <- lnot src.(w)
-        done
-  done;
-  let old = e.cur in
-  e.cur <- e.nxt;
-  e.nxt <- old;
-  e.template <- ws.Protocol.ws_state;
-  (* The decision discipline on the post-transition planes, like the
-     scalar [decision state']. Actives agree on whether they decided, so
-     one representative stands for all when nobody decides. *)
-  let newly_decided = ref 0 in
-  (match ws.Protocol.ws_decide with
-  | None ->
-      if e.any_active_decided then
-        ignore (Round.commit_decision lg ~round ~emit:false (first_active e) None)
-  | Some d ->
-      Bitwords.iter_ones e.amask e.nw (fun j ->
-          let v =
-            match d with
-            | Protocol.Decide_const c -> c
-            | Protocol.Decide_reg r -> if Bitwords.get e.cur.(r) j then 1 else 0
-          in
-          if Round.commit_decision lg ~round ~emit:emit_on j (Some v) then
-            incr newly_decided);
-      e.any_active_decided <- true);
-  let newly_halted = ref 0 in
   let senders = e.active_cnt in
-  if ws.Protocol.ws_halt then begin
-    if not e.any_active_decided then Round.halted_undecided (first_active e);
-    (* Halting is all-or-none in packed mode; pin each final state so
-       later view/state reads of halted processes stay valid. *)
-    Bitwords.iter_ones e.amask e.nw (fun j ->
-        incr newly_halted;
-        lg.halted.(j) <- true;
-        e.sc.states.(j) <- unpack_at e j);
-    Array.fill e.amask 0 e.nw 0;
-    e.active_cnt <- 0
+  drop_victims e kills;
+  let survivors = e.active_cnt in
+  let newly_decided = ref 0 in
+  let newly_halted = ref 0 in
+  (* With no survivor nobody receives: the transition is not run. *)
+  if survivors > 0 then begin
+    let tallies = e.tallies in
+    for r = 0 to e.cd.Protocol.bo_width - 1 do
+      tallies.(r) <- Bitwords.popcount_masked e.cur.(r) e.amask e.nw
+    done;
+    let ws =
+      e.bo.Protocol.bo_step e.template ~round ~nrecv:survivors
+        ~tallies:{ Protocol.counts = tallies; leader = lazy (leader_regs e) }
+    in
+    (* Simultaneous register update: read [cur], write [nxt], swap. *)
+    for r = 0 to e.cd.Protocol.bo_width - 1 do
+      let dst = e.nxt.(r) in
+      match ws.Protocol.ws_regs.(r) with
+      | Protocol.Keep -> Array.blit e.cur.(r) 0 dst 0 e.nw
+      | Protocol.Fill true -> Array.blit e.amask 0 dst 0 e.nw
+      | Protocol.Fill false -> Array.fill dst 0 e.nw 0
+      | Protocol.Copy i -> Array.blit e.cur.(i) 0 dst 0 e.nw
+      | Protocol.Not i ->
+          let src = e.cur.(i) in
+          for w = 0 to e.nw - 1 do
+            dst.(w) <- lnot src.(w)
+          done
+    done;
+    let old = e.cur in
+    e.cur <- e.nxt;
+    e.nxt <- old;
+    e.template <- ws.Protocol.ws_state;
+    (* The decision discipline on the post-transition planes, like the
+       scalar [decision state']. Actives agree on whether they decided, so
+       one representative stands for all when nobody decides. *)
+    (match ws.Protocol.ws_decide with
+    | None ->
+        if e.any_active_decided then
+          ignore (Round.commit_decision lg ~round ~emit:false (first_active e) None)
+    | Some d ->
+        Bitwords.iter_ones e.amask e.nw (fun j ->
+            let v =
+              match d with
+              | Protocol.Decide_const c -> c
+              | Protocol.Decide_reg r -> if Bitwords.get e.cur.(r) j then 1 else 0
+            in
+            if Round.commit_decision lg ~round ~emit:emit_on j (Some v) then
+              incr newly_decided);
+        e.any_active_decided <- true);
+    if ws.Protocol.ws_halt then begin
+      if not e.any_active_decided then Round.halted_undecided (first_active e);
+      (* Halting is all-or-none in packed mode; pin each final state so
+         later view/state reads of halted processes stay valid. *)
+      Bitwords.iter_ones e.amask e.nw (fun j ->
+          incr newly_halted;
+          lg.halted.(j) <- true;
+          e.sc.states.(j) <- unpack_at e j);
+      Array.fill e.amask 0 e.nw 0;
+      e.active_cnt <- 0
+    end
   end;
-  (* No kills to apply: closing the round only advances its counter. *)
-  lg.round <- round;
+  (* Close the round: with no kills that only advances its counter. *)
+  if kills = [] then lg.round <- round else Round.apply_kills lg ~round kills;
   e.packed_rounds <- e.packed_rounds + 1;
   if emit_on then
-    (* No kills: every active receiver hears every sender. *)
-    Round.emit_round lg ~round [] ~active:senders ~delivered:(senders * senders)
-      ~newly_decided:!newly_decided ~newly_halted:!newly_halted ~ones
+    Round.emit_round lg ~round kills ~active:senders
+      ~delivered:(survivors * survivors) ~newly_decided:!newly_decided
+      ~newly_halted:!newly_halted ~ones
+
+let silent k = k.Adversary.deliver_to = []
 
 let step e adversary =
   if active_count e = 0 then `Quiescent
@@ -292,16 +332,9 @@ let step e adversary =
                if Round.active_at e.sc.lg i then Some (msg_at e i) else None
              else e.sc.pending.(i)))
     in
-    if e.packed && kills = [] then begin
-      let tallies = e.tallies in
-      for r = 0 to e.cd.Protocol.bo_width - 1 do
-        tallies.(r) <- Bitwords.popcount_masked e.cur.(r) e.amask e.nw
-      done;
-      packed_phase_b e
-        (e.bo.Protocol.bo_step e.template ~round ~nrecv:e.active_cnt
-           ~tallies:{ Protocol.counts = tallies; leader = lazy (leader_regs e) })
-        round
-    end
+    (* Only a partial delivery individuates receivers; silent kills leave
+       every survivor hearing the same senders. *)
+    if e.packed && List.for_all silent kills then packed_phase_b e kills round
     else begin
       materialize e;
       Round.phase_b e.sc kills ~round;

@@ -2,13 +2,16 @@
 
     Packs each binary register of every active process into bit planes
     ({!Bitwords} layout: lane [i mod lanes] of word [i / lanes]) and holds
-    the shared non-register fields in one template state. A round with no
-    kills runs entirely at word granularity — coins via
+    the shared non-register fields in one template state. A round without
+    a partial delivery runs entirely at word granularity — coins via
     {!Prng.Sample.coin_word}, tallies via popcount, the protocol's
     transition as a handful of plane blits — at O(n / word_size) cost
-    instead of O(n). Rounds the adversary individuates (kills, partial
-    deliveries) materialize the scalar states, run through the exact {!Engine}
-    aggregate delivery path, and re-pack when uniformity returns. The
+    instead of O(n). Silent kills stay packed: the victims leave the
+    active mask and every survivor hears the same senders. Only a round
+    whose plan delivers a victim's message to some receivers individuates
+    them: it materializes the scalar states, runs through the exact
+    {!Engine} aggregate delivery path, and re-packs when uniformity
+    returns. The
     kernel's scalar half is Engine's own state record, and its unpacked
     rounds call Engine's Phase A, delivery and commit code; kill
     validation, the decision discipline, events and the outcome are the
@@ -76,5 +79,7 @@ val packed_rounds : ('state, 'msg) exec -> int
 (** Rounds executed entirely at word granularity. *)
 
 val scalar_rounds : ('state, 'msg) exec -> int
-(** Rounds that ran through the scalar fallback path.
-    Kept for tests: pins which rounds fell back from the packed path. *)
+(** Rounds that ran through the scalar fallback path: those whose plan
+    had a partial delivery, and those that ran while the states were not
+    uniform. Kept for tests: pins which rounds fell back from the packed
+    path. *)

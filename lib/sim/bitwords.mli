@@ -14,9 +14,9 @@ val mask_upto : int -> int
     Kept for tests: with {!popcount}, pins the lane width the planes assume. *)
 
 val popcount : int -> int
-(** Number of set bits among the [lanes] usable bits of a word.
-    Kept for tests: the word count {!popcount_masked} sums, checked against
-    a naive bit loop. *)
+(** Number of set bits among the [lanes] usable bits of a word: the word
+    count {!popcount_masked} sums, and of [b - 1] the lane of a single bit
+    [b]. *)
 
 val get : int array -> int -> bool
 (** [get plane i] reads process [i]'s bit. *)

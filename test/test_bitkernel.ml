@@ -183,6 +183,12 @@ let synran_tests =
           Core.Lb_adversary.band_control ~rules
             ~bit_of_msg:Core.Synran.bit_of_msg ())
         ~n:129 ~max_t:128 ();
+      (* 100 = 63 + 37: the last word is partial, and silent kills land
+         in both words. *)
+      differential ~count:15 ~name:"synran n=100 bitkernel vs engine (crash)"
+        ~observer:Core.Synran.msg_is_one ~protocol:(Core.Synran.protocol 100)
+        ~adversary:(fun () -> Baselines.Adversaries.random_crash ~p:0.15)
+        ~n:100 ~max_t:99 ();
       (* Leader_priority flips read the max-(priv, pid) sender's bit:
          packed rounds compute it from the lanes, kill rounds from the
          aggregate, and both must match. *)
@@ -265,20 +271,246 @@ let test_leader_flips_packed () =
     "same outcome as the concrete engine" true
     (Test_delivery.outcomes_equal concrete (Sim.Bitkernel.outcome e))
 
-(* Adaptive kills force the fallback, and the kernel re-packs after.
-   FloodSet runs exactly 9 rounds; drip with budget 3 individuates the
-   first three, so the last six must re-enter packed mode. *)
-let test_kills_fall_back_and_repack () =
+(* A partial delivery forces the fallback, and the kernel re-packs after.
+   FloodSet runs exactly 9 rounds; a fixed schedule delivers one victim's
+   message to one receiver in each of the first three, individuating
+   them, so the last six must re-enter packed mode. *)
+let partial_schedule ~rounds =
+  {
+    Sim.Adversary.name = "partial-schedule";
+    plan =
+      (fun view _rng ->
+        if view.Sim.Adversary.round > rounds then []
+        else
+          match Sim.Adversary.active_pids view with
+          | victim :: first :: _ ->
+              [ Sim.Adversary.kill_after_send victim ~recipients:[ first ] ]
+          | _ -> []);
+  }
+
+let test_partial_kills_fall_back_and_repack () =
+  let protocol = Baselines.Floodset.protocol ~rounds:9 () in
+  let inputs = Prng.Sample.random_bits (Prng.Rng.create 21) 96 in
+  let e =
+    Sim.Bitkernel.start protocol ~inputs ~t:3 ~rng:(Prng.Rng.create 5)
+  in
+  drive e (partial_schedule ~rounds:3);
+  Alcotest.(check int) "three partial-delivery rounds ran scalar" 3
+    (Sim.Bitkernel.scalar_rounds e);
+  Alcotest.(check int) "remaining rounds stayed word-level" 6
+    (Sim.Bitkernel.packed_rounds e)
+
+(* Silent kills leave every survivor hearing the same senders, so drip's
+   rounds stay packed: the victims leave the mask and nothing unpacks. *)
+let test_silent_kills_stay_packed () =
   let protocol = Baselines.Floodset.protocol ~rounds:9 () in
   let inputs = Prng.Sample.random_bits (Prng.Rng.create 21) 96 in
   let e =
     Sim.Bitkernel.start protocol ~inputs ~t:3 ~rng:(Prng.Rng.create 5)
   in
   drive e (Baselines.Adversaries.drip ~per_round:1);
-  Alcotest.(check int) "three drip rounds ran scalar" 3
+  Alcotest.(check int) "no scalar fallback rounds" 0
     (Sim.Bitkernel.scalar_rounds e);
-  Alcotest.(check int) "remaining rounds stayed word-level" 6
-    (Sim.Bitkernel.packed_rounds e)
+  Alcotest.(check int) "every round word-level" 9
+    (Sim.Bitkernel.packed_rounds e);
+  Alcotest.(check int) "drip spent its budget" 3
+    (Sim.Bitkernel.outcome e).Sim.Engine.kills_used
+
+(* The band_n1e5 mechanism at a multi-word n: every kill the default band
+   control makes in this run is silent (its stability-breaking bursts
+   are), so the whole run stays packed while the adversary spends its
+   budget. *)
+let test_band_control_stays_packed () =
+  let n = 200 in
+  let protocol = Core.Synran.protocol n in
+  let inputs = Prng.Sample.random_bits (Prng.Rng.create 12) n in
+  let band () =
+    Core.Lb_adversary.band_control ~rules ~bit_of_msg:Core.Synran.bit_of_msg ()
+  in
+  let e =
+    Sim.Bitkernel.start protocol ~inputs ~t:(n - 1) ~rng:(Prng.Rng.create 6)
+  in
+  drive e (band ());
+  let o = Sim.Bitkernel.outcome e in
+  Alcotest.(check int) "no scalar fallback rounds" 0
+    (Sim.Bitkernel.scalar_rounds e);
+  Alcotest.(check bool)
+    "band control killed" true
+    (o.Sim.Engine.kills_used > 0);
+  let concrete =
+    Sim.Engine.run ~max_rounds:400 protocol (band ()) ~inputs ~t:(n - 1)
+      ~rng:(Prng.Rng.create 6)
+  in
+  Alcotest.(check bool)
+    "same outcome as the concrete engine" true
+    (Test_delivery.outcomes_equal concrete o)
+
+(* ------------------------------------------------------------------ *)
+(* Edges of the silent-kill packed path                                *)
+(* ------------------------------------------------------------------ *)
+
+(* One fixed-input run through both engines: outcome, metrics digest and
+   event-stream digest must agree. *)
+let same_as_engine ~observer ~protocol ~adversary ~inputs ~t ~seed =
+  let o1, m1, r1 =
+    observed engine_run ~protocol ~adversary ~observer ~inputs ~t ~seed
+  in
+  let o2, m2, r2 =
+    observed bitkernel_run ~protocol ~adversary ~observer ~inputs ~t ~seed
+  in
+  Alcotest.(check bool)
+    "outcome and trace" true
+    (Test_delivery.outcomes_equal o1 o2);
+  Alcotest.(check string) "metrics digest" m1 m2;
+  Alcotest.(check string) "event-stream digest" r1 r2
+
+(* [protocol] with its packed transition counted: [calls] counts the
+   kernel's [bo_step] calls and [leaders] the leader tallies it forced. *)
+let counting_steps protocol =
+  let calls = ref 0 and leaders = ref 0 in
+  let bo = Option.get protocol.Sim.Protocol.bitops in
+  let bo_step s ~round ~nrecv ~(tallies : Sim.Protocol.tallies) =
+    incr calls;
+    let leader =
+      lazy
+        (incr leaders;
+         Lazy.force tallies.leader)
+    in
+    bo.Sim.Protocol.bo_step s ~round ~nrecv ~tallies:{ tallies with leader }
+  in
+  ( { protocol with Sim.Protocol.bitops = Some { bo with bo_step } },
+    calls,
+    leaders )
+
+(* Round 2 kills every active process silently: nobody receives, so the
+   transition does not run, the leader is never forced, and the round
+   delivers nothing. *)
+let test_kill_all_active () =
+  let n = 129 in
+  let protocol, calls, leaders =
+    counting_steps (Core.Synran.protocol ~coin:Core.Synran.Leader_priority n)
+  in
+  let inputs = Array.init n (fun i -> if i < 65 then 1 else 0) in
+  let adversary () = Baselines.Adversaries.crash_all_at ~round:2 in
+  same_as_engine ~observer:Core.Synran.msg_is_one ~protocol ~adversary ~inputs
+    ~t:n ~seed:4;
+  let delivered = ref [] in
+  let sink =
+    Obs.Sink.create (function
+      | Obs.Event.Round r -> delivered := r.delivered :: !delivered
+      | _ -> ())
+  in
+  let e =
+    Sim.Bitkernel.start ~sink protocol ~inputs ~t:n ~rng:(Prng.Rng.create 4)
+  in
+  calls := 0;
+  leaders := 0;
+  drive e (adversary ());
+  Alcotest.(check int) "both rounds packed" 2 (Sim.Bitkernel.packed_rounds e);
+  Alcotest.(check int) "transition ran in round 1 only" 1 !calls;
+  Alcotest.(check int) "round 1's flip forced the leader once" 1 !leaders;
+  Alcotest.(check (list int)) "deliveries per round" [ 0; n * n ] !delivered;
+  Alcotest.(check int) "everyone dead" n
+    (Sim.Bitkernel.outcome e).Sim.Engine.kills_used
+
+(* FloodSet's last round is a silent-kill round: the survivors decide and
+   halt on it, the victims stay undecided. *)
+let test_survivors_decide_and_halt () =
+  let protocol = Baselines.Floodset.protocol ~rounds:3 () in
+  let inputs = Prng.Sample.random_bits (Prng.Rng.create 8) 40 in
+  let adversary () =
+    Baselines.Adversaries.static_schedule [ (3, 0); (3, 17); (3, 39) ]
+  in
+  same_as_engine ~observer:Baselines.Floodset.msg_has_one ~protocol ~adversary
+    ~inputs ~t:3 ~seed:2;
+  let e = Sim.Bitkernel.start protocol ~inputs ~t:3 ~rng:(Prng.Rng.create 2) in
+  drive e (adversary ());
+  let o = Sim.Bitkernel.outcome e in
+  Alcotest.(check int) "no scalar fallback rounds" 0
+    (Sim.Bitkernel.scalar_rounds e);
+  Alcotest.(check (option int)) "decided in round 3" (Some 3)
+    o.Sim.Engine.rounds_to_decide;
+  Array.iteri
+    (fun i d ->
+      let victim = i = 0 || i = 17 || i = 39 in
+      Alcotest.(check bool) (Printf.sprintf "process %d decided" i) (not victim)
+        (Option.is_some d);
+      Alcotest.(check bool) (Printf.sprintf "process %d halted" i) (not victim)
+        o.Sim.Engine.halted.(i))
+    o.Sim.Engine.decisions
+
+(* Kill this round's leader, the max-(priv, pid) sender, silently. *)
+let kill_leader =
+  {
+    Sim.Adversary.name = "kill-leader";
+    plan =
+      (fun view _rng ->
+        let best = ref None in
+        Sim.Adversary.iter_pending view (fun i m ->
+            let p = Core.Synran.prio_of_msg m in
+            match !best with
+            | Some (bp, _) when bp > p -> ()
+            | _ -> best := Some (p, i));
+        match !best with
+        | Some (_, i) when view.Sim.Adversary.budget_left > 0 ->
+            [ Sim.Adversary.kill_silent i ]
+        | _ -> []);
+  }
+
+(* Under Leader_priority the flip reads the leader's bit; with the leader
+   killed silently it must be picked among the survivors only. 65 ones of
+   129 makes round 1 a flip round. *)
+let test_leader_among_survivors () =
+  let n = 129 in
+  let protocol = Core.Synran.protocol ~coin:Core.Synran.Leader_priority n in
+  let inputs = Array.init n (fun i -> if i < 65 then 1 else 0) in
+  for seed = 1 to 6 do
+    same_as_engine ~observer:Core.Synran.msg_is_one ~protocol
+      ~adversary:(fun () -> kill_leader) ~inputs ~t:20 ~seed
+  done
+
+(* A register protocol that halts in round 2 without ever deciding. *)
+let halts_undecided =
+  Sim.Protocol.registers ~name:"halts-undecided"
+    ~init:(fun ~n:_ ~pid:_ ~input -> (0, input = 1))
+    ~decision:(fun _ -> None)
+    ~halted:(fun (r, _) -> r >= 2)
+    ~hash:(fun (r, b) -> (2 * r) + Bool.to_int b)
+    ~transition:(fun (r, _) ~round:_ ~nrecv:_ ~tallies:_ ->
+      {
+        Sim.Protocol.ws_state = (r + 1, false);
+        ws_regs = [| Sim.Protocol.Keep |];
+        ws_decide = None;
+        ws_halt = r + 1 >= 2;
+      })
+    {
+      Sim.Protocol.bo_width = 1;
+      bo_pack = (fun (_, b) -> Bool.to_int b);
+      bo_unpack = (fun (r, _) regs -> (r, regs land 1 = 1));
+      bo_uniform = (fun (a, _) (b, _) -> a = b);
+      bo_coin_reg = None;
+      bo_aux_draw = None;
+    }
+
+(* The halted-undecided check names the first survivor, as the scalar
+   path does, not process 0, which dies silently in the same round. *)
+let test_check_names_first_survivor () =
+  let inputs = Array.make 70 1 in
+  let adversary = Baselines.Adversaries.static_schedule [ (2, 0) ] in
+  let message run =
+    match run adversary with
+    | (_ : Sim.Engine.outcome) -> "no exception"
+    | exception Sim.Engine.Decision_changed msg -> msg
+  in
+  let expected = "process 1 halted without deciding" in
+  Alcotest.(check string) "engine" expected
+    (message (fun a ->
+         Sim.Engine.run halts_undecided a ~inputs ~t:1
+           ~rng:(Prng.Rng.create 1)));
+  Alcotest.(check string) "bitkernel" expected
+    (message (fun a ->
+         Sim.Bitkernel.run halts_undecided a ~inputs ~t:1
+           ~rng:(Prng.Rng.create 1)))
 
 let suites =
   [
@@ -298,7 +530,19 @@ let suites =
             test_null_rounds_all_packed;
           Alcotest.test_case "leader flips stay packed" `Quick
             test_leader_flips_packed;
-          Alcotest.test_case "kills fall back to scalar then re-pack" `Quick
-            test_kills_fall_back_and_repack;
+          Alcotest.test_case "partial kills fall back to scalar then re-pack"
+            `Quick test_partial_kills_fall_back_and_repack;
+          Alcotest.test_case "silent kills stay packed" `Quick
+            test_silent_kills_stay_packed;
+          Alcotest.test_case "band control at n=200 stays packed" `Quick
+            test_band_control_stays_packed;
+          Alcotest.test_case "killing every active process" `Quick
+            test_kill_all_active;
+          Alcotest.test_case "survivors decide and halt on a kill round" `Quick
+            test_survivors_decide_and_halt;
+          Alcotest.test_case "leader picked among survivors" `Quick
+            test_leader_among_survivors;
+          Alcotest.test_case "checks name the first survivor" `Quick
+            test_check_names_first_survivor;
         ] );
   ]

@@ -112,6 +112,12 @@ let synran_tests =
         ~name:"synran n=129 aware band = concrete band"
         ~observer:Core.Synran.msg_is_one ~protocol:(Core.Synran.protocol 129)
         ~adversary:band ~cohort_adversary:band_aware ~n:129 ~max_t:128 ();
+      (* Voting's rescues put the most partial deliveries through the
+         shared delivered-count tracker. *)
+      differential ~count:8
+        ~name:"synran n=129 aware voting = concrete voting"
+        ~observer:Core.Synran.msg_is_one ~protocol:(Core.Synran.protocol 129)
+        ~adversary:voting ~cohort_adversary:voting_aware ~n:129 ~max_t:128 ();
     ]
 
 let floodset_tests =
