@@ -392,7 +392,7 @@ let coinflip_smoke () =
 
 (* Chaos replay: a pinned survivable fault plan — three faults across
    three sites, one of them a torn checkpoint write that the retry must
-   quarantine and recompute — replayed at jobs 1 and jobs 3. The whole
+   skip and recompute — replayed at jobs 1 and jobs 3. The whole
    point of the fault harness is that recovery is byte-invisible: the
    summary, the metrics JSON, the event JSONL, and the supervisor's
    manifest-bound metrics digest must all equal the fault-free run's. An

@@ -6,34 +6,35 @@ type estimate = {
   ci : Stats.Ci.interval;
 }
 
-let control_probability ?(trials = 1000) ?jobs ?cancel ~seed ~budget ~target
-    ~strategy game =
-  if trials <= 0 then invalid_arg "Control.control_probability: trials";
-  (* Trial [i] draws from an RNG derived from [(seed, i)], so the estimate
-     is identical for every worker count (the count is order-independent
-     anyway, but the samples themselves must not depend on scheduling). *)
-  let s =
-    Sim.Parallel.fold_chunks_supervised ?jobs ?cancel ~n:trials
-      ~create:(fun () -> ref 0)
-      ~work:(fun index acc ->
-        let rng = Prng.Rng.of_seed_index ~seed ~index in
-        let values = Game.sample game rng in
-        let outcome =
-          Strategy.forced_outcome game values ~strategy ~budget ~target
-        in
-        if outcome = target then incr acc)
-      ~merge:(fun a b -> ref (!a + !b))
-      ()
-  in
-  (match s.Sim.Parallel.failures with
-  | f :: _ ->
-      Printexc.raise_with_backtrace f.Sim.Parallel.exn f.Sim.Parallel.backtrace
-  | [] -> ());
-  (* An estimate over a truncated sample would silently change meaning, so
-     a watchdogged run that cannot finish raises instead of degrading. *)
-  if s.Sim.Parallel.cancelled then raise Sim.Parallel.Cancelled;
+type run =
+  key:string -> seed:int -> trials:int ->
+  (?cancel:(unit -> bool) -> ?checkpoint:Sim.Checkpoint.t -> ?retries:int ->
+   ?fault:Sim.Fault.plan -> unit -> int ref Sim.Runner.folded) ->
+  int ref
+
+let control_probability ?(trials = 1000) ?jobs
+    ?(run : run = fun ~key:_ ~seed:_ ~trials:_ f -> Sim.Runner.value (f ()))
+    ~seed ~budget ~target ~strategy game =
+  (* Trial [index] draws from an RNG derived from [(seed, index)], so the
+     estimate is identical for every worker count (the count is
+     order-independent anyway, but the samples themselves must not
+     depend on scheduling). *)
   let forced =
-    match s.Sim.Parallel.value with Some r -> !r | None -> assert false
+    let key =
+      Printf.sprintf "n=%d;budget=%d;target=%d;strategy=%s" game.Game.n budget
+        target strategy.Strategy.name
+    in
+    !(run ~key ~seed ~trials (fun ?cancel ?checkpoint ?retries ?fault () ->
+          Sim.Runner.fold ?jobs ?cancel ?checkpoint ?retries ?fault
+            ~engine:"coin" ~trials ~create:(fun () -> ref 0)
+            ~merge:(fun a b -> ref (!a + !b))
+            (fun ~index _ n ->
+              let rng = Prng.Rng.of_seed_index ~seed ~index in
+              let values = Game.sample game rng in
+              if
+                Strategy.forced_outcome game values ~strategy ~budget ~target
+                = target
+              then incr n)))
   in
   {
     target;
@@ -43,14 +44,12 @@ let control_probability ?(trials = 1000) ?jobs ?cancel ~seed ~budget ~target
     ci = Stats.Ci.wilson ~successes:forced trials;
   }
 
-let best_controllable_outcome ?trials ?jobs ?cancel ~seed ~budget ~strategy
-    game =
-  let estimates =
+let best_controllable_outcome ?trials ?jobs ?run ~seed ~budget ~strategy game =
+  match
     List.init game.Game.k (fun target ->
-        control_probability ?trials ?jobs ?cancel ~seed:(seed + target) ~budget
+        control_probability ?trials ?jobs ?run ~seed:(seed + target) ~budget
           ~target ~strategy game)
-  in
-  match estimates with
+  with
   | [] -> invalid_arg "Control.best_controllable_outcome: game has no outcomes"
   | first :: rest ->
       List.fold_left

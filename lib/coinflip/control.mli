@@ -14,10 +14,23 @@ type estimate = {
   ci : Stats.Ci.interval;  (** 95% Wilson interval. *)
 }
 
+type run =
+  key:string -> seed:int -> trials:int ->
+  (?cancel:(unit -> bool) -> ?checkpoint:Sim.Checkpoint.t -> ?retries:int ->
+   ?fault:Sim.Fault.plan -> unit -> int ref Sim.Runner.folded) ->
+  int ref
+(** How an estimate's fold is run: [run ~key ~seed ~trials fold] runs
+    [fold] (a {!Sim.Runner.fold} counting the forced trials) and returns
+    its complete count. [key] names n, budget, target and strategy, not
+    the game; [seed] is the estimate's trial seed. [Core.Supervise.fold],
+    with a key prefix naming the game, runs it under a supervisor's
+    watchdog, checkpoint store, retry budget and fault plan. The default
+    is [Sim.Runner.value (fold ())]. *)
+
 val control_probability :
   ?trials:int ->
   ?jobs:int ->
-  ?cancel:(unit -> bool) ->
+  ?run:run ->
   seed:int ->
   budget:int ->
   target:int ->
@@ -25,26 +38,25 @@ val control_probability :
   Game.t ->
   estimate
 (** Monte-Carlo estimate (default 1000 trials) of the probability that the
-    strategy forces [target] with the given budget. Trials run across
-    [jobs] domains (default {!Sim.Parallel.default_jobs}); trial [i]'s RNG
-    is derived from [(seed, i)] via {!Prng.Rng.of_seed_index}, so the
-    estimate is identical for every [jobs]. [cancel] is a cooperative
-    watchdog polled at chunk boundaries; because a proportion over a
-    truncated sample would be a silently different estimate, cancellation
-    raises {!Sim.Parallel.Cancelled} rather than returning a partial
-    value. A raising trial is re-raised with its original backtrace. *)
+    strategy forces [target] with the given budget, folded across [jobs]
+    domains (default {!Sim.Parallel.default_jobs}); trial [i]'s RNG is
+    derived from [(seed, i)] via {!Prng.Rng.of_seed_index}, so the
+    estimate is identical for every [jobs]. Without [run], a raising
+    trial is re-raised with its original backtrace. *)
 
 val best_controllable_outcome :
   ?trials:int ->
   ?jobs:int ->
-  ?cancel:(unit -> bool) ->
+  ?run:run ->
   seed:int ->
   budget:int ->
   strategy:Strategy.t ->
   Game.t ->
   estimate
 (** Lemma 2.1 existentially guarantees some forceable outcome; this returns
-    the empirically easiest one (max forcing probability over targets). *)
+    the empirically easiest one: the highest proportion (the first on
+    ties) over the targets [v] of {!control_probability}[ ~seed:(seed +
+    v)]. *)
 
 val exact_force_probability :
   budget:int -> target:int -> Game.t -> values_of_player:int -> float

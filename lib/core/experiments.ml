@@ -78,17 +78,18 @@ let fold x ~exp ~n ~t ~max_rounds ~trials ~create ~merge body =
           body (Prng.Rng.of_seed_index ~seed:x.seed ~index) acc))
 
 (* E1's coin-game estimates: [best_controllable_outcome], or
-   [control_probability] toward [target]. They take the worker count and
-   the watchdog but no checkpoint store (see experiments.mli). *)
-let coin x ~trials ~budget ?target game =
-  let jobs = x.jobs and cancel = Supervise.cancel x.sup and seed = x.seed in
+   [control_probability] toward [target]. Each estimate is one keyed
+   fold: [exp] names the game and row, [Control]'s key the rest. *)
+let coin x ~exp ~trials ~budget ?target game =
+  let run ~key = Supervise.fold x.sup ~key:(exp ^ ";" ^ key) in
+  let jobs = x.jobs and seed = x.seed in
   let strategy = Coinflip.Strategy.best_available in
   match target with
   | None ->
-      Coinflip.Control.best_controllable_outcome ~trials ?jobs ?cancel ~seed
+      Coinflip.Control.best_controllable_outcome ~trials ?jobs ~run ~seed
         ~budget ~strategy game
   | Some target ->
-      Coinflip.Control.control_probability ~trials ?jobs ?cancel ~seed ~budget
+      Coinflip.Control.control_probability ~trials ?jobs ~run ~seed ~budget
         ~target ~strategy game
 
 (* The lower-bound adversaries against SynRan under [rules]. *)
@@ -128,9 +129,9 @@ let e1_coin_control x =
       ]
   in
   let best game budget =
-    let n = game.Coinflip.Game.n in
+    let n = game.Coinflip.Game.n and name = game.Coinflip.Game.name in
     let budget = Stdlib.min budget n in
-    add game.Coinflip.Game.name ~n ~budget (coin x ~trials ~budget game)
+    add name ~n ~budget (coin x ~exp:("e1-" ^ name) ~trials ~budget game)
   in
   let sqrt_budget n = int_of_float (Float.ceil (sqrt (float_of_int n))) in
   let lemma_budget ~k n =
@@ -151,7 +152,7 @@ let e1_coin_control x =
       (* The one-side-bias headline: majority0 cannot be pushed to 1 even
          with the whole population as budget. *)
       add "majority0 toward 1" ~n ~budget:n
-        (coin x ~trials ~budget:n ~target:1
+        (coin x ~exp:"e1-majority0 toward 1" ~trials ~budget:n ~target:1
            (Coinflip.Games.majority_default_zero n)))
     (pick x ~quick:[ 64; 256 ] ~full:[ 64; 256; 1024 ]);
   (* The [BOL89] landscape the paper's Section 2 sits in: tribes and

@@ -16,13 +16,10 @@
     rows added so far. Every trial population is one keyed supervised
     fold ({!Supervise.fold}): it polls the watchdog at chunk boundaries,
     persists and resumes chunk checkpoints under its key, and reports
-    structured failures. Only two pieces of trial work run outside such a
-    fold. E1's coin-game estimates poll the watchdog but keep no
-    checkpoint: a quick pass makes ~64 of them, and storing their ~1,200
-    chunks would cost a fifth of the battery's time. E6's FloodSet column
-    is one deterministic run per row, with nothing to chunk. Without
-    [sup] nothing is polled or stored, and the tables are bit-identical
-    either way. *)
+    structured failures; E1's coin-game estimates are such folds too. Only
+    E6's FloodSet column runs outside one: it is one deterministic run
+    per row, with nothing to chunk. Without [sup] nothing is polled or
+    stored, and the tables are bit-identical either way. *)
 
 type profile = Quick | Full
 

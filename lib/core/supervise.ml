@@ -120,16 +120,6 @@ let register sup table =
   (match sup with Some c -> c.table <- Some table | None -> ());
   table
 
-let cancel sup =
-  match sup with
-  | None -> None
-  | Some c -> (
-      match c.deadline_at with
-      | None -> None
-      (* The closure captures the deadline as an immutable float: worker
-         domains polling it never read mutable ctx state. *)
-      | Some at -> Some (fun () -> now () > at))
-
 let commit sup (r : _ Sim.Runner.folded) =
   (match sup with
   | None -> ()
@@ -163,8 +153,13 @@ let fold sup ~key ~seed ~trials run =
     | Some _ | None -> None
   in
   let field f = Option.bind sup f in
+  (* The watchdog closure captures the deadline as an immutable float:
+     worker domains polling it never read mutable ctx state. *)
+  let cancel =
+    Option.map (fun at () -> now () > at) (field (fun c -> c.deadline_at))
+  in
   commit sup
-    (run ?cancel:(cancel sup) ?checkpoint
+    (run ?cancel ?checkpoint
        ?retries:(field (fun c -> c.retry_budget))
        ?fault:(field (fun c -> c.fault))
        ())
@@ -247,16 +242,10 @@ let status_line r =
            Printf.sprintf ", %d retried" r.chunk_retries
          else "")
   | Timed_out ->
-      (* Inline folds that track no trial counters (E1's game loops) leave
-         the counts at zero; print them only when they say something. *)
-      let progress =
-        if r.chunks_done = 0 && r.total_trials = 0 then ""
-        else
-          Printf.sprintf " (%d chunks, %d/%d trials completed)" r.chunks_done
-            r.completed_trials r.total_trials
-      in
-      Printf.sprintf "%s: TIMED OUT after %.1f s — partial table above%s" r.id
-        r.elapsed_s progress
+      Printf.sprintf
+        "%s: TIMED OUT after %.1f s — partial table above (%d chunks, %d/%d \
+         trials completed)"
+        r.id r.elapsed_s r.chunks_done r.completed_trials r.total_trials
   | Failed { message; _ } ->
       Printf.sprintf
         "%s: FAILED after %.1f s — %s (%d chunks completed before the \

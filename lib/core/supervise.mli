@@ -6,8 +6,8 @@
 
     {ul
     {- {b Watchdogs} — a per-experiment wall-clock deadline that cancels
-       cooperatively: every trial fold polls {!cancel} at chunk
-       boundaries (the shared-counter poison of {!Sim.Parallel}). A fired
+       cooperatively: every {!fold} polls it at chunk boundaries (the
+       shared-counter poison of {!Sim.Parallel}). A fired
        watchdog surfaces as [Timed_out] with the partial table built so
        far.}
     {- {b Checkpoint/resume} — {!fold} opens a {!Sim.Checkpoint}
@@ -55,9 +55,9 @@ type result = {
   engines : string list;
       (** Execution engines the experiment's committed folds actually
           used (["concrete"], ["cohort"], ["bitkernel"], ["async"],
-          ["byz"]), deduplicated in first-use order — this is where
-          [`Auto]'s resolution becomes auditable. Empty for an experiment
-          with no trial fold (E1's coin games, E2's closed forms).
+          ["byz"], ["coin"]), deduplicated in first-use order — this is
+          where [`Auto]'s resolution becomes auditable. Empty for an
+          experiment with no trial fold (E2's closed forms).
           Manifest-only, like [elapsed_s]: engine choice never affects
           results, so it stays out of [metrics]. *)
   metrics : Obs.Metrics.t;
@@ -81,7 +81,7 @@ val create :
     negative one fires on the first poll);
     [checkpoints] is the checkpoint root directory (e.g.
     ["results/checkpoints"]; absent = checkpointing off); [resume]
-    (default [false]) consumes existing chunk files instead of clearing
+    (default [false]) consumes existing chunk records instead of clearing
     them; [retries] is the per-chunk retry budget of every {!fold}
     (absent = no retries); [fault] is a deterministic {!Sim.Fault} plan
     replayed against every {!fold} (each fold builds its own injector,
@@ -113,12 +113,6 @@ val register : ctx option -> Stats.Table.t -> Stats.Table.t
 (** Identity on the table; records it so a failed or timed-out experiment
     can still report the rows added so far. Call on the freshly created
     table of every supervised experiment. *)
-
-val cancel : ctx option -> (unit -> bool) option
-(** The cooperative cancellation hook for {!Sim.Runner.fold} and the
-    Coinflip control fold: [Some poll] iff a deadline is armed. The
-    closure captures the deadline as an immutable float and is safe to
-    poll from worker domains. *)
 
 val commit : ctx option -> 'a Sim.Runner.folded -> 'a
 (** Fold a supervised fold's outcome into the experiment: accumulate chunk

@@ -1,4 +1,12 @@
-type t = { dir : string; key : string }
+type t = {
+  dir : string;
+  key : string;
+  lock : Mutex.t;  (* [store] and [load] run on worker domains *)
+  mutable oc : out_channel option;  (* the journal, from first store to close *)
+  mutable unsynced : int;  (* records appended since the last fsync *)
+  mutable index : (int, string) Hashtbl.t option;
+      (* verified payloads by chunk: read on first load, kept by [store] *)
+}
 
 (* Keep directory names portable: the experiment id may contain slashes or
    spaces in principle; everything outside [A-Za-z0-9._-] becomes '_'. *)
@@ -17,20 +25,6 @@ let rec mkdir_p dir =
     with Sys_error _ when Sys.file_exists dir -> ()
   end
 
-(* Stale debris from earlier runs: a SIGKILL between [open_out_bin] and
-   [Sys.rename] in [store] leaves a [chunk-N.tmp] behind, and a run that
-   quarantined a corrupt file leaves a [chunk-N.corrupt]. Both are inert
-   (loads go through the renamed chunk file only) but accumulate across
-   crashed runs, so sweep them whenever a store is (re-)opened over an
-   existing directory. *)
-let sweep_stale dir =
-  if Sys.file_exists dir && Sys.is_directory dir then
-    Array.iter
-      (fun f ->
-        if Filename.check_suffix f ".tmp" || Filename.check_suffix f ".corrupt"
-        then try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir)
-
 let create ~root ~exp ~seed ~chunk_size ~n =
   (* Sanitization is lossy ("e1/a" and "e1 a" both become "e1_a"), so the
      directory name carries a short hash of the raw id to keep distinct
@@ -39,26 +33,49 @@ let create ~root ~exp ~seed ~chunk_size ~n =
   let dir =
     Filename.concat root (Printf.sprintf "%s-%s-%d" (sanitize exp) tag seed)
   in
-  sweep_stale dir;
   (* [fmt] is the file-format/accumulator-schema generation: bumped
-     whenever a checkpointed acc type changes shape or the header format
+     whenever a checkpointed acc type changes shape or the record format
      changes (fmt=2: the runner acc gained its observability slice;
      fmt=3: the header gained the payload-digest line; fmt=4: every fold
-     stores its model acc inside the generic chunk record), so files from an
-     older binary are rejected by the key check instead of marshalled
-     into the wrong layout. *)
+     stores its model acc inside the generic chunk record; fmt=5: one
+     append-only journal per store), so records from an older binary are
+     rejected by the key check instead of marshalled into the wrong
+     layout. *)
   let key =
-    Printf.sprintf "exp=%s;seed=%d;chunk_size=%d;n=%d;fmt=4" exp seed
+    Printf.sprintf "exp=%s;seed=%d;chunk_size=%d;n=%d;fmt=5" exp seed
       chunk_size n
   in
-  { dir; key }
+  { dir; key; lock = Mutex.create (); oc = None; unsynced = 0; index = None }
 
 let dir t = t.dir
 
-let chunk_file t c = Filename.concat t.dir (Printf.sprintf "chunk-%d" c)
+let journal t = Filename.concat t.dir "journal"
 
-let injected_msg site chunk what =
-  Printf.sprintf "injected fault: %s@%d:%s" (Fault.site_label site) chunk what
+(* Records are flushed as they are appended and fsynced in batches: a
+   crash can lose at most the unsynced tail, which [load] reads as absent
+   chunks. *)
+let sync_every = 64
+
+(* A record is ["\n<key>\n<chunk> <length> <md5>\n<payload>"]. The digest
+   covers the chunk index with the payload, so a flipped bit in either
+   fails verification instead of handing a chunk another chunk's value. *)
+let digest ~chunk payload =
+  Digest.to_hex (Digest.string (string_of_int chunk ^ "\n" ^ payload))
+
+(* Raise the armed fault [kind] at [site]: a crash as {!Fault.Injected},
+   the other kinds as the [Sys_error] a failing filesystem would raise. *)
+let fail site chunk kind =
+  let what =
+    match kind with
+    | Fault.Crash -> raise (Fault.Injected { site; scope = chunk; kind })
+    | Fault.Sys_err -> "sys_error"
+    | Fault.Torn_write -> "torn"
+    | Fault.Bit_flip -> "bitflip"
+  in
+  raise
+    (Sys_error
+       (Printf.sprintf "injected fault: %s@%d:%s" (Fault.site_label site)
+          chunk what))
 
 (* Flip one payload bit, mid-string: enough to break the digest, small
    enough that Marshal would happily misparse it if the digest check were
@@ -70,147 +87,126 @@ let flip_bit s =
   Bytes.to_string b
 
 let store ?fault t ~chunk acc =
-  mkdir_p t.dir;
-  let path = chunk_file t chunk in
   let good = Marshal.to_string acc [] in
-  (* The header digest always covers the intended payload, so any
-     corruption of the bytes that follow it — injected or real — is
-     detected on load. *)
-  let digest = Digest.to_hex (Digest.string good) in
   let kind = Fault.fire fault Fault.Checkpoint_store ~scope:chunk in
-  (match kind with
-  | Some Fault.Crash ->
-      raise
-        (Fault.Injected
-           { site = Fault.Checkpoint_store; scope = chunk; kind = Fault.Crash })
-  | Some Fault.Sys_err ->
-      raise (Sys_error (injected_msg Fault.Checkpoint_store chunk "sys_error"))
-  | Some Fault.Torn_write | Some Fault.Bit_flip | None -> ());
   let payload =
     match kind with
+    | None -> good
     | Some Fault.Torn_write -> String.sub good 0 (String.length good / 2)
     | Some Fault.Bit_flip -> flip_bit good
-    | _ -> good
+    | Some k -> fail Fault.Checkpoint_store chunk k
   in
-  (* Write-then-fsync-then-rename: a killed run leaves at worst a stale
-     [.tmp], and the renamed file's bytes are durable before it becomes
-     visible under the chunk name. The rename target is per-chunk, so
-     concurrent workers storing distinct chunks need no locking. *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc t.key;
-      output_char oc '\n';
-      output_string oc digest;
-      output_char oc '\n';
-      output_string oc payload;
-      flush oc;
-      Unix.fsync (Unix.descr_of_out_channel oc));
-  Sys.rename tmp path;
-  (* The corruption kinds model a crash that completed the rename but
-     lost payload bytes: the corrupt file is now durable under the chunk
-     name, and the store call still fails. The retry's [load] consult
-     finds the file, sees the digest mismatch, and quarantines it. *)
-  match kind with
-  | Some Fault.Torn_write ->
-      raise (Sys_error (injected_msg Fault.Checkpoint_store chunk "torn"))
-  | Some Fault.Bit_flip ->
-      raise (Sys_error (injected_msg Fault.Checkpoint_store chunk "bitflip"))
-  | _ -> ()
+  Mutex.protect t.lock (fun () ->
+      let oc =
+        match t.oc with
+        | Some oc -> oc
+        | None ->
+            mkdir_p t.dir;
+            let flags = [ Open_wronly; Open_append; Open_creat; Open_binary ] in
+            let oc = open_out_gen flags 0o644 (journal t) in
+            t.oc <- Some oc;
+            oc
+      in
+      (* The header always carries the intended payload's length and
+         digest, so any corruption of the bytes that follow it — injected
+         or real — is detected on load. *)
+      Printf.fprintf oc "\n%s\n%d %d %s\n%s%!" t.key chunk
+        (String.length good) (digest ~chunk good) payload;
+      t.unsynced <- t.unsynced + 1;
+      if t.unsynced >= sync_every then begin
+        Unix.fsync (Unix.descr_of_out_channel oc);
+        t.unsynced <- 0
+      end;
+      if Option.is_none kind then
+        Option.iter (fun index -> Hashtbl.replace index chunk good) t.index);
+  (* The corruption kinds model a crash that lost payload bytes: the bad
+     record stays in the journal, and the store call still fails. The
+     retry's [load] consult does not trust it and the chunk is
+     recomputed. *)
+  Option.iter (fail Fault.Checkpoint_store chunk) kind
 
-(* Corrupt an existing chunk file in place (the load-site Bit_flip /
-   Torn_write faults: latent media corruption discovered at read time).
-   A missing file is left missing. *)
-let corrupt_in_place path kind =
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let contents =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let contents =
-      match kind with
-      | Fault.Torn_write -> String.sub contents 0 (String.length contents / 2)
-      | _ -> if contents = "" then "\x00" else flip_bit contents
-    in
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc contents)
-  end
+(* Index the record at [h] when its key is [t]'s, its header parses, its
+   payload is complete and its digest verifies, and say where the scan
+   goes on: past a verified record, or at the next line start after one
+   that cannot be trusted — torn, corrupt or alien — since its length
+   field is not to be trusted either. *)
+let record t s index h =
+  let line i =
+    Option.map
+      (fun j -> (String.sub s i (j - i), j + 1))
+      (String.index_from_opt s i '\n')
+  in
+  match line (h + 1) with
+  | Some (key, i) when key = t.key -> (
+      match
+        Option.bind (line i) (fun (meta, p) ->
+            Scanf.sscanf_opt meta "%d %d %s%!" (fun c n d -> (c, n, d, p)))
+      with
+      | Some (chunk, n, d, p) when n >= 0 && p + n <= String.length s ->
+          let payload = String.sub s p n in
+          if d <> digest ~chunk payload then h + 1
+          else begin
+            Hashtbl.replace index chunk payload;
+            p + n
+          end
+      | _ -> h + 1)
+  | _ -> h + 1
 
-(* A file that cannot be trusted is moved aside, never deleted: the
-   [.corrupt] name keeps it out of every load path (and visible for a
-   post-mortem) until [clear] or the next store's sweep retires it. *)
-let quarantine path =
-  let q = path ^ ".corrupt" in
-  (try if Sys.file_exists q then Sys.remove q with Sys_error _ -> ());
-  try Sys.rename path q with Sys_error _ -> ()
+(* Every verified record of [t] in journal [s], the latest per chunk. *)
+let scan t s =
+  let index = Hashtbl.create 32 in
+  let rec from p =
+    Option.iter
+      (fun h -> from (record t s index h))
+      (String.index_from_opt s p '\n')
+  in
+  from 0;
+  index
 
 let load ?fault t ~chunk =
-  let path = chunk_file t chunk in
-  (match Fault.fire fault Fault.Checkpoint_load ~scope:chunk with
-  | None -> ()
-  | Some Fault.Crash ->
-      raise
-        (Fault.Injected
-           { site = Fault.Checkpoint_load; scope = chunk; kind = Fault.Crash })
-  | Some Fault.Sys_err ->
-      raise (Sys_error (injected_msg Fault.Checkpoint_load chunk "sys_error"))
-  | Some ((Fault.Torn_write | Fault.Bit_flip) as k) -> corrupt_in_place path k);
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let verdict =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match input_line ic with
-          | exception End_of_file -> `Corrupt (* empty or headerless file *)
-          | key when key <> t.key ->
-              (* The key line pins (exp, seed, chunk_size, n, fmt); a file
-                 written under any other configuration — or any earlier
-                 format generation — is alien to this store. *)
-              `Corrupt
-          | _ -> (
-              match input_line ic with
-              | exception End_of_file -> `Corrupt
-              | digest -> (
-                  let payload =
-                    try
-                      Some
-                        (really_input_string ic
-                           (in_channel_length ic - pos_in ic))
-                    with End_of_file | Invalid_argument _ -> None
-                  in
-                  match payload with
-                  | None -> `Corrupt
-                  | Some payload ->
-                      if
-                        String.length digest <> 32
-                        || digest <> Digest.to_hex (Digest.string payload)
-                      then `Corrupt
-                      else begin
-                        (* The digest matches, so Marshal sees exactly the
-                           bytes [store] wrote; a raise here would mean an
-                           fmt-key bookkeeping bug, and quarantining is
-                           still safer than crashing the run. *)
-                        match Marshal.from_string payload 0 with
-                        | v -> `Ok v
-                        | exception _ -> `Corrupt
-                      end)))
-    in
-    match verdict with
-    | `Ok v -> Some v
-    | `Corrupt ->
-        quarantine path;
-        None
-  end
+  match Fault.fire fault Fault.Checkpoint_load ~scope:chunk with
+  (* Latent corruption discovered at read time: the chunk's record cannot
+     be trusted, so the chunk is recomputed. *)
+  | Some (Fault.Torn_write | Fault.Bit_flip) -> None
+  | Some k -> fail Fault.Checkpoint_load chunk k
+  | None -> (
+      let payload =
+        Mutex.protect t.lock (fun () ->
+            if Option.is_none t.index then begin
+              let s =
+                try In_channel.with_open_bin (journal t) In_channel.input_all
+                with Sys_error _ -> ""
+              in
+              t.index <- Some (scan t s)
+            end;
+            Option.bind t.index (fun index -> Hashtbl.find_opt index chunk))
+      in
+      (* The digest matches, so Marshal sees exactly the bytes [store]
+         wrote; a raise here would mean an fmt-key bookkeeping bug, and
+         recomputing is still safer than crashing the run. *)
+      Option.bind payload (fun p ->
+          try Some (Marshal.from_string p 0) with _ -> None))
+
+(* Close the journal. [sync] fsyncs it first, best-effort: every record
+   is already flushed to the OS and a resume verifies each one, so a
+   failed fsync only weakens durability. *)
+let shut t ~sync =
+  Option.iter
+    (fun oc ->
+      let fd = Unix.descr_of_out_channel oc in
+      (try if sync && t.unsynced > 0 then Unix.fsync fd
+       with Unix.Unix_error _ -> ());
+      close_out_noerr oc)
+    t.oc;
+  t.oc <- None;
+  t.unsynced <- 0
+
+let close t = Mutex.protect t.lock (fun () -> shut t ~sync:true)
 
 let clear t =
+  Mutex.protect t.lock (fun () ->
+      shut t ~sync:false;
+      t.index <- None);
   if Sys.file_exists t.dir && Sys.is_directory t.dir then begin
     Array.iter
       (fun f -> try Sys.remove (Filename.concat t.dir f) with Sys_error _ -> ())

@@ -6,8 +6,8 @@
     schedules harness failures (raises, torn checkpoint writes, bit-flip
     corruption, spurious [Sys_error]s) against the runner, the checkpoint
     store, the event sinks, and the manifest writer, so the recovery
-    machinery (chunk retries, checkpoint quarantine) can be tested under
-    attack and every chaos run replayed exactly.
+    machinery (chunk retries, checkpoint record digests) can be tested
+    under attack and every chaos run replayed exactly.
 
     {b Determinism.} A fault {e plan} is an immutable list of {!arm}s,
     each naming a {!site}, a deterministic scope (chunk index or
@@ -40,14 +40,14 @@ type kind =
   | Crash  (** Raise {!Injected} at the site. *)
   | Sys_err  (** Raise a spurious [Sys_error] at the site. *)
   | Torn_write
-      (** Checkpoint sites: persist a truncated payload, then raise
-          [Sys_error] (a simulated crash mid-write that left a torn file
-          behind). Elsewhere behaves like {!Crash}. *)
+      (** Checkpoint sites: [store] appends a record with half its
+          payload, then raises [Sys_error] (a crash mid-write that left a
+          torn record behind); [load] finds its record corrupt and returns
+          [None]. Elsewhere behaves like {!Crash}. *)
   | Bit_flip
-      (** Checkpoint sites: flip one payload bit ([store] corrupts the
-          written file then raises; [load] corrupts the on-disk file in
-          place before reading, simulating latent media corruption).
-          Elsewhere behaves like {!Crash}. *)
+      (** Checkpoint sites: as {!Torn_write}, with one payload bit flipped
+          instead (latent media corruption at [load]). Elsewhere behaves
+          like {!Crash}. *)
 
 type arm = { site : site; scope : int; hit : int; kind : kind }
 (** Fire [kind] at the [hit]-th trigger of [(site, scope)]. [scope] is a

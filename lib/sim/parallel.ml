@@ -215,8 +215,8 @@ let fold_chunks_supervised ?jobs ?(chunk_size = default_chunk_size)
          pure function of (seed, index), byte-identical to what the
          failed attempt would have produced. The [saved] hook is
          re-consulted on every attempt: a failed [persist] may have left
-         a durable (or torn — then quarantined by {!Checkpoint.load})
-         file behind. *)
+         a durable (or torn — then skipped by {!Checkpoint.load}) record
+         behind. *)
       let rec attempt k =
         let i = ref lo in
         try

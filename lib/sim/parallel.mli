@@ -38,10 +38,10 @@ val default_chunk_size : int
 
 exception Cancelled
 (** Raised by callers that run under a watchdog but have no partial result
-    to salvage (e.g. {!Coinflip.Control.control_probability}, whose return
-    type is a single estimate): the supervised fold reported [cancelled]
-    and the computation cannot continue. {!fold_chunks_supervised} itself
-    never raises this — it reports cancellation in the record. *)
+    to salvage (e.g. {!Runner.value}, the all-or-nothing reading of a
+    fold): the supervised fold reported [cancelled] and the computation
+    cannot continue. {!fold_chunks_supervised} itself never raises this —
+    it reports cancellation in the record. *)
 
 type chunk_failed = {
   chunk : int;  (** Chunk whose work raised. *)
@@ -131,7 +131,7 @@ val fold_chunks_supervised :
        recomputing them ({!Checkpoint} relies on this).}
     {- [persist c acc] is called with every freshly computed chunk
        accumulator, from the worker domain that ran it (distinct [c] per
-       call, so writing to per-chunk files needs no locking). An exception
+       call, concurrently: {!Checkpoint} serialises its appends). An exception
        from [persist] is recorded as that chunk's failure, and the chunk
        then contributes nothing to [value] — only durable chunks merge.}}
 

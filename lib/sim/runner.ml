@@ -165,9 +165,15 @@ let fold ?jobs ?chunk_size ?cancel ?checkpoint ?capture ?retries ?fault
           chunk_merge a b
   in
   let s =
-    Parallel.fold_chunks_supervised ?jobs ?chunk_size ?cancel ?retries
-      ?fault:finj ?saved ?persist ~n:trials ~create:chunk_create ~work ~merge
-      ()
+    try
+      Parallel.fold_chunks_supervised ?jobs ?chunk_size ?cancel ?retries
+        ?fault:finj ?saved ?persist ~n:trials ~create:chunk_create ~work
+        ~merge ()
+    with e ->
+      (* A raising merge ends the fold incomplete too. *)
+      let bt = Printexc.get_raw_backtrace () in
+      Option.iter Checkpoint.close checkpoint;
+      Printexc.raise_with_backtrace e bt
   in
   (match capture with
   | None -> ()
@@ -182,9 +188,12 @@ let fold ?jobs ?chunk_size ?cancel ?checkpoint ?capture ?retries ?fault
     s.Parallel.chunks_done = s.Parallel.chunks_total
     && s.Parallel.failures = []
   in
-  (* A fully successful fold retires its checkpoints: stale chunk files
-     must never outlive the run they belong to. *)
-  (match checkpoint with Some ck when complete -> Checkpoint.clear ck | _ -> ());
+  (* A fully successful fold retires its checkpoints: stale records must
+     never outlive the run they belong to. An incomplete one makes its
+     records durable for a resume. *)
+  Option.iter
+    (if complete then Checkpoint.clear else Checkpoint.close)
+    checkpoint;
   {
     partial = Option.map (fun c -> c.acc) s.Parallel.value;
     completed_trials =

@@ -47,7 +47,7 @@ type 'a folded = {
   cancelled : bool;  (** The [cancel] watchdog fired. *)
   engine_used : string;
       (** ["concrete"], ["cohort"] or ["bitkernel"] after [`Auto]
-          resolution, or ["async"] / ["byz"]; run manifests record it. *)
+          resolution, or ["async"] / ["byz"] / ["coin"]; for manifests. *)
 }
 (** Outcome of a supervised fold: the salvaged partial value plus the
     structured failure record. [failures = [] && not cancelled] implies
@@ -73,20 +73,21 @@ val fold :
   (index:int -> probe option -> 'acc -> unit) ->
   'acc folded
 (** The supervised trial fold of every model — {!run_trials_supervised},
-    [Async.Engine.run_trials], [Byz.Engine.run_trials] and the
-    experiments' own trial bodies. The last argument runs trial [index]
-    into its chunk's accumulator: it must draw all randomness from
-    [index] and fixed configuration and build any mutable helper afresh,
-    so a trial is the same on any domain and any retry. [create]/[merge]
-    build and combine chunk accumulators, which must be plain data
-    ([Marshal] checkpoints them).
+    [Async.Engine.run_trials], [Byz.Engine.run_trials], the coin-game
+    control estimates and the experiments' own trial bodies. The last
+    argument runs trial [index] into its chunk's accumulator: it must
+    draw all randomness from [index] and fixed configuration and build
+    any mutable helper afresh, so a trial is the same on any domain and
+    any retry. [create]/[merge] build and combine chunk accumulators,
+    which must be plain data ([Marshal] checkpoints them).
 
     Raising trials and a fired [cancel] (polled at chunk boundaries, see
     {!Parallel.fold_chunks_supervised}) salvage every completed chunk.
     [checkpoint] persists each completed chunk and satisfies stored ones
     without recomputation; chunks merge in chunk order and [Marshal]
     round-trips exactly, so a resumed value is byte-identical to an
-    uninterrupted one. A fully successful fold clears its store.
+    uninterrupted one. A fully successful fold clears its store; any
+    other fold {!Checkpoint.close}s it, so its records are durable.
     [retries] (default 0) re-runs a failed chunk that many extra times —
     byte-identical, since each trial is a pure function of its index.
     [fault] arms one {!Fault} injector for the fold's chunk geometry,

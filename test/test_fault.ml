@@ -1,7 +1,7 @@
 (* Tests for the deterministic fault-injection harness: the plan grammar,
    seeded plan generation, injector hit semantics, and the headline chaos
    property — a survivable plan (every armed fault absorbed by the retry
-   budget and the checkpoint quarantine) yields summaries and capture
+   budget and the checkpoint record digest) yields summaries and capture
    digests byte-identical to the fault-free run at any --jobs. *)
 
 let check_int = Alcotest.(check int)
@@ -180,8 +180,8 @@ let with_root f =
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 (* The bench-smoke pinned plan: three faults over three distinct sites,
-   one of them a torn checkpoint write (quarantined and recomputed on the
-   retry within the same run). *)
+   one of them a torn checkpoint write (skipped on load and recomputed on
+   the retry within the same run). *)
 let pinned_plan = "body@1#2:raise,store@2#0:torn,sink@3#5:raise"
 
 let assert_survivable_identity ~root ~plan ~seed_tag =

@@ -363,32 +363,24 @@ let test_checkpoint_roundtrip () =
     (Sys.file_exists (Sim.Checkpoint.dir ck))
 
 let test_checkpoint_key_mismatch () =
-  (* Same directory, different key (n differs): a chunk written under one
-     configuration is alien to the other and gets quarantined on load —
-     the store never trusts a file it cannot verify, so the original is
-     gone afterwards (it will be recomputed, not silently reused). *)
+  (* Same directory, different key (n differs): a record written under
+     one configuration is alien to the other and loads as None — and,
+     since nothing is ever deleted from the journal, the alien read does
+     not consume the original, and the two keys' records coexist. *)
   with_temp_root "ckpt_test_key" @@ fun root ->
-  let ck16 =
-    Sim.Checkpoint.create ~root ~exp:"e" ~seed:3 ~chunk_size:4 ~n:16
-  in
-  let ck24 =
-    Sim.Checkpoint.create ~root ~exp:"e" ~seed:3 ~chunk_size:4 ~n:24
-  in
+  let mk n = Sim.Checkpoint.create ~root ~exp:"e" ~seed:3 ~chunk_size:4 ~n in
+  let ck16 = mk 16 and ck24 = mk 24 in
   check_string "same directory" (Sim.Checkpoint.dir ck16)
     (Sim.Checkpoint.dir ck24);
   Sim.Checkpoint.store ck16 ~chunk:0 [ 42 ];
   check_bool "mismatched key rejected" true
     ((Sim.Checkpoint.load ck24 ~chunk:0 : int list option) = None);
-  let quarantined =
-    Filename.concat (Sim.Checkpoint.dir ck24) "chunk-0.corrupt"
-  in
-  check_bool "alien file quarantined" true (Sys.file_exists quarantined);
-  check_bool "original consumed by quarantine" true
-    ((Sim.Checkpoint.load ck16 ~chunk:0 : int list option) = None);
-  (* A re-store under the right key wins back the slot. *)
-  Sim.Checkpoint.store ck16 ~chunk:0 [ 42 ];
-  check_bool "re-stored chunk loads" true
+  check_bool "alien read leaves the original" true
     ((Sim.Checkpoint.load ck16 ~chunk:0 : int list option) = Some [ 42 ]);
+  Sim.Checkpoint.store ck24 ~chunk:0 [ 99 ];
+  check_bool "each key loads its own record" true
+    ((Sim.Checkpoint.load (mk 16) ~chunk:0 : int list option) = Some [ 42 ]
+    && (Sim.Checkpoint.load (mk 24) ~chunk:0 : int list option) = Some [ 99 ]);
   Sim.Checkpoint.clear ck16
 
 let test_checkpoint_sanitized_dir () =
@@ -427,26 +419,6 @@ let test_checkpoint_collision_distinct () =
   Sim.Checkpoint.clear ck_slash;
   Sim.Checkpoint.clear ck_space
 
-let test_checkpoint_tmp_sweep () =
-  (* Regression: a SIGKILL between [open_out_bin] and [Sys.rename] inside
-     [store] leaves a stale [chunk-N.tmp]. Re-opening the store (a resume)
-     sweeps them; real chunk files are untouched. *)
-  with_temp_root "ckpt_test_sweep" @@ fun root ->
-  let mk () =
-    Sim.Checkpoint.create ~root ~exp:"sweep" ~seed:2 ~chunk_size:4 ~n:8
-  in
-  let ck = mk () in
-  Sim.Checkpoint.store ck ~chunk:1 [ 7 ];
-  let stale = Filename.concat (Sim.Checkpoint.dir ck) "chunk-5.tmp" in
-  let oc = open_out_bin stale in
-  output_string oc "truncated garbage";
-  close_out oc;
-  let ck' = mk () in
-  check_bool "stale .tmp swept on re-create" false (Sys.file_exists stale);
-  check_bool "real chunk survives the sweep" true
-    ((Sim.Checkpoint.load ck' ~chunk:1 : int list option) = Some [ 7 ]);
-  Sim.Checkpoint.clear ck'
-
 let read_file path =
   let ic = open_in_bin path in
   let s = really_input_string ic (in_channel_length ic) in
@@ -458,54 +430,130 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
-let test_checkpoint_corruption_quarantined () =
-  (* Satellite: every way a chunk file can rot on disk — truncation,
-     a flipped bit, an empty file — must load as None (recompute) and
-     leave the evidence under [chunk-N.corrupt], never a wrong value and
-     never a crash. *)
+let journal ck = Filename.concat (Sim.Checkpoint.dir ck) "journal"
+
+let file_size path = (Unix.stat path).Unix.st_size
+
+let test_checkpoint_torn_tail () =
+  (* A run killed mid-append leaves half a record at the journal's tail:
+     the chunks before it still resume, the torn one loads None, and a
+     record appended after the torn bytes (the resumed run's) loads. *)
+  with_temp_root "ckpt_test_torn" @@ fun root ->
+  let mk () =
+    Sim.Checkpoint.create ~root ~exp:"torn" ~seed:2 ~chunk_size:4 ~n:12
+  in
+  let load ck c : int list option = Sim.Checkpoint.load ck ~chunk:c in
+  let ck = mk () in
+  Sim.Checkpoint.store ck ~chunk:0 [ 0 ];
+  Sim.Checkpoint.store ck ~chunk:1 [ 1 ];
+  let intact = file_size (journal ck) in
+  Sim.Checkpoint.store ck ~chunk:2 [ 2; 2; 2 ];
+  Sim.Checkpoint.close ck;
+  let j = read_file (journal ck) in
+  write_file (journal ck)
+    (String.sub j 0 (intact + ((String.length j - intact) / 2)));
+  let resumed = mk () in
+  check_bool "chunks before the torn tail resume" true
+    (load resumed 0 = Some [ 0 ] && load resumed 1 = Some [ 1 ]);
+  check_bool "torn chunk loads None" true (load resumed 2 = None);
+  Sim.Checkpoint.store resumed ~chunk:2 [ 2; 2; 2 ];
+  Sim.Checkpoint.close resumed;
+  check_bool "a record after the torn bytes loads" true
+    (load (mk ()) 2 = Some [ 2; 2; 2 ]);
+  Sim.Checkpoint.clear resumed
+
+let test_checkpoint_corrupt_records () =
+  (* Every way a record can rot in the journal — a flipped payload bit, a
+     truncated payload, an alien key, a flipped chunk index — must load
+     as None (recompute), never as a wrong value, and must not hide the
+     records after it. The bad bytes stay in the journal. *)
   with_temp_root "ckpt_test_corrupt" @@ fun root ->
-  let ck =
+  let mk () =
     Sim.Checkpoint.create ~root ~exp:"rot" ~seed:3 ~chunk_size:4 ~n:16
   in
-  let path = Filename.concat (Sim.Checkpoint.dir ck) "chunk-0" in
-  let quarantined = path ^ ".corrupt" in
   let check_rot label corrupt =
+    let ck = mk () in
     Sim.Checkpoint.store ck ~chunk:0 [ 1; 2; 3 ];
-    corrupt (read_file path);
-    check_bool (label ^ " loads None") true
-      ((Sim.Checkpoint.load ck ~chunk:0 : int list option) = None);
-    check_bool (label ^ " quarantined") true (Sys.file_exists quarantined);
-    check_bool (label ^ " original gone") false (Sys.file_exists path)
+    let r0 = file_size (journal ck) in
+    Sim.Checkpoint.store ck ~chunk:1 [ 4 ];
+    Sim.Checkpoint.close ck;
+    let j = read_file (journal ck) in
+    (* Record 0 is "\n<key>\n<chunk> <len> <md5>\n<payload>". *)
+    let meta = String.index_from j 1 '\n' + 1 in
+    let payload = String.index_from j meta '\n' + 1 in
+    let bad = corrupt j ~meta ~payload ~r0 in
+    write_file (journal ck) bad;
+    let fresh = mk () in
+    check_bool (label ^ ": loads None") true
+      ((Sim.Checkpoint.load fresh ~chunk:0 : int list option) = None);
+    check_bool (label ^ ": the next record still loads") true
+      ((Sim.Checkpoint.load fresh ~chunk:1 : int list option) = Some [ 4 ]);
+    check_bool (label ^ ": no other chunk gains it") true
+      ((Sim.Checkpoint.load fresh ~chunk:2 : int list option) = None);
+    check_bool (label ^ ": bad bytes kept") true
+      (read_file (journal ck) = bad);
+    Sim.Checkpoint.clear fresh
   in
-  check_rot "truncated file" (fun good ->
-      write_file path (String.sub good 0 (String.length good / 2)));
-  check_rot "bit-flipped payload" (fun good ->
-      let b = Bytes.of_string good in
-      let i = String.length good - 3 in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
-      write_file path (Bytes.to_string b));
-  check_rot "empty file" (fun _ -> write_file path "");
-  (* Quarantine keeps only the latest casualty; a clean re-store wins the
-     slot back regardless. *)
+  let flip j i =
+    let b = Bytes.of_string j in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
+    Bytes.to_string b
+  in
+  check_rot "bit-flipped payload" (fun j ~meta:_ ~payload ~r0 ->
+      flip j ((payload + r0) / 2));
+  check_rot "truncated payload" (fun j ~meta:_ ~payload ~r0 ->
+      let cut = (payload + r0) / 2 in
+      String.sub j 0 cut ^ String.sub j r0 (String.length j - r0));
+  check_rot "alien key" (fun j ~meta ~payload:_ ~r0:_ ->
+      let k = String.sub j 0 meta in
+      let i = String.length k - String.length "fmt=5\n" in
+      String.sub j 0 i ^ "fmt=4"
+      ^ String.sub j (i + 5) (String.length j - i - 5));
+  check_rot "chunk index flipped" (fun j ~meta ~payload:_ ~r0:_ ->
+      String.sub j 0 meta ^ "2"
+      ^ String.sub j (meta + 1) (String.length j - meta - 1));
+  (* A clean re-store wins the chunk back: the latest verified record,
+     both through the handle's index and through a fresh read. *)
+  let ck = mk () in
+  check_bool "index read before the stores" true
+    ((Sim.Checkpoint.load ck ~chunk:0 : int list option) = None);
+  Sim.Checkpoint.store ck ~chunk:0 [ 9 ];
   Sim.Checkpoint.store ck ~chunk:0 [ 1; 2; 3 ];
-  check_bool "clean re-store loads" true
+  check_bool "same handle sees its store" true
     ((Sim.Checkpoint.load ck ~chunk:0 : int list option) = Some [ 1; 2; 3 ]);
+  Sim.Checkpoint.close ck;
+  check_bool "latest verified record wins" true
+    ((Sim.Checkpoint.load (mk ()) ~chunk:0 : int list option)
+    = Some [ 1; 2; 3 ]);
   Sim.Checkpoint.clear ck
 
-let test_checkpoint_corrupt_sweep () =
-  (* Quarantined leftovers are diagnostic debris: a fresh (non-resume)
-     store open sweeps [.corrupt] files along with [.tmp] ones. *)
-  with_temp_root "ckpt_test_corrupt_sweep" @@ fun root ->
-  let mk () =
-    Sim.Checkpoint.create ~root ~exp:"sweepc" ~seed:2 ~chunk_size:4 ~n:8
+let test_checkpoint_old_format_debris () =
+  (* Files an fmt-4 binary left in the store directory (chunk files, a
+     stale temporary, a quarantine) are not the journal: loads ignore
+     them and [clear] removes them with the directory. *)
+  with_temp_root "ckpt_test_debris" @@ fun root ->
+  let ck =
+    Sim.Checkpoint.create ~root ~exp:"debris" ~seed:2 ~chunk_size:4 ~n:8
   in
-  let ck = mk () in
-  Sim.Checkpoint.store ck ~chunk:0 [ 1 ];
-  let stale = Filename.concat (Sim.Checkpoint.dir ck) "chunk-3.corrupt" in
-  write_file stale "old quarantined bytes";
-  let ck' = mk () in
-  check_bool "stale .corrupt swept on re-create" false (Sys.file_exists stale);
-  Sim.Checkpoint.clear ck'
+  Sim.Checkpoint.store ck ~chunk:1 [ 7 ];
+  let good = Marshal.to_string [ 5 ] [] in
+  List.iter
+    (fun (f, s) -> write_file (Filename.concat (Sim.Checkpoint.dir ck) f) s)
+    [
+      ( "chunk-0",
+        "exp=debris;seed=2;chunk_size=4;n=8;fmt=4\n"
+        ^ Digest.to_hex (Digest.string good)
+        ^ "\n" ^ good );
+      ("chunk-3.tmp", "half-written");
+      ("chunk-2.corrupt", "old quarantined bytes");
+    ];
+  check_bool "fmt-4 chunk file ignored" true
+    ((Sim.Checkpoint.load ck ~chunk:0 : int list option) = None);
+  check_bool "journal record loads" true
+    ((Sim.Checkpoint.load ck ~chunk:1 : int list option) = Some [ 7 ]);
+  Sim.Checkpoint.clear ck;
+  check_bool "clear removes the debris and the store" false
+    (Sys.file_exists (Sim.Checkpoint.dir ck))
 
 (* --- Sim.Runner: supervised runs --------------------------------------- *)
 
@@ -599,19 +647,17 @@ let test_runner_checkpoint_resume_exact () =
   check_int "three chunks persisted" 3 interrupted.Sim.Runner.chunks_done;
   check_bool "checkpoint files survive the interrupt" true
     (Sys.file_exists (Sim.Checkpoint.dir (make_ck ())));
-  (* A kill mid-[store] leaves a stale atomic-write temporary; plant one
-     and check the resume's store open sweeps it. *)
-  let stale =
-    Filename.concat (Sim.Checkpoint.dir (make_ck ())) "chunk-1.tmp"
-  in
-  let oc = open_out_bin stale in
-  output_string oc "half-written";
-  close_out oc;
+  (* A kill mid-append leaves half a record at the journal's tail; plant
+     a torn copy of the last record and check it costs the resume
+     nothing. *)
+  let j = read_file (journal (make_ck ())) in
+  let rec last i = if String.sub j i 5 = "\nexp=" then i else last (i - 1) in
+  let last = last (String.length j - 5) in
+  write_file (journal (make_ck ()))
+    (j ^ String.sub j last ((String.length j - last) / 2));
   (* Resume at a different worker count: saved chunks short-circuit, the
      rest recompute, and the merged summary is byte-identical. *)
-  let resume_ck = make_ck () in
-  check_bool "stale .tmp swept on resume" false (Sys.file_exists stale);
-  let resumed = run_supervised ~checkpoint:resume_ck ~jobs:3 () in
+  let resumed = run_supervised ~checkpoint:(make_ck ()) ~jobs:3 () in
   check_bool "no failures" true (resumed.Sim.Runner.failures = []);
   check_bool "not cancelled" false resumed.Sim.Runner.cancelled;
   check_int "all chunks done" resumed.Sim.Runner.chunks_total
@@ -805,7 +851,7 @@ let test_rows_distinct_stores () =
      folds with equal keys would resume from each other's chunks. The MD5
      of each experiment's store basenames, in fold order, pins how the
      keys are spelled, so a run interrupted by an older build of the same
-     tables still resumes. E1 and E2 open no store. *)
+     tables still resumes. E2 opens no store. *)
   List.iter
     (fun (id, stores, md5) ->
       with_temp_root ("stores_" ^ id) @@ fun root ->
@@ -836,7 +882,7 @@ let test_rows_distinct_stores () =
           "engine recorded" [ "byz" ] r.Core.Supervise.engines
       end)
     [
-      ("e1", 0, "d41d8cd98f00b204e9800998ecf8427e");
+      ("e1", 64, "ab4cbf8cacb0819a112032f58e3099f0");
       ("e2", 0, "d41d8cd98f00b204e9800998ecf8427e");
       ("e3", 6, "9e43d12a96068d9d3387a0977bb77aa2");
       ("e4", 12, "bd70a05d24a5670b312e01ee15ad5e59");
@@ -849,6 +895,69 @@ let test_rows_distinct_stores () =
       ("e11", 9, "ddddd2c8f120695a1222555654107a51");
       ("e12", 8, "0e346059f3fca469ceb72f6b5cd07166");
     ]
+
+(* E1 under a supervisor with checkpoints under [root]: the result and
+   its table's MD5. *)
+let e1_run ?fault ?retries ?(resume = false) ~root ~jobs () =
+  let ctx =
+    Core.Supervise.create ~checkpoints:root ~resume ?fault ?retries ()
+  in
+  let e1 = Option.get (Core.Experiments.by_id "e1") in
+  let r =
+    Core.Supervise.run_experiment ctx ~id:"e1" (fun () ->
+        e1 ~jobs ~sup:ctx Core.Experiments.Quick ~seed:42)
+  in
+  let md5 =
+    Option.fold ~none:"" r.Core.Supervise.table ~some:(fun t ->
+        Digest.to_hex (Digest.string (Stats.Table.render t)))
+  in
+  (r, md5)
+
+(* The core.experiments pin of E1's quick table at seed 42. *)
+let e1_md5 = "453908beda5f04f4172d849bf2bd9f69"
+
+let test_e1_resume_after_failure () =
+  (* E1's coin folds checkpoint like every other population: a run that a
+     terminal fault stops in its first fold resumes from the stored
+     chunks, at any worker count, to the pinned table. *)
+  List.iter
+    (fun jobs ->
+      with_temp_root "e1_resume" @@ fun root ->
+      let failed, _ =
+        e1_run ~fault:(plan_of_string_exn "body@5#*:raise") ~root ~jobs:1 ()
+      in
+      check_bool "terminal fault fails E1" true (Core.Supervise.failed failed);
+      let r, md5 = e1_run ~resume:true ~root ~jobs () in
+      check_bool (Printf.sprintf "resumed at jobs %d" jobs) false
+        (Core.Supervise.failed r);
+      check_bool "chunks came from disk" true
+        (r.Core.Supervise.chunks_resumed > 0);
+      check_string "pinned E1 table" e1_md5 md5)
+    [ 1; 2 ]
+
+let test_e1_chaos_invisible () =
+  (* The pinned chaos plan against E1's folds: the retry budget absorbs
+     it, and the table and the manifest's metrics digest equal the
+     fault-free run's. *)
+  with_temp_root "e1_chaos" @@ fun root ->
+  let base, base_md5 = e1_run ~root ~jobs:1 () in
+  check_string "fault-free E1 table" e1_md5 base_md5;
+  List.iter
+    (fun jobs ->
+      let r, md5 =
+        e1_run
+          ~fault:
+            (plan_of_string_exn "body@1#2:raise,store@2#0:torn,sink@3#5:raise")
+          ~retries:2 ~root ~jobs ()
+      in
+      check_bool "plan survived" false (Core.Supervise.failed r);
+      check_bool "faults fired" true (r.Core.Supervise.chunk_retries > 0);
+      check_string (Printf.sprintf "table at jobs %d" jobs) e1_md5 md5;
+      check_string
+        (Printf.sprintf "metrics digest at jobs %d" jobs)
+        (Obs.Metrics.digest base.Core.Supervise.metrics)
+        (Obs.Metrics.digest r.Core.Supervise.metrics))
+    [ 1; 2 ]
 
 let test_drivers_register_first () =
   (* Every driver registers its table before its first trial: under an
@@ -918,32 +1027,35 @@ let test_supervise_timeout_salvages_table () =
   | None -> Alcotest.fail "partial table lost"
 
 let test_supervise_armed_watchdog () =
-  (* A deadline in the past fires on the first poll: cancel reports true
-     and a fold committed under it raises, without any sleeping in the
+  (* A deadline in the past fires on the first poll: the fold's cancel
+     hook reports true and the fold raises, without any sleeping in the
      test. *)
+  let fold sup ~armed =
+    Core.Supervise.fold sup ~key:"watchdog" ~seed:5 ~trials:4
+      (fun ?cancel ?checkpoint ?retries ?fault () ->
+        (match cancel with
+        | Some poll when armed ->
+            check_bool "expired deadline polls true" true (poll ())
+        | Some _ -> Alcotest.fail "unarmed supervisor polls"
+        | None -> if armed then Alcotest.fail "watchdog not armed");
+        Sim.Runner.run_trials_supervised ~jobs:1 ?cancel ?checkpoint ?retries
+          ?fault ~trials:4 ~seed:5
+          ~gen_inputs:(Sim.Runner.input_gen_random ~n:8)
+          ~t:2 (Core.Synran.protocol 8)
+          (fun () -> Sim.Adversary.null))
+  in
   let ctx = Core.Supervise.create ~deadline_s:(-1.0) () in
   let r =
     Core.Supervise.run_experiment ctx ~id:"ex" (fun () ->
-        (match Core.Supervise.cancel (Some ctx) with
-        | Some poll -> check_bool "expired deadline polls true" true (poll ())
-        | None -> Alcotest.fail "watchdog not armed");
-        ignore
-          (Core.Supervise.commit (Some ctx)
-             (Sim.Runner.run_trials_supervised ~jobs:1
-                ?cancel:(Core.Supervise.cancel (Some ctx))
-                ~trials:4 ~seed:5
-                ~gen_inputs:(Sim.Runner.input_gen_random ~n:8)
-                ~t:2 (Core.Synran.protocol 8)
-                (fun () -> Sim.Adversary.null)));
-        Alcotest.fail "commit did not raise past the deadline")
+        ignore (fold (Some ctx) ~armed:true);
+        Alcotest.fail "fold did not raise past the deadline")
   in
   (match r.Core.Supervise.status with
   | Core.Supervise.Timed_out -> ()
   | _ -> Alcotest.fail "expected Timed_out");
   (* Unarmed supervisors are inert. *)
-  check_bool "no deadline, no cancel hook" true
-    (Core.Supervise.cancel (Some (Core.Supervise.create ())) = None);
-  check_bool "cancel None is None" true (Core.Supervise.cancel None = None)
+  ignore (fold (Some (Core.Supervise.create ())) ~armed:false);
+  ignore (fold None ~armed:false)
 
 let test_supervise_isolation_and_exit () =
   (* One crashing experiment neither prevents nor poisons the next — the
@@ -1127,10 +1239,11 @@ let suites =
         tc "experiment names are sanitized" test_checkpoint_sanitized_dir;
         tc "lossy-sanitizing ids do not collide"
           test_checkpoint_collision_distinct;
-        tc "stale .tmp files are swept" test_checkpoint_tmp_sweep;
-        tc "corrupt files load None and are quarantined"
-          test_checkpoint_corruption_quarantined;
-        tc "stale .corrupt files are swept" test_checkpoint_corrupt_sweep;
+        tc "a torn tail costs only the torn chunk" test_checkpoint_torn_tail;
+        tc "corrupt records load None and hide nothing"
+          test_checkpoint_corrupt_records;
+        tc "fmt-4 debris is ignored and cleared"
+          test_checkpoint_old_format_debris;
       ] );
     ( "supervised.runner",
       [
@@ -1149,6 +1262,8 @@ let suites =
           test_async_resume_exact;
         tc "every experiment's folds get distinct, pinned stores"
           test_rows_distinct_stores;
+        tc "E1 resumes after a terminal fault" test_e1_resume_after_failure;
+        tc "pinned chaos plan is invisible to E1" test_e1_chaos_invisible;
         tc "every driver registers its table before its first trial"
           test_drivers_register_first;
       ] );
