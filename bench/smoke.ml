@@ -221,7 +221,17 @@ let bitkernel_smoke () =
         Baselines.Adversaries.valency_steer ~per_round:2
           ~msg_is_one:Baselines.Floodset.msg_has_one
           ())
-      ~n:48 ~t:24 ~seed
+      ~n:48 ~t:24 ~seed;
+    (* 200 = 3 * 63 + 11 lanes: four words, the last one partial. drip's
+       two silent kills a round for 15 rounds keep the kernel packed, so
+       the carried tallies go through many Fill transitions and victim
+       subtractions. *)
+    bitkernel_compare
+      (Printf.sprintf "bitkernel floodset n=200 vs drip (seed %d)" seed)
+      (Baselines.Floodset.protocol ~rounds:16 ())
+      ~observer:Baselines.Floodset.msg_has_one
+      (fun () -> Baselines.Adversaries.drip ~per_round:2)
+      ~n:200 ~t:30 ~seed
   done;
   print_endline "bench-smoke: bitkernel engine byte-identical to concrete"
 

@@ -4,12 +4,13 @@
    lane i of word i/lanes = process i, see Bitwords); the non-register
    fields of every active process are held once in a shared [template].
    A round without a partial delivery executes entirely at word
-   granularity: coins are drawn word-at-a-time, tallies are popcounts,
-   and the protocol's transition ([bo_step]) is a handful of plane
-   blits. Silent victims just leave the active mask. Rounds whose plan
-   delivers a victim's message to some receivers individuate them: they
-   materialize the scalar states and run Engine's own delivery and
-   commit code ([Round.phase_b]), then re-pack when uniformity returns.
+   granularity: coins are drawn word-at-a-time, the tallies are carried
+   across rounds (see [tallies] below), and the protocol's transition
+   ([bo_step]) is a handful of plain plane loops. Silent victims just
+   leave the active mask. Rounds whose plan delivers a victim's message
+   to some receivers individuate them: they materialize the scalar
+   states and run Engine's own delivery and commit code
+   ([Round.phase_b]), then re-pack when uniformity returns.
 
    The scalar half of the state is Engine's record, built by Engine's
    start-up code, and every round rule (kill validation, the decision
@@ -39,7 +40,14 @@ type ('state, 'msg) exec = {
       (* Uniform over actives by the bo_uniform contract; lets ws_decide
          = None reproduce Engine's revocation check without a scan. *)
   priv : int array;  (* per-process aux payload of the current round *)
-  tallies : int array;  (* scratch, length bo_width *)
+  mutable tallies : int array;
+      (* Packed-mode invariant: tallies.(r) = popcount (cur.(r) land amask),
+         length bo_width. Set by popcount in [try_pack], then carried
+         across rounds instead of recounted: [packed_phase_a] recounts
+         the coin plane it draws, [drop_victims] subtracts each victim's
+         bits, and [packed_phase_b] derives the post-transition counts
+         from [ws_regs]. *)
+  mutable tnxt : int array;  (* double buffer for the transition's counts *)
   (* Instrumentation for bench and tests. *)
   mutable packed_rounds : int;
   mutable scalar_rounds : int;
@@ -123,6 +131,9 @@ let try_pack e =
               done
             end
           done;
+          for r = 0 to e.cd.Protocol.bo_width - 1 do
+            e.tallies.(r) <- Bitwords.popcount_masked e.cur.(r) e.amask e.nw
+          done;
           e.template <- tmpl;
           e.active_cnt <- !cnt;
           e.any_active_decided <- Option.is_some lg.decisions.(j0);
@@ -163,6 +174,7 @@ let start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
       any_active_decided = false;
       priv = Array.make n 0;
       tallies = Array.make cd.Protocol.bo_width 0;
+      tnxt = Array.make cd.Protocol.bo_width 0;
       packed_rounds = 0;
       scalar_rounds = 0;
     }
@@ -189,7 +201,8 @@ let materialize e =
    Rng.bit per active lane (ascending — coin_word's order), then the aux
    draws run per active process (ascending). Per-process streams make
    the two-pass order byte-identical to the scalar interleaved loop:
-   each stream still sees its coin bit first, then its aux draws. *)
+   each stream still sees its coin bit first, then its aux draws. The
+   fresh coin plane is the one plane whose tally is recounted. *)
 let packed_phase_a e =
   let proc_rngs = e.sc.lg.proc_rngs in
   (match e.cd.Protocol.bo_coin_reg with
@@ -201,7 +214,8 @@ let packed_phase_a e =
         plane.(w) <-
           Prng.Sample.coin_word ~rng_of ~base:(w * Bitwords.lanes)
             ~mask:e.amask.(w)
-      done);
+      done;
+      e.tallies.(r) <- Bitwords.popcount_masked plane e.amask e.nw);
   match e.cd.Protocol.bo_aux_draw with
   | None -> ()
   | Some f ->
@@ -210,14 +224,37 @@ let packed_phase_a e =
 
 (* Drop this round's silent victims from the packed population, pinning
    each one's post-Phase-A state (a victim is never committed, so that is
-   its final state). A top-level loop: no-kill rounds allocate nothing. *)
+   its final state) and taking its bits out of the tallies. A top-level
+   loop: no-kill rounds allocate nothing. *)
 let rec drop_victims e = function
   | [] -> ()
   | { Adversary.victim; deliver_to = _ } :: rest ->
-      e.sc.states.(victim) <- unpack_at e victim;
+      let bits = regs_at e victim in
+      e.sc.states.(victim) <- e.cd.Protocol.bo_unpack e.template bits;
+      for r = 0 to e.cd.Protocol.bo_width - 1 do
+        e.tallies.(r) <- e.tallies.(r) - ((bits lsr r) land 1)
+      done;
       Bitwords.set e.amask victim false;
       e.active_cnt <- e.active_cnt - 1;
       drop_victims e rest
+
+(* Plane writes for the transition. Typed [int array] loops store words
+   directly; [Array.blit]/[Array.fill] into a major-heap array pay a
+   write barrier per word. *)
+let copy_plane (src : int array) (dst : int array) nw =
+  for w = 0 to nw - 1 do
+    dst.(w) <- src.(w)
+  done
+
+let not_plane (src : int array) (dst : int array) nw =
+  for w = 0 to nw - 1 do
+    dst.(w) <- lnot src.(w)
+  done
+
+let clear_plane (dst : int array) nw =
+  for w = 0 to nw - 1 do
+    dst.(w) <- 0
+  done
 
 (* The whole uniform Phase B in word operations, under a plan of silent
    kills only ([[]] on most rounds). [round] is the 1-based round being
@@ -248,31 +285,39 @@ let packed_phase_b e kills round =
   let newly_halted = ref 0 in
   (* With no survivor nobody receives: the transition is not run. *)
   if survivors > 0 then begin
-    let tallies = e.tallies in
-    for r = 0 to e.cd.Protocol.bo_width - 1 do
-      tallies.(r) <- Bitwords.popcount_masked e.cur.(r) e.amask e.nw
-    done;
+    let t = e.tallies in
     let ws =
       e.bo.Protocol.bo_step e.template ~round ~nrecv:survivors
-        ~tallies:{ Protocol.counts = tallies; leader = lazy (leader_regs e) }
+        ~tallies:{ Protocol.counts = t; leader = lazy (leader_regs e) }
     in
-    (* Simultaneous register update: read [cur], write [nxt], swap. *)
+    (* Simultaneous register update: read [cur] and [t], write [nxt] and
+       [t'], swap. Each source determines its new count from the old
+       ones over the same survivors. *)
+    let t' = e.tnxt in
     for r = 0 to e.cd.Protocol.bo_width - 1 do
       let dst = e.nxt.(r) in
       match ws.Protocol.ws_regs.(r) with
-      | Protocol.Keep -> Array.blit e.cur.(r) 0 dst 0 e.nw
-      | Protocol.Fill true -> Array.blit e.amask 0 dst 0 e.nw
-      | Protocol.Fill false -> Array.fill dst 0 e.nw 0
-      | Protocol.Copy i -> Array.blit e.cur.(i) 0 dst 0 e.nw
+      | Protocol.Keep ->
+          copy_plane e.cur.(r) dst e.nw;
+          t'.(r) <- t.(r)
+      | Protocol.Fill true ->
+          copy_plane e.amask dst e.nw;
+          t'.(r) <- survivors
+      | Protocol.Fill false ->
+          clear_plane dst e.nw;
+          t'.(r) <- 0
+      | Protocol.Copy i ->
+          copy_plane e.cur.(i) dst e.nw;
+          t'.(r) <- t.(i)
       | Protocol.Not i ->
-          let src = e.cur.(i) in
-          for w = 0 to e.nw - 1 do
-            dst.(w) <- lnot src.(w)
-          done
+          not_plane e.cur.(i) dst e.nw;
+          t'.(r) <- survivors - t.(i)
     done;
     let old = e.cur in
     e.cur <- e.nxt;
     e.nxt <- old;
+    e.tallies <- t';
+    e.tnxt <- t;
     e.template <- ws.Protocol.ws_state;
     (* The decision discipline on the post-transition planes, like the
        scalar [decision state']. Actives agree on whether they decided, so
@@ -299,7 +344,8 @@ let packed_phase_b e kills round =
           incr newly_halted;
           lg.halted.(j) <- true;
           e.sc.states.(j) <- unpack_at e j);
-      Array.fill e.amask 0 e.nw 0;
+      clear_plane e.amask e.nw;
+      clear_plane e.tallies e.cd.Protocol.bo_width;
       e.active_cnt <- 0
     end
   end;

@@ -4,8 +4,10 @@
     ({!Bitwords} layout: lane [i mod lanes] of word [i / lanes]) and holds
     the shared non-register fields in one template state. A round without
     a partial delivery runs entirely at word granularity — coins via
-    {!Prng.Sample.coin_word}, tallies via popcount, the protocol's
-    transition as a handful of plane blits — at O(n / word_size) cost
+    {!Prng.Sample.coin_word}, per-register tallies carried across rounds
+    (set by popcount on packing, then kept up to date by the coin draw,
+    the victims' removal and the transition itself), the protocol's
+    transition as a handful of plane loops — at O(n / word_size) cost
     instead of O(n). Silent kills stay packed: the victims leave the
     active mask and every survivor hears the same senders. Only a round
     whose plan delivers a victim's message to some receivers individuates

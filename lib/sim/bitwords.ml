@@ -14,18 +14,16 @@ let mask_upto k =
   (* Bits [0, k): [1 lsl k] is unspecified for k >= int_size, so guard. *)
   if k >= lanes then -1 else (1 lsl k) - 1
 
-(* SWAR popcount.  The classic 64-bit constants (0x5555555555555555...)
-   overflow OCaml's 63-bit literals, so count the two 32-bit halves
-   separately; the high half is at most 31 bits wide after the shift. *)
-let pop32 x =
-  let x = x - ((x lsr 1) land 0x55555555) in
-  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
-  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
-  (* The C version relies on uint32 truncation of the multiply; OCaml's
-     wider int keeps sums above byte 3, so mask the count back out. *)
-  ((x * 0x01010101) lsr 24) land 0xFF
-
-let popcount w = pop32 (w land 0xFFFFFFFF) + pop32 ((w lsr 32) land 0x7FFFFFFF)
+(* SWAR popcount in one pass over all [lanes] bits.  The 64-bit masks
+   fit OCaml's hex literals: each has bit 63 clear, so it keeps its low
+   63 bits, and the top pair/nibble/byte fields of a 63-bit word are
+   only narrower, never overflowing (bit 62 counts into the top pair,
+   and the byte sum of at most 63 lands in bits 56..62). *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x5555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  (x * 0x0101010101010101) lsr 56
 
 let get plane i = (plane.(i / lanes) lsr (i mod lanes)) land 1 = 1
 

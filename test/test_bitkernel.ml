@@ -226,6 +226,55 @@ let floodset_tests =
             () );
     ]
 
+(* A register protocol whose outcome is the carried count of a
+   [Not]-sourced register: every round complements both registers into
+   each other, folds the received count of register 1 into [acc], and
+   the last round decides [acc]. An off count for a [Not] source, in any
+   round, changes the decision. *)
+type swap = { r : int; acc : int; x : bool; y : bool; out : int option }
+
+let not_swap ~rounds =
+  Sim.Protocol.registers ~name:"not-swap"
+    ~init:(fun ~n:_ ~pid:_ ~input ->
+      { r = 0; acc = 0; x = input = 1; y = false; out = None })
+    ~decision:(fun s -> s.out)
+    ~halted:(fun s -> Option.is_some s.out)
+    ~hash:(fun s -> Hashtbl.hash (s.r, s.acc, s.x, s.y, s.out))
+    ~transition:(fun s ~round:_ ~nrecv:_ ~(tallies : Sim.Protocol.tallies) ->
+      let r = s.r + 1 and acc = (128 * s.acc) + tallies.counts.(1) in
+      let last = r >= rounds in
+      let out = if last then Some acc else None in
+      {
+        Sim.Protocol.ws_state = { s with r; acc; out };
+        ws_regs = [| Sim.Protocol.Not 1; Not 0 |];
+        ws_decide = Option.map (fun v -> Sim.Protocol.Decide_const v) out;
+        ws_halt = last;
+      })
+    {
+      Sim.Protocol.bo_width = 2;
+      bo_pack = (fun s -> Bool.to_int s.x lor (Bool.to_int s.y lsl 1));
+      bo_unpack =
+        (fun t regs -> { t with x = regs land 1 = 1; y = regs land 2 = 2 });
+      bo_uniform = (fun a b -> a.r = b.r && a.acc = b.acc && a.out = b.out);
+      bo_coin_reg = None;
+      bo_aux_draw = None;
+    }
+
+(* n = 100 spans two words; counts stay below 128, so [acc] keeps every
+   round's count. *)
+let not_swap_tests =
+  List.map
+    (fun (aname, adversary) ->
+      differential
+        ~name:(Printf.sprintf "not-swap n=100 bitkernel vs engine (%s)" aname)
+        ~observer:(fun (m : Sim.Protocol.word) -> m.regs land 2 <> 0)
+        ~protocol:(not_swap ~rounds:6) ~adversary ~n:100 ~max_t:40 ())
+    [
+      ("null", fun () -> Sim.Adversary.null);
+      ("crash", fun () -> Baselines.Adversaries.random_crash ~p:0.1);
+      ("drip", fun () -> Baselines.Adversaries.drip ~per_round:3);
+    ]
+
 (* The kernel must actually batch: under the null adversary every round
    is uniform, so no scalar fallback may fire. *)
 (* Step [e] until quiescent, at most 400 rounds. *)
@@ -524,7 +573,7 @@ let suites =
           coin_word_matches_scalar;
         ] );
     ( "bitkernel.differential",
-      List.map to_alcotest (synran_tests @ floodset_tests)
+      List.map to_alcotest (synran_tests @ floodset_tests @ not_swap_tests)
       @ [
           Alcotest.test_case "null-adversary rounds all batched" `Quick
             test_null_rounds_all_packed;
