@@ -231,6 +231,15 @@ let bitkernel_smoke () =
       (Baselines.Floodset.protocol ~rounds:16 ())
       ~observer:Baselines.Floodset.msg_has_one
       (fun () -> Baselines.Adversaries.drip ~per_round:2)
+      ~n:200 ~t:30 ~seed;
+    (* The same four words under SynRan: drip's silent kills stay packed,
+       and every carried tally (ones, the coin plane, both value-set
+       registers) feeds the next round's thresholds, so a victim's bits
+       left in a tally change the decisions or the Round summaries. *)
+    bitkernel_compare
+      (Printf.sprintf "bitkernel synran n=200 vs drip (seed %d)" seed)
+      (Core.Synran.protocol 200) ~observer:Core.Synran.msg_is_one
+      (fun () -> Baselines.Adversaries.drip ~per_round:2)
       ~n:200 ~t:30 ~seed
   done;
   print_endline "bench-smoke: bitkernel engine byte-identical to concrete"

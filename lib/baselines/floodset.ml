@@ -30,7 +30,7 @@ let codec =
     bo_unpack;
     bo_uniform;
     bo_coin_reg = None;
-    bo_aux_draw = None;
+    bo_aux_bound = None;
   }
 
 let state_hash s =

@@ -233,8 +233,6 @@ let transition s ~round ~nrecv ~(tallies : Sim.Protocol.tallies) =
             | Leader_priority -> set (Lazy.force tallies.leader land 1) false
             | Shared_oracle seed -> set (oracle_bit ~seed ~round) false)
 
-let bo_aux_draw _ rng = Prng.Rng.int rng 1_000_000_000
-
 let codec =
   {
     Sim.Protocol.bo_width = 4;
@@ -245,7 +243,7 @@ let codec =
        the adversary legitimately sees every coin before choosing kills
        (full-information model). *)
     bo_coin_reg = Some 1;
-    bo_aux_draw = Some bo_aux_draw;
+    bo_aux_bound = Some 1_000_000_000;
   }
 
 let protocol ?(rules = Onesided.paper) ?(coin = Local_flip) n =

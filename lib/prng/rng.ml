@@ -37,27 +37,12 @@ let[@inline] bool g = Xoshiro256.next_high g < 0
 
 let bit g = if bool g then 1 else 0
 
-(* Uniform int in [0, bound) by rejection on the low bits under the
-   smallest all-ones mask covering [bound - 1], so every value is equally
-   likely (no modulo bias). Smearing the top set bit of [bound - 1]
-   downwards builds that mask in six steps. *)
+(* The rejection loop is [Xoshiro256.below], shared with [draw_word]. *)
 let int g bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  if bound = 1 then 0
-  else begin
-    let m = bound - 1 in
-    let m = m lor (m lsr 1) in
-    let m = m lor (m lsr 2) in
-    let m = m lor (m lsr 4) in
-    let m = m lor (m lsr 8) in
-    let m = m lor (m lsr 16) in
-    let mask = m lor (m lsr 32) in
-    let v = ref (Xoshiro256.next_low g land mask) in
-    while !v >= bound do
-      v := Xoshiro256.next_low g land mask
-    done;
-    !v
-  end
+  Xoshiro256.below g bound
+
+let draw_word = Xoshiro256.draw_word
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";

@@ -55,6 +55,16 @@ val int : t -> int -> int
 (** [int g bound] is uniform on [0, bound); [bound] must be positive.
     Uses rejection sampling, so there is no modulo bias. *)
 
+val draw_word :
+  t array -> base:int -> mask:int -> coin:bool -> bound:int -> int array -> int
+(** [draw_word gs ~base ~mask ~coin ~bound priv] runs one word of a
+    packed Phase A: for each set lane [k] of [mask], in ascending order,
+    stream [gs.(base + k)] draws {!bit} into bit [k] of the result when
+    [coin], then [priv.(base + k) <- int g bound] when [bound > 0]
+    ([bound = 0]: no second draw). Each stream sees exactly the draws of
+    that scalar loop, and none allocates. Lanes outside [mask] are left
+    untouched and read 0. Raises [Invalid_argument] if [bound < 0]. *)
+
 val int_in : t -> int -> int -> int
 (** [int_in g lo hi] is uniform on the inclusive range [lo, hi]. *)
 

@@ -65,14 +65,3 @@ let categorical g w =
   scan 0 0.0
 
 let random_bits g n = Array.init n (fun _ -> Rng.bit g)
-
-let coin_word ~rng_of ~base ~mask =
-  (* Ascending lane order so each stream sees exactly the draws the
-     scalar per-process loop would make. *)
-  let w = ref 0 and m = ref mask and k = ref 0 in
-  while !m <> 0 do
-    if !m land 1 = 1 && Rng.bit (rng_of (base + !k)) = 1 then w := !w lor (1 lsl !k);
-    m := !m lsr 1;
-    incr k
-  done;
-  !w

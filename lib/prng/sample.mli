@@ -1,5 +1,5 @@
 (** Sampling routines built on {!Rng}: permutations, subsets, random input
-    vectors, packed per-process coin words, and discrete distributions. *)
+    vectors, and discrete distributions. *)
 
 val shuffle : Rng.t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
@@ -37,9 +37,3 @@ val categorical : Rng.t -> float array -> int
 val random_bits : Rng.t -> int -> int array
 (** [random_bits g n] is an array of [n] unbiased bits — a random consensus
     input vector. *)
-
-val coin_word : rng_of:(int -> Rng.t) -> base:int -> mask:int -> int
-(** [coin_word ~rng_of ~base ~mask] draws one {!Rng.bit} from stream
-    [rng_of (base + k)] for each set lane [k] of [mask], in ascending
-    lane order, and packs the results into a word. Consumes exactly the
-    bits a scalar per-process loop over those streams would. *)

@@ -7,8 +7,9 @@
    Dune's dev profile compiles every unit with -opaque, so nothing inlines
    across compilation units. Everything that needs the step's raw 64 bits
    therefore lives in this unit: the SplitMix64 finalizer and seeding, [split],
-   and the two immediate projections [next_high]/[next_low] from which {!Rng}
-   builds its draws. *)
+   the two immediate projections [next_high]/[next_low] from which {!Rng}
+   builds its draws, the bounded draw [below] behind [Rng.int], and the
+   word kernel [draw_word] that runs a packed Phase A over many streams. *)
 type t = Bytes.t
 
 external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -65,8 +66,45 @@ let[@inline] next g =
   set g 24 s3;
   result
 
-let next_high g = Int64.to_int (Int64.shift_right_logical (next g) 1)
+let[@inline] next_high g = Int64.to_int (Int64.shift_right_logical (next g) 1)
 
-let next_low g = Int64.to_int (next g)
+let[@inline] next_low g = Int64.to_int (next g)
+
+(* Uniform int in [0, bound), bound >= 1, by rejection on the low bits under
+   the smallest all-ones mask covering [bound - 1], so every value is
+   equally likely (no modulo bias). Smearing the top set bit of
+   [bound - 1] downwards builds that mask in six steps. *)
+let[@inline] below g bound =
+  if bound = 1 then 0
+  else begin
+    let m = bound - 1 in
+    let m = m lor (m lsr 1) in
+    let m = m lor (m lsr 2) in
+    let m = m lor (m lsr 4) in
+    let m = m lor (m lsr 8) in
+    let m = m lor (m lsr 16) in
+    let mask = m lor (m lsr 32) in
+    let v = ref (next_low g land mask) in
+    while !v >= bound do
+      v := next_low g land mask
+    done;
+    !v
+  end
+
+(* One stream per set lane, ascending: each sees the coin (bit 63 of one
+   step, as [Rng.bit]) and then [below], exactly the scalar loop's draws. *)
+let draw_word gs ~base ~mask ~coin ~bound (priv : int array) =
+  if bound < 0 then invalid_arg "Xoshiro256.draw_word: negative bound";
+  let w = ref 0 and m = ref mask and k = ref 0 in
+  while !m <> 0 do
+    if !m land 1 = 1 then begin
+      let g = gs.(base + !k) in
+      if coin && next_high g < 0 then w := !w lor (1 lsl !k);
+      if bound > 0 then priv.(base + !k) <- below g bound
+    end;
+    m := !m lsr 1;
+    incr k
+  done;
+  !w
 
 let split g = of_seed (mix (next g))

@@ -38,6 +38,15 @@ val next_low : t -> int
 (** [next_low g] advances [g] like {!next} and returns the output's low 63
     bits (bits 0–62), i.e. [Int64.to_int (next g)]. *)
 
+val below : t -> int -> int
+(** [below g bound] is uniform on [0, bound) for [bound >= 1], by rejection
+    sampling (no modulo bias); [bound = 1] draws nothing. The one body
+    behind {!Rng.int} and {!draw_word}. *)
+
+val draw_word :
+  t array -> base:int -> mask:int -> coin:bool -> bound:int -> int array -> int
+(** {!Rng.draw_word}, here beside the step it inlines. *)
+
 val split : t -> t
 (** [split g] is [of_seed (mix (next g))]: a fresh generator keyed by the
     finalized next output of [g]. Advances [g]. *)

@@ -4,7 +4,8 @@
    lane i of word i/lanes = process i, see Bitwords); the non-register
    fields of every active process are held once in a shared [template].
    A round without a partial delivery executes entirely at word
-   granularity: coins are drawn word-at-a-time, the tallies are carried
+   granularity: coins and aux draws are drawn word-at-a-time by the
+   PRNG's own kernel ([Prng.Rng.draw_word]), the tallies are carried
    across rounds (see [tallies] below), and the protocol's transition
    ([bo_step]) is a handful of plain plane loops. Silent victims just
    leave the active mask. Rounds whose plan delivers a victim's message
@@ -12,20 +13,29 @@
    states and run Engine's own delivery and commit code
    ([Round.phase_b]), then re-pack when uniformity returns.
 
-   The scalar half of the state is Engine's record, built by Engine's
-   start-up code, and every round rule (kill validation, the decision
+   A trial costs only its packed rounds: [start] streams [init] pid by pid
+   straight into the planes, so a uniform start builds no per-process
+   state (the scalar states array is one shared template, stale by
+   contract while packed), and a packed halt is all-or-none, so it pins no
+   final state either. Only a non-uniform [init] starts scalar.
+
+   The scalar half of the state is Engine's record, built by Round's one
+   constructor, and every round rule (kill validation, the decision
    discipline, kills and events, the outcome) is [Round]'s one copy, so
    byte-identity with Engine holds by construction on scalar rounds. The
    packed path keeps the same event order (Decisions ascending by pid,
    then Kills in plan order, one Round summary) and RNG consumption:
    each process's stream sees exactly the scalar draws (the coin bit,
-   then the aux draws). *)
+   then the aux draw). *)
 
 type ('state, 'msg) exec = {
   sc : ('state, 'msg) Round.scalar;
       (* In packed mode, [sc.states] entries of ACTIVE processes are stale
-         (the truth is template + planes) while entries of halted/dead
-         processes stay valid forever. *)
+         (the truth is template + planes); from a packed [start] they all
+         hold one shared initial state. A silent victim's entry is pinned
+         when it dies. A packed halt pins nothing: it halts every active
+         process at once, so the run is quiescent and no later step, view
+         or accessor reads [sc.states] again. *)
   bo : ('state, 'msg) Protocol.bitops;
   cd : 'state Protocol.codec;
   nw : int;  (* Bitwords.words_for n *)
@@ -42,12 +52,14 @@ type ('state, 'msg) exec = {
   priv : int array;  (* per-process aux payload of the current round *)
   mutable tallies : int array;
       (* Packed-mode invariant: tallies.(r) = popcount (cur.(r) land amask),
-         length bo_width. Set by popcount in [try_pack], then carried
+         length bo_width. Set by popcount in [pack], then carried
          across rounds instead of recounted: [packed_phase_a] recounts
          the coin plane it draws, [drop_victims] subtracts each victim's
          bits, and [packed_phase_b] derives the post-transition counts
          from [ws_regs]. *)
   mutable tnxt : int array;  (* double buffer for the transition's counts *)
+  viewer : ('state, 'msg) Round.viewer Lazy.t;
+      (* The adversary's accessors, over this exec: built once. *)
   (* Instrumentation for bench and tests. *)
   mutable packed_rounds : int;
   mutable scalar_rounds : int;
@@ -94,150 +106,6 @@ let first_active e =
   in
   go 0
 
-(* Re-enter packed mode if every active process agrees on the
-   non-register fields. Cheap to attempt (one O(active) scan); packing
-   itself is O(active * width) bit writes. *)
-let try_pack e =
-  let lg = e.sc.lg and states = e.sc.states in
-  if not e.packed then begin
-    match
-      (* First active pid, if any. *)
-      let rec go i =
-        if i >= lg.n then None else if Round.active_at lg i then Some i else go (i + 1)
-      in
-      go 0
-    with
-    | None -> ()
-    | Some j0 ->
-        let tmpl = states.(j0) in
-        let uniform = ref true in
-        for i = j0 + 1 to lg.n - 1 do
-          if Round.active_at lg i && not (e.cd.Protocol.bo_uniform tmpl states.(i))
-          then uniform := false
-        done;
-        if !uniform then begin
-          Array.fill e.amask 0 e.nw 0;
-          for r = 0 to e.cd.Protocol.bo_width - 1 do
-            Array.fill e.cur.(r) 0 e.nw 0
-          done;
-          let cnt = ref 0 in
-          for i = 0 to lg.n - 1 do
-            if Round.active_at lg i then begin
-              incr cnt;
-              Bitwords.set e.amask i true;
-              let bits = e.cd.Protocol.bo_pack states.(i) in
-              for r = 0 to e.cd.Protocol.bo_width - 1 do
-                if (bits lsr r) land 1 = 1 then Bitwords.set e.cur.(r) i true
-              done
-            end
-          done;
-          for r = 0 to e.cd.Protocol.bo_width - 1 do
-            e.tallies.(r) <- Bitwords.popcount_masked e.cur.(r) e.amask e.nw
-          done;
-          e.template <- tmpl;
-          e.active_cnt <- !cnt;
-          e.any_active_decided <- Option.is_some lg.decisions.(j0);
-          e.packed <- true
-        end
-  end
-
-let start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
-  let refuse what =
-    invalid_arg
-      (Printf.sprintf "Bitkernel.start: protocol %s declares no %s"
-         protocol.Protocol.name what)
-  in
-  let bo =
-    match protocol.Protocol.bitops with Some bo -> bo | None -> refuse "bitops"
-  in
-  if Option.is_none protocol.Protocol.aggregate then refuse "aggregate";
-  let sc =
-    Round.scalar ~who:"Bitkernel.start" ?record_trace ?observer ?sink protocol
-      ~inputs ~t ~rng
-  in
-  let n = sc.lg.n in
-  let nw = Bitwords.words_for n in
-  let cd = bo.Protocol.bo_codec in
-  let planes () = Array.init cd.Protocol.bo_width (fun _ -> Array.make nw 0) in
-  let e =
-    {
-      sc;
-      bo;
-      cd;
-      nw;
-      packed = false;
-      template = sc.states.(0);
-      cur = planes ();
-      nxt = planes ();
-      amask = Array.make nw 0;
-      active_cnt = 0;
-      any_active_decided = false;
-      priv = Array.make n 0;
-      tallies = Array.make cd.Protocol.bo_width 0;
-      tnxt = Array.make cd.Protocol.bo_width 0;
-      packed_rounds = 0;
-      scalar_rounds = 0;
-    }
-  in
-  (* Initial states are usually uniform up to registers (inputs live in
-     register bits), so most runs start packed. *)
-  try_pack e;
-  e
-
-(* Leave packed mode: rebuild the scalar states and staged messages of
-   every active process from the planes. Halted/dead entries were never
-   invalidated. *)
-let materialize e =
-  if e.packed then begin
-    let pending = e.sc.pending in
-    Array.fill pending 0 e.sc.lg.n None;
-    Bitwords.iter_ones e.amask e.nw (fun i ->
-        e.sc.states.(i) <- unpack_at e i;
-        pending.(i) <- Some (msg_at e i));
-    e.packed <- false
-  end
-
-(* Phase A at word granularity: the coin register is filled by one
-   Rng.bit per active lane (ascending — coin_word's order), then the aux
-   draws run per active process (ascending). Per-process streams make
-   the two-pass order byte-identical to the scalar interleaved loop:
-   each stream still sees its coin bit first, then its aux draws. The
-   fresh coin plane is the one plane whose tally is recounted. *)
-let packed_phase_a e =
-  let proc_rngs = e.sc.lg.proc_rngs in
-  (match e.cd.Protocol.bo_coin_reg with
-  | None -> ()
-  | Some r ->
-      let plane = e.cur.(r) in
-      let rng_of k = proc_rngs.(k) in
-      for w = 0 to e.nw - 1 do
-        plane.(w) <-
-          Prng.Sample.coin_word ~rng_of ~base:(w * Bitwords.lanes)
-            ~mask:e.amask.(w)
-      done;
-      e.tallies.(r) <- Bitwords.popcount_masked plane e.amask e.nw);
-  match e.cd.Protocol.bo_aux_draw with
-  | None -> ()
-  | Some f ->
-      Bitwords.iter_ones e.amask e.nw (fun i ->
-          e.priv.(i) <- f e.template proc_rngs.(i))
-
-(* Drop this round's silent victims from the packed population, pinning
-   each one's post-Phase-A state (a victim is never committed, so that is
-   its final state) and taking its bits out of the tallies. A top-level
-   loop: no-kill rounds allocate nothing. *)
-let rec drop_victims e = function
-  | [] -> ()
-  | { Adversary.victim; deliver_to = _ } :: rest ->
-      let bits = regs_at e victim in
-      e.sc.states.(victim) <- e.cd.Protocol.bo_unpack e.template bits;
-      for r = 0 to e.cd.Protocol.bo_width - 1 do
-        e.tallies.(r) <- e.tallies.(r) - ((bits lsr r) land 1)
-      done;
-      Bitwords.set e.amask victim false;
-      e.active_cnt <- e.active_cnt - 1;
-      drop_victims e rest
-
 (* Plane writes for the transition. Typed [int array] loops store words
    directly; [Array.blit]/[Array.fill] into a major-heap array pay a
    write barrier per word. *)
@@ -255,6 +123,178 @@ let clear_plane (dst : int array) nw =
   for w = 0 to nw - 1 do
     dst.(w) <- 0
   done
+
+(* Pack every active process, reading pid i's state from [state_of i]:
+   the first one's is the template. Fails at the first active state that
+   does not agree with it on the non-register fields, leaving [e]
+   unpacked (its planes are only read once [packed] is set). One
+   O(active) pass, with no per-process allocation of its own. *)
+let pack e state_of =
+  let lg = e.sc.lg and cd = e.cd in
+  let width = cd.Protocol.bo_width in
+  clear_plane e.amask e.nw;
+  for r = 0 to width - 1 do
+    clear_plane e.cur.(r) e.nw
+  done;
+  let first = ref (-1) and cnt = ref 0 and uniform = ref true and i = ref 0 in
+  while !uniform && !i < lg.n do
+    let j = !i in
+    if Round.active_at lg j then begin
+      let s = state_of j in
+      if !first < 0 then begin
+        first := j;
+        e.template <- s
+      end;
+      if cd.Protocol.bo_uniform e.template s then begin
+        let w = j / Bitwords.lanes and bit = 1 lsl (j mod Bitwords.lanes) in
+        e.amask.(w) <- e.amask.(w) lor bit;
+        let regs = cd.Protocol.bo_pack s in
+        for r = 0 to width - 1 do
+          if (regs lsr r) land 1 = 1 then e.cur.(r).(w) <- e.cur.(r).(w) lor bit
+        done;
+        incr cnt
+      end
+      else uniform := false
+    end;
+    incr i
+  done;
+  if !uniform && !cnt > 0 then begin
+    for r = 0 to width - 1 do
+      e.tallies.(r) <- Bitwords.popcount_masked e.cur.(r) e.amask e.nw
+    done;
+    e.active_cnt <- !cnt;
+    e.any_active_decided <- Option.is_some lg.decisions.(!first);
+    e.packed <- true
+  end;
+  e.packed
+
+(* Re-enter packed mode after a scalar round if uniformity has returned. *)
+let try_pack e = if not e.packed then ignore (pack e (Array.get e.sc.states))
+
+(* The adversary's per-pid reads: packed active processes are rebuilt
+   from template + planes on demand. *)
+let state_at e i =
+  if e.packed && Round.active_at e.sc.lg i then unpack_at e i
+  else e.sc.states.(i)
+
+let pending_at e i =
+  if e.packed then
+    if Round.active_at e.sc.lg i then Some (msg_at e i) else None
+  else e.sc.pending.(i)
+
+let start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
+  let refuse what =
+    invalid_arg
+      (Printf.sprintf "Bitkernel.start: protocol %s declares no %s"
+         protocol.Protocol.name what)
+  in
+  let bo =
+    match protocol.Protocol.bitops with Some bo -> bo | None -> refuse "bitops"
+  in
+  if Option.is_none protocol.Protocol.aggregate then refuse "aggregate";
+  let lg =
+    Round.ledger ~who:"Bitkernel.start" ?record_trace ?observer ?sink ~inputs ~t
+      rng
+  in
+  let n = lg.n in
+  let nw = Bitwords.words_for n in
+  let cd = bo.Protocol.bo_codec in
+  let init pid = protocol.Protocol.init ~n ~pid ~input:inputs.(pid) in
+  (* Active entries are stale while packed, so a packed start backs them
+     all with one shared state. *)
+  let sc = Round.scalar_of protocol lg (Array.make n (init 0)) in
+  let planes () = Array.init cd.Protocol.bo_width (fun _ -> Array.make nw 0) in
+  let rec e =
+    {
+      sc;
+      bo;
+      cd;
+      nw;
+      packed = false;
+      template = sc.states.(0);
+      cur = planes ();
+      nxt = planes ();
+      amask = Array.make nw 0;
+      active_cnt = 0;
+      any_active_decided = false;
+      priv = Array.make n 0;
+      tallies = Array.make cd.Protocol.bo_width 0;
+      tnxt = Array.make cd.Protocol.bo_width 0;
+      viewer =
+        lazy (Round.viewer lg ~state:(state_at e) ~pending:(pending_at e));
+      packed_rounds = 0;
+      scalar_rounds = 0;
+    }
+  in
+  (* Initial states are usually uniform up to registers (inputs live in
+     register bits), so most runs start packed, straight from [init]. The
+     rest start scalar, with every state built. *)
+  if not (pack e init) then
+    for pid = 1 to n - 1 do
+      sc.states.(pid) <- init pid
+    done;
+  e
+
+(* Leave packed mode: rebuild the scalar states and staged messages of
+   every active process from the planes. Dead entries were pinned when
+   they died, and halted ones halted on a scalar round: a packed halt
+   leaves no active process to materialize. *)
+let materialize e =
+  if e.packed then begin
+    let pending = e.sc.pending in
+    Array.fill pending 0 e.sc.lg.n None;
+    Bitwords.iter_ones e.amask e.nw (fun i ->
+        e.sc.states.(i) <- unpack_at e i;
+        pending.(i) <- Some (msg_at e i));
+    e.packed <- false
+  end
+
+(* Phase A at word granularity, in the PRNG's own pass: per word, every
+   active lane's stream draws its coin, then its aux draw, ascending —
+   exactly the scalar loop's draws on every stream. The fresh coin plane
+   is the one plane whose tally is recounted. *)
+let packed_phase_a e =
+  let rngs = e.sc.lg.proc_rngs in
+  (* draw_word's encoding: bound 0 makes no aux draw. *)
+  let bound = Option.value e.cd.Protocol.bo_aux_bound ~default:0 in
+  match e.cd.Protocol.bo_coin_reg with
+  | Some r ->
+      let plane = e.cur.(r) in
+      for w = 0 to e.nw - 1 do
+        plane.(w) <-
+          Prng.Rng.draw_word rngs ~base:(w * Bitwords.lanes) ~mask:e.amask.(w)
+            ~coin:true ~bound e.priv
+      done;
+      e.tallies.(r) <- Bitwords.popcount_masked plane e.amask e.nw
+  | None ->
+      if bound > 0 then
+        for w = 0 to e.nw - 1 do
+          ignore
+            (Prng.Rng.draw_word rngs ~base:(w * Bitwords.lanes)
+               ~mask:e.amask.(w) ~coin:false ~bound e.priv)
+        done
+
+(* Drop this round's silent victims from the packed population, pinning
+   each one's post-Phase-A state (a victim is never committed, so that is
+   its final state) and taking its bits out of the tallies. A top-level
+   loop: no-kill rounds allocate nothing. *)
+let rec drop_victims e = function
+  | [] -> ()
+  | { Adversary.victim; deliver_to = _ } :: rest ->
+      let bits = regs_at e victim in
+      e.sc.states.(victim) <- e.cd.Protocol.bo_unpack e.template bits;
+      for r = 0 to e.cd.Protocol.bo_width - 1 do
+        e.tallies.(r) <- e.tallies.(r) - ((bits lsr r) land 1)
+      done;
+      Bitwords.set e.amask victim false;
+      e.active_cnt <- e.active_cnt - 1;
+      drop_victims e rest
+
+(* Shared decision values: static constants for the bits, so committing a
+   packed round's decisions allocates nothing per process. *)
+let some_0 = Some 0
+let some_1 = Some 1
+let shared_some v = match v with 0 -> some_0 | 1 -> some_1 | v -> Some v
 
 (* The whole uniform Phase B in word operations, under a plan of silent
    kills only ([[]] on most rounds). [round] is the 1-based round being
@@ -327,23 +367,26 @@ let packed_phase_b e kills round =
         if e.any_active_decided then
           ignore (Round.commit_decision lg ~round ~emit:false (first_active e) None)
     | Some d ->
+        (* Every decider shares one [Some v] per value. *)
+        let decision =
+          match d with
+          | Protocol.Decide_const c ->
+              let v = shared_some c in
+              fun _ -> v
+          | Protocol.Decide_reg r ->
+              let plane = e.cur.(r) in
+              fun j -> if Bitwords.get plane j then some_1 else some_0
+        in
         Bitwords.iter_ones e.amask e.nw (fun j ->
-            let v =
-              match d with
-              | Protocol.Decide_const c -> c
-              | Protocol.Decide_reg r -> if Bitwords.get e.cur.(r) j then 1 else 0
-            in
-            if Round.commit_decision lg ~round ~emit:emit_on j (Some v) then
+            if Round.commit_decision lg ~round ~emit:emit_on j (decision j) then
               incr newly_decided);
         e.any_active_decided <- true);
     if ws.Protocol.ws_halt then begin
       if not e.any_active_decided then Round.halted_undecided (first_active e);
-      (* Halting is all-or-none in packed mode; pin each final state so
-         later view/state reads of halted processes stay valid. *)
-      Bitwords.iter_ones e.amask e.nw (fun j ->
-          incr newly_halted;
-          lg.halted.(j) <- true;
-          e.sc.states.(j) <- unpack_at e j);
+      (* Halting is all-or-none in packed mode: the run is quiescent from
+         here, so no final state is pinned (see [sc]). *)
+      Bitwords.iter_ones e.amask e.nw (fun j -> lg.halted.(j) <- true);
+      newly_halted := e.active_cnt;
       clear_plane e.amask e.nw;
       clear_plane e.tallies e.cd.Protocol.bo_width;
       e.active_cnt <- 0
@@ -365,19 +408,7 @@ let step e adversary =
     let lg = e.sc.lg in
     let round = lg.round + 1 in
     if e.packed then packed_phase_a e else Round.phase_a e.sc;
-    (* Engine's view, with packed-mode state/pending reconstructed on
-       demand. *)
-    let kills =
-      Round.plan lg adversary
-        (Round.view lg ~round
-           ~state:(fun i ->
-             if e.packed && Round.active_at e.sc.lg i then unpack_at e i
-             else e.sc.states.(i))
-           ~pending:(fun i ->
-             if e.packed then
-               if Round.active_at e.sc.lg i then Some (msg_at e i) else None
-             else e.sc.pending.(i)))
-    in
+    let kills = Round.plan lg adversary (Round.view (Lazy.force e.viewer) ~round) in
     (* Only a partial delivery individuates receivers; silent kills leave
        every survivor hearing the same senders. *)
     if e.packed && List.for_all silent kills then packed_phase_b e kills round

@@ -3,8 +3,9 @@
     Packs each binary register of every active process into bit planes
     ({!Bitwords} layout: lane [i mod lanes] of word [i / lanes]) and holds
     the shared non-register fields in one template state. A round without
-    a partial delivery runs entirely at word granularity — coins via
-    {!Prng.Sample.coin_word}, per-register tallies carried across rounds
+    a partial delivery runs entirely at word granularity — coins and the
+    aux draw in one pass of the PRNG's word kernel
+    ({!Prng.Rng.draw_word}), per-register tallies carried across rounds
     (set by popcount on packing, then kept up to date by the coin draw,
     the victims' removal and the transition itself), the protocol's
     transition as a handful of plane loops — at O(n / word_size) cost
@@ -18,6 +19,16 @@
     rounds call Engine's Phase A, delivery and commit code; kill
     validation, the decision discipline, events and the outcome are the
     round rules all three engines share (DESIGN §5).
+
+    {b A trial costs its packed rounds.} {!start} streams the protocol's
+    [init] pid by pid straight into the planes, so a uniform start builds
+    no per-process state: while packed, the scalar states of active
+    processes are stale by contract, and all of them share one initial
+    state. A packed halt halts every active process at once, so the run
+    is quiescent and nothing reads a halted process's state again: it
+    pins no final state, and the deciders share one [Some v] per value.
+    Only an [init] whose states disagree on a non-register field starts
+    scalar, with every state built, and re-packs once they agree.
 
     {b Byte-identity:} every observable — outcomes, decision rounds,
     traces, the event stream (Decisions ascending by pid, Kills in plan

@@ -186,17 +186,18 @@ let step e adversary =
                  per-pid accessors cost O(#subs * log n) each, so this path
                  is for differentials and small n, not the large-n runs. *)
               adv.Adversary.plan
-                (Round.view lg ~round
-                   ~state:(fun i ->
-                     match find_member i with
-                     | Some (si, _) -> subs.(si).Protocol.sub_state
-                     | None ->
-                         invalid_arg
-                           "Cohort: state of an inactive process is not retained")
-                   ~pending:(fun i ->
-                     match find_member i with
-                     | Some (si, k) -> Some (co.Protocol.c_msg subs.(si) k)
-                     | None -> None))
+                (Round.view ~round
+                   (Round.viewer lg
+                      ~state:(fun i ->
+                        match find_member i with
+                        | Some (si, _) -> subs.(si).Protocol.sub_state
+                        | None ->
+                            invalid_arg
+                              "Cohort: state of an inactive process is not retained")
+                      ~pending:(fun i ->
+                        match find_member i with
+                        | Some (si, k) -> Some (co.Protocol.c_msg subs.(si) k)
+                        | None -> None)))
                 lg.adv_rng
         in
         let victims = Round.validate_kills lg kills in

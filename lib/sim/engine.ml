@@ -31,12 +31,7 @@ let step (e : _ exec) adversary =
     (* The adversary observes everything and picks its kills. The view is
        zero-copy: its accessors read the live arrays, which the engine does
        not touch until [plan] returns. *)
-    let kills =
-      Round.plan lg adversary
-        (Round.view lg ~round
-           ~state:(fun i -> e.states.(i))
-           ~pending:(fun i -> e.pending.(i)))
-    in
+    let kills = Round.plan lg adversary (Round.view e.viewer ~round) in
     Round.phase_b e kills ~round;
     `Continue
   end
@@ -59,33 +54,26 @@ let run ?record_trace ?observer ?sink ?(max_rounds = 10_000) protocol adversary
 
 let snapshot (e : _ exec) =
   let lg = e.lg in
-  {
-    e with
-    lg =
-      {
-        lg with
-        alive = Array.copy lg.alive;
-        halted = Array.copy lg.halted;
-        decisions = Array.copy lg.decisions;
-        decision_round = Array.copy lg.decision_round;
-        proc_rngs = Array.map Prng.Rng.copy lg.proc_rngs;
-        adv_rng = Prng.Rng.copy lg.adv_rng;
-        trace = None;
-        (* Observation does not survive the copy: the Monte-Carlo valency
-           continuations step snapshots thousands of times and must stay
-           on the zero-cost path (and must not interleave phantom events
-           into the original's stream). *)
-        sink = Obs.Sink.null;
-      };
-    states = Array.copy e.states;
-    (* Scratch is dead between steps but must not be shared: the copy and
-       the original may be stepped independently. *)
-    pending = Array.make lg.n None;
-    killed = Array.make lg.n false;
-    head = [||];
-    src = [||];
-    next = [||];
-  }
+  (* Scratch is dead between steps but must not be shared: the copy and the
+     original may be stepped independently, so the copy gets its own, and
+     a view over its own arrays. *)
+  Round.scalar_of e.protocol
+    {
+      lg with
+      alive = Array.copy lg.alive;
+      halted = Array.copy lg.halted;
+      decisions = Array.copy lg.decisions;
+      decision_round = Array.copy lg.decision_round;
+      proc_rngs = Array.map Prng.Rng.copy lg.proc_rngs;
+      adv_rng = Prng.Rng.copy lg.adv_rng;
+      trace = None;
+      (* Observation does not survive the copy: the Monte-Carlo valency
+         continuations step snapshots thousands of times and must stay
+         on the zero-cost path (and must not interleave phantom events
+         into the original's stream). *)
+      sink = Obs.Sink.null;
+    }
+    (Array.copy e.states)
 
 let reseed (e : _ exec) rng =
   let lg = e.lg in

@@ -45,7 +45,7 @@ type 'state codec = {
   bo_unpack : 'state -> int -> 'state;
   bo_uniform : 'state -> 'state -> bool;
   bo_coin_reg : int option;
-  bo_aux_draw : ('state -> Prng.Rng.t -> int) option;
+  bo_aux_bound : int option;
 }
 
 type 'state transition =
@@ -170,6 +170,9 @@ let registers ~name ~init ~decision ~halted ~hash ~transition codec =
   | Some r when r < 0 || r >= width ->
       invalid_arg "Protocol.registers: bo_coin_reg out of range"
   | Some _ | None -> ());
+  (match codec.bo_aux_bound with
+  | Some b when b < 1 -> invalid_arg "Protocol.registers: bo_aux_bound < 1"
+  | Some _ | None -> ());
   let with_coin regs coin =
     match bo_coin_reg with
     | None -> regs
@@ -179,18 +182,17 @@ let registers ~name ~init ~decision ~halted ~hash ~transition codec =
   let draw_coin rng =
     match bo_coin_reg with None -> 0 | Some _ -> Prng.Rng.bit rng
   in
-  let draw_aux s rng =
-    match codec.bo_aux_draw with None -> 0 | Some f -> f s rng
+  let draw_aux rng =
+    match codec.bo_aux_bound with None -> 0 | Some b -> Prng.Rng.int rng b
   in
-  (* The coin bit first, then the aux draws: the order the kernel's
-     word-level Phase A keeps on every stream. *)
+  (* The coin bit first, then the aux draw: the order the kernel's
+     word-level Phase A ([Prng.Rng.draw_word]) keeps on every stream. *)
   let phase_a s rng =
     match bo_coin_reg with
-    | None -> (s, { regs = pack s; priv = draw_aux s rng })
+    | None -> (s, { regs = pack s; priv = draw_aux rng })
     | Some _ ->
         let regs = with_coin (pack s) (draw_coin rng) in
-        let s = unpack s regs in
-        (s, { regs; priv = draw_aux s rng })
+        (unpack s regs, { regs; priv = draw_aux rng })
   in
   (* [finish] is the transition over a population of one: the process's
      own registers are the planes, and its state a template for every
@@ -214,10 +216,10 @@ let registers ~name ~init ~decision ~halted ~hash ~transition codec =
     unpack ws.ws_state (apply_regs ws.ws_regs (pack s))
   in
   (* A class splits by coin into at most two subclasses (coin 0 first);
-     priv payloads stay per member. With neither coin nor aux draws the
+     priv payloads stay per member. With neither coin nor aux draw the
      class passes through whole, at O(1). *)
   let c_phase_a s ~members ~rng_of =
-    if Option.is_none bo_coin_reg && Option.is_none codec.bo_aux_draw then
+    if Option.is_none bo_coin_reg && Option.is_none codec.bo_aux_bound then
       [ { sub_state = s; sub_members = members; sub_priv = [||] } ]
     else begin
       let k = Array.length members in
@@ -225,7 +227,7 @@ let registers ~name ~init ~decision ~halted ~hash ~transition codec =
       for i = 0 to k - 1 do
         let rng = rng_of members.(i) in
         coins.(i) <- draw_coin rng;
-        privs.(i) <- draw_aux s rng
+        privs.(i) <- draw_aux rng
       done;
       let subclass coin =
         let size =

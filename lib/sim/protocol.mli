@@ -124,8 +124,8 @@ type 'state word_step = {
 
 type word = { regs : int; priv : int }
 (** A register protocol's message: the sender's registers after Phase A,
-    packed as by [bo_pack], and its private payload from [bo_aux_draw]
-    (0 when the protocol makes no aux draws). *)
+    packed as by [bo_pack], and its private payload drawn under
+    [bo_aux_bound] (0 when the protocol makes no aux draw). *)
 
 type tallies = {
   counts : int array;
@@ -158,10 +158,13 @@ type 'state codec = {
       (** If set, Phase A's {e first} draw on each process's stream is one
           [Prng.Rng.bit] stored in this register. [None] means Phase A
           flips no coin. *)
-  bo_aux_draw : ('state -> Prng.Rng.t -> int) option;
-      (** The rest of Phase A's draws on each process's stream (after the
-          coin), collapsed to the message's [priv]. Must not read the
-          registers. [None] when Phase A draws nothing more. *)
+  bo_aux_bound : int option;
+      (** If set, Phase A's draw right after the coin on each process's
+          stream is one [Prng.Rng.int rng bound], the message's [priv]
+          (e.g. SynRan's leader priority). Data, not a closure, so it
+          cannot read the state, and the kernel draws it for a whole word
+          of lanes in the PRNG's own pass ({!Prng.Rng.draw_word}). [None]
+          when Phase A draws nothing more. Must be at least 1. *)
 }
 (** How a state splits into binary registers and a non-register rest. *)
 
@@ -250,13 +253,13 @@ val registers :
     process in the same stage, and whose round depends only on the
     {!tallies}. Everything else is derived from the codec and the one
     transition:
-    - [phase_a] draws the coin into [bo_coin_reg], then the aux draws,
-      and broadcasts the {!word};
+    - [phase_a] draws the coin into [bo_coin_reg], then the aux draw
+      under [bo_aux_bound], and broadcasts the {!word};
     - the aggregate folds words into {!tallies}, and [finish] is the
       transition applied to a population of one;
     - the cohort ops split classes by coin, with [c_equal] = [bo_uniform]
       and equal registers, and [c_hash] = [hash] (which must be
       consistent with that equality);
     - the bitops hand the transition to {!Bitkernel} as [bo_step].
-    Raises [Invalid_argument] if [bo_width] is outside [1, 4] or
-    [bo_coin_reg] is out of range. *)
+    Raises [Invalid_argument] if [bo_width] is outside [1, 4],
+    [bo_coin_reg] is out of range or [bo_aux_bound] is below 1. *)

@@ -86,18 +86,32 @@ let alive_count lg =
 
 let budget_left lg = lg.t - lg.kills_used
 
-let view lg ~round ~state ~pending =
+(* The view's accessors are closures over arrays that live as long as the
+   execution, so they are built once; a round only copies the record with
+   its round and budget. *)
+type ('state, 'msg) viewer = {
+  vlg : 'msg ledger;
+  vtmpl : ('state, 'msg) Adversary.view;
+}
+
+let viewer lg ~state ~pending =
   {
-    Adversary.round;
-    n = lg.n;
-    t = lg.t;
-    budget_left = budget_left lg;
-    alive = (fun i -> lg.alive.(i));
-    active = (fun i -> active_at lg i);
-    state;
-    pending;
-    decision = (fun i -> lg.decisions.(i));
+    vlg = lg;
+    vtmpl =
+      {
+        Adversary.round = 0;
+        n = lg.n;
+        t = lg.t;
+        budget_left = 0;
+        alive = (fun i -> lg.alive.(i));
+        active = (fun i -> active_at lg i);
+        state;
+        pending;
+        decision = (fun i -> lg.decisions.(i));
+      };
   }
+
+let view v ~round = { v.vtmpl with round; budget_left = budget_left v.vlg }
 
 let invalid_kill fmt = Printf.ksprintf (fun s -> raise (Invalid_kill s)) fmt
 
@@ -238,21 +252,28 @@ type ('state, 'msg) scalar = {
   mutable head : int array;
   mutable src : int array;
   mutable next : int array;
+  viewer : ('state, 'msg) viewer;  (* over [states] and [pending] *)
 }
 
-let scalar ~who ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
-  let lg = ledger ~who ?record_trace ?observer ?sink ~inputs ~t rng in
+let scalar_of protocol lg states =
+  let pending = Array.make lg.n None in
   {
     protocol;
     lg;
-    states =
-      Array.mapi (fun pid input -> protocol.Protocol.init ~n:lg.n ~pid ~input) inputs;
-    pending = Array.make lg.n None;
+    states;
+    pending;
     killed = Array.make lg.n false;
     head = [||];
     src = [||];
     next = [||];
+    viewer =
+      viewer lg ~state:(fun i -> states.(i)) ~pending:(fun i -> pending.(i));
   }
+
+let scalar ~who ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
+  let lg = ledger ~who ?record_trace ?observer ?sink ~inputs ~t rng in
+  scalar_of protocol lg
+    (Array.mapi (fun pid input -> protocol.Protocol.init ~n:lg.n ~pid ~input) inputs)
 
 let phase_a e =
   let lg = e.lg and pending = e.pending in

@@ -65,14 +65,20 @@ val active_count : 'msg ledger -> int
 
 val budget_left : 'msg ledger -> int
 
-val view :
+type ('state, 'msg) viewer
+(** The adversary view's accessors, built once per execution. *)
+
+val viewer :
   'msg ledger ->
-  round:int ->
   state:(int -> 'state) ->
   pending:(int -> 'msg option) ->
-  ('state, 'msg) Adversary.view
-(** The adversary's view of round [round], with the engine's own state and
-    staged-message accessors. *)
+  ('state, 'msg) viewer
+(** Close the view's accessors over the ledger and the engine's own state
+    and staged-message accessors, which must stay valid for the whole
+    execution. *)
+
+val view : ('state, 'msg) viewer -> round:int -> ('state, 'msg) Adversary.view
+(** The adversary's view of round [round]: one record, no closure. *)
 
 val validate_kills : 'msg ledger -> Adversary.kill list -> (int, unit) Hashtbl.t
 (** Check a plan against the model before any of it applies: victims in
@@ -136,7 +142,13 @@ type ('state, 'msg) scalar = {
   mutable next : int array;
       (** Scratch: the kill-round delivery index, one list of killed
           senders per receiver. Empty until the first kill round. *)
+  viewer : ('state, 'msg) viewer;  (** Reads [states] and [pending]. *)
 }
+
+val scalar_of :
+  ('state, 'msg) Protocol.t -> 'msg ledger -> 'state array -> ('state, 'msg) scalar
+(** The one constructor of the record: the given ledger and states, fresh
+    scratch, and the view over them. *)
 
 val scalar :
   who:string ->
@@ -148,6 +160,7 @@ val scalar :
   t:int ->
   rng:Prng.Rng.t ->
   ('state, 'msg) scalar
+(** {!ledger}, then {!scalar_of} over every process's initial state. *)
 
 val phase_a : ('state, 'msg) scalar -> unit
 (** Every active process computes and stages its broadcast. *)

@@ -8,8 +8,8 @@
    stream), so any divergence is a packing bug, not noise.
 
    [bitkernel.words]: QCheck laws for the word-packing primitives —
-   pack/unpack round-trips, popcount against a naive bit loop, coin_word
-   against the scalar per-process draws, and lockstep-batch vs
+   pack/unpack round-trips, popcount against a naive bit loop, the PRNG's
+   word kernel against the scalar per-process draws, and lockstep-batch vs
    sequential-trial equality at awkward boundaries (n not a multiple of
    the lane count, batch size not a multiple of it either). *)
 
@@ -76,25 +76,36 @@ let iter_ones_ascending =
       in
       seen = expected)
 
-(* coin_word must consume exactly the scalar per-process draws: one
-   Rng.bit from each masked stream, ascending. Splitting the same parent
-   twice gives two identical stream families to compare against. *)
-let coin_word_matches_scalar =
-  QCheck.Test.make ~name:"coin_word = scalar per-process bits" ~count:200
-    QCheck.(pair small_int word_gen)
-    (fun (seed, mask) ->
-      let streams1 = Prng.Rng.split_n (Prng.Rng.create seed) Sim.Bitwords.lanes in
-      let streams2 = Prng.Rng.split_n (Prng.Rng.create seed) Sim.Bitwords.lanes in
-      let w =
-        Prng.Sample.coin_word ~rng_of:(fun k -> streams1.(k)) ~base:0 ~mask
-      in
+(* The word kernel must consume exactly the scalar per-process draws:
+   from each masked stream, ascending, one Rng.bit (when [coin]) and then
+   one Rng.int bound (when bound > 0). Splitting the same parent twice
+   gives two identical stream families to compare against; [base] puts
+   the word at lanes 63..125 of 126 streams. Bounds cover no aux draw
+   (0), the draw-free 1, rejection-heavy ones and SynRan's 10^9. *)
+let draw_word_matches_scalar =
+  QCheck.Test.make ~name:"draw_word = scalar bit-then-int per process"
+    ~count:300
+    QCheck.(
+      quad small_int word_gen bool
+        (oneofl [ 0; 1; 2; 3; 5; 1 lsl 20 + 1; 1_000_000_000; max_int ]))
+    (fun (seed, mask, coin, bound) ->
+      let lanes = Sim.Bitwords.lanes in
+      let base = lanes and n = 2 * lanes in
+      let streams1 = Prng.Rng.split_n (Prng.Rng.create seed) n in
+      let streams2 = Prng.Rng.split_n (Prng.Rng.create seed) n in
+      let priv1 = Array.make n (-1) and priv2 = Array.make n (-1) in
+      let w = Prng.Rng.draw_word streams1 ~base ~mask ~coin ~bound priv1 in
       let scalar = ref 0 in
-      for k = 0 to Sim.Bitwords.lanes - 1 do
-        if (mask lsr k) land 1 = 1 then
-          if Prng.Rng.bit streams2.(k) = 1 then scalar := !scalar lor (1 lsl k)
+      for k = 0 to lanes - 1 do
+        if (mask lsr k) land 1 = 1 then begin
+          let g = streams2.(base + k) in
+          if coin && Prng.Rng.bit g = 1 then scalar := !scalar lor (1 lsl k);
+          if bound > 0 then priv2.(base + k) <- Prng.Rng.int g bound
+        end
       done;
-      (* Identical packed bits, and identical leftover stream state. *)
-      w = !scalar
+      (* Identical coin word, every priv (untouched lanes included), and
+         identical leftover stream state. *)
+      w = !scalar && priv1 = priv2
       && Array.for_all2
            (fun a b -> Prng.Rng.bits64 a = Prng.Rng.bits64 b)
            streams1 streams2)
@@ -257,7 +268,7 @@ let not_swap ~rounds =
         (fun t regs -> { t with x = regs land 1 = 1; y = regs land 2 = 2 });
       bo_uniform = (fun a b -> a.r = b.r && a.acc = b.acc && a.out = b.out);
       bo_coin_reg = None;
-      bo_aux_draw = None;
+      bo_aux_bound = None;
     }
 
 (* n = 100 spans two words; counts stay below 128, so [acc] keeps every
@@ -538,7 +549,7 @@ let halts_undecided =
       bo_unpack = (fun (r, _) regs -> (r, regs land 1 = 1));
       bo_uniform = (fun (a, _) (b, _) -> a = b);
       bo_coin_reg = None;
-      bo_aux_draw = None;
+      bo_aux_bound = None;
     }
 
 (* The halted-undecided check names the first survivor, as the scalar
@@ -561,6 +572,106 @@ let test_check_names_first_survivor () =
          Sim.Bitkernel.run halts_undecided a ~inputs ~t:1
            ~rng:(Prng.Rng.create 1)))
 
+(* A register protocol whose [init] is not uniform: every seventh pid
+   starts with a different [tag], a non-register field, so no shared
+   template covers the population. Round 1 resets every tag, and from
+   round 2 the kernel can re-pack. The rest is [not_swap]'s carried count,
+   so a wrong tally after the re-pack changes the decision. *)
+type tagged = { tr : int; tag : int; tacc : int; tx : bool; tout : int option }
+
+let tagged_start ~rounds =
+  Sim.Protocol.registers ~name:"tagged-start"
+    ~init:(fun ~n:_ ~pid ~input ->
+      { tr = 0; tag = Bool.to_int (pid mod 7 = 4); tacc = 0; tx = input = 1;
+        tout = None })
+    ~decision:(fun s -> s.tout)
+    ~halted:(fun s -> Option.is_some s.tout)
+    ~hash:(fun s -> Hashtbl.hash (s.tr, s.tag, s.tacc, s.tx, s.tout))
+    ~transition:(fun s ~round:_ ~nrecv:_ ~(tallies : Sim.Protocol.tallies) ->
+      let tr = s.tr + 1 and tacc = (128 * s.tacc) + tallies.counts.(0) in
+      let last = tr >= rounds in
+      let tout = if last then Some tacc else None in
+      {
+        Sim.Protocol.ws_state = { s with tr; tag = 0; tacc; tout };
+        ws_regs = [| Sim.Protocol.Not 0 |];
+        ws_decide = Option.map (fun v -> Sim.Protocol.Decide_const v) tout;
+        ws_halt = last;
+      })
+    {
+      Sim.Protocol.bo_width = 1;
+      bo_pack = (fun s -> Bool.to_int s.tx);
+      bo_unpack = (fun t regs -> { t with tx = regs land 1 = 1 });
+      bo_uniform =
+        (fun a b -> a.tr = b.tr && a.tag = b.tag && a.tacc = b.tacc && a.tout = b.tout);
+      bo_coin_reg = None;
+      bo_aux_bound = None;
+    }
+
+(* The fallback start: a non-uniform [init] starts scalar, round 1 runs
+   on Engine's code, and the kernel re-packs once the tags agree; every
+   run stays byte-identical to Engine. n = 100 spans two words. *)
+let test_fallback_start () =
+  let n = 100 and rounds = 5 in
+  let protocol = tagged_start ~rounds in
+  let observer (m : Sim.Protocol.word) = m.regs land 1 = 1 in
+  for seed = 1 to 3 do
+    let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
+    List.iter
+      (fun adversary ->
+        same_as_engine ~observer ~protocol ~adversary ~inputs ~t:12 ~seed)
+      [
+        (fun () -> Sim.Adversary.null);
+        (fun () -> Baselines.Adversaries.drip ~per_round:3);
+      ]
+  done;
+  let inputs = Prng.Sample.random_bits (Prng.Rng.create 2) n in
+  let e = Sim.Bitkernel.start protocol ~inputs ~t:0 ~rng:(Prng.Rng.create 1) in
+  ignore (Sim.Bitkernel.step e Sim.Adversary.null);
+  Alcotest.(check int) "round 1 ran scalar" 1 (Sim.Bitkernel.scalar_rounds e);
+  drive e Sim.Adversary.null;
+  Alcotest.(check int) "re-packed for the rest" (rounds - 1)
+    (Sim.Bitkernel.packed_rounds e);
+  Alcotest.(check int) "still one scalar round" 1
+    (Sim.Bitkernel.scalar_rounds e)
+
+(* A packed halting SynRan round touches words, not processes: its minor
+   allocation is a bounded constant, the same at n = 630 and n = 6300.
+   Native only: bytecode boxes the PRNG's int64 steps. *)
+let halting_step_words n =
+  let protocol = Core.Synran.protocol n in
+  let inputs = Prng.Sample.random_bits (Prng.Rng.create 9) n in
+  let start () =
+    Sim.Bitkernel.start protocol ~inputs ~t:0 ~rng:(Prng.Rng.create 9)
+  in
+  let e = start () in
+  drive e Sim.Adversary.null;
+  let rounds = Sim.Bitkernel.round e in
+  let e = start () in
+  for _ = 1 to rounds - 1 do
+    ignore (Sim.Bitkernel.step e Sim.Adversary.null)
+  done;
+  let before = Gc.minor_words () in
+  ignore (Sim.Bitkernel.step e Sim.Adversary.null);
+  let words = Gc.minor_words () -. before in
+  let o = Sim.Bitkernel.outcome e in
+  Alcotest.(check int) (Printf.sprintf "n=%d: every round packed" n) rounds
+    (Sim.Bitkernel.packed_rounds e);
+  Alcotest.(check bool) (Printf.sprintf "n=%d: everyone halted" n) true
+    (Array.for_all Fun.id o.Sim.Engine.halted);
+  words
+
+let test_halting_step_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let small = halting_step_words 630 and large = halting_step_words 6300 in
+    let bound = 200.0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "n=630: %.0f words < %g" small bound)
+      true (small < bound);
+    Alcotest.(check bool)
+      (Printf.sprintf "n=6300: %.0f words < %g" large bound)
+      true (large < bound)
+  end
+
 let suites =
   [
     ( "bitkernel.words",
@@ -570,7 +681,7 @@ let suites =
           mask_upto_popcount;
           pack_unpack_roundtrip;
           iter_ones_ascending;
-          coin_word_matches_scalar;
+          draw_word_matches_scalar;
         ] );
     ( "bitkernel.differential",
       List.map to_alcotest (synran_tests @ floodset_tests @ not_swap_tests)
@@ -593,5 +704,9 @@ let suites =
             test_leader_among_survivors;
           Alcotest.test_case "checks name the first survivor" `Quick
             test_check_names_first_survivor;
+          Alcotest.test_case "non-uniform init starts scalar, then re-packs"
+            `Quick test_fallback_start;
+          Alcotest.test_case "packed halting step allocates O(1)" `Quick
+            test_halting_step_allocation;
         ] );
   ]

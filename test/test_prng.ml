@@ -275,7 +275,12 @@ let test_rng_draws_do_not_allocate () =
     under 1.0 "int_in" (fun () -> ignore (Prng.Rng.int_in g (-3) 3));
     under 2.5 "float" (fun () -> ignore (Prng.Rng.float g));
     under 1.0 "bernoulli" (fun () -> ignore (Prng.Rng.bernoulli g 0.3));
-    under 12.0 "split" (fun () -> ignore (Prng.Rng.split g))
+    under 12.0 "split" (fun () -> ignore (Prng.Rng.split g));
+    let gs = Prng.Rng.split_n g Sys.int_size and priv = Array.make Sys.int_size 0 in
+    under 1.0 "draw_word" (fun () ->
+        ignore
+          (Prng.Rng.draw_word gs ~base:0 ~mask:(-1) ~coin:true
+             ~bound:1_000_000_000 priv))
   end
 
 (* --- Sample ----------------------------------------------------------- *)

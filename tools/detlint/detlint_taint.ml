@@ -109,7 +109,7 @@ let cohort_base_names = [ "c_phase_a"; "c_absorb"; "c_msg" ]
    codec and [~transition] into phase_a/finish/cohort closures. They root
    by the documented codec field names and the transition's name. *)
 let bitops_base_names =
-  [ "bo_pack"; "bo_unpack"; "bo_uniform"; "bo_aux_draw"; "bo_step"; "transition" ]
+  [ "bo_pack"; "bo_unpack"; "bo_uniform"; "bo_aux_bound"; "bo_step"; "transition" ]
 
 let ends_with ~suffix s =
   let ls = String.length suffix and l = String.length s in
