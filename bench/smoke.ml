@@ -9,7 +9,8 @@
    digest — any byte of difference fails tier-1). A large-n leg compares
    all three engines and the legacy exchange at n up to 4096 under the
    null adversary, the legacy exchange at n = 1024
-   under voting band control, and the engines at n = 8192 under band
+   under voting band control, the engines at n = 8192 under band
+   control and bitkernel against concrete at n = 2048 under voting band
    control, where the differential suites do not reach. A coin-game leg
    plays E1's counting games at n = 1024 through the hide cursor's tally
    and through the same games rebuilt from their [eval] alone.
@@ -252,7 +253,8 @@ let bitkernel_smoke () =
    One SynRan trial at n = 1024 under voting band control (the band_n1024
    benchmark attack) must match the legacy exchange as well. Under band
    control, the three engines must agree on outcomes and on the metrics
-   digest for two SynRan trials at n = 8192.
+   digest for two SynRan trials at n = 8192, and under voting band control
+   bitkernel must match concrete for two trials at n = 2048.
    No timing: speed is the benchmark's business (perf/). *)
 let large_n_smoke () =
   let inputs_for n i = Prng.Sample.random_bits (Prng.Rng.create (42 + i)) n in
@@ -362,9 +364,42 @@ let large_n_smoke () =
     check (what "bitkernel = concrete") (outcomes_equal concrete bit && mb = mc);
     check (what "cohort = concrete") (outcomes_equal concrete cohort && mco = mc)
   done;
+  (* Voting band control on bitkernel at n = 2048. The default config
+     above only bursts or idles at scale, so this is the leg where the
+     packed view's ascending walk picks trim and rescue victims, where
+     the view is read unpacked after their partial sends, and where the
+     kernel re-packs. *)
+  let n = 2048 in
+  let t = n - 1 in
+  let synran = Core.Synran.protocol ~rules n in
+  let voting () =
+    Core.Lb_adversary.band_control ~config:Core.Lb_adversary.voting_config
+      ~rules ~bit_of_msg:Core.Synran.bit_of_msg ()
+  in
+  for i = 1 to 2 do
+    let inputs = inputs_for n i in
+    let concrete, mc, rc =
+      observed (fun sink ->
+          Sim.Engine.run ~sink ~max_rounds:2000 synran (voting ()) ~inputs ~t
+            ~rng:(rng_of i))
+    in
+    let bit, mb, rb =
+      observed (fun sink ->
+          Sim.Bitkernel.run ~sink ~max_rounds:2000 synran (voting ()) ~inputs ~t
+            ~rng:(rng_of i))
+    in
+    (* The event stream too: a rescue kills every 0-sender whatever the
+       walk's order, but its Kill events follow the plan's order. *)
+    check
+      (Printf.sprintf
+         "synran n=%d vs voting band control trial %d: bitkernel = concrete" n
+         i)
+      (outcomes_equal concrete bit && mb = mc && rb = rc)
+  done;
   print_endline
-    "bench-smoke: engines agree at n=4096 (leader coin too) and under band \
-     control at n=8192, legacy = fast at n=1024 \
+    "bench-smoke: engines agree at n=4096 (leader coin too), under band \
+     control at n=8192 and under voting band control at n=2048, legacy = \
+     fast at n=1024 \
      (null and voting band control)"
 
 (* Coin-game replay at n = 1024, the full profile's largest E1 size: the

@@ -107,7 +107,7 @@ let valency_steer ?(margin = 0.15) ~per_round ~msg_is_one () =
            draws: exactly the individuating behaviour that forces a
            packed engine onto its scalar fallback. *)
         let ones = ref 0 and total = ref 0 in
-        Adversary.iter_pending view (fun _ m ->
+        view.Adversary.iter_pending (fun _ m ->
             incr total;
             if msg_is_one m then incr ones);
         if !total = 0 then []
@@ -117,7 +117,7 @@ let valency_steer ?(margin = 0.15) ~per_round ~msg_is_one () =
           if frac >= 0.5 -. margin && frac <= 0.5 +. margin then []
           else begin
             let victims = ref [] in
-            Adversary.iter_pending view (fun pid m ->
+            view.Adversary.iter_pending (fun pid m ->
                 if msg_is_one m = majority_one then victims := pid :: !victims);
             (* iter_pending is ascending; restore that order. *)
             let victims = List.rev !victims in

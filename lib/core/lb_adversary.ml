@@ -32,9 +32,24 @@ let rec take k = function
 let receivers view =
   Sim.Adversary.active_pids view
 
+(* The first [k] senders, ascending: the walk stops at the k-th. Exactly
+   the active processes stage a message, so these are the first [k]
+   receivers. *)
+let first_senders view k =
+  let acc = ref [] and left = ref k in
+  let exception Enough in
+  (if k > 0 then
+     try
+       view.Sim.Adversary.iter_pending (fun i _ ->
+           acc := i :: !acc;
+           decr left;
+           if !left = 0 then raise Enough)
+     with Enough -> ());
+  List.rev !acc
+
 let partition_senders view ~bit_of_msg =
   let ones = ref [] and zeros = ref [] in
-  Sim.Adversary.iter_pending view (fun i m ->
+  view.Sim.Adversary.iter_pending (fun i m ->
       if bit_of_msg m = 1 then ones := i :: !ones else zeros := i :: !zeros);
   (List.rev !ones, List.rev !zeros)
 
@@ -113,6 +128,28 @@ let record tr ~q kills =
         deliver_to)
     kills
 
+(* The first [k] receivers by ascending nprev, ties by pid: what a stable
+   sort of the ascending receivers [recv] by [nprev_of] takes, without the
+   sort. [record] sets every exception above the default, so that order is
+   the default carriers in pid order, then the active exception carriers
+   by (exception, pid): O(q + e log e) for e exception carriers. *)
+let least_nprev tr ~active recv k =
+  let rec defaults k acc = function
+    | _ when k = 0 -> (List.rev acc, 0)
+    | [] -> (List.rev acc, k)
+    | j :: rest ->
+        if tr.exc.(j) >= 0 then defaults k acc rest
+        else defaults (k - 1) (j :: acc) rest
+  in
+  let firsts, left = defaults k [] recv in
+  if left = 0 then firsts
+  else
+    let by_exc a b =
+      let c = Int.compare tr.exc.(a) tr.exc.(b) in
+      if c <> 0 then c else Int.compare a b
+    in
+    firsts @ take left (List.sort by_exc (List.filter active tr.touched))
+
 (* The band-control decision core is shared between the concrete adversary
    (per-process view) and the cohort port (class view) through this
    population interface. The pid lists are lazy, so neither side builds
@@ -126,6 +163,7 @@ type pop = {
   p_z : int;  (* 0-senders *)
   p_active : int -> bool;
   p_recv : int list Lazy.t;  (* ascending *)
+  p_first : int -> int list;  (* the first k receivers, ascending *)
   p_ones : int list Lazy.t;  (* ascending *)
   p_zeros : int list Lazy.t;  (* ascending *)
 }
@@ -189,9 +227,7 @@ let plan_core ~config ~rules ~sink tr pop rng =
         let det_pop = Stdlib.max 1 (int_of_float (Float.ceil thresh) - 1) in
         let burst_size = Stdlib.min (q - 1) ((nmax / 10) + 2) in
         let endgame_cost = q - det_pop in
-        let kill_first k =
-          take k (Lazy.force pop.p_recv) |> List.map Sim.Adversary.kill_silent
-        in
+        let kill_first k = List.map Sim.Adversary.kill_silent (pop.p_first k) in
         if
           endgame_cost > 0 && budget >= endgame_cost
           && budget < endgame_cost + burst_size
@@ -236,11 +272,9 @@ let plan_core ~config ~rules ~sink tr pop rng =
           (Stdlib.max 0 ((2 * (flip_hi + margin)) - q))
       in
       (* Promote the receivers with the smallest thresholds. *)
-      let sorted =
-        List.sort (fun a b -> Int.compare (nprev_of a) (nprev_of b))
-          (Lazy.force pop.p_recv)
+      let s =
+        least_nprev tr ~active:pop.p_active (Lazy.force pop.p_recv) s_count
       in
-      let s = take s_count sorted in
       (* (nmin, nmax) of nprev over S; [None] iff S is empty — no sentinel,
          so no wrapping arithmetic downstream. *)
       let s_bounds =
@@ -333,15 +367,12 @@ let band_control ?(config = default_config) ?(sink = Obs.Sink.null) ~rules
     let n = view.Sim.Adversary.n in
     if view.Sim.Adversary.round = 1 || Array.length tr.exc <> n then
       reset tr ~n;
-    (* One pass counts the 1/0-senders and allocates nothing. Exactly the
-       active processes stage a message, so the receivers are the
-       senders. *)
+    (* One walk over the engine's own iteration counts the 1/0-senders.
+       Exactly the active processes stage a message, so the receivers are
+       the senders. *)
     let o = ref 0 and z = ref 0 in
-    for i = 0 to n - 1 do
-      match view.Sim.Adversary.pending i with
-      | None -> ()
-      | Some m -> if bit_of_msg m = 1 then incr o else incr z
-    done;
+    view.Sim.Adversary.iter_pending (fun _ m ->
+        if bit_of_msg m = 1 then incr o else incr z);
     let senders = lazy (partition_senders view ~bit_of_msg) in
     plan_core ~config ~rules ~sink tr
       {
@@ -353,6 +384,7 @@ let band_control ?(config = default_config) ?(sink = Obs.Sink.null) ~rules
         p_z = !z;
         p_active = view.Sim.Adversary.active;
         p_recv = lazy (receivers view);
+        p_first = first_senders view;
         p_ones = lazy (fst (Lazy.force senders));
         p_zeros = lazy (snd (Lazy.force senders));
       }
@@ -387,6 +419,7 @@ let band_control_cohort ?(config = default_config) ?(sink = Obs.Sink.null)
         |> List.concat_map (fun c -> Array.to_list c.Sim.Cohort.cc_members)
         |> List.sort Int.compare)
     in
+    let recv = members_of (fun _ -> true) in
     plan_core ~config ~rules ~sink tr
       {
         p_round = cv.Sim.Cohort.cv_round;
@@ -396,7 +429,8 @@ let band_control_cohort ?(config = default_config) ?(sink = Obs.Sink.null)
         p_o = o;
         p_z = q - o;
         p_active = cv.Sim.Cohort.cv_active;
-        p_recv = members_of (fun _ -> true);
+        p_recv = recv;
+        p_first = (fun k -> take k (Lazy.force recv));
         p_ones = members_of (fun c -> class_bit c = 1);
         p_zeros = members_of (fun c -> class_bit c <> 1);
       }

@@ -66,8 +66,9 @@ val band_control :
     exceptions for partial-delivery recipients); it resets itself when it
     observes round 1, so reusing the value across sequential trials is
     safe. Not safe for concurrent executions. A round it does not act on
-    (idle, in-band) costs one allocation-free pass over the view and
-    builds no pid list.
+    (idle, in-band) costs one walk of [view.iter_pending], at the
+    engine's own granularity, and builds no pid list; a burst or endgame
+    stops its walk after its victims.
 
     [sink] (default {!Obs.Sink.null}) receives one {!Obs.Event.Band}
     event per activation, exposing the round's observed 1/0-sender
@@ -75,6 +76,12 @@ val band_control :
     bail out before the band is computed), the chosen [action] —
     ["trim"], ["rescue"], ["burst"], ["endgame"], ["in-band"] or
     ["idle"] — and the kill count spent. *)
+
+val first_senders : ('state, 'msg) Sim.Adversary.view -> int -> int list
+(** [first_senders view k] is the first [k] pids of [view.iter_pending],
+    ascending (all of them when [k] exceeds their number), found by a walk
+    that stops at the [k]-th: [take k (Sim.Adversary.active_pids view)]
+    without the O(n) list. Band control's bursts and endgame kill these. *)
 
 val band_control_cohort :
   ?config:config ->

@@ -23,7 +23,7 @@ let policies ~rules =
           ignore rng;
           let budget = Stdlib.min view.Sim.Adversary.budget_left 3 in
           let ones = ref [] in
-          Sim.Adversary.iter_pending view (fun pid msg ->
+          view.Sim.Adversary.iter_pending (fun pid msg ->
               if Synran.bit_of_msg msg = 1 && view.Sim.Adversary.active pid then
                 ones := pid :: !ones);
           !ones
@@ -38,7 +38,7 @@ let policies ~rules =
           ignore rng;
           let budget = Stdlib.min view.Sim.Adversary.budget_left 3 in
           let zeros = ref [] in
-          Sim.Adversary.iter_pending view (fun pid msg ->
+          view.Sim.Adversary.iter_pending (fun pid msg ->
               if Synran.bit_of_msg msg = 0 && view.Sim.Adversary.active pid then
                 zeros := pid :: !zeros);
           !zeros
@@ -54,7 +54,7 @@ let policies ~rules =
         (fun view rng ->
           ignore rng;
           let zeros = ref [] and ones = ref 0 in
-          Sim.Adversary.iter_pending view (fun pid msg ->
+          view.Sim.Adversary.iter_pending (fun pid msg ->
               if view.Sim.Adversary.active pid then
                 if Synran.bit_of_msg msg = 0 then zeros := pid :: !zeros
                 else incr ones);
@@ -72,7 +72,7 @@ let policies ~rules =
         (fun view rng ->
           ignore rng;
           let ones = ref [] and zeros = ref 0 in
-          Sim.Adversary.iter_pending view (fun pid msg ->
+          view.Sim.Adversary.iter_pending (fun pid msg ->
               if view.Sim.Adversary.active pid then
                 if Synran.bit_of_msg msg = 1 then ones := pid :: !ones
                 else incr zeros);

@@ -13,6 +13,7 @@ type ('state, 'msg) view = {
   active : int -> bool;
   state : int -> 'state;
   pending : int -> 'msg option;
+  iter_pending : (int -> 'msg -> unit) -> unit;
   decision : int -> int option;
 }
 
@@ -22,11 +23,6 @@ let active_pids v =
     if v.active i then acc := i :: !acc
   done;
   !acc
-
-let iter_pending v f =
-  for i = 0 to v.n - 1 do
-    match v.pending i with None -> () | Some m -> f i m
-  done
 
 type ('state, 'msg) t = {
   name : string;

@@ -33,6 +33,16 @@ type ('state, 'msg) view = {
       (** Post-Phase-A state. Entries for inactive processes are stale. *)
   pending : int -> 'msg option;
       (** The message each active process is about to broadcast. *)
+  iter_pending : (int -> 'msg -> unit) -> unit;
+      (** [iter_pending f] calls [f pid msg] for every staged broadcast,
+          ascending by pid: exactly the pairs with [pending pid = Some msg],
+          i.e. one per active process. Valid only during [plan], like every
+          accessor. The engine supplies it at its own granularity: Engine
+          and Bitkernel's unpacked rounds walk the staged array (O(n));
+          Bitkernel's packed rounds walk the active mask word by word,
+          skipping empty words (O(active + n/63)); Cohort's compatibility
+          view walks its per-pid [pending] (O(n) lookups). An adversary
+          that stops early raises out of [f] with its own exception. *)
   decision : int -> int option;
 }
 (** A zero-copy window onto the execution. The accessors read the engine's
@@ -44,10 +54,6 @@ type ('state, 'msg) view = {
 
 val active_pids : ('state, 'msg) view -> int list
 (** Pids with [view.active], ascending. *)
-
-val iter_pending : ('state, 'msg) view -> (int -> 'msg -> unit) -> unit
-(** [iter_pending v f] calls [f pid msg] for every staged broadcast,
-    ascending by pid. *)
 
 type ('state, 'msg) t = {
   name : string;

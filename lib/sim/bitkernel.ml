@@ -68,8 +68,7 @@ type ('state, 'msg) exec = {
 let active_count e = if e.packed then e.active_cnt else Round.active_count e.sc.lg
 
 (* Gather process i's packed registers from the current planes: one
-   word index and lane for all of them (the adversary's view calls this
-   once per process per round). *)
+   word index and lane for all of them. *)
 let regs_at e i =
   let w = i / Bitwords.lanes and lane = i mod Bitwords.lanes in
   let bits = ref 0 in
@@ -182,6 +181,38 @@ let pending_at e i =
     if Round.active_at e.sc.lg i then Some (msg_at e i) else None
   else e.sc.pending.(i)
 
+(* The adversary's walk over the staged broadcasts, ascending. Packed,
+   every active process stages one, so it walks [amask] a word at a time,
+   skips empty words, and rebuilds each lane's message from the plane
+   words loaded once per word. [Protocol.registers] caps [bo_width] at 4,
+   so four words cover every plane; absent ones read as 0. *)
+let iter_pending (type s m) (e : (s, m) exec) (f : int -> m -> unit) =
+  if not e.packed then Round.iter_staged e.sc.pending f
+  else
+    match e.bo.Protocol.bo_word with
+    | Type.Equal ->
+        let width = e.cd.Protocol.bo_width and cur = e.cur and priv = e.priv in
+        for w = 0 to e.nw - 1 do
+          let m = ref e.amask.(w) in
+          if !m <> 0 then begin
+            let word r = if r < width then cur.(r).(w) else 0 in
+            let p0 = word 0 and p1 = word 1 and p2 = word 2 and p3 = word 3 in
+            let base = w * Bitwords.lanes in
+            while !m <> 0 do
+              let bit = !m land - !m in
+              let lane = Bitwords.popcount (bit - 1) in
+              let regs =
+                ((p0 lsr lane) land 1)
+                lor (((p1 lsr lane) land 1) lsl 1)
+                lor (((p2 lsr lane) land 1) lsl 2)
+                lor (((p3 lsr lane) land 1) lsl 3)
+              in
+              f (base + lane) { Protocol.regs; priv = priv.(base + lane) };
+              m := !m lxor bit
+            done
+          end
+        done
+
 let start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
   let refuse what =
     invalid_arg
@@ -221,7 +252,9 @@ let start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
       tallies = Array.make cd.Protocol.bo_width 0;
       tnxt = Array.make cd.Protocol.bo_width 0;
       viewer =
-        lazy (Round.viewer lg ~state:(state_at e) ~pending:(pending_at e));
+        lazy
+          (Round.viewer lg ~state:(state_at e) ~pending:(pending_at e)
+             ~iter_pending:(iter_pending e));
       packed_rounds = 0;
       scalar_rounds = 0;
     }
@@ -434,7 +467,7 @@ let run ?record_trace ?observer ?sink ?(max_rounds = 10_000) protocol adversary
     ~inputs ~t ~rng =
   let e = start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng in
   run_until e adversary ~max_rounds;
-  outcome e
+  Round.final_outcome e.sc.lg ~quiescent:(active_count e = 0)
 
 let round (e : _ exec) = e.sc.lg.round
 

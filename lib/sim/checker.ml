@@ -48,7 +48,7 @@ let check ?(strict = true) ~inputs (o : Engine.outcome) =
   (* Termination: every non-faulty process decided. *)
   let termination = ref true in
   for i = 0 to n - 1 do
-    if (not o.faulty.(i)) && o.decisions.(i) = None then begin
+    if (not o.faulty.(i)) && Option.is_none o.decisions.(i) then begin
       termination := false;
       err "termination: non-faulty process %d never decided (after %d rounds)" i
         o.rounds_executed

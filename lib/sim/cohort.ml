@@ -185,6 +185,11 @@ let step e adversary =
               (* Compatibility view for concrete adversaries: exact but
                  per-pid accessors cost O(#subs * log n) each, so this path
                  is for differentials and small n, not the large-n runs. *)
+              let pending i =
+                match find_member i with
+                | Some (si, k) -> Some (co.Protocol.c_msg subs.(si) k)
+                | None -> None
+              in
               adv.Adversary.plan
                 (Round.view ~round
                    (Round.viewer lg
@@ -194,15 +199,15 @@ let step e adversary =
                         | None ->
                             invalid_arg
                               "Cohort: state of an inactive process is not retained")
-                      ~pending:(fun i ->
-                        match find_member i with
-                        | Some (si, k) -> Some (co.Protocol.c_msg subs.(si) k)
-                        | None -> None)))
+                      ~pending
+                      ~iter_pending:(fun f ->
+                        for i = 0 to lg.n - 1 do
+                          match pending i with None -> () | Some m -> f i m
+                        done)))
                 lg.adv_rng
         in
-        let victims = Round.validate_kills lg kills in
-        let nkills = Hashtbl.length victims in
-        let is_killed pid = Hashtbl.mem victims pid in
+        let nkills = Round.validate_kills lg kills in
+        let is_killed = Round.is_victim lg in
         let except = if nkills = 0 then None else Some is_killed in
         (* Base accumulator: every surviving sender, absorbed class-wise.
            Absorb order differs from the concrete engine's ascending-pid
@@ -365,7 +370,7 @@ let run ?record_trace ?observer ?sink ?(max_rounds = 10_000) protocol adversary
     ~inputs ~t ~rng =
   let e = start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng in
   run_until e adversary ~max_rounds;
-  outcome e
+  Round.final_outcome e.lg ~quiescent:(e.active = 0)
 
 let round (e : _ exec) = e.lg.round
 

@@ -50,7 +50,7 @@ let run ?record_trace ?observer ?sink ?(max_rounds = 10_000) protocol adversary
     ~inputs ~t ~rng =
   let e = start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng in
   run_until e adversary ~max_rounds;
-  outcome e
+  Round.final_outcome e.lg ~quiescent:(Round.active_count e.lg = 0)
 
 let snapshot (e : _ exec) =
   let lg = e.lg in
@@ -66,6 +66,9 @@ let snapshot (e : _ exec) =
       decision_round = Array.copy lg.decision_round;
       proc_rngs = Array.map Prng.Rng.copy lg.proc_rngs;
       adv_rng = Prng.Rng.copy lg.adv_rng;
+      (* The copy and the original step the same round, so a shared
+         stamp array would mark the copy's victims in the original. *)
+      stamp = [||];
       trace = None;
       (* Observation does not survive the copy: the Monte-Carlo valency
          continuations step snapshots thousands of times and must stay

@@ -32,6 +32,9 @@ type 'msg ledger = {
   mutable adv_rng : Prng.Rng.t;
   mutable round : int;
   mutable kills_used : int;
+  mutable stamp : int array;
+      (* Kill validation's scratch: pid i is a victim of round r iff
+         [stamp.(i) = r]. Allocated by the first kill round. *)
   trace : Trace.t option;
   sink : Obs.Sink.t;
   observer : ('msg -> bool) option;
@@ -67,6 +70,7 @@ let ledger ~who ?(record_trace = false) ?observer ?(sink = Obs.Sink.null)
     adv_rng;
     round = 0;
     kills_used = 0;
+    stamp = [||];
     trace;
     sink;
     observer;
@@ -94,7 +98,7 @@ type ('state, 'msg) viewer = {
   vtmpl : ('state, 'msg) Adversary.view;
 }
 
-let viewer lg ~state ~pending =
+let viewer lg ~state ~pending ~iter_pending =
   {
     vlg = lg;
     vtmpl =
@@ -107,6 +111,7 @@ let viewer lg ~state ~pending =
         active = (fun i -> active_at lg i);
         state;
         pending;
+        iter_pending;
         decision = (fun i -> lg.decisions.(i));
       };
   }
@@ -115,33 +120,43 @@ let view v ~round = { v.vtmpl with round; budget_left = budget_left v.vlg }
 
 let invalid_kill fmt = Printf.ksprintf (fun s -> raise (Invalid_kill s)) fmt
 
-let validate_kills lg kills =
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun { Adversary.victim; deliver_to } ->
-      if victim < 0 || victim >= lg.n then
-        invalid_kill "victim %d out of range" victim;
-      if not (active_at lg victim) then
-        invalid_kill "victim %d is not active" victim;
-      if Hashtbl.mem seen victim then invalid_kill "victim %d named twice" victim;
-      Hashtbl.add seen victim ();
-      List.iter
-        (fun r -> if r < 0 || r >= lg.n then invalid_kill "recipient %d out of range" r)
-        deliver_to)
-    kills;
-  let count = Hashtbl.length seen in
-  if count > budget_left lg then
-    raise
-      (Budget_exceeded
-         (Printf.sprintf "round %d: %d kills requested, %d left" (lg.round + 1)
-            count (budget_left lg)));
-  seen
+(* An empty plan is vacuously valid, and checking it allocates nothing:
+   most rounds plan no kill. *)
+let validate_kills lg = function
+  | [] -> 0
+  | kills ->
+      let round = lg.round + 1 in
+      if Array.length lg.stamp < lg.n then lg.stamp <- Array.make lg.n 0;
+      let stamp = lg.stamp in
+      let count =
+        List.fold_left
+          (fun count { Adversary.victim; deliver_to } ->
+            if victim < 0 || victim >= lg.n then
+              invalid_kill "victim %d out of range" victim;
+            if not (active_at lg victim) then
+              invalid_kill "victim %d is not active" victim;
+            if stamp.(victim) = round then
+              invalid_kill "victim %d named twice" victim;
+            stamp.(victim) <- round;
+            List.iter
+              (fun r ->
+                if r < 0 || r >= lg.n then invalid_kill "recipient %d out of range" r)
+              deliver_to;
+            count + 1)
+          0 kills
+      in
+      if count > budget_left lg then
+        raise
+          (Budget_exceeded
+             (Printf.sprintf "round %d: %d kills requested, %d left" round count
+                (budget_left lg)));
+      count
+
+let is_victim lg i = i < Array.length lg.stamp && lg.stamp.(i) = lg.round + 1
 
 let plan lg (adversary : _ Adversary.t) view =
   let kills = adversary.Adversary.plan view lg.adv_rng in
-  (* An empty plan is vacuously valid; skipping the check keeps clean
-     rounds free of the kill table. *)
-  if kills <> [] then ignore (validate_kills lg kills);
+  ignore (validate_kills lg kills);
   kills
 
 let decision_changed fmt =
@@ -208,7 +223,8 @@ let emit_round lg ~round kills ~active ~delivered ~newly_decided ~newly_halted
          ones_pending = ones;
        })
 
-let outcome lg ~quiescent =
+(* [decisions] and [halted] are the ledger's arrays or copies of them. *)
+let outcome_with lg ~quiescent ~decisions ~halted =
   let rounds_to_decide =
     let vacuous = alive_count lg = 0 in
     if vacuous then Some lg.round
@@ -225,15 +241,27 @@ let outcome lg ~quiescent =
   {
     rounds_executed = lg.round;
     rounds_to_decide;
-    decisions = Array.copy lg.decisions;
+    decisions;
     faulty = Array.map not lg.alive;
-    halted = Array.copy lg.halted;
+    halted;
     kills_used = lg.kills_used;
     quiescent;
     trace = lg.trace;
   }
 
+let outcome lg ~quiescent =
+  outcome_with lg ~quiescent ~decisions:(Array.copy lg.decisions)
+    ~halted:(Array.copy lg.halted)
+
+let final_outcome lg ~quiescent =
+  outcome_with lg ~quiescent ~decisions:lg.decisions ~halted:lg.halted
+
 (* --- Engine's scalar execution ------------------------------------- *)
+
+let iter_staged pending f =
+  for i = 0 to Array.length pending - 1 do
+    match pending.(i) with None -> () | Some m -> f i m
+  done
 
 type ('state, 'msg) scalar = {
   protocol : ('state, 'msg) Protocol.t;
@@ -267,7 +295,10 @@ let scalar_of protocol lg states =
     src = [||];
     next = [||];
     viewer =
-      viewer lg ~state:(fun i -> states.(i)) ~pending:(fun i -> pending.(i));
+      viewer lg
+        ~state:(fun i -> states.(i))
+        ~pending:(fun i -> pending.(i))
+        ~iter_pending:(iter_staged pending);
   }
 
 let scalar ~who ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =

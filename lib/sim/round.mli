@@ -36,6 +36,10 @@ type 'msg ledger = {
   mutable adv_rng : Prng.Rng.t;
   mutable round : int;  (** Rounds executed so far. *)
   mutable kills_used : int;
+  mutable stamp : int array;
+      (** Scratch for {!validate_kills}: pid [i] is a victim of round [r]
+          iff [stamp.(i) = r]. Empty until the first kill round; a copy of
+          the ledger that is stepped on its own needs its own. *)
   trace : Trace.t option;
   sink : Obs.Sink.t;  (** Already teed into [trace] when one is recorded. *)
   observer : ('msg -> bool) option;
@@ -72,19 +76,27 @@ val viewer :
   'msg ledger ->
   state:(int -> 'state) ->
   pending:(int -> 'msg option) ->
+  iter_pending:((int -> 'msg -> unit) -> unit) ->
   ('state, 'msg) viewer
 (** Close the view's accessors over the ledger and the engine's own state
     and staged-message accessors, which must stay valid for the whole
-    execution. *)
+    execution. [iter_pending] is the engine's own ascending walk over the
+    staged broadcasts ({!Adversary.view.iter_pending}): it must visit
+    exactly the pids whose [pending] is [Some]. *)
 
 val view : ('state, 'msg) viewer -> round:int -> ('state, 'msg) Adversary.view
 (** The adversary's view of round [round]: one record, no closure. *)
 
-val validate_kills : 'msg ledger -> Adversary.kill list -> (int, unit) Hashtbl.t
+val validate_kills : 'msg ledger -> Adversary.kill list -> int
 (** Check a plan against the model before any of it applies: victims in
     range, active and named once, recipients in range ({!Invalid_kill}),
     and at most the remaining budget ({!Budget_exceeded}). Returns the
-    victims as a table sized by the plan, not by [n]. *)
+    number of victims and stamps each one for {!is_victim}; O(plan), with
+    no allocation after the first kill round. *)
+
+val is_victim : 'msg ledger -> int -> bool
+(** Whether the pid is a victim of the plan {!validate_kills} accepted for
+    the round being executed; valid until {!apply_kills} closes it. *)
 
 val plan :
   'msg ledger ->
@@ -128,6 +140,13 @@ val emit_round :
     caller guards the call with [Obs.Sink.enabled]. *)
 
 val outcome : 'msg ledger -> quiescent:bool -> outcome
+(** The outcome so far, with its own copies of the ledger's arrays: the
+    execution stays live. *)
+
+val final_outcome : 'msg ledger -> quiescent:bool -> outcome
+(** {!outcome} for a caller that owns the execution and drops it: the
+    outcome takes the ledger's [decisions] and [halted] arrays instead of
+    copying them. *)
 
 (** {2 Engine's scalar execution} *)
 
@@ -144,6 +163,11 @@ type ('state, 'msg) scalar = {
           senders per receiver. Empty until the first kill round. *)
   viewer : ('state, 'msg) viewer;  (** Reads [states] and [pending]. *)
 }
+
+val iter_staged : 'msg option array -> (int -> 'msg -> unit) -> unit
+(** [iter_staged pending f] calls [f pid msg] for every [Some msg] of a
+    staged-broadcast array, ascending: the scalar view's
+    [iter_pending]. *)
 
 val scalar_of :
   ('state, 'msg) Protocol.t -> 'msg ledger -> 'state array -> ('state, 'msg) scalar

@@ -506,7 +506,7 @@ let kill_leader =
     plan =
       (fun view _rng ->
         let best = ref None in
-        Sim.Adversary.iter_pending view (fun i m ->
+        view.Sim.Adversary.iter_pending (fun i m ->
             let p = Core.Synran.prio_of_msg m in
             match !best with
             | Some (bp, _) when bp > p -> ()
@@ -672,6 +672,130 @@ let test_halting_step_allocation () =
       true (large < bound)
   end
 
+(* ------------------------------------------------------------------ *)
+(* The view's own iteration                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* [inner] behind a check of [view.iter_pending] against the per-pid
+   [view.pending]: the walk must yield exactly the ascending (pid, msg)
+   pairs whose [pending] is [Some]. *)
+let iteration_checked ~what inner =
+  {
+    inner with
+    Sim.Adversary.plan =
+      (fun view rng ->
+        let walked = ref [] in
+        view.Sim.Adversary.iter_pending (fun i m -> walked := (i, m) :: !walked);
+        let expected = ref [] in
+        for i = view.Sim.Adversary.n - 1 downto 0 do
+          match view.Sim.Adversary.pending i with
+          | Some m -> expected := (i, m) :: !expected
+          | None -> ()
+        done;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s round %d: walk = pending" what
+             view.Sim.Adversary.round)
+          true
+          (List.rev !walked = !expected);
+        inner.Sim.Adversary.plan view rng);
+  }
+
+(* Round 1 idles; round 2 silently kills the lowest third of the pids, so
+   whole words go dead;
+   round 3 kills the first survivor but delivers its message to the next
+   two only, which individuates them; rounds 4-9 silently kill the first
+   eighth of the survivors, which keeps SynRan running past the round
+   where the kernel re-packs; later rounds idle. *)
+let view_schedule =
+  {
+    Sim.Adversary.name = "view-schedule";
+    plan =
+      (fun view _rng ->
+        match view.Sim.Adversary.round with
+        | 2 -> List.init (view.Sim.Adversary.n / 3) Sim.Adversary.kill_silent
+        | 3 -> (
+            match Sim.Adversary.active_pids view with
+            | v :: a :: b :: _ ->
+                [ Sim.Adversary.kill_after_send v ~recipients:[ a; b ] ]
+            | _ -> [])
+        | r when r >= 4 && r <= 9 ->
+            let active = Sim.Adversary.active_pids view in
+            List.filteri (fun i _ -> i < List.length active / 8) active
+            |> List.map Sim.Adversary.kill_silent
+        | _ -> []);
+  }
+
+(* On every engine, every view the schedule reads walks exactly its
+   pending messages. On Bitkernel the run must cover a packed idle round,
+   a packed silent-kill round, the partial-delivery round, a plan read
+   unpacked after it (a scalar round under a silent plan) and a re-packed
+   round, and still match Engine. *)
+let test_view_iteration () =
+  List.iter
+    (fun n ->
+      let protocol = Core.Synran.protocol n in
+      let inputs = Prng.Sample.random_bits (Prng.Rng.create 5) n in
+      let rng () = Prng.Rng.create 9 in
+      let what engine = Printf.sprintf "%s n=%d" engine n in
+      let concrete =
+        Sim.Engine.run ~max_rounds:400 protocol
+          (iteration_checked ~what:(what "engine") view_schedule)
+          ~inputs ~t:(n - 1) ~rng:(rng ())
+      in
+      let cohort =
+        Sim.Cohort.run ~max_rounds:400 protocol
+          (Sim.Cohort.Concrete
+             (iteration_checked ~what:(what "cohort") view_schedule))
+          ~inputs ~t:(n - 1) ~rng:(rng ())
+      in
+      Alcotest.(check bool)
+        (what "cohort = engine") true
+        (Test_delivery.outcomes_equal concrete cohort);
+      let e = Sim.Bitkernel.start protocol ~inputs ~t:(n - 1) ~rng:(rng ()) in
+      let last = ref [] in
+      let adversary =
+        let inner = iteration_checked ~what:(what "bitkernel") view_schedule in
+        {
+          inner with
+          Sim.Adversary.plan =
+            (fun view rng ->
+              last := inner.Sim.Adversary.plan view rng;
+              !last);
+        }
+      in
+      let seen = Hashtbl.create 8 and prev_scalar = ref false in
+      while
+        let packed0 = Sim.Bitkernel.packed_rounds e in
+        Sim.Bitkernel.round e < 400
+        && Sim.Bitkernel.step e adversary = `Continue
+        &&
+        let packed = Sim.Bitkernel.packed_rounds e > packed0 in
+        let silent = List.for_all (fun k -> k.Sim.Adversary.deliver_to = []) !last in
+        Hashtbl.replace seen
+          (match (packed, !last) with
+          | true, [] -> "packed idle"
+          | true, _ -> "packed silent kills"
+          | false, _ when not silent -> "partial delivery"
+          | false, _ -> "unpacked plan")
+          ();
+        if packed && !prev_scalar then Hashtbl.replace seen "re-packed" ();
+        prev_scalar := not packed;
+        true
+      do
+        ()
+      done;
+      List.iter
+        (fun case ->
+          Alcotest.(check bool) (what ("covers " ^ case)) true (Hashtbl.mem seen case))
+        [
+          "packed idle"; "packed silent kills"; "partial delivery";
+          "unpacked plan"; "re-packed";
+        ];
+      Alcotest.(check bool)
+        (what "bitkernel = engine") true
+        (Test_delivery.outcomes_equal concrete (Sim.Bitkernel.outcome e)))
+    [ 200; 1000 ]
+
 let suites =
   [
     ( "bitkernel.words",
@@ -709,4 +833,9 @@ let suites =
           Alcotest.test_case "packed halting step allocates O(1)" `Quick
             test_halting_step_allocation;
         ] );
+    ( "bitkernel.view",
+      [
+        Alcotest.test_case "iter_pending walks exactly the pending messages"
+          `Quick test_view_iteration;
+      ] );
   ]

@@ -186,6 +186,7 @@ let test_band_empty_receive_set () =
       active = (fun _ -> false);
       state = (fun _ -> ());
       pending = (fun _ -> None);
+      iter_pending = (fun _ -> ());
       decision = (fun _ -> None);
     }
   in
@@ -284,6 +285,80 @@ let test_lower_bound_respected_by_all_adversaries () =
   check_bool "above theory lower bound" true
     (Sim.Runner.mean_rounds s >= Core.Theory.lower_bound_rounds ~n ~t:(n - 1))
 
+(* Bursts and the endgame kill the first k senders, found by a walk that
+   stops after them. On every engine's view that walk must equal
+   [take k (active_pids view)] for any k, k >= q included, and every
+   burst or endgame plan must kill exactly that prefix, silently. At
+   n = 400, t = 392 leaves the budget thin enough at the end for the
+   endgame move. *)
+let test_first_senders () =
+  let n = 400 and t = 392 in
+  let rules = Core.Onesided.paper in
+  let protocol = Core.Synran.protocol ~rules n in
+  let inputs = Prng.Sample.random_bits (Prng.Rng.create 3) n in
+  let rec take k = function
+    | x :: rest when k > 0 -> x :: take (k - 1) rest
+    | _ -> []
+  in
+  let actions = Hashtbl.create 8 in
+  let checked what =
+    let action = ref "" in
+    let sink =
+      Obs.Sink.create (function
+        | Obs.Event.Band { action = a; _ } -> action := a
+        | _ -> ())
+    in
+    let band =
+      Core.Lb_adversary.band_control ~sink ~rules
+        ~bit_of_msg:Core.Synran.bit_of_msg ()
+    in
+    {
+      band with
+      Sim.Adversary.plan =
+        (fun view rng ->
+          let active = Sim.Adversary.active_pids view in
+          let q = List.length active in
+          List.iter
+            (fun k ->
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s round %d: first %d senders" what
+                   view.Sim.Adversary.round k)
+                (take k active)
+                (Core.Lb_adversary.first_senders view k))
+            [ 0; 1; 2; 62; 63; 64; q - 1; q; q + 1; n + 5 ];
+          let kills = band.Sim.Adversary.plan view rng in
+          if !action = "burst" || !action = "endgame" then begin
+            Hashtbl.replace actions !action ();
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s round %d: %s victims" what
+                 view.Sim.Adversary.round !action)
+              (take (List.length kills) active)
+              (List.map (fun k -> k.Sim.Adversary.victim) kills);
+            check_bool "silent" true
+              (List.for_all (fun k -> k.Sim.Adversary.deliver_to = []) kills)
+          end;
+          kills);
+    }
+  in
+  let rng () = Prng.Rng.create 8 in
+  let concrete =
+    Sim.Engine.run ~max_rounds:2000 protocol (checked "engine") ~inputs
+      ~t ~rng:(rng ())
+  in
+  let bit =
+    Sim.Bitkernel.run ~max_rounds:2000 protocol (checked "bitkernel") ~inputs
+      ~t ~rng:(rng ())
+  in
+  let cohort =
+    Sim.Cohort.run ~max_rounds:2000 protocol
+      (Sim.Cohort.Concrete (checked "cohort"))
+      ~inputs ~t ~rng:(rng ())
+  in
+  check_bool "bitkernel = engine" true (Test_delivery.outcomes_equal concrete bit);
+  check_bool "cohort = engine" true (Test_delivery.outcomes_equal concrete cohort);
+  check_bool "bursts covered" true (Hashtbl.mem actions "burst");
+  check_bool "endgame covered" true (Hashtbl.mem actions "endgame")
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -306,6 +381,7 @@ let suites =
         tc "idles at zero budget" test_band_idles_when_budget_zero;
         tc "idles on empty receive set" test_band_empty_receive_set;
         tc "works with ablated rules" test_band_against_ablated_rules;
+        tc "bursts kill the first senders" test_first_senders;
       ] );
     ( "core.mc-valency",
       [

@@ -271,6 +271,35 @@ let test_bad_plans_fail_alike () =
         1,
         (fun _ -> [ Sim.Adversary.kill_silent 0; Sim.Adversary.kill_silent 1 ]),
         "Budget_exceeded: round 1: 2 kills requested, 1 left" );
+      (* Precedence: each kill is checked in plan order, victim range,
+         then liveness, then repetition, then its recipients; the budget
+         only once the whole plan passed. *)
+      ( "inactive before named twice",
+        n,
+        (fun v ->
+          if v.Sim.Adversary.round = 1 then [ Sim.Adversary.kill_silent 3 ]
+          else Sim.Adversary.[ kill_silent 2; kill_silent 3; kill_silent 2 ]),
+        "Invalid_kill: victim 3 is not active" );
+      ( "named twice before its recipients",
+        n,
+        (fun _ ->
+          Sim.Adversary.
+            [ kill_silent 2; kill_after_send 2 ~recipients:[ 42 ] ]),
+        "Invalid_kill: victim 2 named twice" );
+      ( "recipients before a later victim",
+        n,
+        (fun _ ->
+          Sim.Adversary.
+            [ kill_after_send 1 ~recipients:[ -1 ]; kill_silent 99 ]),
+        "Invalid_kill: recipient -1 out of range" );
+      ( "out-of-range victim before budget",
+        1,
+        (fun _ -> Sim.Adversary.[ kill_silent 0; kill_silent 1; kill_silent 8 ]),
+        "Invalid_kill: victim 8 out of range" );
+      ( "named twice before budget",
+        1,
+        (fun _ -> Sim.Adversary.[ kill_silent 0; kill_silent 1; kill_silent 1 ]),
+        "Invalid_kill: victim 1 named twice" );
     ]
   in
   List.iter
@@ -402,6 +431,59 @@ let test_snapshot_replays_same_coins () =
   Alcotest.(check string) "same coins"
     (decisions_key (Sim.Engine.outcome e))
     (decisions_key (Sim.Engine.outcome c))
+
+(* Kill validation stamps each victim with the round, and a snapshot steps
+   the same round as its original (the Monte-Carlo valency continuations
+   do), so the copy needs its own stamps: a victim the copy names must not
+   read as already named when the original names it, in either order. *)
+let test_snapshot_stamps_own () =
+  let n = 8 in
+  let protocol = Core.Synran.protocol n in
+  let kill pids =
+    {
+      Sim.Adversary.name = "kill";
+      plan = (fun _ _ -> List.map Sim.Adversary.kill_silent pids);
+    }
+  in
+  let e =
+    Sim.Engine.start protocol ~inputs:(Array.make n 0) ~t:4
+      ~rng:(Prng.Rng.create 3)
+  in
+  (* A kill round first, so the original's stamps exist before the copy. *)
+  ignore (Sim.Engine.step e (kill [ 0 ]));
+  let c = Sim.Engine.snapshot e in
+  ignore (Sim.Engine.step c (kill [ 5; 6 ]));
+  ignore (Sim.Engine.step e (kill [ 5; 6 ]));
+  let c' = Sim.Engine.snapshot e in
+  ignore (Sim.Engine.step e (kill [ 7 ]));
+  ignore (Sim.Engine.step c' (kill [ 7 ]));
+  List.iter
+    (fun (what, x, dead) ->
+      Alcotest.(check (list bool))
+        (what ^ ": faulty")
+        (List.init n (fun i -> List.mem i dead))
+        (Array.to_list (Sim.Engine.outcome x).Sim.Engine.faulty))
+    [
+      ("original", e, [ 0; 5; 6; 7 ]);
+      ("first copy", c, [ 0; 5; 6 ]);
+      ("second copy", c', [ 0; 5; 6; 7 ]);
+    ]
+
+(* [run] hands its ledger's arrays to the outcome, but an exec that lives
+   on must not: stepping it after [outcome] leaves that outcome as it was. *)
+let test_live_outcome_copies () =
+  let e =
+    Sim.Engine.start coin_protocol ~inputs:(Array.make 8 0) ~t:0
+      ~rng:(Prng.Rng.create 9)
+  in
+  let before = Sim.Engine.outcome e in
+  Sim.Engine.run_until e Sim.Adversary.null ~max_rounds:3;
+  Alcotest.(check string) "decisions untouched" "--------"
+    (decisions_key before);
+  check_bool "halted untouched" true
+    (Array.for_all not before.Sim.Engine.halted);
+  check_bool "the exec moved on" true
+    (Array.for_all Fun.id (Sim.Engine.outcome e).Sim.Engine.halted)
 
 (* Snapshot mid-run under voting band control, reseed the copy so the two
    executions diverge, then step the original and the copy alternately
@@ -685,6 +767,8 @@ let suites =
         tc "snapshot replays coins" test_snapshot_replays_same_coins;
         tc "reseed changes coins" test_reseed_changes_coins;
         tc "snapshot through kill rounds" test_snapshot_through_kill_rounds;
+        tc "snapshot has its own kill stamps" test_snapshot_stamps_own;
+        tc "live outcome is a copy" test_live_outcome_copies;
       ] );
     ( "sim.runner",
       [
