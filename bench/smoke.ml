@@ -10,8 +10,9 @@
    all three engines and the legacy exchange at n up to 4096 under the
    null adversary, the legacy exchange at n = 1024
    under voting band control, the engines at n = 8192 under band
-   control and bitkernel against concrete at n = 2048 under voting band
-   control, where the differential suites do not reach. A coin-game leg
+   control, bitkernel against concrete at n = 2048 and n = 8192 under
+   voting band control, and shared recipient lists against copied ones at
+   n = 2048, where the differential suites do not reach. A coin-game leg
    plays E1's counting games at n = 1024 through the hide cursor's tally
    and through the same games rebuilt from their [eval] alone.
 
@@ -254,7 +255,9 @@ let bitkernel_smoke () =
    benchmark attack) must match the legacy exchange as well. Under band
    control, the three engines must agree on outcomes and on the metrics
    digest for two SynRan trials at n = 8192, and under voting band control
-   bitkernel must match concrete for two trials at n = 2048.
+   bitkernel must match concrete for two trials at n = 2048 and at
+   n = 8192. One voting trial at n = 2048 must not change when every
+   recipient list is copied per victim.
    No timing: speed is the benchmark's business (perf/). *)
 let large_n_smoke () =
   let inputs_for n i = Prng.Sample.random_bits (Prng.Rng.create (42 + i)) n in
@@ -396,10 +399,65 @@ let large_n_smoke () =
          i)
       (outcomes_equal concrete bit && mb = mc && rb = rc)
   done;
+  (* Voting band control at n = 8192: every trim and rescue kills a group
+     sharing one recipient list, which the delivery code walks once per
+     round (Sim.Adversary.kill_group). *)
+  let n = 8192 in
+  let t = n - 1 in
+  let synran = Core.Synran.protocol ~rules n in
+  for i = 1 to 2 do
+    let inputs = inputs_for n i in
+    let concrete, mc, rc =
+      observed (fun sink ->
+          Sim.Engine.run ~sink ~max_rounds:2000 synran (voting ()) ~inputs ~t
+            ~rng:(rng_of i))
+    in
+    let bit, mb, rb =
+      observed (fun sink ->
+          Sim.Bitkernel.run ~sink ~max_rounds:2000 synran (voting ()) ~inputs ~t
+            ~rng:(rng_of i))
+    in
+    check
+      (Printf.sprintf
+         "synran n=%d vs voting band control trial %d: bitkernel = concrete" n
+         i)
+      (outcomes_equal concrete bit && mb = mc && rb = rc)
+  done;
+  (* Both engines run a partial-delivery round through the same grouped
+     delivery code, so a wrong class tally would agree with itself above.
+     Here the same trial runs with every recipient list rebuilt as a fresh
+     copy, which the engine indexes victim by victim: outcomes, trace and
+     event stream must not tell the two apart. *)
+  let n = 2048 in
+  let t = n - 1 in
+  let synran = Core.Synran.protocol ~rules n in
+  let copied (adv : _ Sim.Adversary.t) =
+    {
+      adv with
+      Sim.Adversary.plan =
+        (fun view rng ->
+          List.map
+            (fun k ->
+              let fresh = List.map Fun.id k.Sim.Adversary.deliver_to in
+              { k with Sim.Adversary.deliver_to = fresh })
+            (adv.Sim.Adversary.plan view rng));
+    }
+  in
+  let run wrap =
+    observed (fun sink ->
+        Sim.Engine.run ~record_trace:true ~sink ~max_rounds:2000 synran
+          (wrap (voting ()))
+          ~inputs:(inputs_for n 1) ~t ~rng:(rng_of 1))
+  in
+  let shared, ms, rs = run Fun.id and per_victim, mp, rp = run copied in
+  check
+    (Printf.sprintf
+       "synran n=%d vs voting band control: shared lists = copied lists" n)
+    (outcomes_equal shared per_victim && ms = mp && rs = rp);
   print_endline
     "bench-smoke: engines agree at n=4096 (leader coin too), under band \
-     control at n=8192 and under voting band control at n=2048, legacy = \
-     fast at n=1024 \
+     control at n=8192 and under voting band control at n=2048 and n=8192, \
+     shared recipient lists = copied at n=2048, legacy = fast at n=1024 \
      (null and voting band control)"
 
 (* Coin-game replay at n = 1024, the full profile's largest E1 size: the

@@ -28,10 +28,6 @@ let rec take k = function
   | _ when k = 0 -> []
   | x :: rest -> x :: take (k - 1) rest
 
-(* Receivers that will still be around to act on this round's messages. *)
-let receivers view =
-  Sim.Adversary.active_pids view
-
 (* The first [k] senders, ascending: the walk stops at the k-th. Exactly
    the active processes stage a message, so these are the first [k]
    receivers. *)
@@ -57,8 +53,9 @@ let partition_senders view ~bit_of_msg =
    nprev), shared by both ports. Every receiver heard the survivors'
    broadcast, so the counts are one default plus exceptions for the
    partial-delivery recipients, held in a reused n-int array ([-1] = no
-   exception) with the list of pids that carry one. Recording and the
-   bounds cost O(kills x recipients), never O(n). *)
+   exception) with the list of pids that carry one. Recording costs
+   O(kills) plus one walk of each run's shared list, and the bounds
+   O(exceptions): never O(n). *)
 type tracker = {
   mutable default : int;
   mutable exc : int array;
@@ -108,25 +105,29 @@ let nprev_bounds tr ~q ~active =
 (* This round's deliveries: each of the [q] receivers hears the
    [q - |kills|] survivors, plus one message per partial send naming it.
    Only receivers are ever read back, and the receivers of a later round
-   are among this round's. *)
+   are among this round's. A run of kills sharing one list
+   (Sim.Adversary.kill_group) walks it once, adding the run's length. *)
 let record tr ~q kills =
   clear_exceptions tr;
   let base = q - List.length kills in
   tr.default <- base;
   let n = Array.length tr.exc in
-  List.iter
-    (fun { Sim.Adversary.victim = _; deliver_to } ->
-      List.iter
-        (fun j ->
-          if j >= 0 && j < n then begin
-            if tr.exc.(j) < 0 then begin
-              tr.exc.(j) <- base;
-              tr.touched <- j :: tr.touched
-            end;
-            tr.exc.(j) <- tr.exc.(j) + 1
-          end)
-        deliver_to)
-    kills
+  Sim.Adversary.fold_runs
+    (fun () run len ->
+      match run with
+      | [] -> ()
+      | { Sim.Adversary.victim = _; deliver_to } :: _ ->
+          List.iter
+            (fun j ->
+              if j >= 0 && j < n then begin
+                if tr.exc.(j) < 0 then begin
+                  tr.exc.(j) <- base;
+                  tr.touched <- j :: tr.touched
+                end;
+                tr.exc.(j) <- tr.exc.(j) + len
+              end)
+            deliver_to)
+    () kills
 
 (* The first [k] receivers by ascending nprev, ties by pid: what a stable
    sort of the ascending receivers [recv] by [nprev_of] takes, without the
@@ -304,12 +305,9 @@ let plan_core ~config ~rules ~sink tr pop rng =
         let victims = take kill_count (Lazy.force pop.p_ones) in
         let deliver_needed = if promotable then Stdlib.min need kill_count else 0 in
         let kills =
-          List.mapi
-            (fun idx pid ->
-              if idx < deliver_needed then
-                Sim.Adversary.kill_after_send pid ~recipients:s
-              else Sim.Adversary.kill_silent pid)
-            victims
+          Sim.Adversary.kill_group (take deliver_needed victims) ~recipients:s
+          @ List.map Sim.Adversary.kill_silent
+              (List.filteri (fun idx _ -> idx >= deliver_needed) victims)
         in
         finish ~action:"trim" (cap kills)
       end
@@ -341,9 +339,7 @@ let plan_core ~config ~rules ~sink tr pop rng =
       List.iter (fun j -> s_mask.(j) <- true) s;
       let non_s = List.filter (fun j -> not s_mask.(j)) (Lazy.force pop.p_recv) in
       let kills =
-        List.map
-          (fun pid -> Sim.Adversary.kill_after_send pid ~recipients:non_s)
-          (Lazy.force pop.p_zeros)
+        Sim.Adversary.kill_group (Lazy.force pop.p_zeros) ~recipients:non_s
       in
       finish ~action:"rescue" (cap kills)
     end
@@ -383,7 +379,7 @@ let band_control ?(config = default_config) ?(sink = Obs.Sink.null) ~rules
         p_o = !o;
         p_z = !z;
         p_active = view.Sim.Adversary.active;
-        p_recv = lazy (receivers view);
+        p_recv = lazy (first_senders view (!o + !z));
         p_first = first_senders view;
         p_ones = lazy (fst (Lazy.force senders));
         p_zeros = lazy (snd (Lazy.force senders));
@@ -596,16 +592,12 @@ let leader_killer ?(config = default_config) ~rules ~bit_of_msg ~prio_of_msg ()
       np_min := n;
       np_max := n
     end;
-    let recv = receivers view in
-    let q = List.length recv in
-    let senders =
-      List.filter_map
-        (fun pid ->
-          match view.Sim.Adversary.pending pid with
-          | Some m -> Some (pid, bit_of_msg m, prio_of_msg m)
-          | None -> None)
-        recv
-    in
+    (* The senders are exactly the receivers, ascending. *)
+    let senders = ref [] in
+    view.Sim.Adversary.iter_pending (fun pid m ->
+        senders := (pid, bit_of_msg m, prio_of_msg m) :: !senders);
+    let senders = List.rev !senders in
+    let q = List.length senders in
     let o = List.fold_left (fun acc (_, b, _) -> acc + b) 0 senders in
     let budget = view.Sim.Adversary.budget_left in
     let update_np kills =
@@ -666,13 +658,13 @@ let leader_killer ?(config = default_config) ~rules ~bit_of_msg ~prio_of_msg ()
                   if top_bit = 1 then target_ones else q - target_ones
                 in
                 let s_size = Stdlib.max 1 (Stdlib.min (q - 1) s_size) in
-                let shuffled = Array.of_list recv in
+                let shuffled =
+                  Array.of_list (List.map (fun (pid, _, _) -> pid) senders)
+                in
                 Prng.Sample.shuffle rng shuffled;
                 let s = Array.to_list (Array.sub shuffled 0 s_size) in
                 update_np (List.length victims);
-                List.map
-                  (fun pid -> Sim.Adversary.kill_after_send pid ~recipients:s)
-                  victims)
+                Sim.Adversary.kill_group victims ~recipients:s)
       end
     end
   in

@@ -68,7 +68,10 @@ val band_control :
     safe. Not safe for concurrent executions. A round it does not act on
     (idle, in-band) costs one walk of [view.iter_pending], at the
     engine's own granularity, and builds no pid list; a burst or endgame
-    stops its walk after its victims.
+    stops its walk after its victims. A trim or rescue reads its
+    receivers through that same walk, and its partial sends are one
+    {!Sim.Adversary.kill_group}: every delivering victim shares one
+    recipient list, which the engines walk once per round.
 
     [sink] (default {!Obs.Sink.null}) receives one {!Obs.Event.Band}
     event per activation, exposing the round's observed 1/0-sender
@@ -146,5 +149,6 @@ val leader_killer :
     leader coin is a one-round dictator game (Section 2), so O(1) kills per
     round control it completely — the protocol stalls for ~t/2 rounds,
     versus the Theta(sqrt(n log n)) per-round price of attacking the
-    paper's majority-style local coin. Stateful per run like
-    {!band_control}. *)
+    paper's majority-style local coin. Reads the senders through one walk
+    of [view.iter_pending] and kills the prefix as one
+    {!Sim.Adversary.kill_group}. Stateful per run like {!band_control}. *)

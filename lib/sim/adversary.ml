@@ -4,6 +4,22 @@ let kill_silent victim = { victim; deliver_to = [] }
 
 let kill_after_send victim ~recipients = { victim; deliver_to = recipients }
 
+let kill_group victims ~recipients =
+  List.map (fun victim -> { victim; deliver_to = recipients }) victims
+
+let fold_runs f acc kills =
+  let rec fold acc = function
+    | [] -> acc
+    | k :: rest as run ->
+        let rec length len = function
+          | k' :: tl when k'.deliver_to == k.deliver_to -> length (len + 1) tl
+          | tl -> (len, tl)
+        in
+        let len, rest = length 1 rest in
+        fold (f acc run len) rest
+  in
+  fold acc kills
+
 type ('state, 'msg) view = {
   round : int;
   n : int;

@@ -13,7 +13,8 @@ type kill = {
   deliver_to : int list;
       (** Recipients that still receive the victim's message this round.
           [[]] means the victim is silenced entirely. The victim itself
-          always "hears" its own value (it is dead anyway). *)
+          always "hears" its own value (it is dead anyway). Consecutive
+          kills may share one list ({!kill_group}). *)
 }
 
 val kill_silent : int -> kill
@@ -21,6 +22,35 @@ val kill_silent : int -> kill
 
 val kill_after_send : int -> recipients:int list -> kill
 (** Fail the process but let the listed recipients receive its message. *)
+
+val kill_group : int list -> recipients:int list -> kill list
+(** [kill_group victims ~recipients] fails every victim, in the given
+    order, and lets [recipients] receive each one's message: one kill per
+    victim, all sharing the one [recipients] list.
+
+    {b Grouping.} A {e group} is a maximal run of consecutive kills of a
+    plan whose [deliver_to] is the same non-empty list — the same physical
+    value ([==]), as [kill_group] builds. The engines walk a group's list
+    once per round, not once per victim: validation range-checks it once,
+    delivery partitions the receivers into classes by the set of groups
+    that name them and builds each class's accumulator once (the
+    survivors, then each group's victims absorbed a single time), and the
+    [Kill] events take its length once. A partial-delivery round then
+    costs O(n + kills + Σ_g |R_g| + classes × victims per group) instead of
+    O(n + Σ_kill |deliver_to|). The grouping cannot change any output: a
+    shared list names the same recipients for every victim, so a plan
+    whose lists are equal copies runs byte-identically, only at the
+    per-victim cost. Lists that are equal but not shared, a list reused
+    by non-consecutive kills, and one-victim runs stay legal and cost what
+    a per-victim list costs. *)
+
+val fold_runs : ('a -> kill list -> int -> 'a) -> 'a -> kill list -> 'a
+(** [fold_runs f init kills] folds [f] over the maximal runs of
+    consecutive kills whose [deliver_to] is the same list ([==]), in plan
+    order: [f acc run len], where [run] is the plan from the run's first
+    kill on and [len] is the run's length. Consecutive silent kills form
+    one run. A group is a run of two or more kills with a non-empty
+    list. *)
 
 type ('state, 'msg) view = {
   round : int;

@@ -65,18 +65,23 @@ type ('state, 'msg) aggregate =
       absorb : 'acc -> pid:int -> 'msg -> 'acc;
           (** Fold one delivered message in. MUST be commutative (and
               association-free): the engine's shared-broadcast fast path
-              absorbs a round's survivors once and replays per-receiver
-              partial deliveries on top, so the absorb order seen by a
-              receiver on a kill round differs from the ascending-sender
-              order of the legacy received array. Counting, max-by-key and
+              absorbs a round's survivors once and replays partial
+              deliveries on top (a group's victims once per class, then
+              each receiver's single-victim senders), so the absorb order
+              seen by a receiver on a kill round differs from the
+              ascending-sender order of the legacy received array.
+              Counting, max-by-key and
               boolean-or folds qualify; anything order- or
               grouping-sensitive does not. *)
       finish : 'state -> round:int -> 'acc -> 'state;
           (** Complete Phase B from the aggregate — the analogue of
               [phase_b], with the received array collapsed to ['acc].
-              On no-kill rounds the engine hands the {e same} accumulator
-              value to every receiver's [finish], so [finish] must treat
-              it as read-only. *)
+              The engine hands the {e same} accumulator value to many
+              receivers' [finish]: on no-kill rounds to every receiver, and
+              on kill rounds to every receiver of one class (the receivers
+              named by the same groups of {!Adversary.kill_group}, and no
+              single-victim list). So [finish] must treat it as read-only,
+              on kill rounds too. *)
       cohort : ('state, 'msg, 'acc) cohort option;
           (** Optional cohort operations sharing this aggregate's
               accumulator type; [None] keeps the protocol off the

@@ -193,12 +193,14 @@ let hostile_tests =
    itself and 2 (once): 2 deliveries. *)
 type heard = { pid : int; heard : int list list (* most recent first *) }
 
-let heard_protocol =
+(* [halts pid]: the process decides and halts after round 1. *)
+let heard_with ~halts =
+  let halted s = halts s.pid && s.heard <> [] in
   Sim.Protocol.with_aggregate ~name:"heard"
     ~init:(fun ~n:_ ~pid ~input:_ -> { pid; heard = [] })
     ~phase_a:(fun s _rng -> (s, s.pid))
-    ~decision:(fun s -> if s.pid = 4 && s.heard <> [] then Some 0 else None)
-    ~halted:(fun s -> s.pid = 4 && s.heard <> [])
+    ~decision:(fun s -> if halted s then Some 0 else None)
+    ~halted
     (Sim.Protocol.Aggregate
        {
          init = (fun () -> []);
@@ -206,6 +208,8 @@ let heard_protocol =
          finish = (fun s ~round:_ acc -> { s with heard = acc :: s.heard });
          cohort = None;
        })
+
+let heard_protocol = heard_with ~halts:(fun pid -> pid = 4)
 
 let test_hand_computed_deliveries () =
   let adversary =
@@ -280,6 +284,215 @@ let prop_synran_absorb_commutes =
              equality is exactly "same aggregate". *)
           sorted = shuffled)
 
+(* --- Shared versus copied recipient lists --------------------------- *)
+
+(* [copied adv] is [adv] with every [deliver_to] rebuilt as a fresh list:
+   each group (Sim.Adversary.kill_group) becomes per-victim kills with
+   equal lists, which the engines index victim by victim. The grouping
+   must not be observable: a run and its copied twin are compared on
+   outcome, trace, the full event stream (Kill events' order and
+   [delivered_to] included) and, where the engine exposes them, the final
+   states. *)
+let copied (adv : ('s, 'm) Sim.Adversary.t) =
+  {
+    adv with
+    Sim.Adversary.plan =
+      (fun view rng ->
+        List.map
+          (fun k ->
+            let fresh = List.map Fun.id k.Sim.Adversary.deliver_to in
+            { k with Sim.Adversary.deliver_to = fresh })
+          (adv.Sim.Adversary.plan view rng));
+  }
+
+let rec split_at k = function
+  | x :: rest when k > 0 ->
+      let a, b = split_at (k - 1) rest in
+      (x :: a, b)
+  | l -> ([], l)
+
+(* Plans that mix every grouping case: each round, active victims in
+   shuffled order, cut into runs of one to four; a run is silenced,
+   killed with a fresh list per victim, or a group sharing one list. A
+   group's list repeats pids and names its own victims and pids drawn
+   from all of [0, n) (dead, halted and this round's other victims
+   included), or is the last group's list again, so one list recurs
+   after other runs in between (or next to its first use, making one
+   longer run). *)
+let grouping () =
+  {
+    Sim.Adversary.name = "grouping";
+    plan =
+      (fun view rng ->
+        let n = view.Sim.Adversary.n in
+        let victims =
+          Sim.Adversary.active_pids view
+          |> List.filter (fun _ -> Prng.Rng.bernoulli rng 0.35)
+          |> List.filteri (fun i _ -> i < view.Sim.Adversary.budget_left)
+          |> Array.of_list
+        in
+        Prng.Sample.shuffle rng victims;
+        let drawn () =
+          List.init (Prng.Rng.int rng (2 * n)) (fun _ -> Prng.Rng.int rng n)
+        in
+        let rec runs last = function
+          | [] -> []
+          | vs ->
+              let run, rest = split_at (1 + Prng.Rng.int rng 4) vs in
+              let kills, last =
+                match Prng.Rng.int rng 4 with
+                | 0 -> (List.map Sim.Adversary.kill_silent run, last)
+                | 1 ->
+                    ( List.map
+                        (fun v ->
+                          Sim.Adversary.kill_after_send v ~recipients:(drawn ()))
+                        run,
+                      last )
+                | 2 when last <> [] ->
+                    (Sim.Adversary.kill_group run ~recipients:last, last)
+                | _ ->
+                    let shared = run @ drawn () @ List.rev run in
+                    (Sim.Adversary.kill_group run ~recipients:shared, shared)
+              in
+              kills @ runs last rest
+        in
+        runs [] (Array.to_list victims));
+  }
+
+(* [heard_protocol] with pids 3, 7, 11, ... halting after round 1, so
+   later lists name halted recipients; its states record every sender
+   each process heard, so a misdelivered message shows in them. *)
+let heard_n = heard_with ~halts:(fun pid -> pid mod 4 = 3)
+
+(* One run's observable result: its outcome, its event stream, and its
+   final states if the engine exposes them; or the [Invalid_kill]
+   message it raised. *)
+type 's observed =
+  | Ran of Sim.Engine.outcome * Obs.Event.t list * 's array option
+  | Refused of string
+
+let observe run =
+  let events = ref [] in
+  let sink = Obs.Sink.create (fun ev -> events := ev :: !events) in
+  match run sink with
+  | outcome, states -> Ran (outcome, List.rev !events, states)
+  | exception Sim.Engine.Invalid_kill msg -> Refused msg
+
+let same_observed a b =
+  match (a, b) with
+  | Ran (oa, ea, sa), Ran (ob, eb, sb) ->
+      outcomes_equal oa ob && ea = eb && sa = sb
+  | Refused ma, Refused mb -> String.equal ma mb
+  | Ran _, Refused _ | Refused _, Ran _ -> false
+
+let max_rounds = 40
+
+let on_engine p ~inputs ~t ~seed adversary sink =
+  let e =
+    Sim.Engine.start ~record_trace:true ~sink p ~inputs ~t
+      ~rng:(Prng.Rng.create seed)
+  in
+  Sim.Engine.run_until e adversary ~max_rounds;
+  (Sim.Engine.outcome e, Some (Sim.Engine.states e))
+
+let on_bitkernel p ~inputs ~t ~seed adversary sink =
+  ( Sim.Bitkernel.run ~record_trace:true ~sink ~max_rounds p adversary ~inputs
+      ~t ~rng:(Prng.Rng.create seed),
+    None )
+
+(* The concrete engine's aggregate path, its legacy exchange and, for a
+   register protocol, Bitkernel (whose kill rounds run the concrete
+   delivery code): on each, a run of [adversary] (built from the run's
+   sink: band control emits its Band events there) equals its copied
+   twin. *)
+let shared_vs_copied ~name ?(count = 20) ~protocol ~adversary ~n () =
+  QCheck.Test.make ~name ~count
+    QCheck.(pair small_int small_int)
+    (fun (seed, tsel) ->
+      let t = (n / 2) + (tsel mod (n / 2)) in
+      let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
+      let runs =
+        [ on_engine protocol; on_engine (Sim.Protocol.legacy protocol) ]
+        @
+        if Sim.Protocol.bitkernel_capable protocol then
+          [ on_bitkernel protocol ]
+        else []
+      in
+      List.for_all
+        (fun run ->
+          let observed wrap =
+            observe (fun sink ->
+                run ~inputs ~t ~seed (wrap (adversary sink)) sink)
+          in
+          same_observed (observed Fun.id) (observed copied))
+        runs)
+
+let shared_tests =
+  let rules = Core.Onesided.paper in
+  [
+    shared_vs_copied ~name:"synran n=40 vs grouping plans"
+      ~protocol:(Core.Synran.protocol 40)
+      ~adversary:(fun _ -> grouping ())
+      ~n:40 ();
+    shared_vs_copied ~name:"floodset n=40 vs grouping plans"
+      ~protocol:(Baselines.Floodset.protocol ~rounds:6 ())
+      ~adversary:(fun _ -> grouping ())
+      ~n:40 ();
+    shared_vs_copied ~name:"heard n=24 vs grouping plans" ~protocol:heard_n
+      ~adversary:(fun _ -> grouping ())
+      ~n:24 ();
+    shared_vs_copied ~count:10 ~name:"synran n=64 vs voting band control"
+      ~protocol:(Core.Synran.protocol 64)
+      ~adversary:(fun sink ->
+        Core.Lb_adversary.band_control ~config:Core.Lb_adversary.voting_config
+          ~sink ~rules ~bit_of_msg:Core.Synran.bit_of_msg ())
+      ~n:64 ();
+    shared_vs_copied ~count:10 ~name:"synran-leader n=64 vs leader-killer"
+      ~protocol:(Core.Synran.protocol ~coin:Core.Synran.Leader_priority 64)
+      ~adversary:(fun _ ->
+        Core.Lb_adversary.leader_killer ~rules
+          ~bit_of_msg:Core.Synran.bit_of_msg
+          ~prio_of_msg:Core.Synran.prio_of_msg ())
+      ~n:64 ();
+  ]
+
+(* An out-of-range recipient in a shared list is refused with the
+   message a per-victim list gets, on every engine, whoever's turn it is
+   to be checked: the group's later victims are not re-checked. *)
+let test_shared_out_of_range () =
+  let n = 12 in
+  let adversary =
+    {
+      Sim.Adversary.name = "out-of-range";
+      plan =
+        (fun view _ ->
+          if view.Sim.Adversary.round < 2 then []
+          else
+            Sim.Adversary.kill_after_send 1 ~recipients:[ 0; 2 ]
+            :: Sim.Adversary.kill_group [ 4; 3; 5 ]
+                 ~recipients:[ 0; 6; n + 3; 6 ]);
+    }
+  in
+  let inputs = Array.init n (fun i -> i land 1) in
+  let protocol = Core.Synran.protocol n in
+  List.iter
+    (fun (engine, run) ->
+      List.iter
+        (fun (plan, adversary) ->
+          match observe (run ~inputs ~t:(n - 1) ~seed:3 adversary) with
+          | Refused msg ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s, %s" engine plan)
+                (Printf.sprintf "recipient %d out of range" (n + 3))
+                msg
+          | Ran _ -> Alcotest.failf "%s, %s: plan accepted" engine plan)
+        [ ("shared", adversary); ("copied", copied adversary) ])
+    [
+      ("engine", on_engine protocol);
+      ("legacy", on_engine (Sim.Protocol.legacy protocol));
+      ("bitkernel", on_bitkernel protocol);
+    ]
+
 let suites =
   [
     ( "delivery.differential",
@@ -287,6 +500,10 @@ let suites =
     ( "delivery.hostile-plans",
       Alcotest.test_case "by hand: n=5 deliveries" `Quick test_hand_computed_deliveries
       :: List.map to_alcotest hostile_tests );
+    ( "delivery.shared-recipients",
+      Alcotest.test_case "out-of-range recipient in a shared list" `Quick
+        test_shared_out_of_range
+      :: List.map to_alcotest shared_tests );
     ( "delivery.algebra",
       List.map to_alcotest [ prop_synran_absorb_commutes ]
     );
