@@ -11,10 +11,12 @@
    null adversary, the legacy exchange at n = 1024
    under voting band control, the engines at n = 8192 under band
    control, bitkernel against concrete at n = 2048 and n = 8192 under
-   voting band control, and shared recipient lists against copied ones at
-   n = 2048, where the differential suites do not reach. A coin-game leg
-   plays E1's counting games at n = 1024 through the hide cursor's tally
-   and through the same games rebuilt from their [eval] alone.
+   voting band control, shared recipient lists against copied ones at
+   n = 2048, and per-victim recipient lists on concrete, legacy and
+   bitkernel at n = 2048, where the differential suites do not reach. A
+   coin-game leg plays E1's counting games at n = 1024 through the hide
+   cursor's tally and through the same games rebuilt from their [eval]
+   alone.
 
    Also smoke-validates the observability layer: one captured band-control
    workload at --jobs 1 vs --jobs 3 must produce byte-identical metrics
@@ -257,7 +259,9 @@ let bitkernel_smoke () =
    digest for two SynRan trials at n = 8192, and under voting band control
    bitkernel must match concrete for two trials at n = 2048 and at
    n = 8192. One voting trial at n = 2048 must not change when every
-   recipient list is copied per victim.
+   recipient list is copied per victim, and one SynRan trial at n = 2048
+   under per-victim random-partial must agree on concrete, the legacy
+   exchange and bitkernel.
    No timing: speed is the benchmark's business (perf/). *)
 let large_n_smoke () =
   let inputs_for n i = Prng.Sample.random_bits (Prng.Rng.create (42 + i)) n in
@@ -426,8 +430,8 @@ let large_n_smoke () =
   (* Both engines run a partial-delivery round through the same grouped
      delivery code, so a wrong class tally would agree with itself above.
      Here the same trial runs with every recipient list rebuilt as a fresh
-     copy, which the engine indexes victim by victim: outcomes, trace and
-     event stream must not tell the two apart. *)
+     copy, which the engine takes as one-victim groups: outcomes, trace
+     and event stream must not tell the two apart. *)
   let n = 2048 in
   let t = n - 1 in
   let synran = Core.Synran.protocol ~rules n in
@@ -454,11 +458,38 @@ let large_n_smoke () =
     (Printf.sprintf
        "synran n=%d vs voting band control: shared lists = copied lists" n)
     (outcomes_equal shared per_victim && ms = mp && rs = rp);
+  (* Per-victim lists at the class trie's deepest shape: random-partial
+     gives each of ~40 victims a round its own half of the active pids, so
+     most receivers end in a class of their own, chains run deep and the
+     class arrays grow. The legacy exchange reads each kill's list on its
+     own, and Bitkernel's kill rounds run the concrete delivery code. *)
+  let synran = Core.Synran.protocol n in
+  let inputs = inputs_for n 1 and t = n / 2 in
+  let partial () = Baselines.Adversaries.random_partial ~p:0.02 in
+  let on_engine p =
+    observed (fun sink ->
+        Sim.Engine.run ~record_trace:true ~sink ~max_rounds:2000 p (partial ())
+          ~inputs ~t ~rng:(rng_of 1))
+  in
+  let concrete, mc, rc = on_engine synran in
+  List.iter
+    (fun (what, (o, m, r)) ->
+      check
+        (Printf.sprintf "synran n=%d vs per-victim random-partial: %s" n what)
+        (outcomes_equal concrete o && m = mc && r = rc))
+    [
+      ("legacy = fast", on_engine (Sim.Protocol.legacy synran));
+      ( "bitkernel = concrete",
+        observed (fun sink ->
+            Sim.Bitkernel.run ~record_trace:true ~sink ~max_rounds:2000 synran
+              (partial ()) ~inputs ~t ~rng:(rng_of 1)) );
+    ];
   print_endline
     "bench-smoke: engines agree at n=4096 (leader coin too), under band \
      control at n=8192 and under voting band control at n=2048 and n=8192, \
      shared recipient lists = copied at n=2048, legacy = fast at n=1024 \
-     (null and voting band control)"
+     (null and voting band control), per-victim lists agree on three \
+     engines at n=2048"
 
 (* Coin-game replay at n = 1024, the full profile's largest E1 size: the
    four counting games under E1's strategy, budgets and targets, 8 trials

@@ -7,18 +7,15 @@ let kill_after_send victim ~recipients = { victim; deliver_to = recipients }
 let kill_group victims ~recipients =
   List.map (fun victim -> { victim; deliver_to = recipients }) victims
 
-let fold_runs f acc kills =
-  let rec fold acc = function
-    | [] -> acc
-    | k :: rest as run ->
-        let rec length len = function
-          | k' :: tl when k'.deliver_to == k.deliver_to -> length (len + 1) tl
-          | tl -> (len, tl)
-        in
-        let len, rest = length 1 rest in
-        fold (f acc run len) rest
-  in
-  fold acc kills
+(* [run] starts a run of [len] kills so far, all with list [d]. *)
+let rec fold_from f acc run d len = function
+  | k :: rest when k.deliver_to == d -> fold_from f acc run d (len + 1) rest
+  | [] -> f acc run len
+  | k :: rest as next -> fold_from f (f acc run len) next k.deliver_to 1 rest
+
+let fold_runs f acc = function
+  | [] -> acc
+  | k :: rest as run -> fold_from f acc run k.deliver_to 1 rest
 
 type ('state, 'msg) view = {
   round : int;

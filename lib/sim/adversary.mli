@@ -30,27 +30,31 @@ val kill_group : int list -> recipients:int list -> kill list
 
     {b Grouping.} A {e group} is a maximal run of consecutive kills of a
     plan whose [deliver_to] is the same non-empty list — the same physical
-    value ([==]), as [kill_group] builds. The engines walk a group's list
-    once per round, not once per victim: validation range-checks it once,
-    delivery partitions the receivers into classes by the set of groups
-    that name them and builds each class's accumulator once (the
-    survivors, then each group's victims absorbed a single time), and the
-    [Kill] events take its length once. A partial-delivery round then
-    costs O(n + kills + Σ_g |R_g| + classes × victims per group) instead of
-    O(n + Σ_kill |deliver_to|). The grouping cannot change any output: a
-    shared list names the same recipients for every victim, so a plan
-    whose lists are equal copies runs byte-identically, only at the
-    per-victim cost. Lists that are equal but not shared, a list reused
-    by non-consecutive kills, and one-victim runs stay legal and cost what
-    a per-victim list costs. *)
+    value ([==]), as [kill_group] builds; a one-victim run is a group too.
+    The engines walk a group's list once per round, not once per victim:
+    validation range-checks it once, delivery partitions the receivers
+    into classes by the set of groups that name them and builds each
+    class's accumulator once (the survivors, then each group's victims
+    absorbed a single time), and the [Kill] events take its length once.
+    A partial-delivery round costs O(n + kills + Σ_g |R_g| + Σ_classes
+    |V_g|), where a class's [V_g] is the victims of the group that made
+    it. The grouping cannot change any output: a shared list names the
+    same recipients for every victim, so a plan whose lists are equal
+    copies runs byte-identically, as one-victim groups. Per-victim lists
+    are the costly shape: most receivers then end in a class of their
+    own, so the classes, and their accumulators kept for the round, grow
+    towards Σ_kill |deliver_to|. Lists that are equal but not shared and
+    a list reused by non-consecutive kills stay legal and form separate
+    groups. *)
 
 val fold_runs : ('a -> kill list -> int -> 'a) -> 'a -> kill list -> 'a
 (** [fold_runs f init kills] folds [f] over the maximal runs of
     consecutive kills whose [deliver_to] is the same list ([==]), in plan
     order: [f acc run len], where [run] is the plan from the run's first
     kill on and [len] is the run's length. Consecutive silent kills form
-    one run. A group is a run of two or more kills with a non-empty
-    list. *)
+    one run. A group is a run with a non-empty list, whatever its length.
+    Every layer that works per group takes its runs from here. Only [f]
+    allocates. *)
 
 type ('state, 'msg) view = {
   round : int;

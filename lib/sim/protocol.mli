@@ -66,10 +66,10 @@ type ('state, 'msg) aggregate =
           (** Fold one delivered message in. MUST be commutative (and
               association-free): the engine's shared-broadcast fast path
               absorbs a round's survivors once and replays partial
-              deliveries on top (a group's victims once per class, then
-              each receiver's single-victim senders), so the absorb order
-              seen by a receiver on a kill round differs from the
-              ascending-sender order of the legacy received array.
+              deliveries on top (each group's victims once per class, in
+              plan order), so the absorb order seen by a receiver on a
+              kill round differs from the ascending-sender order of the
+              legacy received array.
               Counting, max-by-key and
               boolean-or folds qualify; anything order- or
               grouping-sensitive does not. *)
@@ -79,9 +79,8 @@ type ('state, 'msg) aggregate =
               The engine hands the {e same} accumulator value to many
               receivers' [finish]: on no-kill rounds to every receiver, and
               on kill rounds to every receiver of one class (the receivers
-              named by the same groups of {!Adversary.kill_group}, and no
-              single-victim list). So [finish] must treat it as read-only,
-              on kill rounds too. *)
+              named by the same groups, {!Adversary.kill_group}). So
+              [finish] must treat it as read-only, on kill rounds too. *)
       cohort : ('state, 'msg, 'acc) cohort option;
           (** Optional cohort operations sharing this aggregate's
               accumulator type; [None] keeps the protocol off the

@@ -120,35 +120,42 @@ let view v ~round = { v.vtmpl with round; budget_left = budget_left v.vlg }
 
 let invalid_kill fmt = Printf.ksprintf (fun s -> raise (Invalid_kill s)) fmt
 
+(* [f] over the first [len] kills of [run]: one run of
+   Adversary.fold_runs. *)
+let rec iter_run f len = function
+  | k :: rest when len > 0 ->
+      f k;
+      iter_run f (len - 1) rest
+  | _ -> ()
+
 (* An empty plan is vacuously valid, and checking it allocates nothing:
-   most rounds plan no kill. A group's shared list (Adversary.kill_group)
-   is range-checked with its first victim only: the later ones name the
-   same recipients, so no check and no exception can differ. *)
+   most rounds plan no kill. A run's list is range-checked with its first
+   victim only: the later ones name the same recipients, so no check and
+   no exception can differ. *)
 let validate_kills lg = function
   | [] -> 0
   | kills ->
       let round = lg.round + 1 in
       if Array.length lg.stamp < lg.n then lg.stamp <- Array.make lg.n 0;
       let stamp = lg.stamp in
-      let rec check count prev = function
-        | [] -> count
-        | { Adversary.victim; deliver_to } :: rest ->
-            if victim < 0 || victim >= lg.n then
-              invalid_kill "victim %d out of range" victim;
-            if not (active_at lg victim) then
-              invalid_kill "victim %d is not active" victim;
-            if stamp.(victim) = round then
-              invalid_kill "victim %d named twice" victim;
-            stamp.(victim) <- round;
-            if deliver_to != prev then
-              List.iter
-                (fun r ->
-                  if r < 0 || r >= lg.n then
-                    invalid_kill "recipient %d out of range" r)
-                deliver_to;
-            check (count + 1) deliver_to rest
+      let check { Adversary.victim; _ } =
+        if victim < 0 || victim >= lg.n then
+          invalid_kill "victim %d out of range" victim;
+        if not (active_at lg victim) then
+          invalid_kill "victim %d is not active" victim;
+        if stamp.(victim) = round then
+          invalid_kill "victim %d named twice" victim;
+        stamp.(victim) <- round
+      and recipient r =
+        if r < 0 || r >= lg.n then invalid_kill "recipient %d out of range" r
       in
-      let count = check 0 [] kills in
+      Adversary.fold_runs
+        (fun () run len ->
+          check (List.hd run);
+          List.iter recipient (List.hd run).Adversary.deliver_to;
+          iter_run check (len - 1) (List.tl run))
+        () kills;
+      let count = List.length kills in
       if count > budget_left lg then
         raise
           (Budget_exceeded
@@ -186,21 +193,21 @@ let halted_undecided j = decision_changed "process %d halted without deciding" j
 
 let apply_kills lg ~round kills =
   let emit_on = Obs.Sink.enabled lg.sink in
-  (* A group's shared list is measured once: [len] is [prev]'s length. *)
-  let rec close prev len = function
-    | [] -> ()
-    | { Adversary.victim; deliver_to } :: rest ->
-        lg.alive.(victim) <- false;
-        let len =
-          if emit_on && deliver_to != prev then List.length deliver_to else len
-        in
-        if emit_on then
-          Obs.Sink.emit lg.sink
-            (Obs.Event.Kill
-               { engine = Obs.Event.Sync; round; victim; delivered_to = len });
-        close deliver_to len rest
-  in
-  close [] 0 kills;
+  (* A run's list is measured once, for all of its victims. *)
+  Adversary.fold_runs
+    (fun () run len ->
+      let delivered_to =
+        if emit_on then List.length (List.hd run).Adversary.deliver_to else 0
+      in
+      iter_run
+        (fun { Adversary.victim; _ } ->
+          lg.alive.(victim) <- false;
+          if emit_on then
+            Obs.Sink.emit lg.sink
+              (Obs.Event.Kill
+                 { engine = Obs.Event.Sync; round; victim; delivered_to }))
+        len run)
+    () kills;
   lg.kills_used <- lg.kills_used + List.length kills;
   lg.round <- round
 
@@ -269,20 +276,14 @@ let iter_staged pending f =
     match pending.(i) with None -> () | Some m -> f i m
   done
 
-(* Kill-round delivery scratch. Each part is allocated by the first kill
-   round that needs it and grown on demand, so rounds without kills never
-   touch it; contents are dead between rounds. *)
+(* Kill-round delivery scratch: the receiver-class trie. It is allocated
+   by the first kill round that needs it and grown on demand, so rounds
+   without kills never touch it; contents are dead between rounds.
+   Receiver j is in class [cls.(j)]. Class 0 is named by no group; class
+   k > 0 is class [cparent.(k)] plus group [cgroup.(k)], so a parent is
+   numbered before its children. [cchild.(c)] is class c plus group
+   [cstamp.(c)], once made. *)
 type delivery = {
-  (* The per-victim index: receiver j's killed senders whose message still
-     reaches it, as a list threaded from [head.(j)] through [src]/[next]
-     (-1 ends it), in descending sender pid. *)
-  mutable head : int array;
-  mutable src : int array;
-  mutable next : int array;
-  (* The grouped index: receiver j is in class [cls.(j)]. Class 0 is named
-     by no group; class k > 0 is class [cparent.(k)] plus group
-     [cgroup.(k)], so a parent is numbered before its children.
-     [cchild.(c)] is class c plus group [cstamp.(c)], once made. *)
   mutable cls : int array;
   mutable cparent : int array;
   mutable cgroup : int array;
@@ -313,9 +314,6 @@ let scalar_of protocol lg states =
     killed = Array.make lg.n false;
     dv =
       {
-        head = [||];
-        src = [||];
-        next = [||];
         cls = [||];
         cparent = [||];
         cgroup = [||];
@@ -354,65 +352,25 @@ let room a i =
     b
   end
 
-(* Build the per-victim index in one walk over the kills' [deliver_to]
-   lists: O(n + sum of |deliver_to|). Victims are taken in ascending pid
-   and each entry is pushed on the front of its receiver's list, so every
-   list reads in descending sender pid. Only receivers are indexed: a
-   recipient that is dead, halted or killed this round (the victim itself
-   included) is skipped, so [killed] must be set first. While one victim
-   is indexed, its earlier entry for a recipient is that recipient's head,
-   so a recipient named twice by one victim is indexed once. *)
-let index_partial_sends e kills =
-  let lg = e.lg and d = e.dv in
-  let n = lg.n in
-  if Array.length d.head < n then d.head <- Array.make n (-1)
-  else Array.fill d.head 0 n (-1);
-  let head = d.head in
-  let len = ref 0 in
-  let push r victim =
-    if !len = Array.length d.src then begin
-      d.src <- room d.src !len;
-      d.next <- room d.next !len
-    end;
-    d.src.(!len) <- victim;
-    d.next.(!len) <- head.(r);
-    head.(r) <- !len;
-    incr len
-  in
-  List.iter
-    (fun { Adversary.victim; deliver_to } ->
-      List.iter
-        (fun r ->
-          if active_at lg r && not e.killed.(r) then begin
-            let h = head.(r) in
-            if h < 0 || d.src.(h) <> victim then push r victim
-          end)
-        deliver_to)
-    (List.sort
-       (fun a b -> Int.compare a.Adversary.victim b.Adversary.victim)
-       kills)
-
-(* The plan's groups (Adversary.kill_group), as (run, length) in plan
-   order, and every other kill that delivers to anyone. *)
-let split_groups kills =
-  let groups, singles =
-    Adversary.fold_runs
-      (fun ((groups, singles) as acc) run len ->
-        match run with
-        | { Adversary.deliver_to = []; _ } :: _ | [] -> acc
-        | k :: _ ->
-            if len = 1 then (groups, k :: singles)
-            else ((run, len) :: groups, singles))
-      ([], []) kills
-  in
-  (Array.of_list (List.rev groups), singles)
+(* The plan's groups: its runs of kills that deliver to anyone
+   (Adversary.fold_runs), one-victim runs included, as (run, length) in
+   plan order. *)
+let groups kills =
+  Adversary.fold_runs
+    (fun acc run len ->
+      match run with
+      | { Adversary.deliver_to = _ :: _; _ } :: _ -> (run, len) :: acc
+      | _ -> acc)
+    [] kills
+  |> List.rev |> Array.of_list
 
 (* Put every receiver in the class of the groups that name it, with one
    walk over each group's list: O(n + sum of |R_g|), and one new class per
    distinct class a group's receivers come from. A recipient that is not a
-   receiver is skipped, as by the per-victim index ([killed] must be set
-   first), and one a group names twice joins it once: by then its class
-   is one the group made. Returns the number of classes. *)
+   receiver (dead, halted or killed this round, the victim itself
+   included) is skipped, so [killed] must be set first, and one a group
+   names twice joins it once: by then its class is one the group made.
+   Returns the number of classes. *)
 let classify e groups =
   let lg = e.lg and d = e.dv in
   let n = lg.n in
@@ -461,8 +419,7 @@ let phase_b e kills ~round =
   List.iter (fun k -> killed.(k.Adversary.victim) <- true) kills;
   (* Message exchange: receiver j (never a victim) gets sender i's message
      iff i was active and either survived, or was killed but the adversary
-     let the i->j message through: i is on j's index list, or i's group
-     names j. *)
+     let the i->j message through: i's [deliver_to] names j. *)
   let delivered = ref 0 in
   let newly_decided = ref 0 in
   let newly_halted = ref 0 in
@@ -504,11 +461,10 @@ let phase_b e kills ~round =
   | Some (Protocol.Aggregate a) ->
       (* Kill round: fold the surviving senders once. Every class of
          receivers (see [classify]) shares one accumulator: its parent's,
-         with its group's victims absorbed on top, once. Each receiver then
-         absorbs its indexed single-victim senders, in descending pid.
-         Sound because [absorb] is commutative (Protocol contract): a
-         receiver's extras land after the survivors, group by group,
-         instead of interleaved by sender id. *)
+         with its group's victims absorbed on top, once. Sound because
+         [absorb] is commutative (Protocol contract): a receiver's extras
+         land after the survivors, group by group, instead of interleaved
+         by sender id. *)
       let base = ref (a.init ()) in
       let nsurvivors = ref 0 in
       for i = 0 to n - 1 do
@@ -518,74 +474,53 @@ let phase_b e kills ~round =
             incr nsurvivors
         | _ -> ()
       done;
-      let groups, singles = split_groups kills in
+      let groups = groups kills in
       let nclasses = if Array.length groups = 0 then 1 else classify e groups in
-      if singles <> [] then index_partial_sends e singles;
       let d = e.dv in
       (* Each class's accumulator, and the messages its groups deliver. *)
       let accs = Array.make nclasses !base and extra = Array.make nclasses 0 in
-      (* The first [left] victims of a run, absorbed and counted. *)
-      let rec absorb_run acc count left = function
-        | { Adversary.victim; _ } :: rest when left > 0 -> (
-            match pending.(victim) with
-            | Some m ->
-                let acc = a.absorb acc ~pid:victim m in
-                absorb_run acc (count + 1) (left - 1) rest
-            | None -> absorb_run acc count (left - 1) rest)
-        | _ -> (acc, count)
-      in
       for k = 1 to nclasses - 1 do
         let parent = d.cparent.(k) in
         let run, len = groups.(d.cgroup.(k) - 1) in
-        let acc, count = absorb_run accs.(parent) 0 len run in
-        accs.(k) <- acc;
-        extra.(k) <- extra.(parent) + count
+        let acc = ref accs.(parent) and count = ref extra.(parent) in
+        iter_run
+          (fun { Adversary.victim; _ } ->
+            match pending.(victim) with
+            | Some m ->
+                acc := a.absorb !acc ~pid:victim m;
+                incr count
+            | None -> ())
+          len run;
+        accs.(k) <- !acc;
+        extra.(k) <- !count
       done;
-      let head = d.head and src = d.src and next = d.next in
       for j = 0 to n - 1 do
         if active_at lg j && not killed.(j) then begin
           let c = if nclasses = 1 then 0 else d.cls.(j) in
-          let acc = ref accs.(c) in
-          let cur = ref (if singles = [] then -1 else head.(j)) in
-          while !cur >= 0 do
-            let i = src.(!cur) in
-            (match pending.(i) with
-            | Some m ->
-                acc := a.absorb !acc ~pid:i m;
-                incr delivered
-            | None -> ());
-            cur := next.(!cur)
-          done;
           delivered := !delivered + !nsurvivors + extra.(c);
-          commit j (a.finish e.states.(j) ~round !acc)
+          commit j (a.finish e.states.(j) ~round accs.(c))
         end
       done
   | None ->
       (* Legacy exchange: materialize each receiver's (sender, msg) array.
-         [c] walks j's index list in step with the descending sender
-         loop. *)
-      if kills <> [] then index_partial_sends e kills;
-      let d = e.dv in
+         It reads each kill's own list, with no notion of groups:
+         [from.(j)] holds the victims that name receiver j, and
+         [mark.(i) = j] while j is served iff victim i is one of them. *)
+      let from = Array.make n [] and mark = Array.make n (-1) in
+      List.iter
+        (fun { Adversary.victim; deliver_to } ->
+          List.iter (fun r -> from.(r) <- victim :: from.(r)) deliver_to)
+        kills;
       for j = 0 to n - 1 do
         if active_at lg j && not killed.(j) then begin
+          List.iter (fun i -> mark.(i) <- j) from.(j);
           let received = ref [] in
-          let c = ref (if kills = [] then -1 else d.head.(j)) in
           for i = n - 1 downto 0 do
             match pending.(i) with
-            | None -> ()
-            | Some msg ->
-                let gets_it =
-                  if not killed.(i) then true
-                  else if !c >= 0 && d.src.(!c) = i then begin
-                    c := d.next.(!c);
-                    true
-                  end
-                  else false
-                in
-                if gets_it then begin
-                  received := (i, msg) :: !received;
-                  incr delivered
-                end
+            | Some msg when (not killed.(i)) || mark.(i) = j ->
+                received := (i, msg) :: !received;
+                incr delivered
+            | _ -> ()
           done;
           commit j
             (e.protocol.Protocol.phase_b e.states.(j) ~round

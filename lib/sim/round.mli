@@ -91,10 +91,10 @@ val validate_kills : 'msg ledger -> Adversary.kill list -> int
 (** Check a plan against the model before any of it applies: victims in
     range, active and named once, recipients in range ({!Invalid_kill}),
     and at most the remaining budget ({!Budget_exceeded}). Returns the
-    number of victims and stamps each one for {!is_victim}; O(plan), with
-    no allocation after the first kill round. A group's shared list
-    ({!Adversary.kill_group}) is checked once, with its first victim: a
-    group costs one walk of its list. *)
+    number of victims and stamps each one for {!is_victim}; O(plan), and
+    an empty plan allocates nothing. Each run of {!Adversary.fold_runs}
+    has its list checked once, with its first victim: a group
+    ({!Adversary.kill_group}) costs one walk of its list. *)
 
 val is_victim : 'msg ledger -> int -> bool
 (** Whether the pid is a victim of the plan {!validate_kills} accepted for
@@ -126,8 +126,8 @@ val halted_undecided : int -> 'a
 val apply_kills : 'msg ledger -> round:int -> Adversary.kill list -> unit
 (** Close round [round]: the victims die, one [Kill] event each in plan
     order (after the round's [Decision] events), the budget is charged and
-    the round counter advances. A group's shared list is measured once for
-    its victims' [delivered_to]. *)
+    the round counter advances. Each run's list ({!Adversary.fold_runs})
+    is measured once for its victims' [delivered_to]. *)
 
 val emit_round :
   'msg ledger ->
@@ -154,8 +154,8 @@ val final_outcome : 'msg ledger -> quiescent:bool -> outcome
 (** {2 Engine's scalar execution} *)
 
 type delivery
-(** Kill-round delivery scratch: the per-victim index and the grouped
-    index of receiver classes (DESIGN §5b), reused across rounds. *)
+(** Kill-round delivery scratch: the trie of receiver classes (DESIGN
+    §5b), reused across rounds. *)
 
 type ('state, 'msg) scalar = {
   protocol : ('state, 'msg) Protocol.t;
@@ -196,7 +196,9 @@ val phase_b : ('state, 'msg) scalar -> Adversary.kill list -> round:int -> unit
 (** Deliver the staged broadcasts under a validated plan (the aggregate
     paths of DESIGN §5b, or the legacy materialized exchange), commit
     every receiver under the decision discipline, apply the kills and
-    emit the round's events. On the aggregate kill path every class of
-    receivers named by the same groups shares one accumulator, built once
-    per round, and [finish] reads it for each member; the legacy exchange
-    indexes every victim's list. *)
+    emit the round's events. On the aggregate kill path every run of
+    kills with a non-empty list is a group, one-victim runs included;
+    every class of receivers named by the same groups shares one
+    accumulator, built once per round, and [finish] reads it for each
+    member. The legacy exchange reads each kill's own list, with no notion
+    of groups, so it checks the grouping. *)

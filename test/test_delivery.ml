@@ -288,7 +288,7 @@ let prop_synran_absorb_commutes =
 
 (* [copied adv] is [adv] with every [deliver_to] rebuilt as a fresh list:
    each group (Sim.Adversary.kill_group) becomes per-victim kills with
-   equal lists, which the engines index victim by victim. The grouping
+   equal lists, which the engines take as one-victim groups. The grouping
    must not be observable: a run and its copied twin are compared on
    outcome, trace, the full event stream (Kill events' order and
    [delivered_to] included) and, where the engine exposes them, the final
