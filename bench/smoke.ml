@@ -39,18 +39,26 @@ let outcomes_equal (a : Sim.Engine.outcome) (b : Sim.Engine.outcome) =
   && a.halted = b.halted
   && a.kills_used = b.kills_used
   && a.quiescent = b.quiescent
-  && Option.map Sim.Trace.records a.trace = Option.map Sim.Trace.records b.trace
+
+(* [run sink] with a fresh trace teed into [sink]: the outcome and the
+   trace's round records. *)
+let traced ?(sink = Obs.Sink.null) run =
+  let tr = Sim.Trace.create () in
+  let o = run (Obs.Sink.tee (Sim.Trace.sink tr) sink) in
+  (o, Sim.Trace.records tr)
+
+let traced_equal (a, ra) (b, rb) = outcomes_equal a b && ra = rb
 
 let compare_runs name protocol adversary ~n ~t ~seed =
   let run p adv =
     let rng = Prng.Rng.create seed in
     let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
-    Sim.Engine.run ~record_trace:true ~max_rounds:2000 p (adv ()) ~inputs ~t
-      ~rng
+    traced (fun sink ->
+        Sim.Engine.run ~sink ~max_rounds:2000 p (adv ()) ~inputs ~t ~rng)
   in
   let fast = run protocol adversary in
   let legacy = run (Sim.Protocol.legacy protocol) adversary in
-  check name (outcomes_equal fast legacy)
+  check name (traced_equal fast legacy)
 
 let obs_smoke () =
   let n = 32 and trials = 40 and seed = 7 in
@@ -95,9 +103,9 @@ let obs_smoke () =
   print_endline
     "bench-smoke: obs capture identical at jobs 1 and 3 -> results/metrics.json"
 
-(* Run one engine invocation under a fresh metrics registry + recorder;
-   returns the outcome with both digests, so engine comparisons cover the
-   full observability stream, not just outcomes. *)
+(* Run one engine invocation under a fresh metrics registry, recorder and
+   trace; returns the traced outcome with both digests, so engine
+   comparisons cover the full observability stream, not just outcomes. *)
 let observed run =
   let m = Obs.Metrics.create () and rc = Obs.Recorder.create () in
   let sink =
@@ -105,7 +113,7 @@ let observed run =
         Obs.Metrics.absorb_event m ev;
         Obs.Recorder.push rc ev)
   in
-  let o = run sink in
+  let o = traced ~sink run in
   (o, Obs.Metrics.digest m, Obs.Recorder.digest rc)
 
 (* Cohort-vs-concrete replay: the compressed engine must be byte-identical
@@ -117,17 +125,17 @@ let cohort_compare name protocol ?observer adversary cohort_adversary ~n ~t
   let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
   let o1, m1, r1 =
     observed (fun sink ->
-        Sim.Engine.run ~record_trace:true ?observer ~sink ~max_rounds:2000
+        Sim.Engine.run ?observer ~sink ~max_rounds:2000
           protocol (adversary ()) ~inputs ~t
           ~rng:(Prng.Rng.create seed))
   in
   let o2, m2, r2 =
     observed (fun sink ->
-        Sim.Cohort.run ~record_trace:true ?observer ~sink ~max_rounds:2000
+        Sim.Cohort.run ?observer ~sink ~max_rounds:2000
           protocol (cohort_adversary ()) ~inputs ~t
           ~rng:(Prng.Rng.create seed))
   in
-  check (name ^ ": outcome+trace") (outcomes_equal o1 o2);
+  check (name ^ ": outcome+trace") (traced_equal o1 o2);
   check (name ^ ": metrics digest") (m1 = m2);
   check (name ^ ": event-stream digest") (r1 = r2)
 
@@ -171,17 +179,17 @@ let bitkernel_compare name protocol ?observer adversary ~n ~t ~seed =
   let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
   let o1, m1, r1 =
     observed (fun sink ->
-        Sim.Engine.run ~record_trace:true ?observer ~sink ~max_rounds:2000
+        Sim.Engine.run ?observer ~sink ~max_rounds:2000
           protocol (adversary ()) ~inputs ~t
           ~rng:(Prng.Rng.create seed))
   in
   let o2, m2, r2 =
     observed (fun sink ->
-        Sim.Bitkernel.run ~record_trace:true ?observer ~sink ~max_rounds:2000
+        Sim.Bitkernel.run ?observer ~sink ~max_rounds:2000
           protocol (adversary ()) ~inputs ~t
           ~rng:(Prng.Rng.create seed))
   in
-  check (name ^ ": outcome+trace") (outcomes_equal o1 o2);
+  check (name ^ ": outcome+trace") (traced_equal o1 o2);
   check (name ^ ": metrics digest") (m1 = m2);
   check (name ^ ": event-stream digest") (r1 = r2)
 
@@ -311,7 +319,7 @@ let large_n_smoke () =
     in
     check
       (Printf.sprintf "synran leader n=%d trial %d: bitkernel = concrete" n i)
-      (outcomes_equal concrete bit && mb = mc)
+      (traced_equal concrete bit && mb = mc)
   done;
   let n = 1024 in
   let p = Core.Synran.protocol n in
@@ -328,14 +336,16 @@ let large_n_smoke () =
   let rules = Core.Onesided.paper in
   let p = Core.Synran.protocol ~rules n in
   let run_band p =
-    Sim.Engine.run ~record_trace:true ~max_rounds:2000 p
-      (Core.Lb_adversary.band_control ~config:Core.Lb_adversary.voting_config
-         ~rules ~bit_of_msg:Core.Synran.bit_of_msg ())
-      ~inputs:(inputs_for n 1) ~t:(n - 1) ~rng:(rng_of 1)
+    traced (fun sink ->
+        Sim.Engine.run ~sink ~max_rounds:2000 p
+          (Core.Lb_adversary.band_control
+             ~config:Core.Lb_adversary.voting_config ~rules
+             ~bit_of_msg:Core.Synran.bit_of_msg ())
+          ~inputs:(inputs_for n 1) ~t:(n - 1) ~rng:(rng_of 1))
   in
   check
     (Printf.sprintf "synran n=%d vs voting band control: fast path = legacy" n)
-    (outcomes_equal (run_band p) (run_band (Sim.Protocol.legacy p)));
+    (traced_equal (run_band p) (run_band (Sim.Protocol.legacy p)));
   (* Band control at n = 8192: kill rounds with partial deliveries, which
      every engine runs through the shared round rules and bitkernel runs
      through Engine's own delivery code (its silent bursts stay packed).
@@ -368,8 +378,8 @@ let large_n_smoke () =
     let what engine =
       Printf.sprintf "synran n=%d vs band-control trial %d: %s" n i engine
     in
-    check (what "bitkernel = concrete") (outcomes_equal concrete bit && mb = mc);
-    check (what "cohort = concrete") (outcomes_equal concrete cohort && mco = mc)
+    check (what "bitkernel = concrete") (traced_equal concrete bit && mb = mc);
+    check (what "cohort = concrete") (traced_equal concrete cohort && mco = mc)
   done;
   (* Voting band control on bitkernel at n = 2048. The default config
      above only bursts or idles at scale, so this is the leg where the
@@ -401,7 +411,7 @@ let large_n_smoke () =
       (Printf.sprintf
          "synran n=%d vs voting band control trial %d: bitkernel = concrete" n
          i)
-      (outcomes_equal concrete bit && mb = mc && rb = rc)
+      (traced_equal concrete bit && mb = mc && rb = rc)
   done;
   (* Voting band control at n = 8192: every trim and rescue kills a group
      sharing one recipient list, which the delivery code walks once per
@@ -425,7 +435,7 @@ let large_n_smoke () =
       (Printf.sprintf
          "synran n=%d vs voting band control trial %d: bitkernel = concrete" n
          i)
-      (outcomes_equal concrete bit && mb = mc && rb = rc)
+      (traced_equal concrete bit && mb = mc && rb = rc)
   done;
   (* Both engines run a partial-delivery round through the same grouped
      delivery code, so a wrong class tally would agree with itself above.
@@ -449,7 +459,7 @@ let large_n_smoke () =
   in
   let run wrap =
     observed (fun sink ->
-        Sim.Engine.run ~record_trace:true ~sink ~max_rounds:2000 synran
+        Sim.Engine.run ~sink ~max_rounds:2000 synran
           (wrap (voting ()))
           ~inputs:(inputs_for n 1) ~t ~rng:(rng_of 1))
   in
@@ -457,7 +467,7 @@ let large_n_smoke () =
   check
     (Printf.sprintf
        "synran n=%d vs voting band control: shared lists = copied lists" n)
-    (outcomes_equal shared per_victim && ms = mp && rs = rp);
+    (traced_equal shared per_victim && ms = mp && rs = rp);
   (* Per-victim lists at the class trie's deepest shape: random-partial
      gives each of ~40 victims a round its own half of the active pids, so
      most receivers end in a class of their own, chains run deep and the
@@ -468,7 +478,7 @@ let large_n_smoke () =
   let partial () = Baselines.Adversaries.random_partial ~p:0.02 in
   let on_engine p =
     observed (fun sink ->
-        Sim.Engine.run ~record_trace:true ~sink ~max_rounds:2000 p (partial ())
+        Sim.Engine.run ~sink ~max_rounds:2000 p (partial ())
           ~inputs ~t ~rng:(rng_of 1))
   in
   let concrete, mc, rc = on_engine synran in
@@ -476,12 +486,12 @@ let large_n_smoke () =
     (fun (what, (o, m, r)) ->
       check
         (Printf.sprintf "synran n=%d vs per-victim random-partial: %s" n what)
-        (outcomes_equal concrete o && m = mc && r = rc))
+        (traced_equal concrete o && m = mc && r = rc))
     [
       ("legacy = fast", on_engine (Sim.Protocol.legacy synran));
       ( "bitkernel = concrete",
         observed (fun sink ->
-            Sim.Bitkernel.run ~record_trace:true ~sink ~max_rounds:2000 synran
+            Sim.Bitkernel.run ~sink ~max_rounds:2000 synran
               (partial ()) ~inputs ~t ~rng:(rng_of 1)) );
     ];
   print_endline

@@ -124,8 +124,8 @@ let engine_arg =
            (population-compressed equivalence classes; per-round cost \
            scales with distinct states instead of N), bitkernel \
            (bit-packed binary registers; word-parallel no-kill rounds), or \
-           auto (concrete up to N=4096, then the first capable of \
-           bitkernel/cohort/concrete; the choice lands in the run \
+           auto (concrete up to N=4096, then bitkernel if the protocol is \
+           capable of it, else concrete; the choice lands in the run \
            manifest). All engines produce byte-identical results.")
 
 let t_arg =
@@ -409,13 +409,12 @@ let trace_cmd =
     let input_bits = gen rng in
     let adversary = adversary_of_name adv_name ~rules ~n ~t ~seed in
     let protocol = Core.Synran.protocol ~rules n in
+    let tr = Sim.Trace.create () in
     let o =
-      Sim.Engine.run ~record_trace:true ~observer:Core.Synran.msg_is_one
+      Sim.Engine.run ~observer:Core.Synran.msg_is_one ~sink:(Sim.Trace.sink tr)
         ~max_rounds:2000 protocol adversary ~inputs:input_bits ~t ~rng
     in
-    (match o.Sim.Engine.trace with
-    | Some tr -> print_endline (Sim.Trace.render tr)
-    | None -> ());
+    print_endline (Sim.Trace.render tr);
     Printf.printf "rounds to decide: %s; kills used: %d\n"
       (match o.Sim.Engine.rounds_to_decide with
       | Some r -> string_of_int r
@@ -697,11 +696,13 @@ let async_cmd =
 
 let byzantine_cmd =
   let run (n, t) seed trials proto_name adv_name =
-    let adversary () =
+    (* The protocol-tailored attack stands in for king-spoofer; the other
+       adversaries are content-agnostic. *)
+    let adversary ~t ~spoofer () =
       match adv_name with
       | "null" -> Byz.Adversary.null
       | "equivocator" -> Byz.Adversary.equivocator ~budget_fraction:1.0 ()
-      | "king-spoofer" -> Byz.Phase_king.king_spoofer ()
+      | "king-spoofer" -> spoofer ()
       | _ ->
           Byz.Adversary.crash_like
             ~victims:(List.init t (fun i -> (i + 1, i)))
@@ -719,51 +720,32 @@ let byzantine_cmd =
     let gen rng = Prng.Sample.random_bits rng n in
     match proto_name with
     | "phase-king" ->
-        (* The king-spoofer forges Phase King messages; other adversaries
-           are content-agnostic. *)
         report "phase-king"
           (Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed ~gen_inputs:gen
-             ~t (Byz.Phase_king.protocol ~t) adversary)
+             ~t (Byz.Phase_king.protocol ~t)
+             (adversary ~t ~spoofer:Byz.Phase_king.king_spoofer))
     | "eig" ->
         let t = Stdlib.min t 2 in
-        let adv () =
-          match adv_name with
-          | "king-spoofer" -> Byz.Eig.liar ()
-          | "null" -> Byz.Adversary.null
-          | "equivocator" -> Byz.Adversary.equivocator ~budget_fraction:1.0 ()
-          | _ -> Byz.Adversary.crash_like ~victims:(List.init t (fun i -> (i + 1, i)))
-        in
         report "eig"
           (Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed ~gen_inputs:gen
-             ~t (Byz.Eig.protocol ~t) adv)
+             ~t (Byz.Eig.protocol ~t)
+             (adversary ~t ~spoofer:Byz.Eig.liar))
     | "chor-coan" ->
         let g = Stdlib.max 1 (int_of_float (log (float_of_int n) /. log 2.0)) in
-        let adv () =
-          match adv_name with
-          | "king-spoofer" -> Byz.Chor_coan.group_corruptor ~group_size:g ()
-          | "null" -> Byz.Adversary.null
-          | "equivocator" -> Byz.Adversary.equivocator ~budget_fraction:1.0 ()
-          | _ -> Byz.Adversary.crash_like ~victims:(List.init t (fun i -> (i + 1, i)))
-        in
         report
           (Printf.sprintf "chor-coan (g=%d)" g)
           (Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed ~gen_inputs:gen
-             ~t (Byz.Chor_coan.protocol ~t ~group_size:g) adv)
+             ~t (Byz.Chor_coan.protocol ~t ~group_size:g)
+             (adversary ~t
+                ~spoofer:(Byz.Chor_coan.group_corruptor ~group_size:g)))
     | _ ->
-        (* king-spoofer forges Phase King payloads; swap it for the generic
-           equivocator against Rabin. *)
-        let adv () =
-          match adv_name with
-          | "null" -> Byz.Adversary.null
-          | "crash" ->
-              Byz.Adversary.crash_like
-                ~victims:(List.init t (fun i -> (i + 1, i)))
-          | "equivocator" | "king-spoofer" | _ ->
-              Byz.Adversary.equivocator ~budget_fraction:1.0 ()
-        in
+        (* king-spoofer forges Phase King payloads; Rabin gets the generic
+           equivocator in its place. *)
         report "rabin-oracle"
           (Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed ~gen_inputs:gen
-             ~t (Byz.Rabin.protocol ~t ~oracle_seed:(seed + 3)) adv)
+             ~t (Byz.Rabin.protocol ~t ~oracle_seed:(seed + 3))
+             (adversary ~t
+                ~spoofer:(Byz.Adversary.equivocator ~budget_fraction:1.0)))
   in
   let proto_arg =
     Arg.(

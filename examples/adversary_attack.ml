@@ -52,13 +52,12 @@ let () =
     Core.Lb_adversary.band_control ~rules:Core.Onesided.paper
       ~bit_of_msg:Core.Synran.bit_of_msg ()
   in
+  let tr = Sim.Trace.create () in
   let o =
-    Sim.Engine.run ~record_trace:true ~observer:Core.Synran.msg_is_one
+    Sim.Engine.run ~observer:Core.Synran.msg_is_one ~sink:(Sim.Trace.sink tr)
       ~max_rounds:2000 (Core.Synran.protocol n) adversary ~inputs ~t ~rng
   in
-  (match o.Sim.Engine.trace with
-  | Some tr -> print_endline (Sim.Trace.render tr)
-  | None -> ());
+  print_endline (Sim.Trace.render tr);
   Printf.printf "decided in %s rounds, %d kills\n"
     (match o.Sim.Engine.rounds_to_decide with
     | Some r -> string_of_int r

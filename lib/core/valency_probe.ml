@@ -5,6 +5,43 @@ type estimate = {
   classification : Valency.classification;
 }
 
+(* Kill up to three senders of [bit] a round: drives toward the other
+   bit. *)
+let kill_senders ~name bit =
+  {
+    Sim.Adversary.name;
+    plan =
+      (fun view _rng ->
+        let budget = Stdlib.min view.Sim.Adversary.budget_left 3 in
+        let targets = ref [] in
+        view.Sim.Adversary.iter_pending (fun pid msg ->
+            if Synran.bit_of_msg msg = bit then targets := pid :: !targets);
+        !targets
+        |> List.filteri (fun i _ -> i < budget)
+        |> List.map Sim.Adversary.kill_silent);
+  }
+
+(* Starve [bit]: if affordable, kill every sender of [bit] at once while
+   one sender of the other bit survives. Starving 0 leaves every survivor
+   seeing Z = 0, the zero rule fires, and the run decides 1 — the
+   strongest one-shot push toward max r; starving 1 drops every survivor
+   under the decide-0 threshold. *)
+let starve ~name bit =
+  {
+    Sim.Adversary.name;
+    plan =
+      (fun view _rng ->
+        let targets = ref [] and others = ref 0 in
+        view.Sim.Adversary.iter_pending (fun pid msg ->
+            if Synran.bit_of_msg msg = bit then targets := pid :: !targets
+            else incr others);
+        if
+          !others >= 1 && !targets <> []
+          && List.length !targets <= view.Sim.Adversary.budget_left
+        then List.map Sim.Adversary.kill_silent !targets
+        else []);
+  }
+
 (* The policy palette standing in for "all adversaries in B": benign,
    both one-sided vote-killing directions, and random crashing. The true
    min/max range over B can only be wider, so bivalent/null-valent
@@ -15,73 +52,10 @@ let policies ~rules =
     Sim.Adversary.null;
     Baselines.Adversaries.random_crash ~p:0.1;
     Lb_adversary.band_control ~rules ~bit_of_msg:Synran.bit_of_msg ();
-    (* Kill 1-voters: drives toward 0. *)
-    {
-      Sim.Adversary.name = "kill-ones";
-      plan =
-        (fun view rng ->
-          ignore rng;
-          let budget = Stdlib.min view.Sim.Adversary.budget_left 3 in
-          let ones = ref [] in
-          view.Sim.Adversary.iter_pending (fun pid msg ->
-              if Synran.bit_of_msg msg = 1 && view.Sim.Adversary.active pid then
-                ones := pid :: !ones);
-          !ones
-          |> List.filteri (fun i _ -> i < budget)
-          |> List.map Sim.Adversary.kill_silent);
-    };
-    (* Kill 0-voters: drives toward 1. *)
-    {
-      Sim.Adversary.name = "kill-zeros";
-      plan =
-        (fun view rng ->
-          ignore rng;
-          let budget = Stdlib.min view.Sim.Adversary.budget_left 3 in
-          let zeros = ref [] in
-          view.Sim.Adversary.iter_pending (fun pid msg ->
-              if Synran.bit_of_msg msg = 0 && view.Sim.Adversary.active pid then
-                zeros := pid :: !zeros);
-          !zeros
-          |> List.filteri (fun i _ -> i < budget)
-          |> List.map Sim.Adversary.kill_silent);
-    };
-    (* Zero starvation: if affordable, kill every 0-sender at once; all
-       survivors see Z = 0, the zero rule fires, and the run decides 1 —
-       the strongest one-shot push toward max r. *)
-    {
-      Sim.Adversary.name = "zero-starve";
-      plan =
-        (fun view rng ->
-          ignore rng;
-          let zeros = ref [] and ones = ref 0 in
-          view.Sim.Adversary.iter_pending (fun pid msg ->
-              if view.Sim.Adversary.active pid then
-                if Synran.bit_of_msg msg = 0 then zeros := pid :: !zeros
-                else incr ones);
-          if
-            !ones >= 1 && !zeros <> []
-            && List.length !zeros <= view.Sim.Adversary.budget_left
-          then List.map Sim.Adversary.kill_silent !zeros
-          else []);
-    };
-    (* The mirror image: killing enough 1-senders drops every survivor
-       under the decide-0 threshold. *)
-    {
-      Sim.Adversary.name = "one-starve";
-      plan =
-        (fun view rng ->
-          ignore rng;
-          let ones = ref [] and zeros = ref 0 in
-          view.Sim.Adversary.iter_pending (fun pid msg ->
-              if view.Sim.Adversary.active pid then
-                if Synran.bit_of_msg msg = 1 then ones := pid :: !ones
-                else incr zeros);
-          if
-            !zeros >= 1 && !ones <> []
-            && List.length !ones <= view.Sim.Adversary.budget_left
-          then List.map Sim.Adversary.kill_silent !ones
-          else []);
-    };
+    kill_senders ~name:"kill-ones" 1;
+    kill_senders ~name:"kill-zeros" 0;
+    starve ~name:"zero-starve" 0;
+    starve ~name:"one-starve" 1;
   ]
 
 let decide_probability exec policy ~samples ~horizon ~rng =

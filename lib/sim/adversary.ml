@@ -22,12 +22,9 @@ type ('state, 'msg) view = {
   n : int;
   t : int;
   budget_left : int;
-  alive : int -> bool;
   active : int -> bool;
   state : int -> 'state;
-  pending : int -> 'msg option;
   iter_pending : (int -> 'msg -> unit) -> unit;
-  decision : int -> int option;
 }
 
 let active_pids v =

@@ -61,30 +61,31 @@ type ('state, 'msg) view = {
   n : int;
   t : int;  (** The adversary's total corruption budget. *)
   budget_left : int;  (** Kills still available. *)
-  alive : int -> bool;  (** Not yet failed. *)
   active : int -> bool;  (** Alive and not halted: broadcasting this round. *)
   state : int -> 'state;
-      (** Post-Phase-A state. Entries for inactive processes are stale. *)
-  pending : int -> 'msg option;
-      (** The message each active process is about to broadcast. *)
+      (** Post-Phase-A state: the full-information channel, every local
+          state this round's coins included. Entries for inactive
+          processes are stale. *)
   iter_pending : (int -> 'msg -> unit) -> unit;
       (** [iter_pending f] calls [f pid msg] for every staged broadcast,
-          ascending by pid: exactly the pairs with [pending pid = Some msg],
-          i.e. one per active process. Valid only during [plan], like every
-          accessor. The engine supplies it at its own granularity: Engine
-          and Bitkernel's unpacked rounds walk the staged array (O(n));
-          Bitkernel's packed rounds walk the active mask word by word,
-          skipping empty words (O(active + n/63)); Cohort's compatibility
-          view walks its per-pid [pending] (O(n) lookups). An adversary
-          that stops early raises out of [f] with its own exception. *)
-  decision : int -> int option;
+          ascending by pid: the message each active process is about to
+          send, one per active process. Valid only during [plan], like
+          every accessor. The engine supplies it at its own granularity:
+          Engine and Bitkernel's unpacked rounds walk the staged array
+          (O(n)); Bitkernel's packed rounds walk the active mask word by
+          word, skipping empty words (O(active + n/63)); Cohort's
+          compatibility view looks each pid up in its classes (O(n)
+          lookups). An adversary that stops early raises out of [f] with
+          its own exception. *)
 }
-(** A zero-copy window onto the execution. The accessors read the engine's
-    own arrays — no per-round copies — and are only valid during the
-    [plan] call that received them: the engine mutates the underlying
-    state as soon as [plan] returns. Adversaries that need state beyond
-    their own invocation must copy what they keep (all in-tree adversaries
-    extract scalars or fresh lists, which is safe by construction). *)
+(** A zero-copy window onto the execution after Phase A: what Section 3.1
+    lets the adversary read before it names its kills. The accessors read
+    the engine's own arrays — no per-round copies — and are only valid
+    during the [plan] call that received them: the engine mutates the
+    underlying state as soon as [plan] returns. Adversaries that need
+    state beyond their own invocation must copy what they keep (all
+    in-tree adversaries extract scalars or fresh lists, which is safe by
+    construction). *)
 
 val active_pids : ('state, 'msg) view -> int list
 (** Pids with [view.active], ascending. *)

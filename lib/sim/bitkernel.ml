@@ -170,16 +170,11 @@ let pack e state_of =
 (* Re-enter packed mode after a scalar round if uniformity has returned. *)
 let try_pack e = if not e.packed then ignore (pack e (Array.get e.sc.states))
 
-(* The adversary's per-pid reads: packed active processes are rebuilt
+(* The adversary's per-pid state read: a packed active process is rebuilt
    from template + planes on demand. *)
 let state_at e i =
   if e.packed && Round.active_at e.sc.lg i then unpack_at e i
   else e.sc.states.(i)
-
-let pending_at e i =
-  if e.packed then
-    if Round.active_at e.sc.lg i then Some (msg_at e i) else None
-  else e.sc.pending.(i)
 
 (* The adversary's walk over the staged broadcasts, ascending. Packed,
    every active process stages one, so it walks [amask] a word at a time,
@@ -213,7 +208,7 @@ let iter_pending (type s m) (e : (s, m) exec) (f : int -> m -> unit) =
           end
         done
 
-let start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
+let start ?observer ?sink protocol ~inputs ~t ~rng =
   let refuse what =
     invalid_arg
       (Printf.sprintf "Bitkernel.start: protocol %s declares no %s"
@@ -224,8 +219,7 @@ let start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
   in
   if Option.is_none protocol.Protocol.aggregate then refuse "aggregate";
   let lg =
-    Round.ledger ~who:"Bitkernel.start" ?record_trace ?observer ?sink ~inputs ~t
-      rng
+    Round.ledger ~who:"Bitkernel.start" ?observer ?sink ~inputs ~t rng
   in
   let n = lg.n in
   let nw = Bitwords.words_for n in
@@ -253,8 +247,7 @@ let start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
       tnxt = Array.make cd.Protocol.bo_width 0;
       viewer =
         lazy
-          (Round.viewer lg ~state:(state_at e) ~pending:(pending_at e)
-             ~iter_pending:(iter_pending e));
+          (Round.viewer lg ~state:(state_at e) ~iter_pending:(iter_pending e));
       packed_rounds = 0;
       scalar_rounds = 0;
     }
@@ -463,9 +456,9 @@ let run_until e adversary ~max_rounds =
 
 let outcome e = Round.outcome e.sc.lg ~quiescent:(active_count e = 0)
 
-let run ?record_trace ?observer ?sink ?(max_rounds = 10_000) protocol adversary
-    ~inputs ~t ~rng =
-  let e = start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng in
+let run ?observer ?sink ?(max_rounds = 10_000) protocol adversary ~inputs ~t
+    ~rng =
+  let e = start ?observer ?sink protocol ~inputs ~t ~rng in
   run_until e adversary ~max_rounds;
   Round.final_outcome e.sc.lg ~quiescent:(active_count e = 0)
 

@@ -48,7 +48,6 @@
 type ('state, 'msg) exec
 
 val start :
-  ?record_trace:bool ->
   ?observer:('msg -> bool) ->
   ?sink:Obs.Sink.t ->
   ('state, 'msg) Protocol.t ->
@@ -57,7 +56,7 @@ val start :
   rng:Prng.Rng.t ->
   ('state, 'msg) exec
 (** Same contract as {!Engine.start}, including RNG split order and event
-    teeing. Raises [Invalid_argument] if the protocol declares no bitops
+    order. Raises [Invalid_argument] if the protocol declares no bitops
     or no aggregate. *)
 
 val step :
@@ -71,7 +70,6 @@ val outcome : ('state, 'msg) exec -> Engine.outcome
 (** The same outcome record {!Engine.outcome} computes, field for field. *)
 
 val run :
-  ?record_trace:bool ->
   ?observer:('msg -> bool) ->
   ?sink:Obs.Sink.t ->
   ?max_rounds:int ->

@@ -88,14 +88,13 @@ let merge_classes ~equal ~hash groups =
     tbl []
   |> List.sort (fun a b -> Int.compare a.cls_members.(0) b.cls_members.(0))
 
-let start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
+let start ?observer ?sink protocol ~inputs ~t ~rng =
   if not (Protocol.cohort_capable protocol) then
     invalid_arg
       (Printf.sprintf "Cohort.start: protocol %s declares no cohort ops"
          protocol.Protocol.name);
   let lg =
-    Round.ledger ~who:"Cohort.start" ?record_trace ?observer ?sink ~inputs ~t
-      rng
+    Round.ledger ~who:"Cohort.start" ?observer ?sink ~inputs ~t rng
   in
   let classes =
     match protocol.Protocol.aggregate with
@@ -183,13 +182,8 @@ let step e adversary =
                 lg.adv_rng
           | Concrete adv ->
               (* Compatibility view for concrete adversaries: exact but
-                 per-pid accessors cost O(#subs * log n) each, so this path
+                 per-pid lookups cost O(#subs * log n) each, so this path
                  is for differentials and small n, not the large-n runs. *)
-              let pending i =
-                match find_member i with
-                | Some (si, k) -> Some (co.Protocol.c_msg subs.(si) k)
-                | None -> None
-              in
               adv.Adversary.plan
                 (Round.view ~round
                    (Round.viewer lg
@@ -199,10 +193,11 @@ let step e adversary =
                         | None ->
                             invalid_arg
                               "Cohort: state of an inactive process is not retained")
-                      ~pending
                       ~iter_pending:(fun f ->
                         for i = 0 to lg.n - 1 do
-                          match pending i with None -> () | Some m -> f i m
+                          match find_member i with
+                          | Some (si, k) -> f i (co.Protocol.c_msg subs.(si) k)
+                          | None -> ()
                         done)))
                 lg.adv_rng
         in
@@ -366,9 +361,9 @@ let run_until e adversary ~max_rounds =
 
 let outcome e = Round.outcome e.lg ~quiescent:(e.active = 0)
 
-let run ?record_trace ?observer ?sink ?(max_rounds = 10_000) protocol adversary
-    ~inputs ~t ~rng =
-  let e = start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng in
+let run ?observer ?sink ?(max_rounds = 10_000) protocol adversary ~inputs ~t
+    ~rng =
+  let e = start ?observer ?sink protocol ~inputs ~t ~rng in
   run_until e adversary ~max_rounds;
   Round.final_outcome e.lg ~quiescent:(e.active = 0)
 

@@ -60,7 +60,6 @@ type ('state, 'msg) adversary =
     }  (** A cohort-native adversary planning from the class view. *)
 
 val start :
-  ?record_trace:bool ->
   ?observer:('msg -> bool) ->
   ?sink:Obs.Sink.t ->
   ('state, 'msg) Protocol.t ->
@@ -69,7 +68,7 @@ val start :
   rng:Prng.Rng.t ->
   ('state, 'msg) exec
 (** Same contract as {!Engine.start}, including RNG split order and event
-    teeing. Raises [Invalid_argument] if the protocol declares no cohort
+    order. Raises [Invalid_argument] if the protocol declares no cohort
     operations. *)
 
 val step :
@@ -84,7 +83,6 @@ val outcome : ('state, 'msg) exec -> Engine.outcome
 (** The same outcome record {!Engine.outcome} computes, field for field. *)
 
 val run :
-  ?record_trace:bool ->
   ?observer:('msg -> bool) ->
   ?sink:Obs.Sink.t ->
   ?max_rounds:int ->

@@ -15,12 +15,10 @@ type outcome = Round.outcome = {
   halted : bool array;
   kills_used : int;
   quiescent : bool;
-  trace : Trace.t option;
 }
 
-let start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
-  Round.scalar ~who:"Engine.start" ?record_trace ?observer ?sink protocol
-    ~inputs ~t ~rng
+let start ?observer ?sink protocol ~inputs ~t ~rng =
+  Round.scalar ~who:"Engine.start" ?observer ?sink protocol ~inputs ~t ~rng
 
 let step (e : _ exec) adversary =
   let lg = e.lg in
@@ -46,9 +44,9 @@ let run_until (e : _ exec) adversary ~max_rounds =
 let outcome (e : _ exec) =
   Round.outcome e.lg ~quiescent:(Round.active_count e.lg = 0)
 
-let run ?record_trace ?observer ?sink ?(max_rounds = 10_000) protocol adversary
-    ~inputs ~t ~rng =
-  let e = start ?record_trace ?observer ?sink protocol ~inputs ~t ~rng in
+let run ?observer ?sink ?(max_rounds = 10_000) protocol adversary ~inputs ~t
+    ~rng =
+  let e = start ?observer ?sink protocol ~inputs ~t ~rng in
   run_until e adversary ~max_rounds;
   Round.final_outcome e.lg ~quiescent:(Round.active_count e.lg = 0)
 
@@ -69,7 +67,6 @@ let snapshot (e : _ exec) =
       (* The copy and the original step the same round, so a shared
          stamp array would mark the copy's victims in the original. *)
       stamp = [||];
-      trace = None;
       (* Observation does not survive the copy: the Monte-Carlo valency
          continuations step snapshots thousands of times and must stay
          on the zero-cost path (and must not interleave phantom events

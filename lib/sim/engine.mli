@@ -38,11 +38,9 @@ type outcome = Round.outcome = {
   quiescent : bool;
       (** The run ended because no process was left active (all halted or
           dead), as opposed to hitting the round cap. *)
-  trace : Trace.t option;
 }
 
 val start :
-  ?record_trace:bool ->
   ?observer:('msg -> bool) ->
   ?sink:Obs.Sink.t ->
   ('state, 'msg) Protocol.t ->
@@ -53,7 +51,8 @@ val start :
 (** Create a fresh execution. [inputs] are the processes' input bits (its
     length is [n]); [t] is the adversary budget; [rng] is split into one
     private stream per process plus one for the adversary. [observer]
-    classifies broadcast messages as "1" for trace statistics.
+    classifies broadcast messages as "1" for the [Round] events'
+    [ones_pending].
 
     [sink] (default {!Obs.Sink.null}) receives the execution's event
     stream: per round, [Decision] events as processes first decide (in
@@ -61,8 +60,9 @@ val start :
     plan order), then one [Round] summary. Events are pure observations —
     they never affect coins, kills, or outcomes — and with a disabled
     sink each emission site is a single boolean test, so the hot path is
-    unchanged. When [record_trace] is set the trace consumes the same
-    stream through a tee (see {!Trace.sink}). *)
+    unchanged. A round-by-round {!Trace} is one more consumer of this
+    stream: pass {!Trace.sink}, teed with any other sink
+    ({!Obs.Sink.tee}). *)
 
 val step : ('state, 'msg) exec -> ('state, 'msg) Adversary.t -> [ `Continue | `Quiescent ]
 (** Execute one full round under the given adversary. [`Quiescent] means no
@@ -78,7 +78,6 @@ val run_until :
 val outcome : ('state, 'msg) exec -> outcome
 
 val run :
-  ?record_trace:bool ->
   ?observer:('msg -> bool) ->
   ?sink:Obs.Sink.t ->
   ?max_rounds:int ->
@@ -93,9 +92,8 @@ val run :
 val snapshot : ('state, 'msg) exec -> ('state, 'msg) exec
 (** Deep copy: stepping the copy never affects the original. The copy
     replays the same randomness unless {!reseed} is called. The copy's
-    trace and sink are dropped (reset to none/null): continuation
-    sampling must not interleave phantom events into the original's
-    stream. *)
+    sink is dropped (reset to null): continuation sampling must not
+    interleave phantom events into the original's stream. *)
 
 val reseed : ('state, 'msg) exec -> Prng.Rng.t -> unit
 (** Replace every private stream with fresh splits of the given source, so

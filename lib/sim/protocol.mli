@@ -64,7 +64,7 @@ type ('state, 'msg) aggregate =
       init : unit -> 'acc;  (** The empty aggregate (no message absorbed). *)
       absorb : 'acc -> pid:int -> 'msg -> 'acc;
           (** Fold one delivered message in. MUST be commutative (and
-              association-free): the engine's shared-broadcast fast path
+              association-free): the engine's aggregate path
               absorbs a round's survivors once and replays partial
               deliveries on top (each group's victims once per class, in
               plan order), so the absorb order seen by a receiver on a
@@ -77,10 +77,11 @@ type ('state, 'msg) aggregate =
           (** Complete Phase B from the aggregate — the analogue of
               [phase_b], with the received array collapsed to ['acc].
               The engine hands the {e same} accumulator value to many
-              receivers' [finish]: on no-kill rounds to every receiver, and
-              on kill rounds to every receiver of one class (the receivers
-              named by the same groups, {!Adversary.kill_group}). So
-              [finish] must treat it as read-only, on kill rounds too. *)
+              receivers' [finish]: on a round without a partial send to
+              every receiver, and otherwise to every receiver of one
+              class (the receivers named by the same groups,
+              {!Adversary.kill_group}). So [finish] must treat it as
+              read-only, on kill rounds too. *)
       cohort : ('state, 'msg, 'acc) cohort option;
           (** Optional cohort operations sharing this aggregate's
               accumulator type; [None] keeps the protocol off the

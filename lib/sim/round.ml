@@ -18,7 +18,6 @@ type outcome = {
   halted : bool array;
   kills_used : int;
   quiescent : bool;
-  trace : Trace.t option;
 }
 
 type 'msg ledger = {
@@ -35,26 +34,17 @@ type 'msg ledger = {
   mutable stamp : int array;
       (* Kill validation's scratch: pid i is a victim of round r iff
          [stamp.(i) = r]. Allocated by the first kill round. *)
-  trace : Trace.t option;
   sink : Obs.Sink.t;
   observer : ('msg -> bool) option;
 }
 
-let ledger ~who ?(record_trace = false) ?observer ?(sink = Obs.Sink.null)
-    ~inputs ~t rng =
+let ledger ~who ?observer ?(sink = Obs.Sink.null) ~inputs ~t rng =
   let n = Array.length inputs in
   if n = 0 then invalid_arg (who ^ ": no processes");
   if t < 0 || t > n then invalid_arg (who ^ ": budget out of [0, n]");
   Array.iter
     (fun b -> if b <> 0 && b <> 1 then invalid_arg (who ^ ": inputs must be bits"))
     inputs;
-  let trace = if record_trace then Some (Trace.create ()) else None in
-  (* The trace is a façade: it consumes the same Round events as any
-     caller-supplied sink, through a tee. With neither, the effective sink
-     is [null] and every emission site reduces to one boolean load. *)
-  let sink =
-    match trace with None -> sink | Some tr -> Obs.Sink.tee (Trace.sink tr) sink
-  in
   (* The adversary stream splits off the master first, then one stream per
      process: every engine consumes [rng] in this order. *)
   let adv_rng = Prng.Rng.split rng in
@@ -71,7 +61,6 @@ let ledger ~who ?(record_trace = false) ?observer ?(sink = Obs.Sink.null)
     round = 0;
     kills_used = 0;
     stamp = [||];
-    trace;
     sink;
     observer;
   }
@@ -98,7 +87,7 @@ type ('state, 'msg) viewer = {
   vtmpl : ('state, 'msg) Adversary.view;
 }
 
-let viewer lg ~state ~pending ~iter_pending =
+let viewer lg ~state ~iter_pending =
   {
     vlg = lg;
     vtmpl =
@@ -107,12 +96,9 @@ let viewer lg ~state ~pending ~iter_pending =
         n = lg.n;
         t = lg.t;
         budget_left = 0;
-        alive = (fun i -> lg.alive.(i));
         active = (fun i -> active_at lg i);
         state;
-        pending;
         iter_pending;
-        decision = (fun i -> lg.decisions.(i));
       };
   }
 
@@ -259,7 +245,6 @@ let outcome_with lg ~quiescent ~decisions ~halted =
     halted;
     kills_used = lg.kills_used;
     quiescent;
-    trace = lg.trace;
   }
 
 let outcome lg ~quiescent =
@@ -323,12 +308,11 @@ let scalar_of protocol lg states =
     viewer =
       viewer lg
         ~state:(fun i -> states.(i))
-        ~pending:(fun i -> pending.(i))
         ~iter_pending:(iter_staged pending);
   }
 
-let scalar ~who ?record_trace ?observer ?sink protocol ~inputs ~t ~rng =
-  let lg = ledger ~who ?record_trace ?observer ?sink ~inputs ~t rng in
+let scalar ~who ?observer ?sink protocol ~inputs ~t ~rng =
+  let lg = ledger ~who ?observer ?sink ~inputs ~t rng in
   scalar_of protocol lg
     (Array.mapi (fun pid input -> protocol.Protocol.init ~n:lg.n ~pid ~input) inputs)
 
@@ -437,34 +421,16 @@ let phase_b e kills ~round =
     e.states.(j) <- state'
   in
   (match e.protocol.Protocol.aggregate with
-  | Some (Protocol.Aggregate a) when kills = [] ->
-      (* Shared-broadcast fast path: with no kills every receiver sees the
-         identical sender set, so one O(n) fold serves all of them. The
-         absorb order (ascending sender) matches the legacy received
-         array exactly, so this agrees even for non-commutative folds. *)
-      let acc = ref (a.init ()) in
-      let nsenders = ref 0 in
-      for i = 0 to n - 1 do
-        match pending.(i) with
-        | None -> ()
-        | Some m ->
-            acc := a.absorb !acc ~pid:i m;
-            incr nsenders
-      done;
-      let shared = !acc in
-      for j = 0 to n - 1 do
-        if active_at lg j then begin
-          delivered := !delivered + !nsenders;
-          commit j (a.finish e.states.(j) ~round shared)
-        end
-      done
   | Some (Protocol.Aggregate a) ->
-      (* Kill round: fold the surviving senders once. Every class of
+      (* Fold the surviving senders once, ascending. Every class of
          receivers (see [classify]) shares one accumulator: its parent's,
-         with its group's victims absorbed on top, once. Sound because
-         [absorb] is commutative (Protocol contract): a receiver's extras
-         land after the survivors, group by group, instead of interleaved
-         by sender id. *)
+         with its group's victims absorbed on top, once. A round with no
+         group has one class, whose accumulator is that ascending fold:
+         the legacy received array's order, so an honest round agrees
+         even for a non-commutative fold. With groups, [absorb]'s
+         commutativity (Protocol contract) makes it sound: a receiver's
+         extras land after the survivors, group by group, instead of
+         interleaved by sender id. *)
       let base = ref (a.init ()) in
       let nsurvivors = ref 0 in
       for i = 0 to n - 1 do

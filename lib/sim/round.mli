@@ -21,7 +21,6 @@ type outcome = {
   halted : bool array;
   kills_used : int;
   quiescent : bool;
-  trace : Trace.t option;
 }
 (** {!Engine.outcome}; see there for the field contracts. *)
 
@@ -40,8 +39,7 @@ type 'msg ledger = {
       (** Scratch for {!validate_kills}: pid [i] is a victim of round [r]
           iff [stamp.(i) = r]. Empty until the first kill round; a copy of
           the ledger that is stepped on its own needs its own. *)
-  trace : Trace.t option;
-  sink : Obs.Sink.t;  (** Already teed into [trace] when one is recorded. *)
+  sink : Obs.Sink.t;
   observer : ('msg -> bool) option;
 }
 (** The per-process bookkeeping every engine keeps, whatever its
@@ -49,7 +47,6 @@ type 'msg ledger = {
 
 val ledger :
   who:string ->
-  ?record_trace:bool ->
   ?observer:('msg -> bool) ->
   ?sink:Obs.Sink.t ->
   inputs:int array ->
@@ -57,9 +54,8 @@ val ledger :
   Prng.Rng.t ->
   'msg ledger
 (** The {!Engine.start} contract: checks [inputs] and [t] (raising
-    [Invalid_argument] prefixed with [who]), tees the trace into the sink,
-    and splits the adversary stream off the master before the
-    per-process streams. *)
+    [Invalid_argument] prefixed with [who]) and splits the adversary
+    stream off the master before the per-process streams. *)
 
 val active_at : 'msg ledger -> int -> bool
 (** Alive and not halted. *)
@@ -75,14 +71,13 @@ type ('state, 'msg) viewer
 val viewer :
   'msg ledger ->
   state:(int -> 'state) ->
-  pending:(int -> 'msg option) ->
   iter_pending:((int -> 'msg -> unit) -> unit) ->
   ('state, 'msg) viewer
 (** Close the view's accessors over the ledger and the engine's own state
-    and staged-message accessors, which must stay valid for the whole
+    accessor and staged-message walk, which must stay valid for the whole
     execution. [iter_pending] is the engine's own ascending walk over the
     staged broadcasts ({!Adversary.view.iter_pending}): it must visit
-    exactly the pids whose [pending] is [Some]. *)
+    exactly one pid per active process. *)
 
 val view : ('state, 'msg) viewer -> round:int -> ('state, 'msg) Adversary.view
 (** The adversary's view of round [round]: one record, no closure. *)
@@ -179,7 +174,6 @@ val scalar_of :
 
 val scalar :
   who:string ->
-  ?record_trace:bool ->
   ?observer:('msg -> bool) ->
   ?sink:Obs.Sink.t ->
   ('state, 'msg) Protocol.t ->
@@ -194,11 +188,13 @@ val phase_a : ('state, 'msg) scalar -> unit
 
 val phase_b : ('state, 'msg) scalar -> Adversary.kill list -> round:int -> unit
 (** Deliver the staged broadcasts under a validated plan (the aggregate
-    paths of DESIGN §5b, or the legacy materialized exchange), commit
+    path of DESIGN §5b, or the legacy materialized exchange), commit
     every receiver under the decision discipline, apply the kills and
-    emit the round's events. On the aggregate kill path every run of
-    kills with a non-empty list is a group, one-victim runs included;
-    every class of receivers named by the same groups shares one
-    accumulator, built once per round, and [finish] reads it for each
-    member. The legacy exchange reads each kill's own list, with no notion
-    of groups, so it checks the grouping. *)
+    emit the round's events. On the aggregate path every run of kills
+    with a non-empty list is a group, one-victim runs included; every
+    class of receivers named by the same groups shares one accumulator,
+    built once per round, and [finish] reads it for each member. A round
+    with no group, an honest one included, has the one class whose
+    accumulator absorbs the survivors in ascending pid order, as the
+    legacy exchange does. The legacy exchange reads each kill's own list,
+    with no notion of groups, so it checks the grouping. *)

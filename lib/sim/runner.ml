@@ -273,11 +273,10 @@ let engine_name = function
   | `Bitkernel -> "bitkernel"
 
 (* [`Auto] crossover: below this population the concrete engine's plain
-   array sweep wins (packing overhead and cohort bookkeeping don't pay for
-   themselves); above it, prefer the bit-packed kernel, then cohort
-   compression, then concrete. The probe trial's inputs are a pure
-   function of (seed, 0), so peeking at [n] consumes nothing any real
-   trial will miss. *)
+   array sweep wins (packing overhead doesn't pay for itself); above it,
+   the bit-packed kernel if the protocol is capable of it, else concrete.
+   The probe trial's inputs are a pure function of (seed, 0), so peeking
+   at [n] consumes nothing any real trial will miss. *)
 let auto_crossover = 4096
 
 let resolve_engine engine ~seed ~gen_inputs protocol =
@@ -287,12 +286,11 @@ let resolve_engine engine ~seed ~gen_inputs protocol =
       let n =
         Array.length (gen_inputs (Prng.Rng.of_seed_index ~seed ~index:0))
       in
-      if n <= auto_crossover then `Concrete
-      else if Protocol.bitkernel_capable protocol then `Bitkernel
-      else if Protocol.cohort_capable protocol then `Cohort
+      if n > auto_crossover && Protocol.bitkernel_capable protocol then
+        `Bitkernel
       else `Concrete
 
-let run_trials_supervised ?(max_rounds = 10_000) ?strict ?jobs ?chunk_size
+let run_trials_supervised ?(max_rounds = 10_000) ?jobs ?chunk_size
     ?cancel ?checkpoint ?capture ?(engine = `Concrete) ?cohort_adversary
     ?retries ?fault ~trials ~seed ~gen_inputs ~t protocol make_adversary =
   let engine = resolve_engine engine ~seed ~gen_inputs protocol in
@@ -333,7 +331,7 @@ let run_trials_supervised ?(max_rounds = 10_000) ?strict ?jobs ?chunk_size
             | None -> Obs.Metrics.incr om "runner.non_terminating");
             Obs.Metrics.observe_int om "runner.kills_per_trial"
               o.Engine.kills_used);
-        let verdict = Checker.check ?strict ~inputs o in
+        let verdict = Checker.check ~inputs o in
         if not (verdict.Checker.agreement && verdict.Checker.validity) then
           acc.acc_errors_rev <-
             List.map
@@ -353,9 +351,8 @@ let run_trials_supervised ?(max_rounds = 10_000) ?strict ?jobs ?chunk_size
   in
   { r with partial = Option.map summary_of_acc r.partial }
 
-let run_trials ?max_rounds ?strict ?jobs ?chunk_size ?capture ?engine
+let run_trials ?max_rounds ?jobs ?chunk_size ?capture ?engine
     ?cohort_adversary ~trials ~seed ~gen_inputs ~t protocol make_adversary =
   value
-    (run_trials_supervised ?max_rounds ?strict ?jobs ?chunk_size ?capture
-       ?engine ?cohort_adversary ~trials ~seed ~gen_inputs ~t protocol
-       make_adversary)
+    (run_trials_supervised ?max_rounds ?jobs ?chunk_size ?capture ?engine
+       ?cohort_adversary ~trials ~seed ~gen_inputs ~t protocol make_adversary)

@@ -108,7 +108,6 @@ val value : 'a folded -> 'a
 
 val run_trials_supervised :
   ?max_rounds:int ->
-  ?strict:bool ->
   ?jobs:int ->
   ?chunk_size:int ->
   ?cancel:(unit -> bool) ->
@@ -127,7 +126,8 @@ val run_trials_supervised :
   report
 (** {!fold} over the synchronous engines: trial [i] draws from
     {!Prng.Rng.of_seed_index}[ ~seed ~index:i], runs a fresh
-    [make_adversary ()] and is judged by {!Checker}; [capture] adds
+    [make_adversary ()] and is judged by {!Checker} in its strict mode
+    (a process killed after deciding must agree too); [capture] adds
     [runner.trials], [runner.rounds_to_decide], [runner.kills_per_trial]
     and [runner.non_terminating].
 
@@ -144,16 +144,16 @@ val run_trials_supervised :
     [`Bitkernel] runs each trial through the bit-packed {!Bitkernel}
     engine (requires {!Protocol.bitkernel_capable}); the per-trial
     [make_adversary ()] result is used directly, as under [`Concrete].
-    [`Auto] picks per run: [`Concrete] for populations at or below the
-    crossover (4096), above it the first capable engine in the order
-    bitkernel, cohort, concrete; the choice is reported in
+    [`Auto] picks per run: [`Concrete] for populations up to the
+    crossover (4096), above it [`Bitkernel] if the protocol is
+    {!Protocol.bitkernel_capable}, else [`Concrete]; the choice is
+    reported in
     [engine_used] and — via {!Supervise} — in the run manifest. All
     engines produce byte-identical summaries, event streams and metrics,
     so the selection is a pure performance decision. *)
 
 val run_trials :
   ?max_rounds:int ->
-  ?strict:bool ->
   ?jobs:int ->
   ?chunk_size:int ->
   ?capture:Obs.Capture.t ->

@@ -1,10 +1,9 @@
 (** Execution traces: one record per executed round, for debugging,
     property tests, and the examples' narrative output.
 
-    Since the observability layer landed, the trace is a {e façade} over
-    the unified event stream: the engine emits {!Obs.Event.Round} events
-    through its sink, and {!sink} decodes them back into
-    {!type:round_record}s. *)
+    The trace is a caller-side sink on the engine's event stream: the
+    engine emits {!Obs.Event.Round} events through the sink it is given,
+    and {!sink} decodes them back into {!type:round_record}s. *)
 
 type round_record = {
   round : int;
@@ -27,8 +26,8 @@ val create : unit -> t
 val sink : t -> Obs.Sink.t
 (** An always-enabled sink that decodes synchronous-engine
     {!Obs.Event.Round} events into {!record} calls and ignores every
-    other event. The engine tees this with any caller-supplied sink when
-    [record_trace] is set. *)
+    other event. A caller records a trace by passing it as an engine's
+    [sink], teed with {!Obs.Sink.tee} when it also observes. *)
 
 val records : t -> round_record list
 (** In execution order. *)

@@ -153,19 +153,17 @@ let test_crash_all_at () =
 let test_drip () =
   let adversary = Baselines.Adversaries.drip ~per_round:2 in
   let inputs = Array.make 12 1 in
+  let tr = Sim.Trace.create () in
   let o =
-    Sim.Engine.run ~record_trace:true (Core.Synran.protocol 12) adversary
-      ~inputs ~t:7 ~rng:(Prng.Rng.create 5)
+    Sim.Engine.run ~sink:(Sim.Trace.sink tr) (Core.Synran.protocol 12)
+      adversary ~inputs ~t:7 ~rng:(Prng.Rng.create 5)
   in
   check_int "budget exhausted" 7 o.Sim.Engine.kills_used;
-  match o.Sim.Engine.trace with
-  | None -> Alcotest.fail "trace missing"
-  | Some tr ->
-      List.iter
-        (fun r ->
-          check_bool "at most 2 kills per round" true
-            (Array.length r.Sim.Trace.killed <= 2))
-        (Sim.Trace.records tr)
+  List.iter
+    (fun r ->
+      check_bool "at most 2 kills per round" true
+        (Array.length r.Sim.Trace.killed <= 2))
+    (Sim.Trace.records tr)
 
 let test_all_generic_adversaries_safe_for_synran () =
   (* SynRan (paper rules) must stay safe under every generic adversary. *)

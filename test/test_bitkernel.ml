@@ -122,21 +122,19 @@ let observed run_engine ~protocol ~adversary ~observer ~inputs ~t ~seed =
         Obs.Recorder.push rc ev)
   in
   let o =
-    run_engine ~record_trace:true ~observer ~sink ~max_rounds:400 protocol
-      (adversary ()) ~inputs ~t
-      ~rng:(Prng.Rng.create seed)
+    Test_delivery.traced ~sink (fun sink ->
+        run_engine ~observer ~sink ~max_rounds:400 protocol (adversary ())
+          ~inputs ~t ~rng:(Prng.Rng.create seed))
   in
   (o, Obs.Metrics.digest m, Obs.Recorder.digest rc)
 
-let engine_run ~record_trace ~observer ~sink ~max_rounds protocol adversary
-    ~inputs ~t ~rng =
-  Sim.Engine.run ~record_trace ~observer ~sink ~max_rounds protocol adversary
-    ~inputs ~t ~rng
+let engine_run ~observer ~sink ~max_rounds protocol adversary ~inputs ~t ~rng =
+  Sim.Engine.run ~observer ~sink ~max_rounds protocol adversary ~inputs ~t ~rng
 
-let bitkernel_run ~record_trace ~observer ~sink ~max_rounds protocol adversary
-    ~inputs ~t ~rng =
-  Sim.Bitkernel.run ~record_trace ~observer ~sink ~max_rounds protocol
-    adversary ~inputs ~t ~rng
+let bitkernel_run ~observer ~sink ~max_rounds protocol adversary ~inputs ~t
+    ~rng =
+  Sim.Bitkernel.run ~observer ~sink ~max_rounds protocol adversary ~inputs ~t
+    ~rng
 
 (* Fresh adversaries per run: band_control and valency_steer carry
    mutable or stream-consuming behaviour. *)
@@ -153,7 +151,7 @@ let differential ~name ?(count = 25) ~observer ~protocol ~adversary ~n ~max_t
       let o2, m2, r2 =
         observed bitkernel_run ~protocol ~adversary ~observer ~inputs ~t ~seed
       in
-      Test_delivery.outcomes_equal o1 o2 && String.equal m1 m2
+      Test_delivery.traced_equal o1 o2 && String.equal m1 m2
       && String.equal r1 r2)
 
 let rules = Core.Onesided.paper
@@ -420,7 +418,7 @@ let same_as_engine ~observer ~protocol ~adversary ~inputs ~t ~seed =
   in
   Alcotest.(check bool)
     "outcome and trace" true
-    (Test_delivery.outcomes_equal o1 o2);
+    (Test_delivery.traced_equal o1 o2);
   Alcotest.(check string) "metrics digest" m1 m2;
   Alcotest.(check string) "event-stream digest" r1 r2
 
@@ -676,29 +674,31 @@ let test_halting_step_allocation () =
 (* The view's own iteration                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* [inner] behind a check of [view.iter_pending] against the per-pid
-   [view.pending]: the walk must yield exactly the ascending (pid, msg)
-   pairs whose [pending] is [Some]. *)
-let iteration_checked ~what inner =
+(* [inner], recording each round's [view.iter_pending] walk in [walks]
+   as (round, ascending (pid, msg) pairs), most recent round first. *)
+let recording walks inner =
   {
     inner with
     Sim.Adversary.plan =
       (fun view rng ->
         let walked = ref [] in
         view.Sim.Adversary.iter_pending (fun i m -> walked := (i, m) :: !walked);
-        let expected = ref [] in
-        for i = view.Sim.Adversary.n - 1 downto 0 do
-          match view.Sim.Adversary.pending i with
-          | Some m -> expected := (i, m) :: !expected
-          | None -> ()
-        done;
-        Alcotest.(check bool)
-          (Printf.sprintf "%s round %d: walk = pending" what
-             view.Sim.Adversary.round)
-          true
-          (List.rev !walked = !expected);
+        walks := (view.Sim.Adversary.round, List.rev !walked) :: !walks;
         inner.Sim.Adversary.plan view rng);
   }
+
+(* Every round's walk equals the oracle's walk of the same round, pid by
+   pid, checked from the first round on. *)
+let check_walks what ~oracle walks =
+  Alcotest.(check int)
+    (what ^ ": rounds walked") (List.length oracle) (List.length walks);
+  List.iter2
+    (fun (round, expected) (round', walked) ->
+      Alcotest.(check int) (what ^ ": round") round round';
+      Alcotest.(check bool)
+        (Printf.sprintf "%s round %d: walk = engine's staged walk" what round)
+        true (walked = expected))
+    (List.rev oracle) (List.rev walks)
 
 (* Round 1 idles; round 2 silently kills the lowest third of the pids, so
    whole words go dead;
@@ -726,10 +726,11 @@ let view_schedule =
   }
 
 (* On every engine, every view the schedule reads walks exactly its
-   pending messages. On Bitkernel the run must cover a packed idle round,
-   a packed silent-kill round, the partial-delivery round, a plan read
-   unpacked after it (a scalar round under a silent plan) and a re-packed
-   round, and still match Engine. *)
+   pending messages: the oracle is Engine's walk of its staged array, and
+   Cohort's and Bitkernel's walks must match it pid by pid. On Bitkernel
+   the run must cover a packed idle round, a packed silent-kill round, the
+   partial-delivery round, a plan read unpacked after it (a scalar round
+   under a silent plan) and a re-packed round, and still match Engine. *)
 let test_view_iteration () =
   List.iter
     (fun n ->
@@ -737,24 +738,26 @@ let test_view_iteration () =
       let inputs = Prng.Sample.random_bits (Prng.Rng.create 5) n in
       let rng () = Prng.Rng.create 9 in
       let what engine = Printf.sprintf "%s n=%d" engine n in
+      let oracle = ref [] in
       let concrete =
         Sim.Engine.run ~max_rounds:400 protocol
-          (iteration_checked ~what:(what "engine") view_schedule)
+          (recording oracle view_schedule)
           ~inputs ~t:(n - 1) ~rng:(rng ())
       in
+      let cohort_walks = ref [] in
       let cohort =
         Sim.Cohort.run ~max_rounds:400 protocol
-          (Sim.Cohort.Concrete
-             (iteration_checked ~what:(what "cohort") view_schedule))
+          (Sim.Cohort.Concrete (recording cohort_walks view_schedule))
           ~inputs ~t:(n - 1) ~rng:(rng ())
       in
       Alcotest.(check bool)
         (what "cohort = engine") true
         (Test_delivery.outcomes_equal concrete cohort);
+      check_walks (what "cohort") ~oracle:!oracle !cohort_walks;
       let e = Sim.Bitkernel.start protocol ~inputs ~t:(n - 1) ~rng:(rng ()) in
-      let last = ref [] in
+      let bit_walks = ref [] and last = ref [] in
       let adversary =
-        let inner = iteration_checked ~what:(what "bitkernel") view_schedule in
+        let inner = recording bit_walks view_schedule in
         {
           inner with
           Sim.Adversary.plan =
@@ -793,7 +796,8 @@ let test_view_iteration () =
         ];
       Alcotest.(check bool)
         (what "bitkernel = engine") true
-        (Test_delivery.outcomes_equal concrete (Sim.Bitkernel.outcome e)))
+        (Test_delivery.outcomes_equal concrete (Sim.Bitkernel.outcome e));
+      check_walks (what "bitkernel") ~oracle:!oracle !bit_walks)
     [ 200; 1000 ]
 
 let suites =

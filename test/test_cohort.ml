@@ -21,9 +21,9 @@ let observed_engine ?observer ~protocol ~adversary ~inputs ~t ~seed () =
         Obs.Recorder.push rc ev)
   in
   let o =
-    Sim.Engine.run ~record_trace:true ?observer ~sink ~max_rounds:400 protocol
-      (adversary ()) ~inputs ~t
-      ~rng:(Prng.Rng.create seed)
+    Test_delivery.traced ~sink (fun sink ->
+        Sim.Engine.run ?observer ~sink ~max_rounds:400 protocol (adversary ())
+          ~inputs ~t ~rng:(Prng.Rng.create seed))
   in
   (o, Obs.Metrics.digest m, Obs.Recorder.digest rc)
 
@@ -35,9 +35,9 @@ let observed_cohort ?observer ~protocol ~cohort_adversary ~inputs ~t ~seed () =
         Obs.Recorder.push rc ev)
   in
   let o =
-    Sim.Cohort.run ~record_trace:true ?observer ~sink ~max_rounds:400 protocol
-      (cohort_adversary ()) ~inputs ~t
-      ~rng:(Prng.Rng.create seed)
+    Test_delivery.traced ~sink (fun sink ->
+        Sim.Cohort.run ?observer ~sink ~max_rounds:400 protocol
+          (cohort_adversary ()) ~inputs ~t ~rng:(Prng.Rng.create seed))
   in
   (o, Obs.Metrics.digest m, Obs.Recorder.digest rc)
 
@@ -56,7 +56,7 @@ let differential ~name ?(count = 25) ?observer ~protocol ~adversary
         observed_cohort ?observer ~protocol ~cohort_adversary ~inputs ~t ~seed
           ()
       in
-      Test_delivery.outcomes_equal o1 o2 && String.equal m1 m2
+      Test_delivery.traced_equal o1 o2 && String.equal m1 m2
       && String.equal r1 r2)
 
 let rules = Core.Onesided.paper

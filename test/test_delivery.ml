@@ -16,7 +16,15 @@ let outcomes_equal (a : Sim.Engine.outcome) (b : Sim.Engine.outcome) =
   && a.halted = b.halted
   && a.kills_used = b.kills_used
   && a.quiescent = b.quiescent
-  && Option.map Sim.Trace.records a.trace = Option.map Sim.Trace.records b.trace
+
+(* [run sink] with a fresh trace teed into [sink]: the outcome and the
+   trace's round records. *)
+let traced ?(sink = Obs.Sink.null) run =
+  let tr = Sim.Trace.create () in
+  let o = run (Obs.Sink.tee (Sim.Trace.sink tr) sink) in
+  (o, Sim.Trace.records tr)
+
+let traced_equal (a, ra) (b, rb) = outcomes_equal a b && ra = rb
 
 (* Fresh adversary per run: band_control and leader_killer carry mutable
    round-to-round trackers. *)
@@ -26,12 +34,13 @@ let differential ~name ?(count = 30) ~protocol ~adversary ~n ~max_t () =
     (fun (seed, tsel) ->
       let t = tsel mod (max_t + 1) in
       let run p =
-        Sim.Engine.run ~record_trace:true ~max_rounds:500 p (adversary ())
-          ~inputs:(Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n)
-          ~t
-          ~rng:(Prng.Rng.create seed)
+        traced (fun sink ->
+            Sim.Engine.run ~sink ~max_rounds:500 p (adversary ())
+              ~inputs:(Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n)
+              ~t
+              ~rng:(Prng.Rng.create seed))
       in
-      outcomes_equal (run protocol) (run (Sim.Protocol.legacy protocol)))
+      traced_equal (run protocol) (run (Sim.Protocol.legacy protocol)))
 
 let synran_adversaries =
   let rules = Core.Onesided.paper in
@@ -161,18 +170,21 @@ let hostile_four_engines ~name ~protocol ~n =
       let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
       let rng () = Prng.Rng.create seed in
       let concrete p =
-        Sim.Engine.run ~record_trace:true ~max_rounds:500 p (hostile ())
-          ~inputs ~t ~rng:(rng ())
+        traced (fun sink ->
+            Sim.Engine.run ~sink ~max_rounds:500 p (hostile ()) ~inputs ~t
+              ~rng:(rng ()))
       in
       let reference = concrete protocol in
-      outcomes_equal reference (concrete (Sim.Protocol.legacy protocol))
-      && outcomes_equal reference
-           (Sim.Bitkernel.run ~record_trace:true ~max_rounds:500 protocol
-              (hostile ()) ~inputs ~t ~rng:(rng ()))
-      && outcomes_equal reference
-           (Sim.Cohort.run ~record_trace:true ~max_rounds:500 protocol
-              (Sim.Cohort.Concrete (hostile ()))
-              ~inputs ~t ~rng:(rng ())))
+      traced_equal reference (concrete (Sim.Protocol.legacy protocol))
+      && traced_equal reference
+           (traced (fun sink ->
+                Sim.Bitkernel.run ~sink ~max_rounds:500 protocol (hostile ())
+                  ~inputs ~t ~rng:(rng ())))
+      && traced_equal reference
+           (traced (fun sink ->
+                Sim.Cohort.run ~sink ~max_rounds:500 protocol
+                  (Sim.Cohort.Concrete (hostile ()))
+                  ~inputs ~t ~rng:(rng ()))))
 
 let hostile_tests =
   [
@@ -229,9 +241,10 @@ let test_hand_computed_deliveries () =
   in
   List.iter
     (fun (path, protocol) ->
+      let tr = Sim.Trace.create () in
       let e =
-        Sim.Engine.start ~record_trace:true protocol ~inputs:(Array.make 5 0)
-          ~t:3 ~rng:(Prng.Rng.create 1)
+        Sim.Engine.start ~sink:(Sim.Trace.sink tr) protocol
+          ~inputs:(Array.make 5 0) ~t:3 ~rng:(Prng.Rng.create 1)
       in
       Sim.Engine.run_until e adversary ~max_rounds:2;
       let heard = Array.map (fun s -> s.heard) (Sim.Engine.states e) in
@@ -240,11 +253,7 @@ let test_hand_computed_deliveries () =
         [| [ [ 0; 2 ]; [ 0; 2; 3; 4 ] ]; []; [ [ 0; 1; 2; 3; 4 ] ]; [];
            [ [ 0; 1; 2; 4 ] ] |]
         heard;
-      let records =
-        match (Sim.Engine.outcome e).Sim.Engine.trace with
-        | Some tr -> Sim.Trace.records tr
-        | None -> []
-      in
+      let records = Sim.Trace.records tr in
       Alcotest.(check (list (pair int int)))
         (path ^ ": (partial sends, delivered) per round")
         [ (2, 13); (1, 2) ]
@@ -252,6 +261,44 @@ let test_hand_computed_deliveries () =
            (fun r -> (r.Sim.Trace.partial_sends, r.Sim.Trace.messages_delivered))
            records))
     [ ("aggregate", heard_protocol); ("legacy", Sim.Protocol.legacy heard_protocol) ]
+
+(* An honest round folds its senders in ascending pid order on the
+   aggregate path, exactly as the legacy exchange folds its received
+   array, so the two agree even for a fold that does not commute. Every
+   process broadcasts its pid and [absorb] prepends the sender: each
+   round's accumulator is the senders in descending order. *)
+let test_honest_fold_order () =
+  let n = 7 in
+  let order =
+    Sim.Protocol.with_aggregate ~name:"order"
+      ~init:(fun ~n:_ ~pid ~input:_ -> { pid; heard = [] })
+      ~phase_a:(fun s _rng -> (s, s.pid))
+      ~decision:(fun _ -> None)
+      ~halted:(fun _ -> false)
+      (Sim.Protocol.Aggregate
+         {
+           init = (fun () -> []);
+           absorb = (fun acc ~pid:_ sender -> sender :: acc);
+           finish = (fun s ~round:_ acc -> { s with heard = acc :: s.heard });
+           cohort = None;
+         })
+  in
+  let heard protocol =
+    let e =
+      Sim.Engine.start protocol ~inputs:(Array.make n 0) ~t:0
+        ~rng:(Prng.Rng.create 1)
+    in
+    Sim.Engine.run_until e Sim.Adversary.null ~max_rounds:3;
+    Array.map (fun s -> s.heard) (Sim.Engine.states e)
+  in
+  let aggregate = heard order and legacy = heard (Sim.Protocol.legacy order) in
+  let descending = List.init n (fun i -> n - 1 - i) in
+  Alcotest.(check (array (list (list int))))
+    "legacy: senders prepended in ascending order"
+    (Array.make n [ descending; descending; descending ])
+    legacy;
+  Alcotest.(check (array (list (list int))))
+    "aggregate = legacy" legacy aggregate
 
 (* The soundness condition the engine relies on for kill rounds: absorbing
    the messages in any order yields the same accumulator. *)
@@ -364,40 +411,44 @@ let grouping () =
    each process heard, so a misdelivered message shows in them. *)
 let heard_n = heard_with ~halts:(fun pid -> pid mod 4 = 3)
 
-(* One run's observable result: its outcome, its event stream, and its
-   final states if the engine exposes them; or the [Invalid_kill]
-   message it raised. *)
+(* One run's observable result: its outcome with its trace, its event
+   stream, and its final states if the engine exposes them; or the
+   [Invalid_kill] message it raised. *)
 type 's observed =
-  | Ran of Sim.Engine.outcome * Obs.Event.t list * 's array option
+  | Ran of
+      (Sim.Engine.outcome * Sim.Trace.round_record list)
+      * Obs.Event.t list
+      * 's array option
   | Refused of string
 
 let observe run =
-  let events = ref [] in
-  let sink = Obs.Sink.create (fun ev -> events := ev :: !events) in
+  let events = ref [] and tr = Sim.Trace.create () in
+  let sink =
+    Obs.Sink.tee (Sim.Trace.sink tr)
+      (Obs.Sink.create (fun ev -> events := ev :: !events))
+  in
   match run sink with
-  | outcome, states -> Ran (outcome, List.rev !events, states)
+  | outcome, states ->
+      Ran ((outcome, Sim.Trace.records tr), List.rev !events, states)
   | exception Sim.Engine.Invalid_kill msg -> Refused msg
 
 let same_observed a b =
   match (a, b) with
   | Ran (oa, ea, sa), Ran (ob, eb, sb) ->
-      outcomes_equal oa ob && ea = eb && sa = sb
+      traced_equal oa ob && ea = eb && sa = sb
   | Refused ma, Refused mb -> String.equal ma mb
   | Ran _, Refused _ | Refused _, Ran _ -> false
 
 let max_rounds = 40
 
 let on_engine p ~inputs ~t ~seed adversary sink =
-  let e =
-    Sim.Engine.start ~record_trace:true ~sink p ~inputs ~t
-      ~rng:(Prng.Rng.create seed)
-  in
+  let e = Sim.Engine.start ~sink p ~inputs ~t ~rng:(Prng.Rng.create seed) in
   Sim.Engine.run_until e adversary ~max_rounds;
   (Sim.Engine.outcome e, Some (Sim.Engine.states e))
 
 let on_bitkernel p ~inputs ~t ~seed adversary sink =
-  ( Sim.Bitkernel.run ~record_trace:true ~sink ~max_rounds p adversary ~inputs
-      ~t ~rng:(Prng.Rng.create seed),
+  ( Sim.Bitkernel.run ~sink ~max_rounds p adversary ~inputs ~t
+      ~rng:(Prng.Rng.create seed),
     None )
 
 (* The concrete engine's aggregate path, its legacy exchange and, for a
@@ -505,6 +556,7 @@ let suites =
         test_shared_out_of_range
       :: List.map to_alcotest shared_tests );
     ( "delivery.algebra",
-      List.map to_alcotest [ prop_synran_absorb_commutes ]
-    );
+      Alcotest.test_case "honest rounds fold senders ascending" `Quick
+        test_honest_fold_order
+      :: List.map to_alcotest [ prop_synran_absorb_commutes ] );
   ]

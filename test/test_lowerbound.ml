@@ -99,18 +99,15 @@ let test_band_per_round_cap () =
   in
   let rng = Prng.Rng.create 3 in
   let inputs = Sim.Runner.input_gen_split ~n rng in
-  let o =
-    Sim.Engine.run ~record_trace:true ~max_rounds:2000 (Core.Synran.protocol n)
-      adversary ~inputs ~t:(n - 1) ~rng
-  in
-  match o.Sim.Engine.trace with
-  | None -> Alcotest.fail "no trace"
-  | Some tr ->
-      List.iter
-        (fun r ->
-          check_bool "per-round cap held" true
-            (Array.length r.Sim.Trace.killed <= cap))
-        (Sim.Trace.records tr)
+  let tr = Sim.Trace.create () in
+  ignore
+    (Sim.Engine.run ~sink:(Sim.Trace.sink tr) ~max_rounds:2000
+       (Core.Synran.protocol n) adversary ~inputs ~t:(n - 1) ~rng);
+  List.iter
+    (fun r ->
+      check_bool "per-round cap held" true
+        (Array.length r.Sim.Trace.killed <= cap))
+    (Sim.Trace.records tr)
 
 let test_band_forces_long_executions () =
   (* The paper's qualitative claim: adaptive band control forces far more
@@ -182,12 +179,9 @@ let test_band_empty_receive_set () =
       n = 4;
       t = 4;
       budget_left = 4;
-      alive = (fun _ -> false);
       active = (fun _ -> false);
       state = (fun _ -> ());
-      pending = (fun _ -> None);
       iter_pending = (fun _ -> ());
-      decision = (fun _ -> None);
     }
   in
   let plan = adversary.Sim.Adversary.plan view (Prng.Rng.create 11) in

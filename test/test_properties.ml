@@ -258,28 +258,25 @@ let prop_trace_invariants =
       let t = Prng.Rng.int rng n in
       let inputs = Sim.Runner.input_gen_random ~n rng in
       let adversary = adversary_of_tag ~n ~t ~seed tag in
+      let tr = Sim.Trace.create () in
       let o =
-        Sim.Engine.run ~record_trace:true ~max_rounds:3000
+        Sim.Engine.run ~sink:(Sim.Trace.sink tr) ~max_rounds:3000
           (Core.Synran.protocol n) adversary ~inputs ~t ~rng
       in
-      match o.Sim.Engine.trace with
-      | None -> false
-      | Some tr ->
-          let records = Sim.Trace.records tr in
-          let rec non_increasing = function
-            | a :: (b :: _ as rest) ->
-                a.Sim.Trace.active_before >= b.Sim.Trace.active_before
-                && non_increasing rest
-            | [ _ ] | [] -> true
-          in
-          let total_kills =
-            List.fold_left
-              (fun acc r -> acc + Array.length r.Sim.Trace.killed)
-              0 records
-          in
-          non_increasing records
-          && total_kills <= t
-          && total_kills = o.Sim.Engine.kills_used)
+      let records = Sim.Trace.records tr in
+      let rec non_increasing = function
+        | a :: (b :: _ as rest) ->
+            a.Sim.Trace.active_before >= b.Sim.Trace.active_before
+            && non_increasing rest
+        | [ _ ] | [] -> true
+      in
+      let total_kills =
+        List.fold_left
+          (fun acc r -> acc + Array.length r.Sim.Trace.killed)
+          0 records
+      in
+      non_increasing records && total_kills <= t
+      && total_kills = o.Sim.Engine.kills_used)
 
 let prop_explorer_matches_classification =
   QCheck.Test.make

@@ -39,10 +39,9 @@ let probe ?(decide_at = max_int) () =
     bitops = None;
   }
 
-let run_probe ?record_trace ?max_rounds ?(decide_at = max_int) ~inputs ~t
-    adversary =
-  Sim.Engine.run ?record_trace ?max_rounds (probe ~decide_at ()) adversary
-    ~inputs ~t ~rng:(Prng.Rng.create 7)
+let run_probe ?sink ?max_rounds ?(decide_at = max_int) ~inputs ~t adversary =
+  Sim.Engine.run ?sink ?max_rounds (probe ~decide_at ()) adversary ~inputs ~t
+    ~rng:(Prng.Rng.create 7)
 
 let heard_at exec_states pid round_from_latest =
   List.nth (exec_states.(pid) : probe_state).heard round_from_latest
@@ -497,9 +496,9 @@ let test_snapshot_through_kill_rounds () =
   let n = 64 and split = 2 and max_rounds = 500 in
   let protocol = Core.Synran.protocol n in
   let inputs = Prng.Sample.random_bits (Prng.Rng.create 5) n in
-  let prefix ?record_trace () =
+  let prefix ?sink () =
     let x =
-      Sim.Engine.start ?record_trace protocol ~inputs ~t:(n - 1)
+      Sim.Engine.start ?sink protocol ~inputs ~t:(n - 1)
         ~rng:(Prng.Rng.create 6)
     in
     let adv =
@@ -522,29 +521,27 @@ let test_snapshot_through_kill_rounds () =
     if a || b then alternate ()
   in
   alternate ();
-  let reference, br = prefix ~record_trace:true () in
+  let reference_trace = Sim.Trace.create () in
+  let reference, br = prefix ~sink:(Sim.Trace.sink reference_trace) () in
   Sim.Engine.run_until reference br ~max_rounds;
-  let twin, bt = prefix ~record_trace:true () in
+  let twin_trace = Sim.Trace.create () in
+  let twin, bt = prefix ~sink:(Sim.Trace.sink twin_trace) () in
   Sim.Engine.reseed twin (Prng.Rng.create 77);
   Sim.Engine.run_until twin bt ~max_rounds;
-  let partial_kill_rounds x =
-    match (Sim.Engine.outcome x).Sim.Engine.trace with
-    | None -> 0
-    | Some tr ->
-        List.length
-          (List.filter
-             (fun r -> r.Sim.Trace.round > split && r.Sim.Trace.partial_sends > 0)
-             (Sim.Trace.records tr))
+  let partial_kill_rounds tr =
+    List.length
+      (List.filter
+         (fun r -> r.Sim.Trace.round > split && r.Sim.Trace.partial_sends > 0)
+         (Sim.Trace.records tr))
   in
   check_bool "original: partial-send kill rounds after the snapshot" true
-    (partial_kill_rounds reference > 0);
+    (partial_kill_rounds reference_trace > 0);
   check_bool "copy: partial-send kill rounds after the snapshot" true
-    (partial_kill_rounds twin > 0);
+    (partial_kill_rounds twin_trace > 0);
   check_bool "the reseeded copy diverged" false
     (Sim.Engine.states e = Sim.Engine.states c);
   let same x y =
-    { (Sim.Engine.outcome x) with trace = None }
-    = { (Sim.Engine.outcome y) with trace = None }
+    Sim.Engine.outcome x = Sim.Engine.outcome y
     && Sim.Engine.states x = Sim.Engine.states y
   in
   check_bool "original = un-snapshotted run" true (same e reference);
@@ -609,7 +606,6 @@ let outcome_with ~decisions ~faulty =
     halted = Array.map (fun d -> Option.is_some d) decisions;
     kills_used = 0;
     quiescent = true;
-    trace = None;
   }
 
 let test_checker_agreement_violation () =
@@ -712,27 +708,24 @@ let test_trace_records () =
           else []);
     }
   in
-  let o =
-    run_probe ~record_trace:true ~decide_at:2 ~inputs:[| 1; 1; 1 |] ~t:1
-      adversary
-  in
-  match o.Sim.Engine.trace with
-  | None -> Alcotest.fail "trace missing"
-  | Some tr ->
-      let records = Sim.Trace.records tr in
-      check_int "total kills" 1
-        (List.fold_left
-           (fun acc r -> acc + Array.length r.Sim.Trace.killed)
-           0 records);
-      let r1 = List.hd records in
-      check_int "round 1 actives" 3 r1.Sim.Trace.active_before;
-      Alcotest.(check (list int)) "round 1 victims" [ 1 ]
-        (Array.to_list r1.Sim.Trace.killed);
-      check_int "partial send counted" 1 r1.Sim.Trace.partial_sends;
-      (* 2 survivors get (self + other + partial-to-0): pid0 gets 0,1,2 = 3;
-         pid2 gets 2,0 = 2... plus own always: total = 5. *)
-      check_int "deliveries" 5 r1.Sim.Trace.messages_delivered;
-      check_bool "render non-empty" true (String.length (Sim.Trace.render tr) > 0)
+  let tr = Sim.Trace.create () in
+  ignore
+    (run_probe ~sink:(Sim.Trace.sink tr) ~decide_at:2 ~inputs:[| 1; 1; 1 |]
+       ~t:1 adversary);
+  let records = Sim.Trace.records tr in
+  check_int "total kills" 1
+    (List.fold_left
+       (fun acc r -> acc + Array.length r.Sim.Trace.killed)
+       0 records);
+  let r1 = List.hd records in
+  check_int "round 1 actives" 3 r1.Sim.Trace.active_before;
+  Alcotest.(check (list int)) "round 1 victims" [ 1 ]
+    (Array.to_list r1.Sim.Trace.killed);
+  check_int "partial send counted" 1 r1.Sim.Trace.partial_sends;
+  (* 2 survivors get (self + other + partial-to-0): pid0 gets 0,1,2 = 3;
+     pid2 gets 2,0 = 2... plus own always: total = 5. *)
+  check_int "deliveries" 5 r1.Sim.Trace.messages_delivered;
+  check_bool "render non-empty" true (String.length (Sim.Trace.render tr) > 0)
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -793,24 +786,21 @@ let suites =
 let csv_suite =
   let tc name f = Alcotest.test_case name `Quick f in
   let test_to_csv () =
-    let o =
-      run_probe ~record_trace:true ~decide_at:2 ~inputs:[| 1; 0; 1 |] ~t:0
-        Sim.Adversary.null
-    in
-    match o.Sim.Engine.trace with
-    | None -> Alcotest.fail "trace missing"
-    | Some tr ->
-        let csv = Sim.Trace.to_csv tr in
-        let lines = String.split_on_char '\n' csv in
-        Alcotest.(check int) "header + one line per round"
-          (List.length (Sim.Trace.records tr) + 1) (List.length lines);
-        Alcotest.(check string) "header"
-          "round,active,kills,partial_sends,delivered,newly_decided,newly_halted,ones_pending"
-          (List.hd lines);
-        (* Round 1: 3 actives, 9 deliveries, no kills; no observer, so the
-           ones_pending cell is empty. *)
-        Alcotest.(check string) "round 1 row" "1,3,0,0,9,0,0,"
-          (List.nth lines 1)
+    let tr = Sim.Trace.create () in
+    ignore
+      (run_probe ~sink:(Sim.Trace.sink tr) ~decide_at:2 ~inputs:[| 1; 0; 1 |]
+         ~t:0 Sim.Adversary.null);
+    let csv = Sim.Trace.to_csv tr in
+    let lines = String.split_on_char '\n' csv in
+    Alcotest.(check int) "header + one line per round"
+      (List.length (Sim.Trace.records tr) + 1) (List.length lines);
+    Alcotest.(check string) "header"
+      "round,active,kills,partial_sends,delivered,newly_decided,newly_halted,ones_pending"
+      (List.hd lines);
+    (* Round 1: 3 actives, 9 deliveries, no kills; no observer, so the
+       ones_pending cell is empty. *)
+    Alcotest.(check string) "round 1 row" "1,3,0,0,9,0,0,"
+      (List.nth lines 1)
   in
   ("sim.trace-csv", [ tc "to_csv" test_to_csv ])
 
