@@ -45,9 +45,11 @@ let chunk_size_arg =
     & opt (some (positive_int "CHUNK")) None
     & info [ "chunk-size" ] ~docv:"CHUNK"
         ~doc:
-          "Trials per work chunk (must be >= 1; default: derived from the \
-           trial count and JOBS). Results are bit-identical for every \
-           value.")
+          (Printf.sprintf
+             "Trials per work chunk (must be >= 1; default: %d, whatever the \
+              trial count and JOBS). Results are bit-identical for every \
+              value."
+             Sim.Parallel.default_chunk_size))
 
 let nonneg_int what =
   let parse s =

@@ -19,17 +19,7 @@ let events t = t.events
 
 let metrics_json t = Metrics.to_json t.metrics
 
-let events_jsonl t =
-  match t.events with
-  | [] -> ""
-  | evs ->
-      let b = Buffer.create 4096 in
-      List.iter
-        (fun ev ->
-          Buffer.add_string b (Event.to_json ev);
-          Buffer.add_char b '\n')
-        evs;
-      Buffer.contents b
+let events_jsonl t = Event.to_jsonl t.events
 
 let digest t =
   Digest.to_hex (Digest.string (metrics_json t ^ "\x00" ^ events_jsonl t))

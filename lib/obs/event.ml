@@ -93,3 +93,12 @@ let to_json ev =
   | Watchdog { experiment } ->
       Printf.sprintf "{\"event\":\"watchdog\",\"experiment\":\"%s\"}"
         (Json.escape experiment)
+
+let to_jsonl evs =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun ev ->
+      Buffer.add_string b (to_json ev);
+      Buffer.add_char b '\n')
+    evs;
+  Buffer.contents b

@@ -65,3 +65,7 @@ val engine_label : engine -> string
 
 val to_json : t -> string
 (** Single-line JSON object, keys sorted ascending, no trailing newline. *)
+
+val to_jsonl : t list -> string
+(** JSONL: one {!to_json} line per event, each ending in a newline; [""]
+    for no events. *)

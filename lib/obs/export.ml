@@ -9,11 +9,4 @@ let write ~path content =
 
 let write_metrics ~path m = write ~path (Metrics.to_json m)
 
-let write_events ~path events =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun ev ->
-      Buffer.add_string b (Event.to_json ev);
-      Buffer.add_char b '\n')
-    events;
-  write ~path (Buffer.contents b)
+let write_events ~path events = write ~path (Event.to_jsonl events)

@@ -21,5 +21,4 @@ val merge : t -> t -> t
     right's (inputs unchanged). *)
 
 val digest : t -> string
-(** Hex digest of the events rendered as JSONL, one {!Event.to_json}
-    line each. *)
+(** Hex digest of the events rendered by {!Event.to_jsonl}. *)

@@ -3,7 +3,6 @@ type t = {
   key : string;
   lock : Mutex.t;  (* [store] and [load] run on worker domains *)
   mutable oc : out_channel option;  (* the journal, from first store to close *)
-  mutable unsynced : int;  (* records appended since the last fsync *)
   mutable index : (int, string) Hashtbl.t option;
       (* verified payloads by chunk: read on first load, kept by [store] *)
 }
@@ -45,16 +44,11 @@ let create ~root ~exp ~seed ~chunk_size ~n =
     Printf.sprintf "exp=%s;seed=%d;chunk_size=%d;n=%d;fmt=5" exp seed
       chunk_size n
   in
-  { dir; key; lock = Mutex.create (); oc = None; unsynced = 0; index = None }
+  { dir; key; lock = Mutex.create (); oc = None; index = None }
 
 let dir t = t.dir
 
 let journal t = Filename.concat t.dir "journal"
-
-(* Records are flushed as they are appended and fsynced in batches: a
-   crash can lose at most the unsynced tail, which [load] reads as absent
-   chunks. *)
-let sync_every = 64
 
 (* A record is ["\n<key>\n<chunk> <length> <md5>\n<payload>"]. The digest
    covers the chunk index with the payload, so a flipped bit in either
@@ -112,11 +106,6 @@ let store ?fault t ~chunk acc =
          or real — is detected on load. *)
       Printf.fprintf oc "\n%s\n%d %d %s\n%s%!" t.key chunk
         (String.length good) (digest ~chunk good) payload;
-      t.unsynced <- t.unsynced + 1;
-      if t.unsynced >= sync_every then begin
-        Unix.fsync (Unix.descr_of_out_channel oc);
-        t.unsynced <- 0
-      end;
       if Option.is_none kind then
         Option.iter (fun index -> Hashtbl.replace index chunk good) t.index);
   (* The corruption kinds model a crash that lost payload bytes: the bad
@@ -194,12 +183,10 @@ let shut t ~sync =
   Option.iter
     (fun oc ->
       let fd = Unix.descr_of_out_channel oc in
-      (try if sync && t.unsynced > 0 then Unix.fsync fd
-       with Unix.Unix_error _ -> ());
+      (try if sync then Unix.fsync fd with Unix.Unix_error _ -> ());
       close_out_noerr oc)
     t.oc;
-  t.oc <- None;
-  t.unsynced <- 0
+  t.oc <- None
 
 let close t = Mutex.protect t.lock (fun () -> shut t ~sync:true)
 

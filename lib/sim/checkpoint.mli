@@ -19,13 +19,16 @@
     histogram tables, counters) bit for bit — so a resumed run's summary
     is byte-identical to an uninterrupted one.
 
-    {b Durability.} Records are flushed as they are appended; the journal
-    is fsynced every 64 records and by {!close}. A record that cannot be
-    trusted — a torn tail left by a killed run, flipped bits, an alien
-    key — reads as an absent chunk, which the fold recomputes; its bytes
-    stay in the journal for a post-mortem until {!clear}, which also
-    removes files of older formats (fmt-4 [chunk-<c>] files, which loads
-    ignore).
+    {b Durability.} Records are flushed to the OS as they are appended,
+    and only {!close} fsyncs the journal: a completed fold's journal is
+    deleted by {!clear} unsynced, and an incomplete one's is synced when
+    the fold closes it. A killed process loses no flushed record; an OS
+    crash before {!close} can lose or tear any of them. Every record is
+    digest-verified on load, so a record that cannot be trusted — lost or
+    torn by a crash, flipped bits, an alien key — reads as an absent
+    chunk, which the fold recomputes; its bytes stay in the journal for a
+    post-mortem until {!clear}, which also removes files of older formats
+    (fmt-4 [chunk-<c>] files, which loads ignore).
 
     {b Fault injection.} {!store} and {!load} are named {!Fault} sites
     ([store@<chunk>], [load@<chunk>]): the corruption kinds append a torn

@@ -32,11 +32,9 @@ type ('state, 'msg) cohort_class = {
 type ('state, 'msg) cview = {
   cv_round : int;
   cv_n : int;
-  cv_t : int;
   cv_budget_left : int;
   cv_classes : ('state, 'msg) cohort_class list;  (* sorted by least member *)
   cv_active : int -> bool;
-  cv_decision : int -> int option;
 }
 
 type ('state, 'msg) adversary =
@@ -173,11 +171,9 @@ let step e adversary =
                 {
                   cv_round = round;
                   cv_n = lg.n;
-                  cv_t = lg.t;
                   cv_budget_left = Round.budget_left lg;
                   cv_classes;
                   cv_active = (fun i -> Round.active_at lg i);
-                  cv_decision = (fun i -> lg.decisions.(i));
                 }
                 lg.adv_rng
           | Concrete adv ->

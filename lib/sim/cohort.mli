@@ -37,12 +37,10 @@ type ('state, 'msg) cohort_class = {
 type ('state, 'msg) cview = {
   cv_round : int;
   cv_n : int;
-  cv_t : int;
   cv_budget_left : int;
   cv_classes : ('state, 'msg) cohort_class list;
       (** This round's post-Phase-A classes, sorted by least member. *)
   cv_active : int -> bool;
-  cv_decision : int -> int option;
 }
 (** What a cohort-aware adversary observes: the class decomposition instead
     of per-process arrays. Like {!Adversary.view} it is full-information —

@@ -489,7 +489,35 @@ let test_ledger_byte_stable () =
   Alcotest.(check string) "byte-identical ledgers" j1 j2;
   Alcotest.(check bool)
     "ledger carries its schema version" true
-    (contains ~needle:"\"schema_version\": 2" j1)
+    (contains ~needle:"\"schema_version\": 3" j1)
+
+(* The ledger of [bad_taint_chain.ml] as edited by [edit]. *)
+let chain_ledger edit =
+  let src = read_file "lint_fixtures/typed/bad_taint_chain.ml" in
+  with_tree ~relpath:"bad_taint_chain.ml" (edit src) (fun dir ->
+      Detlint_ledger.to_json (analyze dir))
+
+let test_ledger_ignores_det_edits () =
+  (* Moving every line and adding a det function changes no class, so
+     the committed ledger must not need re-promoting. *)
+  Alcotest.(check string)
+    "moved code and a new pure helper leave the ledger as is"
+    (chain_ledger Fun.id)
+    (chain_ledger (fun src ->
+         "\n\n\n" ^ src ^ "\nlet pure_helper x = x + 1\n"))
+
+let test_ledger_names_new_nondet () =
+  let base = chain_ledger Fun.id in
+  let edited =
+    chain_ledger (fun src ->
+        src ^ "\nlet alloc_helper () = Gc.minor_words ()\n")
+  in
+  Alcotest.(check bool) "the ledger changes" true (base <> edited);
+  Alcotest.(check bool)
+    "the new entry names the helper and its source" true
+    (contains ~needle:"\"Bad_taint_chain.alloc_helper\": { \"class\": \"nondet\""
+       edited
+    && contains ~needle:"\"path\": \"Gc.minor_words\"" edited)
 
 let suites =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -530,5 +558,8 @@ let suites =
         tc "register transitions are sink-rooted" test_register_transition_rooted;
         tc "stale waivers are detected" test_stale_waiver_detected;
         tc "purity ledger is byte-stable" test_ledger_byte_stable;
+        tc "ledger ignores moved and added det code"
+          test_ledger_ignores_det_edits;
+        tc "ledger names a new nondet helper" test_ledger_names_new_nondet;
       ] );
   ]

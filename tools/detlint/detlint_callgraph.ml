@@ -116,8 +116,6 @@ type call = {
 
 type node = {
   fn : string;  (* qualified display name *)
-  n_file : string;
-  n_line : int;
   mutable calls : call list;
   mutable sources : occurrence list;
   mutable float_folds : (loc * waiver option) list;
@@ -428,15 +426,13 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
   let sorted_depth = ref 0 in
   (* Idents bound by structure-level [let]s: R4's module-level state. *)
   let module_level = Hashtbl.create 64 in
-  let get_node name ~line =
+  let get_node name =
     match Hashtbl.find_opt graph.nodes name with
     | Some n -> n
     | None ->
         let n =
           {
             fn = name;
-            n_file = file;
-            n_line = line;
             calls = [];
             sources = [];
             float_folds = [];
@@ -449,11 +445,11 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
         Hashtbl.add graph.nodes name n;
         n
   in
-  let fact_node ~line =
+  let fact_node () =
     match !current with
     | Some n -> n
     | None ->
-        let n = get_node (unit_name ^ ".(toplevel)") ~line in
+        let n = get_node (unit_name ^ ".(toplevel)") in
         current := Some n;
         n
   in
@@ -507,8 +503,7 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
     Fun.protect ~finally:(fun () -> waiver_stack := saved) (fun () -> k ws)
   in
   let record_ident p (l : Location.t) =
-    let line = l.Location.loc_start.Lexing.pos_lnum in
-    let n = fact_node ~line in
+    let n = fact_node () in
     let name = normalize_path (Path.name p) in
     (* Resolve later against the enclosing scopes: bare [Pident]s only make
        sense relative to a scope, and dotted paths may name a sibling
@@ -652,7 +647,7 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
       (* R9: one capture per escaping variable, at its first use. *)
       List.iter
         (fun ae ->
-          let n = fact_node ~line:ae.Typedtree.exp_loc.loc_start.pos_lnum in
+          let n = fact_node () in
           let seen = Hashtbl.create 8 in
           List.iter
             (fun (name, _, ctor, l) ->
@@ -680,7 +675,7 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
             expr_iter sub hi;
             (match dir with
             | Asttypes.Downto ->
-                let n = fact_node ~line:e.Typedtree.exp_loc.loc_start.pos_lnum in
+                let n = fact_node () in
                 n.order_ops <-
                   ( Downto_loop,
                     "for ... downto",
@@ -706,10 +701,7 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
                          so the R7 closure starts at the right place. *)
                       let saved = !current and saved_scopes = !scopes in
                       scopes := label :: !scopes;
-                      let node =
-                        get_node (node_of_scopes ())
-                          ~line:fe.Typedtree.exp_loc.loc_start.pos_lnum
-                      in
+                      let node = get_node (node_of_scopes ()) in
                       node.cohort_field <- true;
                       current := Some node;
                       expr_iter sub fe;
@@ -722,10 +714,7 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
                       (match fe.Typedtree.exp_desc with
                       | Typedtree.Texp_ident (Path.Pident _, _, _)
                         when List.mem label cohort_field_names ->
-                          let n =
-                            fact_node
-                              ~line:fe.Typedtree.exp_loc.loc_start.pos_lnum
-                          in
+                          let n = fact_node () in
                           n.calls <-
                             { callee = "cohort-field!"; local_scopes = None }
                             :: n.calls
@@ -741,9 +730,7 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
             | Some h when List.mem h fold_fns -> (
                 match head_ctor_name e.Typedtree.exp_type with
                 | Some "float" ->
-                    let n =
-                      fact_node ~line:e.Typedtree.exp_loc.loc_start.pos_lnum
-                    in
+                    let n = fact_node () in
                     n.float_folds <-
                       (loc_of e.Typedtree.exp_loc ~file, active_waiver [ "R8"; "R3" ])
                       :: n.float_folds
@@ -788,10 +775,7 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
         | Some n when is_function vb.Typedtree.vb_expr ->
             let saved = !current and saved_scopes = !scopes in
             scopes := n :: !scopes;
-            let node =
-              get_node (node_of_scopes ())
-                ~line:vb.Typedtree.vb_loc.Location.loc_start.Lexing.pos_lnum
-            in
+            let node = get_node (node_of_scopes ()) in
             (match ws with
             | w :: _ when node.fn_waiver = None -> node.fn_waiver <- Some w
             | _ -> ());

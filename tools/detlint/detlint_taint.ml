@@ -2,9 +2,9 @@
 
    Input: the call graph, per-function facts and local findings extracted
    from the typed trees by detlint_callgraph.ml. Outputs: a purity
-   classification for every function (the ledger, serialized by
-   detlint_ledger.ml), plus every finding of the run — the walk's local
-   ones and these:
+   classification for every function (detlint_ledger.ml writes the
+   non-det ones as the ledger), plus every finding of the run — the
+   walk's local ones and these:
 
    T1  an unwaivered nondeterminism source inside the protected region —
        the forward call-closure of the experiment sinks (engine step
@@ -41,12 +41,7 @@ type classification =
     }
   | Quarantined of { q_rule : string; q_just : string }
 
-type entry = {
-  e_fn : string;
-  e_file : string;
-  e_line : int;
-  e_class : classification;
-}
+type entry = { e_fn : string; e_class : classification }
 
 type result = {
   entries : entry list;  (* name-sorted, one per function *)
@@ -173,9 +168,11 @@ let chain_from_root pred fn =
   in
   up [] fn
 
+(* Path first: the source a ledger entry records is the first of its
+   seed's, so it must not change when an edit only moves code. *)
 let compare_occurrence (a : G.occurrence) (b : G.occurrence) =
-  let c = G.compare_loc a.G.o_loc b.G.o_loc in
-  if c <> 0 then c else String.compare a.G.o_path b.G.o_path
+  let c = String.compare a.G.o_path b.G.o_path in
+  if c <> 0 then c else G.compare_loc a.G.o_loc b.G.o_loc
 
 let unwaived_sources (n : G.node) =
   List.filter (fun o -> o.G.o_waiver = None) n.G.sources
@@ -405,7 +402,7 @@ let analyze (g : G.graph) =
                     | None -> Det)
                 | [] -> Det)
         in
-        { e_fn = fn; e_file = n.G.n_file; e_line = n.G.n_line; e_class = cls })
+        { e_fn = fn; e_class = cls })
       names
   in
   (* W1: waivers nothing was attributed to, once per attribute. *)

@@ -49,8 +49,8 @@ let () =
       Printf.printf
         "detlint: %d file(s) checked, %d violation(s), %d waived finding(s)\n"
         (List.length files) violations (count Detlint.Waived);
-      Printf.printf "detlint: taint pass classified %d function(s)\n"
-        (List.length result.Detlint_taint.entries);
+      Printf.printf "detlint: taint pass classified %s\n"
+        (Detlint_ledger.summary result);
       Option.iter
         (fun file -> write_file file (Detlint_ledger.to_json result))
         ledger;
