@@ -656,8 +656,8 @@ let chaos_smoke () =
   check "chaos: exhausted budget is a terminal failure"
     (match rx.Sim.Runner.failures with
     | [ f ] -> (
-        f.Sim.Parallel.attempt = 1
-        && match f.Sim.Parallel.exn with
+        f.Sim.Runner.attempt = 1
+        && match f.Sim.Runner.exn with
            | Sim.Fault.Injected { site = Sim.Fault.Chunk_body; _ } -> true
            | _ -> false)
     | _ -> false);

@@ -317,7 +317,7 @@ let run_cmd =
       | rs ->
           Printf.printf "chunk retries (%d):\n" (List.length rs);
           List.iter
-            (fun f -> Printf.printf "  %s\n" (Sim.Parallel.pp_chunk_failed f))
+            (fun f -> Printf.printf "  %s\n" (Sim.Runner.pp_chunk_failed f))
             rs);
       match r.Sim.Runner.failures with
       | [] -> (
@@ -329,7 +329,7 @@ let run_cmd =
       | fs ->
           List.iter
             (fun f ->
-              prerr_endline ("chunk failed: " ^ Sim.Parallel.pp_chunk_failed f))
+              prerr_endline ("chunk failed: " ^ Sim.Runner.pp_chunk_failed f))
             fs;
           Printf.eprintf "%d/%d trials completed before failure\n"
             r.Sim.Runner.completed_trials r.Sim.Runner.total_trials;

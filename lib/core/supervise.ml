@@ -45,7 +45,7 @@ type ctx = {
   mutable engines_rev : string list;
       (* Engines the experiment's runner folds executed on, most recent
          first, deduplicated — [`Auto] resolution made auditable. *)
-  mutable last_failure : Sim.Parallel.chunk_failed option;
+  mutable last_failure : Sim.Runner.chunk_failed option;
   mutable stores_rev : string list;
       (* Checkpoint store directories the experiment's folds opened. *)
   obs_events : Obs.Recorder.t;
@@ -91,29 +91,29 @@ let events ctx = Obs.Recorder.events ctx.obs_events
    count. The count stays out of the metrics registry on purpose — a
    survivable chaos run must keep the manifest's metrics_digest
    byte-identical to the fault-free run. *)
-let note_chunk_retried c (f : Sim.Parallel.chunk_failed) =
+let note_chunk_retried c (f : Sim.Runner.chunk_failed) =
   c.chunk_retries <- c.chunk_retries + 1;
   Obs.Recorder.push c.obs_events
     (Obs.Event.Chunk_retry
        {
-         chunk = f.Sim.Parallel.chunk;
-         attempt = f.Sim.Parallel.attempt;
-         trial = f.Sim.Parallel.trial;
-         error = Printexc.to_string f.Sim.Parallel.exn;
+         chunk = f.Sim.Runner.chunk;
+         attempt = f.Sim.Runner.attempt;
+         trial = f.Sim.Runner.trial;
+         error = Printexc.to_string f.Sim.Runner.exn;
        })
 
 (* A chunk whose retry budget is exhausted: the distinct terminal
    event. [attempts] counts every failed pass, so a budget of r lands
    attempts = r + 1. *)
-let note_chunk_failed c (f : Sim.Parallel.chunk_failed) =
+let note_chunk_failed c (f : Sim.Runner.chunk_failed) =
   c.last_failure <- Some f;
   Obs.Recorder.push c.obs_events
     (Obs.Event.Chunk_failed
        {
-         chunk = f.Sim.Parallel.chunk;
-         attempts = f.Sim.Parallel.attempt + 1;
-         trial = f.Sim.Parallel.trial;
-         error = Printexc.to_string f.Sim.Parallel.exn;
+         chunk = f.Sim.Runner.chunk;
+         attempts = f.Sim.Runner.attempt + 1;
+         trial = f.Sim.Runner.trial;
+         error = Printexc.to_string f.Sim.Runner.exn;
        })
 
 let register sup table =
@@ -211,7 +211,7 @@ let run_experiment ctx ~id f =
   in
   match f () with
   | table -> finish (Some table) Completed
-  | exception Sim.Parallel.Cancelled ->
+  | exception Sim.Runner.Cancelled ->
       Obs.Recorder.push ctx.obs_events (Obs.Event.Watchdog { experiment = id });
       finish ctx.table Timed_out
   | exception exn ->
@@ -220,7 +220,7 @@ let run_experiment ctx ~id f =
       in
       let message =
         match ctx.last_failure with
-        | Some f -> Sim.Parallel.pp_chunk_failed f
+        | Some f -> Sim.Runner.pp_chunk_failed f
         | None -> Printexc.to_string exn
       in
       finish ctx.table (Failed { message; backtrace })

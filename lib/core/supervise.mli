@@ -7,7 +7,7 @@
     {ul
     {- {b Watchdogs} — a per-experiment wall-clock deadline that cancels
        cooperatively: every {!fold} polls it at chunk boundaries (the
-       shared-counter poison of {!Sim.Parallel}). A fired
+       poisoning of {!Sim.Runner.fold}). A fired
        watchdog surfaces as [Timed_out] with the partial table built so
        far.}
     {- {b Checkpoint/resume} — {!fold} opens a {!Sim.Checkpoint}
@@ -16,7 +16,7 @@
        recomputed. Resumed summaries are byte-identical to uninterrupted
        ones (chunk-ordered merge + exact [Marshal] round-trip).}
     {- {b Structured failure capture} — a raising trial is recorded as a
-       {!Sim.Parallel.chunk_failed} (chunk, trial, exn, backtrace) and the
+       {!Sim.Runner.chunk_failed} (chunk, trial, exn, backtrace) and the
        experiment finishes as [Failed] with every other experiment
        unaffected; {!write_manifest} lands the whole run's outcome in
        [results/run_manifest.json] and {!any_failed} drives the process
@@ -120,7 +120,7 @@ val commit : ctx option -> 'a Sim.Runner.folded -> 'a
     retried and failed chunks for {!events}, then read it with
     {!Sim.Runner.value} — the complete value, the first chunk failure
     re-raised (recorded for the manifest, original backtrace preserved),
-    or {!Sim.Parallel.Cancelled} on a fired watchdog. *)
+    or {!Sim.Runner.Cancelled} on a fired watchdog. *)
 
 val fold :
   ctx option ->

@@ -1,5 +1,4 @@
-(** Crash-consistent chunk-level checkpoint store for
-    {!Parallel.fold_chunks_supervised}.
+(** Crash-consistent chunk-level checkpoint store for {!Runner.fold}.
 
     A store is one append-only [journal] file in
     [<root>/<exp>-<hash>-<seed>/], holding one record per stored chunk:

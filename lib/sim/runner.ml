@@ -40,9 +40,8 @@ type probe = { sink : Obs.Sink.t; metrics : Obs.Metrics.t }
 
 (* Per-chunk accumulator of the generic fold: the model's own plain-data
    accumulator, the number of trials folded into it, and the chunk's
-   observability slice. Merged in chunk order by
-   Parallel.fold_chunks_supervised, so every field is identical for every
-   worker count. *)
+   observability slice. Merged in chunk order, so every field is
+   identical for every worker count. *)
 type 'acc chunk = {
   acc : 'acc;
   mutable folded : int;
@@ -54,6 +53,25 @@ let obs_note o ev =
   Obs.Metrics.absorb_event o.om ev;
   if o.oevents then Obs.Recorder.push o.orec ev
 
+exception Cancelled
+
+type chunk_failed = {
+  chunk : int;
+  trial : int;
+  attempt : int;
+  exn : exn;
+  backtrace : Printexc.raw_backtrace;
+}
+
+let pp_chunk_failed f =
+  if f.attempt = 0 then
+    Printf.sprintf "chunk %d, trial %d: %s" f.chunk f.trial
+      (Printexc.to_string f.exn)
+  else
+    Printf.sprintf "chunk %d, trial %d (attempt %d): %s" f.chunk f.trial
+      f.attempt
+      (Printexc.to_string f.exn)
+
 type 'a folded = {
   partial : 'a option;
   completed_trials : int;
@@ -61,30 +79,29 @@ type 'a folded = {
   chunks_done : int;
   chunks_total : int;
   chunks_resumed : int;
-  retried : Parallel.chunk_failed list;
-  failures : Parallel.chunk_failed list;
+  retried : chunk_failed list;
+  failures : chunk_failed list;
   cancelled : bool;
   engine_used : string;
 }
 
 type report = summary folded
 
-let fold ?jobs ?chunk_size ?cancel ?checkpoint ?capture ?retries ?fault
+let fold ?jobs ?(chunk_size = Parallel.default_chunk_size)
+    ?(cancel = fun () -> false) ?checkpoint ?capture ?(retries = 0) ?fault
     ~engine ~trials ~create ~merge run_one =
   if trials <= 0 then invalid_arg "Runner.fold: trials must be positive";
-  (* One injector per run, sized to this fold's chunk geometry: fault
-     placement is a pure function of (plan, trials, chunk_size), never of
-     jobs or scheduling. *)
-  let cs =
-    match chunk_size with
-    | Some c when c >= 1 -> c
-    | Some _ | None -> Parallel.default_chunk_size
+  if chunk_size < 1 then invalid_arg "Runner.fold: chunk_size";
+  if retries < 0 then invalid_arg "Runner.fold: retries";
+  let jobs =
+    match jobs with
+    | Some j when j >= 1 -> j
+    | Some _ | None -> Parallel.default_jobs ()
   in
-  let finj =
-    Option.map
-      (fun plan -> Fault.injector ~nchunks:((trials + cs - 1) / cs) plan)
-      fault
-  in
+  (* Chunk boundaries depend only on [trials] and [chunk_size], never on
+     [jobs]; so does fault placement, the injector being sized to them. *)
+  let nchunks = (trials + chunk_size - 1) / chunk_size in
+  let finj = Option.map (Fault.injector ~nchunks) fault in
   let scope c =
     let om = Obs.Metrics.create () and orec = Obs.Recorder.create () in
     { om; orec; oevents = Obs.Capture.record_events c }
@@ -97,6 +114,11 @@ let fold ?jobs ?chunk_size ?cancel ?checkpoint ?capture ?retries ?fault
     { om; orec = Obs.Recorder.merge x.orec y.orec; oevents = x.oevents }
   in
   let chunk_merge a b =
+    (* The chunk-ordered merge runs sequentially on the calling domain
+       after the workers stop, so Metrics_merge faults are deterministic
+       at any jobs count — and, having no chunk attempt to retry into,
+       terminal by construction. *)
+    Fault.trip finj Fault.Metrics_merge ~scope:Fault.run_scope;
     let obs =
       match (a.obs, b.obs) with
       | Some x, Some y -> Some (merge_scope x y)
@@ -116,7 +138,7 @@ let fold ?jobs ?chunk_size ?cancel ?checkpoint ?capture ?retries ?fault
             match finj with
             | None -> Obs.Sink.create (obs_note ob)
             | Some _ ->
-                let scope = index / cs in
+                let scope = index / chunk_size in
                 Obs.Sink.create (fun ev ->
                     Fault.trip finj Fault.Event_sink ~scope;
                     obs_note ob ev)
@@ -136,41 +158,81 @@ let fold ?jobs ?chunk_size ?cancel ?checkpoint ?capture ?retries ?fault
     | None -> ()
     | Some ob -> obs_note ob (Obs.Event.Checkpoint { chunk; resumed })
   in
-  let saved, persist =
-    match checkpoint with
-    | None -> (None, None)
-    | Some ck ->
-        ( Some
-            (fun chunk ->
-              match Checkpoint.load ?fault:finj ck ~chunk with
-              | None -> None
-              | Some c ->
-                  note_checkpoint c ~chunk ~resumed:true;
-                  Some c),
-          Some
-            (fun chunk c ->
-              note_checkpoint c ~chunk ~resumed:false;
-              Checkpoint.store ?fault:finj ck ~chunk c) )
+  (* One slot per chunk, each written only by the worker that ran the
+     chunk and published when [Parallel.run_workers] returns: no failure
+     is dropped to a race, and each keeps its backtrace. *)
+  let partials = Array.make nchunks None in
+  let failed_rev = Array.make nchunks [] in
+  let resumed = Atomic.make 0 in
+  let run_chunk c =
+    let lo = c * chunk_size in
+    let hi = Stdlib.min trials (lo + chunk_size) - 1 in
+    (* Attempts share the injector's hit counters (never reset), so an
+       armed fault fires exactly once and the retried pass runs clean —
+       and, each trial's RNG being a pure function of (seed, index),
+       byte-identical. The store is re-consulted on every attempt: a
+       failed store may have left a durable (or torn, then skipped by
+       {!Checkpoint.load}) record behind. *)
+    let rec attempt k =
+      let i = ref lo in
+      match
+        let loaded =
+          Option.bind checkpoint (fun ck ->
+              Checkpoint.load ?fault:finj ck ~chunk:c)
+        in
+        match loaded with
+        | Some acc ->
+            note_checkpoint acc ~chunk:c ~resumed:true;
+            Atomic.incr resumed;
+            acc
+        | None ->
+            let acc = chunk_create () in
+            while !i <= hi do
+              Fault.trip finj Fault.Chunk_body ~scope:c;
+              work !i acc;
+              incr i
+            done;
+            Option.iter
+              (fun ck ->
+                note_checkpoint acc ~chunk:c ~resumed:false;
+                Checkpoint.store ?fault:finj ck ~chunk:c acc)
+              checkpoint;
+            acc
+      with
+      | acc ->
+          (* Published only once the chunk is durable: a chunk whose
+             store raised is a failed chunk and contributes nothing. *)
+          partials.(c) <- Some acc;
+          true
+      | exception exn ->
+          let backtrace = Printexc.get_raw_backtrace () in
+          failed_rev.(c) <-
+            { chunk = c; trial = !i; attempt = k; exn; backtrace }
+            :: failed_rev.(c);
+          k < retries && attempt (k + 1)
+    in
+    attempt 0
   in
-  let merge =
-    (* The chunk-ordered merge runs sequentially on the calling domain
-       after the workers join, so Metrics_merge faults are deterministic
-       at any jobs count — and, having no chunk attempt to retry into,
-       terminal by construction. *)
-    match finj with
-    | None -> chunk_merge
-    | Some _ ->
-        fun a b ->
-          Fault.trip finj Fault.Metrics_merge ~scope:Fault.run_scope;
-          chunk_merge a b
-  in
-  let s =
+  let value, cancelled =
     try
-      Parallel.fold_chunks_supervised ?jobs ?chunk_size ?cancel ?retries
-        ?fault:finj ?saved ?persist ~n:trials ~create:chunk_create ~work
-        ~merge ()
+      let cancelled =
+        Parallel.run_workers ~jobs ~tasks:nchunks ~cancel run_chunk
+      in
+      (* Chunks that failed or never started are skipped; the survivors
+         still merge in chunk order, so any worker count produces the
+         same value bit for bit, even for non-associative float folds. *)
+      let value =
+        Array.fold_left
+          (fun acc p ->
+            match (acc, p) with
+            | _, None -> acc
+            | None, Some _ -> p
+            | Some a, Some p -> Some (chunk_merge a p))
+          None partials
+      in
+      (value, cancelled)
     with e ->
-      (* A raising merge ends the fold incomplete too. *)
+      (* A raising merge or cancel hook ends the fold incomplete too. *)
       let bt = Printexc.get_raw_backtrace () in
       Option.iter Checkpoint.close checkpoint;
       Printexc.raise_with_backtrace e bt
@@ -179,32 +241,40 @@ let fold ?jobs ?chunk_size ?cancel ?checkpoint ?capture ?retries ?fault
   | None -> ()
   | Some c ->
       let metrics, events =
-        match s.Parallel.value with
+        match value with
         | Some { obs = Some ob; _ } -> (ob.om, Obs.Recorder.events ob.orec)
         | Some { obs = None; _ } | None -> (Obs.Metrics.create (), [])
       in
       Obs.Capture.set c ~metrics ~events);
-  let complete =
-    s.Parallel.chunks_done = s.Parallel.chunks_total
-    && s.Parallel.failures = []
+  let chunks_done =
+    Array.fold_left
+      (fun n p -> if Option.is_some p then n + 1 else n)
+      0 partials
   in
   (* A fully successful fold retires its checkpoints: stale records must
      never outlive the run they belong to. An incomplete one makes its
      records durable for a resume. *)
   Option.iter
-    (if complete then Checkpoint.clear else Checkpoint.close)
+    (if chunks_done = nchunks then Checkpoint.clear else Checkpoint.close)
     checkpoint;
+  (* Chunk order, then attempt order within a chunk: deterministic for
+     plan-injected faults at any [jobs]. Only a chunk's last attempt can
+     reach the budget, and only a chunk that never completed has one. *)
+  let retried, failures =
+    Array.to_list failed_rev
+    |> List.concat_map List.rev
+    |> List.partition (fun f -> f.attempt < retries)
+  in
   {
-    partial = Option.map (fun c -> c.acc) s.Parallel.value;
-    completed_trials =
-      (match s.Parallel.value with Some c -> c.folded | None -> 0);
+    partial = Option.map (fun c -> c.acc) value;
+    completed_trials = (match value with Some c -> c.folded | None -> 0);
     total_trials = trials;
-    chunks_done = s.Parallel.chunks_done;
-    chunks_total = s.Parallel.chunks_total;
-    chunks_resumed = s.Parallel.chunks_resumed;
-    retried = s.Parallel.retried;
-    failures = s.Parallel.failures;
-    cancelled = s.Parallel.cancelled;
+    chunks_done;
+    chunks_total = nchunks;
+    chunks_resumed = Atomic.get resumed;
+    retried;
+    failures;
+    cancelled;
     engine_used = engine;
   }
 
@@ -213,8 +283,8 @@ let value r =
   | f :: _, _ ->
       (* All-or-nothing: the first failure in chunk order, original
          backtrace preserved. *)
-      Printexc.raise_with_backtrace f.Parallel.exn f.Parallel.backtrace
-  | [], _ when r.cancelled -> raise Parallel.Cancelled
+      Printexc.raise_with_backtrace f.exn f.backtrace
+  | [], _ when r.cancelled -> raise Cancelled
   | [], Some v -> v
   | [], None -> assert false (* trials > 0 and no cancel: some chunk ran *)
 

@@ -30,6 +30,32 @@ val input_gen_const : n:int -> int -> Prng.Rng.t -> int array
 val input_gen_split : n:int -> Prng.Rng.t -> int array
 (** Half zeros, half ones, randomly assigned — maximally divided inputs. *)
 
+exception Cancelled
+(** Raised by {!value} (and callers like it that have no partial result
+    to salvage) when the fold reports [cancelled]. {!fold} itself never
+    raises it. *)
+
+type chunk_failed = {
+  chunk : int;  (** Chunk whose attempt raised. *)
+  trial : int;
+      (** Trial index whose run raised. One past the chunk means every
+          trial succeeded and the checkpoint store raised; the chunk's
+          first index with nothing run means the checkpoint load raised. *)
+  attempt : int;
+      (** Which pass over the chunk failed (0 = the first attempt). In
+          [failures] this is the terminal attempt, i.e. the full retry
+          budget; in [retried] it is the attempt that was re-run. *)
+  exn : exn;
+  backtrace : Printexc.raw_backtrace;
+}
+(** One failed chunk attempt. Each chunk's failures are written by the
+    worker that ran it, so concurrent failures are all captured and each
+    keeps the backtrace of its original raise. *)
+
+val pp_chunk_failed : chunk_failed -> string
+(** One-line rendering: ["chunk C, trial I: <exn>"], with
+    [" (attempt A)"] after the trial for retried attempts. *)
+
 type 'a folded = {
   partial : 'a option;
       (** Merge of every completed chunk, in chunk order; [None] iff no
@@ -39,10 +65,10 @@ type 'a folded = {
   chunks_done : int;
   chunks_total : int;
   chunks_resumed : int;  (** Chunks satisfied from the checkpoint store. *)
-  retried : Parallel.chunk_failed list;
+  retried : chunk_failed list;
       (** Failed attempts re-run (and recovered) under the [retries]
           budget, in (chunk, attempt) order. *)
-  failures : Parallel.chunk_failed list;
+  failures : chunk_failed list;
       (** Terminal failures (budget exhausted), in chunk order. *)
   cancelled : bool;  (** The [cancel] watchdog fired. *)
   engine_used : string;
@@ -75,26 +101,57 @@ val fold :
 (** The supervised trial fold of every model — {!run_trials_supervised},
     [Async.Engine.run_trials], [Byz.Engine.run_trials], the coin-game
     control estimates and the experiments' own trial bodies. The last
-    argument runs trial [index] into its chunk's accumulator: it must
-    draw all randomness from [index] and fixed configuration and build
-    any mutable helper afresh, so a trial is the same on any domain and
-    any retry. [create]/[merge] build and combine chunk accumulators,
-    which must be plain data ([Marshal] checkpoints them).
+    argument runs trial [index] into its chunk's accumulator. Trials
+    [0 .. trials-1] are cut into chunks of [chunk_size] (default
+    {!Parallel.default_chunk_size}); each chunk gets a fresh [create ()]
+    accumulator, its trials run in ascending order, and chunk partials
+    combine with [merge] in chunk order. The chunks run on up to [jobs]
+    workers of the {!Parallel} pool ([jobs] below 1 or absent means
+    {!Parallel.default_jobs}). [trials], [chunk_size] and [retries] below
+    their minimum raise [Invalid_argument].
 
-    Raising trials and a fired [cancel] (polled at chunk boundaries, see
-    {!Parallel.fold_chunks_supervised}) salvage every completed chunk.
-    [checkpoint] persists each completed chunk and satisfies stored ones
-    without recomputation; chunks merge in chunk order and [Marshal]
-    round-trips exactly, so a resumed value is byte-identical to an
-    uninterrupted one. A fully successful fold clears its store; any
-    other fold {!Checkpoint.close}s it, so its records are durable.
-    [retries] (default 0) re-runs a failed chunk that many extra times —
-    byte-identical, since each trial is a pure function of its index.
-    [fault] arms one {!Fault} injector for the fold's chunk geometry,
-    tripped before each trial ({!Fault.Chunk_body}), in checkpoint
-    store/load, per captured event ({!Fault.Event_sink}) and in the final
-    sequential merge ({!Fault.Metrics_merge}, terminal); a plan the retry
-    budget absorbs leaves value, events and metrics byte-identical.
+    {b Determinism.} The result is bit-identical to a sequential fold at
+    any [jobs], because:
+    {ol
+    {- the trial body draws all randomness from [index] and fixed
+       configuration (e.g. {!Prng.Rng.of_seed_index}) and builds any
+       mutable helper afresh, so a trial is the same on any domain and
+       any retry;}
+    {- chunk boundaries and the merge order depend only on [trials] and
+       [chunk_size], never on [jobs], so even non-associative float
+       folds (Welford moments) reduce identically.}}
+    [create]/[merge] build and combine chunk accumulators, which must be
+    plain data ([Marshal] checkpoints them).
+
+    {b Salvage.} A raising trial poisons the pool: peers finish their
+    in-flight chunks but start no new ones, the chunk lands in
+    [failures], and every completed chunk still merges into [partial].
+    [cancel] is a watchdog polled by each worker before it claims a chunk
+    (never mid-chunk); when it fires the pool is poisoned the same way
+    and [cancelled] is set. It runs on worker domains and must be
+    thread-safe and cheap; a raising [cancel] or [merge] propagates.
+
+    {b Retries.} [retries] (default 0) re-runs a failed chunk from a
+    fresh accumulator up to that many extra times; each failed attempt
+    but the last lands in [retried], and only a chunk that fails
+    [retries + 1] times poisons the pool.
+
+    {b Checkpoints.} [checkpoint] stores each completed chunk before it
+    may merge — a chunk whose store raises is a failed chunk and
+    contributes nothing — and satisfies stored chunks without
+    recomputation; the store is consulted again on every attempt. Since
+    chunks merge in chunk order and [Marshal] round-trips exactly, a
+    resumed value is byte-identical to an uninterrupted one. A fold
+    whose every chunk completed clears its store; any other fold
+    {!Checkpoint.close}s it, so its records are durable.
+
+    {b Faults.} [fault] arms one {!Fault} injector sized to the fold's
+    chunks, tripped before each trial ({!Fault.Chunk_body}), in
+    checkpoint store/load, per captured event ({!Fault.Event_sink}) and
+    in the final sequential merge ({!Fault.Metrics_merge}, terminal).
+    Hit counters survive retries, so an armed fault fires once and the
+    retried pass runs clean: a plan the retry budget absorbs leaves
+    value, events and metrics byte-identical.
 
     [capture] hands each trial a {!probe}; the per-chunk metrics (and,
     when asked, event recorders) merge in chunk order into the capture,
@@ -104,7 +161,7 @@ val fold :
 
 val value : 'a folded -> 'a
 (** The all-or-nothing reading: the complete value, the first failure in
-    chunk order re-raised with its backtrace, or {!Parallel.Cancelled}. *)
+    chunk order re-raised with its backtrace, or {!Cancelled}. *)
 
 val run_trials_supervised :
   ?max_rounds:int ->

@@ -1,23 +1,23 @@
-(* BAD (R9): a mutable ref defined outside the chunk closure, mutated
-   from inside it. State escaping the supervised chunk boundary makes a
+(* BAD (R9): a mutable ref defined outside the trial closure handed to
+   Runner.fold, mutated from inside it instead of through the chunk
+   accumulator. State escaping the supervised chunk boundary makes a
    resumed run diverge from an uninterrupted one. *)
 
-module Parallel = struct
-  let fold_chunks_supervised ~work n =
-    let acc = ref 0 in
-    for i = 0 to n - 1 do
-      acc := acc.contents + work i
+module Runner = struct
+  let fold ~trials ~create ~merge run_one =
+    let acc = create () in
+    for index = 0 to trials - 1 do
+      run_one ~index acc
     done;
-    acc.contents
+    merge acc (create ())
 end
 
 let total = ref 0
 
 let run () =
-  Parallel.fold_chunks_supervised
-    ~work:(fun i ->
-      total := total.contents + i;
-      i)
-    10
+  Runner.fold ~trials:10
+    ~create:(fun () -> [||])
+    ~merge:(fun a _ -> a)
+    (fun ~index _ -> total := total.contents + index)
 
 let _ = run

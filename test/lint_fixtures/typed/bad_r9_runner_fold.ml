@@ -1,7 +1,7 @@
 (* BAD (R9): a counter defined outside the trial closure handed to
    Runner.fold, bumped from inside it. Every model's trials run through
-   that fold's chunks, so the escape is the same as one across
-   fold_chunks_supervised — and only the Runner.fold entry catches it. *)
+   that fold's chunks, so the escape breaks resume and retry for all of
+   them; this is the smallest closure shape the entry must catch. *)
 
 module Runner = struct
   let fold ~trials run_one =

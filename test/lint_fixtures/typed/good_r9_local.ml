@@ -1,22 +1,25 @@
 (* GOOD: chunk-local state only — the ref is created inside the closure
-   and its value is returned through the accumulator, so nothing escapes
-   the chunk boundary. *)
+   and its value flows into the chunk accumulator, so nothing escapes the
+   chunk boundary. *)
 
-module Parallel = struct
-  let fold_chunks_supervised ~work n =
-    let acc = ref 0 in
-    for i = 0 to n - 1 do
-      acc := acc.contents + work i
+module Runner = struct
+  let fold ~trials ~create ~merge run_one =
+    let acc = create () in
+    for index = 0 to trials - 1 do
+      run_one ~index acc
     done;
-    acc.contents
+    merge acc (create ())
 end
 
 let run () =
-  Parallel.fold_chunks_supervised
-    ~work:(fun i ->
+  Runner.fold ~trials:10
+    ~create:(fun () -> [| 0 |])
+    ~merge:(fun a b ->
+      a.(0) <- a.(0) + b.(0);
+      a)
+    (fun ~index acc ->
       let local = ref 0 in
-      local := local.contents + i;
-      local.contents)
-    10
+      local := local.contents + index;
+      acc.(0) <- acc.(0) + local.contents)
 
 let _ = run

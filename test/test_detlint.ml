@@ -63,10 +63,9 @@ let write_file path s =
    not part of any linted tree. *)
 let stub_sim =
   "module Parallel = struct\n\
-  \  let fold_chunks ~n ~create ~work ~merge () =\n\
-  \    let acc = create () in\n\
-  \    for i = 0 to n - 1 do work i acc done;\n\
-  \    merge acc (create ())\n\
+  \  let run_workers ~jobs:(_ : int) ~tasks ~cancel run =\n\
+  \    for k = 0 to tasks - 1 do ignore (run k : bool) done;\n\
+  \    cancel ()\n\
    end\n\
    module Fault = struct\n\
   \  type site = Chunk_body | Event_sink\n\
@@ -282,10 +281,9 @@ let test_r4_parallel_entry () =
   let src =
     "let hist = Hashtbl.create 16\n\
      let run () =\n\
-    \  Sim.Parallel.fold_chunks ~n:100\n\
-    \    ~create:(fun () -> ())\n\
-    \    ~work:(fun i () -> Hashtbl.replace hist i i)\n\
-    \    ~merge:(fun () () -> ()) ()\n"
+    \  Sim.Parallel.run_workers ~jobs:2 ~tasks:100\n\
+    \    ~cancel:(fun () -> false)\n\
+    \    (fun i -> Hashtbl.replace hist i i; true)\n"
   in
   let fs = lint_source ~relpath:"lib/core/example.ml" src in
   check_strings "capture via Sim.Parallel entry point" [ "R4" ]

@@ -223,7 +223,7 @@ let test_pinned_plan_byte_identical () =
   check_int "three retried attempts" 3 (List.length r.Sim.Runner.retried);
   Alcotest.(check (list int))
     "retried chunks in order" [ 1; 2; 3 ]
-    (List.map (fun f -> f.Sim.Parallel.chunk) r.Sim.Runner.retried)
+    (List.map (fun f -> f.Sim.Runner.chunk) r.Sim.Runner.retried)
 
 let prop_random_plans_byte_identical =
   QCheck.Test.make ~name:"random survivable plans are byte-invisible"
@@ -244,10 +244,10 @@ let test_exhausted_budget_terminal () =
   in
   (match r.Sim.Runner.failures with
   | [ f ] ->
-      check_int "terminal chunk" 1 f.Sim.Parallel.chunk;
-      check_int "terminal attempt is the budget" 1 f.Sim.Parallel.attempt;
+      check_int "terminal chunk" 1 f.Sim.Runner.chunk;
+      check_int "terminal attempt is the budget" 1 f.Sim.Runner.attempt;
       check_bool "original exception preserved" true
-        (match f.Sim.Parallel.exn with
+        (match f.Sim.Runner.exn with
         | Sim.Fault.Injected { site = Sim.Fault.Chunk_body; scope = 1; _ } ->
             true
         | _ -> false)

@@ -806,10 +806,16 @@ let csv_suite =
 
 let suites = suites @ [ csv_suite ]
 
-(* --- Parallel work pool -------------------------------------------------------- *)
+(* --- The trial fold on the parallel pool --------------------------------- *)
 
 let parallel_suite =
   let tc name f = Alcotest.test_case name `Quick f in
+  (* A plain all-or-nothing fold over trials [0 .. trials-1]. *)
+  let fold ?jobs ?chunk_size ~trials ~create ~merge run =
+    Sim.Runner.value
+      (Sim.Runner.fold ?jobs ?chunk_size ~engine:"test" ~trials ~create ~merge
+         (fun ~index _ acc -> run index acc))
+  in
   let test_fold_sum_invariant () =
     (* The same fold over 0..99 for every (jobs, chunk_size) combination. *)
     let expected = 100 * 99 / 2 in
@@ -818,13 +824,12 @@ let parallel_suite =
         List.iter
           (fun chunk_size ->
             let r =
-              Sim.Parallel.fold_chunks ~jobs ~chunk_size ~n:100
+              fold ~jobs ~chunk_size ~trials:100
                 ~create:(fun () -> ref 0)
-                ~work:(fun i acc -> acc := !acc + i)
                 ~merge:(fun a b ->
                   a := !a + !b;
                   a)
-                ()
+                (fun i acc -> acc := !acc + i)
             in
             check_int
               (Printf.sprintf "sum 0..99 (jobs=%d chunk=%d)" jobs chunk_size)
@@ -837,9 +842,9 @@ let parallel_suite =
        boundaries and in-order merging must make every worker count agree
        bit for bit, not just approximately. *)
     let run jobs =
-      Sim.Parallel.fold_chunks ~jobs ~n:257 ~create:Stats.Welford.create
-        ~work:(fun i w -> Stats.Welford.add w (sin (float_of_int i) *. 1e3))
-        ~merge:Stats.Welford.merge ()
+      fold ~jobs ~trials:257 ~create:Stats.Welford.create
+        ~merge:Stats.Welford.merge (fun i w ->
+          Stats.Welford.add w (sin (float_of_int i) *. 1e3))
     in
     let base = run 1 in
     List.iter
@@ -855,34 +860,17 @@ let parallel_suite =
           (Stats.Welford.variance base = Stats.Welford.variance w))
       [ 2; 4 ]
   in
-  let test_map () =
-    let a = Sim.Parallel.map ~jobs:3 ~chunk_size:4 ~n:37 (fun i -> i * i) in
-    check_int "length" 37 (Array.length a);
-    Array.iteri (fun i v -> check_int (Printf.sprintf "slot %d" i) (i * i) v) a
-  in
   let test_empty_and_invalid () =
-    check_int "n = 0 yields the empty accumulator" 0
-      !(Sim.Parallel.fold_chunks ~n:0
-          ~create:(fun () -> ref 0)
-          ~work:(fun _ _ -> Alcotest.fail "work called for n = 0")
-          ~merge:(fun a _ -> a)
-          ());
-    check_int "map n = 0" 0 (Array.length (Sim.Parallel.map ~n:0 (fun i -> i)));
-    check_bool "negative n rejected" true
-      (try
-         ignore (Sim.Parallel.map ~n:(-1) (fun i -> i));
-         false
-       with Invalid_argument _ -> true);
-    check_bool "chunk_size 0 rejected" true
-      (try
-         ignore
-           (Sim.Parallel.fold_chunks ~chunk_size:0 ~n:4
-              ~create:(fun () -> ())
-              ~work:(fun _ () -> ())
-              ~merge:(fun () () -> ())
-              ());
-         false
-       with Invalid_argument _ -> true)
+    let rejects what ~trials ~chunk_size =
+      Alcotest.check_raises what (Invalid_argument what) (fun () ->
+          fold ~chunk_size ~trials
+            ~create:(fun () -> ())
+            ~merge:(fun () () -> ())
+            (fun _ () -> Alcotest.fail "trial run by a rejected fold"))
+    in
+    rejects "Runner.fold: trials must be positive" ~trials:0 ~chunk_size:8;
+    rejects "Runner.fold: trials must be positive" ~trials:(-1) ~chunk_size:8;
+    rejects "Runner.fold: chunk_size" ~trials:4 ~chunk_size:0
   in
   let test_exception_propagates () =
     List.iter
@@ -891,21 +879,62 @@ let parallel_suite =
           (Printf.sprintf "worker failure re-raised (jobs=%d)" jobs)
           true
           (try
-             ignore
-               (Sim.Parallel.fold_chunks ~jobs ~chunk_size:2 ~n:40
-                  ~create:(fun () -> ())
-                  ~work:(fun i () -> if i = 13 then failwith "boom")
-                  ~merge:(fun () () -> ())
-                  ());
+             fold ~jobs ~chunk_size:2 ~trials:40
+               ~create:(fun () -> ())
+               ~merge:(fun () () -> ())
+               (fun i () -> if i = 13 then failwith "boom");
              false
            with Failure m -> m = "boom"))
       [ 1; 4 ]
   in
+  let test_pool_claims () =
+    (* The pool entry under the fold: every task index runs exactly once,
+       a task reporting failure stops new claims, and [cancel] is
+       reported back. *)
+    let runs ?(cancel = fun () -> false) ~jobs ~tasks ok =
+      let ran = Array.init tasks (fun _ -> Atomic.make 0) in
+      let cancelled =
+        Sim.Parallel.run_workers ~jobs ~tasks ~cancel (fun k ->
+            Atomic.incr ran.(k);
+            ok k)
+      in
+      (cancelled, Array.map Atomic.get ran)
+    in
+    List.iter
+      (fun jobs ->
+        let cancelled, ran = runs ~jobs ~tasks:50 (fun _ -> true) in
+        check_bool (Printf.sprintf "not cancelled (jobs=%d)" jobs) false
+          cancelled;
+        Array.iteri
+          (fun k n -> check_int (Printf.sprintf "task %d (jobs=%d)" k jobs) 1 n)
+          ran;
+        let _, ran = runs ~jobs ~tasks:50 (fun k -> k <> 5) in
+        Array.iteri
+          (fun k n ->
+            if k <= 5 then
+              check_int (Printf.sprintf "claimed before poison %d" k) 1 n
+            else check_bool (Printf.sprintf "at most once %d" k) true (n <= 1))
+          ran)
+      [ 1; 2; 4 ];
+    let _, ran = runs ~jobs:1 ~tasks:50 (fun k -> k <> 5) in
+    check_int "no claim after poison (jobs=1)" 6
+      (Array.fold_left ( + ) 0 ran);
+    let polls = ref 0 in
+    let cancelled, ran =
+      runs ~jobs:1 ~tasks:50
+        ~cancel:(fun () ->
+          incr polls;
+          !polls > 3)
+        (fun _ -> true)
+    in
+    check_bool "cancel reported" true cancelled;
+    check_int "claims before cancel" 3 (Array.fold_left ( + ) 0 ran)
+  in
   ( "sim.parallel",
     [
+      tc "pool runs each claimed task once" test_pool_claims;
       tc "fold invariant under jobs and chunk size" test_fold_sum_invariant;
       tc "float folds bit-identical across jobs" test_fold_float_bit_identical;
-      tc "map" test_map;
       tc "empty and invalid arguments" test_empty_and_invalid;
       tc "worker exception propagates" test_exception_propagates;
     ] )

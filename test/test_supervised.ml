@@ -1,5 +1,5 @@
 (* Tests for the supervision layer: structured failure capture and partial
-   salvage in Sim.Parallel.fold_chunks_supervised, the chunk checkpoint
+   salvage in Sim.Runner.fold, the pool it runs on, the chunk checkpoint
    store, exact checkpoint/resume through Sim.Runner, and Core.Supervise's
    per-experiment watchdog, failure records and run manifest. *)
 
@@ -7,41 +7,63 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
+(* Every checkpoint store in these tests lives under a per-test temp root,
+   removed on teardown — `dune runtest` must leave no ckpt_test_* debris in
+   the repository root. *)
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+let with_temp_root name f =
+  let dir = Filename.temp_dir "ckpt_test_" "" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () -> f (Filename.concat dir name))
+
+let plan_of_string_exn s =
+  match Sim.Fault.plan_of_string s with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "bad plan %S: %s" s e
+
 (* List-of-indices accumulator: the merged value spells out exactly which
    indices were folded in, in merge order. *)
-let indices_fold ?jobs ?cancel ?retries ?fault ?saved ?persist ~chunk_size ~n
+let indices_fold ?jobs ?cancel ?checkpoint ?retries ?fault ~chunk_size ~n
     ~crash_at () =
-  Sim.Parallel.fold_chunks_supervised ?jobs ?cancel ?retries ?fault ?saved
-    ?persist ~chunk_size ~n
+  Sim.Runner.fold ?jobs ~chunk_size ?cancel ?checkpoint ?retries ?fault
+    ~engine:"indices" ~trials:n
     ~create:(fun () -> ref [])
-    ~work:(fun i acc ->
-      if List.mem i crash_at then failwith (Printf.sprintf "boom %d" i);
-      acc := !acc @ [ i ])
     ~merge:(fun a b ->
       a := !a @ !b;
       a)
-    ()
+    (fun ~index _ acc ->
+      if List.mem index crash_at then failwith (Printf.sprintf "boom %d" index);
+      acc := !acc @ [ index ])
 
-(* --- fold_chunks_supervised: failure capture & salvage ----------------- *)
+(* --- Runner.fold: failure capture & salvage ---------------------------- *)
 
 let test_crash_structured () =
   (* Sequential workers make the poisoning deterministic: chunks 0-2
      complete, chunk 3 (index 13) fails, chunks 4-9 never start. *)
   let s = indices_fold ~jobs:1 ~chunk_size:4 ~n:40 ~crash_at:[ 13 ] () in
-  check_int "chunks_total" 10 s.Sim.Parallel.chunks_total;
-  check_int "chunks_done" 3 s.Sim.Parallel.chunks_done;
-  check_int "chunks_resumed" 0 s.Sim.Parallel.chunks_resumed;
-  check_bool "not cancelled" false s.Sim.Parallel.cancelled;
-  (match s.Sim.Parallel.failures with
+  check_int "chunks_total" 10 s.Sim.Runner.chunks_total;
+  check_int "chunks_done" 3 s.Sim.Runner.chunks_done;
+  check_int "chunks_resumed" 0 s.Sim.Runner.chunks_resumed;
+  check_bool "not cancelled" false s.Sim.Runner.cancelled;
+  (match s.Sim.Runner.failures with
   | [ f ] ->
-      check_int "failing chunk" 3 f.Sim.Parallel.chunk;
-      check_int "failing trial" 13 f.Sim.Parallel.trial;
+      check_int "failing chunk" 3 f.Sim.Runner.chunk;
+      check_int "failing trial" 13 f.Sim.Runner.trial;
       check_bool "original exception" true
-        (f.Sim.Parallel.exn = Failure "boom 13");
+        (f.Sim.Runner.exn = Failure "boom 13");
       check_string "pp_chunk_failed" "chunk 3, trial 13: Failure(\"boom 13\")"
-        (Sim.Parallel.pp_chunk_failed f)
+        (Sim.Runner.pp_chunk_failed f)
   | fs -> Alcotest.failf "expected exactly one failure, got %d" (List.length fs));
-  match s.Sim.Parallel.value with
+  match s.Sim.Runner.partial with
   | Some v -> Alcotest.(check (list int)) "salvaged prefix" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11 ] !v
   | None -> Alcotest.fail "partial value missing"
 
@@ -50,64 +72,78 @@ let test_crash_salvage_parallel () =
      but the invariants are not: the failing chunk is captured exactly,
      nothing from it is merged, and the merge stays in chunk order. *)
   let s = indices_fold ~jobs:4 ~chunk_size:4 ~n:40 ~crash_at:[ 13 ] () in
-  check_bool "not cancelled" false s.Sim.Parallel.cancelled;
-  (match s.Sim.Parallel.failures with
+  check_bool "not cancelled" false s.Sim.Runner.cancelled;
+  (match s.Sim.Runner.failures with
   | [ f ] ->
-      check_int "failing chunk" 3 f.Sim.Parallel.chunk;
-      check_int "failing trial" 13 f.Sim.Parallel.trial
+      check_int "failing chunk" 3 f.Sim.Runner.chunk;
+      check_int "failing trial" 13 f.Sim.Runner.trial
   | fs -> Alcotest.failf "expected exactly one failure, got %d" (List.length fs));
-  let v = match s.Sim.Parallel.value with Some v -> !v | None -> [] in
+  let v = match s.Sim.Runner.partial with Some v -> !v | None -> [] in
   check_int "value covers exactly the completed chunks"
-    (4 * s.Sim.Parallel.chunks_done)
+    (4 * s.Sim.Runner.chunks_done)
     (List.length v);
   check_bool "nothing from the failed chunk leaks in" true
     (List.for_all (fun i -> i < 12 || i > 15) v);
   check_bool "merge order is chunk order" true (List.sort compare v = v)
 
-let test_persist_failure_recorded () =
-  (* A raising persist hook is the chunk's failure; its [trial] is one past
-     the chunk so it cannot be mistaken for a work-call index. *)
-  let persist c _ = if c = 2 then failwith "disk full" in
-  let s =
-    indices_fold ~jobs:1 ~chunk_size:4 ~n:16 ~crash_at:[] ~persist ()
+let test_checkpoint_fault_recorded () =
+  (* A checkpoint fault is the chunk's failure. A raising store's [trial]
+     is one past the chunk, so it cannot be mistaken for a trial index,
+     and the chunk is not durable, so it does not merge; a raising load's
+     is the chunk's first index, no trial having run. *)
+  with_temp_root "ckpt_test_fault" @@ fun root ->
+  let run plan =
+    let checkpoint =
+      Sim.Checkpoint.create ~root ~exp:plan ~seed:0 ~chunk_size:4 ~n:16
+    in
+    indices_fold ~jobs:1 ~chunk_size:4 ~n:16 ~crash_at:[] ~checkpoint
+      ~fault:(plan_of_string_exn plan) ()
   in
-  check_int "chunks_done" 2 s.Sim.Parallel.chunks_done;
-  (match s.Sim.Parallel.failures with
-  | [ f ] ->
-      check_int "failing chunk" 2 f.Sim.Parallel.chunk;
-      check_int "trial is one past the chunk" 12 f.Sim.Parallel.trial;
-      check_bool "persist's exception" true (f.Sim.Parallel.exn = Failure "disk full")
-  | fs -> Alcotest.failf "expected exactly one failure, got %d" (List.length fs));
-  match s.Sim.Parallel.value with
+  let only_failure (s : _ Sim.Runner.folded) =
+    match s.Sim.Runner.failures with
+    | [ f ] -> f
+    | fs ->
+        Alcotest.failf "expected exactly one failure, got %d" (List.length fs)
+  in
+  let injected site scope (f : Sim.Runner.chunk_failed) =
+    f.Sim.Runner.exn
+    = Sim.Fault.Injected { site; scope; kind = Sim.Fault.Crash }
+  in
+  let s = run "store@2#0:raise" in
+  check_int "chunks_done" 2 s.Sim.Runner.chunks_done;
+  let f = only_failure s in
+  check_int "failing chunk" 2 f.Sim.Runner.chunk;
+  check_int "trial is one past the chunk" 12 f.Sim.Runner.trial;
+  check_bool "store's exception" true (injected Sim.Fault.Checkpoint_store 2 f);
+  (match s.Sim.Runner.partial with
   | Some v -> Alcotest.(check (list int)) "only durable chunks merged" [ 0; 1; 2; 3; 4; 5; 6; 7 ] !v
-  | None -> Alcotest.fail "partial value missing"
+  | None -> Alcotest.fail "partial value missing");
+  let s = run "load@1#0:raise" in
+  check_int "chunks_done" 1 s.Sim.Runner.chunks_done;
+  let f = only_failure s in
+  check_int "failing chunk" 1 f.Sim.Runner.chunk;
+  check_int "trial is the chunk's first index" 4 f.Sim.Runner.trial;
+  check_bool "load's exception" true (injected Sim.Fault.Checkpoint_load 1 f)
 
-(* --- fold_chunks_supervised: retry budget ------------------------------ *)
-
-let plan_of_string_exn s =
-  match Sim.Fault.plan_of_string s with
-  | Ok p -> p
-  | Error e -> Alcotest.failf "bad plan %S: %s" s e
+(* --- Runner.fold: retry budget ------------------------------------------ *)
 
 let test_retry_recovers () =
   (* An armed fault on chunk 1's third work call (index 6) fires exactly
      once — hit counters persist across retries — so the retried pass
      runs clean and the final value is the complete fold. *)
-  let fault =
-    Sim.Fault.injector ~nchunks:4 (plan_of_string_exn "body@1#2:raise")
-  in
+  let fault = plan_of_string_exn "body@1#2:raise" in
   let s =
     indices_fold ~jobs:1 ~chunk_size:4 ~n:16 ~crash_at:[] ~retries:1 ~fault ()
   in
-  check_bool "no terminal failures" true (s.Sim.Parallel.failures = []);
-  check_int "all chunks done" 4 s.Sim.Parallel.chunks_done;
-  (match s.Sim.Parallel.retried with
+  check_bool "no terminal failures" true (s.Sim.Runner.failures = []);
+  check_int "all chunks done" 4 s.Sim.Runner.chunks_done;
+  (match s.Sim.Runner.retried with
   | [ f ] ->
-      check_int "retried chunk" 1 f.Sim.Parallel.chunk;
-      check_int "retried trial" 6 f.Sim.Parallel.trial;
-      check_int "retried attempt" 0 f.Sim.Parallel.attempt;
+      check_int "retried chunk" 1 f.Sim.Runner.chunk;
+      check_int "retried trial" 6 f.Sim.Runner.trial;
+      check_int "retried attempt" 0 f.Sim.Runner.attempt;
       check_bool "injected exception preserved" true
-        (match f.Sim.Parallel.exn with
+        (match f.Sim.Runner.exn with
         | Sim.Fault.Injected
             { site = Sim.Fault.Chunk_body; scope = 1; kind = Sim.Fault.Crash }
           ->
@@ -115,11 +151,11 @@ let test_retry_recovers () =
         | _ -> false);
       check_string "pp renders the injected fault"
         "chunk 1, trial 6: injected fault: body@1:raise"
-        (Sim.Parallel.pp_chunk_failed f)
+        (Sim.Runner.pp_chunk_failed f)
   | fs ->
       Alcotest.failf "expected exactly one retried attempt, got %d"
         (List.length fs));
-  match s.Sim.Parallel.value with
+  match s.Sim.Runner.partial with
   | Some v ->
       Alcotest.(check (list int))
         "retried fold is complete"
@@ -131,25 +167,23 @@ let test_retry_budget_exhausted () =
   (* An every-hit arm defeats any budget: [retries] extra passes all land
      in [retried], the terminal attempt in [failures] with the original
      exception, and the chunk contributes nothing. *)
-  let fault =
-    Sim.Fault.injector ~nchunks:4 (plan_of_string_exn "body@1#*:raise")
-  in
+  let fault = plan_of_string_exn "body@1#*:raise" in
   let s =
     indices_fold ~jobs:1 ~chunk_size:4 ~n:16 ~crash_at:[] ~retries:2 ~fault ()
   in
-  (match s.Sim.Parallel.failures with
+  (match s.Sim.Runner.failures with
   | [ f ] ->
-      check_int "terminal chunk" 1 f.Sim.Parallel.chunk;
-      check_int "terminal attempt is the budget" 2 f.Sim.Parallel.attempt
+      check_int "terminal chunk" 1 f.Sim.Runner.chunk;
+      check_int "terminal attempt is the budget" 2 f.Sim.Runner.attempt
   | fs -> Alcotest.failf "expected one terminal failure, got %d" (List.length fs));
   Alcotest.(check (list int))
     "every non-terminal attempt recorded" [ 0; 1 ]
-    (List.map (fun f -> f.Sim.Parallel.attempt) s.Sim.Parallel.retried);
+    (List.map (fun f -> f.Sim.Runner.attempt) s.Sim.Runner.retried);
   check_bool "retried attempts are all chunk 1" true
-    (List.for_all (fun f -> f.Sim.Parallel.chunk = 1) s.Sim.Parallel.retried);
+    (List.for_all (fun f -> f.Sim.Runner.chunk = 1) s.Sim.Runner.retried);
   (* Only a terminal failure poisons the pool: with one worker, chunk 0
      completed before the budget ran out and chunks 2-3 never started. *)
-  match s.Sim.Parallel.value with
+  match s.Sim.Runner.partial with
   | Some v ->
       Alcotest.(check (list int))
         "failed chunk contributes nothing" [ 0; 1; 2; 3 ] !v
@@ -157,7 +191,7 @@ let test_retry_budget_exhausted () =
 
 let test_retries_validated () =
   Alcotest.check_raises "negative retries rejected"
-    (Invalid_argument "Parallel.fold_chunks_supervised: retries") (fun () ->
+    (Invalid_argument "Runner.fold: retries") (fun () ->
       ignore
         (indices_fold ~jobs:1 ~chunk_size:4 ~n:8 ~crash_at:[] ~retries:(-1) ()))
 
@@ -173,7 +207,7 @@ let test_deadline_validated () =
     [ Float.nan; Float.infinity; Float.neg_infinity ];
   ignore (Core.Supervise.create ~deadline_s:(-1.0) ())
 
-(* --- fold_chunks_supervised: cooperative cancellation ------------------ *)
+(* --- Runner.fold: cooperative cancellation ------------------------------ *)
 
 let test_cancel_before_first_chunk () =
   let s =
@@ -181,10 +215,10 @@ let test_cancel_before_first_chunk () =
       ~cancel:(fun () -> true)
       ()
   in
-  check_bool "cancelled" true s.Sim.Parallel.cancelled;
-  check_int "no chunks ran" 0 s.Sim.Parallel.chunks_done;
-  check_bool "no failures" true (s.Sim.Parallel.failures = []);
-  check_bool "no value" true (s.Sim.Parallel.value = None)
+  check_bool "cancelled" true s.Sim.Runner.cancelled;
+  check_int "no chunks ran" 0 s.Sim.Runner.chunks_done;
+  check_bool "no failures" true (s.Sim.Runner.failures = []);
+  check_bool "no value" true (s.Sim.Runner.partial = None)
 
 let test_cancel_at_chunk_boundary () =
   (* The watchdog is polled before claiming each chunk, never mid-chunk:
@@ -196,9 +230,9 @@ let test_cancel_at_chunk_boundary () =
     !polls > 2
   in
   let s = indices_fold ~jobs:1 ~chunk_size:4 ~n:40 ~crash_at:[] ~cancel () in
-  check_bool "cancelled" true s.Sim.Parallel.cancelled;
-  check_int "two whole chunks" 2 s.Sim.Parallel.chunks_done;
-  match s.Sim.Parallel.value with
+  check_bool "cancelled" true s.Sim.Runner.cancelled;
+  check_int "two whole chunks" 2 s.Sim.Runner.chunks_done;
+  match s.Sim.Runner.partial with
   | Some v -> Alcotest.(check (list int)) "partial prefix" [ 0; 1; 2; 3; 4; 5; 6; 7 ] !v
   | None -> Alcotest.fail "partial value missing"
 
@@ -209,7 +243,7 @@ let test_cancel_at_chunk_boundary () =
    plain fold whose result every test compares against [jobs = 1]. *)
 let clean ?(jobs = 2) () =
   match
-    (indices_fold ~jobs ~chunk_size:3 ~n:50 ~crash_at:[] ()).Sim.Parallel.value
+    (indices_fold ~jobs ~chunk_size:3 ~n:50 ~crash_at:[] ()).Sim.Runner.partial
   with
   | Some v -> !v
   | None -> Alcotest.fail "clean fold lost its value"
@@ -221,23 +255,24 @@ let test_pool_nested_fold () =
      holds the pool's helper: the inner folds must finish (on fewer
      workers) and the whole equals the sequential fold. *)
   let nested jobs =
-    Sim.Parallel.fold_chunks ~jobs ~chunk_size:2 ~n:12
-      ~create:(fun () -> ref [])
-      ~work:(fun i acc ->
-        let inner =
-          Sim.Parallel.fold_chunks ~jobs ~chunk_size:3 ~n:(10 + i)
-            ~create:(fun () -> ref 0)
-            ~work:(fun k sum -> sum := !sum + (i * k))
-            ~merge:(fun a b ->
-              a := !a + !b;
-              a)
-            ()
-        in
-        acc := !acc @ [ !inner ])
-      ~merge:(fun a b ->
-        a := !a @ !b;
-        a)
-      ()
+    Sim.Runner.value
+      (Sim.Runner.fold ~jobs ~chunk_size:2 ~engine:"outer" ~trials:12
+         ~create:(fun () -> ref [])
+         ~merge:(fun a b ->
+           a := !a @ !b;
+           a)
+         (fun ~index:i _ acc ->
+           let inner =
+             Sim.Runner.value
+               (Sim.Runner.fold ~jobs ~chunk_size:3 ~engine:"inner"
+                  ~trials:(10 + i)
+                  ~create:(fun () -> ref 0)
+                  ~merge:(fun a b ->
+                    a := !a + !b;
+                    a)
+                  (fun ~index:k _ sum -> sum := !sum + (i * k)))
+           in
+           acc := !acc @ [ !inner ]))
   in
   Alcotest.(check (list int)) "nested jobs=2 = jobs=1" !(nested 1) !(nested 2);
   Alcotest.(check (list int)) "pool usable after nesting" all_indices (clean ())
@@ -263,33 +298,32 @@ let test_pool_worker_failure () =
     Fun.protect
       ~finally:(fun () -> Printexc.record_backtrace was)
       (fun () ->
-        Sim.Parallel.fold_chunks_supervised ~jobs:2 ~chunk_size:4 ~n:40
+        Sim.Runner.fold ~jobs:2 ~chunk_size:4 ~engine:"pool" ~trials:40
           ~create:(fun () -> ref [])
-          ~work:(fun i acc ->
+          ~merge:(fun a b ->
+            a := !b @ !a;
+            a)
+          (fun ~index:i _ acc ->
             if i = 1 || i = 5 then begin
               rendezvous met 2;
               failwith (Printf.sprintf "boom %d" i)
             end;
-            acc := i :: !acc)
-          ~merge:(fun a b ->
-            a := !b @ !a;
-            a)
-          ())
+            acc := i :: !acc))
   in
   check_int "both sides met" 2 (Atomic.get met);
-  (match s.Sim.Parallel.failures with
+  (match s.Sim.Runner.failures with
   | [ f0; f1 ] ->
-      check_int "first failing chunk" 0 f0.Sim.Parallel.chunk;
-      check_int "its trial" 1 f0.Sim.Parallel.trial;
-      check_int "second failing chunk" 1 f1.Sim.Parallel.chunk;
-      check_int "its trial" 5 f1.Sim.Parallel.trial;
+      check_int "first failing chunk" 0 f0.Sim.Runner.chunk;
+      check_int "its trial" 1 f0.Sim.Runner.trial;
+      check_int "second failing chunk" 1 f1.Sim.Runner.chunk;
+      check_int "its trial" 5 f1.Sim.Runner.trial;
       List.iter
         (fun f ->
           check_bool "exception kept" true
-            (f.Sim.Parallel.exn
-            = Failure (Printf.sprintf "boom %d" f.Sim.Parallel.trial));
+            (f.Sim.Runner.exn
+            = Failure (Printf.sprintf "boom %d" f.Sim.Runner.trial));
           check_bool "backtrace kept" true
-            (Printexc.raw_backtrace_length f.Sim.Parallel.backtrace > 0))
+            (Printexc.raw_backtrace_length f.Sim.Runner.backtrace > 0))
         [ f0; f1 ]
   | fs -> Alcotest.failf "expected chunks 0 and 1 to fail, got %d failures"
             (List.length fs));
@@ -311,9 +345,9 @@ let test_pool_cancel_mid_fold () =
       ~cancel:(fun () -> Atomic.fetch_and_add polls 1 >= 4)
       ()
   in
-  check_bool "cancelled" true s.Sim.Parallel.cancelled;
+  check_bool "cancelled" true s.Sim.Runner.cancelled;
   check_bool "stopped early" true
-    (s.Sim.Parallel.chunks_done < s.Sim.Parallel.chunks_total);
+    (s.Sim.Runner.chunks_done < s.Sim.Runner.chunks_total);
   Alcotest.(check (list int)) "pool usable after a cancel" all_indices (clean ());
   let polls = Atomic.make 0 in
   Alcotest.check_raises "a raising hook surfaces" (Failure "hook") (fun () ->
@@ -327,24 +361,6 @@ let test_pool_cancel_mid_fold () =
     (clean ())
 
 (* --- checkpoint store -------------------------------------------------- *)
-
-(* Every checkpoint store in these tests lives under a per-test temp root,
-   removed on teardown — `dune runtest` must leave no ckpt_test_* debris in
-   the repository root. *)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-let with_temp_root name f =
-  let dir = Filename.temp_dir "ckpt_test_" "" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () -> f (Filename.concat dir name))
 
 let test_checkpoint_roundtrip () =
   with_temp_root "ckpt_test_roundtrip" @@ fun root ->
@@ -592,8 +608,8 @@ let test_runner_crash_salvage () =
   check_int "total_trials" 20 r.Sim.Runner.total_trials;
   (match r.Sim.Runner.failures with
   | [ f ] ->
-      check_int "failing chunk" 3 f.Sim.Parallel.chunk;
-      check_int "failing trial" 13 f.Sim.Parallel.trial
+      check_int "failing chunk" 3 f.Sim.Runner.chunk;
+      check_int "failing trial" 13 f.Sim.Runner.trial
   | fs -> Alcotest.failf "expected exactly one failure, got %d" (List.length fs));
   (* The fresh run must use the same chunk boundaries: Welford merging is
      a non-associative float fold, so only identical chunking is
@@ -672,12 +688,11 @@ let test_runner_checkpoint_resume_exact () =
     (Sys.file_exists (Sim.Checkpoint.dir (make_ck ())))
 
 let test_runner_chunk_size_validated () =
-  (* [chunk_size] is now accepted (and validated) at the runner layer; a
-     non-positive value fails fast with the Parallel invariant instead of
-     deep inside a worker. The CLI rejects it even earlier, at argument
-     parsing ("--chunk-size 0" never reaches this code). *)
+  (* A non-positive [chunk_size] fails fast, before any trial runs. The
+     CLI rejects it even earlier, at argument parsing ("--chunk-size 0"
+     never reaches this code). *)
   Alcotest.check_raises "chunk_size 0 rejected"
-    (Invalid_argument "Parallel.fold_chunks_supervised: chunk_size") (fun () ->
+    (Invalid_argument "Runner.fold: chunk_size") (fun () ->
       ignore
         (Sim.Runner.run_trials ~chunk_size:0 ~jobs:1 ~trials:4 ~seed:5
            ~gen_inputs:(Sim.Runner.input_gen_random ~n:8) ~t:3
@@ -1015,7 +1030,7 @@ let test_supervise_timeout_salvages_table () =
             (Stats.Table.create ~title:"partial" ~columns:[ "a" ])
         in
         Stats.Table.add_row tbl [ Stats.Table.Str "row" ];
-        raise Sim.Parallel.Cancelled)
+        raise Sim.Runner.Cancelled)
   in
   (match r.Core.Supervise.status with
   | Core.Supervise.Timed_out -> ()
@@ -1212,8 +1227,8 @@ let suites =
           test_crash_structured;
         tc "salvage invariants hold under parallel workers"
           test_crash_salvage_parallel;
-        tc "persist failure recorded as the chunk's failure"
-          test_persist_failure_recorded;
+        tc "checkpoint store and load faults are the chunk's failure"
+          test_checkpoint_fault_recorded;
         tc "cancel before the first chunk" test_cancel_before_first_chunk;
         tc "cancel fires only at chunk boundaries"
           test_cancel_at_chunk_boundary;

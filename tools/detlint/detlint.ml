@@ -21,7 +21,7 @@
    R4  race heuristic — a module-level binding of mutable type ([ref],
        [Hashtbl.t], [array], [bytes], [Buffer.t], [Queue.t], [Stack.t];
        [Atomic.t] is the sanctioned cell) captured by a closure literal
-       passed to [Domain.spawn] or an unsupervised [Parallel] entry point.
+       passed to [Domain.spawn] or the [Parallel.run_workers] pool entry.
    R5  polymorphic comparison inside the determinism-critical hot-path
        libraries [lib/stats], [lib/sim], [lib/core] and [lib/coinflip]: any
        bare [compare] (use [Float.compare] / [Int.compare]), [=] / [<>]
@@ -32,7 +32,7 @@
        and R2 still flags every raw clock read. Its id stays unused so the
        other rules keep their numbers.)
    R10 no [Fault.fire] / [Fault.trip] outside the injector-mediated call
-       paths (lib/sim/{fault,parallel,checkpoint,runner}.ml and
+       paths (lib/sim/{fault,checkpoint,runner}.ml and
        lib/core/supervise.ml). Fault-site triggers anywhere else would
        inject failures outside the retry/quarantine machinery and outside
        the replay contract ([--fault-plan] re-runs must place every fault

@@ -14,7 +14,7 @@
      a tuple literal (scoped to the hot-path libraries); R10 fault-site
      triggers outside the injector stack.
    - R4: module-level mutable bindings captured by a closure literal
-     handed to [Domain.spawn] or an unsupervised [Parallel] entry.
+     handed to [Domain.spawn] or the [Parallel.run_workers] pool entry.
    - W0: a malformed waiver (it suppresses nothing). P0: a source file
      under the given trees without a loadable typed tree.
 
@@ -43,9 +43,8 @@
      against the cohort-op closure by the taint pass.
    - supervised captures (R9): free variables of mutable type ([ref],
      [Hashtbl.t], [Buffer.t], [Queue.t], [Stack.t]) captured by closure
-     literals passed to [fold_chunks_supervised] or to [Runner.fold]
-     (whose trial closure runs inside every model's chunks) — state that
-     escapes the chunk boundary.
+     literals passed to [Runner.fold] (whose trial closure runs inside
+     every model's chunks) — state that escapes the chunk boundary.
 
    Every well-formed waiver is registered by the location of its attribute
    (and marked when it suppresses a local finding) so the taint pass can
@@ -181,8 +180,8 @@ let module_path fn =
   match String.rindex_opt fn '.' with Some i -> String.sub fn 0 i | None -> ""
 
 (* [suffix_matches ~suffix name]: dotted-suffix match, so the fixture
-   corpus's self-contained stand-ins ("Bad_r9.Parallel.fold_chunks_supervised")
-   trip the same patterns as the real tree ("Sim.Parallel...."). *)
+   corpus's self-contained stand-ins ("Bad_r9_escape.Runner.fold") trip
+   the same patterns as the real tree ("Sim.Runner.fold"). *)
 let suffix_matches ~suffix name =
   name = suffix
   ||
@@ -219,13 +218,9 @@ let fold_fns =
 (* Closure literals handed to these run on other domains (R4); the
    supervised fold's chunk closures are R9's business. All are
    dotted-suffix matched. *)
-let parallel_entries =
-  [
-    "Domain.spawn"; "Parallel.fold_chunks"; "Parallel.map";
-    "Parallel.run_workers";
-  ]
+let parallel_entries = [ "Domain.spawn"; "Parallel.run_workers" ]
 
-let supervised_entries = [ "Parallel.fold_chunks_supervised"; "Runner.fold" ]
+let supervised_entries = [ "Runner.fold" ]
 
 (* Head type constructors that make a captured variable shared mutable
    state: R9's set, and R4's, which also counts arrays and bytes
@@ -261,7 +256,6 @@ let in_scope_r5 file =
 let r10_trigger_files =
   [
     "lib/sim/fault.ml";
-    "lib/sim/parallel.ml";
     "lib/sim/checkpoint.ml";
     "lib/sim/runner.ml";
     "lib/core/supervise.ml";
@@ -579,8 +573,8 @@ let walk_structure graph ~unit_name ~file (str : Typedtree.structure) =
              name)
         ~hint:
           "Fault.fire/Fault.trip may only run inside the fault engine and \
-           the supervised runner stack (lib/sim/fault.ml, parallel.ml, \
-           checkpoint.ml, runner.ml, lib/core/supervise.ml); thread a fault \
+           the supervised runner stack (lib/sim/fault.ml, checkpoint.ml, \
+           runner.ml, lib/core/supervise.ml); thread a fault \
            plan through Sim.Runner.run_trials_supervised / \
            Core.Supervise.create instead of tripping sites ad hoc"
   in

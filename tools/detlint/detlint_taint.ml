@@ -19,8 +19,7 @@
        order-sensitive accumulation flowing toward merged registries must
        use the commutative init/absorb/finish algebra or carry a waiver.
    R9  mutable state ([ref]/[Hashtbl.t]/[Buffer.t]/[Queue.t]/[Stack.t])
-       captured across the [fold_chunks_supervised] / [Runner.fold]
-       chunk boundary.
+       captured across the [Runner.fold] chunk boundary.
    W1  a well-formed waiver that suppresses nothing.
 
    Taint propagates callee → caller: a function calling a nondet function
