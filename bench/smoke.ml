@@ -572,14 +572,18 @@ let chaos_smoke () =
   let plan = plan_exn chaos_pinned_plan in
   let root = Filename.temp_dir "bench_chaos_" "" in
   Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
-  let run ?fault ?(retries = 0) ~tag ~jobs () =
+  let run ?(fault = []) ?(retries = 0) ~tag ~jobs () =
     let capture = Obs.Capture.create ~events:true () in
     let checkpoint =
       Sim.Checkpoint.create ~root ~exp:tag ~seed ~chunk_size:8 ~n:trials
     in
     let r =
       Sim.Runner.run_trials_supervised ~max_rounds:500 ~jobs ~chunk_size:8
-        ~checkpoint ~capture ?fault ~retries ~trials ~seed
+        ~capture
+        ~guard:
+          { Sim.Runner.unguarded with
+            checkpoint = Some checkpoint; retries; fault }
+        ~trials ~seed
         ~gen_inputs:(Sim.Runner.input_gen_random ~n)
         ~t:2 (Core.Synran.protocol n)
         (fun () -> Sim.Adversary.null)
@@ -628,11 +632,9 @@ let chaos_smoke () =
            supervised leg captures too. *)
         let capture = Obs.Capture.create ~events:true () in
         ignore
-          (Core.Supervise.fold (Some ctx) ~key:tag ~seed ~trials
-             (fun ?cancel ?checkpoint ?retries ?fault () ->
+          (Core.Supervise.fold ctx ~key:tag ~seed ~trials (fun guard ->
                Sim.Runner.run_trials_supervised ~max_rounds:500 ~jobs:1
-                 ~chunk_size:8 ?cancel ?checkpoint ~capture ?retries ?fault
-                 ~trials ~seed
+                 ~chunk_size:8 ~capture ~guard ~trials ~seed
                  ~gen_inputs:(Sim.Runner.input_gen_random ~n)
                  ~t:2 (Core.Synran.protocol n)
                  (fun () -> Sim.Adversary.null)));

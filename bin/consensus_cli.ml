@@ -12,16 +12,20 @@ open Cmdliner
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Master PRNG seed.")
 
-(* Reject non-positive counts at the command line with a clear error
+(* Reject counts below [lo] at the command line with a clear error
    instead of silently coercing them to a default deeper down. *)
-let positive_int what =
+let int_at_least lo what =
   let parse s =
     match int_of_string_opt s with
-    | Some v when v >= 1 -> Ok v
-    | Some v -> Error (`Msg (Printf.sprintf "%s must be >= 1 (got %d)" what v))
-    | None -> Error (`Msg (Printf.sprintf "%s must be an integer (got %S)" what s))
+    | Some v when v >= lo -> Ok v
+    | Some v ->
+        Error (`Msg (Printf.sprintf "%s must be >= %d (got %d)" what lo v))
+    | None ->
+        Error (`Msg (Printf.sprintf "%s must be an integer (got %S)" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
 
 let n_arg =
   Arg.(
@@ -51,20 +55,10 @@ let chunk_size_arg =
               value."
              Sim.Parallel.default_chunk_size))
 
-let nonneg_int what =
-  let parse s =
-    match int_of_string_opt s with
-    | Some v when v >= 0 -> Ok v
-    | Some v -> Error (`Msg (Printf.sprintf "%s must be >= 0 (got %d)" what v))
-    | None ->
-        Error (`Msg (Printf.sprintf "%s must be an integer (got %S)" what s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let retries_arg =
   Arg.(
     value
-    & opt (nonneg_int "RETRIES") 0
+    & opt (int_at_least 0 "RETRIES") 0
     & info [ "retries" ] ~docv:"RETRIES"
         ~doc:
           "Per-chunk retry budget for the supervised trial loops: a failed \
@@ -96,7 +90,10 @@ let fault_plan_arg =
            scope a chunk index or 'run', hit an occurrence index or '*', and \
            kinds raise|sys_error|torn|bitflip — e.g. \
            'body@1#2:raise,store@2#0:torn'. Replays exactly: fault placement \
-           depends only on the plan and the chunk geometry, never on JOBS.")
+           depends only on the plan and the chunk geometry, never on JOBS. \
+           The run subcommand reaches only body, merge and, with \
+           --metrics-out or --events-out, sink; an arm at another site is \
+           a usage error there.")
 
 let fault_seed_arg =
   Arg.(
@@ -105,8 +102,9 @@ let fault_seed_arg =
     & info [ "fault-seed" ] ~docv:"SEED"
         ~doc:
           "Draw a survivable fault plan deterministically from this seed \
-           (printed, so it can be replayed via --fault-plan). Ignored when \
-           --fault-plan is given.")
+           and keep the arms at sites this run reaches (printed, so it can \
+           be replayed via --fault-plan). Ignored when --fault-plan is \
+           given.")
 
 let engine_arg =
   Arg.(
@@ -174,25 +172,26 @@ let rules_arg =
     & info [ "rules" ] ~docv:"RULES"
         ~doc:"SynRan rule set: paper, no-zero-rule, or symmetric.")
 
-let adversary_names =
-  [ "null"; "random"; "static"; "drip"; "band"; "voting"; "leader-killer"; "crash-all" ]
+let string_enum names = Arg.enum (List.map (fun s -> (s, s)) names)
 
 let adversary_arg =
   Arg.(
     value
-    & opt (enum (List.map (fun s -> (s, s)) adversary_names)) "band"
+    & opt
+        (string_enum
+           [ "null"; "random"; "static"; "drip"; "band"; "voting";
+             "leader-killer"; "crash-all" ])
+        "band"
     & info [ "adversary" ] ~docv:"ADV"
         ~doc:
           "Adversary: null, random, static, drip, band (adaptive band \
            control + stalls), voting (band + rescue, no stalls), \
            leader-killer, crash-all.")
 
-let protocol_names = [ "synran"; "leader"; "floodset" ]
-
 let protocol_arg =
   Arg.(
     value
-    & opt (enum (List.map (fun s -> (s, s)) protocol_names)) "synran"
+    & opt (string_enum [ "synran"; "leader"; "floodset" ]) "synran"
     & info [ "protocol" ] ~docv:"PROTO"
         ~doc:"Protocol: synran, leader (CMS89-style leader coin), or floodset.")
 
@@ -252,13 +251,6 @@ let events_out_arg =
            (one sorted-key object per line) to $(docv), e.g. \
            results/events.jsonl. The file is byte-identical at any --jobs.")
 
-(* A capture exists iff some output was requested; events are recorded only
-   when they will actually be written. *)
-let capture_for ~metrics_out ~events_out =
-  match (metrics_out, events_out) with
-  | None, None -> None
-  | _ -> Some (Obs.Capture.create ~events:(events_out <> None) ())
-
 let export_capture ~metrics_out ~events_out = function
   | None -> ()
   | Some c ->
@@ -268,6 +260,49 @@ let export_capture ~metrics_out ~events_out = function
       Option.iter
         (fun path -> Obs.Export.write_events ~path (Obs.Capture.events c))
         events_out
+
+(* [run]'s fault plan: --fault-plan, or the arms of a --fault-seed draw
+   at the sites [run] reaches (printed, for replay). With no checkpoint
+   store, no manifest and events only under a capture, an arm at any other
+   site would never fire, so it is a usage error. *)
+let run_fault_args =
+  let check plan seed trials chunk_size metrics_out events_out =
+    let reached =
+      Sim.Fault.[ Chunk_body; Metrics_merge ]
+      @ if metrics_out = None && events_out = None then []
+        else [ Sim.Fault.Event_sink ]
+    in
+    let reaches (a : Sim.Fault.arm) = List.mem a.site reached in
+    let drawn seed =
+      let chunk_size =
+        Option.value chunk_size ~default:Sim.Parallel.default_chunk_size
+      in
+      let p = Sim.Fault.random_plan ~seed ~n:trials ~chunk_size in
+      let p = List.filter reaches p in
+      Printf.printf "fault plan (seed %d): %s\n" seed
+        (Sim.Fault.plan_to_string p);
+      p
+    in
+    let plan =
+      match plan with
+      | Some p -> p
+      | None -> Option.fold seed ~none:[] ~some:drawn
+    in
+    match List.find_opt (fun a -> not (reaches a)) plan with
+    | None -> `Ok plan
+    | Some a ->
+        `Error
+          ( true,
+            Printf.sprintf
+              "option '--fault-plan': arm %s names a site run never reaches \
+               (it reaches %s)"
+              (Sim.Fault.plan_to_string [ a ])
+              (String.concat ", " (List.map Sim.Fault.site_label reached)) )
+  in
+  Term.(
+    ret
+      (const check $ fault_plan_arg $ fault_seed_arg $ trials_arg
+     $ chunk_size_arg $ metrics_out_arg $ events_out_arg))
 
 let print_summary name (s : Sim.Runner.summary) =
   Printf.printf "%s\n" name;
@@ -292,26 +327,24 @@ let print_summary name (s : Sim.Runner.summary) =
 
 let run_cmd =
   let run (n, t) trials seed jobs chunk_size engine rules adv_name proto_name
-      inputs metrics_out events_out retries fault_plan fault_seed =
+      inputs metrics_out events_out retries fault =
     let gen = gen_of_inputs inputs ~n in
-    let capture = capture_for ~metrics_out ~events_out in
-    let fault =
-      match (fault_plan, fault_seed) with
-      | (Some _ as p), _ -> p
-      | None, Some fs ->
-          let cs =
-            Option.value chunk_size ~default:Sim.Parallel.default_chunk_size
-          in
-          let p = Sim.Fault.random_plan ~seed:fs ~n:trials ~chunk_size:cs in
-          Printf.printf "fault plan (seed %d): %s\n" fs
-            (Sim.Fault.plan_to_string p);
-          Some p
-      | None, None -> None
+    (* A capture exists iff some output was requested; events are recorded
+       only when they will actually be written. *)
+    let capture =
+      if metrics_out = None && events_out = None then None
+      else Some (Obs.Capture.create ~events:(events_out <> None) ())
     in
+    let guard = { Sim.Runner.unguarded with retries; fault } in
     (* Every run goes through the supervised fold: without faults or
        retries its summary is the one [Sim.Runner.run_trials] returns, and
        a failed chunk is reported instead of escaping as an exception. *)
-    let finish_report (r : Sim.Runner.report) =
+    let summarize ?cohort_adversary ~max_rounds protocol make_adversary =
+      let r =
+        Sim.Runner.run_trials_supervised ~max_rounds ~jobs ?chunk_size
+          ?capture ~guard ~engine ?cohort_adversary ~trials ~seed
+          ~gen_inputs:gen ~t protocol make_adversary
+      in
       (match r.Sim.Runner.retried with
       | [] -> ()
       | rs ->
@@ -319,25 +352,28 @@ let run_cmd =
           List.iter
             (fun f -> Printf.printf "  %s\n" (Sim.Runner.pp_chunk_failed f))
             rs);
-      match r.Sim.Runner.failures with
-      | [] -> (
-          match r.Sim.Runner.partial with
-          | Some s -> s
-          | None ->
-              prerr_endline "no trials completed";
-              exit 1)
-      | fs ->
-          List.iter
-            (fun f ->
-              prerr_endline ("chunk failed: " ^ Sim.Runner.pp_chunk_failed f))
-            fs;
-          Printf.eprintf "%d/%d trials completed before failure\n"
-            r.Sim.Runner.completed_trials r.Sim.Runner.total_trials;
-          exit 1
+      let s =
+        match (r.Sim.Runner.failures, r.Sim.Runner.partial) with
+        | [], Some s -> s
+        | [], None ->
+            prerr_endline "no trials completed";
+            exit 1
+        | fs, _ ->
+            List.iter
+              (fun f ->
+                prerr_endline ("chunk failed: " ^ Sim.Runner.pp_chunk_failed f))
+              fs;
+            Printf.eprintf "%d/%d trials completed before failure\n"
+              r.Sim.Runner.completed_trials r.Sim.Runner.total_trials;
+            exit 1
+      in
+      print_summary
+        (Printf.sprintf "%s vs %s (n=%d t=%d)" protocol.Sim.Protocol.name
+           (make_adversary ()).Sim.Adversary.name n t)
+        s
     in
     (match proto_name with
     | "synran" | "leader" ->
-        let make_adversary () = adversary_of_name adv_name ~rules ~n ~t ~seed in
         (* Under the cohort engine the band adversaries run their native
            compressed port; anything else is wrapped as Cohort.Concrete by
            the runner (exact, but with view-reconstruction overhead). *)
@@ -360,17 +396,9 @@ let run_cmd =
           if proto_name = "leader" then Core.Synran.Leader_priority
           else Core.Synran.Local_flip
         in
-        let protocol = Core.Synran.protocol ~rules ~coin n in
-        let s =
-          finish_report
-            (Sim.Runner.run_trials_supervised ~max_rounds:2000 ~jobs
-               ?chunk_size ?capture ~engine ?cohort_adversary ~retries ?fault
-               ~trials ~seed ~gen_inputs:gen ~t protocol make_adversary)
-        in
-        print_summary
-          (Printf.sprintf "%s vs %s (n=%d t=%d)" protocol.Sim.Protocol.name
-             (make_adversary ()).Sim.Adversary.name n t)
-          s
+        summarize ?cohort_adversary ~max_rounds:2000
+          (Core.Synran.protocol ~rules ~coin n)
+          (fun () -> adversary_of_name adv_name ~rules ~n ~t ~seed)
     | _ ->
         (* The bit-reading adversaries target SynRan-shaped protocols; fall
            back to drip for the bit-oblivious FloodSet. *)
@@ -379,18 +407,9 @@ let run_cmd =
           | "band" | "voting" | "leader-killer" -> "drip"
           | other -> other
         in
-        let make_adversary () = generic_adversary_of_name adv_name ~n ~t ~seed in
-        let protocol = Baselines.Floodset.protocol ~rounds:(t + 1) () in
-        let s =
-          finish_report
-            (Sim.Runner.run_trials_supervised ~max_rounds:(t + 2) ~jobs
-               ?chunk_size ?capture ~engine ~retries ?fault ~trials ~seed
-               ~gen_inputs:gen ~t protocol make_adversary)
-        in
-        print_summary
-          (Printf.sprintf "%s vs %s (n=%d t=%d)" protocol.Sim.Protocol.name
-             (make_adversary ()).Sim.Adversary.name n t)
-          s);
+        summarize ~max_rounds:(t + 2)
+          (Baselines.Floodset.protocol ~rounds:(t + 1) ())
+          (fun () -> generic_adversary_of_name adv_name ~n ~t ~seed));
     export_capture ~metrics_out ~events_out capture
   in
   let term =
@@ -399,7 +418,7 @@ let run_cmd =
       $ n_t_args ~default_t:(fun n -> n - 1)
       $ trials_arg $ seed_arg $ jobs_arg $ chunk_size_arg $ engine_arg
       $ rules_arg $ adversary_arg $ protocol_arg $ inputs_arg $ metrics_out_arg
-      $ events_out_arg $ retries_arg $ fault_plan_arg $ fault_seed_arg)
+      $ events_out_arg $ retries_arg $ run_fault_args)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run many trials of a protocol under an adversary")
     term
@@ -475,9 +494,7 @@ let experiments_cmd =
     let profile_label =
       match profile with Core.Experiments.Quick -> "quick" | Full -> "full"
     in
-    let ids =
-      match which with [] -> Core.Experiments.ids | ids -> ids
-    in
+    let ids = if which = [] then Core.Experiments.ids else which in
     (* One supervisor for the whole run: each experiment gets its own
        watchdog deadline and failure record; a crash or timeout in one
        experiment never loses the others. *)
@@ -488,17 +505,17 @@ let experiments_cmd =
     let results =
       List.map
         (fun id ->
-          (* The experiment_id converter has validated every id. *)
+          (* The IDS enum has validated every id. *)
           let f = Option.get (Core.Experiments.by_id id) in
           let r =
             Core.Supervise.run_experiment ctx ~id (fun () ->
                 f ~jobs ~sup:ctx profile ~seed)
           in
-          (match r.Core.Supervise.table with
-          | Some tbl ->
-              if csv then print_endline (Stats.Table.to_csv tbl)
-              else print_endline (Stats.Table.render tbl)
-          | None -> ());
+          Option.iter
+            (fun tbl ->
+              print_endline
+                (if csv then Stats.Table.to_csv tbl else Stats.Table.render tbl))
+            r.Core.Supervise.table;
           (match r.Core.Supervise.status with
           | Core.Supervise.Completed -> ()
           | _ -> print_endline ("*** " ^ Core.Supervise.status_line r ^ " ***"));
@@ -508,9 +525,7 @@ let experiments_cmd =
     in
     (* Plans can arm the manifest site itself; an injector with zero
        chunk slots still carries the run-scope slot the site uses. *)
-    let manifest_fault =
-      Option.map (fun p -> Sim.Fault.injector p) fault_plan
-    in
+    let manifest_fault = Option.map Sim.Fault.injector fault_plan in
     (try
        Core.Supervise.write_manifest ?fault:manifest_fault
          ~path:"results/run_manifest.json" ~profile:profile_label ~seed ~jobs
@@ -544,12 +559,10 @@ let experiments_cmd =
           Core.Experiments.Quick
       & info [ "profile" ] ~docv:"PROFILE" ~doc:"quick or full.")
   in
-  let experiment_id =
-    Arg.enum (List.map (fun id -> (id, id)) Core.Experiments.ids)
-  in
   let which_arg =
     Arg.(
-      value & pos_all experiment_id []
+      value
+      & pos_all (string_enum Core.Experiments.ids) []
       & info [] ~docv:"IDS" ~doc:"Experiment ids (e1..e12); all if omitted.")
   in
   let csv_arg =
@@ -682,7 +695,7 @@ let async_cmd =
   let scheduler_arg =
     Arg.(
       value
-      & opt (enum [ ("fair", "fair"); ("fifo", "fifo"); ("crash", "crash"); ("splitter", "splitter") ]) "fair"
+      & opt (string_enum [ "fair"; "fifo"; "crash"; "splitter" ]) "fair"
       & info [ "scheduler" ] ~docv:"S"
           ~doc:"Scheduler: fair, fifo, crash, or splitter (adversarial).")
   in
@@ -709,8 +722,14 @@ let byzantine_cmd =
           Byz.Adversary.crash_like
             ~victims:(List.init t (fun i -> (i + 1, i)))
     in
-    let report name r =
-      let s = Sim.Runner.value r in
+    (* [t'] is the budget the protocol runs under; the report names [t]. *)
+    let report ?(t' = t) name protocol spoofer =
+      let s =
+        Sim.Runner.value
+          (Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed
+             ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
+             ~t:t' protocol (adversary ~t:t' ~spoofer))
+      in
       Printf.printf "%s vs %s (n=%d t=%d, %d trials)\n" name adv_name n t
         trials;
       Printf.printf "  mean rounds        %.2f\n"
@@ -719,47 +738,37 @@ let byzantine_cmd =
       Printf.printf "  agreement errors   %d\n" s.Byz.Engine.agreement_errors;
       Printf.printf "  validity errors    %d\n" s.Byz.Engine.validity_errors
     in
-    let gen rng = Prng.Sample.random_bits rng n in
     match proto_name with
     | "phase-king" ->
-        report "phase-king"
-          (Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed ~gen_inputs:gen
-             ~t (Byz.Phase_king.protocol ~t)
-             (adversary ~t ~spoofer:Byz.Phase_king.king_spoofer))
+        report "phase-king" (Byz.Phase_king.protocol ~t)
+          Byz.Phase_king.king_spoofer
     | "eig" ->
-        let t = Stdlib.min t 2 in
-        report "eig"
-          (Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed ~gen_inputs:gen
-             ~t (Byz.Eig.protocol ~t)
-             (adversary ~t ~spoofer:Byz.Eig.liar))
+        let t' = Stdlib.min t 2 in
+        report ~t' "eig" (Byz.Eig.protocol ~t:t') Byz.Eig.liar
     | "chor-coan" ->
         let g = Stdlib.max 1 (int_of_float (log (float_of_int n) /. log 2.0)) in
         report
           (Printf.sprintf "chor-coan (g=%d)" g)
-          (Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed ~gen_inputs:gen
-             ~t (Byz.Chor_coan.protocol ~t ~group_size:g)
-             (adversary ~t
-                ~spoofer:(Byz.Chor_coan.group_corruptor ~group_size:g)))
+          (Byz.Chor_coan.protocol ~t ~group_size:g)
+          (Byz.Chor_coan.group_corruptor ~group_size:g)
     | _ ->
         (* king-spoofer forges Phase King payloads; Rabin gets the generic
            equivocator in its place. *)
         report "rabin-oracle"
-          (Byz.Engine.run_trials ~max_rounds:500 ~trials ~seed ~gen_inputs:gen
-             ~t (Byz.Rabin.protocol ~t ~oracle_seed:(seed + 3))
-             (adversary ~t
-                ~spoofer:(Byz.Adversary.equivocator ~budget_fraction:1.0)))
+          (Byz.Rabin.protocol ~t ~oracle_seed:(seed + 3))
+          (Byz.Adversary.equivocator ~budget_fraction:1.0)
   in
   let proto_arg =
     Arg.(
       value
-      & opt (enum [ ("phase-king", "phase-king"); ("eig", "eig"); ("rabin", "rabin"); ("chor-coan", "chor-coan") ]) "phase-king"
+      & opt (string_enum [ "phase-king"; "eig"; "rabin"; "chor-coan" ]) "phase-king"
       & info [ "protocol" ] ~docv:"P"
           ~doc:"phase-king, eig, rabin, or chor-coan.")
   in
   let adv_arg =
     Arg.(
       value
-      & opt (enum [ ("null", "null"); ("equivocator", "equivocator"); ("king-spoofer", "king-spoofer"); ("crash", "crash") ]) "equivocator"
+      & opt (string_enum [ "null"; "equivocator"; "king-spoofer"; "crash" ]) "equivocator"
       & info [ "adversary" ] ~docv:"A"
           ~doc:"null, equivocator, king-spoofer (protocol-tailored), or crash.")
   in

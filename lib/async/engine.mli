@@ -63,11 +63,8 @@ val run_trials :
   ?max_steps:int ->
   ?phase_of:('state -> int) ->
   ?jobs:int ->
-  ?cancel:(unit -> bool) ->
-  ?checkpoint:Sim.Checkpoint.t ->
   ?capture:Obs.Capture.t ->
-  ?retries:int ->
-  ?fault:Sim.Fault.plan ->
+  ?guard:Sim.Runner.guard ->
   trials:int ->
   seed:int ->
   gen_inputs:(Prng.Rng.t -> int array) ->
@@ -76,11 +73,11 @@ val run_trials :
   (unit -> 'msg Scheduler.t) ->
   summary Sim.Runner.folded
 (** Aggregate repeated runs through {!Sim.Runner.fold}, checking agreement
-    and validity on each; [jobs], [cancel], [checkpoint], [retries] and
-    [fault] behave as there, and {!Sim.Runner.value} reads the summary
-    all-or-nothing. Trial [i] draws from {!Prng.Rng.nth_split}[ ~seed
-    ~index:i] and runs a fresh [make_scheduler ()] (schedulers such as the
-    splitter keep per-run state).
+    and validity on each; [jobs] and [guard] behave as there, and
+    {!Sim.Runner.value} reads the summary all-or-nothing. Trial [i]
+    draws from {!Prng.Rng.nth_split}[ ~seed ~index:i] and runs a fresh
+    [make_scheduler ()] (schedulers such as the splitter keep per-run
+    state).
 
     [capture] attaches the observability layer: engine events feed a
     metrics registry ([async.trials], [async.deliveries], [async.sends],

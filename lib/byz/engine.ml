@@ -280,9 +280,9 @@ let summary_merge a b =
     validity_errors = a.validity_errors + b.validity_errors;
   }
 
-let run_trials ?max_rounds ?jobs ?cancel ?checkpoint ?capture ?retries ?fault
-    ~trials ~seed ~gen_inputs ~t protocol make_adversary =
-  Sim.Runner.fold ?jobs ?cancel ?checkpoint ?capture ?retries ?fault
+let run_trials ?max_rounds ?jobs ?capture ?guard ~trials ~seed ~gen_inputs ~t
+    protocol make_adversary =
+  Sim.Runner.fold ?jobs ?capture ?guard
     ~engine:"byz" ~trials ~create:summary_create ~merge:summary_merge
     (fun ~index probe s ->
       let rng = Prng.Rng.nth_split ~seed ~index in

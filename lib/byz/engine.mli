@@ -66,11 +66,8 @@ type summary = {
 val run_trials :
   ?max_rounds:int ->
   ?jobs:int ->
-  ?cancel:(unit -> bool) ->
-  ?checkpoint:Sim.Checkpoint.t ->
   ?capture:Obs.Capture.t ->
-  ?retries:int ->
-  ?fault:Sim.Fault.plan ->
+  ?guard:Sim.Runner.guard ->
   trials:int ->
   seed:int ->
   gen_inputs:(Prng.Rng.t -> int array) ->
@@ -79,10 +76,10 @@ val run_trials :
   (unit -> ('state, 'msg) Adversary.t) ->
   summary Sim.Runner.folded
 (** Aggregate repeated runs through {!Sim.Runner.fold}, counting each
-    run's {!check} verdict; [jobs], [cancel], [checkpoint], [retries] and
-    [fault] behave as there, and {!Sim.Runner.value} reads the summary
-    all-or-nothing. Trial [i] draws from {!Prng.Rng.nth_split}[ ~seed
-    ~index:i] and runs a fresh [make_adversary ()].
+    run's {!check} verdict; [jobs] and [guard] behave as there, and
+    {!Sim.Runner.value} reads the summary all-or-nothing. Trial [i]
+    draws from {!Prng.Rng.nth_split}[ ~seed ~index:i] and runs a fresh
+    [make_adversary ()].
 
     [capture] attaches the observability layer: engine events feed a
     metrics registry ([byz.trials], [byz.corruptions_used],

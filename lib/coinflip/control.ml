@@ -8,12 +8,12 @@ type estimate = {
 
 type run =
   key:string -> seed:int -> trials:int ->
-  (?cancel:(unit -> bool) -> ?checkpoint:Sim.Checkpoint.t -> ?retries:int ->
-   ?fault:Sim.Fault.plan -> unit -> int ref Sim.Runner.folded) ->
-  int ref
+  (Sim.Runner.guard -> int ref Sim.Runner.folded) -> int ref
 
-let control_probability ?(trials = 1000) ?jobs
-    ?(run : run = fun ~key:_ ~seed:_ ~trials:_ f -> Sim.Runner.value (f ()))
+let unsupervised ~key:_ ~seed:_ ~trials:_ f =
+  Sim.Runner.value (f Sim.Runner.unguarded)
+
+let control_probability ?(trials = 1000) ?jobs ?(run : run = unsupervised)
     ~seed ~budget ~target ~strategy game =
   (* Trial [index] draws from an RNG derived from [(seed, index)], so the
      estimate is identical for every worker count (the count is
@@ -24,9 +24,9 @@ let control_probability ?(trials = 1000) ?jobs
       Printf.sprintf "n=%d;budget=%d;target=%d;strategy=%s" game.Game.n budget
         target strategy.Strategy.name
     in
-    !(run ~key ~seed ~trials (fun ?cancel ?checkpoint ?retries ?fault () ->
-          Sim.Runner.fold ?jobs ?cancel ?checkpoint ?retries ?fault
-            ~engine:"coin" ~trials ~create:(fun () -> ref 0)
+    !(run ~key ~seed ~trials (fun guard ->
+          Sim.Runner.fold ?jobs ~guard ~engine:"coin" ~trials
+            ~create:(fun () -> ref 0)
             ~merge:(fun a b -> ref (!a + !b))
             (fun ~index _ n ->
               let rng = Prng.Rng.of_seed_index ~seed ~index in

@@ -16,16 +16,15 @@ type estimate = {
 
 type run =
   key:string -> seed:int -> trials:int ->
-  (?cancel:(unit -> bool) -> ?checkpoint:Sim.Checkpoint.t -> ?retries:int ->
-   ?fault:Sim.Fault.plan -> unit -> int ref Sim.Runner.folded) ->
-  int ref
-(** How an estimate's fold is run: [run ~key ~seed ~trials fold] runs
-    [fold] (a {!Sim.Runner.fold} counting the forced trials) and returns
-    its complete count. [key] names n, budget, target and strategy, not
-    the game; [seed] is the estimate's trial seed. [Core.Supervise.fold],
-    with a key prefix naming the game, runs it under a supervisor's
-    watchdog, checkpoint store, retry budget and fault plan. The default
-    is [Sim.Runner.value (fold ())]. *)
+  (Sim.Runner.guard -> int ref Sim.Runner.folded) -> int ref
+(** How an estimate's fold is run: [run ~key ~seed ~trials fold] calls
+    [fold] (a {!Sim.Runner.fold} counting the forced trials) with the
+    {!Sim.Runner.guard} to run under and returns its complete count.
+    [key] names n, budget, target and strategy, not the game; [seed] is
+    the estimate's trial seed. [Core.Supervise.fold], with a key prefix
+    naming the game, passes a supervisor's watchdog, checkpoint store,
+    retry budget and fault plan. The default is
+    [Sim.Runner.value (fold Sim.Runner.unguarded)]. *)
 
 val control_probability :
   ?trials:int ->

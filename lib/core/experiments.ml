@@ -6,7 +6,7 @@ type x = {
   profile : profile;
   seed : int;
   jobs : int option;
-  sup : Supervise.ctx option;
+  sup : Supervise.ctx;
 }
 
 let pick x ~quick ~full = match x.profile with Quick -> quick | Full -> full
@@ -37,10 +37,9 @@ let sync ?(max_rounds = 2000) ?(gen = `Random) x ~exp ~n ~t ~trials protocol
   in
   Supervise.fold x.sup ~seed:x.seed ~trials
     ~key:(key exp ~n ~t ~mr:max_rounds ^ ";gen=" ^ gen_label)
-    (fun ?cancel ?checkpoint ?retries ?fault () ->
-      Sim.Runner.run_trials_supervised ~max_rounds ?jobs:x.jobs ?cancel
-        ?checkpoint ?retries ?fault ~trials ~seed:x.seed ~gen_inputs ~t
-        protocol make_adversary)
+    (fun guard ->
+      Sim.Runner.run_trials_supervised ~max_rounds ?jobs:x.jobs ~guard ~trials
+        ~seed:x.seed ~gen_inputs ~t protocol make_adversary)
 
 (* The paper's SynRan; the key names its rules. *)
 let synran x ~exp ~n ~t ~trials make_adversary =
@@ -52,18 +51,18 @@ let synran x ~exp ~n ~t ~trials make_adversary =
 let async x ~exp ~n ~t ~trials make_scheduler =
   Supervise.fold x.sup ~seed:x.seed ~trials
     ~key:(Printf.sprintf "%s;n=%d;t=%d;ms=400000" exp n t)
-    (fun ?cancel ?checkpoint ?retries ?fault () ->
+    (fun guard ->
       Async.Engine.run_trials ~max_steps:400_000 ~phase_of:Async.Benor.phase
-        ?jobs:x.jobs ?cancel ?checkpoint ?retries ?fault ~trials ~seed:x.seed
+        ?jobs:x.jobs ~guard ~trials ~seed:x.seed
         ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
         ~t (Async.Benor.protocol ~t) make_scheduler)
 
 (* A Byzantine population on random inputs (E11, E12). *)
 let byz x ~exp ~n ~t ~trials protocol make_adversary =
   Supervise.fold x.sup ~seed:x.seed ~trials ~key:(key exp ~n ~t ~mr:500)
-    (fun ?cancel ?checkpoint ?retries ?fault () ->
-      Byz.Engine.run_trials ~max_rounds:500 ?jobs:x.jobs ?cancel ?checkpoint
-        ?retries ?fault ~trials ~seed:x.seed
+    (fun guard ->
+      Byz.Engine.run_trials ~max_rounds:500 ?jobs:x.jobs ~guard ~trials
+        ~seed:x.seed
         ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng n)
         ~t protocol make_adversary)
 
@@ -72,9 +71,9 @@ let byz x ~exp ~n ~t ~trials protocol make_adversary =
    runs one trial from its own RNG into the chunk's accumulator. *)
 let fold x ~exp ~n ~t ~max_rounds ~trials ~create ~merge body =
   Supervise.fold x.sup ~seed:x.seed ~trials ~key:(key exp ~n ~t ~mr:max_rounds)
-    (fun ?cancel ?checkpoint ?retries ?fault () ->
-      Sim.Runner.fold ?jobs:x.jobs ?cancel ?checkpoint ?retries ?fault
-        ~engine:"concrete" ~trials ~create ~merge (fun ~index _ acc ->
+    (fun guard ->
+      Sim.Runner.fold ?jobs:x.jobs ~guard ~engine:"concrete" ~trials ~create
+        ~merge (fun ~index _ acc ->
           body (Prng.Rng.of_seed_index ~seed:x.seed ~index) acc))
 
 (* E1's coin-game estimates: [best_controllable_outcome], or
@@ -840,5 +839,6 @@ let ids = List.map fst registry
 
 let by_id id =
   Option.map
-    (fun e ?jobs ?sup profile ~seed -> e { profile; seed; jobs; sup })
+    (fun e ?jobs ?(sup = Supervise.create ()) profile ~seed ->
+      e { profile; seed; jobs; sup })
     (List.assoc_opt id registry)

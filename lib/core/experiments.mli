@@ -18,8 +18,9 @@
     persists and resumes chunk checkpoints under its key, and reports
     structured failures; E1's coin-game estimates are such folds too. Only
     E6's FloodSet column runs outside one: it is one deterministic run
-    per row, with nothing to chunk. Without [sup] nothing is polled or
-    stored, and the tables are bit-identical either way. *)
+    per row, with nothing to chunk. [sup] defaults to a fresh
+    {!Supervise.create}[ ()], which polls and stores nothing; the tables
+    are bit-identical under any supervisor. *)
 
 type profile = Quick | Full
 

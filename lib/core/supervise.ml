@@ -29,13 +29,10 @@ type result = {
   metrics : Obs.Metrics.t;
 }
 
-type ctx = {
-  deadline_s : float option;
-  ckpt_root : string option;
-  resume : bool;
-  retry_budget : int option;
-  fault : Sim.Fault.plan option;
-  mutable deadline_at : float option;
+(* One experiment's supervision state: [run_experiment] replaces it
+   whole, so nothing of one experiment leaks into the next. *)
+type exp = {
+  deadline_at : float option;
   mutable table : Stats.Table.t option;
   mutable chunks_done : int;
   mutable chunks_resumed : int;
@@ -48,16 +45,29 @@ type ctx = {
   mutable last_failure : Sim.Runner.chunk_failed option;
   mutable stores_rev : string list;
       (* Checkpoint store directories the experiment's folds opened. *)
+}
+
+type ctx = {
+  deadline_s : float option;
+  ckpt_root : string option;
+  resume : bool;
+  retries : int;
+  fault : Sim.Fault.plan;
   obs_events : Obs.Recorder.t;
       (* Run-level supervision events (watchdog fires, chunk retries and
          terminal chunk failures), accumulated across experiments for
          [--events-out]. *)
+  mutable exp : exp;
 }
 
-let create ?deadline_s ?checkpoints ?(resume = false) ?retries ?fault () =
-  (match retries with
-  | Some r when r < 0 -> invalid_arg "Supervise.create: retries"
-  | _ -> ());
+let fresh_exp deadline_at =
+  { deadline_at; table = None; chunks_done = 0; chunks_resumed = 0;
+    chunk_retries = 0; completed_trials = 0; total_trials = 0;
+    engines_rev = []; last_failure = None; stores_rev = [] }
+
+let create ?deadline_s ?checkpoints ?(resume = false) ?(retries = 0)
+    ?(fault = []) () =
+  if retries < 0 then invalid_arg "Supervise.create: retries";
   (* A NaN deadline would never fire, and neither it nor an infinite one
      can be written to the manifest as JSON. A negative one fires on the
      first poll. *)
@@ -69,19 +79,10 @@ let create ?deadline_s ?checkpoints ?(resume = false) ?retries ?fault () =
     deadline_s;
     ckpt_root = checkpoints;
     resume;
-    retry_budget = retries;
+    retries;
     fault;
-    deadline_at = None;
-    table = None;
-    chunks_done = 0;
-    chunks_resumed = 0;
-    chunk_retries = 0;
-    completed_trials = 0;
-    total_trials = 0;
-    engines_rev = [];
-    last_failure = None;
-    stores_rev = [];
     obs_events = Obs.Recorder.create ();
+    exp = fresh_exp None;
   }
 
 let events ctx = Obs.Recorder.events ctx.obs_events
@@ -91,9 +92,9 @@ let events ctx = Obs.Recorder.events ctx.obs_events
    count. The count stays out of the metrics registry on purpose — a
    survivable chaos run must keep the manifest's metrics_digest
    byte-identical to the fault-free run. *)
-let note_chunk_retried c (f : Sim.Runner.chunk_failed) =
-  c.chunk_retries <- c.chunk_retries + 1;
-  Obs.Recorder.push c.obs_events
+let note_chunk_retried ctx (f : Sim.Runner.chunk_failed) =
+  ctx.exp.chunk_retries <- ctx.exp.chunk_retries + 1;
+  Obs.Recorder.push ctx.obs_events
     (Obs.Event.Chunk_retry
        {
          chunk = f.Sim.Runner.chunk;
@@ -105,9 +106,9 @@ let note_chunk_retried c (f : Sim.Runner.chunk_failed) =
 (* A chunk whose retry budget is exhausted: the distinct terminal
    event. [attempts] counts every failed pass, so a budget of r lands
    attempts = r + 1. *)
-let note_chunk_failed c (f : Sim.Runner.chunk_failed) =
-  c.last_failure <- Some f;
-  Obs.Recorder.push c.obs_events
+let note_chunk_failed ctx (f : Sim.Runner.chunk_failed) =
+  ctx.exp.last_failure <- Some f;
+  Obs.Recorder.push ctx.obs_events
     (Obs.Event.Chunk_failed
        {
          chunk = f.Sim.Runner.chunk;
@@ -116,30 +117,28 @@ let note_chunk_failed c (f : Sim.Runner.chunk_failed) =
          error = Printexc.to_string f.Sim.Runner.exn;
        })
 
-let register sup table =
-  (match sup with Some c -> c.table <- Some table | None -> ());
+let register ctx table =
+  ctx.exp.table <- Some table;
   table
 
-let commit sup (r : _ Sim.Runner.folded) =
-  (match sup with
-  | None -> ()
-  | Some c ->
-      c.chunks_done <- c.chunks_done + r.Sim.Runner.chunks_done;
-      c.chunks_resumed <- c.chunks_resumed + r.Sim.Runner.chunks_resumed;
-      c.completed_trials <- c.completed_trials + r.Sim.Runner.completed_trials;
-      c.total_trials <- c.total_trials + r.Sim.Runner.total_trials;
-      if not (List.mem r.Sim.Runner.engine_used c.engines_rev) then
-        c.engines_rev <- r.Sim.Runner.engine_used :: c.engines_rev;
-      List.iter (note_chunk_retried c) r.Sim.Runner.retried;
-      match r.Sim.Runner.failures with
-      | f :: _ -> note_chunk_failed c f
-      | [] -> ());
+let commit ctx (r : _ Sim.Runner.folded) =
+  let e = ctx.exp in
+  e.chunks_done <- e.chunks_done + r.Sim.Runner.chunks_done;
+  e.chunks_resumed <- e.chunks_resumed + r.Sim.Runner.chunks_resumed;
+  e.completed_trials <- e.completed_trials + r.Sim.Runner.completed_trials;
+  e.total_trials <- e.total_trials + r.Sim.Runner.total_trials;
+  if not (List.mem r.Sim.Runner.engine_used e.engines_rev) then
+    e.engines_rev <- r.Sim.Runner.engine_used :: e.engines_rev;
+  List.iter (note_chunk_retried ctx) r.Sim.Runner.retried;
+  (match r.Sim.Runner.failures with
+  | f :: _ -> note_chunk_failed ctx f
+  | [] -> ());
   Sim.Runner.value r
 
-let fold sup ~key ~seed ~trials run =
+let fold ctx ~key ~seed ~trials run =
   let checkpoint =
-    match sup with
-    | Some ({ ckpt_root = Some root; _ } as c) ->
+    Option.map
+      (fun root ->
         let ck =
           Sim.Checkpoint.create ~root ~exp:key ~seed
             ~chunk_size:Sim.Parallel.default_chunk_size ~n:trials
@@ -147,36 +146,26 @@ let fold sup ~key ~seed ~trials run =
         (* Without --resume the run is fresh by definition: drop any
            stale chunks now so they can neither be consumed nor mix with
            this run's files. *)
-        if not c.resume then Sim.Checkpoint.clear ck;
-        c.stores_rev <- Sim.Checkpoint.dir ck :: c.stores_rev;
-        Some ck
-    | Some _ | None -> None
+        if not ctx.resume then Sim.Checkpoint.clear ck;
+        ctx.exp.stores_rev <- Sim.Checkpoint.dir ck :: ctx.exp.stores_rev;
+        ck)
+      ctx.ckpt_root
   in
-  let field f = Option.bind sup f in
   (* The watchdog closure captures the deadline as an immutable float:
      worker domains polling it never read mutable ctx state. *)
   let cancel =
-    Option.map (fun at () -> now () > at) (field (fun c -> c.deadline_at))
+    match ctx.exp.deadline_at with
+    | Some at -> fun () -> now () > at
+    | None -> Sim.Runner.unguarded.cancel
   in
-  commit sup
-    (run ?cancel ?checkpoint
-       ?retries:(field (fun c -> c.retry_budget))
-       ?fault:(field (fun c -> c.fault))
-       ())
+  let { retries; fault; _ } = ctx in
+  commit ctx (run { Sim.Runner.cancel; checkpoint; retries; fault })
 
-let stores ctx = List.rev ctx.stores_rev
+let stores ctx = List.rev ctx.exp.stores_rev
 
 let run_experiment ctx ~id f =
-  ctx.table <- None;
-  ctx.chunks_done <- 0;
-  ctx.chunks_resumed <- 0;
-  ctx.chunk_retries <- 0;
-  ctx.completed_trials <- 0;
-  ctx.total_trials <- 0;
-  ctx.engines_rev <- [];
-  ctx.last_failure <- None;
-  ctx.stores_rev <- [];
-  ctx.deadline_at <- Option.map (fun d -> now () +. d) ctx.deadline_s;
+  let e = fresh_exp (Option.map (fun d -> now () +. d) ctx.deadline_s) in
+  ctx.exp <- e;
   let t0 = now () in
   let finish table status =
     (* The per-experiment registry deliberately excludes wall-clock
@@ -186,11 +175,11 @@ let run_experiment ctx ~id f =
        the manifest's metrics_digest is [--jobs]-independent — and a
        survivable chaos run digests identically to the fault-free run. *)
     let metrics = Obs.Metrics.create () in
-    Obs.Metrics.incr metrics ~by:ctx.chunks_done "supervise.chunks_done";
-    Obs.Metrics.incr metrics ~by:ctx.chunks_resumed "supervise.chunks_resumed";
-    Obs.Metrics.incr metrics ~by:ctx.completed_trials
+    Obs.Metrics.incr metrics ~by:e.chunks_done "supervise.chunks_done";
+    Obs.Metrics.incr metrics ~by:e.chunks_resumed "supervise.chunks_resumed";
+    Obs.Metrics.incr metrics ~by:e.completed_trials
       "supervise.completed_trials";
-    Obs.Metrics.incr metrics ~by:ctx.total_trials "supervise.total_trials";
+    Obs.Metrics.incr metrics ~by:e.total_trials "supervise.total_trials";
     (match status with
     | Completed -> ()
     | Failed _ -> Obs.Metrics.incr metrics "supervise.failures"
@@ -200,12 +189,12 @@ let run_experiment ctx ~id f =
       table;
       status;
       elapsed_s = now () -. t0;
-      chunks_done = ctx.chunks_done;
-      chunks_resumed = ctx.chunks_resumed;
-      chunk_retries = ctx.chunk_retries;
-      completed_trials = ctx.completed_trials;
-      total_trials = ctx.total_trials;
-      engines = List.rev ctx.engines_rev;
+      chunks_done = e.chunks_done;
+      chunks_resumed = e.chunks_resumed;
+      chunk_retries = e.chunk_retries;
+      completed_trials = e.completed_trials;
+      total_trials = e.total_trials;
+      engines = List.rev e.engines_rev;
       metrics;
     }
   in
@@ -213,17 +202,17 @@ let run_experiment ctx ~id f =
   | table -> finish (Some table) Completed
   | exception Sim.Runner.Cancelled ->
       Obs.Recorder.push ctx.obs_events (Obs.Event.Watchdog { experiment = id });
-      finish ctx.table Timed_out
+      finish e.table Timed_out
   | exception exn ->
       let backtrace =
         Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ())
       in
       let message =
-        match ctx.last_failure with
+        match e.last_failure with
         | Some f -> Sim.Runner.pp_chunk_failed f
         | None -> Printexc.to_string exn
       in
-      finish ctx.table (Failed { message; backtrace })
+      finish e.table (Failed { message; backtrace })
 
 let failed r =
   match r.status with Completed -> false | Failed _ | Timed_out -> true

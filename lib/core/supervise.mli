@@ -22,9 +22,11 @@
        [results/run_manifest.json] and {!any_failed} drives the process
        exit code.}}
 
-    Every hook takes [ctx option] so experiment code can thread an
-    optional supervisor with no [Option] boilerplate; [None] everywhere
-    means exactly the old unsupervised behavior. *)
+    A [ctx] holds the run's configuration, fixed at {!create}, the
+    run-level event stream, and the current experiment's state, which
+    {!run_experiment} replaces whole. A [ctx] that never runs an
+    experiment, like [create ()], supervises nothing: no watchdog, no
+    store, no retries, no faults. *)
 
 type ctx
 
@@ -83,16 +85,17 @@ val create :
     ["results/checkpoints"]; absent = checkpointing off); [resume]
     (default [false]) consumes existing chunk records instead of clearing
     them; [retries] is the per-chunk retry budget of every {!fold}
-    (absent = no retries); [fault] is a deterministic {!Sim.Fault} plan
-    replayed against every {!fold} (each fold builds its own injector,
-    so hit counters are per fold). Raises [Invalid_argument] on a
-    non-finite [deadline_s] or a negative [retries]. *)
+    (default 0); [fault] is a deterministic {!Sim.Fault} plan replayed
+    against every {!fold} (default none; each fold builds its own
+    injector, so hit counters are per fold). Raises [Invalid_argument] on
+    a non-finite [deadline_s] or a negative [retries]. *)
 
 val run_experiment : ctx -> id:string -> (unit -> Stats.Table.t) -> result
-(** Run one experiment under supervision: arms the watchdog, zeroes the
-    per-experiment counters, and converts an escaping exception or a fired
-    watchdog into a [Failed] / [Timed_out] result carrying the registered
-    partial table. Never raises. *)
+(** Run one experiment under supervision: starts a fresh per-experiment
+    state (its watchdog armed, every counter, engine, store and failure
+    record empty) and converts an escaping exception or a fired watchdog
+    into a [Failed] / [Timed_out] result carrying the registered partial
+    table. Never raises. *)
 
 val events : ctx -> Obs.Event.t list
 (** The run-level supervision event stream, in emission order: one
@@ -109,12 +112,12 @@ val merged_metrics : result list -> Obs.Metrics.t
     with ["<id>."] and merged in list order — the [--metrics-out] payload
     for the experiment pipeline. *)
 
-val register : ctx option -> Stats.Table.t -> Stats.Table.t
+val register : ctx -> Stats.Table.t -> Stats.Table.t
 (** Identity on the table; records it so a failed or timed-out experiment
     can still report the rows added so far. Call on the freshly created
     table of every supervised experiment. *)
 
-val commit : ctx option -> 'a Sim.Runner.folded -> 'a
+val commit : ctx -> 'a Sim.Runner.folded -> 'a
 (** Fold a supervised fold's outcome into the experiment: accumulate chunk
     and trial counts, record its [engine_used] for the manifest and its
     retried and failed chunks for {!events}, then read it with
@@ -123,25 +126,20 @@ val commit : ctx option -> 'a Sim.Runner.folded -> 'a
     or {!Sim.Runner.Cancelled} on a fired watchdog. *)
 
 val fold :
-  ctx option ->
+  ctx ->
   key:string ->
   seed:int ->
   trials:int ->
-  (?cancel:(unit -> bool) ->
-  ?checkpoint:Sim.Checkpoint.t ->
-  ?retries:int ->
-  ?fault:Sim.Fault.plan ->
-  unit ->
-  'a Sim.Runner.folded) ->
+  (Sim.Runner.guard -> 'a Sim.Runner.folded) ->
   'a
 (** Run one {!Sim.Runner.fold} instance under the supervisor and
-    {!commit} it: [run] receives the watchdog, the retry budget, the
-    fault plan and the fold's checkpoint store, keyed by [(key, seed,
-    default chunk size, trials)]. [key] must name the fold and every
-    parameter that shapes its trials (protocol, adversary or scheduler,
-    population, t, round or step cap, inputs): two folds with equal keys
-    must be the same computation. Without [resume], a stale store is
-    cleared first. *)
+    {!commit} it: [run] receives a {!Sim.Runner.guard} carrying the
+    watchdog, the retry budget, the fault plan and the fold's checkpoint
+    store, keyed by [(key, seed, default chunk size, trials)]. [key] must
+    name the fold and every parameter that shapes its trials (protocol,
+    adversary or scheduler, population, t, round or step cap, inputs):
+    two folds with equal keys must be the same computation. Without
+    [resume], a stale store is cleared first. *)
 
 val stores : ctx -> string list
 (** The checkpoint store directories the current experiment's folds

@@ -59,17 +59,10 @@ let digest ~chunk payload =
 (* Raise the armed fault [kind] at [site]: a crash as {!Fault.Injected},
    the other kinds as the [Sys_error] a failing filesystem would raise. *)
 let fail site chunk kind =
-  let what =
-    match kind with
-    | Fault.Crash -> raise (Fault.Injected { site; scope = chunk; kind })
-    | Fault.Sys_err -> "sys_error"
-    | Fault.Torn_write -> "torn"
-    | Fault.Bit_flip -> "bitflip"
-  in
-  raise
-    (Sys_error
-       (Printf.sprintf "injected fault: %s@%d:%s" (Fault.site_label site)
-          chunk what))
+  match kind with
+  | Fault.Crash -> raise (Fault.Injected { site; scope = chunk; kind })
+  | Fault.Sys_err | Fault.Torn_write | Fault.Bit_flip ->
+      raise (Sys_error (Fault.describe site ~scope:chunk kind))
 
 (* Flip one payload bit, mid-string: enough to break the digest, small
    enough that Marshal would happily misparse it if the digest check were

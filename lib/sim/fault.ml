@@ -21,107 +21,100 @@ let every_hit = -1
 
 exception Injected of { site : site; scope : int; kind : kind }
 
-let site_label = function
-  | Chunk_body -> "body"
-  | Checkpoint_store -> "store"
-  | Checkpoint_load -> "load"
-  | Metrics_merge -> "merge"
-  | Event_sink -> "sink"
-  | Manifest_write -> "manifest"
+(* The grammar tokens, one table per type: labels, parsing, and the
+   injector's counter rows all read these. *)
+let sites =
+  [
+    (Chunk_body, "body");
+    (Checkpoint_store, "store");
+    (Checkpoint_load, "load");
+    (Metrics_merge, "merge");
+    (Event_sink, "sink");
+    (Manifest_write, "manifest");
+  ]
 
-let kind_label = function
-  | Crash -> "raise"
-  | Sys_err -> "sys_error"
-  | Torn_write -> "torn"
-  | Bit_flip -> "bitflip"
+let kinds =
+  [
+    (Crash, "raise");
+    (Sys_err, "sys_error");
+    (Torn_write, "torn");
+    (Bit_flip, "bitflip");
+  ]
+
+let label table x = List.assoc x table
+
+let of_label table s =
+  List.find_map (fun (x, l) -> if l = s then Some x else None) table
+
+let site_label = label sites
+
+let kind_label = label kinds
+
+(* A scope or hit count, with its wildcard value spelled [wild]. *)
+let count_to_string ~wild wild_value n =
+  if n = wild_value then wild else string_of_int n
+
+let count_of_string ~wild wild_value s =
+  if s = wild then Some wild_value
+  else
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Some n
+    | Some _ | None -> None
+
+let scope_to_string = count_to_string ~wild:"run" run_scope
+
+let describe site ~scope kind =
+  Printf.sprintf "injected fault: %s@%s:%s" (site_label site)
+    (scope_to_string scope) (kind_label kind)
 
 let () =
   Printexc.register_printer (function
-    | Injected { site; scope; kind } ->
-        Some
-          (Printf.sprintf "injected fault: %s@%s:%s" (site_label site)
-             (if scope = run_scope then "run" else string_of_int scope)
-             (kind_label kind))
+    | Injected { site; scope; kind } -> Some (describe site ~scope kind)
     | _ -> None)
-
-let scope_to_string scope =
-  if scope = run_scope then "run" else string_of_int scope
-
-let hit_to_string hit = if hit = every_hit then "*" else string_of_int hit
 
 let arm_to_string a =
   Printf.sprintf "%s@%s#%s:%s" (site_label a.site) (scope_to_string a.scope)
-    (hit_to_string a.hit) (kind_label a.kind)
+    (count_to_string ~wild:"*" every_hit a.hit)
+    (kind_label a.kind)
 
 let plan_to_string plan = String.concat "," (List.map arm_to_string plan)
 
-let site_of_label = function
-  | "body" -> Some Chunk_body
-  | "store" -> Some Checkpoint_store
-  | "load" -> Some Checkpoint_load
-  | "merge" -> Some Metrics_merge
-  | "sink" -> Some Event_sink
-  | "manifest" -> Some Manifest_write
-  | _ -> None
-
-let kind_of_label = function
-  | "raise" -> Some Crash
-  | "sys_error" -> Some Sys_err
-  | "torn" -> Some Torn_write
-  | "bitflip" -> Some Bit_flip
-  | _ -> None
+let ( let* ) = Result.bind
 
 (* Grammar: arm = site '@' scope '#' hit ':' kind, arms comma-joined.
    scope = int | "run"; hit = int | "*". *)
 let arm_of_string s =
   let fail reason = Error (Printf.sprintf "bad fault arm %S: %s" s reason) in
-  match String.index_opt s '@' with
-  | None -> fail "missing '@' (want site@scope#hit:kind)"
-  | Some at -> (
-      match String.index_from_opt s at '#' with
-      | None -> fail "missing '#' (want site@scope#hit:kind)"
-      | Some hash -> (
-          match String.index_from_opt s hash ':' with
-          | None -> fail "missing ':' (want site@scope#hit:kind)"
-          | Some colon -> (
-              let site_s = String.sub s 0 at in
-              let scope_s = String.sub s (at + 1) (hash - at - 1) in
-              let hit_s = String.sub s (hash + 1) (colon - hash - 1) in
-              let kind_s =
-                String.sub s (colon + 1) (String.length s - colon - 1)
-              in
-              match site_of_label site_s with
-              | None -> fail (Printf.sprintf "unknown site %S" site_s)
-              | Some site -> (
-                  match kind_of_label kind_s with
-                  | None -> fail (Printf.sprintf "unknown kind %S" kind_s)
-                  | Some kind -> (
-                      let scope =
-                        if scope_s = "run" then Some run_scope
-                        else
-                          match int_of_string_opt scope_s with
-                          | Some c when c >= 0 -> Some c
-                          | Some _ | None -> None
-                      in
-                      match scope with
-                      | None ->
-                          fail
-                            (Printf.sprintf "bad scope %S (int >= 0 or \"run\")"
-                               scope_s)
-                      | Some scope -> (
-                          let hit =
-                            if hit_s = "*" then Some every_hit
-                            else
-                              match int_of_string_opt hit_s with
-                              | Some h when h >= 0 -> Some h
-                              | Some _ | None -> None
-                          in
-                          match hit with
-                          | None ->
-                              fail
-                                (Printf.sprintf
-                                   "bad hit %S (int >= 0 or \"*\")" hit_s)
-                          | Some hit -> Ok { site; scope; hit; kind }))))))
+  let find c from =
+    match String.index_from_opt s from c with
+    | Some i -> Ok i
+    | None -> fail (Printf.sprintf "missing '%c' (want site@scope#hit:kind)" c)
+  in
+  let field what = Option.fold ~none:(fail what) ~some:Result.ok in
+  let* at = find '@' 0 in
+  let* hash = find '#' at in
+  let* colon = find ':' hash in
+  let sub i j = String.sub s i (j - i) in
+  let site_s = sub 0 at and scope_s = sub (at + 1) hash in
+  let hit_s = sub (hash + 1) colon in
+  let kind_s = sub (colon + 1) (String.length s) in
+  let* site =
+    field (Printf.sprintf "unknown site %S" site_s) (of_label sites site_s)
+  in
+  let* kind =
+    field (Printf.sprintf "unknown kind %S" kind_s) (of_label kinds kind_s)
+  in
+  let* scope =
+    field
+      (Printf.sprintf "bad scope %S (int >= 0 or \"run\")" scope_s)
+      (count_of_string ~wild:"run" run_scope scope_s)
+  in
+  let* hit =
+    field
+      (Printf.sprintf "bad hit %S (int >= 0 or \"*\")" hit_s)
+      (count_of_string ~wild:"*" every_hit hit_s)
+  in
+  Ok { site; scope; hit; kind }
 
 let plan_of_string s =
   let s = String.trim s in
@@ -130,12 +123,9 @@ let plan_of_string s =
     String.split_on_char ',' s
     |> List.fold_left
          (fun acc part ->
-           match acc with
-           | Error _ as e -> e
-           | Ok arms -> (
-               match arm_of_string (String.trim part) with
-               | Ok a -> Ok (a :: arms)
-               | Error _ as e -> e))
+           let* arms = acc in
+           let* a = arm_of_string (String.trim part) in
+           Ok (a :: arms))
          (Ok [])
     |> Result.map List.rev
 
@@ -160,13 +150,7 @@ let random_plan ~seed ~n ~chunk_size =
              { site = Chunk_body; scope = c; hit = Prng.Rng.int rng body_hits;
                kind }
          | 1 ->
-             let kind =
-               match Prng.Rng.int rng 4 with
-               | 0 -> Crash
-               | 1 -> Sys_err
-               | 2 -> Torn_write
-               | _ -> Bit_flip
-             in
+             let kind = fst (List.nth kinds (Prng.Rng.int rng 4)) in
              { site = Checkpoint_store; scope = c; hit = 0; kind }
          | 2 ->
              (* Hit 0 of the load site is the saved-consult of the first
@@ -185,15 +169,10 @@ let random_plan ~seed ~n ~chunk_size =
    slot only by the merging (calling) domain, so no synchronization is
    needed and fault placement cannot depend on scheduling. *)
 
-let nsites = 6
+let nsites = List.length sites
 
-let site_index = function
-  | Chunk_body -> 0
-  | Checkpoint_store -> 1
-  | Checkpoint_load -> 2
-  | Metrics_merge -> 3
-  | Event_sink -> 4
-  | Manifest_write -> 5
+let site_index site =
+  Option.get (List.find_index (fun (s, _) -> s = site) sites)
 
 type injector = { plan : plan; nchunks : int; hits : int array array }
 
@@ -211,27 +190,19 @@ let fire inj site ~scope =
         let row = t.hits.(site_index site) in
         let h = row.(slot) in
         row.(slot) <- h + 1;
-        List.fold_left
-          (fun found a ->
-            match found with
-            | Some _ -> found
-            | None ->
-                if
-                  site_index a.site = site_index site
-                  && a.scope = scope
-                  && (a.hit = every_hit || a.hit = h)
-                then Some a.kind
-                else None)
-          None t.plan
+        List.find_map
+          (fun a ->
+            if
+              a.site = site && a.scope = scope
+              && (a.hit = every_hit || a.hit = h)
+            then Some a.kind
+            else None)
+          t.plan
       end
 
 let trip inj site ~scope =
   match fire inj site ~scope with
   | None -> ()
-  | Some Sys_err ->
-      raise
-        (Sys_error
-           (Printf.sprintf "injected fault: %s@%s:sys_error" (site_label site)
-              (scope_to_string scope)))
+  | Some Sys_err -> raise (Sys_error (describe site ~scope Sys_err))
   | Some ((Crash | Torn_write | Bit_flip) as kind) ->
       raise (Injected { site; scope; kind })

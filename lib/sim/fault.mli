@@ -24,7 +24,14 @@
     chunk is retried: a fault armed at hit [h] fires exactly once, so a
     retried chunk re-runs clean and (by [(seed, trial_index)] seeding)
     byte-identical. An arm with [hit = every_hit] fires on every pass —
-    the way to exhaust a retry budget on purpose. *)
+    the way to exhaust a retry budget on purpose.
+
+    {b Which sites fire.} {!Runner.fold} fires [body] and [merge], [sink]
+    only under a capture and [store]/[load] only with a checkpoint store
+    (it rejects a [store]/[load] arm without one);
+    {!Core.Supervise.write_manifest} fires [manifest]. So
+    [consensus_cli run] reaches [body], [merge] and, with [--metrics-out]
+    or [--events-out], [sink], and rejects any other arm. *)
 
 type site =
   | Chunk_body  (** Before each [work] call inside a chunk attempt. *)
@@ -77,6 +84,11 @@ exception Injected of { site : site; scope : int; kind : kind }
 val site_label : site -> string
 (** Grammar token: [body], [store], [load], [merge], [sink],
     [manifest]. *)
+
+val describe : site -> scope:int -> kind -> string
+(** ["injected fault: site@scope:kind"], e.g.
+    ["injected fault: store@2:torn"]: how every injected fault reads,
+    whether raised as {!Injected} or as a [Sys_error]. *)
 
 val plan_to_string : plan -> string
 (** Comma-joined arms, each [site@scope#hit:kind], e.g.

@@ -87,12 +87,28 @@ type 'a folded = {
 
 type report = summary folded
 
-let fold ?jobs ?(chunk_size = Parallel.default_chunk_size)
-    ?(cancel = fun () -> false) ?checkpoint ?capture ?(retries = 0) ?fault
-    ~engine ~trials ~create ~merge run_one =
+type guard = {
+  cancel : unit -> bool;
+  checkpoint : Checkpoint.t option;
+  retries : int;
+  fault : Fault.plan;
+}
+
+let unguarded =
+  { cancel = (fun () -> false); checkpoint = None; retries = 0; fault = [] }
+
+let fold ?jobs ?(chunk_size = Parallel.default_chunk_size) ?capture
+    ?(guard = unguarded) ~engine ~trials ~create ~merge run_one =
+  let { cancel; checkpoint; retries; fault } = guard in
   if trials <= 0 then invalid_arg "Runner.fold: trials must be positive";
   if chunk_size < 1 then invalid_arg "Runner.fold: chunk_size";
   if retries < 0 then invalid_arg "Runner.fold: retries";
+  (* A checkpoint arm with no store to fire in would be silently inert. *)
+  let io_arm (a : Fault.arm) =
+    List.mem a.site Fault.[ Checkpoint_store; Checkpoint_load ]
+  in
+  if Option.is_none checkpoint && List.exists io_arm fault then
+    invalid_arg "Runner.fold: store/load fault arm without a checkpoint";
   let jobs =
     match jobs with
     | Some j when j >= 1 -> j
@@ -101,7 +117,9 @@ let fold ?jobs ?(chunk_size = Parallel.default_chunk_size)
   (* Chunk boundaries depend only on [trials] and [chunk_size], never on
      [jobs]; so does fault placement, the injector being sized to them. *)
   let nchunks = (trials + chunk_size - 1) / chunk_size in
-  let finj = Option.map (Fault.injector ~nchunks) fault in
+  let finj =
+    match fault with [] -> None | plan -> Some (Fault.injector ~nchunks plan)
+  in
   let scope c =
     let om = Obs.Metrics.create () and orec = Obs.Recorder.create () in
     { om; orec; oevents = Obs.Capture.record_events c }
@@ -360,12 +378,12 @@ let resolve_engine engine ~seed ~gen_inputs protocol =
         `Bitkernel
       else `Concrete
 
-let run_trials_supervised ?(max_rounds = 10_000) ?jobs ?chunk_size
-    ?cancel ?checkpoint ?capture ?(engine = `Concrete) ?cohort_adversary
-    ?retries ?fault ~trials ~seed ~gen_inputs ~t protocol make_adversary =
+let run_trials_supervised ?(max_rounds = 10_000) ?jobs ?chunk_size ?capture
+    ?guard ?(engine = `Concrete) ?cohort_adversary ~trials ~seed ~gen_inputs
+    ~t protocol make_adversary =
   let engine = resolve_engine engine ~seed ~gen_inputs protocol in
   let r =
-    fold ?jobs ?chunk_size ?cancel ?checkpoint ?capture ?retries ?fault
+    fold ?jobs ?chunk_size ?capture ?guard
       ~engine:(engine_name engine) ~trials ~create:acc_create ~merge:acc_merge
       (fun ~index probe acc ->
         (* The trial's randomness is a pure function of (seed, index): no

@@ -84,14 +84,51 @@ type report = summary folded
 type probe = { sink : Obs.Sink.t; metrics : Obs.Metrics.t }
 (** A captured trial's engine-event sink and its chunk's metrics. *)
 
+type guard = {
+  cancel : unit -> bool;
+      (** {b Watchdog.} Polled by each worker before it claims a chunk,
+          never mid-chunk; when it fires, the pool is poisoned as by a
+          failed chunk and [cancelled] is set. Must be thread-safe and
+          cheap; a raising [cancel] propagates. *)
+  checkpoint : Checkpoint.t option;
+      (** {b Checkpoints.} Each completed chunk is stored here before it
+          may merge (a chunk whose store raises has failed), and a stored
+          chunk is loaded instead of recomputed, on every attempt.
+          Chunk-ordered merging and exact [Marshal] make a resumed value
+          byte-identical to an uninterrupted one. A fold whose every
+          chunk completed clears the store; any other {!Checkpoint.close}s
+          it, so its records are durable. *)
+  retries : int;
+      (** {b Retries.} Re-run a failed chunk from a fresh accumulator up
+          to this many extra times; each failed attempt but the last lands
+          in [retried], and only a chunk that fails [retries + 1] times
+          poisons the pool. Below 0 raises [Invalid_argument]. *)
+  fault : Fault.plan;
+      (** {b Faults.} A non-empty plan arms one {!Fault} injector sized to
+          the fold's chunks, tripped before each trial, in checkpoint
+          store/load, per captured event and in the final merge
+          (terminal); a [store]/[load] arm without a [checkpoint], which
+          could never fire, raises [Invalid_argument]. Hit counters
+          survive retries, so an armed fault fires once and a plan the
+          retry budget absorbs leaves value, events and metrics
+          byte-identical. *)
+}
+(** How a fold is supervised: its watchdog, checkpoint store, retry
+    budget and fault plan.
+
+    {b Salvage.} Under any guard, a chunk that fails for good poisons the
+    pool: peers finish their in-flight chunks but start no new ones, the
+    chunk lands in [failures], and every completed chunk still merges
+    into [partial]. *)
+
+val unguarded : guard
+(** Never cancelled, no checkpoint, no retries, no faults. *)
+
 val fold :
   ?jobs:int ->
   ?chunk_size:int ->
-  ?cancel:(unit -> bool) ->
-  ?checkpoint:Checkpoint.t ->
   ?capture:Obs.Capture.t ->
-  ?retries:int ->
-  ?fault:Fault.plan ->
+  ?guard:guard ->
   engine:string ->
   trials:int ->
   create:(unit -> 'acc) ->
@@ -107,8 +144,10 @@ val fold :
     accumulator, its trials run in ascending order, and chunk partials
     combine with [merge] in chunk order. The chunks run on up to [jobs]
     workers of the {!Parallel} pool ([jobs] below 1 or absent means
-    {!Parallel.default_jobs}). [trials], [chunk_size] and [retries] below
-    their minimum raise [Invalid_argument].
+    {!Parallel.default_jobs}). [guard] (default {!unguarded}) supervises
+    the fold: see {!guard} for salvage, retries, checkpoints and faults.
+    [trials] and [chunk_size] below 1 raise [Invalid_argument], as does a
+    bad [guard]; a raising [merge] propagates.
 
     {b Determinism.} The result is bit-identical to a sequential fold at
     any [jobs], because:
@@ -122,36 +161,6 @@ val fold :
        folds (Welford moments) reduce identically.}}
     [create]/[merge] build and combine chunk accumulators, which must be
     plain data ([Marshal] checkpoints them).
-
-    {b Salvage.} A raising trial poisons the pool: peers finish their
-    in-flight chunks but start no new ones, the chunk lands in
-    [failures], and every completed chunk still merges into [partial].
-    [cancel] is a watchdog polled by each worker before it claims a chunk
-    (never mid-chunk); when it fires the pool is poisoned the same way
-    and [cancelled] is set. It runs on worker domains and must be
-    thread-safe and cheap; a raising [cancel] or [merge] propagates.
-
-    {b Retries.} [retries] (default 0) re-runs a failed chunk from a
-    fresh accumulator up to that many extra times; each failed attempt
-    but the last lands in [retried], and only a chunk that fails
-    [retries + 1] times poisons the pool.
-
-    {b Checkpoints.} [checkpoint] stores each completed chunk before it
-    may merge — a chunk whose store raises is a failed chunk and
-    contributes nothing — and satisfies stored chunks without
-    recomputation; the store is consulted again on every attempt. Since
-    chunks merge in chunk order and [Marshal] round-trips exactly, a
-    resumed value is byte-identical to an uninterrupted one. A fold
-    whose every chunk completed clears its store; any other fold
-    {!Checkpoint.close}s it, so its records are durable.
-
-    {b Faults.} [fault] arms one {!Fault} injector sized to the fold's
-    chunks, tripped before each trial ({!Fault.Chunk_body}), in
-    checkpoint store/load, per captured event ({!Fault.Event_sink}) and
-    in the final sequential merge ({!Fault.Metrics_merge}, terminal).
-    Hit counters survive retries, so an armed fault fires once and the
-    retried pass runs clean: a plan the retry budget absorbs leaves
-    value, events and metrics byte-identical.
 
     [capture] hands each trial a {!probe}; the per-chunk metrics (and,
     when asked, event recorders) merge in chunk order into the capture,
@@ -167,13 +176,10 @@ val run_trials_supervised :
   ?max_rounds:int ->
   ?jobs:int ->
   ?chunk_size:int ->
-  ?cancel:(unit -> bool) ->
-  ?checkpoint:Checkpoint.t ->
   ?capture:Obs.Capture.t ->
+  ?guard:guard ->
   ?engine:[ `Concrete | `Cohort | `Bitkernel | `Auto ] ->
   ?cohort_adversary:(unit -> ('state, 'msg) Cohort.adversary) ->
-  ?retries:int ->
-  ?fault:Fault.plan ->
   trials:int ->
   seed:int ->
   gen_inputs:(Prng.Rng.t -> int array) ->

@@ -161,14 +161,18 @@ let summary_key (s : Sim.Runner.summary) =
 
 (* One supervised run of the standard chaos workload: 40 SynRan trials in
    chunks of 8, with full event capture and its own checkpoint store. *)
-let chaos_run ?fault ?(retries = 0) ~root ~tag ~jobs () =
+let chaos_run ?(fault = []) ?(retries = 0) ~root ~tag ~jobs () =
   let capture = Obs.Capture.create ~events:true () in
   let checkpoint =
     Sim.Checkpoint.create ~root ~exp:tag ~seed:17 ~chunk_size:8 ~n:40
   in
   let r =
     Sim.Runner.run_trials_supervised ~max_rounds:500 ~jobs ~chunk_size:8
-      ~checkpoint ~capture ~retries ?fault ~trials:40 ~seed:17
+      ~capture
+      ~guard:
+        { Sim.Runner.unguarded with
+          checkpoint = Some checkpoint; retries; fault }
+      ~trials:40 ~seed:17
       ~gen_inputs:(Sim.Runner.input_gen_random ~n:8)
       ~t:2 (Core.Synran.protocol 8)
       (fun () -> Sim.Adversary.null)

@@ -555,9 +555,9 @@ let prop_resume_any_prefix_equivalent =
       let trials = 10 and chunk_size = 2 in
       let t = Prng.Rng.int (Prng.Rng.create (seed + 5)) n in
       let make_adversary () = adversary_of_tag ~n ~t ~seed (seed mod 3) in
-      let run ?cancel ?checkpoint ~jobs () =
+      let run ?guard ~jobs () =
         Sim.Runner.run_trials_supervised ~max_rounds:500 ~jobs ~chunk_size
-          ?cancel ?checkpoint ~trials ~seed
+          ?guard ~trials ~seed
           ~gen_inputs:(Sim.Runner.input_gen_random ~n)
           ~t (Core.Synran.protocol n) make_adversary
       in
@@ -587,8 +587,11 @@ let prop_resume_any_prefix_equivalent =
         incr polls;
         !polls > prefix_chunks
       in
-      let interrupted = run ~cancel ~checkpoint:(make_ck ()) ~jobs:1 () in
-      let resumed = run ~checkpoint:(make_ck ()) ~jobs:resume_jobs () in
+      let guard () =
+        { Sim.Runner.unguarded with checkpoint = Some (make_ck ()) }
+      in
+      let interrupted = run ~guard:{ (guard ()) with cancel } ~jobs:1 () in
+      let resumed = run ~guard:(guard ()) ~jobs:resume_jobs () in
       interrupted.Sim.Runner.cancelled
       && interrupted.Sim.Runner.chunks_done = prefix_chunks
       && resumed.Sim.Runner.chunks_resumed = prefix_chunks

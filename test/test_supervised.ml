@@ -32,9 +32,10 @@ let plan_of_string_exn s =
 
 (* List-of-indices accumulator: the merged value spells out exactly which
    indices were folded in, in merge order. *)
-let indices_fold ?jobs ?cancel ?checkpoint ?retries ?fault ~chunk_size ~n
-    ~crash_at () =
-  Sim.Runner.fold ?jobs ~chunk_size ?cancel ?checkpoint ?retries ?fault
+let indices_fold ?jobs ?(cancel = Sim.Runner.unguarded.cancel) ?checkpoint
+    ?(retries = 0) ?(fault = []) ~chunk_size ~n ~crash_at () =
+  Sim.Runner.fold ?jobs ~chunk_size
+    ~guard:{ Sim.Runner.cancel; checkpoint; retries; fault }
     ~engine:"indices" ~trials:n
     ~create:(fun () -> ref [])
     ~merge:(fun a b ->
@@ -194,6 +195,21 @@ let test_retries_validated () =
     (Invalid_argument "Runner.fold: retries") (fun () ->
       ignore
         (indices_fold ~jobs:1 ~chunk_size:4 ~n:8 ~crash_at:[] ~retries:(-1) ()))
+
+let test_checkpoint_arm_needs_store () =
+  (* A store or load arm could never fire in a fold without a checkpoint
+     store, so the fold rejects it instead of running a plan that does
+     not do what it says. *)
+  List.iter
+    (fun plan ->
+      Alcotest.check_raises plan
+        (Invalid_argument
+           "Runner.fold: store/load fault arm without a checkpoint")
+        (fun () ->
+          ignore
+            (indices_fold ~jobs:1 ~chunk_size:4 ~n:8 ~crash_at:[]
+               ~fault:(plan_of_string_exn plan) ())))
+    [ "store@0#0:raise"; "load@1#0:torn"; "body@0#0:raise,load@0#0:raise" ]
 
 let test_deadline_validated () =
   (* A NaN deadline would never fire; neither it nor an infinite one is
@@ -637,10 +653,9 @@ let test_runner_checkpoint_resume_exact () =
   let protocol = Core.Synran.protocol n in
   let gen_inputs = Sim.Runner.input_gen_random ~n in
   let make_adversary () = Sim.Adversary.null in
-  let run_supervised ?cancel ?checkpoint ~jobs () =
+  let run_supervised ?guard ~jobs () =
     Sim.Runner.run_trials_supervised ~max_rounds:500 ~jobs ~chunk_size:4
-      ?cancel ?checkpoint ~trials ~seed ~gen_inputs ~t:3 protocol
-      make_adversary
+      ?guard ~trials ~seed ~gen_inputs ~t:3 protocol make_adversary
   in
   let baseline =
     match (run_supervised ~jobs:1 ()).Sim.Runner.partial with
@@ -658,7 +673,10 @@ let test_runner_checkpoint_resume_exact () =
     incr polls;
     !polls > 3
   in
-  let interrupted = run_supervised ~cancel ~checkpoint:(make_ck ()) ~jobs:1 () in
+  let with_ck ?(cancel = Sim.Runner.unguarded.cancel) () =
+    { Sim.Runner.unguarded with cancel; checkpoint = Some (make_ck ()) }
+  in
+  let interrupted = run_supervised ~guard:(with_ck ~cancel ()) ~jobs:1 () in
   check_bool "interrupted run cancelled" true interrupted.Sim.Runner.cancelled;
   check_int "three chunks persisted" 3 interrupted.Sim.Runner.chunks_done;
   check_bool "checkpoint files survive the interrupt" true
@@ -673,7 +691,7 @@ let test_runner_checkpoint_resume_exact () =
     (j ^ String.sub j last ((String.length j - last) / 2));
   (* Resume at a different worker count: saved chunks short-circuit, the
      rest recompute, and the merged summary is byte-identical. *)
-  let resumed = run_supervised ~checkpoint:(make_ck ()) ~jobs:3 () in
+  let resumed = run_supervised ~guard:(with_ck ()) ~jobs:3 () in
   check_bool "no failures" true (resumed.Sim.Runner.failures = []);
   check_bool "not cancelled" false resumed.Sim.Runner.cancelled;
   check_int "all chunks done" resumed.Sim.Runner.chunks_total
@@ -757,9 +775,9 @@ let test_runner_auto_engine () =
   let ctx = Core.Supervise.create () in
   let res =
     Core.Supervise.run_experiment ctx ~id:"auto" (fun () ->
-        ignore (Core.Supervise.commit (Some ctx) auto_small);
-        ignore (Core.Supervise.commit (Some ctx) auto_large);
-        ignore (Core.Supervise.commit (Some ctx) auto_large);
+        ignore (Core.Supervise.commit ctx auto_small);
+        ignore (Core.Supervise.commit ctx auto_large);
+        ignore (Core.Supervise.commit ctx auto_large);
         Stats.Table.create ~title:"auto" ~columns:[ "engine" ])
   in
   Alcotest.(check (list string))
@@ -787,13 +805,16 @@ let test_runner_auto_engine () =
 
 (* A Byzantine fold (EIG under the equivocator) with full capture and its
    own checkpoint store: the summary and the capture digest. *)
-let byz_fold ?fault ?(retries = 0) ~root ~tag ~jobs () =
+let byz_fold ?(fault = []) ?(retries = 0) ~root ~tag ~jobs () =
   let capture = Obs.Capture.create ~events:true () in
   let checkpoint =
     Sim.Checkpoint.create ~root ~exp:tag ~seed:23 ~chunk_size:8 ~n:30
   in
   let r =
-    Byz.Engine.run_trials ~jobs ~checkpoint ~capture ~retries ?fault
+    Byz.Engine.run_trials ~jobs ~capture
+      ~guard:
+        { Sim.Runner.unguarded with
+          checkpoint = Some checkpoint; retries; fault }
       ~trials:30 ~seed:23
       ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng 7)
       ~t:2 (Byz.Eig.protocol ~t:2)
@@ -834,9 +855,9 @@ let test_async_resume_exact () =
      resume it at another worker count: the stored chunks short-circuit
      and the summary comes back byte-identical. *)
   let trials = 40 and seed = 31 in
-  let run ?cancel ?checkpoint ~jobs () =
-    Async.Engine.run_trials ~phase_of:Async.Benor.phase ~jobs ?cancel
-      ?checkpoint ~trials ~seed
+  let run ?guard ~jobs () =
+    Async.Engine.run_trials ~phase_of:Async.Benor.phase ~jobs ?guard ~trials
+      ~seed
       ~gen_inputs:(fun rng -> Prng.Sample.random_bits rng 4)
       ~t:1 (Async.Benor.protocol ~t:1) Async.Benor.splitter
   in
@@ -850,11 +871,14 @@ let test_async_resume_exact () =
     incr polls;
     !polls > 3
   in
-  let interrupted = run ~cancel ~checkpoint:(make_ck ()) ~jobs:1 () in
+  let with_ck ?(cancel = Sim.Runner.unguarded.cancel) () =
+    { Sim.Runner.unguarded with cancel; checkpoint = Some (make_ck ()) }
+  in
+  let interrupted = run ~guard:(with_ck ~cancel ()) ~jobs:1 () in
   check_bool "interrupted" true interrupted.Sim.Runner.cancelled;
   check_int "three chunks done" 3 interrupted.Sim.Runner.chunks_done;
   check_int "their trials counted" 24 interrupted.Sim.Runner.completed_trials;
-  let resumed = run ~checkpoint:(make_ck ()) ~jobs:3 () in
+  let resumed = run ~guard:(with_ck ()) ~jobs:3 () in
   check_int "three chunks from disk" 3 resumed.Sim.Runner.chunks_resumed;
   check_int "every trial counted" trials resumed.Sim.Runner.completed_trials;
   check_string "engine recorded" "async" resumed.Sim.Runner.engine_used;
@@ -1026,7 +1050,7 @@ let test_supervise_timeout_salvages_table () =
   let r =
     Core.Supervise.run_experiment ctx ~id:"ex" (fun () ->
         let tbl =
-          Core.Supervise.register (Some ctx)
+          Core.Supervise.register ctx
             (Stats.Table.create ~title:"partial" ~columns:[ "a" ])
         in
         Stats.Table.add_row tbl [ Stats.Table.Str "row" ];
@@ -1046,15 +1070,13 @@ let test_supervise_armed_watchdog () =
      hook reports true and the fold raises, without any sleeping in the
      test. *)
   let fold sup ~armed =
-    Core.Supervise.fold sup ~key:"watchdog" ~seed:5 ~trials:4
-      (fun ?cancel ?checkpoint ?retries ?fault () ->
-        (match cancel with
-        | Some poll when armed ->
-            check_bool "expired deadline polls true" true (poll ())
-        | Some _ -> Alcotest.fail "unarmed supervisor polls"
-        | None -> if armed then Alcotest.fail "watchdog not armed");
-        Sim.Runner.run_trials_supervised ~jobs:1 ?cancel ?checkpoint ?retries
-          ?fault ~trials:4 ~seed:5
+    Core.Supervise.fold sup ~key:"watchdog" ~seed:5 ~trials:4 (fun guard ->
+        check_bool
+          (if armed then "expired deadline polls true"
+           else "unarmed supervisor never fires")
+          armed
+          (guard.Sim.Runner.cancel ());
+        Sim.Runner.run_trials_supervised ~jobs:1 ~guard ~trials:4 ~seed:5
           ~gen_inputs:(Sim.Runner.input_gen_random ~n:8)
           ~t:2 (Core.Synran.protocol 8)
           (fun () -> Sim.Adversary.null))
@@ -1062,15 +1084,16 @@ let test_supervise_armed_watchdog () =
   let ctx = Core.Supervise.create ~deadline_s:(-1.0) () in
   let r =
     Core.Supervise.run_experiment ctx ~id:"ex" (fun () ->
-        ignore (fold (Some ctx) ~armed:true);
+        ignore (fold ctx ~armed:true);
         Alcotest.fail "fold did not raise past the deadline")
   in
   (match r.Core.Supervise.status with
   | Core.Supervise.Timed_out -> ()
   | _ -> Alcotest.fail "expected Timed_out");
-  (* Unarmed supervisors are inert. *)
-  ignore (fold (Some (Core.Supervise.create ())) ~armed:false);
-  ignore (fold None ~armed:false)
+  (* Unarmed supervisors are inert, whether fresh or between experiments
+     of a supervisor that has a deadline. *)
+  ignore (fold (Core.Supervise.create ()) ~armed:false);
+  ignore (fold (Core.Supervise.create ~deadline_s:(-1.0) ()) ~armed:false)
 
 let test_supervise_isolation_and_exit () =
   (* One crashing experiment neither prevents nor poisons the next — the
@@ -1087,14 +1110,106 @@ let test_supervise_isolation_and_exit () =
   check_bool "all-clean run exits zero" false
     (Core.Supervise.any_failed [ good ])
 
+(* A counting fold under [ctx] whose trial [index] raises when
+   [fails index]. *)
+let counting_fold ctx ~key ~engine ~trials ~fails =
+  Core.Supervise.fold ctx ~key ~seed:3 ~trials (fun guard ->
+      Sim.Runner.fold ~jobs:1 ~guard ~engine ~trials
+        ~create:(fun () -> ref 0)
+        ~merge:(fun a b -> ref (!a + !b))
+        (fun ~index _ n ->
+          if fails index then failwith (Printf.sprintf "boom %d" index);
+          incr n))
+
+let test_supervise_per_experiment_state () =
+  (* Each experiment starts from a fresh record. After one with a resumed
+     chunk, retried chunks and a terminal failure, the next reports only
+     its own chunks, trials, retries, engines and stores — exactly what a
+     fresh supervisor reports for it — and a later failure outside any
+     fold carries its own message, not the stale chunk failure. *)
+  with_temp_root "per_experiment" @@ fun root ->
+  let create sub =
+    Core.Supervise.create ~checkpoints:(Filename.concat root sub) ~resume:true
+      ~retries:1 ()
+  in
+  let clean ctx =
+    Core.Supervise.run_experiment ctx ~id:"clean" (fun () ->
+        let n =
+          counting_fold ctx ~key:"clean" ~engine:"coin" ~trials:8
+            ~fails:(fun _ -> false)
+        in
+        Core.Supervise.register ctx
+          (Stats.Table.create ~title:(string_of_int !n) ~columns:[ "c" ]))
+  in
+  let ctx = create "shared" in
+  let broken = Atomic.make true in
+  let dirty =
+    Core.Supervise.run_experiment ctx ~id:"dirty" (fun () ->
+        let resumable () =
+          counting_fold ctx ~key:"resumable" ~engine:"async" ~trials:16
+            ~fails:(fun i -> i = 12 && Atomic.get broken)
+        in
+        (* Chunk 1 fails for good; chunk 0 stays stored for the rerun. *)
+        (try ignore (resumable ()) with Failure _ -> ());
+        Atomic.set broken false;
+        ignore (resumable ());
+        ignore
+          (counting_fold ctx ~key:"doomed" ~engine:"byz" ~trials:16
+             ~fails:(fun i -> i = 4));
+        Alcotest.fail "the doomed fold did not raise")
+  in
+  check_int "dirty: its own chunk resumed" 1
+    dirty.Core.Supervise.chunks_resumed;
+  check_int "dirty: its own retries" 2 dirty.Core.Supervise.chunk_retries;
+  Alcotest.(check (list string))
+    "dirty: its own engines" [ "async"; "byz" ] dirty.Core.Supervise.engines;
+  (match dirty.Core.Supervise.status with
+  | Core.Supervise.Failed { message; _ } ->
+      check_string "dirty: the terminal chunk failure"
+        "chunk 0, trial 4 (attempt 1): Failure(\"boom 4\")" message
+  | _ -> Alcotest.fail "dirty experiment did not fail");
+  let after = clean ctx in
+  let after_stores = Core.Supervise.stores ctx in
+  let fresh_ctx = create "fresh" in
+  let fresh = clean fresh_ctx in
+  let fields (r : Core.Supervise.result) =
+    ( r.Core.Supervise.status = Core.Supervise.Completed,
+      Option.map Stats.Table.render r.Core.Supervise.table,
+      ( r.Core.Supervise.chunks_done,
+        r.Core.Supervise.chunks_resumed,
+        r.Core.Supervise.chunk_retries ),
+      (r.Core.Supervise.completed_trials, r.Core.Supervise.total_trials),
+      r.Core.Supervise.engines,
+      Obs.Metrics.digest r.Core.Supervise.metrics )
+  in
+  check_bool "clean after dirty = clean on a fresh supervisor" true
+    (fields after = fields fresh);
+  check_bool "clean completed" true
+    (after.Core.Supervise.status = Core.Supervise.Completed);
+  check_int "clean: its own chunk" 1 after.Core.Supervise.chunks_done;
+  check_int "clean: its own trials" 8 after.Core.Supervise.completed_trials;
+  check_int "clean: no inherited retries" 0 after.Core.Supervise.chunk_retries;
+  Alcotest.(check (list string))
+    "clean: its own engine" [ "coin" ] after.Core.Supervise.engines;
+  Alcotest.(check (list string))
+    "clean: its own store only"
+    (List.map Filename.basename (Core.Supervise.stores fresh_ctx))
+    (List.map Filename.basename after_stores);
+  let plain =
+    Core.Supervise.run_experiment ctx ~id:"plain" (fun () -> failwith "own")
+  in
+  match plain.Core.Supervise.status with
+  | Core.Supervise.Failed { message; _ } ->
+      check_string "no stale chunk failure" "Failure(\"own\")" message
+  | _ -> Alcotest.fail "plain experiment did not fail"
+
 let supervised_fold ctx =
   (* The production wiring in miniature: the supervisor carries the fault
      plan and retry budget, and Supervise.fold hands them to the runner
      fold and commits the report back, as Core.Experiments does. *)
-  Core.Supervise.fold (Some ctx) ~key:"mini" ~seed:5 ~trials:16
-    (fun ?cancel ?checkpoint ?retries ?fault () ->
+  Core.Supervise.fold ctx ~key:"mini" ~seed:5 ~trials:16 (fun guard ->
       Sim.Runner.run_trials_supervised ~max_rounds:500 ~jobs:1 ~chunk_size:4
-        ?cancel ?checkpoint ?retries ?fault ~trials:16 ~seed:5
+        ~guard ~trials:16 ~seed:5
         ~gen_inputs:(Sim.Runner.input_gen_random ~n:8)
         ~t:2 (Core.Synran.protocol 8)
         (fun () -> Sim.Adversary.null))
@@ -1237,6 +1352,8 @@ let suites =
         tc "exhausted retry budget is a terminal failure"
           test_retry_budget_exhausted;
         tc "negative retries rejected" test_retries_validated;
+        tc "checkpoint fault arm without a store rejected"
+          test_checkpoint_arm_needs_store;
         tc "non-finite deadline rejected" test_deadline_validated;
       ] );
     ( "supervised.pool",
@@ -1290,6 +1407,8 @@ let suites =
         tc "armed watchdog cancels and raises" test_supervise_armed_watchdog;
         tc "failures are isolated; exit code trips"
           test_supervise_isolation_and_exit;
+        tc "each experiment reports only its own state"
+          test_supervise_per_experiment_state;
         tc "retries are accounted in events, status and manifest"
           test_supervise_retry_accounting;
         tc "exhausted budget fails the experiment with the fault"
