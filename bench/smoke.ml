@@ -256,6 +256,115 @@ let bitkernel_smoke () =
   done;
   print_endline "bench-smoke: bitkernel engine byte-identical to concrete"
 
+(* Continuation replay: the Monte-Carlo valency continuations run on
+   Bitkernel's snapshots, and Engine's are the reference. One SynRan run
+   per engine steps under voting band control; at several rounds it is
+   snapshotted twice, each copy reseeded from equal RNGs on both engines
+   and continued for up to 60 rounds: once under drip (silent kills,
+   packed) and once under voting band control (partial deliveries, the
+   scalar fallback). A copy's sink is null, so the continuation's
+   adversary records the pending messages its views walk each round.
+   Outcomes and walks must be equal. The original keeps stepping after
+   each snapshot's continuations ran, so a copy that shared mutable state
+   with it shows in every later snapshot. *)
+module type CONTINUES = sig
+  type ('state, 'msg) exec
+
+  val start :
+    ?observer:('msg -> bool) ->
+    ?sink:Obs.Sink.t ->
+    ('state, 'msg) Sim.Protocol.t ->
+    inputs:int array ->
+    t:int ->
+    rng:Prng.Rng.t ->
+    ('state, 'msg) exec
+
+  val step :
+    ('state, 'msg) exec ->
+    ('state, 'msg) Sim.Adversary.t ->
+    [ `Continue | `Quiescent ]
+
+  val snapshot : ('state, 'msg) exec -> ('state, 'msg) exec
+  val reseed : ('state, 'msg) exec -> Prng.Rng.t -> unit
+
+  val run_until :
+    ('state, 'msg) exec -> ('state, 'msg) Sim.Adversary.t -> max_rounds:int -> unit
+
+  val round : ('state, 'msg) exec -> int
+  val outcome : ('state, 'msg) exec -> Sim.Engine.outcome
+end
+
+(* [inner], recording each round's [view.iter_pending] walk in [walks]
+   as (round, ascending (pid, msg) pairs), most recent round first. *)
+let recording walks inner =
+  {
+    inner with
+    Sim.Adversary.plan =
+      (fun view rng ->
+        let walked = ref [] in
+        view.Sim.Adversary.iter_pending (fun i m -> walked := (i, m) :: !walked);
+        walks := (view.Sim.Adversary.round, List.rev !walked) :: !walks;
+        inner.Sim.Adversary.plan view rng);
+  }
+
+let voting () =
+  Core.Lb_adversary.band_control ~config:Core.Lb_adversary.voting_config
+    ~rules:Core.Onesided.paper ~bit_of_msg:Core.Synran.bit_of_msg ()
+
+let continuation_policies =
+  [ ("drip", fun () -> Baselines.Adversaries.drip ~per_round:1); ("voting", voting) ]
+
+module Continue (E : CONTINUES) = struct
+  (* Per snapshot round in [splits] (ascending), per policy: the
+     continuation's outcome and walks, and the copy itself. *)
+  let run ~n ~splits =
+    let protocol = Core.Synran.protocol n in
+    let inputs = Prng.Sample.random_bits (Prng.Rng.create (n + 1)) n in
+    let e = E.start protocol ~inputs ~t:(n - 1) ~rng:(Prng.Rng.create n) in
+    let drv = voting () in
+    List.concat_map
+      (fun split ->
+        while E.round e < split && E.step e drv = `Continue do
+          ()
+        done;
+        List.mapi
+          (fun i (policy, make) ->
+            let c = E.snapshot e in
+            E.reseed c (Prng.Rng.create ((1000 * split) + i));
+            let walks = ref [] in
+            E.run_until c (recording walks (make ())) ~max_rounds:(split + 60);
+            (split, policy, (E.outcome c, !walks), c))
+          continuation_policies)
+      splits
+end
+
+module On_engine = Continue (Sim.Engine)
+module On_bitkernel = Continue (Sim.Bitkernel)
+
+let continuation_smoke () =
+  List.iter
+    (fun n ->
+      let splits = [ 0; 2; 5 ] in
+      let packed = ref false and scalar = ref false in
+      List.iter2
+        (fun (split, policy, (eo, ew), _) (_, _, (bo, bw), c) ->
+          check
+            (Printf.sprintf "continuation n=%d round %d under %s" n split policy)
+            (outcomes_equal eo bo && ew = bw);
+          let rounds = bo.Sim.Engine.rounds_executed - split in
+          if policy = "drip" && Sim.Bitkernel.packed_rounds c > 0 then
+            packed := true;
+          if policy = "voting" && rounds > 0 && Sim.Bitkernel.scalar_rounds c > 0
+          then scalar := true)
+        (On_engine.run ~n ~splits) (On_bitkernel.run ~n ~splits);
+      check (Printf.sprintf "continuations n=%d: drip ran packed" n) !packed;
+      check
+        (Printf.sprintf "continuations n=%d: band control fell back" n)
+        !scalar)
+    [ 64; 1024 ];
+  print_endline
+    "bench-smoke: bitkernel continuations byte-identical to concrete snapshots"
+
 (* Large-n replay: the differential suites and the legs above stop at
    n <= 96, so this is where the engines meet at the sizes the benchmark
    times. Under the null adversary, concrete, bitkernel and cohort must
@@ -690,6 +799,7 @@ let () =
   done;
   cohort_smoke ();
   bitkernel_smoke ();
+  continuation_smoke ();
   large_n_smoke ();
   coinflip_smoke ();
   obs_smoke ();

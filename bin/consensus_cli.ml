@@ -338,12 +338,18 @@ let run_cmd =
     let guard = { Sim.Runner.unguarded with retries; fault } in
     (* Every run goes through the supervised fold: without faults or
        retries its summary is the one [Sim.Runner.run_trials] returns, and
-       a failed chunk is reported instead of escaping as an exception. *)
+       a failed chunk is reported instead of escaping as an exception. So
+       is a fault in the chunk-ordered merge, which the fold raises: it
+       has no chunk to retry. *)
     let summarize ?cohort_adversary ~max_rounds protocol make_adversary =
       let r =
-        Sim.Runner.run_trials_supervised ~max_rounds ~jobs ?chunk_size
-          ?capture ~guard ~engine ?cohort_adversary ~trials ~seed
-          ~gen_inputs:gen ~t protocol make_adversary
+        try
+          Sim.Runner.run_trials_supervised ~max_rounds ~jobs ?chunk_size
+            ?capture ~guard ~engine ?cohort_adversary ~trials ~seed
+            ~gen_inputs:gen ~t protocol make_adversary
+        with Sim.Fault.Injected { site = Sim.Fault.Metrics_merge; _ } as exn ->
+          prerr_endline ("merge failed: " ^ Printexc.to_string exn);
+          exit 1
       in
       (match r.Sim.Runner.retried with
       | [] -> ()

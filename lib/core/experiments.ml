@@ -68,11 +68,12 @@ let byz x ~exp ~n ~t ~trials protocol make_adversary =
 
 (* A population with its own trial body (E5's valency adversary, E8's
    scenarios) on the Runner's per-index seeding discipline: [body rng acc]
-   runs one trial from its own RNG into the chunk's accumulator. *)
-let fold x ~exp ~n ~t ~max_rounds ~trials ~create ~merge body =
+   runs one trial from its own RNG into the chunk's accumulator, on
+   [engine] (the manifest's label for it). *)
+let fold x ~exp ~engine ~n ~t ~max_rounds ~trials ~create ~merge body =
   Supervise.fold x.sup ~seed:x.seed ~trials ~key:(key exp ~n ~t ~mr:max_rounds)
     (fun guard ->
-      Sim.Runner.fold ?jobs:x.jobs ~guard ~engine:"concrete" ~trials ~create
+      Sim.Runner.fold ?jobs:x.jobs ~guard ~engine ~trials ~create
         ~merge (fun ~index _ acc ->
           body (Prng.Rng.of_seed_index ~seed:x.seed ~index) acc))
 
@@ -370,11 +371,13 @@ let e5_small_n_adversaries x =
     (band ~config:{ Lb_adversary.default_config with min_active = 4 }
        Onesided.paper);
   (* Monte-Carlo valency adversary: its own trial body, where a
-     non-terminating trial counts its executed rounds. *)
+     non-terminating trial counts its executed rounds. The manifest
+     labels it with the engine the driver runs on. *)
   let mc_trials = pick x ~quick:6 ~full:20 in
   let max_rounds = 300 in
   let rounds, kills =
-    fold { x with seed = x.seed + 17 } ~exp:"e5-mc-valency" ~n ~t ~max_rounds
+    fold { x with seed = x.seed + 17 } ~exp:"e5-mc-valency"
+      ~engine:Lb_adversary.force_long_execution_engine ~n ~t ~max_rounds
       ~trials:mc_trials
       ~create:(fun () -> (Stats.Welford.create (), Stats.Welford.create ()))
       ~merge:(fun (ra, ka) (rb, kb) ->
@@ -555,7 +558,7 @@ let e8_ablation x =
     let rounds, kills, non_term, validity, agreement =
       fold x
         ~exp:(Printf.sprintf "e8-%s-%s" rules.Onesided.label name)
-        ~n ~t ~max_rounds ~trials
+        ~engine:"concrete" ~n ~t ~max_rounds ~trials
         ~create:(fun () ->
           let w = Stats.Welford.create in
           (w (), w (), ref 0, ref 0, ref 0))

@@ -470,22 +470,24 @@ let one_shot plan =
    minimal sustained-pressure policy (one kill per round) rather than the
    null adversary: a kill's stop-delaying value only materializes when the
    following rounds keep the population shrinking, so null continuations
-   would systematically undervalue every candidate. *)
+   would systematically undervalue every candidate. The candidates and
+   the drip kills are silent, so the continuations stay packed. *)
 let estimate exec plan ~config ~rng =
   let decided_one = ref 0 and decided = ref 0 in
   let rounds_total = ref 0.0 in
+  (* Stateless: one policy serves every sample. *)
+  let drip = Baselines.Adversaries.drip ~per_round:1 in
   for _ = 1 to config.samples do
-    let c = Sim.Engine.snapshot exec in
+    let c = Sim.Bitkernel.snapshot exec in
     (* Apply the candidate with the *current* coins (the plan was chosen in
        view of them), then resample the future. *)
-    (match Sim.Engine.step c (one_shot plan) with
+    (match Sim.Bitkernel.step c (one_shot plan) with
     | `Continue -> ()
     | `Quiescent -> ());
-    Sim.Engine.reseed c rng;
-    Sim.Engine.run_until c
-      (Baselines.Adversaries.drip ~per_round:1)
-      ~max_rounds:(Sim.Engine.round exec + config.horizon);
-    let o = Sim.Engine.outcome c in
+    Sim.Bitkernel.reseed c rng;
+    Sim.Bitkernel.run_until c drip
+      ~max_rounds:(Sim.Bitkernel.round exec + config.horizon);
+    let o = Sim.Bitkernel.outcome c in
     (match o.Sim.Engine.rounds_to_decide with
     | Some r ->
         incr decided;
@@ -502,15 +504,18 @@ let estimate exec plan ~config ~rng =
   in
   (p1, !rounds_total /. float_of_int config.samples)
 
+(* The engine [force_long_execution] runs on, as the run manifest names it. *)
+let force_long_execution_engine = "bitkernel"
+
 let force_long_execution ?(config = default_mc_config) ?(max_rounds = 10_000)
     ?(sink = Obs.Sink.null) protocol ~inputs ~t ~rng =
-  let exec = Sim.Engine.start protocol ~inputs ~t ~rng in
+  let exec = Sim.Bitkernel.start protocol ~inputs ~t ~rng in
   let est_rng = Prng.Rng.split rng in
   let pick_rng = Prng.Rng.split rng in
   let rec drive () =
-    if Sim.Engine.round exec >= max_rounds then ()
+    if Sim.Bitkernel.round exec >= max_rounds then ()
     else begin
-      let active = Sim.Engine.active_mask exec in
+      let active = Sim.Bitkernel.active_mask exec in
       let candidates_pool =
         let acc = ref [] in
         Array.iteri (fun i a -> if a then acc := i :: !acc) active;
@@ -519,7 +524,7 @@ let force_long_execution ?(config = default_mc_config) ?(max_rounds = 10_000)
       (* Greedily grow a kill set that maximizes the estimated expected
          total rounds; ties broken toward keeping Pr[decide 1] near 1/2
          (bivalence). *)
-      let budget = t - Sim.Engine.kills_used exec in
+      let budget = t - Sim.Bitkernel.kills_used exec in
       let score_of (p1, rounds) = rounds -. Float.abs (p1 -. 0.5) in
       let rec grow plan score tries =
         if List.length plan >= Stdlib.min config.round_cap budget || tries = 0
@@ -564,16 +569,16 @@ let force_long_execution ?(config = default_mc_config) ?(max_rounds = 10_000)
          Obs.Sink.emit sink
            (Obs.Event.Valency_probe
               (* The probe scores the round about to execute. *)
-              { round = Sim.Engine.round exec + 1; pr_one; expected_rounds }));
+              { round = Sim.Bitkernel.round exec + 1; pr_one; expected_rounds }));
       let base_score = score_of base_est in
       let plan = grow [] base_score config.round_cap in
-      match Sim.Engine.step exec (one_shot plan) with
+      match Sim.Bitkernel.step exec (one_shot plan) with
       | `Quiescent -> ()
       | `Continue -> drive ()
     end
   in
   drive ();
-  Sim.Engine.outcome exec
+  Sim.Bitkernel.outcome exec
 
 (* ------------------------------------------------------------------ *)
 (* Leader killer                                                       *)

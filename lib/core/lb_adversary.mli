@@ -115,6 +115,10 @@ val default_mc_config : mc_config
 (** Kept for tests: the [config] default, which the lower-bound tests override
     field by field. *)
 
+val force_long_execution_engine : string
+(** ["bitkernel"]: the engine {!force_long_execution} runs its execution
+    and continuations on, as a run manifest labels it. *)
+
 val force_long_execution :
   ?config:mc_config ->
   ?max_rounds:int ->
@@ -129,6 +133,14 @@ val force_long_execution :
     the kill set greedily maximizing the estimated expected total rounds
     (ties toward bivalence, Pr[1] near 1/2) is applied. Far more expensive
     than [band_control]; intended for n <= ~24 (experiment E5).
+
+    The execution and its continuations run on {!Sim.Bitkernel}
+    (snapshots, reseeds), so [protocol] must be a register protocol, one
+    built by {!Sim.Protocol.registers} such as {!Synran.protocol}; any
+    other raises [Invalid_argument]. The candidate kills and the
+    continuations' one-a-round drip kills are silent, so every
+    continuation runs packed. The outcome is the one {!Sim.Engine} would
+    give: the two engines are byte-identical.
 
     [sink] (default {!Obs.Sink.null}) receives one
     {!Obs.Event.Valency_probe} per driven round, carrying the kill-free

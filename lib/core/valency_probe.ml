@@ -46,25 +46,29 @@ let starve ~name bit =
    both one-sided vote-killing directions, and random crashing. The true
    min/max range over B can only be wider, so bivalent/null-valent
    verdicts from these probes are conservative certificates in the
-   directions the lower-bound argument needs. *)
+   directions the lower-bound argument needs. One maker per policy, as
+   the Runner's [make_adversary]: band control tracks its run, so every
+   continuation gets a fresh one; the stateless policies are built once. *)
 let policies ~rules =
+  let once a () = a in
   [
-    Sim.Adversary.null;
-    Baselines.Adversaries.random_crash ~p:0.1;
-    Lb_adversary.band_control ~rules ~bit_of_msg:Synran.bit_of_msg ();
-    kill_senders ~name:"kill-ones" 1;
-    kill_senders ~name:"kill-zeros" 0;
-    starve ~name:"zero-starve" 0;
-    starve ~name:"one-starve" 1;
+    once Sim.Adversary.null;
+    once (Baselines.Adversaries.random_crash ~p:0.1);
+    (fun () -> Lb_adversary.band_control ~rules ~bit_of_msg:Synran.bit_of_msg ());
+    once (kill_senders ~name:"kill-ones" 1);
+    once (kill_senders ~name:"kill-zeros" 0);
+    once (starve ~name:"zero-starve" 0);
+    once (starve ~name:"one-starve" 1);
   ]
 
-let decide_probability exec policy ~samples ~horizon ~rng =
+let decide_probability exec make ~samples ~horizon ~rng =
   let ones = ref 0 and decided = ref 0 in
   for _ = 1 to samples do
-    let c = Sim.Engine.snapshot exec in
-    Sim.Engine.reseed c rng;
-    Sim.Engine.run_until c policy ~max_rounds:(Sim.Engine.round exec + horizon);
-    let o = Sim.Engine.outcome c in
+    let c = Sim.Bitkernel.snapshot exec in
+    Sim.Bitkernel.reseed c rng;
+    Sim.Bitkernel.run_until c (make ())
+      ~max_rounds:(Sim.Bitkernel.round exec + horizon);
+    let o = Sim.Bitkernel.outcome c in
     match o.Sim.Engine.rounds_to_decide with
     | Some _ ->
         incr decided;
@@ -75,11 +79,11 @@ let decide_probability exec policy ~samples ~horizon ~rng =
   if !decided = 0 then 0.5 else float_of_int !ones /. float_of_int !decided
 
 let probe ?(samples = 60) ?(horizon = 60) exec ~rng =
-  let n = Sim.Engine.n exec in
-  let k = Sim.Engine.round exec in
+  let n = Sim.Bitkernel.n exec in
+  let k = Sim.Bitkernel.round exec in
   let ps =
     List.map
-      (fun policy -> decide_probability exec policy ~samples ~horizon ~rng)
+      (fun make -> decide_probability exec make ~samples ~horizon ~rng)
       (policies ~rules:Onesided.paper)
   in
   let min_r = List.fold_left Float.min 1.0 ps in
@@ -94,14 +98,14 @@ let probe ?(samples = 60) ?(horizon = 60) exec ~rng =
 let trajectory ?(samples = 40) ?(rounds = 10) ~n ~t ~seed adversary =
   let rng = Prng.Rng.create seed in
   let inputs = Sim.Runner.input_gen_split ~n rng in
-  let exec = Sim.Engine.start (Synran.protocol n) ~inputs ~t ~rng in
+  let exec = Sim.Bitkernel.start (Synran.protocol n) ~inputs ~t ~rng in
   let probe_rng = Prng.Rng.split rng in
   let rec loop acc k =
     if k >= rounds then List.rev acc
     else begin
       let est = probe ~samples exec ~rng:probe_rng in
-      let acc = (Sim.Engine.round exec, est) :: acc in
-      match Sim.Engine.step exec adversary with
+      let acc = (Sim.Bitkernel.round exec, est) :: acc in
+      match Sim.Bitkernel.step exec adversary with
       | `Quiescent -> List.rev acc
       | `Continue -> loop acc (k + 1)
     end

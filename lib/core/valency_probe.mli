@@ -10,7 +10,12 @@
     Pr[decide 1]. The result feeds {!Valency.classify}, so an attacked
     execution's trajectory through {bivalent, 0/1-valent, null-valent}
     states can be watched round by round — the quantity Lemmas 3.1-3.4
-    manipulate. *)
+    manipulate.
+
+    Executions and continuations run on {!Sim.Bitkernel}'s snapshots.
+    Continuations under silent-kill policies stay packed; band control's
+    partial deliveries take the kernel's scalar fallback. Either way the
+    estimates are the ones {!Sim.Engine} snapshots would give. *)
 
 type estimate = {
   min_r : float;  (** Lowest observed Pr[decide 1] across policies. *)
@@ -23,7 +28,7 @@ type estimate = {
 val probe :
   ?samples:int ->
   ?horizon:int ->
-  (Synran.state, Synran.msg) Sim.Engine.exec ->
+  (Synran.state, Synran.msg) Sim.Bitkernel.exec ->
   rng:Prng.Rng.t ->
   estimate
 (** Estimate the valency of the current state of a SynRan execution
@@ -31,6 +36,28 @@ val probe :
     snapshotted; the caller's execution is not disturbed.
     Kept for tests: the probe-fields test checks one estimate's bounds and
     that the caller's exec is left untouched. *)
+
+val policies :
+  rules:Onesided.rules ->
+  (unit -> (Synran.state, Synran.msg) Sim.Adversary.t) list
+(** The palette {!probe} samples, one maker per policy: null, random
+    crashing, band control, killing up to three senders of 1 or of 0 a
+    round, and starving 0 or 1. A maker returns a fresh adversary
+    whenever the policy keeps state (band control's tracker). *)
+
+val decide_probability :
+  ('state, 'msg) Sim.Bitkernel.exec ->
+  (unit -> ('state, 'msg) Sim.Adversary.t) ->
+  samples:int ->
+  horizon:int ->
+  rng:Prng.Rng.t ->
+  float
+(** [decide_probability exec make ~samples ~horizon ~rng]: the fraction
+    of [samples] sampled continuations that decide 1, among those that
+    decide within [horizon] rounds (0.5 if none does). Each sample is a
+    snapshot of [exec], reseeded from [rng], run under a fresh adversary
+    from [make], so no sample sees another's adversary state. {!probe} calls it once
+    per palette policy. *)
 
 val trajectory :
   ?samples:int ->
@@ -42,5 +69,7 @@ val trajectory :
   (int * estimate) list
 (** Run a fresh SynRan execution under the given adversary, probing the
     valency before each of the first [rounds] rounds (default 10); returns
-    (round, estimate) pairs. The driving adversary must be stateless or
-    self-resetting (all of ours are). *)
+    (round, estimate) pairs. The driving adversary steps this one
+    execution from round 1, so a stateful one (band control) is fine; the
+    probes' continuations never see it, each running a fresh palette
+    adversary. *)

@@ -208,6 +208,9 @@ let iter_pending (type s m) (e : (s, m) exec) (f : int -> m -> unit) =
           end
         done
 
+let viewer_of e =
+  Round.viewer e.sc.lg ~state:(state_at e) ~iter_pending:(iter_pending e)
+
 let start ?observer ?sink protocol ~inputs ~t ~rng =
   let refuse what =
     invalid_arg
@@ -245,9 +248,7 @@ let start ?observer ?sink protocol ~inputs ~t ~rng =
       priv = Array.make n 0;
       tallies = Array.make cd.Protocol.bo_width 0;
       tnxt = Array.make cd.Protocol.bo_width 0;
-      viewer =
-        lazy
-          (Round.viewer lg ~state:(state_at e) ~iter_pending:(iter_pending e));
+      viewer = lazy (viewer_of e);
       packed_rounds = 0;
       scalar_rounds = 0;
     }
@@ -454,6 +455,30 @@ let run_until e adversary ~max_rounds =
   in
   loop ()
 
+(* Round's copy of the ledger and the scalar half, plus this engine's own
+   fields: the planes, [amask] and the tallies are copied; [nxt], [tnxt]
+   and [priv] are dead between steps, so the copy gets fresh ones (and
+   Round gives it fresh scalar scratch and stamps), and a viewer over
+   itself. *)
+let snapshot e =
+  let width = e.cd.Protocol.bo_width and nw = e.nw in
+  let rec c =
+    {
+      e with
+      sc = Round.snapshot e.sc;
+      cur = Array.map Array.copy e.cur;
+      nxt = Array.init width (fun _ -> Array.make nw 0);
+      amask = Array.copy e.amask;
+      priv = Array.make e.sc.lg.n 0;
+      tallies = Array.copy e.tallies;
+      tnxt = Array.make width 0;
+      viewer = lazy (viewer_of c);
+    }
+  in
+  c
+
+let reseed e rng = Round.reseed e.sc.lg rng
+
 let outcome e = Round.outcome e.sc.lg ~quiescent:(active_count e = 0)
 
 let run ?observer ?sink ?(max_rounds = 10_000) protocol adversary ~inputs ~t
@@ -463,6 +488,14 @@ let run ?observer ?sink ?(max_rounds = 10_000) protocol adversary ~inputs ~t
   Round.final_outcome e.sc.lg ~quiescent:(active_count e = 0)
 
 let round (e : _ exec) = e.sc.lg.round
+
+let n (e : _ exec) = e.sc.lg.n
+
+let kills_used (e : _ exec) = e.sc.lg.kills_used
+
+(* The ledger's flags are exact between steps, packed or not: a packed
+   round closes through [Round.apply_kills] and marks its halts. *)
+let active_mask (e : _ exec) = Array.init e.sc.lg.n (Round.active_at e.sc.lg)
 
 let packed_rounds (e : _ exec) = e.packed_rounds
 

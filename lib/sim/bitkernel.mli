@@ -66,6 +66,14 @@ val step :
 (** One full round; same kill validation, exceptions, and event emission
     as {!Engine.step}. *)
 
+val run_until :
+  ('state, 'msg) exec ->
+  ('state, 'msg) Adversary.t ->
+  max_rounds:int ->
+  unit
+(** {!Engine.run_until}: step until quiescent or until [max_rounds] total
+    rounds have executed. *)
+
 val outcome : ('state, 'msg) exec -> Engine.outcome
 (** The same outcome record {!Engine.outcome} computes, field for field. *)
 
@@ -82,9 +90,38 @@ val run :
 (** [start], then {!step} until quiescent or [max_rounds], then
     {!outcome}. Default [max_rounds] is 10_000. *)
 
+(** {2 Snapshots}
+
+    {!Engine.snapshot}'s contract, on packed state: the Monte-Carlo
+    valency continuations ([Core.Lb_adversary.force_long_execution],
+    [Core.Valency_probe]) run here. A copy and its original step on
+    their own, in either order, and each stays byte-identical to
+    {!Engine} given the same copies and reseeds. A snapshot of a packed
+    execution stays packed: a continuation whose kills are silent runs at
+    word granularity, and a partial delivery takes the copy (only) to
+    the scalar fallback, which re-packs on its own. *)
+
+val snapshot : ('state, 'msg) exec -> ('state, 'msg) exec
+(** Deep copy: {!Engine.snapshot}'s copy of the ledger and the scalar
+    states, plus copies of the planes, the active mask and the carried
+    tallies. Scratch (the transition's double buffers, the aux payloads,
+    the staged messages, the kill stamps) is fresh, so nothing mutable is
+    shared. The copy replays the same randomness unless {!reseed} is
+    called, and its sink is null, as {!Engine.snapshot}'s. *)
+
+val reseed : ('state, 'msg) exec -> Prng.Rng.t -> unit
+(** {!Engine.reseed}: the same splits of the source, in the same order. *)
+
 (** {2 Inspection} *)
 
 val round : ('state, 'msg) exec -> int
+
+val n : ('state, 'msg) exec -> int
+
+val kills_used : ('state, 'msg) exec -> int
+
+val active_mask : ('state, 'msg) exec -> bool array
+(** Alive and not halted, as {!Engine.active_mask}. A copy. *)
 
 val packed_rounds : ('state, 'msg) exec -> int
 (** Rounds executed entirely at word granularity. *)

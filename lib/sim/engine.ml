@@ -50,41 +50,11 @@ let run ?observer ?sink ?(max_rounds = 10_000) protocol adversary ~inputs ~t
   run_until e adversary ~max_rounds;
   Round.final_outcome e.lg ~quiescent:(Round.active_count e.lg = 0)
 
-let snapshot (e : _ exec) =
-  let lg = e.lg in
-  (* Scratch is dead between steps but must not be shared: the copy and the
-     original may be stepped independently, so the copy gets its own, and
-     a view over its own arrays. *)
-  Round.scalar_of e.protocol
-    {
-      lg with
-      alive = Array.copy lg.alive;
-      halted = Array.copy lg.halted;
-      decisions = Array.copy lg.decisions;
-      decision_round = Array.copy lg.decision_round;
-      proc_rngs = Array.map Prng.Rng.copy lg.proc_rngs;
-      adv_rng = Prng.Rng.copy lg.adv_rng;
-      (* The copy and the original step the same round, so a shared
-         stamp array would mark the copy's victims in the original. *)
-      stamp = [||];
-      (* Observation does not survive the copy: the Monte-Carlo valency
-         continuations step snapshots thousands of times and must stay
-         on the zero-cost path (and must not interleave phantom events
-         into the original's stream). *)
-      sink = Obs.Sink.null;
-    }
-    (Array.copy e.states)
+let snapshot = Round.snapshot
 
-let reseed (e : _ exec) rng =
-  let lg = e.lg in
-  for i = 0 to lg.n - 1 do
-    lg.proc_rngs.(i) <- Prng.Rng.split rng
-  done;
-  lg.adv_rng <- Prng.Rng.split rng
+let reseed (e : _ exec) rng = Round.reseed e.lg rng
 
 let round (e : _ exec) = e.lg.round
-
-let n (e : _ exec) = e.lg.n
 
 let kills_used (e : _ exec) = e.lg.kills_used
 

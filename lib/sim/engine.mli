@@ -9,7 +9,8 @@
 
     Executions are first-class ({!type:exec}): they can be stepped one round
     at a time, snapshotted, reseeded, and resumed — the mechanism behind the
-    Monte-Carlo valency estimation of the lower-bound adversary. *)
+    Monte-Carlo valency estimation of the lower-bound adversary, which runs
+    it on {!Bitkernel}'s packed copies and checks them against these. *)
 
 exception Budget_exceeded of string
 (** The adversary tried to fail more than its remaining budget. *)
@@ -93,7 +94,11 @@ val snapshot : ('state, 'msg) exec -> ('state, 'msg) exec
 (** Deep copy: stepping the copy never affects the original. The copy
     replays the same randomness unless {!reseed} is called. The copy's
     sink is dropped (reset to null): continuation sampling must not
-    interleave phantom events into the original's stream. *)
+    interleave phantom events into the original's stream.
+
+    This is the reference copy: {!Bitkernel.snapshot} keeps the same
+    contract on packed state, and the [bitkernel.snapshot] suite and the
+    bench smoke gate's continuation leg compare the two. *)
 
 val reseed : ('state, 'msg) exec -> Prng.Rng.t -> unit
 (** Replace every private stream with fresh splits of the given source, so
@@ -104,8 +109,6 @@ val reseed : ('state, 'msg) exec -> Prng.Rng.t -> unit
 
 val round : ('state, 'msg) exec -> int
 (** Rounds executed so far. *)
-
-val n : ('state, 'msg) exec -> int
 
 val kills_used : ('state, 'msg) exec -> int
 

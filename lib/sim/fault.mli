@@ -31,7 +31,8 @@
     (it rejects a [store]/[load] arm without one);
     {!Core.Supervise.write_manifest} fires [manifest]. So
     [consensus_cli run] reaches [body], [merge] and, with [--metrics-out]
-    or [--events-out], [sink], and rejects any other arm. *)
+    or [--events-out], [sink], and rejects any other arm; a [merge] fault
+    ends its fold, and [run] reports it and exits 1. *)
 
 type site =
   | Chunk_body  (** Before each [work] call inside a chunk attempt. *)

@@ -316,6 +316,36 @@ let scalar ~who ?observer ?sink protocol ~inputs ~t ~rng =
   scalar_of protocol lg
     (Array.mapi (fun pid input -> protocol.Protocol.init ~n:lg.n ~pid ~input) inputs)
 
+(* A copy that is stepped on its own shares nothing mutable with its
+   original. Scratch is dead between steps, so the copy gets its own (from
+   [scalar_of]) and a view over its own arrays. The stamps are reset: the
+   two step the same round, so a shared stamp array would mark the copy's
+   victims in the original. Observation does not survive the copy: the
+   Monte-Carlo valency continuations step snapshots thousands of times
+   and must stay on the zero-cost path, and must not interleave phantom
+   events into the original's stream. *)
+let snapshot e =
+  let lg = e.lg in
+  scalar_of e.protocol
+    {
+      lg with
+      alive = Array.copy lg.alive;
+      halted = Array.copy lg.halted;
+      decisions = Array.copy lg.decisions;
+      decision_round = Array.copy lg.decision_round;
+      proc_rngs = Array.map Prng.Rng.copy lg.proc_rngs;
+      adv_rng = Prng.Rng.copy lg.adv_rng;
+      stamp = [||];
+      sink = Obs.Sink.null;
+    }
+    (Array.copy e.states)
+
+let reseed lg rng =
+  for i = 0 to lg.n - 1 do
+    lg.proc_rngs.(i) <- Prng.Rng.split rng
+  done;
+  lg.adv_rng <- Prng.Rng.split rng
+
 let phase_a e =
   let lg = e.lg and pending = e.pending in
   Array.fill pending 0 lg.n None;

@@ -183,6 +183,15 @@ val scalar :
   ('state, 'msg) scalar
 (** {!ledger}, then {!scalar_of} over every process's initial state. *)
 
+val snapshot : ('state, 'msg) scalar -> ('state, 'msg) scalar
+(** {!Engine.snapshot}: fresh copies of every ledger array and stream, no
+    stamps yet, a null sink, a copy of the states, and fresh scratch and
+    view from {!scalar_of}. *)
+
+val reseed : 'msg ledger -> Prng.Rng.t -> unit
+(** {!Engine.reseed}: one fresh split of the source per process, in pid
+    order, then one for the adversary. *)
+
 val phase_a : ('state, 'msg) scalar -> unit
 (** Every active process computes and stages its broadcast. *)
 

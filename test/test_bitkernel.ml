@@ -800,6 +800,284 @@ let test_view_iteration () =
       check_walks (what "bitkernel") ~oracle:!oracle !bit_walks)
     [ 200; 1000 ]
 
+(* ------------------------------------------------------------------ *)
+(* Snapshots: Engine's contract on packed state                        *)
+(* ------------------------------------------------------------------ *)
+
+module type SNAPSHOTS = sig
+  type ('state, 'msg) exec
+
+  val start :
+    ?observer:('msg -> bool) ->
+    ?sink:Obs.Sink.t ->
+    ('state, 'msg) Sim.Protocol.t ->
+    inputs:int array ->
+    t:int ->
+    rng:Prng.Rng.t ->
+    ('state, 'msg) exec
+
+  val step :
+    ('state, 'msg) exec ->
+    ('state, 'msg) Sim.Adversary.t ->
+    [ `Continue | `Quiescent ]
+
+  val snapshot : ('state, 'msg) exec -> ('state, 'msg) exec
+  val reseed : ('state, 'msg) exec -> Prng.Rng.t -> unit
+  val round : ('state, 'msg) exec -> int
+  val outcome : ('state, 'msg) exec -> Sim.Engine.outcome
+end
+
+(* One snapshot script on one engine: [split] rounds under [driver ()]
+   from the start, a snapshot (reseeded from [reseed] when given), then
+   the copy under a fresh [copy_adv ()] and the original under its driver,
+   stepped alternately (the copy first) until both stop or reach round
+   400. Returns both execs and the views each one's adversary walked after
+   the snapshot. *)
+module Script (E : SNAPSHOTS) = struct
+  let run ?reseed ~protocol ~inputs ~t ~seed ~split ~driver ~copy_adv () =
+    let e = E.start protocol ~inputs ~t ~rng:(Prng.Rng.create seed) in
+    let drv = driver () in
+    for _ = 1 to split do
+      ignore (E.step e drv)
+    done;
+    let c = E.snapshot e in
+    Option.iter (fun s -> E.reseed c (Prng.Rng.create s)) reseed;
+    let we = ref [] and wc = ref [] in
+    let ae = recording we drv and ac = recording wc (copy_adv ()) in
+    let live x a = E.round x < 400 && E.step x a = `Continue in
+    let rec alternate () =
+      let b = live c ac in
+      let a = live e ae in
+      if a || b then alternate ()
+    in
+    alternate ();
+    (e, c, !we, !wc)
+end
+
+module On_engine = Script (Sim.Engine)
+module On_bitkernel = Script (Sim.Bitkernel)
+
+(* The script on both engines; Engine's snapshot is the reference, so the
+   Bitkernel original and copy must match it outcome for outcome and view
+   for view. Returns the Bitkernel side. *)
+let snapshot_differential what ?reseed ~protocol ~inputs ~t ~seed ~split
+    ~driver ~copy_adv () =
+  let ee, ec, wee, wec =
+    On_engine.run ?reseed ~protocol ~inputs ~t ~seed ~split ~driver ~copy_adv ()
+  in
+  let ((be, bc, wbe, wbc) as bit) =
+    On_bitkernel.run ?reseed ~protocol ~inputs ~t ~seed ~split ~driver
+      ~copy_adv ()
+  in
+  List.iter
+    (fun (side, eo, bo, ew, bw) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s outcome = engine's" what side)
+        true
+        (Test_delivery.outcomes_equal eo bo);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s views = engine's" what side)
+        true (ew = bw))
+    [
+      ("original", Sim.Engine.outcome ee, Sim.Bitkernel.outcome be, wee, wbe);
+      ("copy", Sim.Engine.outcome ec, Sim.Bitkernel.outcome bc, wec, wbc);
+    ];
+  bit
+
+let synran_inputs n seed = Prng.Sample.random_bits (Prng.Rng.create seed) n
+
+(* FloodSet runs its nine rounds whatever the coins. *)
+let test_snapshot_independent () =
+  let n = 16 in
+  let e =
+    Sim.Bitkernel.start
+      (Baselines.Floodset.protocol ~rounds:9 ())
+      ~inputs:(synran_inputs n 1) ~t:0 ~rng:(Prng.Rng.create 8)
+  in
+  ignore (Sim.Bitkernel.step e Sim.Adversary.null);
+  let c = Sim.Bitkernel.snapshot e in
+  ignore (Sim.Bitkernel.step c Sim.Adversary.null);
+  ignore (Sim.Bitkernel.step c Sim.Adversary.null);
+  Alcotest.(check int) "original unchanged" 1 (Sim.Bitkernel.round e);
+  Alcotest.(check int) "copy advanced" 3 (Sim.Bitkernel.round c)
+
+(* Without a reseed the copy replays the original's coins: the same views
+   every round and the same outcome. *)
+let test_snapshot_replays_same_coins () =
+  let n = 64 in
+  let e, c, we, wc =
+    snapshot_differential "replay" ~protocol:(Core.Synran.protocol n)
+      ~inputs:(synran_inputs n 2) ~t:0 ~seed:9 ~split:0
+      ~driver:(fun () -> Sim.Adversary.null)
+      ~copy_adv:(fun () -> Sim.Adversary.null)
+      ()
+  in
+  Alcotest.(check bool) "same views" true (we = wc && we <> []);
+  Alcotest.(check bool)
+    "same outcome" true
+    (Test_delivery.outcomes_equal (Sim.Bitkernel.outcome e)
+       (Sim.Bitkernel.outcome c))
+
+let test_snapshot_reseed_changes_coins () =
+  let n = 64 in
+  let _, _, we, wc =
+    snapshot_differential "reseed" ~reseed:999
+      ~protocol:(Core.Synran.protocol n) ~inputs:(synran_inputs n 3) ~t:0
+      ~seed:10 ~split:0
+      ~driver:(fun () -> Sim.Adversary.null)
+      ~copy_adv:(fun () -> Sim.Adversary.null)
+      ()
+  in
+  (* Walks are recorded most recent round first. *)
+  let first w = List.nth w (List.length w - 1) in
+  Alcotest.(check bool) "round-1 coins resampled" false (first we = first wc);
+  (* The adversary's stream is resampled too. *)
+  let e =
+    Sim.Bitkernel.start (Core.Synran.protocol n) ~inputs:(synran_inputs n 4)
+      ~t:0 ~rng:(Prng.Rng.create 12)
+  in
+  let c = Sim.Bitkernel.snapshot e in
+  Sim.Bitkernel.reseed c (Prng.Rng.create 13);
+  let draw x =
+    let d = ref 0L in
+    ignore
+      (Sim.Bitkernel.step x
+         {
+           Sim.Adversary.name = "draw";
+           plan =
+             (fun _ rng ->
+               d := Prng.Rng.bits64 rng;
+               []);
+         });
+    !d
+  in
+  Alcotest.(check bool) "adversary stream resampled" false (draw e = draw c)
+
+(* test_sim's stamps case on the packed path: a copy steps the same round
+   as its original, silent kills included, so its victims must not read
+   as already named when the original names them, in either order. *)
+let test_snapshot_stamps_own () =
+  let n = 8 in
+  let protocol = Core.Synran.protocol n in
+  let kill pids =
+    {
+      Sim.Adversary.name = "kill";
+      plan = (fun _ _ -> List.map Sim.Adversary.kill_silent pids);
+    }
+  in
+  let e =
+    Sim.Bitkernel.start protocol ~inputs:(Array.make n 0) ~t:4
+      ~rng:(Prng.Rng.create 3)
+  in
+  ignore (Sim.Bitkernel.step e (kill [ 0 ]));
+  let c = Sim.Bitkernel.snapshot e in
+  ignore (Sim.Bitkernel.step c (kill [ 5; 6 ]));
+  ignore (Sim.Bitkernel.step e (kill [ 5; 6 ]));
+  let c' = Sim.Bitkernel.snapshot e in
+  ignore (Sim.Bitkernel.step e (kill [ 7 ]));
+  ignore (Sim.Bitkernel.step c' (kill [ 7 ]));
+  List.iter
+    (fun (what, x, dead) ->
+      Alcotest.(check (list bool))
+        (what ^ ": faulty")
+        (List.init n (fun i -> List.mem i dead))
+        (Array.to_list (Sim.Bitkernel.outcome x).Sim.Engine.faulty))
+    [
+      ("original", e, [ 0; 5; 6; 7 ]);
+      ("first copy", c, [ 0; 5; 6 ]);
+      ("second copy", c', [ 0; 5; 6; 7 ]);
+    ];
+  Alcotest.(check int) "every round packed" 0 (Sim.Bitkernel.scalar_rounds e)
+
+(* Snapshot mid-run under voting band control, reseed the copy, and step
+   both through the partial-send kill rounds that follow: each goes
+   through its own scalar fallback, and both match Engine's snapshot. *)
+let test_snapshot_through_kill_rounds () =
+  let n = 64 and split = 2 in
+  let voting () =
+    Core.Lb_adversary.band_control ~config:Core.Lb_adversary.voting_config
+      ~rules ~bit_of_msg:Core.Synran.bit_of_msg ()
+  in
+  let pre =
+    Sim.Bitkernel.start (Core.Synran.protocol n) ~inputs:(synran_inputs n 5)
+      ~t:(n - 1) ~rng:(Prng.Rng.create 6)
+  in
+  let drv = voting () in
+  for _ = 1 to split do
+    ignore (Sim.Bitkernel.step pre drv)
+  done;
+  let scalar0 = Sim.Bitkernel.scalar_rounds pre in
+  let e, c, we, wc =
+    snapshot_differential "kill rounds" ~reseed:77
+      ~protocol:(Core.Synran.protocol n) ~inputs:(synran_inputs n 5)
+      ~t:(n - 1) ~seed:6 ~split ~driver:voting ~copy_adv:voting ()
+  in
+  Alcotest.(check bool)
+    "original: scalar rounds after the snapshot" true
+    (Sim.Bitkernel.scalar_rounds e > scalar0);
+  Alcotest.(check bool)
+    "copy: scalar rounds after the snapshot" true
+    (Sim.Bitkernel.scalar_rounds c > scalar0);
+  Alcotest.(check bool) "the reseeded copy diverged" false (we = wc)
+
+(* The packed fields are the copy's own: while the original idles, the
+   reseeded copy loses two processes a round to silent kills, so its
+   active mask, coin plane and carried tallies all move, every round
+   packed. A plane, mask or tally array shared with the original would
+   show in the original's views or outcome. n = 200 spans four words. *)
+let test_snapshot_packed_fields_own () =
+  let n = 200 in
+  let e, c, _, _ =
+    snapshot_differential "packed fields" ~reseed:5
+      ~protocol:(Core.Synran.protocol n) ~inputs:(synran_inputs n 7)
+      ~t:(n / 4) ~seed:8 ~split:1
+      ~driver:(fun () -> Sim.Adversary.null)
+      ~copy_adv:(fun () -> Baselines.Adversaries.drip ~per_round:2)
+      ()
+  in
+  Alcotest.(check int) "original: every round packed" 0
+    (Sim.Bitkernel.scalar_rounds e);
+  Alcotest.(check int) "copy: every round packed" 0
+    (Sim.Bitkernel.scalar_rounds c);
+  Alcotest.(check bool)
+    "copy killed" true
+    ((Sim.Bitkernel.outcome c).Sim.Engine.kills_used > 0)
+
+(* A snapshot taken unpacked, after [view_schedule]'s partial-delivery
+   round 3: the copy's next round is scalar, and it re-packs on its own
+   later, with its own planes, while the original does the same. *)
+let test_snapshot_unpacked_repacks () =
+  let n = 200 and split = 3 in
+  let protocol = Core.Synran.protocol n and inputs = synran_inputs n 5 in
+  let pre =
+    Sim.Bitkernel.start protocol ~inputs ~t:(n - 1) ~rng:(Prng.Rng.create 9)
+  in
+  for _ = 1 to split do
+    ignore (Sim.Bitkernel.step pre view_schedule)
+  done;
+  let packed0 = Sim.Bitkernel.packed_rounds pre
+  and scalar0 = Sim.Bitkernel.scalar_rounds pre in
+  let probe = Sim.Bitkernel.snapshot pre in
+  ignore (Sim.Bitkernel.step probe view_schedule);
+  Alcotest.(check (pair int int))
+    "snapshot taken unpacked: its next round is scalar"
+    (packed0, scalar0 + 1)
+    (Sim.Bitkernel.packed_rounds probe, Sim.Bitkernel.scalar_rounds probe);
+  let e, c, _, _ =
+    snapshot_differential "unpacked" ~reseed:11 ~protocol ~inputs ~t:(n - 1)
+      ~seed:9 ~split
+      ~driver:(fun () -> view_schedule)
+      ~copy_adv:(fun () -> view_schedule)
+      ()
+  in
+  List.iter
+    (fun (side, x) ->
+      Alcotest.(check bool)
+        (side ^ ": re-packed after the snapshot")
+        true
+        (Sim.Bitkernel.packed_rounds x > packed0))
+    [ ("original", e); ("copy", c) ]
+
 let suites =
   [
     ( "bitkernel.words",
@@ -841,5 +1119,22 @@ let suites =
       [
         Alcotest.test_case "iter_pending walks exactly the pending messages"
           `Quick test_view_iteration;
+      ] );
+    ( "bitkernel.snapshot",
+      [
+        Alcotest.test_case "snapshot independent" `Quick
+          test_snapshot_independent;
+        Alcotest.test_case "snapshot replays same coins" `Quick
+          test_snapshot_replays_same_coins;
+        Alcotest.test_case "snapshot keeps its own stamps" `Quick
+          test_snapshot_stamps_own;
+        Alcotest.test_case "snapshot steps through kill rounds" `Quick
+          test_snapshot_through_kill_rounds;
+        Alcotest.test_case "reseed changes coins" `Quick
+          test_snapshot_reseed_changes_coins;
+        Alcotest.test_case "copy shares no plane, mask or tally" `Quick
+          test_snapshot_packed_fields_own;
+        Alcotest.test_case "unpacked snapshot re-packs on its own" `Quick
+          test_snapshot_unpacked_repacks;
       ] );
   ]

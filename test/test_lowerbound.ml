@@ -444,7 +444,7 @@ let valency_probe_suite =
     let rng = Prng.Rng.create 7 in
     let inputs = Sim.Runner.input_gen_split ~n:12 rng in
     let exec =
-      Sim.Engine.start (Core.Synran.protocol 12) ~inputs ~t:11 ~rng
+      Sim.Bitkernel.start (Core.Synran.protocol 12) ~inputs ~t:11 ~rng
     in
     let e = Core.Valency_probe.probe ~samples:10 ~horizon:30 exec ~rng in
     check_bool "min <= max" true
@@ -453,7 +453,58 @@ let valency_probe_suite =
       (e.Core.Valency_probe.min_r >= 0.0 && e.Core.Valency_probe.max_r <= 1.0);
     Alcotest.(check int) "samples recorded" 10 e.Core.Valency_probe.samples_per_policy;
     (* Probing must not disturb the caller's execution. *)
-    Alcotest.(check int) "exec untouched" 0 (Sim.Engine.round exec)
+    Alcotest.(check int) "exec untouched" 0 (Sim.Bitkernel.round exec)
+  in
+  (* Band control tracks its run, so a continuation that inherits another
+     sample's tracker plans from the wrong delivered counts. Each sample
+     must get a fresh adversary: a 60-sample estimate is then the mean of
+     60 one-sample estimates drawn from the same stream. At n = 24, seed
+     42, two band-control rounds in, the continuations decide 1 in every
+     sample; one band control shared by all 60 (as the palette once was)
+     has them decide 1 in one. *)
+  let test_samples_independent () =
+    let n = 24 in
+    let rng = Prng.Rng.create 42 in
+    let inputs = Sim.Runner.input_gen_split ~n rng in
+    let exec =
+      Sim.Bitkernel.start (Core.Synran.protocol n) ~inputs ~t:(n - 1) ~rng
+    in
+    let band () =
+      Core.Lb_adversary.band_control ~rules:Core.Onesided.paper
+        ~bit_of_msg:Core.Synran.bit_of_msg ()
+    in
+    let driver = band () in
+    for _ = 1 to 2 do
+      ignore (Sim.Bitkernel.step exec driver)
+    done;
+    let estimate ~samples make rng =
+      Core.Valency_probe.decide_probability exec make ~samples ~horizon:60 ~rng
+    in
+    let palette_band =
+      List.find
+        (fun make ->
+          String.starts_with ~prefix:"band-control"
+            (make ()).Sim.Adversary.name)
+        (Core.Valency_probe.policies ~rules:Core.Onesided.paper)
+    in
+    let joint = estimate ~samples:60 palette_band (Prng.Rng.create 5) in
+    let singles =
+      let rng = Prng.Rng.create 5 in
+      List.init 60 (fun _ -> estimate ~samples:1 palette_band rng)
+    in
+    let shared =
+      let a = band () in
+      estimate ~samples:60 (fun () -> a) (Prng.Rng.create 5)
+    in
+    check_bool "every sample decided" true
+      (List.for_all (fun r -> r = 0.0 || r = 1.0) singles);
+    Alcotest.(check (float 1e-12))
+      "60 samples = mean of 60 one-sample estimates"
+      (List.fold_left ( +. ) 0.0 singles /. 60.0)
+      joint;
+    Alcotest.(check (float 1e-12)) "every continuation decides 1" 1.0 joint;
+    Alcotest.(check (float 1e-12))
+      "a shared band control: 1 of 60" (1.0 /. 60.0) shared
   in
   ( "core.valency-probe",
     [
@@ -461,6 +512,8 @@ let valency_probe_suite =
       tc "collapse without intervention" test_collapse_without_intervention;
       tc "rescue preserves bivalence" test_rescue_preserves_bivalence_longer;
       tc "probe fields" test_probe_estimate_fields;
+      tc "each continuation sample gets a fresh adversary"
+        test_samples_independent;
     ] )
 
 let suites = suites @ [ valency_probe_suite ]
