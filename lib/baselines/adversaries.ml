@@ -85,17 +85,15 @@ let drip ~per_round =
     Adversary.name = Printf.sprintf "drip[%d/round]" per_round;
     plan =
       (fun view _rng ->
-        let rec take n = function
-          | [] -> []
-          | _ when n = 0 -> []
-          | pid :: rest -> Adversary.kill_silent pid :: take (n - 1) rest
-        in
-        take per_round (Adversary.active_pids view) |> take_budget view);
+        Adversary.first_senders view All
+          (Stdlib.min per_round view.Adversary.budget_left)
+        |> List.map Adversary.kill_silent);
   }
 
 let valency_steer ?(margin = 0.15) ~per_round ~msg_is_one () =
   if margin < 0.0 || margin > 0.5 then invalid_arg "Adversaries.valency_steer";
   if per_round < 0 then invalid_arg "Adversaries.valency_steer: per_round";
+  let vote = Protocol.register_of msg_is_one in
   {
     Adversary.name = Printf.sprintf "valency-steer[m=%.2f,%d/round]" margin per_round;
     plan =
@@ -106,33 +104,21 @@ let valency_steer ?(margin = 0.15) ~per_round ~msg_is_one () =
            bivalence. Adaptive kills + partial sends + adversary-stream
            draws: exactly the individuating behaviour that forces a
            packed engine onto its scalar fallback. *)
-        let ones = ref 0 and total = ref 0 in
-        view.Adversary.iter_pending (fun _ m ->
-            incr total;
-            if msg_is_one m then incr ones);
-        if !total = 0 then []
+        let total = view.Adversary.count All in
+        if total = 0 then []
         else begin
-          let frac = float_of_int !ones /. float_of_int !total in
-          let majority_one = frac > 0.5 in
+          let ones = view.Adversary.count (Ones vote) in
+          let frac = float_of_int ones /. float_of_int total in
           if frac >= 0.5 -. margin && frac <= 0.5 +. margin then []
-          else begin
-            let victims = ref [] in
-            view.Adversary.iter_pending (fun pid m ->
-                if msg_is_one m = majority_one then victims := pid :: !victims);
-            (* iter_pending is ascending; restore that order. *)
-            let victims = List.rev !victims in
-            let rec take n = function
-              | [] -> []
-              | _ when n = 0 -> []
-              | pid :: rest ->
-                  let recipients =
-                    Adversary.active_pids view
-                    |> List.filter (fun _ -> Prng.Rng.bool rng)
-                  in
-                  Adversary.kill_after_send pid ~recipients
-                  :: take (n - 1) rest
-            in
-            take per_round victims |> take_budget view
-          end
+          else
+            let majority = if frac > 0.5 then Adversary.Ones vote else Zeros vote in
+            Adversary.first_senders view majority per_round
+            |> List.map (fun pid ->
+                   let recipients =
+                     Adversary.active_pids view
+                     |> List.filter (fun _ -> Prng.Rng.bool rng)
+                   in
+                   Adversary.kill_after_send pid ~recipients)
+            |> take_budget view
         end);
   }

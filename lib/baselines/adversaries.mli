@@ -1,6 +1,8 @@
 (** Generic (protocol-agnostic) fail-stop adversaries.
 
-    These never inspect message contents, so they work against any protocol.
+    These never inspect message contents, so they work against any
+    protocol; {!valency_steer} alone reads one register of a register
+    protocol's messages.
     The oblivious ones ([static_*]) model the {e non-adaptive} adversary of
     Chor-Merritt-Shmoys discussed in Section 1.2 — the contrast class for
     which the paper's lower bound provably does {e not} hold (experiment
@@ -33,18 +35,25 @@ val crash_all_at : round:int -> ('s, 'm) Sim.Adversary.t
 val drip : per_round:int -> ('s, 'm) Sim.Adversary.t
 (** Kills exactly [per_round] active processes (lowest pids) every round
     until the budget runs out — the naive budget-spreading strategy the
-    lower bound's adversary improves upon. *)
+    lower bound's adversary improves upon. Its victims are the first
+    senders of [view.iter_senders], a walk that stops after them, so a
+    round costs O(per_round) words on top of the walk: O(per_round +
+    n/63) on Bitkernel's packed rounds. *)
 
 val valency_steer :
   ?margin:float ->
   per_round:int ->
-  msg_is_one:('msg -> bool) ->
+  msg_is_one:(Sim.Protocol.word -> bool) ->
   unit ->
-  ('state, 'msg) Sim.Adversary.t
-(** A bivalence-steering adversary: whenever the fraction of staged
-    one-messages leaves the central band [0.5 - margin, 0.5 + margin],
-    it kills up to [per_round] majority-bit senders, each with a random
-    partial delivery (recipients drawn from the adversary stream). Its
-    kills are adaptive and individuating — the adversary every batched
-    engine must handle through its scalar fallback — while still letting
-    long executions stay balanced enough to keep running. *)
+  ('state, Sim.Protocol.word) Sim.Adversary.t
+(** A bivalence-steering adversary against a register protocol, whose
+    vote is the register [msg_is_one] reads ({!Sim.Protocol.register_of};
+    any other predicate raises [Invalid_argument]): whenever the
+    fraction of staged one-messages ([view.count]) leaves the central
+    band [0.5 - margin, 0.5 + margin], it kills up to [per_round]
+    majority-bit senders, the first ones of [view.iter_senders], each
+    with a random partial delivery (recipients drawn from the adversary
+    stream). Its kills are adaptive and individuating — the adversary
+    every batched engine must handle through its scalar fallback — while
+    still letting long executions stay balanced enough to keep
+    running. *)

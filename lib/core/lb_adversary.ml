@@ -28,27 +28,6 @@ let rec take k = function
   | _ when k = 0 -> []
   | x :: rest -> x :: take (k - 1) rest
 
-(* The first [k] senders, ascending: the walk stops at the k-th. Exactly
-   the active processes stage a message, so these are the first [k]
-   receivers. *)
-let first_senders view k =
-  let acc = ref [] and left = ref k in
-  let exception Enough in
-  (if k > 0 then
-     try
-       view.Sim.Adversary.iter_pending (fun i _ ->
-           acc := i :: !acc;
-           decr left;
-           if !left = 0 then raise Enough)
-     with Enough -> ());
-  List.rev !acc
-
-let partition_senders view ~bit_of_msg =
-  let ones = ref [] and zeros = ref [] in
-  view.Sim.Adversary.iter_pending (fun i m ->
-      if bit_of_msg m = 1 then ones := i :: !ones else zeros := i :: !zeros);
-  (List.rev !ones, List.rev !zeros)
-
 (* Last round's delivered count per receiver (the band arithmetic's
    nprev), shared by both ports. Every receiver heard the survivors'
    broadcast, so the counts are one default plus exceptions for the
@@ -61,9 +40,13 @@ type tracker = {
   mutable exc : int array;
   mutable touched : int list;  (* pids whose [exc] entry is set *)
   mutable last_burst : int;  (* round of the last stability-breaking burst *)
+  mutable promoted : bool array;
+      (* The rescue's scratch, made by the first rescue of a run's size:
+         all [false] between plans. *)
 }
 
-let tracker () = { default = 0; exc = [||]; touched = []; last_burst = -10 }
+let tracker () =
+  { default = 0; exc = [||]; touched = []; last_burst = -10; promoted = [||] }
 
 let clear_exceptions tr =
   List.iter (fun j -> tr.exc.(j) <- -1) tr.touched;
@@ -335,9 +318,12 @@ let plan_core ~config ~rules ~sink tr pop rng =
         Prng.Sample.shuffle rng arr;
         Array.to_list (Array.sub arr 0 s_size)
       in
-      let s_mask = Array.make pop.p_n false in
-      List.iter (fun j -> s_mask.(j) <- true) s;
-      let non_s = List.filter (fun j -> not s_mask.(j)) (Lazy.force pop.p_recv) in
+      if Array.length tr.promoted <> pop.p_n then
+        tr.promoted <- Array.make pop.p_n false;
+      let promoted = tr.promoted in
+      List.iter (fun j -> promoted.(j) <- true) s;
+      let non_s = List.filter (fun j -> not promoted.(j)) (Lazy.force pop.p_recv) in
+      List.iter (fun j -> promoted.(j) <- false) s;
       let kills =
         Sim.Adversary.kill_group (Lazy.force pop.p_zeros) ~recipients:non_s
       in
@@ -358,31 +344,32 @@ let band_name config =
 let band_control ?(config = default_config) ?(sink = Obs.Sink.null) ~rules
     ~bit_of_msg () =
   Onesided.validate rules;
+  let vote = Sim.Protocol.register_of (fun m -> bit_of_msg m = 1) in
+  let ones = Sim.Adversary.Ones vote and zeros = Sim.Adversary.Zeros vote in
   let tr = tracker () in
   let plan view rng =
     let n = view.Sim.Adversary.n in
     if view.Sim.Adversary.round = 1 || Array.length tr.exc <> n then
       reset tr ~n;
-    (* One walk over the engine's own iteration counts the 1/0-senders.
-       Exactly the active processes stage a message, so the receivers are
-       the senders. *)
-    let o = ref 0 and z = ref 0 in
-    view.Sim.Adversary.iter_pending (fun _ m ->
-        if bit_of_msg m = 1 then incr o else incr z);
-    let senders = lazy (partition_senders view ~bit_of_msg) in
+    (* Exactly the active processes stage a message, so the receivers are
+       the senders. The counts are the engine's own, and every pid list
+       is a walk of its senders that stops after the last one needed. *)
+    let senders s k = Sim.Adversary.first_senders view s k in
+    let q = view.Sim.Adversary.count All in
+    let o = view.Sim.Adversary.count ones in
     plan_core ~config ~rules ~sink tr
       {
         p_round = view.Sim.Adversary.round;
         p_n = n;
         p_budget = view.Sim.Adversary.budget_left;
-        p_q = !o + !z;
-        p_o = !o;
-        p_z = !z;
+        p_q = q;
+        p_o = o;
+        p_z = q - o;
         p_active = view.Sim.Adversary.active;
-        p_recv = lazy (first_senders view (!o + !z));
-        p_first = first_senders view;
-        p_ones = lazy (fst (Lazy.force senders));
-        p_zeros = lazy (snd (Lazy.force senders));
+        p_recv = lazy (senders All q);
+        p_first = senders All;
+        p_ones = lazy (senders ones o);
+        p_zeros = lazy (senders zeros (q - o));
       }
       rng
   in
@@ -515,12 +502,6 @@ let force_long_execution ?(config = default_mc_config) ?(max_rounds = 10_000)
   let rec drive () =
     if Sim.Bitkernel.round exec >= max_rounds then ()
     else begin
-      let active = Sim.Bitkernel.active_mask exec in
-      let candidates_pool =
-        let acc = ref [] in
-        Array.iteri (fun i a -> if a then acc := i :: !acc) active;
-        !acc
-      in
       (* Greedily grow a kill set that maximizes the estimated expected
          total rounds; ties broken toward keeping Pr[decide 1] near 1/2
          (bivalence). *)
@@ -533,12 +514,15 @@ let force_long_execution ?(config = default_mc_config) ?(max_rounds = 10_000)
           let in_plan pid =
             List.exists (fun k -> k.Sim.Adversary.victim = pid) plan
           in
-          let options =
-            candidates_pool |> List.filter (fun pid -> not (in_plan pid))
-          in
-          (* Score a few random single-kill extensions. *)
+          (* Score a few random single-kill extensions, drawn by one
+             shuffle of the active pids outside the plan, descending. *)
           let sample_opts =
-            let arr = Array.of_list options in
+            let options = ref [] in
+            for pid = 0 to Sim.Bitkernel.n exec - 1 do
+              if Sim.Bitkernel.active exec pid && not (in_plan pid) then
+                options := pid :: !options
+            done;
+            let arr = Array.of_list !options in
             Prng.Sample.shuffle pick_rng arr;
             Array.to_list (Array.sub arr 0 (Stdlib.min 6 (Array.length arr)))
           in

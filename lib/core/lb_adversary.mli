@@ -58,20 +58,33 @@ val band_control :
   ?config:config ->
   ?sink:Obs.Sink.t ->
   rules:Onesided.rules ->
-  bit_of_msg:('msg -> int) ->
+  bit_of_msg:(Sim.Protocol.word -> int) ->
   unit ->
-  ('state, 'msg) Sim.Adversary.t
-(** The band-control adversary. Stateful across the rounds of one run
-    (tracks per-receiver delivered counts as one shared default plus
-    exceptions for partial-delivery recipients); it resets itself when it
-    observes round 1, so reusing the value across sequential trials is
-    safe. Not safe for concurrent executions. A round it does not act on
-    (idle, in-band) costs one walk of [view.iter_pending], at the
-    engine's own granularity, and builds no pid list; a burst or endgame
-    stops its walk after its victims. A trim or rescue reads its
-    receivers through that same walk, and its partial sends are one
-    {!Sim.Adversary.kill_group}: every delivering victim shares one
-    recipient list, which the engines walk once per round.
+  ('state, Sim.Protocol.word) Sim.Adversary.t
+(** The band-control adversary, against a register protocol:
+    [bit_of_msg] is the vote bit, one register of the message
+    ({!Sim.Protocol.register_of} finds which; SynRan's
+    {!Synran.bit_of_msg} reads register 0), and any other reader raises
+    [Invalid_argument]. Stateful across the rounds of one run (tracks
+    per-receiver delivered counts as one shared default plus exceptions
+    for partial-delivery recipients); it resets itself when it observes
+    round 1, so reusing the value across sequential trials is safe. Not
+    safe for concurrent executions.
+
+    Each round reads the population at the engine's own granularity:
+    the receivers and the 1-senders are two [view.count] reads, and
+    every pid list (the receivers, the 1- and 0-senders, a burst's or
+    endgame's victims) is a [view.iter_senders] walk that stops after
+    the last pid it needs. A round it does not act on (idle, in-band)
+    builds no pid list. On Bitkernel's packed rounds the counts are
+    O(1) and the walks O(pids + n/63), and none of them builds a
+    message; on Engine (and Bitkernel's unpacked rounds) each read
+    scans the staged array, O(n) with no per-process allocation. A
+    trim or rescue reads its receivers through a walk, and its partial
+    sends are one {!Sim.Adversary.kill_group}: every delivering victim
+    shares one recipient list, which the engines walk once per round.
+    The rescue's promoted set is marked in a mask the adversary keeps
+    across rounds.
 
     [sink] (default {!Obs.Sink.null}) receives one {!Obs.Event.Band}
     event per activation, exposing the round's observed 1/0-sender
@@ -79,12 +92,6 @@ val band_control :
     bail out before the band is computed), the chosen [action] —
     ["trim"], ["rescue"], ["burst"], ["endgame"], ["in-band"] or
     ["idle"] — and the kill count spent. *)
-
-val first_senders : ('state, 'msg) Sim.Adversary.view -> int -> int list
-(** [first_senders view k] is the first [k] pids of [view.iter_pending],
-    ascending (all of them when [k] exceeds their number), found by a walk
-    that stops at the [k]-th: [take k (Sim.Adversary.active_pids view)]
-    without the O(n) list. Band control's bursts and endgame kill these. *)
 
 val band_control_cohort :
   ?config:config ->

@@ -5,40 +5,47 @@ type estimate = {
   classification : Valency.classification;
 }
 
-(* Kill up to three senders of [bit] a round: drives toward the other
-   bit. *)
+(* The vote register, and the senders voting [bit]. *)
+let vote = Sim.Protocol.register_of Synran.msg_is_one
+
+let voting bit = if bit = 1 then Sim.Adversary.Ones vote else Zeros vote
+
+(* Kill up to three senders of [bit] a round, the highest pids first:
+   drives toward the other bit. *)
 let kill_senders ~name bit =
   {
     Sim.Adversary.name;
     plan =
       (fun view _rng ->
         let budget = Stdlib.min view.Sim.Adversary.budget_left 3 in
-        let targets = ref [] in
-        view.Sim.Adversary.iter_pending (fun pid msg ->
-            if Synran.bit_of_msg msg = bit then targets := pid :: !targets);
-        !targets
-        |> List.filteri (fun i _ -> i < budget)
-        |> List.map Sim.Adversary.kill_silent);
+        let skip = view.Sim.Adversary.count (voting bit) - budget in
+        let targets = ref [] and seen = ref 0 in
+        if budget > 0 then
+          view.Sim.Adversary.iter_senders (voting bit) (fun pid ->
+              if !seen >= skip then targets := pid :: !targets;
+              incr seen);
+        List.map Sim.Adversary.kill_silent !targets);
   }
 
-(* Starve [bit]: if affordable, kill every sender of [bit] at once while
-   one sender of the other bit survives. Starving 0 leaves every survivor
-   seeing Z = 0, the zero rule fires, and the run decides 1 — the
-   strongest one-shot push toward max r; starving 1 drops every survivor
-   under the decide-0 threshold. *)
+(* Starve [bit]: if affordable, kill every sender of [bit] at once (the
+   highest pids first) while one sender of the other bit survives.
+   Starving 0 leaves every survivor seeing Z = 0, the zero rule fires,
+   and the run decides 1 — the strongest one-shot push toward max r;
+   starving 1 drops every survivor under the decide-0 threshold. *)
 let starve ~name bit =
   {
     Sim.Adversary.name;
     plan =
       (fun view _rng ->
-        let targets = ref [] and others = ref 0 in
-        view.Sim.Adversary.iter_pending (fun pid msg ->
-            if Synran.bit_of_msg msg = bit then targets := pid :: !targets
-            else incr others);
-        if
-          !others >= 1 && !targets <> []
-          && List.length !targets <= view.Sim.Adversary.budget_left
-        then List.map Sim.Adversary.kill_silent !targets
+        let targets = view.Sim.Adversary.count (voting bit) in
+        let others = view.Sim.Adversary.count All - targets in
+        if others >= 1 && targets > 0 && targets <= view.Sim.Adversary.budget_left
+        then begin
+          let kills = ref [] in
+          view.Sim.Adversary.iter_senders (voting bit) (fun pid ->
+              kills := Sim.Adversary.kill_silent pid :: !kills);
+          !kills
+        end
         else []);
   }
 

@@ -17,6 +17,8 @@ let fold_runs f acc = function
   | [] -> acc
   | k :: rest as run -> fold_from f acc run k.deliver_to 1 rest
 
+type senders = All | Ones of int | Zeros of int
+
 type ('state, 'msg) view = {
   round : int;
   n : int;
@@ -24,6 +26,8 @@ type ('state, 'msg) view = {
   budget_left : int;
   active : int -> bool;
   state : int -> 'state;
+  count : senders -> int;
+  iter_senders : senders -> (int -> unit) -> unit;
   iter_pending : (int -> 'msg -> unit) -> unit;
 }
 
@@ -33,6 +37,21 @@ let active_pids v =
     if v.active i then acc := i :: !acc
   done;
   !acc
+
+(* Raised by [first_senders]'s own walk only, and caught around it: a
+   module-level exception, so a call allocates no constructor. *)
+exception Enough
+
+let first_senders v s k =
+  let acc = ref [] and left = ref k in
+  (if k > 0 then
+     try
+       v.iter_senders s (fun i ->
+           acc := i :: !acc;
+           decr left;
+           if !left = 0 then raise Enough)
+     with Enough -> ());
+  List.rev !acc
 
 type ('state, 'msg) t = {
   name : string;

@@ -56,6 +56,16 @@ val fold_runs : ('a -> kill list -> int -> 'a) -> 'a -> kill list -> 'a
     Every layer that works per group takes its runs from here. Only [f]
     allocates. *)
 
+type senders =
+  | All  (** Every staged broadcast. *)
+  | Ones of int  (** Those whose register [r] is set. *)
+  | Zeros of int  (** Those whose register [r] is clear. *)
+(** Which staged broadcasts a population read counts or walks. [Ones r]
+    and [Zeros r] read register [r] of a register protocol's
+    {!Protocol.word} (one built by {!Protocol.registers}); on any other
+    protocol, or with [r] outside [0, bo_width), they raise
+    [Invalid_argument]. [All] works on every protocol. *)
+
 type ('state, 'msg) view = {
   round : int;
   n : int;
@@ -66,17 +76,38 @@ type ('state, 'msg) view = {
       (** Post-Phase-A state: the full-information channel, every local
           state this round's coins included. Entries for inactive
           processes are stale. *)
+  count : senders -> int;
+      (** [count s] is the number of staged broadcasts [s] selects;
+          [count All] is the number of active processes. No per-process
+          allocation on any engine. Bitkernel's packed rounds answer in
+          O(1) from the counts the kernel carries across rounds (the
+          active count and each register's tally). Engine, Bitkernel's
+          unpacked rounds and Cohort's compatibility view count over
+          their staged array in one O(n) pass (Cohort's view rebuilds
+          that array at the round's first read, O(n) class lookups). *)
+  iter_senders : senders -> (int -> unit) -> unit;
+      (** [iter_senders s f] calls [f pid] for every staged broadcast [s]
+          selects, ascending by pid, and builds no message. Bitkernel's
+          packed rounds walk the active mask word by word (intersected
+          with register [r]'s plane, or its complement), skipping empty
+          words: O(selected + n/63), with no per-process allocation.
+          Engine, Bitkernel's unpacked rounds and Cohort's
+          compatibility view walk their staged array (O(n) reads). An
+          adversary that stops early raises out of [f] with its own
+          exception. *)
   iter_pending : (int -> 'msg -> unit) -> unit;
       (** [iter_pending f] calls [f pid msg] for every staged broadcast,
           ascending by pid: the message each active process is about to
-          send, one per active process. Valid only during [plan], like
-          every accessor. The engine supplies it at its own granularity:
-          Engine and Bitkernel's unpacked rounds walk the staged array
-          (O(n)); Bitkernel's packed rounds walk the active mask word by
-          word, skipping empty words (O(active + n/63)); Cohort's
-          compatibility view looks each pid up in its classes (O(n)
-          lookups). An adversary that stops early raises out of [f] with
-          its own exception. *)
+          send, one per active process. The walk for adversaries that
+          read more of a message than its registers (a leader's
+          priority, say): Engine and Bitkernel's unpacked rounds hand out
+          the staged messages themselves (O(n) reads); Bitkernel's
+          packed rounds walk the active mask like [iter_senders] but
+          rebuild each lane's message as a fresh record (3 words), so a
+          packed walk allocates O(active) words; Cohort's compatibility
+          view walks the staged array it rebuilds for the round. An
+          adversary that stops early raises out of [f] with its own
+          exception. *)
 }
 (** A zero-copy window onto the execution after Phase A: what Section 3.1
     lets the adversary read before it names its kills. The accessors read
@@ -85,10 +116,17 @@ type ('state, 'msg) view = {
     underlying state as soon as [plan] returns. Adversaries that need
     state beyond their own invocation must copy what they keep (all
     in-tree adversaries extract scalars or fresh lists, which is safe by
-    construction). *)
+    construction). Exactly the active processes stage a broadcast, so
+    the senders are this round's receivers. *)
 
 val active_pids : ('state, 'msg) view -> int list
-(** Pids with [view.active], ascending. *)
+(** Pids with [view.active], ascending: an n-step scan and an
+    O(active) list. *)
+
+val first_senders : ('state, 'msg) view -> senders -> int -> int list
+(** [first_senders view s k] is the first [k] pids of
+    [view.iter_senders s], ascending (all of them when [k] exceeds their
+    number), from a walk that stops at the [k]-th. *)
 
 type ('state, 'msg) t = {
   name : string;

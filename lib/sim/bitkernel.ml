@@ -176,11 +176,35 @@ let state_at e i =
   if e.packed && Round.active_at e.sc.lg i then unpack_at e i
   else e.sc.states.(i)
 
-(* The adversary's walk over the staged broadcasts, ascending. Packed,
-   every active process stages one, so it walks [amask] a word at a time,
-   skips empty words, and rebuilds each lane's message from the plane
-   words loaded once per word. [Protocol.registers] caps [bo_width] at 4,
-   so four words cover every plane; absent ones read as 0. *)
+(* The view's population reads on a packed round. Every active process
+   stages a broadcast, so the senders are [amask]: [count] reads the
+   carried counts, which are exact at plan time ([packed_phase_a] has
+   recounted the coin plane), and [iter_senders] walks [amask], or its
+   intersection with a register's plane or with its complement, a word
+   at a time, skipping empty words. Neither builds a message. *)
+let packed_count e = function
+  | Adversary.All -> e.active_cnt
+  | Ones r -> e.tallies.(Round.register e.cd r)
+  | Zeros r -> e.active_cnt - e.tallies.(Round.register e.cd r)
+
+let packed_senders e s f =
+  let amask = e.amask in
+  match s with
+  | Adversary.All -> Bitwords.iter_ones amask e.nw f
+  | Ones r | Zeros r ->
+      let plane = e.cur.(Round.register e.cd r) in
+      (* [Zeros] reads the plane's complement: xor with all ones. *)
+      let flip = match s with Zeros _ -> lnot 0 | _ -> 0 in
+      for w = 0 to e.nw - 1 do
+        Bitwords.iter_word f (w * Bitwords.lanes)
+          (amask.(w) land (plane.(w) lxor flip))
+      done
+
+(* The adversary's walk over the staged messages, ascending. Packed, it
+   walks [amask] as [packed_senders] does and rebuilds each lane's
+   message from the plane words loaded once per word: one fresh record
+   per lane. [Protocol.registers] caps [bo_width] at 4, so four words
+   cover every plane; absent ones read as 0. *)
 let iter_pending (type s m) (e : (s, m) exec) (f : int -> m -> unit) =
   if not e.packed then Round.iter_staged e.sc.pending f
   else
@@ -208,8 +232,15 @@ let iter_pending (type s m) (e : (s, m) exec) (f : int -> m -> unit) =
           end
         done
 
+(* Unpacked, the reads are Engine's, over the staged array. *)
 let viewer_of e =
+  let bitops = e.sc.protocol.Protocol.bitops and pending = e.sc.pending in
   Round.viewer e.sc.lg ~state:(state_at e) ~iter_pending:(iter_pending e)
+    ~count:(fun s ->
+      if e.packed then packed_count e s else Round.count_staged bitops pending s)
+    ~iter_senders:(fun s f ->
+      if e.packed then packed_senders e s f
+      else Round.iter_staged_senders bitops pending s f)
 
 let start ?observer ?sink protocol ~inputs ~t ~rng =
   let refuse what =
@@ -495,7 +526,7 @@ let kills_used (e : _ exec) = e.sc.lg.kills_used
 
 (* The ledger's flags are exact between steps, packed or not: a packed
    round closes through [Round.apply_kills] and marks its halts. *)
-let active_mask (e : _ exec) = Array.init e.sc.lg.n (Round.active_at e.sc.lg)
+let active (e : _ exec) i = Round.active_at e.sc.lg i
 
 let packed_rounds (e : _ exec) = e.packed_rounds
 

@@ -39,7 +39,10 @@
     bench smoke gate enforce this. Unlike {!Cohort}, the adversary view
     is the plain per-process {!Adversary.view} with full state access
     (packed states are unpacked on demand), so any concrete adversary —
-    including adaptive ones — runs unchanged.
+    including adaptive ones — runs unchanged. On a packed round the
+    view's [count] reads the carried active count and tallies in O(1),
+    and [iter_senders] walks the active mask word by word, building no
+    message; only [iter_pending] rebuilds each lane's message.
 
     Protocols built by {!Protocol.registers} carry the {!Protocol.bitops}
     and the aggregate (used on kill rounds) it needs; {!start} refuses
@@ -120,8 +123,9 @@ val n : ('state, 'msg) exec -> int
 
 val kills_used : ('state, 'msg) exec -> int
 
-val active_mask : ('state, 'msg) exec -> bool array
-(** Alive and not halted, as {!Engine.active_mask}. A copy. *)
+val active : ('state, 'msg) exec -> int -> bool
+(** [active e pid]: alive and not halted, as {!Engine.active_mask} reads
+    it. O(1) and allocation-free, packed or not. *)
 
 val packed_rounds : ('state, 'msg) exec -> int
 (** Rounds executed entirely at word granularity. *)

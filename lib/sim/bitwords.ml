@@ -39,16 +39,18 @@ let popcount_masked plane mask nw =
   done;
   !c
 
+(* Visit [base + lane] for every set lane of word [m], ascending. *)
+let rec iter_word f base m =
+  if m <> 0 then begin
+    let bit = m land -m in
+    (* [bit] has a single bit set; its index is popcount (bit - 1). *)
+    f (base + popcount (bit - 1));
+    iter_word f base (m lxor bit)
+  end
+
 (* Visit the index of every set bit of [mask] (length [nw]) in ascending
    order — the same order a scalar per-process loop would use. *)
 let iter_ones mask nw f =
   for w = 0 to nw - 1 do
-    let m = ref mask.(w) in
-    let base = w * lanes in
-    while !m <> 0 do
-      let bit = !m land - !m in
-      (* [bit] has a single bit set; its index is popcount (bit - 1). *)
-      f (base + popcount (bit - 1));
-      m := !m lxor bit
-    done
+    iter_word f (w * lanes) mask.(w)
   done

@@ -28,6 +28,11 @@ val popcount_masked : int array -> int array -> int -> int
 (** [popcount_masked plane mask nw] is the population of
     [plane land mask] over the first [nw] words. *)
 
+val iter_word : (int -> unit) -> int -> int -> unit
+(** [iter_word f base m] calls [f (base + k)] for every set lane [k] of
+    the word [m], ascending: one word of {!iter_ones}, for a word the
+    caller computes (a mask intersected with a plane, say). *)
+
 val iter_ones : int array -> int -> (int -> unit) -> unit
 (** [iter_ones mask nw f] calls [f i] for every set bit index [i] of
     [mask], in ascending order — matching a scalar per-process loop. *)

@@ -179,7 +179,18 @@ let step e adversary =
           | Concrete adv ->
               (* Compatibility view for concrete adversaries: exact but
                  per-pid lookups cost O(#subs * log n) each, so this path
-                 is for differentials and small n, not the large-n runs. *)
+                 is for differentials and small n, not the large-n runs.
+                 The staged messages are rebuilt by the round's first
+                 population read, if any, and read as Engine reads its
+                 own. *)
+              let pending =
+                lazy
+                  (Array.init lg.n (fun i ->
+                       Option.map
+                         (fun (si, k) -> co.Protocol.c_msg subs.(si) k)
+                         (find_member i)))
+              in
+              let bitops = e.protocol.Protocol.bitops in
               adv.Adversary.plan
                 (Round.view ~round
                    (Round.viewer lg
@@ -189,12 +200,12 @@ let step e adversary =
                         | None ->
                             invalid_arg
                               "Cohort: state of an inactive process is not retained")
+                      ~count:(fun s ->
+                        Round.count_staged bitops (Lazy.force pending) s)
+                      ~iter_senders:(fun s f ->
+                        Round.iter_staged_senders bitops (Lazy.force pending) s f)
                       ~iter_pending:(fun f ->
-                        for i = 0 to lg.n - 1 do
-                          match find_member i with
-                          | Some (si, k) -> f i (co.Protocol.c_msg subs.(si) k)
-                          | None -> ()
-                        done)))
+                        Round.iter_staged (Lazy.force pending) f)))
                 lg.adv_rng
         in
         let nkills = Round.validate_kills lg kills in

@@ -29,7 +29,7 @@ let step (e : _ exec) adversary =
     (* The adversary observes everything and picks its kills. The view is
        zero-copy: its accessors read the live arrays, which the engine does
        not touch until [plan] returns. *)
-    let kills = Round.plan lg adversary (Round.view e.viewer ~round) in
+    let kills = Round.plan lg adversary (Round.view (Lazy.force e.viewer) ~round) in
     Round.phase_b e kills ~round;
     `Continue
   end

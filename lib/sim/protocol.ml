@@ -68,7 +68,10 @@ type ('state, 'msg) t = {
   bitops : ('state, 'msg) bitops option;
 }
 
-let legacy p = { p with aggregate = None; bitops = None }
+(* The bitops stay: they still prove the message a register word, which
+   the adversary view's register reads need, and without the aggregate
+   the protocol is off Bitkernel anyway. *)
+let legacy p = { p with aggregate = None }
 
 let cohort_capable p =
   match p.aggregate with
@@ -79,6 +82,18 @@ let bitkernel_capable p =
   (* Bitkernel needs the aggregate too: kill rounds fall back to the
      engine's shared-aggregate delivery, never the legacy exchange. *)
   Option.is_some p.bitops && Option.is_some p.aggregate
+
+(* [registers] caps the width at 4, so the 16 register words with no
+   priv tell every register reader apart. *)
+let register_of is_one =
+  let reads r =
+    List.for_all
+      (fun regs -> is_one { regs; priv = 0 } = ((regs lsr r) land 1 = 1))
+      (List.init 16 Fun.id)
+  in
+  match List.filter reads [ 0; 1; 2; 3 ] with
+  | [ r ] -> r
+  | _ -> invalid_arg "Protocol.register_of: not a one-register reader"
 
 (* Deriving phase_b from the aggregate makes the two delivery paths agree
    by construction: the legacy path folds [absorb] over the received array

@@ -221,7 +221,9 @@ type ('state, 'msg) t = {
 
 val legacy : ('state, 'msg) t -> ('state, 'msg) t
 (** [legacy p] is [p] with its aggregate dropped: the engine will run it
-    through the materialized-array exchange. Used by the differential
+    through the materialized-array exchange. Its {!bitops} stay, so the
+    adversary view's register reads still work, but it is no longer
+    {!bitkernel_capable}. Used by the differential
     tests and the hot-path benchmark to compare the two delivery paths. *)
 
 val cohort_capable : ('state, 'msg) t -> bool
@@ -232,6 +234,15 @@ val bitkernel_capable : ('state, 'msg) t -> bool
 (** Whether the protocol declares both {!bitops} and an {!aggregate}, i.e.
     can run on the bit-packed {!Bitkernel} engine (whose kill-round
     fallback uses the aggregate delivery path). *)
+
+val register_of : (word -> bool) -> int
+(** [register_of is_one] is the register [r] that the predicate reads:
+    the one for which [is_one w] is [w]'s register [r] on every word with
+    [priv = 0]. This names, for the view's register reads
+    ({!Adversary.senders}), the vote bit an adversary was handed as a
+    function of the message (SynRan's [bit_of_msg] reads register 0).
+    Raises [Invalid_argument] if the predicate is not a single register's
+    bit. *)
 
 val with_aggregate :
   name:string ->

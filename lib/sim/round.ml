@@ -87,7 +87,7 @@ type ('state, 'msg) viewer = {
   vtmpl : ('state, 'msg) Adversary.view;
 }
 
-let viewer lg ~state ~iter_pending =
+let viewer lg ~state ~count ~iter_senders ~iter_pending =
   {
     vlg = lg;
     vtmpl =
@@ -98,9 +98,49 @@ let viewer lg ~state ~iter_pending =
         budget_left = 0;
         active = (fun i -> active_at lg i);
         state;
+        count;
+        iter_senders;
         iter_pending;
       };
   }
+
+let register (codec : _ Protocol.codec) r =
+  if r < 0 || r >= codec.Protocol.bo_width then
+    invalid_arg (Printf.sprintf "Adversary view: no register %d" r);
+  r
+
+(* [s] as a test on a staged message, [None] for [All]: a register read
+   of a register protocol's word. *)
+let selects (type m) (bitops : (_, m) Protocol.bitops option) s :
+    (m -> bool) option =
+  match (s, bitops) with
+  | Adversary.All, _ -> None
+  | (Ones _ | Zeros _), None ->
+      invalid_arg "Adversary view: register senders need a register protocol"
+  | (Ones r | Zeros r), Some { Protocol.bo_word = Type.Equal; bo_codec; _ } ->
+      let r = register bo_codec r and bit = match s with Ones _ -> 1 | _ -> 0 in
+      Some (fun (m : Protocol.word) -> (m.regs lsr r) land 1 = bit)
+
+(* Loops over the array itself, so the count is a local and [All] calls
+   nothing per process. *)
+let count_staged bitops pending s =
+  let c = ref 0 in
+  (match selects bitops s with
+  | None ->
+      for i = 0 to Array.length pending - 1 do
+        if Option.is_some pending.(i) then incr c
+      done
+  | Some keep ->
+      for i = 0 to Array.length pending - 1 do
+        match pending.(i) with Some m when keep m -> incr c | _ -> ()
+      done);
+  !c
+
+let iter_staged_senders bitops pending s f =
+  let keep = Option.value (selects bitops s) ~default:(fun _ -> true) in
+  for i = 0 to Array.length pending - 1 do
+    match pending.(i) with Some m when keep m -> f i | _ -> ()
+  done
 
 let view v ~round = { v.vtmpl with round; budget_left = budget_left v.vlg }
 
@@ -286,7 +326,9 @@ type ('state, 'msg) scalar = {
   pending : 'msg option array;
   killed : bool array;
   dv : delivery;
-  viewer : ('state, 'msg) viewer;  (* over [states] and [pending] *)
+  viewer : ('state, 'msg) viewer Lazy.t;
+      (* Over [states] and [pending], built by Engine's first step:
+         Bitkernel's copies never read it. *)
 }
 
 let scalar_of protocol lg states =
@@ -306,9 +348,13 @@ let scalar_of protocol lg states =
         cchild = [||];
       };
     viewer =
-      viewer lg
-        ~state:(fun i -> states.(i))
-        ~iter_pending:(iter_staged pending);
+      lazy
+        (let bitops = protocol.Protocol.bitops in
+         viewer lg
+           ~state:(fun i -> states.(i))
+           ~iter_pending:(iter_staged pending)
+           ~count:(count_staged bitops pending)
+           ~iter_senders:(iter_staged_senders bitops pending));
   }
 
 let scalar ~who ?observer ?sink protocol ~inputs ~t ~rng =

@@ -71,13 +71,40 @@ type ('state, 'msg) viewer
 val viewer :
   'msg ledger ->
   state:(int -> 'state) ->
+  count:(Adversary.senders -> int) ->
+  iter_senders:(Adversary.senders -> (int -> unit) -> unit) ->
   iter_pending:((int -> 'msg -> unit) -> unit) ->
   ('state, 'msg) viewer
 (** Close the view's accessors over the ledger and the engine's own state
-    accessor and staged-message walk, which must stay valid for the whole
-    execution. [iter_pending] is the engine's own ascending walk over the
-    staged broadcasts ({!Adversary.view.iter_pending}): it must visit
-    exactly one pid per active process. *)
+    accessor and population reads, which must stay valid for the whole
+    execution. [count], [iter_senders] and [iter_pending] are the engine's
+    own reads of the staged broadcasts ({!Adversary.view}): each walk must
+    visit exactly one pid per selected active process, ascending. *)
+
+val register : 'state Protocol.codec -> int -> int
+(** [register codec r] is [r] if the codec has a register [r], and raises
+    [Invalid_argument] otherwise: the range check of every view's
+    [Ones r]/[Zeros r] read. *)
+
+val count_staged :
+  ('state, 'msg) Protocol.bitops option ->
+  'msg option array ->
+  Adversary.senders ->
+  int
+(** [count_staged bitops pending s]: the view's [count] over a
+    staged-broadcast array ([None] = no broadcast), one pass, with no
+    allocation per process: Engine's, and Cohort's compatibility
+    view's. [bitops] proves the message a register
+    word; without it only [All] is answered. *)
+
+val iter_staged_senders :
+  ('state, 'msg) Protocol.bitops option ->
+  'msg option array ->
+  Adversary.senders ->
+  (int -> unit) ->
+  unit
+(** The view's [iter_senders] over a staged-broadcast array, as
+    {!count_staged}. *)
 
 val view : ('state, 'msg) viewer -> round:int -> ('state, 'msg) Adversary.view
 (** The adversary's view of round [round]: one record, no closure. *)
@@ -159,7 +186,9 @@ type ('state, 'msg) scalar = {
   pending : 'msg option array;  (** This round's staged broadcasts. *)
   killed : bool array;  (** Scratch. *)
   dv : delivery;  (** Scratch, empty until the first kill round. *)
-  viewer : ('state, 'msg) viewer;  (** Reads [states] and [pending]. *)
+  viewer : ('state, 'msg) viewer Lazy.t;
+      (** Reads [states] and [pending]; built on first use, as Bitkernel,
+          whose own view reads its planes, never uses it. *)
 }
 
 val iter_staged : 'msg option array -> (int -> 'msg -> unit) -> unit

@@ -671,11 +671,172 @@ let test_halting_step_allocation () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Band control at the sizes the engines run it at                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Every register read a SynRan view answers. *)
+let synran_selectors =
+  Sim.Adversary.All
+  :: List.concat_map (fun r -> Sim.Adversary.[ Ones r; Zeros r ]) [ 0; 1; 2; 3 ]
+
+(* One run of band control against SynRan at t = n - 1 on [engine], with
+   everything it shows: the outcome; the full event stream, band
+   control's Band events interleaved with the engine's (one sink for
+   both); and per round the view's counts for every register and the
+   adversary stream's next draw before and after the plan. Returns them
+   with the run's packed round count (0 on Engine). *)
+let band_at_scale engine ~config ~inputs ~seed =
+  let n = Array.length inputs in
+  let events = ref [] and reads = ref [] in
+  let sink = Obs.Sink.create (fun ev -> events := ev :: !events) in
+  let band =
+    Core.Lb_adversary.band_control ~config ~sink ~rules
+      ~bit_of_msg:Core.Synran.bit_of_msg ()
+  in
+  let next rng = Prng.Rng.bits64 (Prng.Rng.copy rng) in
+  let adversary =
+    {
+      band with
+      Sim.Adversary.plan =
+        (fun view rng ->
+          let before = next rng in
+          let counts = List.map view.Sim.Adversary.count synran_selectors in
+          let kills = band.Sim.Adversary.plan view rng in
+          reads := (view.Sim.Adversary.round, counts, before, next rng) :: !reads;
+          kills);
+    }
+  in
+  let protocol = Core.Synran.protocol ~rules n and t = n - 1 in
+  let observer = Core.Synran.msg_is_one and rng = Prng.Rng.create seed in
+  let o, packed =
+    match engine with
+    | `Engine ->
+        ( Sim.Engine.run ~observer ~sink ~max_rounds:2000 protocol adversary
+            ~inputs ~t ~rng,
+          0 )
+    | `Bitkernel ->
+        let e = Sim.Bitkernel.start ~observer ~sink protocol ~inputs ~t ~rng in
+        Sim.Bitkernel.run_until e adversary ~max_rounds:2000;
+        (Sim.Bitkernel.outcome e, Sim.Bitkernel.packed_rounds e)
+  in
+  ((o, List.rev !events, List.rev !reads), packed)
+
+(* n = 8192, above the Runner's auto crossover (4096), where
+   [--engine auto] runs band control on Bitkernel: both configurations, on split and on
+   random inputs, must match Engine outcome for outcome, event for event
+   (Band events included), count for count and draw for draw. Each run
+   must cover packed rounds, so the packed counts are what is compared. *)
+let test_band_at_scale () =
+  let n = 8192 in
+  List.iter
+    (fun (cname, config) ->
+      List.iter
+        (fun (iname, inputs, seed) ->
+          let what = Printf.sprintf "%s, %s inputs" cname iname in
+          let (eo, eev, ereads), _ = band_at_scale `Engine ~config ~inputs ~seed in
+          let (bo, bev, breads), packed =
+            band_at_scale `Bitkernel ~config ~inputs ~seed
+          in
+          Alcotest.(check bool) (what ^ ": outcome") true
+            (Test_delivery.outcomes_equal eo bo);
+          Alcotest.(check int) (what ^ ": events") (List.length eev)
+            (List.length bev);
+          Alcotest.(check bool) (what ^ ": event stream") true (eev = bev);
+          Alcotest.(check bool) (what ^ ": counts and draws") true
+            (ereads = breads);
+          Alcotest.(check bool) (what ^ ": packed rounds") true (packed > 0))
+        [
+          ("split", Sim.Runner.input_gen_split ~n (Prng.Rng.create 1), 42);
+          ("random", Sim.Runner.input_gen_random ~n (Prng.Rng.create 2), 7);
+        ])
+    [
+      ("default", Core.Lb_adversary.default_config);
+      ("voting", Core.Lb_adversary.voting_config);
+    ]
+
+(* Minor words one [step] allocates. *)
+let step_words e adversary =
+  let before = Gc.minor_words () in
+  ignore (Sim.Bitkernel.step e adversary);
+  Gc.minor_words () -. before
+
+(* The words of round 1 of SynRan at size [n] under band control, whose
+   Band action is returned with them; the round must run packed. 55% of
+   the inputs are 1, inside the paper rules' flip band [n/2, 6n/10]. *)
+let band_round_words ~n ~t =
+  let inputs = Array.init n (fun i -> if i < 55 * n / 100 then 1 else 0) in
+  let e =
+    Sim.Bitkernel.start (Core.Synran.protocol ~rules n) ~inputs ~t
+      ~rng:(Prng.Rng.create 4)
+  in
+  let action = ref "" in
+  let sink =
+    Obs.Sink.create (function
+      | Obs.Event.Band { action = a; _ } -> action := a
+      | _ -> ())
+  in
+  let band =
+    Core.Lb_adversary.band_control ~sink ~rules
+      ~bit_of_msg:Core.Synran.bit_of_msg ()
+  in
+  let words = step_words e band in
+  Alcotest.(check int) (Printf.sprintf "n=%d: packed" n) 1
+    (Sim.Bitkernel.packed_rounds e);
+  (words, !action)
+
+(* A packed round that band control idles or sits in band on reads two
+   counts and builds nothing per process: it allocates the same words at
+   n = 4096 as at n = 65536. Native only, as above. *)
+let test_band_round_allocation () =
+  if Sys.backend_type = Sys.Native then
+    List.iter
+      (fun (want, t_of) ->
+        let small, a = band_round_words ~n:4096 ~t:(t_of 4096)
+        and large, b = band_round_words ~n:65536 ~t:(t_of 65536) in
+        Alcotest.(check (list string)) (want ^ ": actions") [ want; want ] [ a; b ];
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "%s: n=4096 %.0f words, n=65536 %.0f" want small large)
+          small large)
+      [ ("in-band", fun n -> n - 1); ("idle", fun _ -> 0) ]
+
+(* A packed drip round takes its victim from a sender walk that stops
+   after it, so it allocates within a small constant of a null round: at
+   n = 1024 a per-process list would add thousands of words. Both rounds
+   run on snapshots of one execution, so they see the same coins. *)
+let test_drip_round_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let n = 1024 in
+    let e =
+      Sim.Bitkernel.start (Core.Synran.protocol n)
+        ~inputs:(Prng.Sample.random_bits (Prng.Rng.create 6) n)
+        ~t:(n - 1) ~rng:(Prng.Rng.create 6)
+    in
+    ignore (Sim.Bitkernel.step e Sim.Adversary.null);
+    let a = Sim.Bitkernel.snapshot e and b = Sim.Bitkernel.snapshot e in
+    let null = step_words a Sim.Adversary.null in
+    let drip = step_words b (Baselines.Adversaries.drip ~per_round:1) in
+    Alcotest.(check int) "drip killed one" 1 (Sim.Bitkernel.kills_used b);
+    let packed = Sim.Bitkernel.packed_rounds e + 1 in
+    Alcotest.(check (list int)) "both packed" [ packed; packed ]
+      [ Sim.Bitkernel.packed_rounds a; Sim.Bitkernel.packed_rounds b ];
+    Alcotest.(check bool)
+      (Printf.sprintf "drip %.0f words <= null %.0f + 128" drip null)
+      true
+      (drip <= null +. 128.)
+  end
+
+(* ------------------------------------------------------------------ *)
 (* The view's own iteration                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* [inner], recording each round's [view.iter_pending] walk in [walks]
-   as (round, ascending (pid, msg) pairs), most recent round first. *)
+(* The population reads [recording] takes: every protocol it records is
+   a register protocol at least two registers wide. *)
+let selectors = Sim.Adversary.[ All; Ones 0; Zeros 0; Ones 1; Zeros 1 ]
+
+(* [inner], recording each round's view in [walks] as (round, its
+   [view.iter_pending] walk as ascending (pid, msg) pairs, and for each
+   of [selectors] its [view.count] and its whole [view.iter_senders]
+   walk), most recent round first. *)
 let recording walks inner =
   {
     inner with
@@ -683,7 +844,14 @@ let recording walks inner =
       (fun view rng ->
         let walked = ref [] in
         view.Sim.Adversary.iter_pending (fun i m -> walked := (i, m) :: !walked);
-        walks := (view.Sim.Adversary.round, List.rev !walked) :: !walks;
+        let reads =
+          List.map
+            (fun s ->
+              ( view.Sim.Adversary.count s,
+                Sim.Adversary.first_senders view s max_int ))
+            selectors
+        in
+        walks := (view.Sim.Adversary.round, List.rev !walked, reads) :: !walks;
         inner.Sim.Adversary.plan view rng);
   }
 
@@ -693,11 +861,15 @@ let check_walks what ~oracle walks =
   Alcotest.(check int)
     (what ^ ": rounds walked") (List.length oracle) (List.length walks);
   List.iter2
-    (fun (round, expected) (round', walked) ->
+    (fun (round, expected, expected_reads) (round', walked, reads) ->
       Alcotest.(check int) (what ^ ": round") round round';
       Alcotest.(check bool)
         (Printf.sprintf "%s round %d: walk = engine's staged walk" what round)
-        true (walked = expected))
+        true (walked = expected);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s round %d: counts and sender walks = engine's" what
+           round)
+        true (reads = expected_reads))
     (List.rev oracle) (List.rev walks)
 
 (* Round 1 idles; round 2 silently kills the lowest third of the pids, so
@@ -726,8 +898,9 @@ let view_schedule =
   }
 
 (* On every engine, every view the schedule reads walks exactly its
-   pending messages: the oracle is Engine's walk of its staged array, and
-   Cohort's and Bitkernel's walks must match it pid by pid. On Bitkernel
+   pending messages, and counts and walks its senders exactly: the oracle
+   is Engine's reads of its staged array, and Cohort's and Bitkernel's
+   must match it pid by pid. On Bitkernel
    the run must cover a packed idle round, a packed silent-kill round, the
    partial-delivery round, a plan read unpacked after it (a scalar round
    under a silent plan) and a re-packed round, and still match Engine. *)
@@ -1114,6 +1287,12 @@ let suites =
             `Quick test_fallback_start;
           Alcotest.test_case "packed halting step allocates O(1)" `Quick
             test_halting_step_allocation;
+          Alcotest.test_case "band control at n=8192 = engine" `Quick
+            test_band_at_scale;
+          Alcotest.test_case "packed band-control round allocates O(1)" `Quick
+            test_band_round_allocation;
+          Alcotest.test_case "packed drip round allocates O(1)" `Quick
+            test_drip_round_allocation;
         ] );
     ( "bitkernel.view",
       [

@@ -170,8 +170,7 @@ let test_band_empty_receive_set () =
     Core.Lb_adversary.band_control
       ~config:{ Core.Lb_adversary.default_config with min_active = 0 }
       ~sink ~rules:Core.Onesided.paper
-      ~bit_of_msg:(fun (b : int) -> b)
-      ()
+      ~bit_of_msg:Core.Synran.bit_of_msg ()
   in
   let view =
     {
@@ -181,6 +180,8 @@ let test_band_empty_receive_set () =
       budget_left = 4;
       active = (fun _ -> false);
       state = (fun _ -> ());
+      count = (fun _ -> 0);
+      iter_senders = (fun _ _ -> ());
       iter_pending = (fun _ -> ());
     }
   in
@@ -280,11 +281,12 @@ let test_lower_bound_respected_by_all_adversaries () =
     (Sim.Runner.mean_rounds s >= Core.Theory.lower_bound_rounds ~n ~t:(n - 1))
 
 (* Bursts and the endgame kill the first k senders, found by a walk that
-   stops after them. On every engine's view that walk must equal
-   [take k (active_pids view)] for any k, k >= q included, and every
-   burst or endgame plan must kill exactly that prefix, silently. At
-   n = 400, t = 392 leaves the budget thin enough at the end for the
-   endgame move. *)
+   stops after them. On every engine's view, for every selector, that
+   walk must equal the first k of the staged messages [iter_pending]
+   selects, for any k, k >= q included, and [count] must be their
+   number; every burst or endgame plan must kill exactly the prefix of
+   [active_pids], silently. At n = 400, t = 392 leaves the budget thin
+   enough at the end for the endgame move. *)
 let test_first_senders () =
   let n = 400 and t = 392 in
   let rules = Core.Onesided.paper in
@@ -312,14 +314,41 @@ let test_first_senders () =
         (fun view rng ->
           let active = Sim.Adversary.active_pids view in
           let q = List.length active in
+          let staged = ref [] in
+          view.Sim.Adversary.iter_pending (fun i m -> staged := (i, m) :: !staged);
+          let staged = List.rev !staged in
           List.iter
-            (fun k ->
-              Alcotest.(check (list int))
-                (Printf.sprintf "%s round %d: first %d senders" what
-                   view.Sim.Adversary.round k)
-                (take k active)
-                (Core.Lb_adversary.first_senders view k))
-            [ 0; 1; 2; 62; 63; 64; q - 1; q; q + 1; n + 5 ];
+            (fun (sname, s, keep) ->
+              let selected =
+                List.filter_map
+                  (fun (i, (m : Sim.Protocol.word)) ->
+                    if keep m.regs then Some i else None)
+                  staged
+              in
+              let label =
+                Printf.sprintf "%s round %d %s" what view.Sim.Adversary.round
+                  sname
+              in
+              check_int (label ^ ": count") (List.length selected)
+                (view.Sim.Adversary.count s);
+              List.iter
+                (fun k ->
+                  Alcotest.(check (list int))
+                    (Printf.sprintf "%s: first %d senders" label k)
+                    (take k selected)
+                    (Sim.Adversary.first_senders view s k))
+                [ 0; 1; 2; 62; 63; 64; q - 1; q; q + 1; n + 5 ])
+            [
+              ("all", Sim.Adversary.All, fun _ -> true);
+              ("ones 0", Ones 0, fun r -> r land 1 = 1);
+              ("zeros 0", Zeros 0, fun r -> r land 1 = 0);
+              ("ones 1", Ones 1, fun r -> r land 2 = 2);
+              ("zeros 3", Zeros 3, fun r -> r land 8 = 0);
+            ];
+          Alcotest.(check (list int))
+            (what ^ ": active_pids = the senders")
+            active
+            (List.map fst staged);
           let kills = band.Sim.Adversary.plan view rng in
           if !action = "burst" || !action = "endgame" then begin
             Hashtbl.replace actions !action ();
