@@ -21,7 +21,7 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
   if t < 0 || t > n then invalid_arg "Async.Engine.run: bad budget";
   let crashed = Array.make n false in
   let decisions = Array.make n None in
-  let proc_rngs = Prng.Rng.split_n rng n in
+  let bank = Prng.Rng.Bank.split rng n in
   let sched_rng = Prng.Rng.split rng in
   (* In-flight messages in [pending.(0 .. !count - 1)], ascending by id.
      Ids are issued in send order, so appending keeps the store sorted;
@@ -161,8 +161,10 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
                 incr deliveries;
                 let state', sendlist =
                   protocol.Protocol.on_message states.(dst)
-                    ~sender:m.Scheduler.src m.Scheduler.payload proc_rngs.(dst)
+                    ~sender:m.Scheduler.src m.Scheduler.payload
+                    (Prng.Rng.Bank.load bank dst)
                 in
+                Prng.Rng.Bank.store bank dst;
                 states.(dst) <- state';
                 record_decision dst state' ~step:!steps;
                 enqueue dst sendlist

@@ -21,7 +21,8 @@ type ('state, 'msg) t = {
   on_message :
     'state -> sender:int -> 'msg -> Prng.Rng.t -> 'state * 'msg send list;
       (** React to one delivered message; may consult the process's private
-          coin stream. *)
+          coin stream, which it must not keep after it returns (the engine
+          lends it out of a {!Prng.Rng.Bank}). *)
   decision : 'state -> int option;
       (** Irrevocable once set (the engine enforces this). *)
   coin_flips : 'state -> int;

@@ -74,7 +74,7 @@ let protocol ~rounds ?(default = 0) () =
   if default <> 0 && default <> 1 then invalid_arg "Floodset.protocol: default";
   Sim.Protocol.registers
     ~name:(Printf.sprintf "floodset[r=%d]" rounds)
-    ~init:(fun ~n:_ ~pid:_ ~input ->
+    ~init:(fun ~n:_ ~input ->
       {
         rounds_total = rounds;
         default;

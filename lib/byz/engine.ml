@@ -28,7 +28,7 @@ let run ?(max_rounds = 10_000) ?observer ?(sink = Obs.Sink.null) protocol
   let halted = Array.make n false in
   let decisions = Array.make n None in
   let decision_round = Array.make n (-1) in
-  let proc_rngs = Prng.Rng.split_n rng n in
+  let bank = Prng.Rng.Bank.split rng n in
   let adv_rng = Prng.Rng.split rng in
   let corruptions = ref 0 in
   let round = ref 0 in
@@ -47,14 +47,20 @@ let run ?(max_rounds = 10_000) ?observer ?(sink = Obs.Sink.null) protocol
       let pending = Array.make n None in
       for pid = 0 to n - 1 do
         if active pid then begin
-          let state', m = protocol.Protocol.phase_a states.(pid) proc_rngs.(pid) in
+          let state', m =
+            protocol.Protocol.phase_a states.(pid) (Prng.Rng.Bank.load bank pid)
+          in
+          Prng.Rng.Bank.store bank pid;
           states.(pid) <- state';
           pending.(pid) <- Some m
         end
         else if corrupted.(pid) then begin
           (* Staged default for a corrupted process: its frozen state's
              Phase A output (it no longer updates state). *)
-          let _, m = protocol.Protocol.phase_a states.(pid) proc_rngs.(pid) in
+          let _, m =
+            protocol.Protocol.phase_a states.(pid) (Prng.Rng.Bank.load bank pid)
+          in
+          Prng.Rng.Bank.store bank pid;
           pending.(pid) <- Some m
         end
       done;

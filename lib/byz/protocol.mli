@@ -13,6 +13,8 @@ type ('state, 'msg) t = {
   name : string;
   init : n:int -> pid:int -> input:int -> 'state;
   phase_a : 'state -> Prng.Rng.t -> 'state * 'msg;
+      (** Must not keep its stream after it returns: the engine lends it
+          out of a {!Prng.Rng.Bank}. *)
   phase_b : 'state -> round:int -> received:(int * 'msg) array -> 'state;
       (** [received] holds (sender, message), ascending by sender; exactly
           one message per currently corrupted-or-honest process that chose

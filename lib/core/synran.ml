@@ -251,7 +251,7 @@ let protocol ?(rules = Onesided.paper) ?(coin = Local_flip) n =
   if n < 1 then invalid_arg "Synran.protocol";
   let threshold = switch_threshold ~n in
   let det_rounds = det_stage_rounds ~n in
-  let init ~n:n' ~pid:_ ~input =
+  let init ~n:n' ~input =
     if n' <> n then invalid_arg "Synran.protocol: built for a different n";
     {
       rules;

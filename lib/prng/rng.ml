@@ -6,8 +6,6 @@ let bits64 = Xoshiro256.next
 
 let split = Xoshiro256.split
 
-let split_n g k = Array.init k (fun _ -> split g)
-
 (* Hash (seed, index) into a stream key with two rounds of the SplitMix64
    finalizer, offsetting the index by the golden gamma so that (s, i) and
    (s + 1, i - 1) style collisions cannot occur along the diagonal. *)
@@ -37,12 +35,11 @@ let[@inline] bool g = Xoshiro256.next_high g < 0
 
 let bit g = if bool g then 1 else 0
 
-(* The rejection loop is [Xoshiro256.below], shared with [draw_word]. *)
+(* The rejection loop is [Xoshiro256.below], shared with
+   [Bank.draw_word]. *)
 let int g bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   Xoshiro256.below g bound
-
-let draw_word = Xoshiro256.draw_word
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
@@ -52,3 +49,5 @@ let int_in g lo hi =
 let[@inline] float g = Float.of_int (Xoshiro256.next_high g lsr 10) *. 0x1p-53
 
 let bernoulli g p = if p >= 1.0 then true else if p <= 0.0 then false else float g < p
+
+module Bank = Xoshiro256.Bank

@@ -41,15 +41,26 @@ val next_low : t -> int
 val below : t -> int -> int
 (** [below g bound] is uniform on [0, bound) for [bound >= 1], by rejection
     sampling (no modulo bias); [bound = 1] draws nothing. The one body
-    behind {!Rng.int} and {!draw_word}. *)
-
-val draw_word :
-  t array -> base:int -> mask:int -> coin:bool -> bound:int -> int array -> int
-(** {!Rng.draw_word}, here beside the step it inlines. *)
+    behind {!Rng.int} and {!Bank.draw_word}. *)
 
 val split : t -> t
 (** [split g] is [of_seed (mix (next g))]: a fresh generator keyed by the
     finalized next output of [g]. Advances [g]. *)
+
+(** {!Rng.Bank}, here beside the step its [draw_word] inlines. *)
+module Bank : sig
+  type gen := t
+  type t
+
+  val split : gen -> int -> t
+  val copy : t -> t
+  val reseed : t -> gen -> unit
+  val load : t -> int -> gen
+  val store : t -> int -> unit
+
+  val draw_word :
+    t -> base:int -> mask:int -> coin:bool -> bound:int -> int array -> int
+end
 
 val golden_gamma : int64
 (** SplitMix64's odd increment [0x9E3779B97F4A7C15]; see {!Splitmix64}. *)

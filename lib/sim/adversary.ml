@@ -20,10 +20,10 @@ let fold_runs f acc = function
 type senders = All | Ones of int | Zeros of int
 
 type ('state, 'msg) view = {
-  round : int;
+  mutable round : int;
   n : int;
   t : int;
-  budget_left : int;
+  mutable budget_left : int;
   active : int -> bool;
   state : int -> 'state;
   count : senders -> int;

@@ -67,10 +67,10 @@ type senders =
     [Invalid_argument]. [All] works on every protocol. *)
 
 type ('state, 'msg) view = {
-  round : int;
+  mutable round : int;
   n : int;
   t : int;  (** The adversary's total corruption budget. *)
-  budget_left : int;  (** Kills still available. *)
+  mutable budget_left : int;  (** Kills still available. *)
   active : int -> bool;  (** Alive and not halted: broadcasting this round. *)
   state : int -> 'state;
       (** Post-Phase-A state: the full-information channel, every local
@@ -113,11 +113,15 @@ type ('state, 'msg) view = {
     lets the adversary read before it names its kills. The accessors read
     the engine's own arrays — no per-round copies — and are only valid
     during the [plan] call that received them: the engine mutates the
-    underlying state as soon as [plan] returns. Adversaries that need
-    state beyond their own invocation must copy what they keep (all
+    underlying state as soon as [plan] returns. The record itself is
+    valid only during [plan] too: an engine builds one view per execution
+    and sets its [round] and [budget_left] in place every round, so a
+    view kept past [plan] reads a later round's values. Adversaries that
+    need state beyond their own invocation must copy what they keep (all
     in-tree adversaries extract scalars or fresh lists, which is safe by
-    construction). Exactly the active processes stage a broadcast, so
-    the senders are this round's receivers. *)
+    construction; none keeps the view itself). Exactly the active
+    processes stage a broadcast, so the senders are this round's
+    receivers. *)
 
 val active_pids : ('state, 'msg) view -> int list
 (** Pids with [view.active], ascending: an n-step scan and an

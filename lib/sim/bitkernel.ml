@@ -5,7 +5,7 @@
    fields of every active process are held once in a shared [template].
    A round without a partial delivery executes entirely at word
    granularity: coins and aux draws are drawn word-at-a-time by the
-   PRNG's own kernel ([Prng.Rng.draw_word]), the tallies are carried
+   PRNG's own kernel ([Prng.Rng.Bank.draw_word]), the tallies are carried
    across rounds (see [tallies] below), and the protocol's transition
    ([bo_step]) is a handful of plain plane loops. Silent victims just
    leave the active mask. Rounds whose plan delivers a victim's message
@@ -13,11 +13,15 @@
    states and run Engine's own delivery and commit code
    ([Round.phase_b]), then re-pack when uniformity returns.
 
-   A trial costs only its packed rounds: [start] streams [init] pid by pid
-   straight into the planes, so a uniform start builds no per-process
-   state (the scalar states array is one shared template, stale by
-   contract while packed), and a packed halt is all-or-none, so it pins no
-   final state either. Only a non-uniform [init] starts scalar.
+   A trial costs only its packed rounds: a register protocol's initial
+   state is a function of its input alone ([bo_init]), so [start] builds
+   the two initial states once and packs every process from them. A
+   uniform start builds no per-process object: the streams are one bank
+   (Prng.Rng.Bank), and the scalar states array is one shared template,
+   stale by contract while packed. A packed halt is all-or-none, so it
+   pins no final state either. Only a start whose two initial states
+   disagree on a non-register field starts scalar, its states filled from
+   the same two values.
 
    The scalar half of the state is Engine's record, built by Round's one
    constructor, and every round rule (kill validation, the decision
@@ -258,10 +262,12 @@ let start ?observer ?sink protocol ~inputs ~t ~rng =
   let n = lg.n in
   let nw = Bitwords.words_for n in
   let cd = bo.Protocol.bo_codec in
-  let init pid = protocol.Protocol.init ~n ~pid ~input:inputs.(pid) in
-  (* Active entries are stale while packed, so a packed start backs them
+  (* The two initial states; process [pid]'s is [init.(inputs.(pid))].
+     Active entries are stale while packed, so a packed start backs them
      all with one shared state. *)
-  let sc = Round.scalar_of protocol lg (Array.make n (init 0)) in
+  let init = Array.init 2 (fun input -> bo.Protocol.bo_init ~n ~input) in
+  let init_of pid = init.(inputs.(pid)) in
+  let sc = Round.scalar_of protocol lg (Array.make n (init_of 0)) in
   let planes () = Array.init cd.Protocol.bo_width (fun _ -> Array.make nw 0) in
   let rec e =
     {
@@ -285,11 +291,11 @@ let start ?observer ?sink protocol ~inputs ~t ~rng =
     }
   in
   (* Initial states are usually uniform up to registers (inputs live in
-     register bits), so most runs start packed, straight from [init]. The
-     rest start scalar, with every state built. *)
-  if not (pack e init) then
+     register bits), so most runs start packed, straight from the two
+     initial states. The rest start scalar, every entry one of the two. *)
+  if not (pack e init_of) then
     for pid = 1 to n - 1 do
-      sc.states.(pid) <- init pid
+      sc.states.(pid) <- init_of pid
     done;
   e
 
@@ -312,7 +318,7 @@ let materialize e =
    exactly the scalar loop's draws on every stream. The fresh coin plane
    is the one plane whose tally is recounted. *)
 let packed_phase_a e =
-  let rngs = e.sc.lg.proc_rngs in
+  let bank = e.sc.lg.bank in
   (* draw_word's encoding: bound 0 makes no aux draw. *)
   let bound = Option.value e.cd.Protocol.bo_aux_bound ~default:0 in
   match e.cd.Protocol.bo_coin_reg with
@@ -320,7 +326,8 @@ let packed_phase_a e =
       let plane = e.cur.(r) in
       for w = 0 to e.nw - 1 do
         plane.(w) <-
-          Prng.Rng.draw_word rngs ~base:(w * Bitwords.lanes) ~mask:e.amask.(w)
+          Prng.Rng.Bank.draw_word bank ~base:(w * Bitwords.lanes)
+            ~mask:e.amask.(w)
             ~coin:true ~bound e.priv
       done;
       e.tallies.(r) <- Bitwords.popcount_masked plane e.amask e.nw
@@ -328,7 +335,7 @@ let packed_phase_a e =
       if bound > 0 then
         for w = 0 to e.nw - 1 do
           ignore
-            (Prng.Rng.draw_word rngs ~base:(w * Bitwords.lanes)
+            (Prng.Rng.Bank.draw_word bank ~base:(w * Bitwords.lanes)
                ~mask:e.amask.(w) ~coin:false ~bound e.priv)
         done
 

@@ -5,7 +5,7 @@
     the shared non-register fields in one template state. A round without
     a partial delivery runs entirely at word granularity — coins and the
     aux draw in one pass of the PRNG's word kernel
-    ({!Prng.Rng.draw_word}), per-register tallies carried across rounds
+    ({!Prng.Rng.Bank.draw_word}), per-register tallies carried across rounds
     (set by popcount on packing, then kept up to date by the coin draw,
     the victims' removal and the transition itself), the protocol's
     transition as a handful of plane loops — at O(n / word_size) cost
@@ -20,15 +20,18 @@
     validation, the decision discipline, events and the outcome are the
     round rules all three engines share (DESIGN §5).
 
-    {b A trial costs its packed rounds.} {!start} streams the protocol's
-    [init] pid by pid straight into the planes, so a uniform start builds
-    no per-process state: while packed, the scalar states of active
-    processes are stale by contract, and all of them share one initial
-    state. A packed halt halts every active process at once, so the run
-    is quiescent and nothing reads a halted process's state again: it
-    pins no final state, and the deciders share one [Some v] per value.
-    Only an [init] whose states disagree on a non-register field starts
-    scalar, with every state built, and re-packs once they agree.
+    {b A trial costs its packed rounds.} A register protocol's initial
+    state is a function of (n, input) ({!Protocol.bitops}' [bo_init]), so
+    {!start} builds the input-0 and input-1 states once and packs every
+    process from them: a uniform start builds no per-process object.
+    The per-process streams are one {!Prng.Rng.Bank}, and while packed the
+    scalar states of active processes are stale by contract, all of them
+    one shared initial state. A packed halt halts every active process at
+    once, so the run is quiescent and nothing reads a halted process's
+    state again: it pins no final state, and the deciders share one
+    [Some v] per value. Only a start whose two initial states disagree on
+    a non-register field (under mixed inputs) starts scalar, every entry
+    one of the two states, and re-packs once they agree.
 
     {b Byte-identity:} every observable — outcomes, decision rounds,
     traces, the event stream (Decisions ascending by pid, Kills in plan
@@ -105,15 +108,16 @@ val run :
     the scalar fallback, which re-packs on its own. *)
 
 val snapshot : ('state, 'msg) exec -> ('state, 'msg) exec
-(** Deep copy: {!Engine.snapshot}'s copy of the ledger and the scalar
-    states, plus copies of the planes, the active mask and the carried
-    tallies. Scratch (the transition's double buffers, the aux payloads,
+(** Deep copy: {!Engine.snapshot}'s copy of the ledger (its stream bank
+    one block copy) and the scalar states, plus copies of the planes, the
+    active mask and the carried tallies. Scratch (the transition's double buffers, the aux payloads,
     the staged messages, the kill stamps) is fresh, so nothing mutable is
     shared. The copy replays the same randomness unless {!reseed} is
     called, and its sink is null, as {!Engine.snapshot}'s. *)
 
 val reseed : ('state, 'msg) exec -> Prng.Rng.t -> unit
-(** {!Engine.reseed}: the same splits of the source, in the same order. *)
+(** {!Engine.reseed}: the same splits of the source, in the same order,
+    written over the stream bank in place. *)
 
 (** {2 Inspection} *)
 

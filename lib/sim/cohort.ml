@@ -138,7 +138,7 @@ let step e adversary =
           e.classes
           |> List.concat_map (fun cl ->
                  co.Protocol.c_phase_a cl.cls_state ~members:cl.cls_members
-                   ~rng_of:(fun pid -> lg.proc_rngs.(pid)))
+                   ~bank:lg.bank)
           |> Array.of_list
         in
         let nsubs = Array.length subs in

@@ -103,7 +103,9 @@ val snapshot : ('state, 'msg) exec -> ('state, 'msg) exec
 val reseed : ('state, 'msg) exec -> Prng.Rng.t -> unit
 (** Replace every private stream with fresh splits of the given source, so
     the execution's future coins are resampled — the core operation for
-    estimating decision probabilities by continuation sampling. *)
+    estimating decision probabilities by continuation sampling. The
+    streams are one {!Prng.Rng.Bank}, overwritten in place: a reseed
+    allocates only the adversary's new stream. *)
 
 (** {2 Inspection} — read-only views used by adaptive adversaries and tests. *)
 

@@ -8,10 +8,7 @@ type ('state, 'msg, 'acc) cohort = {
   c_equal : 'state -> 'state -> bool;
   c_hash : 'state -> int;
   c_phase_a :
-    'state ->
-    members:int array ->
-    rng_of:(int -> Prng.Rng.t) ->
-    'state subclass list;
+    'state -> members:int array -> bank:Prng.Rng.Bank.t -> 'state subclass list;
   c_absorb : 'acc -> 'state subclass -> except:(int -> bool) option -> 'acc;
   c_msg : 'state subclass -> int -> 'msg;
 }
@@ -53,6 +50,7 @@ type 'state transition =
 
 type ('state, 'msg) bitops = {
   bo_codec : 'state codec;
+  bo_init : n:int -> input:int -> 'state;
   bo_step : 'state transition;
   bo_word : ('msg, word) Type.eq;
 }
@@ -201,7 +199,7 @@ let registers ~name ~init ~decision ~halted ~hash ~transition codec =
     match codec.bo_aux_bound with None -> 0 | Some b -> Prng.Rng.int rng b
   in
   (* The coin bit first, then the aux draw: the order the kernel's
-     word-level Phase A ([Prng.Rng.draw_word]) keeps on every stream. *)
+     word-level Phase A ([Prng.Rng.Bank.draw_word]) keeps on every stream. *)
   let phase_a s rng =
     match bo_coin_reg with
     | None -> (s, { regs = pack s; priv = draw_aux rng })
@@ -233,16 +231,17 @@ let registers ~name ~init ~decision ~halted ~hash ~transition codec =
   (* A class splits by coin into at most two subclasses (coin 0 first);
      priv payloads stay per member. With neither coin nor aux draw the
      class passes through whole, at O(1). *)
-  let c_phase_a s ~members ~rng_of =
+  let c_phase_a s ~members ~bank =
     if Option.is_none bo_coin_reg && Option.is_none codec.bo_aux_bound then
       [ { sub_state = s; sub_members = members; sub_priv = [||] } ]
     else begin
       let k = Array.length members in
       let coins = Array.make k 0 and privs = Array.make k 0 in
       for i = 0 to k - 1 do
-        let rng = rng_of members.(i) in
+        let rng = Prng.Rng.Bank.load bank members.(i) in
         coins.(i) <- draw_coin rng;
-        privs.(i) <- draw_aux rng
+        privs.(i) <- draw_aux rng;
+        Prng.Rng.Bank.store bank members.(i)
       done;
       let subclass coin =
         let size =
@@ -319,8 +318,11 @@ let registers ~name ~init ~decision ~halted ~hash ~transition codec =
         cohort = Some { c_equal; c_hash = hash; c_phase_a; c_absorb; c_msg };
       }
   in
+  let pid_init ~n ~pid:_ ~input = init ~n ~input in
   {
-    (with_aggregate ~name ~init ~phase_a ~decision ~halted aggregate) with
+    (with_aggregate ~name ~init:pid_init ~phase_a ~decision ~halted aggregate)
+    with
     bitops =
-      Some { bo_codec = codec; bo_step = transition; bo_word = Type.Equal };
+      Some
+        { bo_codec = codec; bo_init = init; bo_step = transition; bo_word = Type.Equal };
   }

@@ -34,13 +34,12 @@ type ('state, 'msg, 'acc) cohort = {
           identical received multisets. *)
   c_hash : 'state -> int;  (** Consistent with [c_equal]. *)
   c_phase_a :
-    'state ->
-    members:int array ->
-    rng_of:(int -> Prng.Rng.t) ->
-    'state subclass list;
+    'state -> members:int array -> bank:Prng.Rng.Bank.t -> 'state subclass list;
       (** Run Phase A for a whole class at once. MUST make exactly the coin
           draws the scalar [phase_a] would: for each pid in [members]
-          (ascending), the same sequence of draws from [rng_of pid]. The
+          (ascending), the same sequence of draws from stream [pid] of
+          [bank], reached through {!Prng.Rng.Bank.load} and written back
+          with {!Prng.Rng.Bank.store} before the next member's. The
           returned subclasses partition [members], each keeping its members
           in ascending order. *)
   c_absorb : 'acc -> 'state subclass -> except:(int -> bool) option -> 'acc;
@@ -168,7 +167,7 @@ type 'state codec = {
           stream is one [Prng.Rng.int rng bound], the message's [priv]
           (e.g. SynRan's leader priority). Data, not a closure, so it
           cannot read the state, and the kernel draws it for a whole word
-          of lanes in the PRNG's own pass ({!Prng.Rng.draw_word}). [None]
+          of lanes in the PRNG's own pass ({!Prng.Rng.Bank.draw_word}). [None]
           when Phase A draws nothing more. Must be at least 1. *)
 }
 (** How a state splits into binary registers and a non-register rest. *)
@@ -183,6 +182,11 @@ type 'state transition =
 
 type ('state, 'msg) bitops = {
   bo_codec : 'state codec;
+  bo_init : n:int -> input:int -> 'state;
+      (** The register protocol's initial state, a function of the
+          population size and the input bit only: {!Bitkernel.start}
+          builds the two initial states once and packs every process from
+          them. The protocol's [init] is this with [pid] ignored. *)
   bo_step : 'state transition;
       (** The protocol's transition, called by {!Bitkernel} on packed
           rounds with the tallies of every active process. *)
@@ -198,7 +202,9 @@ type ('state, 'msg) t = {
   init : n:int -> pid:int -> input:int -> 'state;
       (** Initial state of process [pid] of [n] with the given input bit. *)
   phase_a : 'state -> Prng.Rng.t -> 'state * 'msg;
-      (** Local computation and coin flips; returns the broadcast message. *)
+      (** Local computation and coin flips; returns the broadcast message.
+          Must not keep its stream after it returns: the engines lend it
+          out of a {!Prng.Rng.Bank} (see its load/store contract). *)
   phase_b : 'state -> round:int -> received:(int * 'msg) array -> 'state;
       (** Deliver messages, as (sender, message) pairs sorted by sender.
           The process's own message is always included. Protocols carrying
@@ -258,7 +264,7 @@ val with_aggregate :
 
 val registers :
   name:string ->
-  init:(n:int -> pid:int -> input:int -> 'state) ->
+  init:(n:int -> input:int -> 'state) ->
   decision:('state -> int option) ->
   halted:('state -> bool) ->
   hash:('state -> int) ->
@@ -267,7 +273,10 @@ val registers :
   ('state, word) t
 (** A protocol whose state is binary registers plus a rest shared by every
     process in the same stage, and whose round depends only on the
-    {!tallies}. Everything else is derived from the codec and the one
+    {!tallies}. Its initial state is a function of (n, input) alone: two
+    processes with the same input start in the same state, so the
+    protocol's [init] ignores [pid] and the bitops carry [init] itself
+    ([bo_init]). Everything else is derived from the codec and the one
     transition:
     - [phase_a] draws the coin into [bo_coin_reg], then the aux draw
       under [bo_aux_bound], and broadcasts the {!word};

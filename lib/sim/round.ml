@@ -27,7 +27,7 @@ type 'msg ledger = {
   halted : bool array;
   decisions : int option array;
   decision_round : int array;  (* -1 = undecided *)
-  proc_rngs : Prng.Rng.t array;
+  bank : Prng.Rng.Bank.t;
   mutable adv_rng : Prng.Rng.t;
   mutable round : int;
   mutable kills_used : int;
@@ -48,7 +48,7 @@ let ledger ~who ?observer ?(sink = Obs.Sink.null) ~inputs ~t rng =
   (* The adversary stream splits off the master first, then one stream per
      process: every engine consumes [rng] in this order. *)
   let adv_rng = Prng.Rng.split rng in
-  let proc_rngs = Prng.Rng.split_n rng n in
+  let bank = Prng.Rng.Bank.split rng n in
   {
     n;
     t;
@@ -56,7 +56,7 @@ let ledger ~who ?observer ?(sink = Obs.Sink.null) ~inputs ~t rng =
     halted = Array.make n false;
     decisions = Array.make n None;
     decision_round = Array.make n (-1);
-    proc_rngs;
+    bank;
     adv_rng;
     round = 0;
     kills_used = 0;
@@ -80,17 +80,17 @@ let alive_count lg =
 let budget_left lg = lg.t - lg.kills_used
 
 (* The view's accessors are closures over arrays that live as long as the
-   execution, so they are built once; a round only copies the record with
-   its round and budget. *)
+   execution, so the view is built once; a round only sets its round and
+   budget in place. *)
 type ('state, 'msg) viewer = {
   vlg : 'msg ledger;
-  vtmpl : ('state, 'msg) Adversary.view;
+  vview : ('state, 'msg) Adversary.view;
 }
 
 let viewer lg ~state ~count ~iter_senders ~iter_pending =
   {
     vlg = lg;
-    vtmpl =
+    vview =
       {
         Adversary.round = 0;
         n = lg.n;
@@ -142,7 +142,11 @@ let iter_staged_senders bitops pending s f =
     match pending.(i) with Some m when keep m -> f i | _ -> ()
   done
 
-let view v ~round = { v.vtmpl with round; budget_left = budget_left v.vlg }
+let view v ~round =
+  let view = v.vview in
+  view.round <- round;
+  view.budget_left <- budget_left v.vlg;
+  view
 
 let invalid_kill fmt = Printf.ksprintf (fun s -> raise (Invalid_kill s)) fmt
 
@@ -379,7 +383,7 @@ let snapshot e =
       halted = Array.copy lg.halted;
       decisions = Array.copy lg.decisions;
       decision_round = Array.copy lg.decision_round;
-      proc_rngs = Array.map Prng.Rng.copy lg.proc_rngs;
+      bank = Prng.Rng.Bank.copy lg.bank;
       adv_rng = Prng.Rng.copy lg.adv_rng;
       stamp = [||];
       sink = Obs.Sink.null;
@@ -387,17 +391,19 @@ let snapshot e =
     (Array.copy e.states)
 
 let reseed lg rng =
-  for i = 0 to lg.n - 1 do
-    lg.proc_rngs.(i) <- Prng.Rng.split rng
-  done;
+  Prng.Rng.Bank.reseed lg.bank rng;
   lg.adv_rng <- Prng.Rng.split rng
 
+(* Each process draws from its stream through the bank's scratch, which
+   [phase_a] does not keep (Prng.Rng.Bank's contract). *)
 let phase_a e =
   let lg = e.lg and pending = e.pending in
   Array.fill pending 0 lg.n None;
   for i = 0 to lg.n - 1 do
     if active_at lg i then begin
-      let state', msg = e.protocol.Protocol.phase_a e.states.(i) lg.proc_rngs.(i) in
+      let g = Prng.Rng.Bank.load lg.bank i in
+      let state', msg = e.protocol.Protocol.phase_a e.states.(i) g in
+      Prng.Rng.Bank.store lg.bank i;
       e.states.(i) <- state';
       pending.(i) <- Some msg
     end

@@ -31,7 +31,9 @@ type 'msg ledger = {
   halted : bool array;
   decisions : int option array;
   decision_round : int array;  (** [-1] = undecided. *)
-  proc_rngs : Prng.Rng.t array;
+  bank : Prng.Rng.Bank.t;
+      (** The per-process streams, one block ({!Prng.Rng.Bank}): stream
+          [i] is process [i]'s. *)
   mutable adv_rng : Prng.Rng.t;
   mutable round : int;  (** Rounds executed so far. *)
   mutable kills_used : int;
@@ -55,7 +57,8 @@ val ledger :
   'msg ledger
 (** The {!Engine.start} contract: checks [inputs] and [t] (raising
     [Invalid_argument] prefixed with [who]) and splits the adversary
-    stream off the master before the per-process streams. *)
+    stream off the master before the per-process streams, which it keeps
+    in one bank ({!Prng.Rng.Bank.split}). *)
 
 val active_at : 'msg ledger -> int -> bool
 (** Alive and not halted. *)
@@ -107,7 +110,10 @@ val iter_staged_senders :
     {!count_staged}. *)
 
 val view : ('state, 'msg) viewer -> round:int -> ('state, 'msg) Adversary.view
-(** The adversary's view of round [round]: one record, no closure. *)
+(** The adversary's view of round [round]: the viewer's one record, with
+    its [round] and [budget_left] set in place, so a round allocates
+    nothing for it. It is valid only during the [plan] call it is handed
+    to ({!Adversary.view}). *)
 
 val validate_kills : 'msg ledger -> Adversary.kill list -> int
 (** Check a plan against the model before any of it applies: victims in
@@ -213,16 +219,20 @@ val scalar :
 (** {!ledger}, then {!scalar_of} over every process's initial state. *)
 
 val snapshot : ('state, 'msg) scalar -> ('state, 'msg) scalar
-(** {!Engine.snapshot}: fresh copies of every ledger array and stream, no
+(** {!Engine.snapshot}: fresh copies of every ledger array, the stream
+    bank ({!Prng.Rng.Bank.copy}, one block) and the adversary stream, no
     stamps yet, a null sink, a copy of the states, and fresh scratch and
     view from {!scalar_of}. *)
 
 val reseed : 'msg ledger -> Prng.Rng.t -> unit
 (** {!Engine.reseed}: one fresh split of the source per process, in pid
-    order, then one for the adversary. *)
+    order, written over the bank in place ({!Prng.Rng.Bank.reseed}), then
+    one for the adversary. *)
 
 val phase_a : ('state, 'msg) scalar -> unit
-(** Every active process computes and stages its broadcast. *)
+(** Every active process computes and stages its broadcast, drawing from
+    its stream through the bank's scratch ({!Prng.Rng.Bank.load} before
+    the protocol's [phase_a], {!Prng.Rng.Bank.store} after). *)
 
 val phase_b : ('state, 'msg) scalar -> Adversary.kill list -> round:int -> unit
 (** Deliver the staged broadcasts under a validated plan (the aggregate

@@ -78,10 +78,11 @@ let iter_ones_ascending =
 
 (* The word kernel must consume exactly the scalar per-process draws:
    from each masked stream, ascending, one Rng.bit (when [coin]) and then
-   one Rng.int bound (when bound > 0). Splitting the same parent twice
-   gives two identical stream families to compare against; [base] puts
-   the word at lanes 63..125 of 126 streams. Bounds cover no aux draw
-   (0), the draw-free 1, rejection-heavy ones and SynRan's 10^9. *)
+   one Rng.int bound (when bound > 0). The kernel steps a bank in place;
+   the scalar loop draws from the [Rng.split] oracle of each stream, the
+   master's sequential splits. [base] puts the word at lanes 63..125 of
+   126 streams. Bounds cover no aux draw (0), the draw-free 1,
+   rejection-heavy ones and SynRan's 10^9. *)
 let draw_word_matches_scalar =
   QCheck.Test.make ~name:"draw_word = scalar bit-then-int per process"
     ~count:300
@@ -91,14 +92,15 @@ let draw_word_matches_scalar =
     (fun (seed, mask, coin, bound) ->
       let lanes = Sim.Bitwords.lanes in
       let base = lanes and n = 2 * lanes in
-      let streams1 = Prng.Rng.split_n (Prng.Rng.create seed) n in
-      let streams2 = Prng.Rng.split_n (Prng.Rng.create seed) n in
+      let bank = Prng.Rng.Bank.split (Prng.Rng.create seed) n in
+      let master = Prng.Rng.create seed in
+      let streams = Array.init n (fun _ -> Prng.Rng.split master) in
       let priv1 = Array.make n (-1) and priv2 = Array.make n (-1) in
-      let w = Prng.Rng.draw_word streams1 ~base ~mask ~coin ~bound priv1 in
+      let w = Prng.Rng.Bank.draw_word bank ~base ~mask ~coin ~bound priv1 in
       let scalar = ref 0 in
       for k = 0 to lanes - 1 do
         if (mask lsr k) land 1 = 1 then begin
-          let g = streams2.(base + k) in
+          let g = streams.(base + k) in
           if coin && Prng.Rng.bit g = 1 then scalar := !scalar lor (1 lsl k);
           if bound > 0 then priv2.(base + k) <- Prng.Rng.int g bound
         end
@@ -106,9 +108,10 @@ let draw_word_matches_scalar =
       (* Identical coin word, every priv (untouched lanes included), and
          identical leftover stream state. *)
       w = !scalar && priv1 = priv2
-      && Array.for_all2
-           (fun a b -> Prng.Rng.bits64 a = Prng.Rng.bits64 b)
-           streams1 streams2)
+      && Array.for_all Fun.id
+           (Array.init n (fun i ->
+                Prng.Rng.bits64 (Prng.Rng.Bank.load bank i)
+                = Prng.Rng.bits64 streams.(i))))
 
 (* ------------------------------------------------------------------ *)
 (* Differential suite: Bitkernel vs Engine                             *)
@@ -244,7 +247,7 @@ type swap = { r : int; acc : int; x : bool; y : bool; out : int option }
 
 let not_swap ~rounds =
   Sim.Protocol.registers ~name:"not-swap"
-    ~init:(fun ~n:_ ~pid:_ ~input ->
+    ~init:(fun ~n:_ ~input ->
       { r = 0; acc = 0; x = input = 1; y = false; out = None })
     ~decision:(fun s -> s.out)
     ~halted:(fun s -> Option.is_some s.out)
@@ -530,7 +533,7 @@ let test_leader_among_survivors () =
 (* A register protocol that halts in round 2 without ever deciding. *)
 let halts_undecided =
   Sim.Protocol.registers ~name:"halts-undecided"
-    ~init:(fun ~n:_ ~pid:_ ~input -> (0, input = 1))
+    ~init:(fun ~n:_ ~input -> (0, input = 1))
     ~decision:(fun _ -> None)
     ~halted:(fun (r, _) -> r >= 2)
     ~hash:(fun (r, b) -> (2 * r) + Bool.to_int b)
@@ -570,18 +573,18 @@ let test_check_names_first_survivor () =
          Sim.Bitkernel.run halts_undecided a ~inputs ~t:1
            ~rng:(Prng.Rng.create 1)))
 
-(* A register protocol whose [init] is not uniform: every seventh pid
-   starts with a different [tag], a non-register field, so no shared
-   template covers the population. Round 1 resets every tag, and from
-   round 2 the kernel can re-pack. The rest is [not_swap]'s carried count,
-   so a wrong tally after the re-pack changes the decision. *)
+(* A register protocol whose two initial states are not uniform: the
+   input-1 state carries a different [tag], a non-register field, so under
+   mixed inputs no shared template covers the population. Round 1 resets
+   every tag, and from round 2 the kernel can re-pack. The rest is
+   [not_swap]'s carried count, so a wrong tally after the re-pack changes
+   the decision. *)
 type tagged = { tr : int; tag : int; tacc : int; tx : bool; tout : int option }
 
 let tagged_start ~rounds =
   Sim.Protocol.registers ~name:"tagged-start"
-    ~init:(fun ~n:_ ~pid ~input ->
-      { tr = 0; tag = Bool.to_int (pid mod 7 = 4); tacc = 0; tx = input = 1;
-        tout = None })
+    ~init:(fun ~n:_ ~input ->
+      { tr = 0; tag = 3 * input; tacc = 0; tx = input = 1; tout = None })
     ~decision:(fun s -> s.tout)
     ~halted:(fun s -> Option.is_some s.tout)
     ~hash:(fun s -> Hashtbl.hash (s.tr, s.tag, s.tacc, s.tx, s.tout))
@@ -823,6 +826,67 @@ let test_drip_round_allocation () =
       (Printf.sprintf "drip %.0f words <= null %.0f + 128" drip null)
       true
       (drip <= null +. 128.)
+  end
+
+(* Minor words one [Bitkernel.start] of [protocol] allocates at size [n]
+   on random inputs; the start must pack. *)
+let start_words protocol n =
+  let inputs = Prng.Sample.random_bits (Prng.Rng.create 11) n in
+  let start () =
+    Sim.Bitkernel.start (protocol n) ~inputs ~t:(n - 1) ~rng:(Prng.Rng.create 11)
+  in
+  ignore (start ());
+  let before = Gc.minor_words () in
+  let e = start () in
+  let words = Gc.minor_words () -. before in
+  ignore (Sim.Bitkernel.step e Sim.Adversary.null);
+  Alcotest.(check int) (Printf.sprintf "n=%d: packed start" n) 1
+    (Sim.Bitkernel.packed_rounds e);
+  words
+
+(* A packed start builds the two initial states once and keeps the
+   streams in one bank, so it allocates no per-process object. Its
+   per-process arrays go straight to the major heap; what the minor heap
+   sees is one bound at n = 4096 and at n = 65536 (about 1,000 and 400
+   words: at 4096 the 66-word bit planes are still minor blocks). One
+   state or stream per process would add 20 to 30 words a process. Native
+   only, as above. *)
+let test_start_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let bound = 1536.0 in
+    let check name small large =
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: n=4096 %.0f words, n=65536 %.0f, both < %g" name
+           small large bound)
+        true
+        (small < bound && large < bound)
+    in
+    let synran n = Core.Synran.protocol n
+    and floodset n = Baselines.Floodset.protocol ~rounds:n () in
+    check "synran" (start_words synran 4096) (start_words synran 65536);
+    check "floodset" (start_words floodset 4096) (start_words floodset 65536)
+  end
+
+(* Reseeding a snapshot writes the stream bank in place: at n = 1024 it
+   allocates only the adversary's fresh stream, where one stream per
+   process would cost five words each. The reseeded snapshot then draws
+   what a snapshot reseeded from the same source on Engine draws. *)
+let test_reseed_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let n = 1024 in
+    let protocol = Core.Synran.protocol n in
+    let inputs = Prng.Sample.random_bits (Prng.Rng.create 12) n in
+    let e = Sim.Bitkernel.start protocol ~inputs ~t:(n - 1) ~rng:(Prng.Rng.create 12) in
+    ignore (Sim.Bitkernel.step e Sim.Adversary.null);
+    let c = Sim.Bitkernel.snapshot e in
+    let src = Prng.Rng.create 13 in
+    Sim.Bitkernel.reseed c src;
+    let before = Gc.minor_words () in
+    Sim.Bitkernel.reseed c src;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool)
+      (Printf.sprintf "n=%d: reseed %.0f words < 64" n words)
+      true (words < 64.)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1293,6 +1357,10 @@ let suites =
             test_band_round_allocation;
           Alcotest.test_case "packed drip round allocates O(1)" `Quick
             test_drip_round_allocation;
+          Alcotest.test_case "packed start allocates O(1)" `Quick
+            test_start_allocation;
+          Alcotest.test_case "snapshot reseed allocates no stream per process"
+            `Quick test_reseed_allocation;
         ] );
     ( "bitkernel.view",
       [

@@ -245,10 +245,10 @@ let permutation_invariance ~name ?(count = 40) ~protocol ~n () =
               (fun (st, members) -> (st, Array.of_list (List.rev !members)))
               !classes
           in
-          let rng_of pid = Prng.Rng.of_seed_index ~seed ~index:pid in
+          let bank = Prng.Rng.Bank.split (Prng.Rng.create seed) n in
           let subs =
             List.concat_map
-              (fun (st, members) -> co.c_phase_a st ~members ~rng_of)
+              (fun (st, members) -> co.c_phase_a st ~members ~bank)
               classes
           in
           let permuted =

@@ -140,13 +140,96 @@ let test_rng_nth_split () =
       done)
     [ 0; 7; 42 ]
 
-let test_rng_split_n () =
-  let g = Prng.Rng.create 4 in
-  let streams = Prng.Rng.split_n g 8 in
-  check_int "eight streams" 8 (Array.length streams);
-  let firsts = Array.map Prng.Rng.bits64 streams in
-  let distinct = Array.to_list firsts |> List.sort_uniq compare |> List.length in
-  check_int "all first draws distinct" 8 distinct
+(* --- Bank --------------------------------------------------------------- *)
+
+module Bank = Prng.Rng.Bank
+
+(* Draw [k] of bit, int and float from [g]: the three draw shapes. *)
+let draws g k =
+  List.init k (fun i ->
+      match i mod 3 with
+      | 0 -> float_of_int (Prng.Rng.bit g)
+      | 1 -> float_of_int (Prng.Rng.int g 1_000_003)
+      | _ -> Prng.Rng.float g)
+
+(* Every stream of a bank is the matching sequential [Rng.split] of its
+   master, draw for draw: the streams are visited in a random order and
+   in several bursts, so a [store] that lost a draw, or a [load] of the
+   wrong slot, shows up in a later burst. *)
+let bank_matches_splits =
+  QCheck.Test.make ~name:"bank stream i = i-th Rng.split" ~count:200
+    QCheck.(triple small_int (int_range 1 70) (int_range 1 7))
+    (fun (seed, n, k) ->
+      let bank = Bank.split (Prng.Rng.create seed) n in
+      let master = Prng.Rng.create seed in
+      let oracle = Array.init n (fun _ -> Prng.Rng.split master) in
+      let order = Prng.Sample.permutation (Prng.Rng.create (seed + 1)) n in
+      let ok = ref true in
+      for _ = 1 to 3 do
+        Array.iter
+          (fun i ->
+            let got = draws (Bank.load bank i) k in
+            Bank.store bank i;
+            if got <> draws oracle.(i) k then ok := false)
+          order
+      done;
+      !ok)
+
+(* The first draw of stream [i], without advancing the bank. *)
+let peek bank i = Prng.Rng.bits64 (Bank.load bank i)
+
+let test_bank_copy_shares_nothing () =
+  let n = 9 in
+  let a = Bank.split (Prng.Rng.create 4) n in
+  let before = Array.init n (peek a) in
+  let b = Bank.copy a in
+  Alcotest.(check bool) "copy replays the original" true
+    (Array.init n (peek b) = before);
+  check_bool "scratch not shared" true (Bank.load a 0 != Bank.load b 0);
+  (* Advance every stream of the copy, then reseed it: the original's
+     streams never move. *)
+  for i = 0 to n - 1 do
+    ignore (Prng.Rng.bits64 (Bank.load b i));
+    Bank.store b i
+  done;
+  Bank.reseed b (Prng.Rng.create 5);
+  Alcotest.(check bool) "original untouched" true (Array.init n (peek a) = before);
+  Alcotest.(check bool) "copy moved" false (Array.init n (peek b) = before)
+
+let test_bank_reseed () =
+  let n = 12 in
+  let bank = Bank.split (Prng.Rng.create 6) n in
+  for i = 0 to n - 1 do
+    ignore (Prng.Rng.int (Bank.load bank i) 17);
+    Bank.store bank i
+  done;
+  let src = Prng.Rng.create 8 and fresh = Prng.Rng.create 8 in
+  Bank.reseed bank src;
+  let oracle = Array.init n (fun _ -> Prng.Rng.split fresh) in
+  Array.iteri
+    (fun i g ->
+      Alcotest.(check int64) (Printf.sprintf "stream %d" i) (Prng.Rng.bits64 g)
+        (peek bank i))
+    oracle;
+  (* The source advanced exactly as n splits do. *)
+  Alcotest.(check int64) "source" (Prng.Rng.bits64 fresh) (Prng.Rng.bits64 src)
+
+let test_bank_bounds () =
+  let bank = Bank.split (Prng.Rng.create 1) 3 in
+  let raises name f =
+    check_bool name true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  raises "negative count" (fun () -> ignore (Bank.split (Prng.Rng.create 1) (-1)));
+  raises "load past the end" (fun () -> ignore (Bank.load bank 3));
+  raises "load below 0" (fun () -> ignore (Bank.load bank (-1)));
+  raises "store past the end" (fun () -> Bank.store bank 3);
+  raises "draw_word lane past the end" (fun () ->
+      ignore
+        (Bank.draw_word bank ~base:2 ~mask:0b11 ~coin:true ~bound:0
+           (Array.make 4 0)));
+  raises "load from an empty bank" (fun () ->
+      ignore (Bank.load (Bank.split (Prng.Rng.create 1) 0) 0))
 
 let test_rng_int_in_range () =
   let g = Prng.Rng.create 5 in
@@ -276,11 +359,16 @@ let test_rng_draws_do_not_allocate () =
     under 2.5 "float" (fun () -> ignore (Prng.Rng.float g));
     under 1.0 "bernoulli" (fun () -> ignore (Prng.Rng.bernoulli g 0.3));
     under 12.0 "split" (fun () -> ignore (Prng.Rng.split g));
-    let gs = Prng.Rng.split_n g Sys.int_size and priv = Array.make Sys.int_size 0 in
+    let bank = Bank.split g Sys.int_size and priv = Array.make Sys.int_size 0 in
     under 1.0 "draw_word" (fun () ->
         ignore
-          (Prng.Rng.draw_word gs ~base:0 ~mask:(-1) ~coin:true
-             ~bound:1_000_000_000 priv))
+          (Bank.draw_word bank ~base:0 ~mask:(-1) ~coin:true
+             ~bound:1_000_000_000 priv));
+    under 1.0 "bank load, draw, store" (fun () ->
+        let g = Bank.load bank 5 in
+        ignore (Prng.Rng.int g 1000);
+        Bank.store bank 5);
+    under 1.0 "bank reseed" (fun () -> Bank.reseed bank g)
   end
 
 (* --- Sample ----------------------------------------------------------- *)
@@ -424,7 +512,6 @@ let suites =
       [
         tc "deterministic" test_rng_deterministic;
         tc "split independence" test_rng_split_independent;
-        tc "split_n" test_rng_split_n;
         tc "nth_split = k sequential splits" test_rng_nth_split;
         tc "int range" test_rng_int_in_range;
         tc "int covers range" test_rng_int_covers_small_range;
@@ -437,6 +524,13 @@ let suites =
         tc "bit values" test_rng_bit_values;
         tc "stream pinned" test_rng_stream_pinned;
         tc "draws do not allocate" test_rng_draws_do_not_allocate;
+      ] );
+    ( "prng.bank",
+      [
+        QCheck_alcotest.to_alcotest bank_matches_splits;
+        tc "copy shares nothing" test_bank_copy_shares_nothing;
+        tc "reseed = n fresh splits" test_bank_reseed;
+        tc "bounds" test_bank_bounds;
       ] );
     ( "prng.sample",
       [
