@@ -294,16 +294,27 @@ module type CONTINUES = sig
   val outcome : ('state, 'msg) exec -> Sim.Engine.outcome
 end
 
-(* [inner], recording each round's [view.iter_pending] walk in [walks]
-   as (round, ascending (pid, msg) pairs), most recent round first. *)
-let recording walks inner =
+(* [inner], recording each round's view in [walks], most recent round
+   first, as (round, reads): the [view.count] and whole
+   [view.iter_senders] walk of [All] and of [Ones r] and [Zeros r] at
+   every register r < [width], and the [view.priv] of every sender,
+   ascending. A register protocol's message is its registers plus its
+   priv, so per round that is the whole staged word set. *)
+let recording ~width walks inner =
   {
     inner with
     Sim.Adversary.plan =
       (fun view rng ->
-        let walked = ref [] in
-        view.Sim.Adversary.iter_pending (fun i m -> walked := (i, m) :: !walked);
-        walks := (view.Sim.Adversary.round, List.rev !walked) :: !walks;
+        let read s =
+          ( view.Sim.Adversary.count s,
+            Sim.Adversary.first_senders view s max_int )
+        in
+        let all = read All in
+        let regs =
+          List.init width (fun r -> (read (Ones r), read (Zeros r)))
+        in
+        let privs = List.map view.Sim.Adversary.priv (snd all) in
+        walks := (view.Sim.Adversary.round, (all, regs, privs)) :: !walks;
         inner.Sim.Adversary.plan view rng);
   }
 
@@ -319,6 +330,11 @@ module Continue (E : CONTINUES) = struct
      continuation's outcome and walks, and the copy itself. *)
   let run ~n ~splits =
     let protocol = Core.Synran.protocol n in
+    let width =
+      match protocol.Sim.Protocol.bitops with
+      | Some bo -> bo.Sim.Protocol.bo_codec.Sim.Protocol.bo_width
+      | None -> 0
+    in
     let inputs = Prng.Sample.random_bits (Prng.Rng.create (n + 1)) n in
     let e = E.start protocol ~inputs ~t:(n - 1) ~rng:(Prng.Rng.create n) in
     let drv = voting () in
@@ -332,7 +348,9 @@ module Continue (E : CONTINUES) = struct
             let c = E.snapshot e in
             E.reseed c (Prng.Rng.create ((1000 * split) + i));
             let walks = ref [] in
-            E.run_until c (recording walks (make ())) ~max_rounds:(split + 60);
+            E.run_until c
+              (recording ~width walks (make ()))
+              ~max_rounds:(split + 60);
             (split, policy, (E.outcome c, !walks), c))
           continuation_policies)
       splits

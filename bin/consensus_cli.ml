@@ -27,11 +27,13 @@ let int_at_least lo what =
 
 let positive_int = int_at_least 1
 
-let n_arg =
+let n_arg_with default =
   Arg.(
     value
-    & opt (positive_int "N") 64
+    & opt (positive_int "N") default
     & info [ "n" ] ~docv:"N" ~doc:"Number of processes (must be >= 1).")
+
+let n_arg = n_arg_with 64
 
 let jobs_arg =
   Arg.(
@@ -134,10 +136,10 @@ let t_arg =
     & opt (some int) None
     & info [ "t" ] ~docv:"T" ~doc:"Adversary budget (default n-1).")
 
-(* N and the budget T together: T defaults to [default_t n] and must lie
-   in [0, N], so a bad -t is a usage error instead of an exception from
-   the engine. *)
-let n_t_args ~default_t =
+(* N (read by [n_arg]) and the budget T together: T defaults to
+   [default_t n] and must lie in [0, N], so a bad -t is a usage error
+   instead of an exception from the engine. *)
+let n_t_with n_arg ~default_t =
   let check n t =
     let t = Option.value t ~default:(default_t n) in
     if t < 0 || t > n then
@@ -148,6 +150,8 @@ let n_t_args ~default_t =
     else `Ok (n, t)
   in
   Term.(ret (const check $ n_arg $ t_arg))
+
+let n_t_args = n_t_with n_arg
 
 let trials_arg =
   Arg.(
@@ -227,8 +231,8 @@ let adversary_of_name name ~rules ~n ~t ~seed =
       Core.Lb_adversary.band_control ~config:Core.Lb_adversary.voting_config
         ~rules ~bit_of_msg:Core.Synran.bit_of_msg ()
   | "leader-killer" ->
-      Core.Lb_adversary.leader_killer ~rules ~bit_of_msg:Core.Synran.bit_of_msg
-        ~prio_of_msg:Core.Synran.prio_of_msg ()
+      Core.Lb_adversary.leader_killer ~rules
+        ~bit_of_msg:Core.Synran.bit_of_msg ()
   | other -> generic_adversary_of_name other ~n ~t ~seed
 
 let metrics_out_arg =
@@ -708,7 +712,9 @@ let async_cmd =
   let term =
     Term.(
       const run
-      $ n_t_args ~default_t:(fun n -> (n - 1) / 2)
+      (* Ben-Or's phases grow exponentially in n: at n = 64 every trial
+         runs into the step cap. 8 is E9's largest quick size. *)
+      $ n_t_with (n_arg_with 8) ~default_t:(fun n -> (n - 1) / 2)
       $ seed_arg $ trials_arg $ scheduler_arg)
   in
   Cmd.v

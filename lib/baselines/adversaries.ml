@@ -63,9 +63,10 @@ let static_random ~seed ~n ~budget ~horizon =
     Array.to_list victims
     |> List.map (fun pid -> (Prng.Rng.int_in rng 1 horizon, pid))
   in
-  Adversary.map_name
-    (fun _ -> Printf.sprintf "static-random[b=%d,h=%d]" budget horizon)
-    (static_schedule schedule)
+  {
+    (static_schedule schedule) with
+    Adversary.name = Printf.sprintf "static-random[b=%d,h=%d]" budget horizon;
+  }
 
 let crash_all_at ~round =
   {

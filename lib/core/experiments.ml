@@ -101,7 +101,7 @@ let voting_attack () = band ~config:Lb_adversary.voting_config Onesided.paper ()
 
 let leader_killer () =
   Lb_adversary.leader_killer ~rules:Onesided.paper
-    ~bit_of_msg:Synran.bit_of_msg ~prio_of_msg:Synran.prio_of_msg ()
+    ~bit_of_msg:Synran.bit_of_msg ()
 
 (* ------------------------------------------------------------------ *)
 (* E1: one-round coin-flipping control (Corollary 2.2)                  *)

@@ -568,9 +568,10 @@ let force_long_execution ?(config = default_mc_config) ?(max_rounds = 10_000)
 (* Leader killer                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let leader_killer ?(config = default_config) ~rules ~bit_of_msg ~prio_of_msg ()
-    =
+let leader_killer ?(config = default_config) ~rules ~bit_of_msg () =
   Onesided.validate rules;
+  let vote = Sim.Protocol.register_of (fun m -> bit_of_msg m = 1) in
+  let ones = Sim.Adversary.Ones vote and zeros = Sim.Adversary.Zeros vote in
   (* Conservative per-round delivered-count estimates (min and max over
      receivers); exact per-receiver tracking is unnecessary because the
      attack only needs the flip band's rough position. *)
@@ -581,13 +582,9 @@ let leader_killer ?(config = default_config) ~rules ~bit_of_msg ~prio_of_msg ()
       np_min := n;
       np_max := n
     end;
-    (* The senders are exactly the receivers, ascending. *)
-    let senders = ref [] in
-    view.Sim.Adversary.iter_pending (fun pid m ->
-        senders := (pid, bit_of_msg m, prio_of_msg m) :: !senders);
-    let senders = List.rev !senders in
-    let q = List.length senders in
-    let o = List.fold_left (fun acc (_, b, _) -> acc + b) 0 senders in
+    (* The senders are exactly the receivers. *)
+    let q = view.Sim.Adversary.count All in
+    let o = view.Sim.Adversary.count ones in
     let budget = view.Sim.Adversary.budget_left in
     let update_np kills =
       np_max := q - (kills / 2);
@@ -615,45 +612,53 @@ let leader_killer ?(config = default_config) ~rules ~bit_of_msg ~prio_of_msg ()
            priority prefix down to the first dissenting bit and deliver the
            victims' messages to a protected set S sized so that next
            round's 1-count lands mid-band: S adopts the top leader's bit,
-           everyone else adopts the first survivor's. *)
-        let sorted =
-          List.sort
-            (fun (p1, _, r1) (p2, _, r2) ->
-              let c = Int.compare r2 r1 in
-              if c <> 0 then c else Int.compare p2 p1)
-            senders
+           everyone else adopts the first survivor's. Senders rank by
+           (priv, pid), highest first; one pass over the two vote classes
+           finds each one's leader, and the lower of the two is the first
+           dissenter. *)
+        let priv = view.Sim.Adversary.priv in
+        let rank a b =
+          let c = Int.compare (priv b) (priv a) in
+          if c <> 0 then c else Int.compare b a
         in
-        match sorted with
-        | [] | [ _ ] ->
+        let leader s =
+          let best = ref (-1) in
+          view.Sim.Adversary.iter_senders s (fun i ->
+              if !best < 0 || rank i !best < 0 then best := i);
+          !best
+        in
+        let lead1 = leader ones and lead0 = leader zeros in
+        if lead1 < 0 || lead0 < 0 then begin
+          (* Unanimous proposals: nothing to split. *)
+          update_np 0;
+          []
+        end
+        else begin
+          let top_bit = if rank lead1 lead0 < 0 then 1 else 0 in
+          let dissenter = if top_bit = 1 then lead0 else lead1 in
+          let prefix = ref [] in
+          view.Sim.Adversary.iter_senders
+            (if top_bit = 1 then ones else zeros)
+            (fun i -> if rank i dissenter < 0 then prefix := i :: !prefix);
+          let victims = List.sort rank !prefix in
+          if List.length victims > budget then begin
             update_np 0;
             []
-        | (top_pid, top_bit, _) :: rest ->
-            let rec prefix acc = function
-              | [] -> None
-              | (_, b, _) :: _ when b <> top_bit -> Some (List.rev acc)
-              | (pid, _, _) :: tl -> prefix (pid :: acc) tl
-            in
-            (match prefix [ top_pid ] rest with
-            | None ->
-                (* Unanimous proposals: nothing to split. *)
-                update_np 0;
-                []
-            | Some victims when List.length victims > budget ->
-                update_np 0;
-                []
-            | Some victims ->
-                let target_ones = 11 * q / 20 in
-                let s_size =
-                  if top_bit = 1 then target_ones else q - target_ones
-                in
-                let s_size = Stdlib.max 1 (Stdlib.min (q - 1) s_size) in
-                let shuffled =
-                  Array.of_list (List.map (fun (pid, _, _) -> pid) senders)
-                in
-                Prng.Sample.shuffle rng shuffled;
-                let s = Array.to_list (Array.sub shuffled 0 s_size) in
-                update_np (List.length victims);
-                Sim.Adversary.kill_group victims ~recipients:s)
+          end
+          else begin
+            let target_ones = 11 * q / 20 in
+            let s_size = if top_bit = 1 then target_ones else q - target_ones in
+            let s_size = Stdlib.max 1 (Stdlib.min (q - 1) s_size) in
+            let shuffled = Array.make q 0 and k = ref 0 in
+            view.Sim.Adversary.iter_senders All (fun i ->
+                shuffled.(!k) <- i;
+                incr k);
+            Prng.Sample.shuffle rng shuffled;
+            update_np (List.length victims);
+            Sim.Adversary.kill_group victims
+              ~recipients:(List.init s_size (Array.get shuffled))
+          end
+        end
       end
     end
   in

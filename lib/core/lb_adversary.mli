@@ -157,10 +157,9 @@ val force_long_execution :
 val leader_killer :
   ?config:config ->
   rules:Onesided.rules ->
-  bit_of_msg:('msg -> int) ->
-  prio_of_msg:('msg -> int) ->
+  bit_of_msg:(Sim.Protocol.word -> int) ->
   unit ->
-  ('state, 'msg) Sim.Adversary.t
+  ('state, Sim.Protocol.word) Sim.Adversary.t
 (** The dictator-game attack on {!Synran.Leader_priority}: each round, kill
     the priority-prefix of senders down to the first dissenting bit
     (usually one or two processes) and deliver their messages only to a
@@ -168,6 +167,11 @@ val leader_killer :
     leader coin is a one-round dictator game (Section 2), so O(1) kills per
     round control it completely — the protocol stalls for ~t/2 rounds,
     versus the Theta(sqrt(n log n)) per-round price of attacking the
-    paper's majority-style local coin. Reads the senders through one walk
-    of [view.iter_pending] and kills the prefix as one
-    {!Sim.Adversary.kill_group}. Stateful per run like {!band_control}. *)
+    paper's majority-style local coin. Against a register protocol, as
+    {!band_control}: [bit_of_msg] is the vote register's reader, and a
+    sender's priority is its [view.priv]. It reads the counts of the
+    vote classes, finds each class's top sender in one walk of both,
+    sorts only the senders ranked above the first dissenter, and kills
+    them as one {!Sim.Adversary.kill_group}; the protected subset is a
+    shuffle of every sender. It builds no message. Stateful per run like
+    {!band_control}. *)

@@ -38,8 +38,6 @@ let det_stage_rounds ~n =
 
 let bit_of_msg (m : msg) = m.regs land 1
 
-let prio_of_msg (m : msg) = m.priv
-
 let msg_is_one m = bit_of_msg m = 1
 
 let stage_name s =

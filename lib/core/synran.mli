@@ -67,9 +67,6 @@ val bit_of_msg : msg -> int
 (** The proposal bit a pending message carries — what the adaptive
     adversaries read. *)
 
-val prio_of_msg : msg -> int
-(** This round's leader priority (meaningful under {!Leader_priority}). *)
-
 val msg_is_one : msg -> bool
 (** Trace observer: counts broadcast 1-proposals. *)
 

@@ -25,18 +25,10 @@ type ('state, 'msg) view = {
   t : int;
   mutable budget_left : int;
   active : int -> bool;
-  state : int -> 'state;
   count : senders -> int;
   iter_senders : senders -> (int -> unit) -> unit;
-  iter_pending : (int -> 'msg -> unit) -> unit;
+  priv : int -> int;
 }
-
-let active_pids v =
-  let acc = ref [] in
-  for i = v.n - 1 downto 0 do
-    if v.active i then acc := i :: !acc
-  done;
-  !acc
 
 (* Raised by [first_senders]'s own walk only, and caught around it: a
    module-level exception, so a call allocates no constructor. *)
@@ -53,11 +45,11 @@ let first_senders v s k =
      with Enough -> ());
   List.rev !acc
 
+let active_pids v = first_senders v All (v.count All)
+
 type ('state, 'msg) t = {
   name : string;
   plan : ('state, 'msg) view -> Prng.Rng.t -> kill list;
 }
 
 let null = { name = "null"; plan = (fun _ _ -> []) }
-
-let map_name f a = { a with name = f a.name }

@@ -1,9 +1,12 @@
 (** The adversary interface: the fail-stop, adaptive, full-information,
     computationally unbounded adversary of Section 3.1.
 
-    After every Phase A the adversary observes {e everything} — all local
-    states (including this round's coin flips) and all pending messages —
-    and picks a set of processes to fail during the message-exchange phase.
+    After every Phase A the paper's adversary observes {e everything} —
+    all local states (including this round's coin flips) and all pending
+    messages — and picks a set of processes to fail during the
+    message-exchange phase. The {!view} shows every pending message in
+    full (a register protocol's message is its register bits plus its
+    [priv]), not arbitrary states: the substitution DESIGN §2 records.
     For each victim it also chooses which recipients still receive the
     victim's final message (partial send). A victim is dead from the next
     round on and sends nothing further. *)
@@ -72,10 +75,6 @@ type ('state, 'msg) view = {
   t : int;  (** The adversary's total corruption budget. *)
   mutable budget_left : int;  (** Kills still available. *)
   active : int -> bool;  (** Alive and not halted: broadcasting this round. *)
-  state : int -> 'state;
-      (** Post-Phase-A state: the full-information channel, every local
-          state this round's coins included. Entries for inactive
-          processes are stale. *)
   count : senders -> int;
       (** [count s] is the number of staged broadcasts [s] selects;
           [count All] is the number of active processes. No per-process
@@ -95,23 +94,21 @@ type ('state, 'msg) view = {
           compatibility view walk their staged array (O(n) reads). An
           adversary that stops early raises out of [f] with its own
           exception. *)
-  iter_pending : (int -> 'msg -> unit) -> unit;
-      (** [iter_pending f] calls [f pid msg] for every staged broadcast,
-          ascending by pid: the message each active process is about to
-          send, one per active process. The walk for adversaries that
-          read more of a message than its registers (a leader's
-          priority, say): Engine and Bitkernel's unpacked rounds hand out
-          the staged messages themselves (O(n) reads); Bitkernel's
-          packed rounds walk the active mask like [iter_senders] but
-          rebuild each lane's message as a fresh record (3 words), so a
-          packed walk allocates O(active) words; Cohort's compatibility
-          view walks the staged array it rebuilds for the round. An
-          adversary that stops early raises out of [f] with its own
-          exception. *)
+  priv : int -> int;
+      (** [priv pid] is the private payload of sender [pid]'s staged
+          register {!Protocol.word} (SynRan's leader priority, say): one
+          O(1) read on every engine, from Bitkernel's per-lane payload
+          array on packed rounds and from the staged message otherwise,
+          allocating nothing. Like [Ones r]/[Zeros r] it needs a register
+          protocol, and it raises [Invalid_argument] on any other; a
+          [pid] that stages no broadcast this round raises too. *)
 }
 (** A zero-copy window onto the execution after Phase A: what Section 3.1
-    lets the adversary read before it names its kills. The accessors read
-    the engine's own arrays — no per-round copies — and are only valid
+    lets the adversary read before it names its kills. Every staged
+    broadcast is visible: a register protocol's message is its register
+    bits, which [count] and [iter_senders] read by population, plus its
+    [priv]. The accessors read the engine's own arrays — no per-round
+    copies, and no engine builds a message for them — and are only valid
     during the [plan] call that received them: the engine mutates the
     underlying state as soon as [plan] returns. The record itself is
     valid only during [plan] too: an engine builds one view per execution
@@ -121,16 +118,22 @@ type ('state, 'msg) view = {
     in-tree adversaries extract scalars or fresh lists, which is safe by
     construction; none keeps the view itself). Exactly the active
     processes stage a broadcast, so the senders are this round's
-    receivers. *)
+    receivers.
 
-val active_pids : ('state, 'msg) view -> int list
-(** Pids with [view.active], ascending: an n-step scan and an
-    O(active) list. *)
+    Both type parameters are phantom: no read returns a state or a
+    message. They stay so that an adversary's type still names the
+    protocol it plans against, and every annotation of
+    [('state, 'msg) t] keeps its arity. *)
 
 val first_senders : ('state, 'msg) view -> senders -> int -> int list
 (** [first_senders view s k] is the first [k] pids of
     [view.iter_senders s], ascending (all of them when [k] exceeds their
     number), from a walk that stops at the [k]-th. *)
+
+val active_pids : ('state, 'msg) view -> int list
+(** The senders, ascending: [first_senders view All (view.count All)],
+    O(active + n/63) on Bitkernel's packed rounds and O(n) reads on the
+    others, plus the O(active) list. *)
 
 type ('state, 'msg) t = {
   name : string;
@@ -142,5 +145,3 @@ type ('state, 'msg) t = {
 
 val null : ('state, 'msg) t
 (** The adversary that never fails anyone. *)
-
-val map_name : (string -> string) -> ('state, 'msg) t -> ('state, 'msg) t

@@ -81,8 +81,6 @@ let regs_at e i =
   done;
   !bits
 
-let unpack_at e i = e.cd.Protocol.bo_unpack e.template (regs_at e i)
-
 (* Process i's message this round: its post-Phase-A registers and priv. *)
 let msg_at (type s m) (e : (s, m) exec) i : m =
   match e.bo.Protocol.bo_word with
@@ -174,12 +172,6 @@ let pack e state_of =
 (* Re-enter packed mode after a scalar round if uniformity has returned. *)
 let try_pack e = if not e.packed then ignore (pack e (Array.get e.sc.states))
 
-(* The adversary's per-pid state read: a packed active process is rebuilt
-   from template + planes on demand. *)
-let state_at e i =
-  if e.packed && Round.active_at e.sc.lg i then unpack_at e i
-  else e.sc.states.(i)
-
 (* The view's population reads on a packed round. Every active process
    stages a broadcast, so the senders are [amask]: [count] reads the
    carried counts, which are exact at plan time ([packed_phase_a] has
@@ -204,47 +196,21 @@ let packed_senders e s f =
           (amask.(w) land (plane.(w) lxor flip))
       done
 
-(* The adversary's walk over the staged messages, ascending. Packed, it
-   walks [amask] as [packed_senders] does and rebuilds each lane's
-   message from the plane words loaded once per word: one fresh record
-   per lane. [Protocol.registers] caps [bo_width] at 4, so four words
-   cover every plane; absent ones read as 0. *)
-let iter_pending (type s m) (e : (s, m) exec) (f : int -> m -> unit) =
-  if not e.packed then Round.iter_staged e.sc.pending f
-  else
-    match e.bo.Protocol.bo_word with
-    | Type.Equal ->
-        let width = e.cd.Protocol.bo_width and cur = e.cur and priv = e.priv in
-        for w = 0 to e.nw - 1 do
-          let m = ref e.amask.(w) in
-          if !m <> 0 then begin
-            let word r = if r < width then cur.(r).(w) else 0 in
-            let p0 = word 0 and p1 = word 1 and p2 = word 2 and p3 = word 3 in
-            let base = w * Bitwords.lanes in
-            while !m <> 0 do
-              let bit = !m land - !m in
-              let lane = Bitwords.popcount (bit - 1) in
-              let regs =
-                ((p0 lsr lane) land 1)
-                lor (((p1 lsr lane) land 1) lsl 1)
-                lor (((p2 lsr lane) land 1) lsl 2)
-                lor (((p3 lsr lane) land 1) lsl 3)
-              in
-              f (base + lane) { Protocol.regs; priv = priv.(base + lane) };
-              m := !m lxor bit
-            done
-          end
-        done
+(* A packed sender's [priv] is its lane's payload, drawn in Phase A. *)
+let packed_priv e i =
+  if Bitwords.get e.amask i then e.priv.(i) else Round.no_broadcast i
 
 (* Unpacked, the reads are Engine's, over the staged array. *)
 let viewer_of e =
   let bitops = e.sc.protocol.Protocol.bitops and pending = e.sc.pending in
-  Round.viewer e.sc.lg ~state:(state_at e) ~iter_pending:(iter_pending e)
+  Round.viewer e.sc.lg
     ~count:(fun s ->
       if e.packed then packed_count e s else Round.count_staged bitops pending s)
     ~iter_senders:(fun s f ->
       if e.packed then packed_senders e s f
       else Round.iter_staged_senders bitops pending s f)
+    ~priv:(fun i ->
+      if e.packed then packed_priv e i else Round.priv_staged bitops pending i)
 
 let start ?observer ?sink protocol ~inputs ~t ~rng =
   let refuse what =
@@ -308,7 +274,7 @@ let materialize e =
     let pending = e.sc.pending in
     Array.fill pending 0 e.sc.lg.n None;
     Bitwords.iter_ones e.amask e.nw (fun i ->
-        e.sc.states.(i) <- unpack_at e i;
+        e.sc.states.(i) <- e.cd.Protocol.bo_unpack e.template (regs_at e i);
         pending.(i) <- Some (msg_at e i));
     e.packed <- false
   end

@@ -40,12 +40,12 @@
     identical to running the same protocol, adversary, inputs and rng
     through {!Engine}. The [bitkernel.differential] test suite and the
     bench smoke gate enforce this. Unlike {!Cohort}, the adversary view
-    is the plain per-process {!Adversary.view} with full state access
-    (packed states are unpacked on demand), so any concrete adversary —
-    including adaptive ones — runs unchanged. On a packed round the
-    view's [count] reads the carried active count and tallies in O(1),
-    and [iter_senders] walks the active mask word by word, building no
-    message; only [iter_pending] rebuilds each lane's message.
+    is the plain per-process {!Adversary.view}, so any concrete
+    adversary — including adaptive ones — runs unchanged. On a packed
+    round it reads the kernel's own words and builds no message: [count]
+    reads the carried active count and tallies in O(1), [iter_senders]
+    walks the active mask word by word, and [priv] reads the lane's
+    payload.
 
     Protocols built by {!Protocol.registers} carry the {!Protocol.bitops}
     and the aggregate (used on kill rounds) it needs; {!start} refuses

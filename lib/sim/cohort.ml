@@ -194,18 +194,12 @@ let step e adversary =
               adv.Adversary.plan
                 (Round.view ~round
                    (Round.viewer lg
-                      ~state:(fun i ->
-                        match find_member i with
-                        | Some (si, _) -> subs.(si).Protocol.sub_state
-                        | None ->
-                            invalid_arg
-                              "Cohort: state of an inactive process is not retained")
                       ~count:(fun s ->
                         Round.count_staged bitops (Lazy.force pending) s)
                       ~iter_senders:(fun s f ->
                         Round.iter_staged_senders bitops (Lazy.force pending) s f)
-                      ~iter_pending:(fun f ->
-                        Round.iter_staged (Lazy.force pending) f)))
+                      ~priv:(fun i ->
+                        Round.priv_staged bitops (Lazy.force pending) i)))
                 lg.adv_rng
         in
         let nkills = Round.validate_kills lg kills in

@@ -16,10 +16,7 @@
     traces, the event stream, and RNG consumption (per-process streams and
     the adversary stream) — is identical to running the same protocol,
     adversary, inputs and rng through {!Engine}. The [cohort.differential]
-    test suite and the bench smoke gate enforce this. The one deliberate
-    exception: a {!Concrete} adversary's [view.state] accessor raises for
-    inactive processes (the compressed engine does not retain dead/halted
-    states); no adversary in this repository reads them.
+    test suite and the bench smoke gate enforce this.
 
     Protocols without cohort operations ({!Protocol.cohort_capable} false)
     are refused by {!start} — callers fall back to {!Engine}. *)

@@ -87,7 +87,7 @@ type ('state, 'msg) viewer = {
   vview : ('state, 'msg) Adversary.view;
 }
 
-let viewer lg ~state ~count ~iter_senders ~iter_pending =
+let viewer lg ~count ~iter_senders ~priv =
   {
     vlg = lg;
     vview =
@@ -97,12 +97,15 @@ let viewer lg ~state ~count ~iter_senders ~iter_pending =
         t = lg.t;
         budget_left = 0;
         active = (fun i -> active_at lg i);
-        state;
         count;
         iter_senders;
-        iter_pending;
+        priv;
       };
   }
+
+let no_broadcast i =
+  invalid_arg
+    (Printf.sprintf "Adversary view: process %d stages no broadcast" i)
 
 let register (codec : _ Protocol.codec) r =
   if r < 0 || r >= codec.Protocol.bo_width then
@@ -141,6 +144,13 @@ let iter_staged_senders bitops pending s f =
   for i = 0 to Array.length pending - 1 do
     match pending.(i) with Some m when keep m -> f i | _ -> ()
   done
+
+let priv_staged (type m) (bitops : (_, m) Protocol.bitops option)
+    (pending : m option array) i =
+  match bitops with
+  | None -> invalid_arg "Adversary view: priv needs a register protocol"
+  | Some { Protocol.bo_word = Type.Equal; _ } -> (
+      match pending.(i) with Some m -> m.Protocol.priv | None -> no_broadcast i)
 
 let view v ~round =
   let view = v.vview in
@@ -300,11 +310,6 @@ let final_outcome lg ~quiescent =
 
 (* --- Engine's scalar execution ------------------------------------- *)
 
-let iter_staged pending f =
-  for i = 0 to Array.length pending - 1 do
-    match pending.(i) with None -> () | Some m -> f i m
-  done
-
 (* Kill-round delivery scratch: the receiver-class trie. It is allocated
    by the first kill round that needs it and grown on demand, so rounds
    without kills never touch it; contents are dead between rounds.
@@ -331,7 +336,7 @@ type ('state, 'msg) scalar = {
   killed : bool array;
   dv : delivery;
   viewer : ('state, 'msg) viewer Lazy.t;
-      (* Over [states] and [pending], built by Engine's first step:
+      (* Over [pending], built by Engine's first step:
          Bitkernel's copies never read it. *)
 }
 
@@ -355,10 +360,9 @@ let scalar_of protocol lg states =
       lazy
         (let bitops = protocol.Protocol.bitops in
          viewer lg
-           ~state:(fun i -> states.(i))
-           ~iter_pending:(iter_staged pending)
            ~count:(count_staged bitops pending)
-           ~iter_senders:(iter_staged_senders bitops pending));
+           ~iter_senders:(iter_staged_senders bitops pending)
+           ~priv:(priv_staged bitops pending));
   }
 
 let scalar ~who ?observer ?sink protocol ~inputs ~t ~rng =

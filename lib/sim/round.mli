@@ -73,16 +73,19 @@ type ('state, 'msg) viewer
 
 val viewer :
   'msg ledger ->
-  state:(int -> 'state) ->
   count:(Adversary.senders -> int) ->
   iter_senders:(Adversary.senders -> (int -> unit) -> unit) ->
-  iter_pending:((int -> 'msg -> unit) -> unit) ->
+  priv:(int -> int) ->
   ('state, 'msg) viewer
-(** Close the view's accessors over the ledger and the engine's own state
-    accessor and population reads, which must stay valid for the whole
-    execution. [count], [iter_senders] and [iter_pending] are the engine's
-    own reads of the staged broadcasts ({!Adversary.view}): each walk must
-    visit exactly one pid per selected active process, ascending. *)
+(** Close the view's accessors over the ledger and the engine's own reads
+    of the staged broadcasts ({!Adversary.view}), which must stay valid
+    for the whole execution: [count] and [iter_senders] read the
+    population, and each walk must visit exactly one pid per selected
+    active process, ascending; [priv] reads one sender's payload. *)
+
+val no_broadcast : int -> 'a
+(** [no_broadcast pid] raises the [Invalid_argument] of every view's
+    [priv] read of a process that stages nothing this round. *)
 
 val register : 'state Protocol.codec -> int -> int
 (** [register codec r] is [r] if the codec has a register [r], and raises
@@ -108,6 +111,12 @@ val iter_staged_senders :
   unit
 (** The view's [iter_senders] over a staged-broadcast array, as
     {!count_staged}. *)
+
+val priv_staged :
+  ('state, 'msg) Protocol.bitops option -> 'msg option array -> int -> int
+(** The view's [priv] over a staged-broadcast array: the staged word's
+    [priv], O(1). It raises [Invalid_argument] without [bitops], or when
+    the pid's entry is [None]. *)
 
 val view : ('state, 'msg) viewer -> round:int -> ('state, 'msg) Adversary.view
 (** The adversary's view of round [round]: the viewer's one record, with
@@ -193,14 +202,9 @@ type ('state, 'msg) scalar = {
   killed : bool array;  (** Scratch. *)
   dv : delivery;  (** Scratch, empty until the first kill round. *)
   viewer : ('state, 'msg) viewer Lazy.t;
-      (** Reads [states] and [pending]; built on first use, as Bitkernel,
-          whose own view reads its planes, never uses it. *)
+      (** Reads [pending]; built on first use, as Bitkernel, whose own
+          view reads its planes, never uses it. *)
 }
-
-val iter_staged : 'msg option array -> (int -> 'msg -> unit) -> unit
-(** [iter_staged pending f] calls [f pid msg] for every [Some msg] of a
-    staged-broadcast array, ascending: the scalar view's
-    [iter_pending]. *)
 
 val scalar_of :
   ('state, 'msg) Protocol.t -> 'msg ledger -> 'state array -> ('state, 'msg) scalar

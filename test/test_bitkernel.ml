@@ -506,16 +506,13 @@ let kill_leader =
     Sim.Adversary.name = "kill-leader";
     plan =
       (fun view _rng ->
-        let best = ref None in
-        view.Sim.Adversary.iter_pending (fun i m ->
-            let p = Core.Synran.prio_of_msg m in
-            match !best with
-            | Some (bp, _) when bp > p -> ()
-            | _ -> best := Some (p, i));
-        match !best with
-        | Some (_, i) when view.Sim.Adversary.budget_left > 0 ->
-            [ Sim.Adversary.kill_silent i ]
-        | _ -> []);
+        let priv = view.Sim.Adversary.priv and best = ref (-1) in
+        (* Senders ascend, so a priv tie goes to the larger pid. *)
+        view.Sim.Adversary.iter_senders All (fun i ->
+            if !best < 0 || priv i >= priv !best then best := i);
+        if !best >= 0 && view.Sim.Adversary.budget_left > 0 then
+          [ Sim.Adversary.kill_silent !best ]
+        else []);
   }
 
 (* Under Leader_priority the flip reads the leader's bit; with the leader
@@ -893,47 +890,49 @@ let test_reseed_allocation () =
 (* The view's own iteration                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The population reads [recording] takes: every protocol it records is
-   a register protocol at least two registers wide. *)
-let selectors = Sim.Adversary.[ All; Ones 0; Zeros 0; Ones 1; Zeros 1 ]
+(* [protocol]'s register count. *)
+let width_of (protocol : _ Sim.Protocol.t) =
+  match protocol.Sim.Protocol.bitops with
+  | Some bo -> bo.Sim.Protocol.bo_codec.Sim.Protocol.bo_width
+  | None -> 0
 
-(* [inner], recording each round's view in [walks] as (round, its
-   [view.iter_pending] walk as ascending (pid, msg) pairs, and for each
-   of [selectors] its [view.count] and its whole [view.iter_senders]
-   walk), most recent round first. *)
-let recording walks inner =
+(* [inner], recording each round's view in [walks], most recent round
+   first, as (round, reads): the [view.count] and whole
+   [view.iter_senders] walk of [All] and of [Ones r] and [Zeros r] at
+   every register r < [width], and the [view.priv] of every sender,
+   ascending. A register protocol's message is its registers plus its
+   priv, so per round that is the whole staged word set. *)
+let recording ~width walks inner =
   {
     inner with
     Sim.Adversary.plan =
       (fun view rng ->
-        let walked = ref [] in
-        view.Sim.Adversary.iter_pending (fun i m -> walked := (i, m) :: !walked);
-        let reads =
-          List.map
-            (fun s ->
-              ( view.Sim.Adversary.count s,
-                Sim.Adversary.first_senders view s max_int ))
-            selectors
+        let read s =
+          ( view.Sim.Adversary.count s,
+            Sim.Adversary.first_senders view s max_int )
         in
-        walks := (view.Sim.Adversary.round, List.rev !walked, reads) :: !walks;
+        let all = read All in
+        let regs =
+          List.init width (fun r -> (read (Ones r), read (Zeros r)))
+        in
+        let privs = List.map view.Sim.Adversary.priv (snd all) in
+        walks := (view.Sim.Adversary.round, (all, regs, privs)) :: !walks;
         inner.Sim.Adversary.plan view rng);
   }
 
-(* Every round's walk equals the oracle's walk of the same round, pid by
+(* Every round's reads equal the oracle's reads of the same round, pid by
    pid, checked from the first round on. *)
 let check_walks what ~oracle walks =
   Alcotest.(check int)
     (what ^ ": rounds walked") (List.length oracle) (List.length walks);
   List.iter2
-    (fun (round, expected, expected_reads) (round', walked, reads) ->
+    (fun (round, expected) (round', reads) ->
       Alcotest.(check int) (what ^ ": round") round round';
       Alcotest.(check bool)
-        (Printf.sprintf "%s round %d: walk = engine's staged walk" what round)
-        true (walked = expected);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s round %d: counts and sender walks = engine's" what
+        (Printf.sprintf
+           "%s round %d: counts, register walks and privs = engine's" what
            round)
-        true (reads = expected_reads))
+        true (reads = expected))
     (List.rev oracle) (List.rev walks)
 
 (* Round 1 idles; round 2 silently kills the lowest third of the pids, so
@@ -961,10 +960,11 @@ let view_schedule =
         | _ -> []);
   }
 
-(* On every engine, every view the schedule reads walks exactly its
-   pending messages, and counts and walks its senders exactly: the oracle
-   is Engine's reads of its staged array, and Cohort's and Bitkernel's
-   must match it pid by pid. On Bitkernel
+(* On every engine, every view the schedule reads shows exactly its
+   staged words: it counts and walks the senders of every register
+   exactly and reads every sender's priv. The oracle is Engine's reads of
+   its staged array, and Cohort's and Bitkernel's must match it pid by
+   pid. On Bitkernel
    the run must cover a packed idle round, a packed silent-kill round, the
    partial-delivery round, a plan read unpacked after it (a scalar round
    under a silent plan) and a re-packed round, and still match Engine. *)
@@ -975,6 +975,7 @@ let test_view_iteration () =
       let inputs = Prng.Sample.random_bits (Prng.Rng.create 5) n in
       let rng () = Prng.Rng.create 9 in
       let what engine = Printf.sprintf "%s n=%d" engine n in
+      let recording = recording ~width:(width_of protocol) in
       let oracle = ref [] in
       let concrete =
         Sim.Engine.run ~max_rounds:400 protocol
@@ -1037,6 +1038,150 @@ let test_view_iteration () =
       check_walks (what "bitkernel") ~oracle:!oracle !bit_walks)
     [ 200; 1000 ]
 
+(* Under leader-killer every plan reads each sender's [priv], its
+   Leader_priority priority. Engine's reads are the oracle: Cohort's
+   compatibility view, and Bitkernel on rounds whose plan it reads packed
+   and on rounds it reads unpacked, must read the same senders and the
+   same privs, and end in the same outcome. 55% ones keeps round 1 in the
+   flip band, so the killer acts at once; its partial deliveries split
+   the receivers' delivered counts, a non-register field, so the next
+   plan is read unpacked. A snapshot stepped under the null adversary
+   tells which rounds begin packed. *)
+let test_priv_under_leader_killer () =
+  List.iter
+    (fun (n, max_rounds) ->
+      let protocol = Core.Synran.protocol ~coin:Core.Synran.Leader_priority n in
+      let inputs = Array.init n (fun i -> if i < 55 * n / 100 then 1 else 0) in
+      let t = n - 1 and rng () = Prng.Rng.create 3 in
+      let what engine = Printf.sprintf "%s n=%d" engine n in
+      (* Each round's senders and their privs, most recent round first. *)
+      let privs reads =
+        let inner =
+          Core.Lb_adversary.leader_killer ~rules:Core.Onesided.paper
+            ~bit_of_msg:Core.Synran.bit_of_msg ()
+        in
+        {
+          inner with
+          Sim.Adversary.plan =
+            (fun view rng ->
+              let senders =
+                Array.of_list (Sim.Adversary.first_senders view All max_int)
+              in
+              reads :=
+                (senders, Array.map view.Sim.Adversary.priv senders) :: !reads;
+              inner.Sim.Adversary.plan view rng);
+        }
+      in
+      let oracle = ref [] in
+      let concrete =
+        Sim.Engine.run ~max_rounds protocol (privs oracle) ~inputs ~t
+          ~rng:(rng ())
+      in
+      let cohort_reads = ref [] in
+      let cohort =
+        Sim.Cohort.run ~max_rounds protocol
+          (Sim.Cohort.Concrete (privs cohort_reads))
+          ~inputs ~t ~rng:(rng ())
+      in
+      let e = Sim.Bitkernel.start protocol ~inputs ~t ~rng:(rng ()) in
+      let bit_reads = ref [] and packed = ref 0 and unpacked = ref 0 in
+      let adversary = privs bit_reads in
+      while
+        Sim.Bitkernel.round e < max_rounds
+        &&
+        let probe = Sim.Bitkernel.snapshot e in
+        ignore (Sim.Bitkernel.step probe Sim.Adversary.null);
+        let starts_packed =
+          Sim.Bitkernel.packed_rounds probe > Sim.Bitkernel.packed_rounds e
+        in
+        Sim.Bitkernel.step e adversary = `Continue
+        &&
+        (incr (if starts_packed then packed else unpacked);
+         true)
+      do
+        ()
+      done;
+      Alcotest.(check bool)
+        (what "some priv is non-zero") true
+        (List.exists (fun (_, p) -> Array.exists (fun x -> x <> 0) p) !oracle);
+      Alcotest.(check bool) (what "plans read packed") true (!packed > 0);
+      Alcotest.(check bool) (what "plans read unpacked") true (!unpacked > 0);
+      List.iter
+        (fun (engine, o, reads) ->
+          Alcotest.(check bool)
+            (what (engine ^ " = engine")) true
+            (Test_delivery.outcomes_equal concrete o);
+          Alcotest.(check int)
+            (what (engine ^ ": rounds read")) (List.length !oracle)
+            (List.length reads);
+          List.iteri
+            (fun i (expected, got) ->
+              Alcotest.(check bool)
+                (what (Printf.sprintf "%s read %d: senders and privs" engine i))
+                true (expected = got))
+            (List.combine (List.rev !oracle) (List.rev reads)))
+        [
+          ("cohort", cohort, !cohort_reads);
+          ("bitkernel", Sim.Bitkernel.outcome e, !bit_reads);
+        ])
+    [ (64, 400); (8192, 40) ]
+
+(* [priv] reads a sender's register word: every engine refuses a pid
+   that stages nothing this round (pid 0, killed silently in round 1, so
+   Bitkernel's round 2 is packed), and a protocol without bitops. *)
+let test_priv_refusals () =
+  let raises f =
+    try
+      ignore (f ());
+      false
+    with Invalid_argument _ -> true
+  in
+  let refused = ref [] in
+  let probe =
+    {
+      Sim.Adversary.name = "priv-probe";
+      plan =
+        (fun view _ ->
+          match view.Sim.Adversary.round with
+          | 1 -> [ Sim.Adversary.kill_silent 0 ]
+          | 2 ->
+              let r = raises (fun () -> view.Sim.Adversary.priv 0) in
+              refused := r :: !refused;
+              []
+          | _ -> []);
+    }
+  in
+  let n = 64 in
+  let protocol = Core.Synran.protocol n in
+  let inputs = Prng.Sample.random_bits (Prng.Rng.create 1) n in
+  let rng () = Prng.Rng.create 2 in
+  ignore
+    (Sim.Engine.run ~max_rounds:2 protocol probe ~inputs ~t:1 ~rng:(rng ()));
+  let e = Sim.Bitkernel.start protocol ~inputs ~t:1 ~rng:(rng ()) in
+  Sim.Bitkernel.run_until e probe ~max_rounds:2;
+  ignore
+    (Sim.Cohort.run ~max_rounds:2 protocol (Sim.Cohort.Concrete probe) ~inputs
+       ~t:1 ~rng:(rng ()));
+  Alcotest.(check int)
+    "bitkernel's round 2 packed" 2
+    (Sim.Bitkernel.packed_rounds e);
+  Alcotest.(check (list bool))
+    "engine, bitkernel and cohort refuse a non-sender" [ true; true; true ]
+    !refused;
+  let no_bitops = ref false in
+  ignore
+    (Sim.Engine.run ~max_rounds:1
+       (Baselines.Early_stop.protocol ~rounds:3 ())
+       {
+         Sim.Adversary.name = "priv-probe";
+         plan =
+           (fun view _ ->
+             no_bitops := raises (fun () -> view.Sim.Adversary.priv 0);
+             []);
+       }
+       ~inputs:(Array.make 4 1) ~t:0 ~rng:(rng ()));
+  Alcotest.(check bool) "a protocol without bitops is refused" true !no_bitops
+
 (* ------------------------------------------------------------------ *)
 (* Snapshots: Engine's contract on packed state                        *)
 (* ------------------------------------------------------------------ *)
@@ -1080,6 +1225,7 @@ module Script (E : SNAPSHOTS) = struct
     let c = E.snapshot e in
     Option.iter (fun s -> E.reseed c (Prng.Rng.create s)) reseed;
     let we = ref [] and wc = ref [] in
+    let recording = recording ~width:(width_of protocol) in
     let ae = recording we drv and ac = recording wc (copy_adv ()) in
     let live x a = E.round x < 400 && E.step x a = `Continue in
     let rec alternate () =
@@ -1364,8 +1510,12 @@ let suites =
         ] );
     ( "bitkernel.view",
       [
-        Alcotest.test_case "iter_pending walks exactly the pending messages"
+        Alcotest.test_case "register walks and privs match Engine's"
           `Quick test_view_iteration;
+        Alcotest.test_case "priv agrees across engines under leader-killer"
+          `Quick test_priv_under_leader_killer;
+        Alcotest.test_case "priv refuses non-senders and non-register protocols"
+          `Quick test_priv_refusals;
       ] );
     ( "bitkernel.snapshot",
       [

@@ -60,8 +60,7 @@ let synran_adversaries =
     ( "leader-killer",
       fun () ->
         Core.Lb_adversary.leader_killer ~rules
-          ~bit_of_msg:Core.Synran.bit_of_msg
-          ~prio_of_msg:Core.Synran.prio_of_msg () );
+          ~bit_of_msg:Core.Synran.bit_of_msg () );
   ]
 
 (* Message-generic adversaries, usable against protocols of any state/msg
@@ -502,8 +501,7 @@ let shared_tests =
       ~protocol:(Core.Synran.protocol ~coin:Core.Synran.Leader_priority 64)
       ~adversary:(fun _ ->
         Core.Lb_adversary.leader_killer ~rules
-          ~bit_of_msg:Core.Synran.bit_of_msg
-          ~prio_of_msg:Core.Synran.prio_of_msg ())
+          ~bit_of_msg:Core.Synran.bit_of_msg ())
       ~n:64 ();
   ]
 

@@ -179,10 +179,9 @@ let test_band_empty_receive_set () =
       t = 4;
       budget_left = 4;
       active = (fun _ -> false);
-      state = (fun _ -> ());
       count = (fun _ -> 0);
       iter_senders = (fun _ _ -> ());
-      iter_pending = (fun _ -> ());
+      priv = (fun _ -> 0);
     }
   in
   let plan = adversary.Sim.Adversary.plan view (Prng.Rng.create 11) in
@@ -282,11 +281,13 @@ let test_lower_bound_respected_by_all_adversaries () =
 
 (* Bursts and the endgame kill the first k senders, found by a walk that
    stops after them. On every engine's view, for every selector, that
-   walk must equal the first k of the staged messages [iter_pending]
-   selects, for any k, k >= q included, and [count] must be their
-   number; every burst or endgame plan must kill exactly the prefix of
-   [active_pids], silently. At n = 400, t = 392 leaves the budget thin
-   enough at the end for the endgame move. *)
+   walk must equal the first k of the staged words it selects, for any
+   k, k >= q included, and [count] must be their number; every burst or
+   endgame plan must kill exactly the prefix of [active_pids], silently.
+   The staged words are rebuilt apart from the walks under test: the
+   senders are the pids [view.active] admits, and each one's registers
+   are read off the whole [Ones r] walks. At n = 400, t = 392 leaves the
+   budget thin enough at the end for the endgame move. *)
 let test_first_senders () =
   let n = 400 and t = 392 in
   let rules = Core.Onesided.paper in
@@ -314,17 +315,17 @@ let test_first_senders () =
         (fun view rng ->
           let active = Sim.Adversary.active_pids view in
           let q = List.length active in
-          let staged = ref [] in
-          view.Sim.Adversary.iter_pending (fun i m -> staged := (i, m) :: !staged);
-          let staged = List.rev !staged in
+          let regs = Array.make n 0 in
+          for r = 0 to 3 do
+            view.Sim.Adversary.iter_senders (Ones r) (fun i ->
+                regs.(i) <- regs.(i) lor (1 lsl r))
+          done;
+          let senders =
+            List.filter view.Sim.Adversary.active (List.init n Fun.id)
+          in
           List.iter
             (fun (sname, s, keep) ->
-              let selected =
-                List.filter_map
-                  (fun (i, (m : Sim.Protocol.word)) ->
-                    if keep m.regs then Some i else None)
-                  staged
-              in
+              let selected = List.filter (fun i -> keep regs.(i)) senders in
               let label =
                 Printf.sprintf "%s round %d %s" what view.Sim.Adversary.round
                   sname
@@ -347,8 +348,7 @@ let test_first_senders () =
             ];
           Alcotest.(check (list int))
             (what ^ ": active_pids = the senders")
-            active
-            (List.map fst staged);
+            senders active;
           let kills = band.Sim.Adversary.plan view rng in
           if !action = "burst" || !action = "endgame" then begin
             Hashtbl.replace actions !action ();

@@ -517,8 +517,7 @@ let leader_suite =
       let inputs = Sim.Runner.input_gen_random ~n rng in
       let killer =
         Core.Lb_adversary.leader_killer ~rules:Core.Onesided.paper
-          ~bit_of_msg:Core.Synran.bit_of_msg
-          ~prio_of_msg:Core.Synran.prio_of_msg ()
+          ~bit_of_msg:Core.Synran.bit_of_msg ()
       in
       let o = run_leader ~inputs ~t:(n - 1) ~seed killer in
       Sim.Checker.assert_ok ~inputs o;
@@ -549,8 +548,7 @@ let leader_suite =
     let n = 64 in
     let killer () =
       Core.Lb_adversary.leader_killer ~rules:Core.Onesided.paper
-        ~bit_of_msg:Core.Synran.bit_of_msg ~prio_of_msg:Core.Synran.prio_of_msg
-        ()
+        ~bit_of_msg:Core.Synran.bit_of_msg ()
     in
     let run protocol =
       Sim.Runner.run_trials ~max_rounds:3000 ~trials:20 ~seed:9
