@@ -1,4 +1,4 @@
-exception Decision_changed of string
+exception Decision_changed = Sim.Engine.Decision_changed
 exception Invalid_action of string
 
 type outcome = {
@@ -78,26 +78,6 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
   in
   (* Live processes still undecided: the run stops when it reaches 0. *)
   let undecided = ref n in
-  let record_decision pid state ~step =
-    let after = protocol.Protocol.decision state in
-    match (decisions.(pid), after) with
-    | Some v, Some v' when v <> v' ->
-        raise
-          (Decision_changed
-             (Printf.sprintf "process %d changed decision %d -> %d" pid v v'))
-    | Some v, None ->
-        raise
-          (Decision_changed (Printf.sprintf "process %d revoked decision %d" pid v))
-    | None, Some v ->
-        decisions.(pid) <- after;
-        decr undecided;
-        (* Async has no rounds; the step index is the event's timeline. *)
-        if emit_on then
-          Obs.Sink.emit sink
-            (Obs.Event.Decision
-               { engine = Obs.Event.Async; round = step; pid; value = v })
-    | _, after -> decisions.(pid) <- after
-  in
   let steps = ref 0 in
   let continue = ref true in
   while !continue && !steps < max_steps do
@@ -166,7 +146,22 @@ let run (type s m) ?(max_steps = 200_000) ?phase_of ?(sink = Obs.Sink.null)
                 in
                 Prng.Rng.Bank.store bank dst;
                 states.(dst) <- state';
-                record_decision dst state' ~step:!steps;
+                if
+                  Sim.Engine.record_decision decisions dst
+                    (protocol.Protocol.decision state')
+                then begin
+                  decr undecided;
+                  (* Async has no rounds: the step is the event's timeline. *)
+                  if emit_on then
+                    Obs.Sink.emit sink
+                      (Obs.Event.Decision
+                         {
+                           engine = Obs.Event.Async;
+                           round = !steps;
+                           pid = dst;
+                           value = Option.get decisions.(dst);
+                         })
+                end;
                 enqueue dst sendlist
               end)
     end
@@ -249,19 +244,9 @@ let run_trials ?max_steps ?phase_of ?jobs ?capture ?guard ~trials ~seed
         Option.iter (Stats.Welford.add_int s.phases) o.max_phase
       end;
       (* Agreement among all deciders; validity on unanimous inputs. *)
-      let first = ref None in
-      Array.iter
-        (fun d ->
-          match (d, !first) with
-          | Some v, None -> first := Some v
-          | Some v, Some v' when v <> v' ->
-              s.disagreements <- s.disagreements + 1
-          | _ -> ())
-        o.decisions;
-      let v0 = inputs.(0) in
-      if Array.for_all (fun x -> x = v0) inputs then
-        Array.iter
-          (function
-            | Some d when d <> v0 -> s.validity_errors <- s.validity_errors + 1
-            | Some _ | None -> ())
-          o.decisions)
+      let v =
+        Sim.Checker.judge ~inputs o.decisions ~judged:Every
+          ~must_decide:(Except o.crashed) ~rounds:o.steps
+      in
+      if not v.agreement then s.disagreements <- s.disagreements + 1;
+      if not v.validity then s.validity_errors <- s.validity_errors + 1)

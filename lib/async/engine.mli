@@ -7,10 +7,13 @@
     ends when every live process has decided and no further progress is
     needed, when nothing is in flight, or at the step cap.
 
-    As in the synchronous engine, decisions are irrevocable and validated;
-    messages to or from crashed processes evaporate. *)
+    As in the synchronous engine, decisions are irrevocable and validated
+    ({!Sim.Engine.record_decision}); messages to or from crashed processes
+    evaporate. *)
 
 exception Decision_changed of string
+(** {!Sim.Engine.Decision_changed} itself: one exception for every model. *)
+
 exception Invalid_action of string
 
 type outcome = {
@@ -54,8 +57,9 @@ type summary = {
   phases : Stats.Welford.t;
   flips : Stats.Welford.t;
   mutable non_terminating : int;
-  mutable disagreements : int;
+  mutable disagreements : int;  (** Trials whose deciders disagree. *)
   mutable validity_errors : int;
+      (** Unanimous-input trials with a decision other than the input. *)
 }
 (** Also the fold's per-chunk accumulator, hence the mutable counters. *)
 
@@ -73,7 +77,9 @@ val run_trials :
   (unit -> 'msg Scheduler.t) ->
   summary Sim.Runner.folded
 (** Aggregate repeated runs through {!Sim.Runner.fold}, checking agreement
-    and validity on each; [jobs] and [guard] behave as there, and
+    and validity on each ({!Sim.Checker.judge}, every process judged, so
+    a crashed process's decision counts) and counting the trials that
+    fail either; [jobs] and [guard] behave as there, and
     {!Sim.Runner.value} reads the summary all-or-nothing. Trial [i]
     draws from {!Prng.Rng.nth_split}[ ~seed ~index:i] and runs a fresh
     [make_scheduler ()] (schedulers such as the splitter keep per-run

@@ -91,8 +91,8 @@ let drip ~per_round =
         |> List.map Adversary.kill_silent);
   }
 
-let valency_steer ?(margin = 0.15) ~per_round ~msg_is_one () =
-  if margin < 0.0 || margin > 0.5 then invalid_arg "Adversaries.valency_steer";
+let valency_steer ~per_round ~msg_is_one () =
+  let margin = 0.15 in
   if per_round < 0 then invalid_arg "Adversaries.valency_steer: per_round";
   let vote = Protocol.register_of msg_is_one in
   {

@@ -41,7 +41,6 @@ val drip : per_round:int -> ('s, 'm) Sim.Adversary.t
     n/63) on Bitkernel's packed rounds. *)
 
 val valency_steer :
-  ?margin:float ->
   per_round:int ->
   msg_is_one:(Sim.Protocol.word -> bool) ->
   unit ->
@@ -50,7 +49,7 @@ val valency_steer :
     vote is the register [msg_is_one] reads ({!Sim.Protocol.register_of};
     any other predicate raises [Invalid_argument]): whenever the
     fraction of staged one-messages ([view.count]) leaves the central
-    band [0.5 - margin, 0.5 + margin], it kills up to [per_round]
+    band [0.35, 0.65], it kills up to [per_round]
     majority-bit senders, the first ones of [view.iter_senders], each
     with a random partial delivery (recipients drawn from the adversary
     stream). Its kills are adaptive and individuating — the adversary

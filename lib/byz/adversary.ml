@@ -4,10 +4,9 @@ type ('state, 'msg) view = {
   round : int;
   n : int;
   t : int;
+  budget_left : int;
   corrupted : bool array;
-  states : 'state array;
-  pending : 'msg array;
-  decisions : int option array;
+  pending : 'msg option array;
 }
 
 type ('state, 'msg) plan = {
@@ -25,10 +24,6 @@ let honest_plan =
 
 let null = { name = "null"; act = (fun _ _ -> honest_plan) }
 
-let budget_left view =
-  view.t
-  - Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 view.corrupted
-
 let take k l = List.filteri (fun i _ -> i < k) l
 
 let crash_like ~victims =
@@ -44,7 +39,7 @@ let crash_like ~victims =
                    && not view.corrupted.(pid)
                  then Some pid
                  else None)
-          |> take (budget_left view)
+          |> take view.budget_left
         in
         { new_corruptions; behaviour = (fun ~src:_ ~dst:_ -> Silent) });
   }
@@ -61,7 +56,7 @@ let equivocator ?(corrupt_at = 1) ~budget_fraction () =
             let want =
               Stdlib.min
                 (int_of_float (budget_fraction *. float_of_int view.t))
-                (budget_left view)
+                view.budget_left
             in
             List.init view.n Fun.id
             |> List.filter (fun i -> not view.corrupted.(i))

@@ -1,11 +1,11 @@
 (** The Byzantine adversary: adaptive, full-information, computationally
     unbounded, controlling up to [t] corrupted processes.
 
-    After every Phase A it sees all states and pending messages, may
-    corrupt additional processes (up to the budget), and dictates what
-    every corrupted process sends to {e each} recipient this round —
-    including sending nothing (omission) and sending different values to
-    different recipients (equivocation). *)
+    After every Phase A it sees which processes are corrupted and every
+    staged message, may corrupt additional processes (up to the budget),
+    and dictates what every corrupted process sends to {e each} recipient
+    this round — including sending nothing (omission) and sending
+    different values to different recipients (equivocation). *)
 
 type 'msg directive =
   | Honest  (** Deliver the corrupted process's own staged message. *)
@@ -16,11 +16,18 @@ type ('state, 'msg) view = {
   round : int;
   n : int;
   t : int;
+  budget_left : int;  (** [t] minus the corruptions before this round. *)
   corrupted : bool array;
-  states : 'state array;
-  pending : 'msg array;  (** Every process stages a message each round. *)
-  decisions : int option array;
+      (** Who is corrupted; in [behaviour], this round's corruptions too. *)
+  pending : 'msg option array;
+      (** Each staged message: [Some] for every active or corrupted
+          process (a corrupted one's is what {!Honest} delivers), [None]
+          for a halted honest one. *)
 }
+(** [corrupted] and [pending] are read-only windows onto the engine's own
+    arrays, valid during [act] and that round's [behaviour] calls. The
+    view holds no process state; ['state] stays in the type so that an
+    adversary's type still names the protocol it attacks. *)
 
 type ('state, 'msg) plan = {
   new_corruptions : int list;

@@ -95,11 +95,6 @@ let group_corruptor ~group_size () =
     act =
       (fun view _rng ->
         let n = view.Adversary.n in
-        let budget_used =
-          Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0
-            view.Adversary.corrupted
-        in
-        let budget_left = view.Adversary.t - budget_used in
         let g = active_group ~round:view.Adversary.round ~n ~group_size in
         let members =
           List.init n Fun.id
@@ -107,7 +102,8 @@ let group_corruptor ~group_size () =
                  pid / group_size = g && not view.Adversary.corrupted.(pid))
         in
         let new_corruptions =
-          if List.length members <= budget_left then members else []
+          if List.length members <= view.Adversary.budget_left then members
+          else []
         in
         {
           Adversary.new_corruptions;

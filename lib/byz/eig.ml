@@ -108,25 +108,14 @@ let protocol ~t =
     halted = (fun s -> Option.is_some s.decision);
   }
 
-let liar ?(budget_fraction = 1.0) () =
-  if budget_fraction < 0.0 || budget_fraction > 1.0 then
-    invalid_arg "Eig.liar";
+let liar () =
   {
-    Adversary.name = Printf.sprintf "eig-liar[%.2f]" budget_fraction;
+    Adversary.name = "eig-liar[1.00]";
     act =
       (fun view _rng ->
         let new_corruptions =
           if view.Adversary.round = 1 then begin
-            let used =
-              Array.fold_left
-                (fun acc c -> if c then acc + 1 else acc)
-                0 view.Adversary.corrupted
-            in
-            let want =
-              Stdlib.min
-                (int_of_float (budget_fraction *. float_of_int view.Adversary.t))
-                (view.Adversary.t - used)
-            in
+            let want = Stdlib.min view.Adversary.t view.Adversary.budget_left in
             List.init view.Adversary.n Fun.id
             |> List.filter (fun i -> not view.Adversary.corrupted.(i))
             |> List.filteri (fun i _ -> i < want)
@@ -137,17 +126,17 @@ let liar ?(budget_fraction = 1.0) () =
           Adversary.new_corruptions;
           behaviour =
             (fun ~src ~dst ->
-              if dst land 1 = 0 then Adversary.Honest
-              else
-                let m = view.Adversary.pending.(src) in
-                Adversary.Forge
-                  {
-                    m with
-                    values =
-                      Bytes.map
-                        (function
-                          | '\000' -> '\001' | '\001' -> '\000' | c -> c)
-                        m.values;
-                  });
+              match view.Adversary.pending.(src) with
+              | Some m when dst land 1 = 1 ->
+                  Adversary.Forge
+                    {
+                      m with
+                      values =
+                        Bytes.map
+                          (function
+                            | '\000' -> '\001' | '\001' -> '\000' | c -> c)
+                          m.values;
+                    }
+              | Some _ | None -> Adversary.Honest);
         });
   }

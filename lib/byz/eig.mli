@@ -29,11 +29,11 @@ val protocol : t:int -> (state, msg) Protocol.t
     at init, raising [Invalid_argument]). Decides after exactly t+1
     rounds. *)
 
-val liar : ?budget_fraction:float -> unit -> (state, msg) Adversary.t
-(** Corrupts [budget_fraction * t] processes (default all of t) in round 1
-    and has each send every recipient a copy of its staged tree snapshot
-    with all values flipped for odd recipients — relayed, compounding
-    lies. *)
+val liar : unit -> (state, msg) Adversary.t
+(** Corrupts the first [t] processes its budget allows in round 1 and has
+    each send every recipient a copy of its staged tree snapshot
+    ([view.pending]), with all values flipped for odd recipients —
+    relayed, compounding lies. *)
 
 val tree_size : state -> int
 (** Number of stored tree nodes.

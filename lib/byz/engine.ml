@@ -1,6 +1,6 @@
 exception Budget_exceeded of string
 exception Invalid_corruption of string
-exception Decision_changed of string
+exception Decision_changed = Sim.Engine.Decision_changed
 
 type outcome = {
   rounds_executed : int;
@@ -9,11 +9,10 @@ type outcome = {
   corrupted : bool array;
   corruptions_used : int;
   quiescent : bool;
-  trace_ones : int list;
 }
 
-let run ?(max_rounds = 10_000) ?observer ?(sink = Obs.Sink.null) protocol
-    adversary ~inputs ~t ~rng =
+let run ?(max_rounds = 10_000) ?(sink = Obs.Sink.null) protocol adversary
+    ~inputs ~t ~rng =
   let emit_on = Obs.Sink.enabled sink in
   let n = Array.length inputs in
   if n = 0 then invalid_arg "Byz.Engine.run: no processes";
@@ -28,81 +27,46 @@ let run ?(max_rounds = 10_000) ?observer ?(sink = Obs.Sink.null) protocol
   let halted = Array.make n false in
   let decisions = Array.make n None in
   let decision_round = Array.make n (-1) in
+  let pending = Array.make n None in
   let bank = Prng.Rng.Bank.split rng n in
   let adv_rng = Prng.Rng.split rng in
   let corruptions = ref 0 in
   let round = ref 0 in
-  let trace_ones = ref [] in
   let active pid = (not corrupted.(pid)) && not halted.(pid) in
+  let rec any_active pid = pid < n && (active pid || any_active (pid + 1)) in
   let continue = ref true in
   while !continue && !round < max_rounds do
-    if not (Array.exists (fun pid -> pid) (Array.init n active)) then
-      continue := false
+    if not (any_active 0) then continue := false
     else begin
       incr round;
       let r = !round in
-      (* Phase A: everyone stages a message (corrupted ones' are defaults
-         the adversary may override; halted honest processes stage nothing
-         and are represented by their last state, excluded below). *)
-      let pending = Array.make n None in
+      (* Phase A: active and corrupted processes stage a message (a
+         corrupted one's is the default the adversary may override, from
+         its frozen state); a halted honest process stages none. *)
       for pid = 0 to n - 1 do
-        if active pid then begin
+        if corrupted.(pid) || not halted.(pid) then begin
           let state', m =
             protocol.Protocol.phase_a states.(pid) (Prng.Rng.Bank.load bank pid)
           in
           Prng.Rng.Bank.store bank pid;
-          states.(pid) <- state';
+          if not corrupted.(pid) then states.(pid) <- state';
           pending.(pid) <- Some m
         end
-        else if corrupted.(pid) then begin
-          (* Staged default for a corrupted process: its frozen state's
-             Phase A output (it no longer updates state). *)
-          let _, m =
-            protocol.Protocol.phase_a states.(pid) (Prng.Rng.Bank.load bank pid)
-          in
-          Prng.Rng.Bank.store bank pid;
-          pending.(pid) <- Some m
-        end
+        else pending.(pid) <- None
       done;
-      let round_ones =
-        match observer with
-        | None -> None
-        | Some f ->
-            let ones = ref 0 in
-            for pid = 0 to n - 1 do
-              if active pid then
-                match pending.(pid) with
-                | Some m when f m -> incr ones
-                | Some _ | None -> ()
-            done;
-            trace_ones := !ones :: !trace_ones;
-            Some !ones
+      (* The adversary reads the engine's own arrays and dictates. *)
+      let plan =
+        adversary.Adversary.act
+          {
+            Adversary.round = r;
+            n;
+            t;
+            budget_left = t - !corruptions;
+            corrupted;
+            pending;
+          }
+          adv_rng
       in
-      (* The adversary observes everything and dictates. *)
-      let pending_exposed =
-        Array.mapi
-          (fun pid m ->
-            match m with
-            | Some v -> v
-            | None ->
-                (* pid is halted and honest: expose its final message by
-                   re-running phase_a on the frozen state with a throwaway
-                   stream. This value is never delivered. *)
-                snd (protocol.Protocol.phase_a states.(pid) (Prng.Rng.create pid)))
-          pending
-      in
-      let view =
-        {
-          Adversary.round = r;
-          n;
-          t;
-          corrupted = Array.copy corrupted;
-          states = Array.copy states;
-          pending = pending_exposed;
-          decisions = Array.copy decisions;
-        }
-      in
-      let plan = adversary.Adversary.act view adv_rng in
       List.iter
         (fun pid ->
           if pid < 0 || pid >= n then
@@ -133,48 +97,39 @@ let run ?(max_rounds = 10_000) ?observer ?(sink = Obs.Sink.null) protocol
         if active dst then begin
           let received = ref [] in
           for src = n - 1 downto 0 do
-            if corrupted.(src) then begin
-              match plan.Adversary.behaviour ~src ~dst with
-              | Adversary.Silent -> ()
-              | Adversary.Honest -> (
-                  match pending.(src) with
-                  | Some m -> received := (src, m) :: !received
-                  | None -> ())
-              | Adversary.Forge m -> received := (src, m) :: !received
-            end
-            else (
-              (* Honest sender: deliver whatever it staged this round;
-                 [pending] was fixed before delivery began, so a process
-                 halting mid-loop still delivers its final broadcast. *)
-              match pending.(src) with
-              | Some m -> received := (src, m) :: !received
-              | None -> ())
+            (* An honest sender delivers what it staged this round;
+               [pending] was fixed before delivery began, so a process
+               halting mid-loop still delivers its final broadcast. *)
+            match
+              if not corrupted.(src) then pending.(src)
+              else
+                match plan.Adversary.behaviour ~src ~dst with
+                | Adversary.Silent -> None
+                | Adversary.Honest -> pending.(src)
+                | Adversary.Forge m -> Some m
+            with
+            | Some m -> received := (src, m) :: !received
+            | None -> ()
           done;
           let state' =
             protocol.Protocol.phase_b states.(dst) ~round:r
               ~received:(Array.of_list !received)
           in
-          let before = decisions.(dst) in
           let after = protocol.Protocol.decision state' in
-          (match (before, after) with
-          | Some v, Some v' when v <> v' ->
-              raise
-                (Decision_changed
-                   (Printf.sprintf "process %d changed decision %d -> %d" dst v v'))
-          | Some v, None ->
-              raise
-                (Decision_changed
-                   (Printf.sprintf "process %d revoked decision %d" dst v))
-          | None, Some v ->
-              decision_round.(dst) <- r;
-              if emit_on then begin
-                incr newly_decided;
-                Obs.Sink.emit sink
-                  (Obs.Event.Decision
-                     { engine = Obs.Event.Byz; round = r; pid = dst; value = v })
-              end
-          | None, None | Some _, Some _ -> ());
-          decisions.(dst) <- after;
+          if Sim.Engine.record_decision decisions dst after then begin
+            decision_round.(dst) <- r;
+            if emit_on then begin
+              incr newly_decided;
+              Obs.Sink.emit sink
+                (Obs.Event.Decision
+                   {
+                     engine = Obs.Event.Byz;
+                     round = r;
+                     pid = dst;
+                     value = Option.get after;
+                   })
+            end
+          end;
           if emit_on then delivered_r := !delivered_r + List.length !received;
           if protocol.Protocol.halted state' then begin
             halted.(dst) <- true;
@@ -204,7 +159,7 @@ let run ?(max_rounds = 10_000) ?observer ?(sink = Obs.Sink.null) protocol
                delivered = !delivered_r;
                newly_decided = !newly_decided;
                newly_halted = !newly_halted;
-               ones_pending = round_ones;
+               ones_pending = None;
              })
       end
     end
@@ -221,47 +176,16 @@ let run ?(max_rounds = 10_000) ?observer ?(sink = Obs.Sink.null) protocol
   {
     rounds_executed = !round;
     rounds_to_decide;
-    decisions = Array.copy decisions;
-    corrupted = Array.copy corrupted;
+    decisions;
+    corrupted;
     corruptions_used = !corruptions;
     quiescent = not !continue;
-    trace_ones = List.rev !trace_ones;
   }
 
-type verdict = { agreement : bool; validity : bool; termination : bool }
-
 let check ~inputs (o : outcome) =
-  let n = Array.length inputs in
-  let agreement = ref true in
-  let first = ref None in
-  for i = 0 to n - 1 do
-    if not o.corrupted.(i) then
-      match (o.decisions.(i), !first) with
-      | Some v, None -> first := Some v
-      | Some v, Some v' -> if v <> v' then agreement := false
-      | None, _ -> ()
-  done;
-  let validity = ref true in
-  let honest_inputs =
-    List.init n Fun.id
-    |> List.filter (fun i -> not o.corrupted.(i))
-    |> List.map (fun i -> inputs.(i))
-  in
-  (match honest_inputs with
-  | [] -> ()
-  | v0 :: rest when List.for_all (fun v -> v = v0) rest ->
-      for i = 0 to n - 1 do
-        if not o.corrupted.(i) then
-          match o.decisions.(i) with
-          | Some d when d <> v0 -> validity := false
-          | Some _ | None -> ()
-      done
-  | _ :: _ -> ());
-  let termination = ref true in
-  for i = 0 to n - 1 do
-    if (not o.corrupted.(i)) && o.decisions.(i) = None then termination := false
-  done;
-  { agreement = !agreement; validity = !validity; termination = !termination }
+  let honest = Sim.Checker.Except o.corrupted in
+  Sim.Checker.judge ~inputs o.decisions ~judged:honest ~must_decide:honest
+    ~rounds:o.rounds_executed
 
 type summary = {
   rounds : Stats.Welford.t;
@@ -307,5 +231,6 @@ let run_trials ?max_rounds ?jobs ?capture ?guard ~trials ~seed ~gen_inputs ~t
       | Some r -> Stats.Welford.add_int s.rounds r
       | None -> s.non_terminating <- s.non_terminating + 1);
       let v = check ~inputs o in
-      if not v.agreement then s.agreement_errors <- s.agreement_errors + 1;
+      if not v.Sim.Checker.agreement then
+        s.agreement_errors <- s.agreement_errors + 1;
       if not v.validity then s.validity_errors <- s.validity_errors + 1)

@@ -1,17 +1,21 @@
 (** Synchronous execution under a Byzantine adversary.
 
-    Per round: Phase A for every process (corrupted ones too — their
-    staged message is the default the adversary may override); the
-    adversary corrupts and dictates; delivery builds each recipient's
+    Per round: Phase A for every active or corrupted process (a corrupted
+    one's staged message is the default the adversary may override; a
+    halted honest process stages nothing); the adversary reads the
+    engine's own [corrupted] and [pending] arrays ({!Adversary.view}),
+    corrupts and dictates; delivery builds each recipient's
     (sender, message) array — honest senders always arrive, corrupted
     senders arrive as directed; Phase B runs for honest processes only.
     Corrupted processes' states are frozen and their decisions ignored.
 
-    Decisions of honest processes are irrevocable (enforced). *)
+    Decisions of honest processes are irrevocable, by the discipline
+    every model shares ({!Sim.Engine.record_decision}). *)
 
 exception Budget_exceeded of string
 exception Invalid_corruption of string
 exception Decision_changed of string
+(** {!Sim.Engine.Decision_changed} itself: one exception for every model. *)
 
 type outcome = {
   rounds_executed : int;
@@ -21,14 +25,10 @@ type outcome = {
   corrupted : bool array;
   corruptions_used : int;
   quiescent : bool;
-  trace_ones : int list;
-      (** Per-round count of honest staged messages classified "1" by the
-          observer, newest last; [] without an observer. *)
 }
 
 val run :
   ?max_rounds:int ->
-  ?observer:('msg -> bool) ->
   ?sink:Obs.Sink.t ->
   ('state, 'msg) Protocol.t ->
   ('state, 'msg) Adversary.t ->
@@ -41,17 +41,15 @@ val run :
     plan order ([delivered_to = 0] — corruption freezes the process
     before delivery), {!Obs.Event.Decision} in ascending pid order, then
     one {!Obs.Event.Round} summary ([victims] = that round's corruptions
-    sorted ascending; [partial_sends = 0] always; [ones_pending] is the
-    observer's staged-ones count, [None] without an observer). A
-    disabled sink costs one boolean load per potential event.
+    sorted ascending; [partial_sends = 0] always; [ones_pending] is
+    always [None]: the engine classifies no message). A disabled sink
+    costs one boolean load per potential event.
     Kept for tests: the single-run driver behind {!run_trials}; the byz tests
     read one execution's outcome through it. *)
 
-type verdict = { agreement : bool; validity : bool; termination : bool }
-
-val check : inputs:int array -> outcome -> verdict
-(** The three conditions among honest processes (validity: unanimous
-    {e honest} inputs force that decision).
+val check : inputs:int array -> outcome -> Sim.Checker.verdict
+(** {!Sim.Checker.judge} with the honest processes judged and required to
+    decide (validity: unanimous {e honest} inputs force that decision).
     Kept for tests: the per-run verdict {!run_trials} counts, which the byz
     tests and properties apply to single runs. *)
 

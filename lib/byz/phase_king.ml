@@ -88,15 +88,11 @@ let king_spoofer () =
            equivocating broadcast. *)
         let phase = (view.Adversary.round + 1) / 2 in
         let king = king_of_phase phase in
-        let corruptions_used =
-          Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0
-            view.Adversary.corrupted
-        in
         let new_corruptions =
           if
             king >= 0 && king < view.Adversary.n
             && (not view.Adversary.corrupted.(king))
-            && corruptions_used < view.Adversary.t
+            && view.Adversary.budget_left > 0
           then [ king ]
           else []
         in

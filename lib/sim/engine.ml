@@ -5,6 +5,8 @@ exception Budget_exceeded = Round.Budget_exceeded
 exception Invalid_kill = Round.Invalid_kill
 exception Decision_changed = Round.Decision_changed
 
+let record_decision = Round.record_decision
+
 type ('state, 'msg) exec = ('state, 'msg) Round.scalar
 
 type outcome = Round.outcome = {

@@ -20,7 +20,15 @@ exception Invalid_kill of string
     or an out-of-range recipient. *)
 
 exception Decision_changed of string
-(** A protocol revoked or altered a decision — a protocol bug. *)
+(** A protocol revoked or altered a decision — a protocol bug. The
+    Byzantine and asynchronous engines raise this same exception. *)
+
+val record_decision : int option array -> int -> int option -> bool
+(** [record_decision decisions pid after]: the decision discipline of
+    every model (this engine, [Byz.Engine], [Async.Engine]), given
+    process [pid]'s decision [after] now. A decision may appear once and
+    then never change or disappear ({!Decision_changed} otherwise). A
+    first decision is written into [decisions] and returns [true]. *)
 
 type ('state, 'msg) exec
 (** A (possibly partial) execution. *)

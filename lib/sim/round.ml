@@ -217,17 +217,23 @@ let emit_decision lg ~round pid value =
   Obs.Sink.emit lg.sink
     (Obs.Event.Decision { engine = Obs.Event.Sync; round; pid; value })
 
-let commit_decision lg ~round ~emit j after =
-  match (lg.decisions.(j), after) with
+let record_decision decisions j after =
+  match (decisions.(j), after) with
   | Some v, Some v' when v <> v' ->
       decision_changed "process %d changed decision %d -> %d" j v v'
   | Some v, None -> decision_changed "process %d revoked decision %d" j v
-  | None, Some v ->
-      lg.decisions.(j) <- after;
-      lg.decision_round.(j) <- round;
-      if emit then emit_decision lg ~round j v;
+  | None, Some _ ->
+      decisions.(j) <- after;
       true
   | None, None | Some _, Some _ -> false
+
+let commit_decision lg ~round ~emit j after =
+  let first = record_decision lg.decisions j after in
+  if first then begin
+    lg.decision_round.(j) <- round;
+    if emit then emit_decision lg ~round j (Option.get after)
+  end;
+  first
 
 let halted_undecided j = decision_changed "process %d halted without deciding" j
 

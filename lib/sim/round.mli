@@ -145,13 +145,15 @@ val plan :
 (** Ask the adversary for its plan (from the adversary stream) and
     validate it. *)
 
+val record_decision : int option array -> int -> int option -> bool
+(** {!Engine.record_decision}: the decision discipline of every model. *)
+
 val commit_decision :
   'msg ledger -> round:int -> emit:bool -> int -> int option -> bool
-(** [commit_decision lg ~round ~emit j after]: the decision discipline for
+(** [commit_decision lg ~round ~emit j after]: {!record_decision} for
     process [j], whose decision at the end of round [round] is [after]. A
-    decision may appear once and then never change or disappear
-    ({!Decision_changed} otherwise). A first decision is recorded, emits
-    its [Decision] event when [emit], and returns [true]. *)
+    first decision also stamps its round, emits its [Decision] event when
+    [emit], and returns [true]. *)
 
 val emit_decision : 'msg ledger -> round:int -> int -> int -> unit
 (** [emit_decision lg ~round pid value], for engines that record first

@@ -201,6 +201,30 @@ let test_decision_discipline () =
        false
      with Async.Engine.Decision_changed _ -> true)
 
+let test_trials_count_trials () =
+  (* Every process decides [min pid 1] on its first delivery: on unanimous
+     zero inputs, one trial of decisions 0, 1, 1 — two deciders against
+     the first, two wrong deciders — is one disagreement and one validity
+     error. *)
+  let split =
+    {
+      echo with
+      Async.Protocol.init =
+        (fun ~n ~pid ~input:_ ->
+          ( { input = Stdlib.min pid 1; heard = 0; decided = false },
+            Async.Protocol.broadcast ~n () ));
+    }
+  in
+  let s =
+    Sim.Runner.value
+      (Async.Engine.run_trials ~trials:1 ~seed:11
+         ~gen_inputs:(fun _ -> [| 0; 0; 0 |])
+         ~t:0 split
+         (fun () -> Async.Scheduler.fair))
+  in
+  check_int "disagreeing trials" 1 s.Async.Engine.disagreements;
+  check_int "invalid trials" 1 s.Async.Engine.validity_errors
+
 (* --- Ben-Or ----------------------------------------------------------------- *)
 
 let benor_summary ?(max_steps = 300_000) ~n ~t ~trials ~seed make_scheduler =
@@ -402,6 +426,7 @@ let suites =
         tc "crash budget enforced" test_crash_budget_enforced;
         tc "step cap" test_step_cap;
         tc "decision discipline" test_decision_discipline;
+        tc "trials counted, not deciders" test_trials_count_trials;
       ] );
     ( "async.benor",
       [

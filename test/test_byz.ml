@@ -82,7 +82,7 @@ let test_equivocation_splits_views () =
   in
   let v = Byz.Engine.check ~inputs:[| 0; 1; 1; 0; 0 |] o in
   check_bool "one-round majority vote is not Byzantine-safe" false
-    v.Byz.Engine.agreement
+    v.Sim.Checker.agreement
 
 let test_budget_enforced () =
   let greedy =
@@ -134,6 +134,130 @@ let test_double_corruption_rejected () =
             ~t:13 ~rng:(Prng.Rng.create 5));
        false
      with Byz.Engine.Invalid_corruption _ -> true)
+
+(* --- The adversary's view ---------------------------------------------------- *)
+
+(* Hands every view to [on_view] before [inner] plans from it. *)
+let spy ~on_view (inner : _ Byz.Adversary.t) =
+  {
+    inner with
+    Byz.Adversary.act =
+      (fun view rng ->
+        on_view view;
+        inner.Byz.Adversary.act view rng);
+  }
+
+let corrupted_count view =
+  Array.fold_left
+    (fun k c -> if c then k + 1 else k)
+    0 view.Byz.Adversary.corrupted
+
+let test_view_budget_left () =
+  let n = 13 and t = 3 in
+  List.iter
+    (fun (name, adversary) ->
+      let rounds = ref 0 in
+      let on_view view =
+        incr rounds;
+        check_int
+          (Printf.sprintf "%s: round %d" name view.Byz.Adversary.round)
+          (t - corrupted_count view) view.Byz.Adversary.budget_left
+      in
+      let o =
+        Byz.Engine.run
+          (Byz.Phase_king.protocol ~t)
+          (spy ~on_view adversary) ~inputs:(Array.make n 1) ~t
+          ~rng:(Prng.Rng.create 7)
+      in
+      check_bool (name ^ ": spends its budget") true
+        (o.Byz.Engine.corruptions_used > 0);
+      check_int (name ^ ": every round seen") o.Byz.Engine.rounds_executed
+        !rounds)
+    [
+      ( "crash-like",
+        Byz.Adversary.crash_like
+          ~victims:[ (1, 0); (2, 3); (2, 4); (4, 7); (5, 9) ] );
+      ( "equivocator",
+        Byz.Adversary.equivocator ~corrupt_at:2 ~budget_fraction:1.0 () );
+    ]
+
+(* Process [pid] stages its pid each round and halts, decided, at the end
+   of round [pid mod 4 + 1] unless corrupted first. *)
+let halting =
+  {
+    Byz.Protocol.name = "halting";
+    init = (fun ~n:_ ~pid ~input:_ -> (pid, 0));
+    phase_a = (fun s _ -> (s, fst s));
+    phase_b = (fun (pid, r) ~round:_ ~received:_ -> (pid, r + 1));
+    decision = (fun (pid, r) -> if r > pid mod 4 then Some 0 else None);
+    halted = (fun (pid, r) -> r > pid mod 4);
+  }
+
+let test_view_pending () =
+  (* Pid 4 is corrupted before it halts, pid 1 after (it halts at the end
+     of round 2 and is corrupted in round 3). *)
+  let adversary = Byz.Adversary.crash_like ~victims:[ (1, 4); (3, 1) ] in
+  let seen = ref 0 in
+  let on_view view =
+    let r = view.Byz.Adversary.round in
+    Array.iteri
+      (fun pid m ->
+        let staged =
+          view.Byz.Adversary.corrupted.(pid) || r <= (pid mod 4) + 1
+        in
+        incr seen;
+        Alcotest.(check (option int))
+          (Printf.sprintf "round %d, pid %d" r pid)
+          (if staged then Some pid else None)
+          m)
+      view.Byz.Adversary.pending
+  in
+  let o =
+    Byz.Engine.run halting (spy ~on_view adversary) ~inputs:(Array.make 8 0)
+      ~t:2 ~rng:(Prng.Rng.create 8)
+  in
+  check_int "rounds" 4 o.Byz.Engine.rounds_executed;
+  check_int "every pid of every round seen" 32 !seen;
+  check_bool "the late corruption counts" true o.Byz.Engine.corrupted.(1)
+
+let test_view_windows () =
+  (* The view's arrays are the engine's own, not a copy per round. *)
+  let first = ref None and later = ref 0 in
+  let on_view view =
+    match !first with
+    | None -> first := Some view
+    | Some v0 ->
+        incr later;
+        check_bool "same corrupted array" true
+          (v0.Byz.Adversary.corrupted == view.Byz.Adversary.corrupted);
+        check_bool "same pending array" true
+          (v0.Byz.Adversary.pending == view.Byz.Adversary.pending)
+  in
+  ignore
+    (Byz.Engine.run (Byz.Phase_king.protocol ~t:2)
+       (spy ~on_view (Byz.Phase_king.king_spoofer ()))
+       ~inputs:(Array.make 9 0) ~t:2 ~rng:(Prng.Rng.create 9));
+  check_int "later rounds" 5 !later
+
+let test_one_decision_discipline () =
+  (* A Byzantine protocol that revokes its decision raises the exception
+     every model shares, with the synchronous engine's message. *)
+  let revoker =
+    {
+      probe with
+      Byz.Protocol.phase_b =
+        (fun s ~round ~received:_ ->
+          { s with decision = (if round = 1 then Some 1 else None) });
+      halted = (fun _ -> false);
+    }
+  in
+  Alcotest.(check string) "revoked" "process 0 revoked decision 1"
+    (match
+       Byz.Engine.run revoker Byz.Adversary.null ~inputs:[| 0 |] ~t:0
+         ~rng:(Prng.Rng.create 10)
+     with
+    | _ -> "no exception"
+    | exception Sim.Engine.Decision_changed msg -> msg)
 
 (* --- Phase King --------------------------------------------------------------- *)
 
@@ -265,6 +389,13 @@ let suites =
         tc "equivocation splits views" test_equivocation_splits_views;
         tc "budget enforced" test_budget_enforced;
         tc "double corruption rejected" test_double_corruption_rejected;
+        tc "one decision discipline" test_one_decision_discipline;
+      ] );
+    ( "byz.view",
+      [
+        tc "budget_left counts down" test_view_budget_left;
+        tc "pending: halted honest None, corrupted Some" test_view_pending;
+        tc "windows are the engine's arrays" test_view_windows;
       ] );
     ( "byz.phase-king",
       [
@@ -419,7 +550,7 @@ let eig_suite =
       [ 0; 1 ]
   in
   let test_breaks_over_budget () =
-    let s = summary ~seed:4 ~t_actual:3 (Byz.Eig.liar ~budget_fraction:1.0 ()) in
+    let s = summary ~seed:4 ~t_actual:3 (Byz.Eig.liar ()) in
     (* The liar only corrupts up to the protocol's t in round 1; hand it a
        deeper schedule via equivocator at full actual budget instead. *)
     ignore s;

@@ -347,9 +347,7 @@ let byz_adversary_of_tag tag =
   | _ -> Byz.Adversary.crash_like ~victims:[ (1, 0); (2, 1); (3, 2) ]
 
 (* Agreement, validity and termination among the honest processes. *)
-let byz_ok ~inputs o =
-  let v = Byz.Engine.check ~inputs o in
-  v.Byz.Engine.agreement && v.Byz.Engine.validity && v.Byz.Engine.termination
+let byz_ok ~inputs o = Sim.Checker.ok (Byz.Engine.check ~inputs o)
 
 let prop_phase_king_safe =
   QCheck.Test.make ~name:"Phase King: safe whenever n > 4t" ~count:40

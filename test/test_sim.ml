@@ -618,17 +618,57 @@ let test_checker_agreement_violation () =
   check_bool "agreement flagged" false v.Sim.Checker.agreement;
   check_bool "not ok" false (Sim.Checker.ok v)
 
-let test_checker_strict_vs_lenient () =
-  (* The disagreeing process is faulty: strict flags it, lenient does not. *)
+let test_checker_faulty_deciders_judged () =
+  (* The disagreeing process is faulty: its decision was an output the
+     moment it was made, so agreement still fails. *)
   let o =
     outcome_with
       ~decisions:[| Some 0; Some 1; Some 0 |]
       ~faulty:[| false; true; false |]
   in
-  let strict = Sim.Checker.check ~inputs:[| 0; 1; 0 |] o in
-  check_bool "strict flags faulty decider" false strict.Sim.Checker.agreement;
-  let lenient = Sim.Checker.check ~strict:false ~inputs:[| 0; 1; 0 |] o in
-  check_bool "lenient ignores faulty decider" true lenient.Sim.Checker.agreement
+  let v = Sim.Checker.check ~inputs:[| 0; 1; 0 |] o in
+  check_bool "faulty decider flagged" false v.Sim.Checker.agreement
+
+let test_checker_judge_masks () =
+  (* Process 1 is excluded: its disagreeing decision and its input are
+     not judged, so the judged inputs (1, 1) are unanimous and process 2
+     must decide. *)
+  let out = [| false; true; false |] in
+  let v =
+    Sim.Checker.judge ~inputs:[| 1; 0; 1 |] [| Some 1; Some 0; None |]
+      ~judged:(Except out) ~must_decide:(Except out) ~rounds:4
+  in
+  check_bool "agreement among the judged" true v.Sim.Checker.agreement;
+  check_bool "validity among the judged" true v.Sim.Checker.validity;
+  Alcotest.(check (list string))
+    "termination"
+    [ "termination: non-faulty process 2 never decided (after 4 rounds)" ]
+    v.Sim.Checker.errors;
+  let v =
+    Sim.Checker.judge ~inputs:[| 1; 0; 1 |] [| Some 1; Some 0; None |]
+      ~judged:Every ~must_decide:(Except [| false; false; true |]) ~rounds:4
+  in
+  check_bool "every process judged" false v.Sim.Checker.agreement;
+  check_bool "mixed inputs" true v.Sim.Checker.validity;
+  check_bool "process 2 need not decide" true v.Sim.Checker.termination
+
+let test_checker_judge_allocation () =
+  (* One check per trial on every workload: a clean verdict costs the same
+     few words at n = 8 and n = 8192, none per process. *)
+  let words n =
+    let inputs = Array.make n 1 and decisions = Array.make n (Some 1) in
+    let faulty = Array.make n false in
+    let judge () =
+      ignore
+        (Sim.Checker.judge ~inputs decisions ~judged:Every
+           ~must_decide:(Except faulty) ~rounds:1)
+    in
+    judge ();
+    let before = Gc.minor_words () in
+    judge ();
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check (float 0.)) "same words at any n" (words 8) (words 8192)
 
 let test_checker_validity_violation () =
   let o =
@@ -772,7 +812,9 @@ let suites =
     ( "sim.checker",
       [
         tc "agreement violation" test_checker_agreement_violation;
-        tc "strict vs lenient" test_checker_strict_vs_lenient;
+        tc "faulty deciders judged" test_checker_faulty_deciders_judged;
+        tc "judge masks" test_checker_judge_masks;
+        tc "judge allocates nothing per process" test_checker_judge_allocation;
         tc "validity violation" test_checker_validity_violation;
         tc "termination violation" test_checker_termination_violation;
         tc "assert_ok" test_checker_assert_ok;
