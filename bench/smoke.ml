@@ -99,7 +99,7 @@ let obs_smoke () =
      scan 0);
   (* The dune rule declares metrics.json as a target and promotes it to
      results/metrics.json, so the export ships with the repo. *)
-  Obs.Export.write_metrics ~path:"metrics.json" (Obs.Capture.metrics c1);
+  Obs.Json.write ~path:"metrics.json" json;
   print_endline
     "bench-smoke: obs capture identical at jobs 1 and 3 -> results/metrics.json"
 
@@ -749,23 +749,35 @@ let chaos_smoke () =
         (e = eb))
     [ 1; 3 ];
   (* The manifest-bound view: run the same workload under Core.Supervise
-     with and without the plan; the per-experiment metrics registry (the
-     manifest's metrics_digest) must not change, while the retries land
-     in the manifest-only chunk_retries counter. *)
+     with and without the plan; the experiment's table (the manifest's
+     table_digest) and its supervision registry must not change, while the
+     retries land in the manifest-only chunk_retries counter. *)
   let sup_run ?fault ~retries ~tag () =
     let ctx = Core.Supervise.create ~checkpoints:root ?fault ~retries () in
     Core.Supervise.run_experiment ctx ~id:"chaos" (fun () ->
         (* The sink-site arm only fires when events actually flow, so the
            supervised leg captures too. *)
         let capture = Obs.Capture.create ~events:true () in
-        ignore
-          (Core.Supervise.fold ctx ~key:tag ~seed ~trials (fun guard ->
-               Sim.Runner.run_trials_supervised ~max_rounds:500 ~jobs:1
-                 ~chunk_size:8 ~capture ~guard ~trials ~seed
-                 ~gen_inputs:(Sim.Runner.input_gen_random ~n)
-                 ~t:2 (Core.Synran.protocol n)
-                 (fun () -> Sim.Adversary.null)));
-        Stats.Table.create ~title:"chaos" ~columns:[ "c" ])
+        let s =
+          Core.Supervise.fold ctx ~key:tag ~seed ~trials (fun guard ->
+              Sim.Runner.run_trials_supervised ~max_rounds:500 ~jobs:1
+                ~chunk_size:8 ~capture ~guard ~trials ~seed
+                ~gen_inputs:(Sim.Runner.input_gen_random ~n)
+                ~t:2 (Core.Synran.protocol n)
+                (fun () -> Sim.Adversary.null))
+        in
+        let tbl =
+          Stats.Table.create ~title:"chaos"
+            ~columns:[ "trials"; "mean rounds"; "decided 0"; "decided 1" ]
+        in
+        Stats.Table.add_row tbl
+          [
+            Stats.Table.Int s.Sim.Runner.trials;
+            Stats.Table.Float (Stats.Welford.mean s.Sim.Runner.rounds);
+            Stats.Table.Int s.Sim.Runner.decided_zero;
+            Stats.Table.Int s.Sim.Runner.decided_one;
+          ];
+        tbl)
   in
   let r_free = sup_run ~retries:0 ~tag:"sup-base" () in
   let r_chaos = sup_run ~fault:plan ~retries:2 ~tag:"sup-chaos" () in
@@ -773,7 +785,11 @@ let chaos_smoke () =
     (not (Core.Supervise.failed r_chaos));
   check "chaos: manifest counts the retried passes"
     (r_chaos.Core.Supervise.chunk_retries = 3);
-  check "chaos: manifest metrics_digest identical to fault-free"
+  check "chaos: manifest table_digest identical to fault-free"
+    (Core.Supervise.table_digest r_free <> None
+    && Core.Supervise.table_digest r_free
+       = Core.Supervise.table_digest r_chaos);
+  check "chaos: supervision registry identical to fault-free"
     (Obs.Metrics.digest r_free.Core.Supervise.metrics
     = Obs.Metrics.digest r_chaos.Core.Supervise.metrics);
   (* Budget exhaustion is loud, structured, and keeps the original

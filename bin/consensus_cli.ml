@@ -259,10 +259,10 @@ let export_capture ~metrics_out ~events_out = function
   | None -> ()
   | Some c ->
       Option.iter
-        (fun path -> Obs.Export.write_metrics ~path (Obs.Capture.metrics c))
+        (fun path -> Obs.Json.write ~path (Obs.Capture.metrics_json c))
         metrics_out;
       Option.iter
-        (fun path -> Obs.Export.write_events ~path (Obs.Capture.events c))
+        (fun path -> Obs.Json.write ~path (Obs.Capture.events_jsonl c))
         events_out
 
 (* [run]'s fault plan: --fault-plan, or the arms of a --fault-seed draw
@@ -548,10 +548,13 @@ let experiments_cmd =
        watchdog/failure event stream. *)
     Option.iter
       (fun path ->
-        Obs.Export.write_metrics ~path (Core.Supervise.merged_metrics results))
+        Obs.Json.write ~path
+          (Obs.Json.to_file
+             (Obs.Metrics.to_json (Core.Supervise.merged_metrics results))))
       metrics_out;
     Option.iter
-      (fun path -> Obs.Export.write_events ~path (Core.Supervise.events ctx))
+      (fun path ->
+        Obs.Json.write ~path (Obs.Event.to_jsonl (Core.Supervise.events ctx)))
       events_out;
     if Core.Supervise.any_failed results then begin
       prerr_endline

@@ -28,6 +28,11 @@ let run ?(max_rounds = 10_000) ?(sink = Obs.Sink.null) protocol adversary
   let decisions = Array.make n None in
   let decision_round = Array.make n (-1) in
   let pending = Array.make n None in
+  (* Each staged message as the (sender, message) pair receivers get,
+     built once per round and shared by every receiver that hears it;
+     [row] is the scratch each receiver's [received] is cut from. *)
+  let staged = Array.make n None in
+  let row = ref [||] in
   let bank = Prng.Rng.Bank.split rng n in
   let adv_rng = Prng.Rng.split rng in
   let corruptions = ref 0 in
@@ -50,9 +55,13 @@ let run ?(max_rounds = 10_000) ?(sink = Obs.Sink.null) protocol adversary
           in
           Prng.Rng.Bank.store bank pid;
           if not corrupted.(pid) then states.(pid) <- state';
-          pending.(pid) <- Some m
+          pending.(pid) <- Some m;
+          staged.(pid) <- Some (pid, m)
         end
-        else pending.(pid) <- None
+        else begin
+          pending.(pid) <- None;
+          staged.(pid) <- None
+        end
       done;
       (* The adversary reads the engine's own arrays and dictates. *)
       let plan =
@@ -95,25 +104,32 @@ let run ?(max_rounds = 10_000) ?(sink = Obs.Sink.null) protocol adversary
       (* Delivery + Phase B for honest, non-halted receivers. *)
       for dst = 0 to n - 1 do
         if active dst then begin
-          let received = ref [] in
+          (* Senders are asked from n - 1 down and fill [row] from its
+             end, so [received] ascends by sender. *)
+          let first = ref n in
           for src = n - 1 downto 0 do
             (* An honest sender delivers what it staged this round;
-               [pending] was fixed before delivery began, so a process
+               [staged] was fixed before delivery began, so a process
                halting mid-loop still delivers its final broadcast. *)
             match
-              if not corrupted.(src) then pending.(src)
+              if not corrupted.(src) then staged.(src)
               else
                 match plan.Adversary.behaviour ~src ~dst with
                 | Adversary.Silent -> None
-                | Adversary.Honest -> pending.(src)
-                | Adversary.Forge m -> Some m
+                | Adversary.Honest -> staged.(src)
+                | Adversary.Forge m -> Some (src, m)
             with
-            | Some m -> received := (src, m) :: !received
+            | Some heard ->
+                if Array.length !row = 0 then row := Array.make n heard;
+                decr first;
+                !row.(!first) <- heard
             | None -> ()
           done;
+          let received =
+            if !first = n then [||] else Array.sub !row !first (n - !first)
+          in
           let state' =
-            protocol.Protocol.phase_b states.(dst) ~round:r
-              ~received:(Array.of_list !received)
+            protocol.Protocol.phase_b states.(dst) ~round:r ~received
           in
           let after = protocol.Protocol.decision state' in
           if Sim.Engine.record_decision decisions dst after then begin
@@ -130,7 +146,7 @@ let run ?(max_rounds = 10_000) ?(sink = Obs.Sink.null) protocol adversary
                    })
             end
           end;
-          if emit_on then delivered_r := !delivered_r + List.length !received;
+          if emit_on then delivered_r := !delivered_r + Array.length received;
           if protocol.Protocol.halted state' then begin
             halted.(dst) <- true;
             if emit_on then incr newly_halted

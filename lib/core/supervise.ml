@@ -90,8 +90,8 @@ let events ctx = Obs.Recorder.events ctx.obs_events
 (* A retried (and by construction recovered) chunk attempt: one
    Chunk_retry event per failed pass, plus the per-experiment retry
    count. The count stays out of the metrics registry on purpose — a
-   survivable chaos run must keep the manifest's metrics_digest
-   byte-identical to the fault-free run. *)
+   survivable chaos run must keep its registry byte-identical to the
+   fault-free run's. *)
 let note_chunk_retried ctx (f : Sim.Runner.chunk_failed) =
   ctx.exp.chunk_retries <- ctx.exp.chunk_retries + 1;
   Obs.Recorder.push ctx.obs_events
@@ -172,8 +172,8 @@ let run_experiment ctx ~id f =
        quantities ([elapsed_s] stays manifest-only) and the retry count
        ([chunk_retries] stays manifest-only too): every metric here is a
        function of the experiment's deterministic progress counters, so
-       the manifest's metrics_digest is [--jobs]-independent — and a
-       survivable chaos run digests identically to the fault-free run. *)
+       the registry is [--jobs]-independent — and a survivable chaos run's
+       is identical to the fault-free run's. *)
     let metrics = Obs.Metrics.create () in
     Obs.Metrics.incr metrics ~by:e.chunks_done "supervise.chunks_done";
     Obs.Metrics.incr metrics ~by:e.chunks_resumed "supervise.chunks_resumed";
@@ -252,58 +252,39 @@ let merged_metrics results =
       Obs.Metrics.merge acc (Obs.Metrics.prefixed (r.id ^ ".") r.metrics))
     (Obs.Metrics.create ()) results
 
+let table_digest (r : result) =
+  Option.map
+    (fun t -> Digest.to_hex (Digest.string (Stats.Table.render t)))
+    r.table
+
 let write_manifest ?fault ~path ~profile ~seed ~jobs ~resume ~deadline_s
     results =
   Sim.Fault.trip fault Sim.Fault.Manifest_write ~scope:Sim.Fault.run_scope;
-  let dir = Filename.dirname path in
-  if dir <> "" && dir <> "." && not (Sys.file_exists dir) then
-    Sys.mkdir dir 0o755;
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema\": \"run_manifest/v1\",\n\
-        \  \"profile\": \"%s\",\n\
-        \  \"seed\": %d,\n\
-        \  \"jobs\": %d,\n\
-        \  \"resume\": %b,\n\
-        \  \"deadline_s\": %s,\n\
-        \  \"experiments\": [\n"
-        (Obs.Json.escape profile) seed jobs resume
-        (match deadline_s with
-        | Some d -> Printf.sprintf "%g" d
-        | None -> "null");
-      let last = List.length results - 1 in
-      List.iteri
-        (fun i r ->
-          let failure =
-            match r.status with
-            | Completed -> "null"
-            | Timed_out -> "\"timed out\""
-            | Failed { message; _ } ->
-                Printf.sprintf "\"%s\"" (Obs.Json.escape message)
-          in
-          let engines =
-            String.concat ", "
-              (List.map
-                 (fun e -> Printf.sprintf "\"%s\"" (Obs.Json.escape e))
-                 r.engines)
-          in
-          Printf.fprintf oc
-            "    { \"id\": \"%s\", \"status\": \"%s\", \"elapsed_s\": %.3f, \
-             \"chunks_done\": %d, \"chunks_resumed\": %d, \
-             \"chunk_retries\": %d, \"completed_trials\": %d, \
-             \"total_trials\": %d, \"engines\": [%s], \"metrics_digest\": \
-             \"%s\", \"failure\": %s }%s\n"
-            (Obs.Json.escape r.id)
-            (status_string r.status)
-            r.elapsed_s r.chunks_done r.chunks_resumed r.chunk_retries
-            r.completed_trials r.total_trials engines
-            (Obs.Metrics.digest r.metrics)
-            failure
-            (if i = last then "" else ","))
-        results;
-      Printf.fprintf oc "  ],\n  \"failed\": %d\n}\n"
-        (List.length (List.filter failed results)))
+  let open Obs.Json in
+  let option f = Option.fold ~none:Null ~some:f in
+  let experiment r =
+    Obj
+      [ ("id", String r.id); ("status", String (status_string r.status));
+        ("elapsed_s", Num (Printf.sprintf "%.3f" r.elapsed_s));
+        ("chunks_done", Int r.chunks_done);
+        ("chunks_resumed", Int r.chunks_resumed);
+        ("chunk_retries", Int r.chunk_retries);
+        ("completed_trials", Int r.completed_trials);
+        ("total_trials", Int r.total_trials);
+        ("engines", List (List.map (fun e -> String e) r.engines));
+        ("table_digest", option (fun d -> String d) (table_digest r));
+        ( "failure",
+          match r.status with
+          | Completed -> Null
+          | Timed_out -> String "timed out"
+          | Failed { message; _ } -> String message ) ]
+  in
+  write ~path
+    (to_file
+       (Obj
+          [ ("schema", String "run_manifest/v2"); ("profile", String profile);
+            ("seed", Int seed); ("jobs", Int jobs); ("resume", Bool resume);
+            ( "deadline_s",
+              option (fun d -> Num (Printf.sprintf "%g" d)) deadline_s );
+            ("experiments", List (List.map experiment results));
+            ("failed", Int (List.length (List.filter failed results))) ]))

@@ -48,8 +48,8 @@ type result = {
   chunk_retries : int;
       (** Failed chunk attempts re-run (and recovered) under the retry
           budget. Manifest-only, like [elapsed_s]: deliberately excluded
-          from [metrics], so a survivable chaos run keeps the manifest's
-          [metrics_digest] byte-identical to the fault-free run. *)
+          from [metrics], so a survivable chaos run's registry stays
+          byte-identical to the fault-free run's. *)
   completed_trials : int;
       (** Trials folded in by every {!Sim.Runner.fold} the experiment
           committed, whatever its model. *)
@@ -65,10 +65,10 @@ type result = {
   metrics : Obs.Metrics.t;
       (** Per-experiment supervision registry ([supervise.chunks_done],
           [supervise.completed_trials], ...; [supervise.failures] /
-          [supervise.watchdog_fires] on a bad exit). Built only from the
-          deterministic progress counters — never wall-clock — so its
-          {!Obs.Metrics.digest} (the manifest's [metrics_digest]) is
-          [--jobs]-independent. *)
+          [supervise.watchdog_fires] on a bad exit), the [--metrics-out]
+          payload of the experiment pipeline ({!merged_metrics}). Built
+          only from the deterministic progress counters — never
+          wall-clock — so it is [--jobs]-independent. *)
 }
 
 val create :
@@ -157,6 +157,12 @@ val status_line : result -> string
     ["e3: TIMED OUT after 30.0 s — partial table above (12 chunks, 96/200
     trials completed)"]. *)
 
+val table_digest : result -> string option
+(** Hex MD5 of the {!Stats.Table.render} of the experiment's table (the
+    partial one for a failed or timed-out experiment), [None] when there
+    is no table: the value the [core.experiments] pins compute, and the
+    manifest's [table_digest]. *)
+
 val write_manifest :
   ?fault:Sim.Fault.injector ->
   path:string ->
@@ -167,12 +173,12 @@ val write_manifest :
   deadline_s:float option ->
   result list ->
   unit
-(** Write the machine-readable run manifest (schema [run_manifest/v1]):
-    run parameters, one record per experiment — id, status
-    ([completed|failed|timed_out]), elapsed seconds, chunk/trial/retry
-    progress, the engines the trials executed on ([engines], the
-    [`Auto]-resolution audit trail), the experiment's observability fingerprint
-    ([metrics_digest], the {!Obs.Metrics.digest} of {!result.metrics}),
-    failure message — and the failed-experiment count. [fault] trips the
+(** Write the machine-readable run manifest (schema [run_manifest/v2],
+    {!Obs.Json.to_file} layout): run parameters, one record per
+    experiment — id, status ([completed|failed|timed_out]), elapsed
+    seconds, chunk/trial/retry progress, the engines the trials executed
+    on ([engines], the [`Auto]-resolution audit trail), the
+    [table_digest] of its table ({!table_digest}), failure message — and
+    the failed-experiment count. [fault] trips the
     {!Sim.Fault.Manifest_write} site on entry (run-scoped, not retried:
     an armed fault here fails the manifest write itself). *)

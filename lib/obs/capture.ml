@@ -17,7 +17,7 @@ let metrics t = t.metrics
 
 let events t = t.events
 
-let metrics_json t = Metrics.to_json t.metrics
+let metrics_json t = Json.to_file (Metrics.to_json t.metrics)
 
 let events_jsonl t = Event.to_jsonl t.events
 

@@ -22,8 +22,10 @@ val metrics : t -> Metrics.t
 val events : t -> Event.t list
 
 val metrics_json : t -> string
+(** The metrics in {!Json.to_file} form: what [--metrics-out] writes. *)
 
 val events_jsonl : t -> string
+(** The events as {!Event.to_jsonl}: what [--events-out] writes. *)
 
 val digest : t -> string
 (** One fingerprint over both the metrics JSON and the event JSONL.

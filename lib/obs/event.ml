@@ -32,73 +32,51 @@ type t =
 
 let engine_label = function Sync -> "sim" | Async -> "async" | Byz -> "byz"
 
-(* Keys below are written in ascending ASCII order by hand; the JSONL
-   digest tests pin the exact bytes. *)
 let to_json ev =
+  let open Json in
+  let obj event members = Obj (("event", String event) :: members) in
+  let engine e = ("engine", String (engine_label e)) in
   match ev with
-  | Round
-      {
-        engine;
-        round;
-        active;
-        victims;
-        partial_sends;
-        delivered;
-        newly_decided;
-        newly_halted;
-        ones_pending;
-      } ->
-      Printf.sprintf
-        "{\"active\":%d,\"delivered\":%d,\"engine\":\"%s\",\"event\":\"round\",\
-         \"newly_decided\":%d,\"newly_halted\":%d,\"ones_pending\":%s,\
-         \"partial_sends\":%d,\"round\":%d,\"victims\":[%s]}"
-        active delivered (engine_label engine) newly_decided newly_halted
-        (match ones_pending with None -> "null" | Some o -> string_of_int o)
-        partial_sends round
-        (String.concat ","
-           (Array.to_list (Array.map string_of_int victims)))
-  | Kill { engine; round; victim; delivered_to } ->
-      Printf.sprintf
-        "{\"delivered_to\":%d,\"engine\":\"%s\",\"event\":\"kill\",\
-         \"round\":%d,\"victim\":%d}"
-        delivered_to (engine_label engine) round victim
-  | Decision { engine; round; pid; value } ->
-      Printf.sprintf
-        "{\"engine\":\"%s\",\"event\":\"decision\",\"pid\":%d,\"round\":%d,\
-         \"value\":%d}"
-        (engine_label engine) pid round value
+  | Round { engine = e; round; active; victims; partial_sends; delivered;
+            newly_decided; newly_halted; ones_pending } ->
+      obj "round"
+        [ engine e; ("round", Int round); ("active", Int active);
+          ("victims", List (List.map (fun v -> Int v) (Array.to_list victims)));
+          ("partial_sends", Int partial_sends); ("delivered", Int delivered);
+          ("newly_decided", Int newly_decided);
+          ("newly_halted", Int newly_halted);
+          ( "ones_pending",
+            Option.fold ~none:Null ~some:(fun o -> Int o) ones_pending ) ]
+  | Kill { engine = e; round; victim; delivered_to } ->
+      obj "kill"
+        [ engine e; ("round", Int round); ("victim", Int victim);
+          ("delivered_to", Int delivered_to) ]
+  | Decision { engine = e; round; pid; value } ->
+      obj "decision"
+        [ engine e; ("round", Int round); ("pid", Int pid);
+          ("value", Int value) ]
   | Valency_probe { round; pr_one; expected_rounds } ->
-      Printf.sprintf
-        "{\"event\":\"valency_probe\",\"expected_rounds\":%s,\"pr_one\":%s,\
-         \"round\":%d}"
-        (Json.float_str expected_rounds) (Json.float_str pr_one) round
+      obj "valency_probe"
+        [ ("round", Int round); ("pr_one", Float pr_one);
+          ("expected_rounds", Float expected_rounds) ]
   | Band { round; ones; zeros; flip_lo; flip_hi; margin; action; kills } ->
-      Printf.sprintf
-        "{\"action\":\"%s\",\"event\":\"band\",\"flip_hi\":%d,\"flip_lo\":%d,\
-         \"kills\":%d,\"margin\":%d,\"ones\":%d,\"round\":%d,\"zeros\":%d}"
-        (Json.escape action) flip_hi flip_lo kills margin ones round zeros
+      obj "band"
+        [ ("round", Int round); ("ones", Int ones); ("zeros", Int zeros);
+          ("flip_lo", Int flip_lo); ("flip_hi", Int flip_hi);
+          ("margin", Int margin); ("action", String action);
+          ("kills", Int kills) ]
   | Checkpoint { chunk; resumed } ->
-      Printf.sprintf "{\"chunk\":%d,\"event\":\"checkpoint\",\"resumed\":%b}"
-        chunk resumed
+      obj "checkpoint" [ ("chunk", Int chunk); ("resumed", Bool resumed) ]
   | Chunk_retry { chunk; attempt; trial; error } ->
-      Printf.sprintf
-        "{\"attempt\":%d,\"chunk\":%d,\"error\":\"%s\",\
-         \"event\":\"chunk_retry\",\"trial\":%d}"
-        attempt chunk (Json.escape error) trial
+      obj "chunk_retry"
+        [ ("chunk", Int chunk); ("attempt", Int attempt); ("trial", Int trial);
+          ("error", String error) ]
   | Chunk_failed { chunk; attempts; trial; error } ->
-      Printf.sprintf
-        "{\"attempts\":%d,\"chunk\":%d,\"error\":\"%s\",\
-         \"event\":\"chunk_failed\",\"trial\":%d}"
-        attempts chunk (Json.escape error) trial
+      obj "chunk_failed"
+        [ ("chunk", Int chunk); ("attempts", Int attempts);
+          ("trial", Int trial); ("error", String error) ]
   | Watchdog { experiment } ->
-      Printf.sprintf "{\"event\":\"watchdog\",\"experiment\":\"%s\"}"
-        (Json.escape experiment)
+      obj "watchdog" [ ("experiment", String experiment) ]
 
 let to_jsonl evs =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun ev ->
-      Buffer.add_string b (to_json ev);
-      Buffer.add_char b '\n')
-    evs;
-  Buffer.contents b
+  String.concat "" (List.map (fun ev -> Json.to_line (to_json ev) ^ "\n") evs)

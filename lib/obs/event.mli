@@ -6,9 +6,8 @@
     and never changes engine behaviour, so a run with sinks attached is
     byte-identical to one without.
 
-    Serialization ({!to_json}) is deterministic: one single-line JSON
-    object per event, keys in ascending ASCII order, no floats formatted
-    with locale- or platform-dependent printers. *)
+    Serialization ({!to_json}) is deterministic: one JSON object per
+    event, printed by {!Json}. *)
 
 type engine = Sync | Async | Byz
 
@@ -63,9 +62,11 @@ type t =
 val engine_label : engine -> string
 (** ["sim"], ["async"], or ["byz"]. *)
 
-val to_json : t -> string
-(** Single-line JSON object, keys sorted ascending, no trailing newline. *)
+val to_json : t -> Json.t
+(** The event as an object: an ["event"] tag (["round"], ["kill"], ...),
+    ["engine"] where the constructor has one, and every field under its
+    own name ([ones_pending = None] is [null]). *)
 
 val to_jsonl : t list -> string
-(** JSONL: one {!to_json} line per event, each ending in a newline; [""]
-    for no events. *)
+(** JSONL: one {!Json.to_line} line per event, each ending in a newline;
+    [""] for no events. *)

@@ -143,39 +143,31 @@ let prefixed prefix t =
     (names t);
   out
 
-let metric_json = function
-  | Counter { count } -> Printf.sprintf "{\"count\":%d,\"kind\":\"counter\"}" count
+let metric_json =
+  let open Json in
+  let obj kind count members =
+    Obj (("kind", String kind) :: ("count", Int count) :: members)
+  in
+  function
+  | Counter { count } -> obj "counter" count []
   | Int_hist h ->
-      let bins =
-        Stats.Histogram.bins h
-        |> List.map (fun (v, c) -> Printf.sprintf "[%d,%d]" v c)
-        |> String.concat ","
-      in
-      Printf.sprintf "{\"bins\":[%s],\"count\":%d,\"kind\":\"int_histogram\"}"
-        bins (Stats.Histogram.count h)
+      obj "int_histogram" (Stats.Histogram.count h)
+        [ ( "bins",
+            List
+              (List.map
+                 (fun (v, c) -> List [ Int v; Int c ])
+                 (Stats.Histogram.bins h)) ) ]
   | Float_stats w ->
-      Printf.sprintf
-        "{\"count\":%d,\"kind\":\"float_stats\",\"max\":%s,\"mean\":%s,\
-         \"min\":%s,\"total\":%s}"
-        (Stats.Welford.count w)
-        (Json.float_str (Stats.Welford.max w))
-        (Json.float_str (Stats.Welford.mean w))
-        (Json.float_str (Stats.Welford.min w))
-        (Json.float_str (Stats.Welford.total w))
+      obj "float_stats" (Stats.Welford.count w)
+        [ ("max", Float (Stats.Welford.max w));
+          ("mean", Float (Stats.Welford.mean w));
+          ("min", Float (Stats.Welford.min w));
+          ("total", Float (Stats.Welford.total w)) ]
 
 let to_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"metrics\": {\n";
-  let ns = names t in
-  let last = List.length ns - 1 in
-  List.iteri
-    (fun i name ->
-      Buffer.add_string b
-        (Printf.sprintf "    \"%s\": %s%s\n" (Json.escape name)
-           (metric_json (Hashtbl.find t.tbl name))
-           (if i = last then "" else ",")))
-    ns;
-  Buffer.add_string b "  },\n  \"schema\": \"metrics/v1\"\n}\n";
-  Buffer.contents b
+  let metric name = (name, metric_json (Hashtbl.find t.tbl name)) in
+  Json.Obj
+    [ ("metrics", Json.Obj (List.map metric (names t)));
+      ("schema", Json.String "metrics/v1") ]
 
-let digest t = Digest.to_hex (Digest.string (to_json t))
+let digest t = Digest.to_hex (Digest.string (Json.to_file (to_json t)))

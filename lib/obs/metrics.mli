@@ -48,14 +48,14 @@ val prefixed : string -> t -> t
 (** A fresh deep copy with every name prefixed (e.g. ["e3." ^ name]) —
     how per-experiment registries are folded into one run-level export. *)
 
-val to_json : t -> string
-(** Schema [metrics/v1]: names ascending, one single-line object per
-    metric, every float printed exactly; ends with a newline. Counters:
+val to_json : t -> Json.t
+(** Schema [metrics/v1]: [{"metrics": {name: metric, ...}, "schema":
+    "metrics/v1"}], every float printed exactly. Counters:
     [{"count":c,"kind":"counter"}];
     int histograms: [{"bins":[[v,c],...],"count":n,"kind":"int_histogram"}]
     with bins ascending by value; float summaries:
     [{"count":n,"kind":"float_stats","max":_,"mean":_,"min":_,"total":_}]. *)
 
 val digest : t -> string
-(** Hex digest of {!to_json} — the per-experiment fingerprint recorded in
-    [run_manifest.json] and compared across [--jobs] values in tests. *)
+(** Hex digest of {!to_json}'s file form ({!Json.to_file}), compared
+    across [--jobs] values and engines in tests. *)

@@ -1,16 +1,16 @@
-type t = { enabled : bool; mutable received : int; push : Event.t -> unit }
+type t = { mutable received : int; push : Event.t -> unit }
 
-(* Immutable in practice: [emit] checks [enabled] before touching
-   [received], so the shared [null] sink is never written to and is safe
-   to hold in any number of domains. *)
-let null = { enabled = false; received = 0; push = ignore }
+(* The one disabled sink, told apart by identity. Immutable in practice:
+   [emit] checks for it before touching [received], so it is never written
+   to and is safe to hold in any number of domains. *)
+let null = { received = 0; push = ignore }
 
-let create ?(enabled = true) push = { enabled; received = 0; push }
+let create push = { received = 0; push }
 
-let enabled s = s.enabled
+let enabled s = s != null
 
 let emit s ev =
-  if s.enabled then begin
+  if s != null then begin
     s.received <- s.received + 1;
     s.push ev
   end
@@ -18,7 +18,7 @@ let emit s ev =
 let received s = s.received
 
 let tee a b =
-  if not (a.enabled || b.enabled) then null
+  if a == null && b == null then null
   else
     create (fun ev ->
         emit a ev;

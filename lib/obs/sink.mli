@@ -8,20 +8,19 @@
         Obs.Sink.emit sink (Obs.Event.Round { ... })
     ]}
 
-    so a disabled sink costs one boolean load per potential emission and
+    so the disabled sink costs one comparison per potential emission and
     allocates nothing. {!received} counts every event a sink accepted —
     the unit tests pin the disabled case to exactly zero. *)
 
 type t
 
 val null : t
-(** The disabled sink: {!enabled} is [false], its callback is never
+(** The one disabled sink: {!enabled} is [false], its callback is never
     invoked, and its {!received} counter stays 0 forever. Shared freely
     across domains (it is never mutated). *)
 
-val create : ?enabled:bool -> (Event.t -> unit) -> t
-(** A sink delivering each accepted event to the callback. [enabled]
-    defaults to [true]; with [enabled:false] the callback is dead code. *)
+val create : (Event.t -> unit) -> t
+(** An enabled sink delivering each accepted event to the callback. *)
 
 val enabled : t -> bool
 
@@ -36,4 +35,4 @@ val received : t -> int
 
 val tee : t -> t -> t
 (** A sink forwarding to both arguments (each still applies its own
-    [enabled] gate). Disabled iff both arguments are disabled. *)
+    [enabled] gate). {!null} iff both arguments are. *)

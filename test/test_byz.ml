@@ -592,6 +592,46 @@ let eig_suite =
         check_bool "decided" true (p.Byz.Protocol.decision s <> None))
       states
   in
+  let test_liar_directives () =
+    (* [Eig.msg] is abstract, so the liar is judged by its directives: in
+       round 1 it corrupts the first t processes and forges a flipped copy
+       of each one's staged message toward every odd receiver, and lets
+       the message through to every even one. *)
+    let n = 7 and t = 2 in
+    let p = Byz.Eig.protocol ~t in
+    let rng = Prng.Rng.create 1 in
+    let pending =
+      Array.init n (fun pid ->
+          Some
+            (snd
+               (p.Byz.Protocol.phase_a
+                  (p.Byz.Protocol.init ~n ~pid ~input:(pid land 1))
+                  rng)))
+    in
+    let corrupted = Array.make n false in
+    let plan =
+      (Byz.Eig.liar ()).Byz.Adversary.act
+        { Byz.Adversary.round = 1; n; t; budget_left = t; corrupted; pending }
+        (Prng.Rng.create 2)
+    in
+    Alcotest.(check (list int))
+      "corrupts the first t" [ 0; 1 ] plan.Byz.Adversary.new_corruptions;
+    List.iter (fun pid -> corrupted.(pid) <- true) plan.new_corruptions;
+    List.iter
+      (fun src ->
+        for dst = 0 to n - 1 do
+          let what = Printf.sprintf "src %d to dst %d" src dst in
+          match plan.Byz.Adversary.behaviour ~src ~dst with
+          | Byz.Adversary.Forge m ->
+              check_bool (what ^ ": forged toward odd") true (dst land 1 = 1);
+              check_bool (what ^ ": forged message differs") true
+                (Some m <> pending.(src))
+          | Byz.Adversary.Honest ->
+              check_bool (what ^ ": honest toward even") true (dst land 1 = 0)
+          | Byz.Adversary.Silent -> Alcotest.failf "%s: silent" what
+        done)
+      plan.new_corruptions
+  in
   let test_oversized_tree_rejected () =
     (* n > 3t holds, but 61^21 leaf slots overflow any array. *)
     check_bool "n^(t+1) past the array limit rejected" true
@@ -610,6 +650,7 @@ let eig_suite =
       tc "breaks over budget" test_breaks_over_budget;
       tc "tree machinery" test_tree_grows;
       tc "oversized tree rejected" test_oversized_tree_rejected;
+      tc "liar forges toward odd receivers only" test_liar_directives;
     ] )
 
 let suites = suites @ [ eig_suite ]

@@ -135,6 +135,11 @@ let lint_fixture ?relpath name =
 
 let lint ?relpath name = (lint_fixture ?relpath name).Detlint_taint.findings
 
+(* The report and the ledger as detlint writes them. *)
+let report ~files fs = Obs.Json.to_file (Detlint.to_json ~files fs)
+
+let ledger dir = Obs.Json.to_file (Detlint_ledger.to_json (analyze dir))
+
 (* --- the rule x fixture matrix ------------------------------------------ *)
 
 (* (fixture, path it is linted under if not its basename, expected
@@ -345,9 +350,9 @@ let test_cli_rejects_missing_paths () =
 
 let test_json_report_shape () =
   let fs = lint "bad_r1.ml" @ lint "good_waived.ml" in
-  let json = Detlint.to_json ~files:2 fs in
+  let json = report ~files:2 fs in
   Alcotest.(check bool) "summary present" true
-    (contains ~needle:"\"violations\": 2, \"waived\": 2" json);
+    (contains ~needle:"\"violations\": 2,\n    \"waived\": 2" json);
   Alcotest.(check bool) "rule table present" true (contains ~needle:"\"R4\"" json);
   Alcotest.(check bool) "justification serialized" true
     (contains ~needle:"justification" json)
@@ -356,8 +361,8 @@ let test_json_order_independent () =
   let a = lint "bad_r1.ml" and b = lint "bad_r2.ml" in
   Alcotest.(check string)
     "findings sorted before emission"
-    (Detlint.to_json ~files:2 (a @ b))
-    (Detlint.to_json ~files:2 (b @ a))
+    (report ~files:2 (a @ b))
+    (report ~files:2 (b @ a))
 
 let test_json_golden () =
   let fs =
@@ -365,7 +370,7 @@ let test_json_golden () =
     @ lint ~relpath:"lib/stats/bad_r5.ml" "bad_r5.ml"
     @ lint "good_waived.ml"
   in
-  let json = Detlint.to_json ~files:3 fs in
+  let json = report ~files:3 fs in
   let golden_path = "lint_fixtures/golden_detlint.json" in
   let golden = read_file golden_path in
   if json <> golden then begin
@@ -481,8 +486,8 @@ let test_ledger_byte_stable () =
   let j1, j2 =
     with_tree ~relpath:"bad_taint_chain.ml"
       (read_file "lint_fixtures/typed/bad_taint_chain.ml") (fun dir ->
-        ( Detlint_ledger.to_json (analyze dir),
-          Detlint_ledger.to_json (analyze dir) ))
+        ( ledger dir,
+          ledger dir ))
   in
   Alcotest.(check string) "byte-identical ledgers" j1 j2;
   Alcotest.(check bool)
@@ -493,7 +498,7 @@ let test_ledger_byte_stable () =
 let chain_ledger edit =
   let src = read_file "lint_fixtures/typed/bad_taint_chain.ml" in
   with_tree ~relpath:"bad_taint_chain.ml" (edit src) (fun dir ->
-      Detlint_ledger.to_json (analyze dir))
+      ledger dir)
 
 let test_ledger_ignores_det_edits () =
   (* Moving every line and adding a det function changes no class, so
@@ -513,9 +518,12 @@ let test_ledger_names_new_nondet () =
   Alcotest.(check bool) "the ledger changes" true (base <> edited);
   Alcotest.(check bool)
     "the new entry names the helper and its source" true
-    (contains ~needle:"\"Bad_taint_chain.alloc_helper\": { \"class\": \"nondet\""
+    (contains
+       ~needle:
+         "\"Bad_taint_chain.alloc_helper\": \
+          {\"chain\":[\"Bad_taint_chain.alloc_helper\"],\"class\":\"nondet\""
        edited
-    && contains ~needle:"\"path\": \"Gc.minor_words\"" edited)
+    && contains ~needle:"\"path\":\"Gc.minor_words\"" edited)
 
 let suites =
   let tc name f = Alcotest.test_case name `Quick f in

@@ -142,15 +142,12 @@ let engine_run sink =
     ~inputs ~t:(n - 1) ~rng
 
 let test_disabled_sink_receives_nothing () =
-  (* The callback would fail the test if any event were ever constructed
-     and delivered; the sink's own counter pins the count to zero. *)
-  let sink =
-    Obs.Sink.create ~enabled:false (fun _ ->
-        Alcotest.fail "disabled sink's callback was invoked")
-  in
-  ignore (engine_run sink);
-  check_int "disabled sink accepted no events" 0 (Obs.Sink.received sink);
-  check_int "the null sink never accumulates" 0
+  (* [null] is the one disabled sink: neither a whole engine run nor a
+     direct emit gets an event past its gate. *)
+  ignore (engine_run Obs.Sink.null);
+  Obs.Sink.emit Obs.Sink.null (Obs.Event.Watchdog { experiment = "e1" });
+  check_bool "the null sink is disabled" false (Obs.Sink.enabled Obs.Sink.null);
+  check_int "the null sink accepted no events" 0
     (Obs.Sink.received Obs.Sink.null)
 
 let test_enabled_sink_receives () =
@@ -182,7 +179,7 @@ let test_tee () =
 
 (* --- Json ---------------------------------------------------------------- *)
 
-(* The one string escaper behind events, metrics and the run manifest. *)
+(* The one string escaper behind every JSON artefact. *)
 let test_json_escape () =
   let check = Alcotest.(check string) in
   check "plain text untouched" "e1 ok" (Obs.Json.escape "e1 ok");
@@ -208,41 +205,233 @@ let test_json_float_str () =
   Alcotest.(check string) "-inf" {|"-inf"|}
     (Obs.Json.float_str Float.neg_infinity)
 
-let test_event_json_escaped () =
-  (* Regression pin: failure text flows into events verbatim, and
-     Printexc renders [Failure "boom"] with embedded quotes — the error
-     field must escape quotes, backslashes, and newlines or the JSONL
-     stream breaks at the first retried chunk. *)
-  let ev =
-    Obs.Event.Chunk_retry
-      {
-        chunk = 2;
-        attempt = 0;
-        trial = 17;
-        error = "Failure(\"boom\")\nat C:\\tmp";
-      }
+(* The body of a JSON string literal decoded: the inverse of
+   [Obs.Json.escape]. Raises on a raw quote or control byte, or a
+   malformed escape. *)
+let unescape e =
+  let b = Buffer.create (String.length e) in
+  let rec go i =
+    if i < String.length e then
+      match e.[i] with
+      | '\\' ->
+          let next =
+            match e.[i + 1] with
+            | ('"' | '\\' | '/') as c -> c
+            | 'n' -> '\n'
+            | 'r' -> '\r'
+            | 't' -> '\t'
+            | 'b' -> '\b'
+            | 'f' -> '\012'
+            | 'u' -> Char.chr (int_of_string ("0x" ^ String.sub e (i + 2) 4))
+            | c -> failwith (Printf.sprintf "bad escape \\%c" c)
+          in
+          Buffer.add_char b next;
+          go (i + if e.[i + 1] = 'u' then 6 else 2)
+      | '"' -> failwith "raw quote"
+      | c when Char.code c < 0x20 -> failwith "raw control byte"
+      | c ->
+          Buffer.add_char b c;
+          go (i + 1)
   in
-  Alcotest.(check string)
-    "chunk_retry json escaped"
-    "{\"attempt\":0,\"chunk\":2,\"error\":\"Failure(\\\"boom\\\")\\nat \
-     C:\\\\tmp\",\"event\":\"chunk_retry\",\"trial\":17}"
-    (Obs.Event.to_json ev)
+  go 0;
+  Buffer.contents b
 
-let test_event_json_chunk_failed () =
-  let ev =
-    Obs.Event.Chunk_failed
-      {
-        chunk = 4;
-        attempts = 3;
-        trial = 35;
-        error = "injected fault: body@4:raise";
-      }
+let test_json_control_bytes () =
+  for code = 0 to 0x1f do
+    let body =
+      match Char.chr code with
+      | '\n' -> {|\n|}
+      | '\r' -> {|\r|}
+      | '\t' -> {|\t|}
+      | _ -> Printf.sprintf "\\u%04x" code
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "byte 0x%02x" code)
+      ("\"" ^ body ^ "\"")
+      (Obs.Json.to_line (Obs.Json.String (String.make 1 (Char.chr code))))
+  done
+
+let prop_json_escape_round_trip =
+  QCheck.Test.make ~name:"escape decodes back to every byte string" ~count:500
+    QCheck.string
+    (fun s -> unescape (Obs.Json.escape s) = s)
+
+let prop_json_float_round_trip =
+  QCheck.Test.make ~name:"a printed Float reads back exactly" ~count:1000
+    QCheck.float
+    (fun x ->
+      let printed = Obs.Json.to_line (Obs.Json.Float x) in
+      if Float.is_finite x then Float.equal x (float_of_string printed)
+      else List.mem printed [ {|"nan"|}; {|"inf"|}; {|"-inf"|} ])
+
+let prop_json_key_order =
+  QCheck.Test.make ~name:"object keys print in ascending byte order"
+    ~count:300
+    QCheck.(small_list (pair (string_of_size (Gen.int_bound 3)) small_int))
+    (fun members ->
+      (* Distinct keys, in the order given. *)
+      let members =
+        List.fold_left
+          (fun acc (k, v) -> if List.mem_assoc k acc then acc else (k, v) :: acc)
+          [] members
+      in
+      let expected =
+        "{"
+        ^ String.concat ","
+            (List.map
+               (fun (k, v) ->
+                 Printf.sprintf "\"%s\":%d" (Obs.Json.escape k) v)
+               (List.sort (fun (a, _) (b, _) -> String.compare a b) members))
+        ^ "}"
+      in
+      let obj ms = Obs.Json.(Obj (List.map (fun (k, v) -> (k, Int v)) ms)) in
+      Obs.Json.to_line (obj members) = expected
+      && Obs.Json.to_line (obj (List.rev members)) = expected)
+
+let test_json_empty_containers () =
+  let check = Alcotest.(check string) in
+  check "empty object line" "{}" (Obs.Json.to_line (Obs.Json.Obj []));
+  check "empty list line" "[]" (Obs.Json.to_line (Obs.Json.List []));
+  check "empty object file" "{}\n" (Obs.Json.to_file (Obs.Json.Obj []));
+  check "empty list file" "[]\n" (Obs.Json.to_file (Obs.Json.List []));
+  check "empty members stay on their line" "{\n  \"a\": {},\n  \"b\": []\n}\n"
+    (Obs.Json.to_file Obs.Json.(Obj [ ("b", List []); ("a", Obj []) ]))
+
+let test_json_file_layout () =
+  (* Depths 0 and 1 one member per line, deeper compact; Num verbatim. *)
+  let v =
+    Obs.Json.(
+      Obj
+        [
+          ("x", List [ Int 1; Obj [ ("k", List [ Num "0.500"; Null ]) ] ]);
+          ("s", String "v");
+          ("o", Obj [ ("t", Bool true) ]);
+        ])
   in
   Alcotest.(check string)
-    "chunk_failed json shape"
-    "{\"attempts\":3,\"chunk\":4,\"error\":\"injected fault: \
-     body@4:raise\",\"event\":\"chunk_failed\",\"trial\":35}"
-    (Obs.Event.to_json ev)
+    "file layout"
+    {|{
+  "o": {
+    "t": true
+  },
+  "s": "v",
+  "x": [
+    1,
+    {"k":[0.500,null]}
+  ]
+}
+|}
+    (Obs.Json.to_file v);
+  Alcotest.(check string)
+    "line form" {|{"o":{"t":true},"s":"v","x":[1,{"k":[0.500,null]}]}|}
+    (Obs.Json.to_line v)
+
+(* One event per constructor, each field set apart from its neighbours,
+   with text that needs every kind of escape. *)
+let every_event =
+  Obs.Event.
+    [
+      Round
+        {
+          engine = Sync;
+          round = 3;
+          active = 61;
+          victims = [| 2; 5 |];
+          partial_sends = 1;
+          delivered = 3721;
+          newly_decided = 4;
+          newly_halted = 2;
+          ones_pending = Some 30;
+        };
+      Round
+        {
+          engine = Byz;
+          round = 1;
+          active = 7;
+          victims = [||];
+          partial_sends = 0;
+          delivered = 49;
+          newly_decided = 0;
+          newly_halted = 0;
+          ones_pending = None;
+        };
+      Kill { engine = Async; round = 12; victim = 4; delivered_to = 9 };
+      Decision { engine = Sync; round = 7; pid = 11; value = 1 };
+      Valency_probe { round = 2; pr_one = 0.1; expected_rounds = 1.0 /. 3.0 };
+      Valency_probe
+        { round = 5; pr_one = Float.nan; expected_rounds = Float.infinity };
+      Band
+        {
+          round = 4;
+          ones = 40;
+          zeros = 21;
+          flip_lo = 28;
+          flip_hi = 33;
+          margin = -2;
+          action = "trim";
+          kills = 7;
+        };
+      Checkpoint { chunk = 6; resumed = true };
+      (* Printexc renders [Failure "boom"] with embedded quotes: the error
+         field must escape quotes, backslashes and newlines or the JSONL
+         stream breaks at the first retried chunk. *)
+      Chunk_retry
+        { chunk = 2; attempt = 0; trial = 17; error = "Failure(\"boom\")\nat C:\\tmp" };
+      Chunk_failed
+        {
+          chunk = 4;
+          attempts = 3;
+          trial = 35;
+          error = "injected fault: body@4:raise";
+        };
+      Watchdog { experiment = "e1\t\r\x01" };
+    ]
+
+let test_event_jsonl_pinned () =
+  (* The bytes a build from before Obs.Json.t printed for [every_event]. *)
+  Alcotest.(check string)
+    "one line per constructor"
+    {|{"active":61,"delivered":3721,"engine":"sim","event":"round","newly_decided":4,"newly_halted":2,"ones_pending":30,"partial_sends":1,"round":3,"victims":[2,5]}
+{"active":7,"delivered":49,"engine":"byz","event":"round","newly_decided":0,"newly_halted":0,"ones_pending":null,"partial_sends":0,"round":1,"victims":[]}
+{"delivered_to":9,"engine":"async","event":"kill","round":12,"victim":4}
+{"engine":"sim","event":"decision","pid":11,"round":7,"value":1}
+{"event":"valency_probe","expected_rounds":0.33333333333333331,"pr_one":0.10000000000000001,"round":2}
+{"event":"valency_probe","expected_rounds":"inf","pr_one":"nan","round":5}
+{"action":"trim","event":"band","flip_hi":33,"flip_lo":28,"kills":7,"margin":-2,"ones":40,"round":4,"zeros":21}
+{"chunk":6,"event":"checkpoint","resumed":true}
+{"attempt":0,"chunk":2,"error":"Failure(\"boom\")\nat C:\\tmp","event":"chunk_retry","trial":17}
+{"attempts":3,"chunk":4,"error":"injected fault: body@4:raise","event":"chunk_failed","trial":35}
+{"event":"watchdog","experiment":"e1\t\r\u0001"}
+|}
+    (Obs.Event.to_jsonl every_event)
+
+let test_metrics_file_pinned () =
+  (* Every metric kind, and a name that needs escaping; the bytes a build
+     from before Obs.Json.t printed. *)
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.incr m "sim.rounds" ~by:12;
+  Obs.Metrics.incr m "a\"quoted\"";
+  List.iter (Obs.Metrics.observe_int m "sim.decision_round") [ 3; 1; 3; 7 ];
+  List.iter
+    (fun (pr_one, expected_rounds) ->
+      Obs.Metrics.absorb_event m
+        (Obs.Event.Valency_probe { round = 1; pr_one; expected_rounds }))
+    [ (0.1, 2.5); (0.25, 1e-300); (1.0 /. 3.0, 4.0) ];
+  Alcotest.(check string)
+    "metrics/v1 file"
+    {|{
+  "metrics": {
+    "a\"quoted\"": {"count":1,"kind":"counter"},
+    "lb.valency_expected_rounds": {"count":3,"kind":"float_stats","max":4,"mean":2.1666666666666665,"min":1e-300,"total":6.5},
+    "lb.valency_pr_one": {"count":3,"kind":"float_stats","max":0.33333333333333331,"mean":0.22777777777777777,"min":0.10000000000000001,"total":0.68333333333333335},
+    "lb.valency_probes": {"count":3,"kind":"counter"},
+    "sim.decision_round": {"bins":[[1,1],[3,2],[7,1]],"count":4,"kind":"int_histogram"},
+    "sim.rounds": {"count":12,"kind":"counter"}
+  },
+  "schema": "metrics/v1"
+}
+|}
+    (Obs.Json.to_file (Obs.Metrics.to_json m))
 
 let test_event_metrics_split () =
   (* Satellite: recovered attempts and terminal failures are distinct
@@ -272,7 +461,7 @@ let test_metrics_merge () =
   check_int "counters add under merge" 5 (Obs.Metrics.counter_value m "x");
   check_int "inputs unchanged" 2 (Obs.Metrics.counter_value a "x");
   check_bool "histogram carried over" true
-    (contains (Obs.Metrics.to_json m) "\"h\": {\"bins\":[[7,1]]")
+    (contains (Obs.Json.to_file (Obs.Metrics.to_json m)) "\"h\": {\"bins\":[[7,1]]")
 
 let test_metrics_kind_clash () =
   let m = Obs.Metrics.create () in
@@ -290,7 +479,7 @@ let test_metrics_prefixed () =
   check_int "prefixed name holds the value" 1
     (Obs.Metrics.counter_value p "e3.trials");
   check_bool "original name gone" true
-    (not (contains (Obs.Metrics.to_json p) "\"trials\""))
+    (not (contains (Obs.Json.to_file (Obs.Metrics.to_json p)) "\"trials\""))
 
 let suites =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -315,11 +504,16 @@ let suites =
       [
         tc "escape" test_json_escape;
         tc "float_str" test_json_float_str;
+        tc "every control byte escaped" test_json_control_bytes;
+        to_alcotest prop_json_escape_round_trip;
+        to_alcotest prop_json_float_round_trip;
+        to_alcotest prop_json_key_order;
+        tc "empty object and list" test_json_empty_containers;
+        tc "file layout" test_json_file_layout;
       ] );
     ( "obs.events",
       [
-        tc "retry event json escapes failure text" test_event_json_escaped;
-        tc "chunk_failed event json shape" test_event_json_chunk_failed;
+        tc "one pinned JSONL line per constructor" test_event_jsonl_pinned;
         tc "retries and failures are distinct metrics"
           test_event_metrics_split;
       ] );
@@ -328,5 +522,6 @@ let suites =
         tc "merge adds counters" test_metrics_merge;
         tc "kind clash raises" test_metrics_kind_clash;
         tc "prefixed deep-copies" test_metrics_prefixed;
+        tc "pinned file with every metric kind" test_metrics_file_pinned;
       ] );
   ]

@@ -799,7 +799,7 @@ let test_runner_auto_engine () =
     go 0
   in
   check_bool "manifest records both engines" true
-    (mem "\"engines\": [\"concrete\", \"bitkernel\"]")
+    (mem "\"engines\":[\"concrete\",\"bitkernel\"]")
 
 (* --- Sim.Runner.fold: the async and Byzantine instances ---------------- *)
 
@@ -936,7 +936,7 @@ let test_rows_distinct_stores () =
     ]
 
 (* E1 under a supervisor with checkpoints under [root]: the result and
-   its table's MD5. *)
+   its manifest [table_digest]. *)
 let e1_run ?fault ?retries ?(resume = false) ~root ~jobs () =
   let ctx =
     Core.Supervise.create ~checkpoints:root ~resume ?fault ?retries ()
@@ -946,11 +946,7 @@ let e1_run ?fault ?retries ?(resume = false) ~root ~jobs () =
     Core.Supervise.run_experiment ctx ~id:"e1" (fun () ->
         e1 ~jobs ~sup:ctx Core.Experiments.Quick ~seed:42)
   in
-  let md5 =
-    Option.fold ~none:"" r.Core.Supervise.table ~some:(fun t ->
-        Digest.to_hex (Digest.string (Stats.Table.render t)))
-  in
-  (r, md5)
+  (r, Option.value ~default:"" (Core.Supervise.table_digest r))
 
 (* The core.experiments pin of E1's quick table at seed 42. *)
 let e1_md5 = "453908beda5f04f4172d849bf2bd9f69"
@@ -976,8 +972,8 @@ let test_e1_resume_after_failure () =
 
 let test_e1_chaos_invisible () =
   (* The pinned chaos plan against E1's folds: the retry budget absorbs
-     it, and the table and the manifest's metrics digest equal the
-     fault-free run's. *)
+     it, and the manifest's table_digest and the supervision registry
+     equal the fault-free run's. *)
   with_temp_root "e1_chaos" @@ fun root ->
   let base, base_md5 = e1_run ~root ~jobs:1 () in
   check_string "fault-free E1 table" e1_md5 base_md5;
@@ -991,9 +987,9 @@ let test_e1_chaos_invisible () =
       in
       check_bool "plan survived" false (Core.Supervise.failed r);
       check_bool "faults fired" true (r.Core.Supervise.chunk_retries > 0);
-      check_string (Printf.sprintf "table at jobs %d" jobs) e1_md5 md5;
+      check_string (Printf.sprintf "table_digest at jobs %d" jobs) e1_md5 md5;
       check_string
-        (Printf.sprintf "metrics digest at jobs %d" jobs)
+        (Printf.sprintf "supervision registry at jobs %d" jobs)
         (Obs.Metrics.digest base.Core.Supervise.metrics)
         (Obs.Metrics.digest r.Core.Supervise.metrics))
     [ 1; 2 ]
@@ -1262,7 +1258,7 @@ let test_supervise_retry_accounting () =
     in
     go 0
   in
-  check_bool "manifest records the retries" true (mem "\"chunk_retries\": 1")
+  check_bool "manifest records the retries" true (mem "\"chunk_retries\":1")
 
 let test_supervise_fault_budget_exhausted () =
   (* An every-hit arm outlasts the budget: the experiment lands as Failed
@@ -1301,10 +1297,9 @@ let test_supervise_fault_budget_exhausted () =
 
 let test_manifest_shape () =
   let ctx = Core.Supervise.create () in
-  let ok =
-    Core.Supervise.run_experiment ctx ~id:"e1" (fun () ->
-        Stats.Table.create ~title:"t" ~columns:[ "c" ])
-  in
+  let table = Stats.Table.create ~title:"t" ~columns:[ "c" ] in
+  Stats.Table.add_row table [ Stats.Table.Int 1 ];
+  let ok = Core.Supervise.run_experiment ctx ~id:"e1" (fun () -> table) in
   let bad =
     Core.Supervise.run_experiment ctx ~id:"e2" (fun () -> failwith "boom-q")
   in
@@ -1324,10 +1319,14 @@ let test_manifest_shape () =
     in
     go 0
   in
-  check_bool "schema tag" true (mem "\"schema\": \"run_manifest/v1\"");
+  check_bool "schema tag" true (mem "\"schema\": \"run_manifest/v2\"");
   check_bool "run parameters" true (mem "\"deadline_s\": 30");
-  check_bool "completed record" true (mem "\"id\": \"e1\", \"status\": \"completed\"");
-  check_bool "failed record" true (mem "\"id\": \"e2\", \"status\": \"failed\"");
+  check_bool "completed record" true
+    (mem
+       (Printf.sprintf "\"id\":\"e1\",\"status\":\"completed\",\"table_digest\":\"%s\""
+          (Digest.to_hex (Digest.string (Stats.Table.render table)))));
+  check_bool "failed record without a table" true
+    (mem "\"id\":\"e2\",\"status\":\"failed\",\"table_digest\":null");
   (* Printexc renders Failure "boom-q" as Failure("boom-q"); Obs.Json.escape
      then escapes those inner quotes for the manifest. *)
   check_bool "failure message escaped" true (mem "Failure(\\\"boom-q\\\")");

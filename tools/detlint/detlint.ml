@@ -142,21 +142,6 @@ let render f =
         f.line f.col f.rule f.message
         (Option.value f.justification ~default:"")
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Canonical finding order: report position first, rule as a tie-break.
    Sorting before emission makes results/detlint.json independent of
    directory-walk and traversal order. *)
@@ -174,44 +159,28 @@ let json_schema_version = 2
 
 let to_json ~files findings =
   let findings = List.stable_sort compare_findings findings in
-  let violations =
-    List.length (List.filter (fun f -> f.severity = Violation) findings)
+  let count sev =
+    List.length (List.filter (fun f -> f.severity = sev) findings)
   in
-  let waived =
-    List.length (List.filter (fun f -> f.severity = Waived) findings)
+  let open Obs.Json in
+  let finding f =
+    let severity =
+      match f.severity with Violation -> "violation" | Waived -> "waived"
+    in
+    Obj
+      ([ ("file", String f.file); ("line", Int f.line); ("col", Int f.col);
+         ("rule", String f.rule); ("severity", String severity);
+         ("message", String f.message) ]
+      @ Option.fold ~none:[]
+          ~some:(fun j -> [ ("justification", String j) ])
+          f.justification)
   in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n  \"tool\": \"detlint\",\n  \"schema_version\": %d,\n  \
-        \"rules\": {\n"
-       json_schema_version);
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf "    \"%s\": \"%s\"%s\n" r (json_escape (rule_doc r))
-           (if i = List.length all_rule_ids - 1 then "" else ",")))
-    all_rule_ids;
-  Buffer.add_string b
-    (Printf.sprintf
-       "  },\n  \"summary\": { \"files\": %d, \"violations\": %d, \"waived\": \
-        %d },\n  \"findings\": [\n"
-       files violations waived);
-  List.iteri
-    (fun i f ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"file\": \"%s\", \"line\": %d, \"col\": %d, \"rule\": \
-            \"%s\", \"severity\": \"%s\", \"message\": \"%s\"%s }%s\n"
-           (json_escape f.file) f.line f.col f.rule
-           (match f.severity with
-           | Violation -> "violation"
-           | Waived -> "waived")
-           (json_escape f.message)
-           (match f.justification with
-           | Some j -> Printf.sprintf ", \"justification\": \"%s\"" (json_escape j)
-           | None -> "")
-           (if i = List.length findings - 1 then "" else ",")))
-    findings;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  Obj
+    [ ("tool", String "detlint"); ("schema_version", Int json_schema_version);
+      ( "rules",
+        Obj (List.map (fun r -> (r, String (rule_doc r))) all_rule_ids) );
+      ( "summary",
+        Obj
+          [ ("files", Int files); ("violations", Int (count Violation));
+            ("waived", Int (count Waived)) ] );
+      ("findings", List (List.map finding findings)) ]

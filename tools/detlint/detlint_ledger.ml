@@ -8,9 +8,9 @@
    code, or adds a det function, leaves the ledger unchanged; the per-class
    counts go to the @lint stdout line ([summary]) instead.
 
-   Stability contract: entries arrive name-sorted from the taint pass,
-   chains are shortest BFS paths over sorted adjacency, and this module
-   adds no map iteration of its own, so two runs over the same tree
+   Stability contract: Obs.Json prints the entries in key order, chains
+   are shortest BFS paths over sorted adjacency, and this module adds no
+   map iteration of its own, so two runs over the same tree
    produce byte-identical ledgers and `dune build @bench-smoke` can gate
    on a plain diff against the committed file. *)
 
@@ -24,40 +24,31 @@ let class_name = function
   | T.Nondet _ -> "nondet"
   | T.Quarantined _ -> "quarantined"
 
-let quote s = "\"" ^ Detlint.json_escape s ^ "\""
-
 (* The entry of a non-det function; a det one has none. *)
 let entry_json (e : T.entry) =
-  let body =
-    match e.T.e_class with
-    | T.Det -> None
-    | T.Nondet { source; chain } ->
-        Some
-          (Printf.sprintf
-             ",\n      \"source\": { \"kind\": \"%s\", \"path\": %s, \
-              \"file\": %s },\n      \"chain\": [%s]"
-             (G.source_kind_name source.G.o_kind)
-             (quote source.G.o_path)
-             (quote source.G.o_loc.G.l_file)
-             (String.concat ", " (List.map quote chain)))
-    | T.Quarantined { q_rule; q_just } ->
-        Some
-          (Printf.sprintf ", \"waiver_rule\": %s, \"justification\": %s"
-             (quote q_rule) (quote q_just))
+  let open Obs.Json in
+  let entry members =
+    Some (e.T.e_fn, Obj (("class", String (class_name e.T.e_class)) :: members))
   in
-  Option.map
-    (Printf.sprintf "    %s: { \"class\": \"%s\"%s }" (quote e.T.e_fn)
-       (class_name e.T.e_class))
-    body
+  match e.T.e_class with
+  | T.Det -> None
+  | T.Nondet { source; chain } ->
+      entry
+        [ ( "source",
+            Obj
+              [ ("kind", String (G.source_kind_name source.G.o_kind));
+                ("path", String source.G.o_path);
+                ("file", String source.G.o_loc.G.l_file) ] );
+          ("chain", List (List.map (fun fn -> String fn) chain)) ]
+  | T.Quarantined { q_rule; q_just } ->
+      entry [ ("waiver_rule", String q_rule); ("justification", String q_just) ]
 
 let to_json (r : T.result) =
-  let entries = List.filter_map entry_json r.T.entries in
-  Printf.sprintf
-    "{\n  \"tool\": \"detlint-taint\",\n  \"schema_version\": %d,\n  \
-     \"functions\": {%s}\n}\n"
-    schema_version
-    (if entries = [] then ""
-     else "\n" ^ String.concat ",\n" entries ^ "\n  ")
+  Obs.Json.(
+    Obj
+      [ ("tool", String "detlint-taint");
+        ("schema_version", Int schema_version);
+        ("functions", Obj (List.filter_map entry_json r.T.entries)) ])
 
 (* "1423 function(s): 1414 det, 7 nondet, 2 quarantined". *)
 let summary (r : T.result) =

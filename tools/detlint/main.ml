@@ -14,18 +14,8 @@
    Prints human-readable findings and exits 1 iff any unwaived violation
    remains, 2 on a bad command line. *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
-let write_file file contents =
-  mkdir_p (Filename.dirname file);
-  let oc = open_out_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents);
+let write file json =
+  Obs.Json.write ~path:file (Obs.Json.to_file json);
   Printf.printf "detlint: wrote %s\n" file
 
 let () =
@@ -51,12 +41,9 @@ let () =
         (List.length files) violations (count Detlint.Waived);
       Printf.printf "detlint: taint pass classified %s\n"
         (Detlint_ledger.summary result);
-      Option.iter
-        (fun file -> write_file file (Detlint_ledger.to_json result))
-        ledger;
+      Option.iter (fun file -> write file (Detlint_ledger.to_json result)) ledger;
       Option.iter
         (fun file ->
-          write_file file
-            (Detlint.to_json ~files:(List.length files) findings))
+          write file (Detlint.to_json ~files:(List.length files) findings))
         json;
       if violations > 0 then exit 1
