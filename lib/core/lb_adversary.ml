@@ -474,7 +474,7 @@ let estimate exec plan ~config ~rng =
     Sim.Bitkernel.reseed c rng;
     Sim.Bitkernel.run_until c drip
       ~max_rounds:(Sim.Bitkernel.round exec + config.horizon);
-    let o = Sim.Bitkernel.outcome c in
+    let o = Sim.Bitkernel.final_outcome c in
     (match o.Sim.Engine.rounds_to_decide with
     | Some r ->
         incr decided;
@@ -562,7 +562,7 @@ let force_long_execution ?(config = default_mc_config) ?(max_rounds = 10_000)
     end
   in
   drive ();
-  Sim.Bitkernel.outcome exec
+  Sim.Bitkernel.final_outcome exec
 
 (* ------------------------------------------------------------------ *)
 (* Leader killer                                                       *)

@@ -75,7 +75,7 @@ let decide_probability exec make ~samples ~horizon ~rng =
     Sim.Bitkernel.reseed c rng;
     Sim.Bitkernel.run_until c (make ())
       ~max_rounds:(Sim.Bitkernel.round exec + horizon);
-    let o = Sim.Bitkernel.outcome c in
+    let o = Sim.Bitkernel.final_outcome c in
     match o.Sim.Engine.rounds_to_decide with
     | Some _ ->
         incr decided;

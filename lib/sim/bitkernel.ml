@@ -16,16 +16,16 @@
    A trial costs only its packed rounds: a register protocol's initial
    state is a function of its input alone ([bo_init]), so [start] builds
    the two initial states once and packs every process from them. A
-   uniform start builds no per-process object: the streams are one bank
-   (Prng.Rng.Bank), and the scalar states array is one shared template,
-   stale by contract while packed. A packed halt is all-or-none, so it
-   pins no final state either. Only a start whose two initial states
-   disagree on a non-register field starts scalar, its states filled from
-   the same two values.
+   packed execution keeps the ledger, the planes and the streams (one
+   bank, Prng.Rng.Bank) and no per-process state: a silent victim just
+   leaves the mask, and a packed halt is all-or-none. The scalar half,
+   Engine's record (states, staged messages and delivery scratch), is
+   built by Round's one constructor when it is first needed: at the first
+   round that unpacks, or at a start whose two initial states disagree on
+   a non-register field, which starts scalar. Once built it is kept.
 
-   The scalar half of the state is Engine's record, built by Round's one
-   constructor, and every round rule (kill validation, the decision
-   discipline, kills and events, the outcome) is [Round]'s one copy, so
+   Every round rule (kill validation, the decision discipline, kills and
+   events, the outcome) is [Round]'s one copy, over the one ledger, so
    byte-identity with Engine holds by construction on scalar rounds. The
    packed path keeps the same event order (Decisions ascending by pid,
    then Kills in plan order, one Round summary) and RNG consumption:
@@ -33,13 +33,14 @@
    then the aux draw). *)
 
 type ('state, 'msg) exec = {
-  sc : ('state, 'msg) Round.scalar;
-      (* In packed mode, [sc.states] entries of ACTIVE processes are stale
-         (the truth is template + planes); from a packed [start] they all
-         hold one shared initial state. A silent victim's entry is pinned
-         when it dies. A packed halt pins nothing: it halts every active
-         process at once, so the run is quiescent and no later step, view
-         or accessor reads [sc.states] again. *)
+  protocol : ('state, 'msg) Protocol.t;
+  lg : 'msg Round.ledger;
+  mutable shadow : ('state, 'msg) Round.scalar option;
+      (* The scalar half over [lg], built by [scalar] on first use. While
+         packed, the truth is template + planes and nothing reads it;
+         [materialize] rewrites every active entry before an unpacked
+         round does. Inactive entries are never read again, which is why
+         a silent victim needs none. *)
   bo : ('state, 'msg) Protocol.bitops;
   cd : 'state Protocol.codec;
   nw : int;  (* Bitwords.words_for n *)
@@ -69,7 +70,7 @@ type ('state, 'msg) exec = {
   mutable scalar_rounds : int;
 }
 
-let active_count e = if e.packed then e.active_cnt else Round.active_count e.sc.lg
+let active_count e = if e.packed then e.active_cnt else Round.active_count e.lg
 
 (* Gather process i's packed registers from the current planes: one
    word index and lane for all of them. *)
@@ -131,7 +132,7 @@ let clear_plane (dst : int array) nw =
    unpacked (its planes are only read once [packed] is set). One
    O(active) pass, with no per-process allocation of its own. *)
 let pack e state_of =
-  let lg = e.sc.lg and cd = e.cd in
+  let lg = e.lg and cd = e.cd in
   let width = cd.Protocol.bo_width in
   clear_plane e.amask e.nw;
   for r = 0 to width - 1 do
@@ -170,7 +171,7 @@ let pack e state_of =
   e.packed
 
 (* Re-enter packed mode after a scalar round if uniformity has returned. *)
-let try_pack e = if not e.packed then ignore (pack e (Array.get e.sc.states))
+let try_pack e sc = ignore (pack e (Array.get sc.Round.states))
 
 (* The view's population reads on a packed round. Every active process
    stages a broadcast, so the senders are [amask]: [count] reads the
@@ -200,17 +201,31 @@ let packed_senders e s f =
 let packed_priv e i =
   if Bitwords.get e.amask i then e.priv.(i) else Round.no_broadcast i
 
-(* Unpacked, the reads are Engine's, over the staged array. *)
+(* The scalar half, built on first use over the current template (its
+   entries are only read once [materialize] or [start] has set them). *)
+let scalar e =
+  match e.shadow with
+  | Some sc -> sc
+  | None ->
+      let sc = Round.scalar_of e.protocol e.lg (Array.make e.lg.n e.template) in
+      e.shadow <- Some sc;
+      sc
+
+(* Unpacked, the reads are Engine's, over the staged array of the scalar
+   half, which an unpacked execution always has. *)
 let viewer_of e =
-  let bitops = e.sc.protocol.Protocol.bitops and pending = e.sc.pending in
-  Round.viewer e.sc.lg
+  let bitops = e.protocol.Protocol.bitops in
+  let pending () = (scalar e).pending in
+  Round.viewer e.lg
     ~count:(fun s ->
-      if e.packed then packed_count e s else Round.count_staged bitops pending s)
+      if e.packed then packed_count e s
+      else Round.count_staged bitops (pending ()) s)
     ~iter_senders:(fun s f ->
       if e.packed then packed_senders e s f
-      else Round.iter_staged_senders bitops pending s f)
+      else Round.iter_staged_senders bitops (pending ()) s f)
     ~priv:(fun i ->
-      if e.packed then packed_priv e i else Round.priv_staged bitops pending i)
+      if e.packed then packed_priv e i
+      else Round.priv_staged bitops (pending ()) i)
 
 let start ?observer ?sink protocol ~inputs ~t ~rng =
   let refuse what =
@@ -228,21 +243,20 @@ let start ?observer ?sink protocol ~inputs ~t ~rng =
   let n = lg.n in
   let nw = Bitwords.words_for n in
   let cd = bo.Protocol.bo_codec in
-  (* The two initial states; process [pid]'s is [init.(inputs.(pid))].
-     Active entries are stale while packed, so a packed start backs them
-     all with one shared state. *)
+  (* The two initial states; process [pid]'s is [init.(inputs.(pid))]. *)
   let init = Array.init 2 (fun input -> bo.Protocol.bo_init ~n ~input) in
   let init_of pid = init.(inputs.(pid)) in
-  let sc = Round.scalar_of protocol lg (Array.make n (init_of 0)) in
   let planes () = Array.init cd.Protocol.bo_width (fun _ -> Array.make nw 0) in
   let rec e =
     {
-      sc;
+      protocol;
+      lg;
+      shadow = None;
       bo;
       cd;
       nw;
       packed = false;
-      template = sc.states.(0);
+      template = init_of 0;
       cur = planes ();
       nxt = planes ();
       amask = Array.make nw 0;
@@ -258,33 +272,34 @@ let start ?observer ?sink protocol ~inputs ~t ~rng =
   in
   (* Initial states are usually uniform up to registers (inputs live in
      register bits), so most runs start packed, straight from the two
-     initial states. The rest start scalar, every entry one of the two. *)
+     initial states, with no scalar half. The rest start scalar, every
+     entry one of the two. *)
   if not (pack e init_of) then
-    for pid = 1 to n - 1 do
-      sc.states.(pid) <- init_of pid
-    done;
+    e.shadow <- Some (Round.scalar_of protocol lg (Array.init n init_of));
   e
 
 (* Leave packed mode: rebuild the scalar states and staged messages of
-   every active process from the planes. Dead entries were pinned when
-   they died, and halted ones halted on a scalar round: a packed halt
-   leaves no active process to materialize. *)
+   every active process from the planes, building the scalar half on the
+   first call. Only active entries are read from here on: a dead process
+   is never read again, and a packed halt leaves no active process. *)
 let materialize e =
+  let sc = scalar e in
   if e.packed then begin
-    let pending = e.sc.pending in
-    Array.fill pending 0 e.sc.lg.n None;
+    let pending = sc.pending in
+    Array.fill pending 0 e.lg.n None;
     Bitwords.iter_ones e.amask e.nw (fun i ->
-        e.sc.states.(i) <- e.cd.Protocol.bo_unpack e.template (regs_at e i);
+        sc.states.(i) <- e.cd.Protocol.bo_unpack e.template (regs_at e i);
         pending.(i) <- Some (msg_at e i));
     e.packed <- false
-  end
+  end;
+  sc
 
 (* Phase A at word granularity, in the PRNG's own pass: per word, every
    active lane's stream draws its coin, then its aux draw, ascending —
    exactly the scalar loop's draws on every stream. The fresh coin plane
    is the one plane whose tally is recounted. *)
 let packed_phase_a e =
-  let bank = e.sc.lg.bank in
+  let bank = e.lg.bank in
   (* draw_word's encoding: bound 0 makes no aux draw. *)
   let bound = Option.value e.cd.Protocol.bo_aux_bound ~default:0 in
   match e.cd.Protocol.bo_coin_reg with
@@ -305,15 +320,13 @@ let packed_phase_a e =
                ~mask:e.amask.(w) ~coin:false ~bound e.priv)
         done
 
-(* Drop this round's silent victims from the packed population, pinning
-   each one's post-Phase-A state (a victim is never committed, so that is
-   its final state) and taking its bits out of the tallies. A top-level
-   loop: no-kill rounds allocate nothing. *)
+(* Drop this round's silent victims from the packed population, taking
+   each one's bits out of the tallies. Nothing reads a dead process's
+   state, so none is kept. A top-level loop: it allocates nothing. *)
 let rec drop_victims e = function
   | [] -> ()
   | { Adversary.victim; deliver_to = _ } :: rest ->
       let bits = regs_at e victim in
-      e.sc.states.(victim) <- e.cd.Protocol.bo_unpack e.template bits;
       for r = 0 to e.cd.Protocol.bo_width - 1 do
         e.tallies.(r) <- e.tallies.(r) - ((bits lsr r) land 1)
       done;
@@ -333,7 +346,7 @@ let shared_some v = match v with 0 -> some_0 | 1 -> some_1 | v -> Some v
    the same sender set, the survivors themselves, so one tally serves
    them all. *)
 let packed_phase_b e kills round =
-  let lg = e.sc.lg in
+  let lg = e.lg in
   let emit_on = Obs.Sink.enabled lg.sink in
   (* ones_pending reads the staged messages, i.e. the pre-transition
      planes of every sender, victims included — compute it before they
@@ -415,7 +428,7 @@ let packed_phase_b e kills round =
     if ws.Protocol.ws_halt then begin
       if not e.any_active_decided then Round.halted_undecided (first_active e);
       (* Halting is all-or-none in packed mode: the run is quiescent from
-         here, so no final state is pinned (see [sc]). *)
+         here, so no final state is kept. *)
       Bitwords.iter_ones e.amask e.nw (fun j -> lg.halted.(j) <- true);
       newly_halted := e.active_cnt;
       clear_plane e.amask e.nw;
@@ -436,44 +449,53 @@ let silent k = k.Adversary.deliver_to = []
 let step e adversary =
   if active_count e = 0 then `Quiescent
   else begin
-    let lg = e.sc.lg in
+    let lg = e.lg in
     let round = lg.round + 1 in
-    if e.packed then packed_phase_a e else Round.phase_a e.sc;
+    if e.packed then packed_phase_a e else Round.phase_a (scalar e);
     let kills = Round.plan lg adversary (Round.view (Lazy.force e.viewer) ~round) in
     (* Only a partial delivery individuates receivers; silent kills leave
        every survivor hearing the same senders. *)
     if e.packed && List.for_all silent kills then packed_phase_b e kills round
     else begin
-      materialize e;
-      Round.phase_b e.sc kills ~round;
+      let sc = materialize e in
+      Round.phase_b sc kills ~round;
       e.scalar_rounds <- e.scalar_rounds + 1;
-      try_pack e
+      try_pack e sc
     end;
     `Continue
   end
 
 let run_until e adversary ~max_rounds =
   let rec loop () =
-    if e.sc.lg.round >= max_rounds then ()
+    if e.lg.round >= max_rounds then ()
     else match step e adversary with `Quiescent -> () | `Continue -> loop ()
   in
   loop ()
 
-(* Round's copy of the ledger and the scalar half, plus this engine's own
-   fields: the planes, [amask] and the tallies are copied; [nxt], [tnxt]
-   and [priv] are dead between steps, so the copy gets fresh ones (and
-   Round gives it fresh scalar scratch and stamps), and a viewer over
-   itself. *)
+(* Round's copy of the ledger, plus this engine's own fields: the planes,
+   [amask] and the tallies are copied; [nxt], [tnxt] and [priv] are dead
+   between steps, so the copy gets fresh ones, and a viewer over itself.
+   A packed original's scalar half holds nothing that is read again, so
+   the copy builds its own if it ever unpacks; an unpacked one's is
+   Round's copy, over the copy's ledger. *)
 let snapshot e =
   let width = e.cd.Protocol.bo_width and nw = e.nw in
+  let lg, shadow =
+    match e.shadow with
+    | Some sc when not e.packed ->
+        let sc = Round.snapshot sc in
+        (sc.lg, Some sc)
+    | _ -> (Round.copy_ledger e.lg, None)
+  in
   let rec c =
     {
       e with
-      sc = Round.snapshot e.sc;
+      lg;
+      shadow;
       cur = Array.map Array.copy e.cur;
       nxt = Array.init width (fun _ -> Array.make nw 0);
       amask = Array.copy e.amask;
-      priv = Array.make e.sc.lg.n 0;
+      priv = Array.make lg.n 0;
       tallies = Array.copy e.tallies;
       tnxt = Array.make width 0;
       viewer = lazy (viewer_of c);
@@ -481,25 +503,27 @@ let snapshot e =
   in
   c
 
-let reseed e rng = Round.reseed e.sc.lg rng
+let reseed e rng = Round.reseed e.lg rng
 
-let outcome e = Round.outcome e.sc.lg ~quiescent:(active_count e = 0)
+let outcome e = Round.outcome e.lg ~quiescent:(active_count e = 0)
+
+let final_outcome e = Round.final_outcome e.lg ~quiescent:(active_count e = 0)
 
 let run ?observer ?sink ?(max_rounds = 10_000) protocol adversary ~inputs ~t
     ~rng =
   let e = start ?observer ?sink protocol ~inputs ~t ~rng in
   run_until e adversary ~max_rounds;
-  Round.final_outcome e.sc.lg ~quiescent:(active_count e = 0)
+  final_outcome e
 
-let round (e : _ exec) = e.sc.lg.round
+let round (e : _ exec) = e.lg.round
 
-let n (e : _ exec) = e.sc.lg.n
+let n (e : _ exec) = e.lg.n
 
-let kills_used (e : _ exec) = e.sc.lg.kills_used
+let kills_used (e : _ exec) = e.lg.kills_used
 
 (* The ledger's flags are exact between steps, packed or not: a packed
    round closes through [Round.apply_kills] and marks its halts. *)
-let active (e : _ exec) i = Round.active_at e.sc.lg i
+let active (e : _ exec) i = Round.active_at e.lg i
 
 let packed_rounds (e : _ exec) = e.packed_rounds
 

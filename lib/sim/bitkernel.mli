@@ -14,24 +14,26 @@
     whose plan delivers a victim's message to some receivers individuates
     them: it materializes the scalar states, runs through the exact
     {!Engine} aggregate delivery path, and re-packs when uniformity
-    returns. The
-    kernel's scalar half is Engine's own state record, and its unpacked
-    rounds call Engine's Phase A, delivery and commit code; kill
-    validation, the decision discipline, events and the outcome are the
-    round rules all three engines share (DESIGN §5).
+    returns. The kernel's scalar half is Engine's own state record, and
+    its unpacked rounds call Engine's Phase A, delivery and commit code;
+    kill validation, the decision discipline, events and the outcome are
+    the round rules all three engines share (DESIGN §5), over the one
+    ledger.
 
     {b A trial costs its packed rounds.} A register protocol's initial
     state is a function of (n, input) ({!Protocol.bitops}' [bo_init]), so
     {!start} builds the input-0 and input-1 states once and packs every
-    process from them: a uniform start builds no per-process object.
-    The per-process streams are one {!Prng.Rng.Bank}, and while packed the
-    scalar states of active processes are stale by contract, all of them
-    one shared initial state. A packed halt halts every active process at
-    once, so the run is quiescent and nothing reads a halted process's
-    state again: it pins no final state, and the deciders share one
-    [Some v] per value. Only a start whose two initial states disagree on
-    a non-register field (under mixed inputs) starts scalar, every entry
-    one of the two states, and re-packs once they agree.
+    process from them: a uniform start builds no per-process object and
+    no scalar half. The per-process streams are one {!Prng.Rng.Bank}. The
+    scalar half (states, staged messages, delivery scratch) is built by
+    the first round that unpacks and kept from then on; a run whose
+    rounds all stay packed never builds it. A silent victim keeps no
+    state: nothing reads a dead process's state again. A packed halt
+    halts every active process at once, so the run is quiescent and keeps
+    no final state either, and the deciders share one [Some v] per value.
+    Only a start whose two initial states disagree on a non-register
+    field (under mixed inputs) starts scalar, every entry one of the two
+    states, and re-packs once they agree.
 
     {b Byte-identity:} every observable — outcomes, decision rounds,
     traces, the event stream (Decisions ascending by pid, Kills in plan
@@ -81,7 +83,15 @@ val run_until :
     rounds have executed. *)
 
 val outcome : ('state, 'msg) exec -> Engine.outcome
-(** The same outcome record {!Engine.outcome} computes, field for field. *)
+(** The same outcome record {!Engine.outcome} computes, field for field,
+    with its own copies of the per-process arrays: the execution stays
+    live. *)
+
+val final_outcome : ('state, 'msg) exec -> Engine.outcome
+(** {!outcome} for a caller that drops the execution: the record takes
+    the execution's [decisions], [faulty] and [halted] arrays instead of
+    copying them, so stepping the execution afterwards changes it. What
+    {!run} returns; a continuation read once and dropped reads this. *)
 
 val run :
   ?observer:('msg -> bool) ->
@@ -94,7 +104,7 @@ val run :
   rng:Prng.Rng.t ->
   Engine.outcome
 (** [start], then {!step} until quiescent or [max_rounds], then
-    {!outcome}. Default [max_rounds] is 10_000. *)
+    {!final_outcome}. Default [max_rounds] is 10_000. *)
 
 (** {2 Snapshots}
 
@@ -105,15 +115,25 @@ val run :
     {!Engine} given the same copies and reseeds. A snapshot of a packed
     execution stays packed: a continuation whose kills are silent runs at
     word granularity, and a partial delivery takes the copy (only) to
-    the scalar fallback, which re-packs on its own. *)
+    the scalar fallback, which builds the copy's own scalar half and
+    re-packs on its own. *)
 
 val snapshot : ('state, 'msg) exec -> ('state, 'msg) exec
 (** Deep copy: {!Engine.snapshot}'s copy of the ledger (its stream bank
-    one block copy) and the scalar states, plus copies of the planes, the
-    active mask and the carried tallies. Scratch (the transition's double buffers, the aux payloads,
-    the staged messages, the kill stamps) is fresh, so nothing mutable is
-    shared. The copy replays the same randomness unless {!reseed} is
-    called, and its sink is null, as {!Engine.snapshot}'s. *)
+    one block copy), plus copies of the planes, the active mask and the
+    carried tallies. Scratch (the transition's double buffers, the aux
+    payloads, the kill stamps) is fresh, so nothing mutable is shared.
+
+    Cost: a packed snapshot allocates the ledger's four n-arrays and its
+    stream bank (four words a process), [priv] (n words) and the planes
+    (O(n / word_size)), and no
+    scalar half, whether or not its original has one: a packed
+    original's scalar half holds nothing that is read again. Only a
+    snapshot of an unpacked execution also copies the scalar states and
+    gets fresh staged-message and kill scratch (three more n-arrays).
+
+    The copy replays the same randomness unless {!reseed} is called, and
+    its sink is null, as {!Engine.snapshot}'s. *)
 
 val reseed : ('state, 'msg) exec -> Prng.Rng.t -> unit
 (** {!Engine.reseed}: the same splits of the source, in the same order,

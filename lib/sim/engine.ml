@@ -60,8 +60,6 @@ let round (e : _ exec) = e.lg.round
 
 let kills_used (e : _ exec) = e.lg.kills_used
 
-let alive (e : _ exec) = Array.copy e.lg.alive
-
 let active_mask (e : _ exec) = Array.init e.lg.n (Round.active_at e.lg)
 
 let states (e : _ exec) = Array.copy e.states

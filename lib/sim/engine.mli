@@ -122,10 +122,6 @@ val round : ('state, 'msg) exec -> int
 
 val kills_used : ('state, 'msg) exec -> int
 
-val alive : ('state, 'msg) exec -> bool array
-(** A copy.
-    Kept for tests: the hand-computed round cases read it. *)
-
 val active_mask : ('state, 'msg) exec -> bool array
 (** Alive and not halted — the processes an adversary may name as victims
     next round. A copy. *)

@@ -23,7 +23,7 @@ type outcome = {
 type 'msg ledger = {
   n : int;
   t : int;
-  alive : bool array;
+  faulty : bool array;
   halted : bool array;
   decisions : int option array;
   decision_round : int array;  (* -1 = undecided *)
@@ -52,7 +52,7 @@ let ledger ~who ?observer ?(sink = Obs.Sink.null) ~inputs ~t rng =
   {
     n;
     t;
-    alive = Array.make n true;
+    faulty = Array.make n false;
     halted = Array.make n false;
     decisions = Array.make n None;
     decision_round = Array.make n (-1);
@@ -65,7 +65,7 @@ let ledger ~who ?observer ?(sink = Obs.Sink.null) ~inputs ~t rng =
     observer;
   }
 
-let active_at lg i = lg.alive.(i) && not lg.halted.(i)
+let active_at lg i = not (lg.faulty.(i) || lg.halted.(i))
 
 let active_count lg =
   let c = ref 0 in
@@ -73,9 +73,6 @@ let active_count lg =
     if active_at lg i then incr c
   done;
   !c
-
-let alive_count lg =
-  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 lg.alive
 
 let budget_left lg = lg.t - lg.kills_used
 
@@ -247,7 +244,7 @@ let apply_kills lg ~round kills =
       in
       iter_run
         (fun { Adversary.victim; _ } ->
-          lg.alive.(victim) <- false;
+          lg.faulty.(victim) <- true;
           if emit_on then
             Obs.Sink.emit lg.sink
               (Obs.Event.Kill
@@ -282,15 +279,16 @@ let emit_round lg ~round kills ~active ~delivered ~newly_decided ~newly_halted
          ones_pending = ones;
        })
 
-(* [decisions] and [halted] are the ledger's arrays or copies of them. *)
-let outcome_with lg ~quiescent ~decisions ~halted =
+(* [decisions], [faulty] and [halted] are the ledger's arrays or copies of
+   them. *)
+let outcome_with lg ~quiescent ~decisions ~faulty ~halted =
   let rounds_to_decide =
-    let vacuous = alive_count lg = 0 in
+    let vacuous = Array.for_all Fun.id lg.faulty in
     if vacuous then Some lg.round
     else begin
       let worst = ref 0 and all = ref true in
       for i = 0 to lg.n - 1 do
-        if lg.alive.(i) then
+        if not lg.faulty.(i) then
           if lg.decision_round.(i) < 0 then all := false
           else if lg.decision_round.(i) > !worst then worst := lg.decision_round.(i)
       done;
@@ -301,7 +299,7 @@ let outcome_with lg ~quiescent ~decisions ~halted =
     rounds_executed = lg.round;
     rounds_to_decide;
     decisions;
-    faulty = Array.map not lg.alive;
+    faulty;
     halted;
     kills_used = lg.kills_used;
     quiescent;
@@ -309,10 +307,11 @@ let outcome_with lg ~quiescent ~decisions ~halted =
 
 let outcome lg ~quiescent =
   outcome_with lg ~quiescent ~decisions:(Array.copy lg.decisions)
-    ~halted:(Array.copy lg.halted)
+    ~faulty:(Array.copy lg.faulty) ~halted:(Array.copy lg.halted)
 
 let final_outcome lg ~quiescent =
-  outcome_with lg ~quiescent ~decisions:lg.decisions ~halted:lg.halted
+  outcome_with lg ~quiescent ~decisions:lg.decisions ~faulty:lg.faulty
+    ~halted:lg.halted
 
 (* --- Engine's scalar execution ------------------------------------- *)
 
@@ -377,28 +376,28 @@ let scalar ~who ?observer ?sink protocol ~inputs ~t ~rng =
     (Array.mapi (fun pid input -> protocol.Protocol.init ~n:lg.n ~pid ~input) inputs)
 
 (* A copy that is stepped on its own shares nothing mutable with its
-   original. Scratch is dead between steps, so the copy gets its own (from
-   [scalar_of]) and a view over its own arrays. The stamps are reset: the
-   two step the same round, so a shared stamp array would mark the copy's
-   victims in the original. Observation does not survive the copy: the
-   Monte-Carlo valency continuations step snapshots thousands of times
-   and must stay on the zero-cost path, and must not interleave phantom
-   events into the original's stream. *)
-let snapshot e =
-  let lg = e.lg in
-  scalar_of e.protocol
-    {
-      lg with
-      alive = Array.copy lg.alive;
-      halted = Array.copy lg.halted;
-      decisions = Array.copy lg.decisions;
-      decision_round = Array.copy lg.decision_round;
-      bank = Prng.Rng.Bank.copy lg.bank;
-      adv_rng = Prng.Rng.copy lg.adv_rng;
-      stamp = [||];
-      sink = Obs.Sink.null;
-    }
-    (Array.copy e.states)
+   original. The stamps are reset: the two step the same round, so a
+   shared stamp array would mark the copy's victims in the original.
+   Observation does not survive the copy: the Monte-Carlo valency
+   continuations step snapshots thousands of times and must stay on the
+   zero-cost path, and must not interleave phantom events into the
+   original's stream. *)
+let copy_ledger lg =
+  {
+    lg with
+    faulty = Array.copy lg.faulty;
+    halted = Array.copy lg.halted;
+    decisions = Array.copy lg.decisions;
+    decision_round = Array.copy lg.decision_round;
+    bank = Prng.Rng.Bank.copy lg.bank;
+    adv_rng = Prng.Rng.copy lg.adv_rng;
+    stamp = [||];
+    sink = Obs.Sink.null;
+  }
+
+(* Scratch is dead between steps, so the copy gets its own (from
+   [scalar_of]) and a view over its own arrays. *)
+let snapshot e = scalar_of e.protocol (copy_ledger e.lg) (Array.copy e.states)
 
 let reseed lg rng =
   Prng.Rng.Bank.reseed lg.bank rng;

@@ -27,7 +27,7 @@ type outcome = {
 type 'msg ledger = {
   n : int;
   t : int;
-  alive : bool array;
+  faulty : bool array;  (** Killed: set when the kill's round closes. *)
   halted : bool array;
   decisions : int option array;
   decision_round : int array;  (** [-1] = undecided. *)
@@ -45,7 +45,8 @@ type 'msg ledger = {
   observer : ('msg -> bool) option;
 }
 (** The per-process bookkeeping every engine keeps, whatever its
-    representation of the states. *)
+    representation of the states. [decisions], [faulty] and [halted] are
+    the outcome's own fields, so {!final_outcome} takes them whole. *)
 
 val ledger :
   who:string ->
@@ -187,8 +188,8 @@ val outcome : 'msg ledger -> quiescent:bool -> outcome
 
 val final_outcome : 'msg ledger -> quiescent:bool -> outcome
 (** {!outcome} for a caller that owns the execution and drops it: the
-    outcome takes the ledger's [decisions] and [halted] arrays instead of
-    copying them. *)
+    outcome takes the ledger's [decisions], [faulty] and [halted] arrays
+    instead of copying them. *)
 
 (** {2 Engine's scalar execution} *)
 
@@ -211,7 +212,10 @@ type ('state, 'msg) scalar = {
 val scalar_of :
   ('state, 'msg) Protocol.t -> 'msg ledger -> 'state array -> ('state, 'msg) scalar
 (** The one constructor of the record: the given ledger and states, fresh
-    scratch, and the view over them. *)
+    scratch ([pending] and [killed], n words each; the delivery trie stays
+    empty until a kill round needs it), and the view over them. Engine
+    calls it once at its start; {!Bitkernel} calls it only when it first
+    leaves packed mode, or at a start that cannot pack. *)
 
 val scalar :
   who:string ->
@@ -224,11 +228,14 @@ val scalar :
   ('state, 'msg) scalar
 (** {!ledger}, then {!scalar_of} over every process's initial state. *)
 
+val copy_ledger : 'msg ledger -> 'msg ledger
+(** A ledger that is stepped on its own: fresh copies of every array, the
+    stream bank ({!Prng.Rng.Bank.copy}, one block) and the adversary
+    stream, no stamps yet, and a null sink. *)
+
 val snapshot : ('state, 'msg) scalar -> ('state, 'msg) scalar
-(** {!Engine.snapshot}: fresh copies of every ledger array, the stream
-    bank ({!Prng.Rng.Bank.copy}, one block) and the adversary stream, no
-    stamps yet, a null sink, a copy of the states, and fresh scratch and
-    view from {!scalar_of}. *)
+(** {!Engine.snapshot}: {!copy_ledger}, a copy of the states, and fresh
+    scratch and view from {!scalar_of}. *)
 
 val reseed : 'msg ledger -> Prng.Rng.t -> unit
 (** {!Engine.reseed}: one fresh split of the source per process, in pid

@@ -825,43 +825,82 @@ let test_drip_round_allocation () =
       (drip <= null +. 128.)
   end
 
-(* Minor words one [Bitkernel.start] of [protocol] allocates at size [n]
-   on random inputs; the start must pack. *)
+(* Words [f ()] allocates on either heap: minor plus major, less what
+   was promoted (counted twice). A per-process array goes straight to the
+   major heap, so [Gc.minor_words] alone would not see it; the minor part
+   is still read from it, as OCaml 5.1's [Gc.counters] undercounts minor
+   words (376 for a 3,000-word loop of conses). *)
+let allocated f =
+  let minor = Gc.minor_words () and _, promoted, major = Gc.counters () in
+  let r = f () in
+  let minor' = Gc.minor_words () and _, promoted', major' = Gc.counters () in
+  (r, minor' -. minor +. (major' -. major) -. (promoted' -. promoted))
+
+(* Words one [Bitkernel.start] of [protocol] allocates at size [n] on
+   random inputs; the start must pack. *)
 let start_words protocol n =
   let inputs = Prng.Sample.random_bits (Prng.Rng.create 11) n in
   let start () =
     Sim.Bitkernel.start (protocol n) ~inputs ~t:(n - 1) ~rng:(Prng.Rng.create 11)
   in
   ignore (start ());
-  let before = Gc.minor_words () in
-  let e = start () in
-  let words = Gc.minor_words () -. before in
+  let e, words = allocated start in
   ignore (Sim.Bitkernel.step e Sim.Adversary.null);
   Alcotest.(check int) (Printf.sprintf "n=%d: packed start" n) 1
     (Sim.Bitkernel.packed_rounds e);
   words
 
-(* A packed start builds the two initial states once and keeps the
-   streams in one bank, so it allocates no per-process object. Its
-   per-process arrays go straight to the major heap; what the minor heap
-   sees is one bound at n = 4096 and at n = 65536 (about 1,000 and 400
-   words: at 4096 the 66-word bit planes are still minor blocks). One
-   state or stream per process would add 20 to 30 words a process. Native
-   only, as above. *)
+(* A packed start builds the two initial states once, keeps the streams
+   in one bank and builds no scalar half, so it allocates only the
+   ledger's four n-arrays, the bank's four words a process and [priv]:
+   nine words a process, plus the bit planes. The scalar half would add
+   three more (states, staged messages, kill flags), and one state or
+   stream per process 20 to 30. Native only, as above. *)
 let test_start_allocation () =
   if Sys.backend_type = Sys.Native then begin
-    let bound = 1536.0 in
-    let check name small large =
+    let n = 65536 and bound = 9.5 in
+    let check name words =
+      let per = words /. float_of_int n in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: n=4096 %.0f words, n=65536 %.0f, both < %g" name
-           small large bound)
-        true
-        (small < bound && large < bound)
+        (Printf.sprintf "%s: n=%d %.2f words a process <= %g" name n per bound)
+        true (per <= bound)
     in
-    let synran n = Core.Synran.protocol n
-    and floodset n = Baselines.Floodset.protocol ~rounds:n () in
-    check "synran" (start_words synran 4096) (start_words synran 65536);
-    check "floodset" (start_words floodset 4096) (start_words floodset 65536)
+    check "synran" (start_words (fun n -> Core.Synran.protocol n) n);
+    check "floodset"
+      (start_words (fun n -> Baselines.Floodset.protocol ~rounds:n ()) n)
+  end
+
+(* A packed silent-kill round keeps nothing per victim: at n = 4096, a
+   round that kills 64 processes allocates within 64 words of an idle
+   round on the same coins, where one kept state per victim would add
+   over a thousand. Both executions have run a kill round already, so
+   neither allocates its kill stamps here, and the plan is built before
+   the round. Native only, as above. *)
+let test_silent_kill_round_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let n = 4096 in
+    let fixed kills = { Sim.Adversary.name = "fixed"; plan = (fun _ _ -> kills) } in
+    let warmed () =
+      let e =
+        Sim.Bitkernel.start (Core.Synran.protocol n)
+          ~inputs:(Prng.Sample.random_bits (Prng.Rng.create 6) n)
+          ~t:(n - 1) ~rng:(Prng.Rng.create 6)
+      in
+      ignore (Sim.Bitkernel.step e (fixed [ Sim.Adversary.kill_silent 0 ]));
+      e
+    in
+    let a = warmed () and b = warmed () in
+    let victims = fixed (List.init 64 (fun i -> Sim.Adversary.kill_silent (1 + (2 * i)))) in
+    let idle = fixed [] in
+    let (), none = allocated (fun () -> ignore (Sim.Bitkernel.step a idle)) in
+    let (), many = allocated (fun () -> ignore (Sim.Bitkernel.step b victims)) in
+    Alcotest.(check int) "64 more killed" 65 (Sim.Bitkernel.kills_used b);
+    Alcotest.(check (list int)) "both packed" [ 2; 2 ]
+      [ Sim.Bitkernel.packed_rounds a; Sim.Bitkernel.packed_rounds b ];
+    Alcotest.(check bool)
+      (Printf.sprintf "64 victims %.0f words <= idle %.0f + 64" many none)
+      true
+      (many <= none +. 64.)
   end
 
 (* Reseeding a snapshot writes the stream bank in place: at n = 1024 it
@@ -1461,6 +1500,82 @@ let test_snapshot_unpacked_repacks () =
         (Sim.Bitkernel.packed_rounds x > packed0))
     [ ("original", e); ("copy", c) ]
 
+(* Silent kills every round (the first eighth of the active senders),
+   except a partial delivery in each round of [partial]: the first
+   active process dies with its message delivered to the next two. *)
+let shadow_schedule ~partial =
+  {
+    Sim.Adversary.name = "shadow-schedule";
+    plan =
+      (fun view _rng ->
+        let active = Sim.Adversary.active_pids view in
+        if List.mem view.Sim.Adversary.round partial then
+          match active with
+          | v :: a :: b :: _ -> [ Sim.Adversary.kill_after_send v ~recipients:[ a; b ] ]
+          | _ -> []
+        else
+          List.filteri (fun i _ -> i < List.length active / 8) active
+          |> List.map Sim.Adversary.kill_silent);
+  }
+
+(* The scalar half is built by the first round that unpacks, from the
+   current template. Here the original only ever kills silently, so it
+   never builds one; its copy, snapshotted after three silent-kill rounds
+   have moved the template (SynRan's receive-count history, not-swap's
+   round counter and sum), takes a partial delivery at once and builds
+   its own. Both match Engine's snapshot pair. *)
+let test_snapshot_copy_unpacks_alone () =
+  let split = 3 in
+  let check what protocol n =
+    let e, c, _, _ =
+      snapshot_differential what ~protocol ~inputs:(synran_inputs n 13)
+        ~t:(n - 1) ~seed:14 ~split
+        ~driver:(fun () -> shadow_schedule ~partial:[])
+        ~copy_adv:(fun () -> shadow_schedule ~partial:[ split + 1 ])
+        ()
+    in
+    Alcotest.(check int) (what ^ ": original: every round packed") 0
+      (Sim.Bitkernel.scalar_rounds e);
+    Alcotest.(check bool) (what ^ ": copy: unpacked") true
+      (Sim.Bitkernel.scalar_rounds c > 0)
+  in
+  check "synran" (Core.Synran.protocol 200) 200;
+  check "not-swap" (not_swap ~rounds:8) 100
+
+(* Silent-kill rounds come before each execution's first partial
+   delivery, so the dead have no scalar state when it is built. The
+   original unpacks at round 3 and re-packs; the snapshot is taken
+   packed after that, so the copy does not get the original's scalar
+   half and builds its own at the partial delivery of round 8, as the
+   original unpacks again. Both match Engine's snapshot pair. *)
+let test_snapshot_after_silent_kills () =
+  let n = 200 and split = 6 in
+  let protocol = Core.Synran.protocol n and inputs = synran_inputs n 15 in
+  let schedule () = shadow_schedule ~partial:[ 3; split + 2 ] in
+  let pre =
+    Sim.Bitkernel.start protocol ~inputs ~t:(n - 1) ~rng:(Prng.Rng.create 16)
+  in
+  let drv = schedule () in
+  for _ = 1 to split - 1 do
+    ignore (Sim.Bitkernel.step pre drv)
+  done;
+  let packed0 = Sim.Bitkernel.packed_rounds pre in
+  ignore (Sim.Bitkernel.step pre drv);
+  let scalar0 = Sim.Bitkernel.scalar_rounds pre in
+  Alcotest.(check bool) "unpacked before the snapshot" true (scalar0 > 0);
+  Alcotest.(check int) "packed at it" (packed0 + 1) (Sim.Bitkernel.packed_rounds pre);
+  let e, c, _, _ =
+    snapshot_differential "after silent kills" ~reseed:17 ~protocol ~inputs
+      ~t:(n - 1) ~seed:16 ~split ~driver:schedule ~copy_adv:schedule ()
+  in
+  List.iter
+    (fun (side, x) ->
+      Alcotest.(check bool)
+        (side ^ ": unpacked after the snapshot")
+        true
+        (Sim.Bitkernel.scalar_rounds x > scalar0))
+    [ ("original", e); ("copy", c) ]
+
 let suites =
   [
     ( "bitkernel.words",
@@ -1503,8 +1618,10 @@ let suites =
             test_band_round_allocation;
           Alcotest.test_case "packed drip round allocates O(1)" `Quick
             test_drip_round_allocation;
-          Alcotest.test_case "packed start allocates O(1)" `Quick
+          Alcotest.test_case "packed start allocates no scalar half" `Quick
             test_start_allocation;
+          Alcotest.test_case "packed silent kills keep no victim state" `Quick
+            test_silent_kill_round_allocation;
           Alcotest.test_case "snapshot reseed allocates no stream per process"
             `Quick test_reseed_allocation;
         ] );
@@ -1533,5 +1650,9 @@ let suites =
           test_snapshot_packed_fields_own;
         Alcotest.test_case "unpacked snapshot re-packs on its own" `Quick
           test_snapshot_unpacked_repacks;
+        Alcotest.test_case "copy unpacks while its original stays packed"
+          `Quick test_snapshot_copy_unpacks_alone;
+        Alcotest.test_case "first unpack after silent kills" `Quick
+          test_snapshot_after_silent_kills;
       ] );
   ]

@@ -128,8 +128,7 @@ let test_dead_stay_dead () =
   (* Rounds 2 and 3: the dead pid 0 never appears again. *)
   Alcotest.(check (list int)) "round 3" [ 1; 2 ] (heard_at states 1 0);
   Alcotest.(check (list int)) "round 2" [ 1; 2 ] (heard_at states 1 1);
-  let alive = Sim.Engine.alive e in
-  check_bool "pid 0 dead" false alive.(0);
+  check_bool "pid 0 dead" true (Sim.Engine.outcome e).Sim.Engine.faulty.(0);
   check_int "one kill used" 1 (Sim.Engine.kills_used e)
 
 let test_halted_stop_sending_and_receiving () =

@@ -183,7 +183,7 @@ let test_stage_transitions () =
   ignore stages;
   let survivors =
     Sim.Engine.states exec |> Array.to_list
-    |> List.filteri (fun i _ -> (Sim.Engine.alive exec).(i))
+    |> List.filteri (fun i _ -> not (Sim.Engine.outcome exec).faulty.(i))
   in
   List.iter
     (fun s ->
@@ -192,7 +192,7 @@ let test_stage_transitions () =
   ignore (Sim.Engine.step exec adversary);
   let survivors =
     Sim.Engine.states exec |> Array.to_list
-    |> List.filteri (fun i _ -> (Sim.Engine.alive exec).(i))
+    |> List.filteri (fun i _ -> not (Sim.Engine.outcome exec).faulty.(i))
   in
   List.iter
     (fun s ->
