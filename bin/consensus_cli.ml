@@ -113,22 +113,15 @@ let engine_arg =
     value
     & opt
         (enum
-           [
-             ("concrete", `Concrete);
-             ("cohort", `Cohort);
-             ("bitkernel", `Bitkernel);
-             ("auto", `Auto);
-           ])
-        `Concrete
+           [ ("concrete", `Concrete); ("bitkernel", `Bitkernel);
+             ("auto", `Auto) ])
+        `Auto
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Execution engine: concrete (per-process arrays), cohort \
-           (population-compressed equivalence classes; per-round cost \
-           scales with distinct states instead of N), bitkernel \
-           (bit-packed binary registers; word-parallel no-kill rounds), or \
-           auto (concrete up to N=4096, then bitkernel if the protocol is \
-           capable of it, else concrete; the choice lands in the run \
-           manifest). All engines produce byte-identical results.")
+          "Execution engine: concrete (the reference), bitkernel \
+           (bit-packed registers), or auto (bitkernel for a register \
+           protocol, as SynRan and FloodSet are, else concrete). All \
+           engines print byte-identical results.")
 
 let t_arg =
   Arg.(
@@ -345,11 +338,11 @@ let run_cmd =
        a failed chunk is reported instead of escaping as an exception. So
        is a fault in the chunk-ordered merge, which the fold raises: it
        has no chunk to retry. *)
-    let summarize ?cohort_adversary ~max_rounds protocol make_adversary =
+    let summarize ~max_rounds protocol make_adversary =
       let r =
         try
           Sim.Runner.run_trials_supervised ~max_rounds ~jobs ?chunk_size
-            ?capture ~guard ~engine ?cohort_adversary ~trials ~seed
+            ?capture ~guard ~engine ~trials ~seed
             ~gen_inputs:gen ~t protocol make_adversary
         with Sim.Fault.Injected { site = Sim.Fault.Metrics_merge; _ } as exn ->
           prerr_endline ("merge failed: " ^ Printexc.to_string exn);
@@ -384,29 +377,11 @@ let run_cmd =
     in
     (match proto_name with
     | "synran" | "leader" ->
-        (* Under the cohort engine the band adversaries run their native
-           compressed port; anything else is wrapped as Cohort.Concrete by
-           the runner (exact, but with view-reconstruction overhead). *)
-        let cohort_adversary =
-          match (engine, adv_name) with
-          | `Cohort, "band" ->
-              Some
-                (fun () ->
-                  Core.Lb_adversary.band_control_cohort ~rules
-                    ~bit_of_msg:Core.Synran.bit_of_msg ())
-          | `Cohort, "voting" ->
-              Some
-                (fun () ->
-                  Core.Lb_adversary.band_control_cohort
-                    ~config:Core.Lb_adversary.voting_config ~rules
-                    ~bit_of_msg:Core.Synran.bit_of_msg ())
-          | _ -> None
-        in
         let coin =
           if proto_name = "leader" then Core.Synran.Leader_priority
           else Core.Synran.Local_flip
         in
-        summarize ?cohort_adversary ~max_rounds:2000
+        summarize ~max_rounds:2000
           (Core.Synran.protocol ~rules ~coin n)
           (fun () -> adversary_of_name adv_name ~rules ~n ~t ~seed)
     | _ ->
@@ -657,12 +632,17 @@ let valency_cmd =
       adversary.Sim.Adversary.name;
     Printf.printf "  %-12s %-8s %-8s %s\n" "after round" "min r" "max r"
       "classification";
+    let traj = Core.Valency_probe.trajectory ~rounds ~n ~t ~seed adversary in
     List.iter
       (fun (r, e) ->
         Printf.printf "  %-12d %-8.3f %-8.3f %s\n" r
           e.Core.Valency_probe.min_r e.Core.Valency_probe.max_r
           (Core.Valency.to_string e.Core.Valency_probe.classification))
-      (Core.Valency_probe.trajectory ~rounds ~n ~t ~seed adversary)
+      traj;
+    let k = List.length traj in
+    if k < rounds && Core.Valency.epsilon ~n ~k <= 0.0 then
+      Printf.printf "\n  stopped before round %d: eps_%d <= 0, where Sec 3.2 \
+                     calls every state null-valent\n" k k
   in
   let rounds_arg =
     Arg.(

@@ -432,9 +432,9 @@ let e6_deterministic_crossover x =
     (fun t ->
       (* FloodSet is deterministic: with rounds = t+1 it always takes
          exactly t+1 rounds; verify on one run rather than asserting. *)
+      let floodset = Baselines.Floodset.protocol ~rounds:(t + 1) () in
       let fs =
-        Sim.Engine.run
-          (Baselines.Floodset.protocol ~rounds:(t + 1) ())
+        Sim.Runner.(run_engine (resolve_engine `Auto floodset)) floodset
           (Baselines.Adversaries.drip ~per_round:1)
           ~inputs:(Array.init n (fun i -> i land 1))
           ~t
@@ -554,11 +554,12 @@ let e8_ablation x =
   let trials = pick x ~quick:60 ~full:250 in
   let scenario rules name gen_inputs make_adversary =
     let protocol = Synran.protocol ~rules n in
+    let engine = Sim.Runner.resolve_engine `Auto protocol in
     let max_rounds = 400 in
     let rounds, kills, non_term, validity, agreement =
       fold x
         ~exp:(Printf.sprintf "e8-%s-%s" rules.Onesided.label name)
-        ~engine:"concrete" ~n ~t ~max_rounds ~trials
+        ~engine:(Sim.Runner.engine_name engine) ~n ~t ~max_rounds ~trials
         ~create:(fun () ->
           let w = Stats.Welford.create in
           (w (), w (), ref 0, ref 0, ref 0))
@@ -571,8 +572,8 @@ let e8_ablation x =
         (fun rng (rounds, kills, non_term, validity, agreement) ->
           let inputs = gen_inputs rng in
           let o =
-            Sim.Engine.run ~max_rounds protocol (make_adversary ()) ~inputs ~t
-              ~rng
+            Sim.Runner.run_engine engine ~max_rounds protocol
+              (make_adversary ()) ~inputs ~t ~rng
           in
           (match o.Sim.Engine.rounds_to_decide with
           | Some r -> Stats.Welford.add_int rounds r

@@ -492,7 +492,7 @@ let estimate exec plan ~config ~rng =
   (p1, !rounds_total /. float_of_int config.samples)
 
 (* The engine [force_long_execution] runs on, as the run manifest names it. *)
-let force_long_execution_engine = "bitkernel"
+let force_long_execution_engine = Sim.Runner.engine_name `Bitkernel
 
 let force_long_execution ?(config = default_mc_config) ?(max_rounds = 10_000)
     ?(sink = Obs.Sink.null) protocol ~inputs ~t ~rng =

@@ -55,10 +55,8 @@ type result = {
           committed, whatever its model. *)
   total_trials : int;
   engines : string list;
-      (** Execution engines the experiment's committed folds actually
-          used (["concrete"], ["cohort"], ["bitkernel"], ["async"],
-          ["byz"], ["coin"]), deduplicated in first-use order — this is
-          where [`Auto]'s resolution becomes auditable. Empty for an
+      (** The committed folds' [engine_used] labels, deduplicated in
+          first-use order: where [`Auto]'s resolution is audited. Empty for an
           experiment with no trial fold (E2's closed forms).
           Manifest-only, like [elapsed_s]: engine choice never affects
           results, so it stays out of [metrics]. *)

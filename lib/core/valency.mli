@@ -14,9 +14,8 @@ val to_string : classification -> string
 
 val epsilon : n:int -> k:int -> float
 (** eps_k = 1/sqrt(n) - k/n — the paper's round-k decision threshold.
-    Becomes negative for k > sqrt(n); callers should stop classifying
-    there.
-    Kept for tests: the paper's eps_k, pinned by the core.valency tests. *)
+    From k = sqrt(n) on it is at most 0 and every state reads null-valent,
+    so callers stop classifying there. *)
 
 val classify : n:int -> k:int -> min_r:float -> max_r:float -> classification
 (** The table of Section 3.2:

@@ -108,7 +108,7 @@ let trajectory ?(samples = 40) ?(rounds = 10) ~n ~t ~seed adversary =
   let exec = Sim.Bitkernel.start (Synran.protocol n) ~inputs ~t ~rng in
   let probe_rng = Prng.Rng.split rng in
   let rec loop acc k =
-    if k >= rounds then List.rev acc
+    if k >= rounds || Valency.epsilon ~n ~k <= 0.0 then List.rev acc
     else begin
       let est = probe ~samples exec ~rng:probe_rng in
       let acc = (Sim.Bitkernel.round exec, est) :: acc in

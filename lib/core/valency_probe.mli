@@ -68,8 +68,8 @@ val trajectory :
   (Synran.state, Synran.msg) Sim.Adversary.t ->
   (int * estimate) list
 (** Run a fresh SynRan execution under the given adversary, probing the
-    valency before each of the first [rounds] rounds (default 10); returns
-    (round, estimate) pairs. The driving adversary steps this one
-    execution from round 1, so a stateful one (band control) is fine; the
-    probes' continuations never see it, each running a fresh palette
-    adversary. *)
+    valency before each of the first [rounds] rounds (default 10) whose
+    {!Valency.epsilon} is positive; returns (round, estimate) pairs. The
+    driving adversary steps this one execution from round 1, so a stateful
+    one (band control) is fine; the probes' continuations never see it,
+    each running a fresh palette adversary. *)

@@ -355,33 +355,24 @@ let summary_of_acc acc =
     safety_errors = List.concat (List.rev acc.acc_errors_rev);
   }
 
-let engine_name = function
-  | `Concrete -> "concrete"
-  | `Cohort -> "cohort"
-  | `Bitkernel -> "bitkernel"
+type engine = [ `Concrete | `Bitkernel ]
 
-(* [`Auto] crossover: below this population the concrete engine's plain
-   array sweep wins (packing overhead doesn't pay for itself); above it,
-   the bit-packed kernel if the protocol is capable of it, else concrete.
-   The probe trial's inputs are a pure function of (seed, 0), so peeking
-   at [n] consumes nothing any real trial will miss. *)
-let auto_crossover = 4096
-
-let resolve_engine engine ~seed ~gen_inputs protocol =
+let resolve_engine engine protocol : engine =
   match engine with
-  | (`Concrete | `Cohort | `Bitkernel) as e -> e
+  | (`Concrete | `Bitkernel) as e -> e
   | `Auto ->
-      let n =
-        Array.length (gen_inputs (Prng.Rng.of_seed_index ~seed ~index:0))
-      in
-      if n > auto_crossover && Protocol.bitkernel_capable protocol then
-        `Bitkernel
-      else `Concrete
+      if Protocol.bitkernel_capable protocol then `Bitkernel else `Concrete
+
+let engine_name = function `Concrete -> "concrete" | `Bitkernel -> "bitkernel"
+
+let run_engine : engine -> _ = function
+  | `Concrete -> Engine.run
+  | `Bitkernel -> Bitkernel.run
 
 let run_trials_supervised ?(max_rounds = 10_000) ?jobs ?chunk_size ?capture
-    ?guard ?(engine = `Concrete) ?cohort_adversary ~trials ~seed ~gen_inputs
-    ~t protocol make_adversary =
-  let engine = resolve_engine engine ~seed ~gen_inputs protocol in
+    ?guard ?(engine = `Auto) ~trials ~seed ~gen_inputs ~t protocol
+    make_adversary =
+  let engine = resolve_engine engine protocol in
   let r =
     fold ?jobs ?chunk_size ?capture ?guard
       ~engine:(engine_name engine) ~trials ~create:acc_create ~merge:acc_merge
@@ -395,20 +386,8 @@ let run_trials_supervised ?(max_rounds = 10_000) ?jobs ?chunk_size ?capture
         (* A fresh adversary per trial: adversaries may close over mutable
            trackers, which must not be shared across concurrent trials. *)
         let o =
-          match engine with
-          | `Concrete ->
-              Engine.run ~max_rounds ?sink protocol (make_adversary ())
-                ~inputs ~t ~rng
-          | `Cohort ->
-              let adversary =
-                match cohort_adversary with
-                | Some f -> f ()
-                | None -> Cohort.Concrete (make_adversary ())
-              in
-              Cohort.run ~max_rounds ?sink protocol adversary ~inputs ~t ~rng
-          | `Bitkernel ->
-              Bitkernel.run ~max_rounds ?sink protocol (make_adversary ())
-                ~inputs ~t ~rng
+          run_engine engine ~max_rounds ?sink protocol (make_adversary ())
+            ~inputs ~t ~rng
         in
         (match probe with
         | None -> ()
@@ -439,8 +418,8 @@ let run_trials_supervised ?(max_rounds = 10_000) ?jobs ?chunk_size ?capture
   in
   { r with partial = Option.map summary_of_acc r.partial }
 
-let run_trials ?max_rounds ?jobs ?chunk_size ?capture ?engine
-    ?cohort_adversary ~trials ~seed ~gen_inputs ~t protocol make_adversary =
+let run_trials ?max_rounds ?jobs ?chunk_size ?capture ?engine ~trials ~seed
+    ~gen_inputs ~t protocol make_adversary =
   value
     (run_trials_supervised ?max_rounds ?jobs ?chunk_size ?capture ?engine
-       ?cohort_adversary ~trials ~seed ~gen_inputs ~t protocol make_adversary)
+       ~trials ~seed ~gen_inputs ~t protocol make_adversary)

@@ -72,8 +72,8 @@ type 'a folded = {
       (** Terminal failures (budget exhausted), in chunk order. *)
   cancelled : bool;  (** The [cancel] watchdog fired. *)
   engine_used : string;
-      (** ["concrete"], ["cohort"] or ["bitkernel"] after [`Auto]
-          resolution, or ["async"] / ["byz"] / ["coin"]; for manifests. *)
+      (** The fold's [engine] label, for manifests: ["concrete"] or
+          ["bitkernel"] ({!engine_name}), or ["async"] / ["byz"] / ["coin"]. *)
 }
 (** Outcome of a supervised fold: the salvaged partial value plus the
     structured failure record. [failures = [] && not cancelled] implies
@@ -172,14 +172,36 @@ val value : 'a folded -> 'a
 (** The all-or-nothing reading: the complete value, the first failure in
     chunk order re-raised with its backtrace, or {!Cancelled}. *)
 
+type engine = [ `Concrete | `Bitkernel ]
+(** {!Engine}, the reference, or {!Bitkernel}: byte-identical runs. *)
+
+val resolve_engine : [ engine | `Auto ] -> ('state, 'msg) Protocol.t -> engine
+(** The one engine rule: [`Auto] is [`Bitkernel] iff the protocol is
+    {!Protocol.bitkernel_capable} (SynRan, FloodSet), else [`Concrete]. *)
+
+val engine_name : engine -> string
+(** ["concrete"] or ["bitkernel"]: the [engine_used] label. *)
+
+val run_engine :
+  engine ->
+  ?observer:('msg -> bool) ->
+  ?sink:Obs.Sink.t ->
+  ?max_rounds:int ->
+  ('state, 'msg) Protocol.t ->
+  ('state, 'msg) Adversary.t ->
+  inputs:int array ->
+  t:int ->
+  rng:Prng.Rng.t ->
+  Engine.outcome
+(** One trial: {!Engine.run} or {!Bitkernel.run}. *)
+
 val run_trials_supervised :
   ?max_rounds:int ->
   ?jobs:int ->
   ?chunk_size:int ->
   ?capture:Obs.Capture.t ->
   ?guard:guard ->
-  ?engine:[ `Concrete | `Cohort | `Bitkernel | `Auto ] ->
-  ?cohort_adversary:(unit -> ('state, 'msg) Cohort.adversary) ->
+  ?engine:[ engine | `Auto ] ->
   trials:int ->
   seed:int ->
   gen_inputs:(Prng.Rng.t -> int array) ->
@@ -189,39 +211,20 @@ val run_trials_supervised :
   report
 (** {!fold} over the synchronous engines: trial [i] draws from
     {!Prng.Rng.of_seed_index}[ ~seed ~index:i], runs a fresh
-    [make_adversary ()] and is judged by {!Checker} in its strict mode
-    (a process killed after deciding must agree too); [capture] adds
-    [runner.trials], [runner.rounds_to_decide], [runner.kills_per_trial]
-    and [runner.non_terminating].
-
-    [engine] (default [`Concrete]) selects the execution engine per trial.
-    [`Cohort] runs each trial through the population-compressed
-    {!Cohort} engine — byte-identical observables, per-round cost
-    proportional to distinct states rather than [n] — and requires a
-    {!Protocol.cohort_capable} protocol. The adversary comes from
-    [cohort_adversary] when given (typically a cohort-native planner);
-    otherwise each trial's [make_adversary ()] result is wrapped as
-    {!Cohort.Concrete}, exact but with per-process view reconstruction
-    costs. [cohort_adversary] is ignored under [`Concrete].
-
-    [`Bitkernel] runs each trial through the bit-packed {!Bitkernel}
-    engine (requires {!Protocol.bitkernel_capable}); the per-trial
-    [make_adversary ()] result is used directly, as under [`Concrete].
-    [`Auto] picks per run: [`Concrete] for populations up to the
-    crossover (4096), above it [`Bitkernel] if the protocol is
-    {!Protocol.bitkernel_capable}, else [`Concrete]; the choice is
-    reported in
-    [engine_used] and — via {!Supervise} — in the run manifest. All
-    engines produce byte-identical summaries, event streams and metrics,
-    so the selection is a pure performance decision. *)
+    [make_adversary ()] through {!run_engine} and is judged by {!Checker}
+    in its strict mode (a process killed after deciding must agree too);
+    [capture] adds [runner.trials], [runner.rounds_to_decide],
+    [runner.kills_per_trial] and [runner.non_terminating]. [engine]
+    (default [`Auto]) goes through {!resolve_engine} once per fold and
+    lands in [engine_used], and via {!Supervise} in the run manifest; an
+    explicit [`Bitkernel] needs a {!Protocol.bitkernel_capable} protocol. *)
 
 val run_trials :
   ?max_rounds:int ->
   ?jobs:int ->
   ?chunk_size:int ->
   ?capture:Obs.Capture.t ->
-  ?engine:[ `Concrete | `Cohort | `Bitkernel | `Auto ] ->
-  ?cohort_adversary:(unit -> ('state, 'msg) Cohort.adversary) ->
+  ?engine:[ engine | `Auto ] ->
   trials:int ->
   seed:int ->
   gen_inputs:(Prng.Rng.t -> int array) ->
@@ -233,9 +236,9 @@ val run_trials :
     {!Prng.Rng.of_seed_index}, so it is reproducible regardless of how many
     trials run, in what order, or across how many domains: [~jobs:8]
     produces a bit-identical summary to [~jobs:1]. [jobs] defaults to
-    {!Parallel.default_jobs}; [chunk_size] and [engine]/[cohort_adversary]
-    behave as in {!run_trials_supervised} (and like [jobs], neither
-    changes the summary). Failures and cancellation read as in
+    {!Parallel.default_jobs}; [chunk_size] and [engine] behave as in
+    {!run_trials_supervised} (and like [jobs], neither changes the
+    summary). Failures and cancellation read as in
     {!value}. The last argument builds the adversary; it is
     called once per trial because adversaries may carry mutable per-run
     trackers that must not be shared across concurrent trials (the factory

@@ -117,7 +117,11 @@ let draw_word_matches_scalar =
 (* Differential suite: Bitkernel vs Engine                             *)
 (* ------------------------------------------------------------------ *)
 
-let observed run_engine ~protocol ~adversary ~observer ~inputs ~t ~seed =
+(* One run on [engine], through the Runner's dispatch, from a copy of
+   [rng]: its outcome and trace, and the digests of its metrics and event
+   stream. *)
+let observed ?(max_rounds = 400) engine ~protocol ~adversary ~observer
+    ~inputs ~t ~rng =
   let m = Obs.Metrics.create () and rc = Obs.Recorder.create () in
   let sink =
     Obs.Sink.create (fun ev ->
@@ -126,18 +130,10 @@ let observed run_engine ~protocol ~adversary ~observer ~inputs ~t ~seed =
   in
   let o =
     Test_delivery.traced ~sink (fun sink ->
-        run_engine ~observer ~sink ~max_rounds:400 protocol (adversary ())
-          ~inputs ~t ~rng:(Prng.Rng.create seed))
+        Sim.Runner.run_engine engine ~observer ~sink ~max_rounds protocol
+          (adversary ()) ~inputs ~t ~rng:(Prng.Rng.copy rng))
   in
   (o, Obs.Metrics.digest m, Obs.Recorder.digest rc)
-
-let engine_run ~observer ~sink ~max_rounds protocol adversary ~inputs ~t ~rng =
-  Sim.Engine.run ~observer ~sink ~max_rounds protocol adversary ~inputs ~t ~rng
-
-let bitkernel_run ~observer ~sink ~max_rounds protocol adversary ~inputs ~t
-    ~rng =
-  Sim.Bitkernel.run ~observer ~sink ~max_rounds protocol adversary ~inputs ~t
-    ~rng
 
 (* Fresh adversaries per run: band_control and valency_steer carry
    mutable or stream-consuming behaviour. *)
@@ -148,14 +144,30 @@ let differential ~name ?(count = 25) ~observer ~protocol ~adversary ~n ~max_t
     (fun (seed, tsel) ->
       let t = tsel mod (max_t + 1) in
       let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
+      let rng = Prng.Rng.create seed in
       let o1, m1, r1 =
-        observed engine_run ~protocol ~adversary ~observer ~inputs ~t ~seed
+        observed `Concrete ~protocol ~adversary ~observer ~inputs ~t ~rng
       in
       let o2, m2, r2 =
-        observed bitkernel_run ~protocol ~adversary ~observer ~inputs ~t ~seed
+        observed `Bitkernel ~protocol ~adversary ~observer ~inputs ~t ~rng
       in
       Test_delivery.traced_equal o1 o2 && String.equal m1 m2
       && String.equal r1 r2)
+
+(* One fixed-input run through both engines: outcome, metrics digest and
+   event-stream digest must agree. *)
+let same_as_engine ?max_rounds ?(what = "") ~observer ~protocol ~adversary
+    ~inputs ~t ~rng () =
+  let observed engine =
+    observed ?max_rounds engine ~protocol ~adversary ~observer ~inputs ~t ~rng
+  in
+  let o1, m1, r1 = observed `Concrete in
+  let o2, m2, r2 = observed `Bitkernel in
+  Alcotest.(check bool)
+    (what ^ "outcome and trace") true
+    (Test_delivery.traced_equal o1 o2);
+  Alcotest.(check string) (what ^ "metrics digest") m1 m2;
+  Alcotest.(check string) (what ^ "event-stream digest") r1 r2
 
 let rules = Core.Onesided.paper
 
@@ -236,6 +248,196 @@ let floodset_tests =
           Baselines.Adversaries.valency_steer ~per_round:2
             ~msg_is_one:Baselines.Floodset.msg_has_one
             () );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* The E-table populations: Bitkernel vs Engine                        *)
+(* ------------------------------------------------------------------ *)
+
+(* [--engine auto] runs every register protocol on Bitkernel, so the
+   E-tables are Bitkernel's. Each population an experiment folds through
+   the Runner (its protocol, adversary, t, round cap and inputs) is
+   replayed here on both engines for the Runner's first two trials at
+   the experiments' default seed: outcome, trace, metrics and event
+   stream must agree. *)
+let population label ?(observer = Core.Synran.msg_is_one) ?(max_rounds = 2000)
+    ?(gen = `Random) ~n ~t protocol adversary exp =
+  List.iter
+    (fun index ->
+      let rng = Prng.Rng.of_seed_index ~seed:42 ~index in
+      let inputs =
+        match gen with
+        | `Random -> Sim.Runner.input_gen_random ~n rng
+        | `Split -> Sim.Runner.input_gen_split ~n rng
+        | `Const f -> Array.init n f
+      in
+      let what =
+        Printf.sprintf "%s %s n=%d t=%d, trial %d: " exp label n t index
+      in
+      same_as_engine ~max_rounds ~what ~observer ~protocol ~adversary ~inputs
+        ~t ~rng ())
+    [ 0; 1 ]
+
+let band ?(config = Core.Lb_adversary.default_config) rules () =
+  Core.Lb_adversary.band_control ~config ~rules
+    ~bit_of_msg:Core.Synran.bit_of_msg ()
+
+let strongest = band rules
+let voting = band ~config:Core.Lb_adversary.voting_config rules
+
+let leader_killer () =
+  Core.Lb_adversary.leader_killer ~rules ~bit_of_msg:Core.Synran.bit_of_msg ()
+
+let fractions n fs = List.map (fun f -> int_of_float (f *. float_of_int n)) fs
+
+(* E3 at the quick sizes and the full profile's n = 512. *)
+let e3_populations =
+  List.concat_map
+    (fun n ->
+      let t = n - 1 and p = Core.Synran.protocol n in
+      [
+        population "strongest" ~n ~t p strongest;
+        population "voting" ~n ~t p voting;
+      ])
+    [ 32; 64; 128; 512 ]
+
+let e4_populations =
+  let n = 96 in
+  let p = Core.Synran.protocol n in
+  List.concat_map
+    (fun t ->
+      [
+        population "strongest" ~n ~t p strongest;
+        population "voting" ~n ~t p voting;
+      ])
+    (fractions n [ 0.1; 0.25; 0.5; 0.75; 0.9 ] @ [ n - 1 ])
+
+(* E5 at both profiles' n: split inputs, t = n - 2. *)
+let e5_populations =
+  List.concat_map
+    (fun n ->
+      let t = n - 2 and p = Core.Synran.protocol n in
+      let pop label = population label ~max_rounds:500 ~gen:`Split ~n ~t p in
+      [
+        pop "null" (fun () -> Sim.Adversary.null);
+        pop "random-crash" (fun () ->
+            Baselines.Adversaries.random_crash ~p:0.2);
+        pop "static-random" (fun () ->
+            Baselines.Adversaries.static_random ~seed:42 ~n ~budget:t
+              ~horizon:8);
+        pop "drip" (fun () -> Baselines.Adversaries.drip ~per_round:1);
+        pop "band-control"
+          (band ~config:{ Core.Lb_adversary.default_config with min_active = 4 }
+             rules);
+      ])
+    [ 10; 16 ]
+
+(* E6: SynRan under the strongest attack, and FloodSet's t+1 rounds on
+   alternating inputs under drip. *)
+let e6_populations =
+  let n = 64 in
+  List.concat_map
+    (fun t ->
+      [
+        population "synran strongest" ~n ~t (Core.Synran.protocol n) strongest;
+        population "floodset drip" ~observer:Baselines.Floodset.msg_has_one
+          ~gen:(`Const (fun i -> i land 1))
+          ~n ~t
+          (Baselines.Floodset.protocol ~rounds:(t + 1) ())
+          (fun () -> Baselines.Adversaries.drip ~per_round:1);
+      ])
+    (List.map (Stdlib.max 1) (fractions n [ 0.05; 0.1; 0.25; 0.5; 0.75 ])
+    @ [ n - 1 ])
+
+(* E7 at the quick sizes and the full profile's n = 256, the leader coin
+   included. *)
+let e7_populations =
+  List.concat_map
+    (fun n ->
+      let t = n - 1 in
+      let pop label coin =
+        population label ~max_rounds:3000 ~gen:`Split ~n ~t
+          (Core.Synran.protocol ~coin n)
+      in
+      let static () =
+        Baselines.Adversaries.static_random ~seed:42 ~n ~budget:t ~horizon:6
+      in
+      let paper = Core.Synran.Local_flip
+      and leader = Core.Synran.Leader_priority in
+      [
+        pop "synran oblivious" paper static;
+        pop "synran voting" paper voting;
+        pop "synran strongest" paper strongest;
+        pop "synran leader-killer" paper leader_killer;
+        pop "leader null" leader (fun () -> Sim.Adversary.null);
+        pop "leader oblivious" leader static;
+        pop "leader leader-killer" leader leader_killer;
+      ])
+    [ 64; 128; 256 ]
+
+(* E8: every rule set, the static-schedule massacre included. *)
+let e8_populations =
+  let n = 48 in
+  let t = n - 1 in
+  List.concat_map
+    (fun (r : Core.Onesided.rules) ->
+      let pop name =
+        population (r.Core.Onesided.label ^ " " ^ name) ~max_rounds:400 ~n ~t
+          (Core.Synran.protocol ~rules:r n)
+      in
+      [
+        pop "null" (fun () -> Sim.Adversary.null);
+        pop "voting" (band ~config:Core.Lb_adversary.voting_config r);
+        pop "strongest"
+          (band
+             ~config:{ Core.Lb_adversary.default_config with desperate = true }
+             r);
+        population (r.Core.Onesided.label ^ " massacre") ~max_rounds:400
+          ~gen:(`Const (fun _ -> 1))
+          ~n ~t
+          (Core.Synran.protocol ~rules:r n)
+          (fun () ->
+            Baselines.Adversaries.static_schedule
+              (List.init (7 * n / 10) (fun pid -> (1, pid))));
+      ])
+    Core.Onesided.[ paper; no_zero_rule; symmetric ]
+
+(* E10: every coin, so the shared oracle's rounds are covered too. *)
+let e10_populations =
+  let n = 96 in
+  let t = n - 1 in
+  List.concat_map
+    (fun (cname, coin) ->
+      let pop aname =
+        population (cname ^ " " ^ aname) ~n ~t (Core.Synran.protocol ~coin n)
+      in
+      [
+        pop "null" (fun () -> Sim.Adversary.null);
+        pop "voting" voting;
+        pop "strongest" strongest;
+        pop "leader-killer" leader_killer;
+      ])
+    Core.Synran.
+      [
+        ("private", Local_flip);
+        ("leader", Leader_priority);
+        ("shared-oracle", Shared_oracle 271828);
+      ]
+
+let etable_test (exp, populations) =
+  Alcotest.test_case (exp ^ " populations: bitkernel = engine") `Quick
+    (fun () -> List.iter (fun check -> check exp) populations)
+
+let etable_tests =
+  List.map etable_test
+    [
+      ("E3", e3_populations);
+      ("E4", e4_populations);
+      ("E5", e5_populations);
+      ("E6", e6_populations);
+      ("E7", e7_populations);
+      ("E8", e8_populations);
+      ("E10", e10_populations);
     ]
 
 (* A register protocol whose outcome is the carried count of a
@@ -410,21 +612,6 @@ let test_band_control_stays_packed () =
 (* Edges of the silent-kill packed path                                *)
 (* ------------------------------------------------------------------ *)
 
-(* One fixed-input run through both engines: outcome, metrics digest and
-   event-stream digest must agree. *)
-let same_as_engine ~observer ~protocol ~adversary ~inputs ~t ~seed =
-  let o1, m1, r1 =
-    observed engine_run ~protocol ~adversary ~observer ~inputs ~t ~seed
-  in
-  let o2, m2, r2 =
-    observed bitkernel_run ~protocol ~adversary ~observer ~inputs ~t ~seed
-  in
-  Alcotest.(check bool)
-    "outcome and trace" true
-    (Test_delivery.traced_equal o1 o2);
-  Alcotest.(check string) "metrics digest" m1 m2;
-  Alcotest.(check string) "event-stream digest" r1 r2
-
 (* [protocol] with its packed transition counted: [calls] counts the
    kernel's [bo_step] calls and [leaders] the leader tallies it forced. *)
 let counting_steps protocol =
@@ -454,7 +641,7 @@ let test_kill_all_active () =
   let inputs = Array.init n (fun i -> if i < 65 then 1 else 0) in
   let adversary () = Baselines.Adversaries.crash_all_at ~round:2 in
   same_as_engine ~observer:Core.Synran.msg_is_one ~protocol ~adversary ~inputs
-    ~t:n ~seed:4;
+    ~t:n ~rng:(Prng.Rng.create 4) ();
   let delivered = ref [] in
   let sink =
     Obs.Sink.create (function
@@ -483,7 +670,7 @@ let test_survivors_decide_and_halt () =
     Baselines.Adversaries.static_schedule [ (3, 0); (3, 17); (3, 39) ]
   in
   same_as_engine ~observer:Baselines.Floodset.msg_has_one ~protocol ~adversary
-    ~inputs ~t:3 ~seed:2;
+    ~inputs ~t:3 ~rng:(Prng.Rng.create 2) ();
   let e = Sim.Bitkernel.start protocol ~inputs ~t:3 ~rng:(Prng.Rng.create 2) in
   drive e (adversary ());
   let o = Sim.Bitkernel.outcome e in
@@ -524,7 +711,8 @@ let test_leader_among_survivors () =
   let inputs = Array.init n (fun i -> if i < 65 then 1 else 0) in
   for seed = 1 to 6 do
     same_as_engine ~observer:Core.Synran.msg_is_one ~protocol
-      ~adversary:(fun () -> kill_leader) ~inputs ~t:20 ~seed
+      ~adversary:(fun () -> kill_leader) ~inputs ~t:20
+      ~rng:(Prng.Rng.create seed) ()
   done
 
 (* A register protocol that halts in round 2 without ever deciding. *)
@@ -616,7 +804,8 @@ let test_fallback_start () =
     let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
     List.iter
       (fun adversary ->
-        same_as_engine ~observer ~protocol ~adversary ~inputs ~t:12 ~seed)
+        same_as_engine ~observer ~protocol ~adversary ~inputs ~t:12
+          ~rng:(Prng.Rng.create seed) ())
       [
         (fun () -> Sim.Adversary.null);
         (fun () -> Baselines.Adversaries.drip ~per_round:3);
@@ -721,8 +910,8 @@ let band_at_scale engine ~config ~inputs ~seed =
   in
   ((o, List.rev !events, List.rev !reads), packed)
 
-(* n = 8192, above the Runner's auto crossover (4096), where
-   [--engine auto] runs band control on Bitkernel: both configurations, on split and on
+(* Band control at n = 8192, the paper's attack at a size where most
+   rounds stay packed: both configurations, on split and on
    random inputs, must match Engine outcome for outcome, event for event
    (Band events included), count for count and draw for draw. Each run
    must cover packed rounds, so the packed counts are what is compared. *)
@@ -1625,6 +1814,7 @@ let suites =
           Alcotest.test_case "snapshot reseed allocates no stream per process"
             `Quick test_reseed_allocation;
         ] );
+    ("bitkernel.etables", etable_tests);
     ( "bitkernel.view",
       [
         Alcotest.test_case "register walks and privs match Engine's"

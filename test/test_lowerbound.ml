@@ -469,6 +469,18 @@ let valency_probe_suite =
       true (voting >= idle);
     check_bool "voting keeps it bivalent at least 3 rounds" true (voting >= 3)
   in
+  let test_stops_where_table_is_vacuous () =
+    (* At n = 16, eps_4 = 1/4 - 4/16 = 0: from round 4 on every estimate
+       would read null-valent, so the trajectory ends at round 3 even when
+       asked for 8 rounds. *)
+    let traj =
+      Core.Valency_probe.trajectory ~samples:5 ~rounds:8 ~n:16 ~t:15 ~seed:42
+        (Core.Lb_adversary.band_control ~rules:Core.Onesided.paper
+           ~bit_of_msg:Core.Synran.bit_of_msg ())
+    in
+    Alcotest.(check (list int)) "rounds probed" [ 0; 1; 2; 3 ]
+      (List.map fst traj)
+  in
   let test_probe_estimate_fields () =
     let rng = Prng.Rng.create 7 in
     let inputs = Sim.Runner.input_gen_split ~n:12 rng in
@@ -543,6 +555,7 @@ let valency_probe_suite =
       tc "probe fields" test_probe_estimate_fields;
       tc "each continuation sample gets a fresh adversary"
         test_samples_independent;
+      tc "trajectory stops where eps_k <= 0" test_stops_where_table_is_vacuous;
     ] )
 
 let suites = suites @ [ valency_probe_suite ]

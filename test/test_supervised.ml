@@ -734,9 +734,9 @@ let test_runner_auto_engine () =
   (* [`Auto] is a pure performance decision: whatever it resolves to must
      produce a summary byte-identical to naming that engine explicitly,
      and the resolution must be auditable through [engine_used] and the
-     manifest's [engines] list. Small populations stay on the concrete
-     engine; above the crossover a bitkernel-capable protocol takes the
-     bit-packed kernel. *)
+     manifest's [engines] list. The rule reads the protocol alone: a
+     register protocol takes the bit-packed kernel at any population,
+     anything else stays on the reference engine. *)
   let run ~engine ~n ~trials protocol =
     Sim.Runner.run_trials_supervised ~max_rounds:500 ~jobs:1 ~chunk_size:2
       ~trials ~seed:11 ~engine
@@ -749,39 +749,38 @@ let test_runner_auto_engine () =
     | Some s -> summary_key s
     | None -> Alcotest.fail "summary missing"
   in
-  (* n = 8 <= crossover: auto must stay concrete. *)
-  let small = Core.Synran.protocol 8 in
-  let auto_small = run ~engine:`Auto ~n:8 ~trials:6 small in
-  let conc_small = run ~engine:`Concrete ~n:8 ~trials:6 small in
-  check_string "small n resolves concrete" "concrete"
-    auto_small.Sim.Runner.engine_used;
-  check_bool "auto = explicit concrete" true
-    (key auto_small = key conc_small);
-  (* n = 4100 > crossover, FloodSet publishes bitops: auto goes packed.
-     rounds = 3 keeps the trial cheap at this width. *)
-  let large = Baselines.Floodset.protocol ~rounds:3 () in
-  let auto_large = run ~engine:`Auto ~n:4100 ~trials:2 large in
-  let bitk_large = run ~engine:`Bitkernel ~n:4100 ~trials:2 large in
-  let conc_large = run ~engine:`Concrete ~n:4100 ~trials:2 large in
-  check_string "large bitops n resolves bitkernel" "bitkernel"
-    auto_large.Sim.Runner.engine_used;
+  (* SynRan at n = 8 declares its registers: auto goes packed. *)
+  let synran = Core.Synran.protocol 8 in
+  let auto_reg = run ~engine:`Auto ~n:8 ~trials:6 synran in
+  let bitk_reg = run ~engine:`Bitkernel ~n:8 ~trials:6 synran in
+  let conc_reg = run ~engine:`Concrete ~n:8 ~trials:6 synran in
+  check_string "register protocol resolves bitkernel" "bitkernel"
+    auto_reg.Sim.Runner.engine_used;
   check_string "explicit engine is reported as-is" "concrete"
-    conc_large.Sim.Runner.engine_used;
-  check_bool "auto = explicit bitkernel" true (key auto_large = key bitk_large);
-  check_bool "bitkernel = concrete" true (key bitk_large = key conc_large);
+    conc_reg.Sim.Runner.engine_used;
+  check_bool "auto = explicit bitkernel" true (key auto_reg = key bitk_reg);
+  check_bool "bitkernel = concrete" true (key bitk_reg = key conc_reg);
+  (* Early-stopping FloodSet declares no registers: auto stays concrete. *)
+  let early = Baselines.Early_stop.protocol ~rounds:3 () in
+  let auto_other = run ~engine:`Auto ~n:8 ~trials:6 early in
+  let conc_other = run ~engine:`Concrete ~n:8 ~trials:6 early in
+  check_string "non-register protocol resolves concrete" "concrete"
+    auto_other.Sim.Runner.engine_used;
+  check_bool "auto = explicit concrete" true
+    (key auto_other = key conc_other);
   (* The manifest audit trail: committing reports from two engines leaves
      both in the experiment record, in first-use order, and the engines
      list never perturbs the metrics digest (it is manifest-only). *)
   let ctx = Core.Supervise.create () in
   let res =
     Core.Supervise.run_experiment ctx ~id:"auto" (fun () ->
-        ignore (Core.Supervise.commit ctx auto_small);
-        ignore (Core.Supervise.commit ctx auto_large);
-        ignore (Core.Supervise.commit ctx auto_large);
+        ignore (Core.Supervise.commit ctx auto_reg);
+        ignore (Core.Supervise.commit ctx auto_other);
+        ignore (Core.Supervise.commit ctx auto_other);
         Stats.Table.create ~title:"auto" ~columns:[ "engine" ])
   in
   Alcotest.(check (list string))
-    "engines in first-use order, deduplicated" [ "concrete"; "bitkernel" ]
+    "engines in first-use order, deduplicated" [ "bitkernel"; "concrete" ]
     res.Core.Supervise.engines;
   with_temp_root "manifest_engines_tmp" @@ fun root ->
   let path = Filename.concat root "run_manifest.json" in
@@ -799,7 +798,7 @@ let test_runner_auto_engine () =
     go 0
   in
   check_bool "manifest records both engines" true
-    (mem "\"engines\":[\"concrete\",\"bitkernel\"]")
+    (mem "\"engines\":[\"bitkernel\",\"concrete\"]")
 
 (* --- Sim.Runner.fold: the async and Byzantine instances ---------------- *)
 
