@@ -172,9 +172,11 @@ let cohort_smoke () =
 
 (* Bitkernel-vs-concrete replay: same contract as the cohort leg. The
    null adversary keeps every round packed, and so do band-control's
-   silent kills. Only a partial delivery leaves the packed path:
-   random-partial and the valency-steer killer force those scalar
-   fallbacks and re-packs, so both halves of the kernel are diffed. *)
+   silent kills and the valency-steer killer's partial deliveries, which
+   run per receiver class. Only per-victim recipient lists that split the
+   receivers into more classes than the kernel runs leave the packed
+   path: random-partial at n = 96 forces those scalar fallbacks and
+   re-packs, so both halves of the kernel are diffed. *)
 let bitkernel_compare name protocol ?observer adversary ~n ~t ~seed =
   let inputs = Prng.Sample.random_bits (Prng.Rng.create (seed + 1)) n in
   let o1, m1, r1 =
@@ -259,10 +261,12 @@ let bitkernel_smoke () =
 (* Continuation replay: the Monte-Carlo valency continuations run on
    Bitkernel's snapshots, and Engine's are the reference. One SynRan run
    per engine steps under voting band control; at several rounds it is
-   snapshotted twice, each copy reseeded from equal RNGs on both engines
-   and continued for up to 60 rounds: once under drip (silent kills,
-   packed) and once under voting band control (partial deliveries, the
-   scalar fallback). A copy's sink is null, so the continuation's
+   snapshotted three times, each copy reseeded from equal RNGs on both
+   engines and continued for up to 60 rounds: under drip (silent kills,
+   packed), under voting band control (partial deliveries, packed per
+   receiver class) and under random-partial (per-victim lists, which at
+   n = 1024 take the scalar fallback). A copy's sink is null, so the
+   continuation's
    adversary records the pending messages its views walk each round.
    Outcomes and walks must be equal. The original keeps stepping after
    each snapshot's continuations ran, so a copy that shared mutable state
@@ -323,7 +327,11 @@ let voting () =
     ~rules:Core.Onesided.paper ~bit_of_msg:Core.Synran.bit_of_msg ()
 
 let continuation_policies =
-  [ ("drip", fun () -> Baselines.Adversaries.drip ~per_round:1); ("voting", voting) ]
+  [
+    ("drip", fun () -> Baselines.Adversaries.drip ~per_round:1);
+    ("voting", voting);
+    ("random-partial", fun () -> Baselines.Adversaries.random_partial ~p:0.1);
+  ]
 
 module Continue (E : CONTINUES) = struct
   (* Per snapshot round in [splits] (ascending), per policy: the
@@ -363,22 +371,28 @@ let continuation_smoke () =
   List.iter
     (fun n ->
       let splits = [ 0; 2; 5 ] in
-      let packed = ref false and scalar = ref false in
+      let packed = ref false and voting_packed = ref true and scalar = ref false in
       List.iter2
         (fun (split, policy, (eo, ew), _) (_, _, (bo, bw), c) ->
           check
             (Printf.sprintf "continuation n=%d round %d under %s" n split policy)
             (outcomes_equal eo bo && ew = bw);
-          let rounds = bo.Sim.Engine.rounds_executed - split in
+          let scalar_rounds = Sim.Bitkernel.scalar_rounds c in
           if policy = "drip" && Sim.Bitkernel.packed_rounds c > 0 then
             packed := true;
-          if policy = "voting" && rounds > 0 && Sim.Bitkernel.scalar_rounds c > 0
-          then scalar := true)
+          if policy = "voting" && scalar_rounds > 0 then voting_packed := false;
+          if policy = "random-partial" && scalar_rounds > 0 then scalar := true)
         (On_engine.run ~n ~splits) (On_bitkernel.run ~n ~splits);
       check (Printf.sprintf "continuations n=%d: drip ran packed" n) !packed;
       check
-        (Printf.sprintf "continuations n=%d: band control fell back" n)
-        !scalar)
+        (Printf.sprintf "continuations n=%d: band control ran packed" n)
+        !voting_packed;
+      (* At n = 64 no round can have more receiver classes than the
+         kernel runs: the fallback needs n >= 256. *)
+      if n >= 256 then
+        check
+          (Printf.sprintf "continuations n=%d: random-partial fell back" n)
+          !scalar)
     [ 64; 1024 ];
   print_endline
     "bench-smoke: bitkernel continuations byte-identical to concrete snapshots"
@@ -510,9 +524,8 @@ let large_n_smoke () =
   done;
   (* Voting band control on bitkernel at n = 2048. The default config
      above only bursts or idles at scale, so this is the leg where the
-     packed view's ascending walk picks trim and rescue victims, where
-     the view is read unpacked after their partial sends, and where the
-     kernel re-packs. *)
+     packed view's ascending walk picks trim and rescue victims, and
+     where their partial sends run per receiver class. *)
   let n = 2048 in
   let t = n - 1 in
   let synran = Core.Synran.protocol ~rules n in

@@ -103,8 +103,9 @@ let valency_steer ~per_round ~msg_is_one () =
            of the central band, kill senders of the majority bit with
            random partial deliveries to pull the population back toward
            bivalence. Adaptive kills + partial sends + adversary-stream
-           draws: exactly the individuating behaviour that forces a
-           packed engine onto its scalar fallback. *)
+           draws: each victim's own random list splits the receivers, so
+           a packed engine runs up to 2^per_round receiver classes per
+           round, and past its class cap its scalar fallback. *)
         let total = view.Adversary.count All in
         if total = 0 then []
         else begin

@@ -2,38 +2,47 @@
 
     Packs each binary register of every active process into bit planes
     ({!Bitwords} layout: lane [i mod lanes] of word [i / lanes]) and holds
-    the shared non-register fields in one template state. A round without
-    a partial delivery runs entirely at word granularity — coins and the
-    aux draw in one pass of the PRNG's word kernel
+    the non-register fields in a few template classes: a template state
+    and the lanes it stands for, at most 64 of them. A round with one
+    class and no partial delivery runs entirely at word granularity —
+    coins and the aux draw in one pass of the PRNG's word kernel
     ({!Prng.Rng.Bank.draw_word}), per-register tallies carried across rounds
     (set by popcount on packing, then kept up to date by the coin draw,
     the victims' removal and the transition itself), the protocol's
     transition as a handful of plane loops — at O(n / word_size) cost
     instead of O(n). Silent kills stay packed: the victims leave the
-    active mask and every survivor hears the same senders. Only a round
-    whose plan delivers a victim's message to some receivers individuates
-    them: it materializes the scalar states, runs through the exact
-    {!Engine} aggregate delivery path, and re-packs when uniformity
-    returns. The kernel's scalar half is Engine's own state record, and
-    its unpacked rounds call Engine's Phase A, delivery and commit code;
-    kill validation, the decision discipline, events and the outcome are
-    the round rules all three engines share (DESIGN §5), over the one
-    ledger.
+    active mask and every survivor hears the same senders.
+
+    A round whose plan delivers victims' messages to some receivers stays
+    packed too. Each group of the plan ({!Adversary.fold_runs}) has its
+    recipient list walked once into a mask; the template classes, split
+    by those masks, give the receiver classes, and each receiver class
+    runs the transition once, on the survivors' tallies plus its groups'
+    victims' registers (their count added to [nrecv], their best
+    (priv, pid) competing for the leader), written to its own lanes.
+    Classes whose new templates agree merge again. Only a round that would
+    need more than 64 receiver classes (random per-victim recipient
+    lists, as random-partial plans, with seven victims or more)
+    materializes the scalar states, runs through the exact {!Engine}
+    aggregate delivery path, and re-packs as soon as the states fall into
+    at most 64 templates. The kernel's scalar half is Engine's own state
+    record, and its unpacked rounds call Engine's Phase A, delivery and
+    commit code; kill validation, the decision discipline, events and the
+    outcome are the round rules all three engines share (DESIGN §5), over
+    the one ledger.
 
     {b A trial costs its packed rounds.} A register protocol's initial
     state is a function of (n, input) ({!Protocol.bitops}' [bo_init]), so
     {!start} builds the input-0 and input-1 states once and packs every
-    process from them: a uniform start builds no per-process object and
-    no scalar half. The per-process streams are one {!Prng.Rng.Bank}. The
+    process from them, as one class, or two when the states disagree on a
+    non-register field: a start builds no per-process object and no
+    scalar half. The per-process streams are one {!Prng.Rng.Bank}. The
     scalar half (states, staged messages, delivery scratch) is built by
     the first round that unpacks and kept from then on; a run whose
-    rounds all stay packed never builds it. A silent victim keeps no
-    state: nothing reads a dead process's state again. A packed halt
-    halts every active process at once, so the run is quiescent and keeps
-    no final state either, and the deciders share one [Some v] per value.
-    Only a start whose two initial states disagree on a non-register
-    field (under mixed inputs) starts scalar, every entry one of the two
-    states, and re-packs once they agree.
+    rounds all stay packed never builds it. A victim keeps no state:
+    nothing reads a dead process's state again. A class that halts leaves
+    the active mask whole and keeps no final state either, and the
+    deciders share one [Some v] per value.
 
     {b Byte-identity:} every observable — outcomes, decision rounds,
     traces, the event stream (Decisions ascending by pid, Kills in plan
@@ -113,10 +122,10 @@ val run :
     [Core.Valency_probe]) run here. A copy and its original step on
     their own, in either order, and each stays byte-identical to
     {!Engine} given the same copies and reseeds. A snapshot of a packed
-    execution stays packed: a continuation whose kills are silent runs at
-    word granularity, and a partial delivery takes the copy (only) to
-    the scalar fallback, which builds the copy's own scalar half and
-    re-packs on its own. *)
+    execution stays packed, with its own classes: a continuation runs at
+    word granularity, and a round past the class cap takes the copy
+    (only) to the scalar fallback, which builds the copy's own scalar
+    half and re-packs on its own. *)
 
 val snapshot : ('state, 'msg) exec -> ('state, 'msg) exec
 (** Deep copy: {!Engine.snapshot}'s copy of the ledger (its stream bank
@@ -126,7 +135,7 @@ val snapshot : ('state, 'msg) exec -> ('state, 'msg) exec
 
     Cost: a packed snapshot allocates the ledger's four n-arrays and its
     stream bank (four words a process), [priv] (n words) and the planes
-    (O(n / word_size)), and no
+    and class masks (O(classes · n / word_size)), and no
     scalar half, whether or not its original has one: a packed
     original's scalar half holds nothing that is read again. Only a
     snapshot of an unpacked execution also copies the scalar states and
@@ -156,6 +165,6 @@ val packed_rounds : ('state, 'msg) exec -> int
 
 val scalar_rounds : ('state, 'msg) exec -> int
 (** Rounds that ran through the scalar fallback path: those whose plan
-    had a partial delivery, and those that ran while the states were not
-    uniform. Kept for tests: pins which rounds fell back from the packed
-    path. *)
+    split the receivers into more than 64 classes, and those that ran
+    while the states fell into more than 64 templates. Kept for tests:
+    pins which rounds fell back from the packed path. *)
