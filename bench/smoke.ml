@@ -400,8 +400,11 @@ let continuation_smoke () =
 (* Large-n replay: the differential suites and the legs above stop at
    n <= 96, so this is where the engines meet at the sizes the benchmark
    times. Under the null adversary, concrete, bitkernel and cohort must
-   agree at n = 4096 for SynRan (random inputs) and FloodSet, and one
-   SynRan trial at n = 1024 must match the legacy materialized exchange.
+   agree at n = 4096 for SynRan (random inputs) and FloodSet, and
+   bitkernel must match concrete on SynRan's leader coin there, under the
+   null adversary and the leader killer (event for event, every round
+   packed). One SynRan trial at n = 1024 must match the legacy
+   materialized exchange.
    One SynRan trial at n = 1024 under voting band control (the band_n1024
    benchmark attack) must match the legacy exchange as well. Under band
    control, the three engines must agree on outcomes and on the metrics
@@ -461,6 +464,36 @@ let large_n_smoke () =
     check
       (Printf.sprintf "synran leader n=%d trial %d: bitkernel = concrete" n i)
       (traced_equal concrete bit && mb = mc)
+  done;
+  (* The leader killer against the same protocol: each kill round's
+     victims deliver to a protected set only, so the receivers split into
+     two classes, and a flip adopts its class's leader, the top of the
+     survivors or of the victims it hears. Every round stays packed. *)
+  let killer () =
+    Core.Lb_adversary.leader_killer ~rules:Core.Onesided.paper
+      ~bit_of_msg:Core.Synran.bit_of_msg ()
+  in
+  for i = 1 to 2 do
+    let inputs = Sim.Runner.input_gen_split ~n (rng_of i) and t = n - 1 in
+    let concrete, mc, rc =
+      observed (fun sink ->
+          Sim.Engine.run ~sink ~max_rounds:400 leader (killer ()) ~inputs ~t
+            ~rng:(rng_of i))
+    in
+    (* -1 if the killer never killed, else the scalar rounds run. *)
+    let scalar = ref (-1) in
+    let bit, mb, rb =
+      observed (fun sink ->
+          let e = Sim.Bitkernel.start ~sink leader ~inputs ~t ~rng:(rng_of i) in
+          Sim.Bitkernel.run_until e (killer ()) ~max_rounds:400;
+          if Sim.Bitkernel.kills_used e > 0 then
+            scalar := Sim.Bitkernel.scalar_rounds e;
+          Sim.Bitkernel.final_outcome e)
+    in
+    check
+      (Printf.sprintf "synran leader n=%d vs leader-killer trial %d: \
+                       bitkernel = concrete, killing, all packed" n i)
+      (traced_equal concrete bit && mb = mc && rb = rc && !scalar = 0)
   done;
   let n = 1024 in
   let p = Core.Synran.protocol n in
@@ -635,11 +668,11 @@ let large_n_smoke () =
               (partial ()) ~inputs ~t ~rng:(rng_of 1)) );
     ];
   print_endline
-    "bench-smoke: engines agree at n=4096 (leader coin too), under band \
-     control at n=8192 and under voting band control at n=2048 and n=8192, \
-     shared recipient lists = copied at n=2048, legacy = fast at n=1024 \
-     (null and voting band control), per-victim lists agree on three \
-     engines at n=2048"
+    "bench-smoke: engines agree at n=4096 (leader coin too, null and \
+     leader-killer), under band control at n=8192 and under voting band \
+     control at n=2048 and n=8192, shared recipient lists = copied at \
+     n=2048, legacy = fast at n=1024 (null and voting band control), \
+     per-victim lists agree on three engines at n=2048"
 
 (* Coin-game replay at n = 1024, the full profile's largest E1 size: the
    four counting games under E1's strategy, budgets and targets, 8 trials

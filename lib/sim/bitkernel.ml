@@ -3,35 +3,33 @@
    Register state lives in bit planes (one int array row per register,
    lane i of word i/lanes = process i, see Bitwords); the non-register
    fields of the active processes are held in a few template classes
-   ([klass]): a template state and the lanes it stands for. Most rounds
-   have one class, and a round with one class and no partial delivery
-   executes entirely at word granularity: coins and aux draws are drawn
-   word-at-a-time by the PRNG's own kernel ([Prng.Rng.Bank.draw_word]),
-   the tallies are carried across rounds (see [tallies] below), and the
-   protocol's transition ([bo_step]) is a handful of plain plane loops.
-   Silent victims just leave the active mask.
+   ([klass]): a template state and the lanes it stands for. Coins and aux
+   draws are drawn word-at-a-time by the PRNG's own kernel
+   ([Prng.Rng.Bank.draw_word]), and the protocol's transition ([bo_step])
+   is a handful of plain plane loops.
 
-   A partial delivery splits the receivers by the groups that reach them
-   (Adversary.fold_runs): each template class, refined by the groups'
-   recipient masks, gives receiver classes, and each receiver class runs
-   the word transition once, on the survivors' tallies plus its groups'
-   victims, masked to its lanes ([classes_phase_b]). Classes whose new
-   templates agree merge again. Only a round that would need more than
-   [max_classes] classes (per-victim recipient lists, say) materializes
-   the scalar states and runs Engine's own delivery and commit code
-   ([Round.phase_b]), then re-packs as soon as the states fall into at
-   most [max_classes] templates.
+   Phase B runs once per receiver class ([classes_phase_b]): survivors of
+   one template class that hear the same senders. The plan's groups
+   (Adversary.fold_runs) split the template classes by their recipient
+   masks; each receiver class runs the word transition once, on the
+   survivors' tallies plus its groups' victims, written to its lanes, and
+   classes whose new templates agree merge again. A round of silent kills
+   over one template class has one receiver class, [amask] itself: it
+   writes whole plane words and carries the tallies on ([tallies] below).
+   Only a round that would need more than [max_classes] receiver classes
+   (per-victim recipient lists, say) runs Engine's own delivery and
+   commit code on materialized scalar states ([Round.phase_b]), then
+   re-packs once the states fall into at most [max_classes] templates.
 
    A trial costs only its packed rounds: a register protocol's initial
-   state is a function of its input alone ([bo_init]), so [start] builds
-   the two initial states once and packs every process from them, as one
-   class or, when they disagree on a non-register field, two. A packed
-   execution keeps the ledger, the planes and the streams (one bank,
-   Prng.Rng.Bank) and no per-process state: a silent victim just leaves
-   the mask, and a halting class leaves it whole. The scalar half,
-   Engine's record (states, staged messages and delivery scratch), is
-   built by Round's one constructor at the first round that unpacks, and
-   kept from then on.
+   state is a function of its input alone ([bo_init]), so [start] packs
+   every process from the two initial states, as one class or, when they
+   disagree on a non-register field, two. A packed execution keeps the
+   ledger, the planes and the streams (one bank, Prng.Rng.Bank) and no
+   per-process state: a victim just leaves the mask, and a halting class
+   leaves it whole. The scalar half, Engine's record (states, staged
+   messages and delivery scratch), is built by Round's one constructor at
+   the first round that unpacks, and kept from then on.
 
    Every round rule (kill validation, the decision discipline, kills and
    events, the outcome) is [Round]'s one copy, over the one ledger, so
@@ -50,6 +48,27 @@ type 'state klass = {
   mutable decided : bool;
       (* Uniform over the class by the bo_uniform contract; lets ws_decide
          = None reproduce Engine's revocation check without a scan. *)
+}
+
+(* One group of the plan (a run of Adversary.fold_runs with a non-empty
+   list): its shared list, its victims' number and register tallies, and
+   its max-(priv, pid) victim. *)
+type group = {
+  recipients : int list;
+  len : int;
+  vbits : int array;
+  vlead : int;
+}
+
+(* A receiver class of the round: the survivors of template class [src]
+   in [rmask] ([rsize] of them), all reached by exactly the groups
+   [named], and their transition [ws]. Scratch, rewritten every round. *)
+type 'state recv = {
+  mutable src : 'state klass;
+  mutable rmask : int array;
+  mutable rsize : int;
+  mutable named : group list;
+  mutable ws : 'state Protocol.word_step;
 }
 
 type ('state, 'msg) exec = {
@@ -76,22 +95,25 @@ type ('state, 'msg) exec = {
   priv : int array;  (* per-process aux payload of the current round *)
   mutable tallies : int array;
       (* Packed-mode invariant: tallies.(r) = popcount (cur.(r) land amask),
-         length bo_width. Set by popcount in [pack], then carried
-         across one-class rounds instead of recounted: [packed_phase_a]
-         recounts the coin plane it draws, [drop_victims] subtracts each
-         victim's bits, and [packed_phase_b] derives the post-transition
-         counts from [ws_regs]; [classes_phase_b] recounts them. *)
+         length bo_width. Set by popcount in [pack], then carried across
+         rounds instead of recounted: [packed_phase_a] recounts the coin
+         plane it draws, [drop_victims] subtracts each victim's bits, and
+         a round with one receiver class derives the post-transition
+         counts from its [ws_regs]. Only a round with more receiver
+         classes, or a halting one, recounts them. *)
   mutable tnxt : int array;  (* double buffer for the transition's counts *)
   viewer : ('state, 'msg) Round.viewer Lazy.t;
       (* The adversary's accessors, over this exec: built once. *)
   (* Instrumentation for bench and tests. *)
   mutable packed_rounds : int;
   mutable scalar_rounds : int;
-  (* Partial-delivery scratch, nw words each, made by the first group:
-     one group's recipient mask (all zero between groups) and the words
-     it touches. *)
+  (* Phase B scratch, made by the first round that needs it: one group's
+     recipient mask (all zero between groups) and the words it touches,
+     nw words each, and one record per receiver class. *)
   mutable rcpt : int array;
   mutable touched : int array;
+  mutable rcs : 'state recv array;
+  mutable lead : int;  (* this round's max-(priv, pid) survivor, or -1 *)
 }
 
 let active_count e = if e.packed then e.active_cnt else Round.active_count e.lg
@@ -111,26 +133,23 @@ let msg_at (type s m) (e : (s, m) exec) i : m =
   match e.bo.Protocol.bo_word with
   | Type.Equal -> { Protocol.regs = regs_at e i; priv = e.priv.(i) }
 
-(* Registers of this round's max-(priv, pid) active sender. *)
-let leader_regs e =
-  let best = ref (-1) in
-  Bitwords.iter_ones e.amask e.nw (fun i ->
-      (* Lanes ascend, so a priv tie goes to the larger pid. *)
-      if !best < 0 || e.priv.(i) >= e.priv.(!best) then best := i);
-  regs_at e !best
+(* Whether sender [i] leads sender [j] (or [j] is -1): the larger priv,
+   a tie to the larger pid. *)
+let leads e i j =
+  j < 0 || e.priv.(i) > e.priv.(j) || (e.priv.(i) = e.priv.(j) && i > j)
 
-(* The lowest pid still in [amask]. On a silent-kill round the victims
-   have left [amask] but are alive until the round closes, so this is the
-   first survivor — the process the scalar path's checks would name. *)
-let first_active e =
-  let rec go w =
-    if w >= e.nw then invalid_arg "Bitkernel: no active process"
-    else
-      let m = e.amask.(w) in
-      if m = 0 then go (w + 1)
-      else (w * Bitwords.lanes) + Bitwords.popcount ((m land -m) - 1)
-  in
-  go 0
+(* The max-(priv, pid) active sender, found once a round: [lead] is -1
+   until then. *)
+let leader_pid e =
+  if e.lead < 0 then
+    Bitwords.iter_ones e.amask e.nw (fun i -> if leads e i e.lead then e.lead <- i);
+  e.lead
+
+(* The lowest lane of the non-empty mask [m]. *)
+let first_lane m =
+  let w = ref 0 in
+  while m.(!w) = 0 do incr w done;
+  (!w * Bitwords.lanes) + Bitwords.popcount ((m.(!w) land -m.(!w)) - 1)
 
 (* Plane writes for the transition. Typed [int array] loops store words
    directly; [Array.blit]/[Array.fill] into a major-heap array pay a
@@ -341,6 +360,8 @@ let start ?observer ?sink protocol ~inputs ~t ~rng =
       scalar_rounds = 0;
       rcpt = [||];
       touched = [||];
+      rcs = [||];
+      lead = -1;
     }
   in
   (* Every process starts in the class of its input's state: one class,
@@ -414,7 +435,6 @@ let rec drop_victims e = function
    packed round's decisions allocates nothing per process. *)
 let some_0 = Some 0
 let some_1 = Some 1
-let shared_some v = match v with 0 -> some_0 | 1 -> some_1 | v -> Some v
 
 (* The observer's count over this round's senders, the active lanes
    before the victims leave: the staged messages' pre-transition planes,
@@ -429,433 +449,364 @@ let pending_ones e emit_on =
         Bitwords.iter_ones e.amask e.nw (fun i -> if f (msg_at e i) then incr c);
         Some !c
 
-(* Close a packed round: with no kills that only advances its counter. *)
-let close_round e kills round ~emit_on ~senders ~delivered ~newly_decided
-    ~newly_halted ~ones =
-  let lg = e.lg in
-  if kills = [] then lg.round <- round else Round.apply_kills lg ~round kills;
-  e.packed_rounds <- e.packed_rounds + 1;
-  if emit_on then
-    Round.emit_round lg ~round kills ~active:senders ~delivered ~newly_decided
-      ~newly_halted ~ones
+(* --- Phase B, per receiver class ---------------------------------- *)
 
-(* The whole uniform Phase B in word operations, for one class under a
-   plan of silent kills only ([[]] on most rounds). [round] is the
-   1-based round being executed; planes hold the post-Phase-A values.
-   Every survivor hears the same sender set, the survivors themselves,
-   so one tally serves them all. *)
-let packed_phase_b e kills round =
-  let lg = e.lg and c0 = e.classes.(0) in
+(* The plan's groups, read from the planes before anyone leaves them. *)
+let groups e kills =
+  let width = e.cd.Protocol.bo_width in
+  if kills = [] then []
+  else
+    Adversary.fold_runs
+      (fun acc run len ->
+        match run with
+        | { Adversary.deliver_to = _ :: _; _ } :: _ ->
+            let vbits = Array.make width 0 and vlead = ref (-1) in
+            let rec walk k = function
+              | { Adversary.victim; _ } :: rest when k > 0 ->
+                  let bits = regs_at e victim in
+                  for r = 0 to width - 1 do
+                    vbits.(r) <- vbits.(r) + ((bits lsr r) land 1)
+                  done;
+                  if leads e victim !vlead then vlead := victim;
+                  walk (k - 1) rest
+              | _ -> ()
+            in
+            walk len run;
+            { recipients = (List.hd run).Adversary.deliver_to; len; vbits; vlead = !vlead }
+            :: acc
+        | _ -> acc)
+      [] kills
+
+(* Set receiver class [k] in its scratch record, made by the first round
+   with that many classes (its [ws] a placeholder until the transition). *)
+let set_recv e k src rmask rsize named =
+  if k = Array.length e.rcs then
+    let ws =
+      { Protocol.ws_state = src.tpl; ws_regs = [||]; ws_decide = None; ws_halt = false }
+    in
+    e.rcs <- Array.append e.rcs [| { src; rmask; rsize; named; ws } |]
+  else begin
+    let rc = e.rcs.(k) in
+    rc.src <- src;
+    rc.rmask <- rmask;
+    rc.rsize <- rsize;
+    rc.named <- named
+  end
+
+(* A mask of template class [src]'s survivors, taken from [spare]. *)
+let survivors_of e src kills =
+  let m = take e in
+  copy_plane src.lanes m e.nw;
+  List.iter (fun { Adversary.victim; _ } -> Bitwords.set m victim false) kills;
+  m
+
+(* Split the first [k] receiver classes by each group's recipient mask,
+   built in [rcpt] by one walk of its list (dead, halted and victim
+   recipients drop out, duplicates collapse), reading only the words it
+   touches. A class wholly inside hears the group; one partly inside gives
+   that part to a new class, which hears it too. Returns the classes'
+   number, or -1 past [max_classes]. *)
+let rec split_by e kills k = function
+  | [] -> k
+  | g :: rest ->
+      let rcpt = e.rcpt and touched = e.touched and nt = ref 0 in
+      List.iter
+        (fun j ->
+          if Bitwords.get e.amask j && not (Round.is_victim e.lg j) then begin
+            let w = j / Bitwords.lanes in
+            if rcpt.(w) = 0 then begin
+              touched.(!nt) <- w;
+              incr nt
+            end;
+            rcpt.(w) <- rcpt.(w) lor (1 lsl (j mod Bitwords.lanes))
+          end)
+        g.recipients;
+      let n = ref k in
+      for c = 0 to k - 1 do
+        let rc = e.rcs.(c) and inter = ref 0 in
+        for x = 0 to !nt - 1 do
+          let w = touched.(x) in
+          inter := !inter + Bitwords.popcount (rc.rmask.(w) land rcpt.(w))
+        done;
+        if !inter = rc.rsize then rc.named <- g :: rc.named
+        else if !inter > 0 && !n >= 0 then
+          if !n = max_classes then n := -1
+          else begin
+            (* A lone class split: its receivers take a mask of their own. *)
+            if rc.rmask == e.amask then rc.rmask <- survivors_of e rc.src kills;
+            let m = take e in
+            clear_plane m e.nw;
+            for x = 0 to !nt - 1 do
+              let w = touched.(x) in
+              m.(w) <- rc.rmask.(w) land rcpt.(w);
+              rc.rmask.(w) <- rc.rmask.(w) land lnot rcpt.(w)
+            done;
+            rc.rsize <- rc.rsize - !inter;
+            set_recv e !n rc.src m !inter (g :: rc.named);
+            incr n
+          end
+      done;
+      for x = 0 to !nt - 1 do
+        rcpt.(touched.(x)) <- 0
+      done;
+      if !n < 0 then -1 else split_by e kills !n rest
+
+(* This round's receiver classes, in [rcs]: each template class's
+   survivors, split by the groups. The lone class of a one-class
+   execution receives as [amask] itself, exactly its survivors once the
+   victims leave, until a group splits it. Returns their number, or -1,
+   every mask given back, past [max_classes]. *)
+let receivers e kills groups =
+  if groups <> [] && Array.length e.rcpt < e.nw then begin
+    e.rcpt <- Array.make e.nw 0;
+    e.touched <- Array.make e.nw 0
+  end;
+  let k = ref 0 in
+  for c = 0 to Array.length e.classes - 1 do
+    let src = e.classes.(c) in
+    let lone = src.lanes == e.amask in
+    let m = if lone then e.amask else survivors_of e src kills in
+    let size =
+      if lone then e.active_cnt - List.length kills
+      else Bitwords.popcount_masked m m e.nw
+    in
+    if size = 0 then give e m
+    else begin
+      set_recv e !k src m size [];
+      incr k
+    end
+  done;
+  let k = split_by e kills !k groups in
+  if k < 0 then
+    for c = 0 to max_classes - 1 do
+      give e e.rcs.(c).rmask
+    done;
+  k
+
+(* Receiver class [m]'s lanes of the next planes: register r becomes
+   [src xor flip] by its source in [regs] ([m] lies inside [amask], the
+   survivors, so a fill is all of it or none). The first class writes
+   whole words: every other active lane is a later class's, which blends
+   into its own lanes, and an inactive lane is never read again. *)
+let write_class e regs m ~whole =
+  for r = 0 to e.cd.Protocol.bo_width - 1 do
+    let src, flip =
+      match regs.(r) with
+      | Protocol.Keep -> (e.cur.(r), 0)
+      | Copy i -> (e.cur.(i), 0)
+      | Not i -> (e.cur.(i), -1)
+      | Fill b -> (e.amask, if b then 0 else -1)
+    in
+    let dst = e.nxt.(r) in
+    if whole then
+      if flip = 0 then copy_plane src dst e.nw else not_plane src dst e.nw
+    else
+      for w = 0 to e.nw - 1 do
+        dst.(w) <- (dst.(w) land lnot m.(w)) lor ((src.(w) lxor flip) land m.(w))
+      done
+  done
+
+(* The receiver class, from [c] on, that holds lane [j]. *)
+let rec class_of e j c = if Bitwords.get e.rcs.(c).rmask j then c else class_of e j (c + 1)
+
+(* Commit the deciders [m] of the word at lane [base], ascending, each
+   lane's decision its receiver class's, sharing one [Some v] per value.
+   Returns [newly] plus the first decisions. *)
+let rec commit_word e k ~round ~emit_on base m newly =
+  if m = 0 then newly
+  else begin
+    let bit = m land -m in
+    let j = base + Bitwords.popcount (bit - 1) in
+    let v =
+      match e.rcs.(if k = 1 then 0 else class_of e j 0).ws.Protocol.ws_decide with
+      | Some (Protocol.Decide_const 0) -> some_0
+      | Some (Decide_const 1) -> some_1
+      | Some (Decide_const v) -> Some v
+      | Some (Decide_reg r) -> if Bitwords.get e.cur.(r) j then some_1 else some_0
+      | None -> None
+    in
+    let first = Round.commit_decision e.lg ~round ~emit:emit_on j v in
+    commit_word e k ~round ~emit_on base (m lxor bit)
+      (if first then newly + 1 else newly)
+  end
+
+(* The decision discipline over the [k] receiver classes, in the scalar
+   loop's pid order: every member of a deciding class commits its
+   decision; a class that does not decide fails at its first member if
+   it had decided (a revocation) or if it halts. The lowest such member
+   raises, after the commits below it. Returns the first decisions. *)
+let commit_classes e k ~round ~emit_on =
+  let fail = ref max_int and revoked = ref false and deciding = ref false in
+  for c = 0 to k - 1 do
+    let rc = e.rcs.(c) in
+    match rc.ws.Protocol.ws_decide with
+    | Some _ -> deciding := true
+    | None ->
+        if rc.src.decided || rc.ws.Protocol.ws_halt then begin
+          let j = first_lane rc.rmask in
+          if j < !fail then begin
+            fail := j;
+            revoked := rc.src.decided
+          end
+        end
+  done;
+  let newly = ref 0 in
+  if !deciding then
+    for w = 0 to e.nw - 1 do
+      let m = ref 0 and base = w * Bitwords.lanes in
+      for c = 0 to k - 1 do
+        if Option.is_some e.rcs.(c).ws.Protocol.ws_decide then
+          m := !m lor e.rcs.(c).rmask.(w)
+      done;
+      (* Only the deciders below the first failure commit. *)
+      let m = !m land Bitwords.mask_upto (Stdlib.max 0 (!fail - base)) in
+      newly := commit_word e k ~round ~emit_on base m !newly
+    done;
+  if !fail < max_int then begin
+    if !revoked then
+      ignore (Round.commit_decision e.lg ~round ~emit:false !fail None);
+    Round.halted_undecided !fail
+  end;
+  !newly
+
+(* The next template classes: each of the [k] receiver classes that did
+   not halt, with its new template, merged into an earlier one whose
+   template agrees. The old class masks go back to [spare], and a lone
+   class takes [amask] as its lanes: a lone receiver class that goes on
+   keeps its template class's record. *)
+let regroup e k =
+  let old = e.classes in
+  for c = 0 to Array.length old - 1 do
+    give e old.(c).lanes
+  done;
+  if k = 1 && not e.rcs.(0).ws.Protocol.ws_halt then begin
+    let { src = x; rmask; ws; _ } = e.rcs.(0) in
+    give e rmask;
+    x.tpl <- ws.Protocol.ws_state;
+    x.lanes <- e.amask;
+    x.decided <- x.decided || Option.is_some ws.Protocol.ws_decide;
+    if Array.length old > 1 then e.classes <- [| x |]
+  end
+  else begin
+    let out = ref [] in
+    for c = 0 to k - 1 do
+      let rc = e.rcs.(c) in
+      let ws = rc.ws in
+      if ws.Protocol.ws_halt then give e rc.rmask
+      else begin
+        let tpl = ws.Protocol.ws_state in
+        match List.find_opt (fun x -> e.cd.Protocol.bo_uniform x.tpl tpl) !out with
+        | Some x ->
+            for w = 0 to e.nw - 1 do
+              x.lanes.(w) <- x.lanes.(w) lor rc.rmask.(w)
+            done;
+            give e rc.rmask
+        | None ->
+            let decided =
+              rc.src.decided || Option.is_some ws.Protocol.ws_decide
+            in
+            out := { tpl; lanes = rc.rmask; decided } :: !out
+      end
+    done;
+    e.classes <-
+      (match !out with
+      | [] -> [| { (old.(0)) with lanes = e.amask; decided = false } |]
+      | [ x ] ->
+          give e x.lanes;
+          x.lanes <- e.amask;
+          [| x |]
+      | l -> Array.of_list (List.rev l))
+  end
+
+(* Phase B of packed round [round], per receiver class, on the
+   post-Phase-A planes. Each class hears the survivors plus its groups'
+   victims: its [nrecv] and counts add those victims to the survivors'
+   (carried) ones, and its leader is the max-(priv, pid) of both. The
+   transition runs once per class and writes the class's lanes; then the
+   decisions, the halting classes, the tallies and the merged templates.
+   Returns [false], having changed nothing, past [max_classes] classes. *)
+let classes_phase_b e kills round =
+  let k = receivers e kills (groups e kills) in
+  k >= 0
+  &&
+  let lg = e.lg and width = e.cd.Protocol.bo_width in
   let emit_on = Obs.Sink.enabled lg.sink in
   (* Before the victims leave and the planes are overwritten. *)
   let ones = pending_ones e emit_on in
   let senders = e.active_cnt in
   drop_victims e kills;
   let survivors = e.active_cnt in
-  let newly_decided = ref 0 in
-  let newly_halted = ref 0 in
-  (* With no survivor nobody receives: the transition is not run. *)
-  if survivors > 0 then begin
-    let t = e.tallies in
-    let ws =
-      e.bo.Protocol.bo_step c0.tpl ~round ~nrecv:survivors
-        ~tallies:{ Protocol.counts = t; leader = lazy (leader_regs e) }
-    in
-    (* Simultaneous register update: read [cur] and [t], write [nxt] and
-       [t'], swap. Each source determines its new count from the old
-       ones over the same survivors. *)
-    let t' = e.tnxt in
-    for r = 0 to e.cd.Protocol.bo_width - 1 do
-      let dst = e.nxt.(r) in
-      match ws.Protocol.ws_regs.(r) with
-      | Protocol.Keep ->
-          copy_plane e.cur.(r) dst e.nw;
-          t'.(r) <- t.(r)
-      | Protocol.Fill true ->
-          copy_plane e.amask dst e.nw;
-          t'.(r) <- survivors
-      | Protocol.Fill false ->
-          clear_plane dst e.nw;
-          t'.(r) <- 0
-      | Protocol.Copy i ->
-          copy_plane e.cur.(i) dst e.nw;
-          t'.(r) <- t.(i)
-      | Protocol.Not i ->
-          not_plane e.cur.(i) dst e.nw;
-          t'.(r) <- survivors - t.(i)
-    done;
-    let old = e.cur in
-    e.cur <- e.nxt;
-    e.nxt <- old;
-    e.tallies <- t';
-    e.tnxt <- t;
-    c0.tpl <- ws.Protocol.ws_state;
-    (* The decision discipline on the post-transition planes, like the
-       scalar [decision state']. Actives agree on whether they decided, so
-       one representative stands for all when nobody decides. *)
-    (match ws.Protocol.ws_decide with
-    | None ->
-        if c0.decided then
-          ignore (Round.commit_decision lg ~round ~emit:false (first_active e) None)
-    | Some d ->
-        (* Every decider shares one [Some v] per value. *)
-        let decision =
-          match d with
-          | Protocol.Decide_const c ->
-              let v = shared_some c in
-              fun _ -> v
-          | Protocol.Decide_reg r ->
-              let plane = e.cur.(r) in
-              fun j -> if Bitwords.get plane j then some_1 else some_0
-        in
-        Bitwords.iter_ones e.amask e.nw (fun j ->
-            if Round.commit_decision lg ~round ~emit:emit_on j (decision j) then
-              incr newly_decided);
-        c0.decided <- true);
-    if ws.Protocol.ws_halt then begin
-      if not c0.decided then Round.halted_undecided (first_active e);
-      (* The class halts whole: the run is quiescent from here, so no
-         final state is kept. *)
-      Bitwords.iter_ones e.amask e.nw (fun j -> lg.halted.(j) <- true);
-      newly_halted := e.active_cnt;
-      clear_plane e.amask e.nw;
-      clear_plane e.tallies e.cd.Protocol.bo_width;
-      e.active_cnt <- 0
-    end
-  end;
-  close_round e kills round ~emit_on ~senders
-    ~delivered:(survivors * survivors) ~newly_decided:!newly_decided
-    ~newly_halted:!newly_halted ~ones
-
-(* --- Receiver classes --------------------------------------------- *)
-
-(* One group of the plan (a run of Adversary.fold_runs with a non-empty
-   list): its shared list, its victims' number and register tallies, and
-   its max-(priv, pid) victim. *)
-type group = {
-  recipients : int list;
-  len : int;
-  vbits : int array;
-  vlead : int;
-}
-
-(* A receiver class of this round: the survivors of template class [src]
-   in [rmask] ([rsize] of them), all reached by exactly the groups
-   [named]. *)
-type 'state recv = {
-  src : 'state klass;
-  rmask : int array;
-  mutable rsize : int;
-  mutable named : group list;
-}
-
-(* Whether sender [i] leads sender [j] (or [j] is -1): the larger priv,
-   a tie to the larger pid, as [leader_regs] picks. This helper, the next
-   and [first_lane] repeat [leader_regs] and [first_active] for any mask
-   rather than replace them: the code above the plane loops sets their
-   alignment, and moving it made floodset_null_n65536 and
-   synran_null_n65536 about 2% slower on a 2-vCPU x86-64 guest. *)
-let leads e i j =
-  j < 0 || e.priv.(i) > e.priv.(j) || (e.priv.(i) = e.priv.(j) && i > j)
-
-(* The max-(priv, pid) active sender. *)
-let leader_pid e =
-  let best = ref (-1) in
-  Bitwords.iter_ones e.amask e.nw (fun i -> if leads e i !best then best := i);
-  !best
-
-(* The plan's groups, read from the planes before anyone leaves them. *)
-let groups e kills =
-  let width = e.cd.Protocol.bo_width in
-  Adversary.fold_runs
-    (fun acc run len ->
-      match run with
-      | { Adversary.deliver_to = _ :: _; _ } :: _ ->
-          let vbits = Array.make width 0 and vlead = ref (-1) in
-          let rec walk k = function
-            | { Adversary.victim; _ } :: rest when k > 0 ->
-                let bits = regs_at e victim in
-                for r = 0 to width - 1 do
-                  vbits.(r) <- vbits.(r) + ((bits lsr r) land 1)
-                done;
-                if leads e victim !vlead then vlead := victim;
-                walk (k - 1) rest
-            | _ -> ()
-          in
-          walk len run;
-          { recipients = (List.hd run).Adversary.deliver_to; len; vbits; vlead = !vlead }
-          :: acc
-      | _ -> acc)
-    [] kills
-
-(* This round's receiver classes: each template class's survivors, split
-   by every group's recipient mask. One walk of the group's list builds
-   the mask in [rcpt] (dead, halted and victim recipients drop out,
-   duplicates collapse) and notes the words it touches, and only those
-   words of each class are read or split. Returns the classes and their
-   number, or [None], with every mask given back, once they would number
-   more than [max_classes]. *)
-let receivers e kills groups =
-  let nw = e.nw in
-  if groups <> [] && Array.length e.rcpt < nw then begin
-    e.rcpt <- Array.make nw 0;
-    e.touched <- Array.make nw 0
-  end;
-  let rcs = ref [||] and k = ref 0 in
-  let add rc =
-    if !k = 0 then rcs := Array.make max_classes rc;
-    !rcs.(!k) <- rc;
-    incr k
-  in
-  Array.iter
-    (fun c ->
-      let m = take e in
-      copy_plane c.lanes m nw;
-      List.iter (fun { Adversary.victim; _ } -> Bitwords.set m victim false) kills;
-      let size = Bitwords.popcount_masked m m nw in
-      if size = 0 then give e m else add { src = c; rmask = m; rsize = size; named = [] })
-    e.classes;
-  let fits = ref true and rcpt = e.rcpt and touched = e.touched in
-  List.iter
-    (fun g ->
-      if !fits then begin
-        let nt = ref 0 in
-        List.iter
-          (fun j ->
-            if Bitwords.get e.amask j && not (Round.is_victim e.lg j) then begin
-              let w = j / Bitwords.lanes in
-              if rcpt.(w) = 0 then begin
-                touched.(!nt) <- w;
-                incr nt
-              end;
-              rcpt.(w) <- rcpt.(w) lor (1 lsl (j mod Bitwords.lanes))
-            end)
-          g.recipients;
-        for c = 0 to !k - 1 do
-          let rc = !rcs.(c) in
-          let inter = ref 0 in
-          for x = 0 to !nt - 1 do
-            let w = touched.(x) in
-            inter := !inter + Bitwords.popcount (rc.rmask.(w) land rcpt.(w))
-          done;
-          if !inter = rc.rsize then rc.named <- g :: rc.named
-          else if !inter > 0 && !fits then
-            if !k = max_classes then fits := false
-            else begin
-              let m = take e in
-              clear_plane m nw;
-              for x = 0 to !nt - 1 do
-                let w = touched.(x) in
-                m.(w) <- rc.rmask.(w) land rcpt.(w);
-                rc.rmask.(w) <- rc.rmask.(w) land lnot rcpt.(w)
-              done;
-              rc.rsize <- rc.rsize - !inter;
-              add { src = rc.src; rmask = m; rsize = !inter; named = g :: rc.named }
-            end
-        done;
-        for x = 0 to !nt - 1 do
-          rcpt.(touched.(x)) <- 0
-        done
-      end)
-    groups;
-  if !fits then Some (!rcs, !k)
-  else begin
-    for c = 0 to !k - 1 do
-      give e !rcs.(c).rmask
-    done;
-    None
-  end
-
-(* Receiver class [m]'s lanes of the next planes, from the current ones
-   by [regs]; every other lane of [nxt] keeps what it holds. *)
-let write_class e regs m =
-  let nw = e.nw in
-  (* dst := src xor flip on the lanes of m. *)
-  let blend src flip dst =
-    for w = 0 to nw - 1 do
-      dst.(w) <- (dst.(w) land lnot m.(w)) lor ((src.(w) lxor flip) land m.(w))
-    done
-  in
-  Array.iteri
-    (fun r src ->
-      let dst = e.nxt.(r) in
-      match src with
-      | Protocol.Keep -> blend e.cur.(r) 0 dst
-      | Protocol.Copy i -> blend e.cur.(i) 0 dst
-      | Protocol.Not i -> blend e.cur.(i) (-1) dst
-      (* [m] lies inside [amask], the survivors: a fill is all of it
-         or none. *)
-      | Protocol.Fill b -> blend e.amask (if b then 0 else -1) dst)
-    regs
-
-(* The lowest lane of the non-empty mask [m]. *)
-let first_lane m =
-  let rec go w =
-    if m.(w) = 0 then go (w + 1)
-    else (w * Bitwords.lanes) + Bitwords.popcount ((m.(w) land -m.(w)) - 1)
-  in
-  go 0
-
-(* The decision discipline over the receiver classes, in the scalar
-   loop's pid order: every member of a deciding class commits its
-   decision; a class that does not decide fails at its first member if
-   it had decided (a revocation) or if it halts. The lowest such member
-   raises, after the commits below it. Returns the first decisions. *)
-let commit_classes e rcs steps k ~round ~emit_on =
-  let lg = e.lg and nw = e.nw in
-  let fail = ref max_int and revoked = ref false and deciding = ref false in
+  e.lead <- -1;
+  let delivered = ref 0 in
   for c = 0 to k - 1 do
-    let ws = steps.(c) and src = rcs.(c).src in
-    match ws.Protocol.ws_decide with
-    | Some _ -> deciding := true
-    | None ->
-        if src.decided || ws.Protocol.ws_halt then begin
-          let j = first_lane rcs.(c).rmask in
-          if j < !fail then begin
-            fail := j;
-            revoked := src.decided
-          end
-        end
-  done;
-  let raise_fail () =
-    if !revoked then ignore (Round.commit_decision lg ~round ~emit:false !fail None);
-    Round.halted_undecided !fail
-  in
-  let newly = ref 0 in
-  if !deciding then begin
-    let class_of j =
-      let c = ref 0 in
-      while not (Bitwords.get rcs.(!c).rmask j) do
-        incr c
-      done;
-      !c
-    in
-    for w = 0 to nw - 1 do
-      let m = ref 0 in
-      for c = 0 to k - 1 do
-        if Option.is_some steps.(c).Protocol.ws_decide then
-          m := !m lor rcs.(c).rmask.(w)
-      done;
-      Bitwords.iter_word
-        (fun j ->
-          if j > !fail then raise_fail ();
-          let v =
-            match steps.(class_of j).Protocol.ws_decide with
-            | Some (Protocol.Decide_const v) -> shared_some v
-            | Some (Protocol.Decide_reg r) ->
-                if Bitwords.get e.cur.(r) j then some_1 else some_0
-            | None -> None
-          in
-          if Round.commit_decision lg ~round ~emit:emit_on j v then incr newly)
-        (w * Bitwords.lanes) !m
-    done
-  end;
-  if !fail < max_int then raise_fail ();
-  !newly
-
-(* The next template classes: each receiver class that did not halt,
-   with its new template, merged into an earlier one whose template
-   agrees. A lone class takes [amask] as its lanes. *)
-let regroup e rcs steps k =
-  let out = ref [] in
-  for c = 0 to k - 1 do
-    let rc = rcs.(c) and ws = steps.(c) in
-    if ws.Protocol.ws_halt then give e rc.rmask
-    else begin
-      let tpl = ws.Protocol.ws_state in
-      match List.find_opt (fun x -> e.cd.Protocol.bo_uniform x.tpl tpl) !out with
-      | Some x ->
-          for w = 0 to e.nw - 1 do
-            x.lanes.(w) <- x.lanes.(w) lor rc.rmask.(w)
-          done;
-          give e rc.rmask
-      | None ->
-          let decided =
-            rc.src.decided || Option.is_some ws.Protocol.ws_decide
-          in
-          out := { tpl; lanes = rc.rmask; decided } :: !out
-    end
-  done;
-  match !out with
-  | [] -> [| { (e.classes.(0)) with lanes = e.amask; decided = false } |]
-  | [ x ] ->
-      give e x.lanes;
-      x.lanes <- e.amask;
-      [| x |]
-  | l -> Array.of_list (List.rev l)
-
-(* Phase B over receiver classes: any packed round that is not one class
-   under silent kills. Each receiver class hears the survivors plus its
-   groups' victims: its [nrecv] and counts add those victims to the
-   survivors' (carried) ones, and its leader is the max-(priv, pid) of
-   both. The transition runs once per class and writes the class's lanes;
-   then the decisions, the halting classes, the recounted tallies and the
-   merged templates. Returns [false], having changed nothing, when the
-   round would need more than [max_classes] receiver classes. *)
-let classes_phase_b e kills round =
-  let groups = groups e kills in
-  match receivers e kills groups with
-  | None -> false
-  | Some (rcs, k) ->
-      let lg = e.lg and nw = e.nw and width = e.cd.Protocol.bo_width in
-      let emit_on = Obs.Sink.enabled lg.sink in
-      let ones = pending_ones e emit_on in
-      let senders = e.active_cnt in
-      drop_victims e kills;
-      let survivors = e.active_cnt in
-      let lead = lazy (leader_pid e) and delivered = ref 0 in
-      let steps =
-        Array.init k (fun c ->
-            let rc = rcs.(c) in
-            let nrecv = List.fold_left (fun a g -> a + g.len) survivors rc.named in
-            delivered := !delivered + (rc.rsize * nrecv);
-            let counts =
-              match rc.named with
-              | [] -> e.tallies
-              | named ->
-                  Array.init width (fun r ->
-                      List.fold_left (fun a g -> a + g.vbits.(r)) e.tallies.(r) named)
-            in
-            let leader =
+    let rc = e.rcs.(c) in
+    let nrecv = List.fold_left (fun a g -> a + g.len) survivors rc.named in
+    delivered := !delivered + (rc.rsize * nrecv);
+    let tallies =
+      match rc.named with
+      | [] ->
+          (* A closure over [e] alone: a one-class round allocates no
+             more than the transition itself. *)
+          { Protocol.counts = e.tallies; leader = lazy (regs_at e (leader_pid e)) }
+      | named ->
+          {
+            Protocol.counts =
+              Array.init width (fun r ->
+                  List.fold_left (fun a g -> a + g.vbits.(r)) e.tallies.(r) named);
+            leader =
               lazy
                 (regs_at e
                    (List.fold_left
                       (fun best g -> if leads e g.vlead best then g.vlead else best)
-                      (Lazy.force lead) rc.named))
-            in
-            e.bo.Protocol.bo_step rc.src.tpl ~round ~nrecv
-              ~tallies:{ Protocol.counts; leader })
-      in
-      for c = 0 to k - 1 do
-        write_class e steps.(c).Protocol.ws_regs rcs.(c).rmask
-      done;
-      let old = e.cur in
-      e.cur <- e.nxt;
-      e.nxt <- old;
-      let newly_decided = commit_classes e rcs steps k ~round ~emit_on in
-      let newly_halted = ref 0 in
-      for c = 0 to k - 1 do
-        if steps.(c).Protocol.ws_halt then begin
-          let rc = rcs.(c) in
-          Bitwords.iter_ones rc.rmask nw (fun j -> lg.halted.(j) <- true);
-          for w = 0 to nw - 1 do
-            e.amask.(w) <- e.amask.(w) land lnot rc.rmask.(w)
-          done;
-          newly_halted := !newly_halted + rc.rsize;
-          e.active_cnt <- e.active_cnt - rc.rsize
-        end
-      done;
-      for r = 0 to width - 1 do
-        e.tallies.(r) <- Bitwords.popcount_masked e.cur.(r) e.amask nw
-      done;
-      let next = regroup e rcs steps k in
-      Array.iter (fun c -> give e c.lanes) e.classes;
-      e.classes <- next;
-      close_round e kills round ~emit_on ~senders ~delivered:!delivered
-        ~newly_decided ~newly_halted:!newly_halted ~ones;
-      true
-
-let silent k = k.Adversary.deliver_to = []
+                      (leader_pid e) named));
+          }
+    in
+    rc.ws <- e.bo.Protocol.bo_step rc.src.tpl ~round ~nrecv ~tallies;
+    write_class e rc.ws.Protocol.ws_regs rc.rmask ~whole:(c = 0)
+  done;
+  let old = e.cur in
+  e.cur <- e.nxt;
+  e.nxt <- old;
+  let newly_decided = commit_classes e k ~round ~emit_on in
+  let newly_halted = ref 0 in
+  for c = 0 to k - 1 do
+    let rc = e.rcs.(c) in
+    if rc.ws.Protocol.ws_halt then begin
+      Bitwords.iter_ones rc.rmask e.nw (fun j ->
+          lg.halted.(j) <- true;
+          Bitwords.set e.amask j false);
+      newly_halted := !newly_halted + rc.rsize;
+      e.active_cnt <- e.active_cnt - rc.rsize
+    end
+  done;
+  if k = 1 && !newly_halted = 0 then begin
+    (* One receiver class, every survivor: each register's next count
+       follows from the old ones by its source. *)
+    let t = e.tallies and t' = e.tnxt in
+    for r = 0 to width - 1 do
+      t'.(r) <-
+        (match e.rcs.(0).ws.Protocol.ws_regs.(r) with
+        | Protocol.Keep -> t.(r)
+        | Fill true -> survivors
+        | Fill false -> 0
+        | Copy i -> t.(i)
+        | Not i -> survivors - t.(i))
+    done;
+    e.tallies <- t';
+    e.tnxt <- t
+  end
+  else if k > 0 then
+    for r = 0 to width - 1 do
+      e.tallies.(r) <- Bitwords.popcount_masked e.cur.(r) e.amask e.nw
+    done;
+  regroup e k;
+  (* With no kills, closing the round only advances its counter. *)
+  if kills = [] then lg.round <- round else Round.apply_kills lg ~round kills;
+  e.packed_rounds <- e.packed_rounds + 1;
+  if emit_on then
+    Round.emit_round lg ~round kills ~active:senders ~delivered:!delivered
+      ~newly_decided ~newly_halted:!newly_halted ~ones;
+  true
 
 let step e adversary =
   if active_count e = 0 then `Quiescent
@@ -864,11 +815,7 @@ let step e adversary =
     let round = lg.round + 1 in
     if e.packed then packed_phase_a e else Round.phase_a (scalar e);
     let kills = Round.plan lg adversary (Round.view (Lazy.force e.viewer) ~round) in
-    (* One class under silent kills: every survivor hears the same
-       senders and runs the same transition. *)
-    if e.packed && Array.length e.classes = 1 && List.for_all silent kills then
-      packed_phase_b e kills round
-    else if not (e.packed && classes_phase_b e kills round) then begin
+    if not (e.packed && classes_phase_b e kills round) then begin
       let sc = materialize e in
       Round.phase_b sc kills ~round;
       e.scalar_rounds <- e.scalar_rounds + 1;
@@ -886,7 +833,7 @@ let run_until e adversary ~max_rounds =
 
 (* Round's copy of the ledger, plus this engine's own fields: the planes,
    [amask], the class masks and the tallies are copied; [nxt], [tnxt],
-   [priv] and the partial-delivery scratch are dead between steps, so the
+   [priv] and the Phase B scratch are dead between steps, so the
    copy gets fresh ones, and a viewer over itself. A packed original's
    scalar half holds nothing that is read again, so the copy builds its
    own if it ever unpacks; an unpacked one's is Round's copy, over the
@@ -918,6 +865,7 @@ let snapshot e =
       viewer = lazy (viewer_of c);
       rcpt = [||];
       touched = [||];
+      rcs = [||];
     }
   in
   c

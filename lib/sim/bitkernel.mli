@@ -3,28 +3,29 @@
     Packs each binary register of every active process into bit planes
     ({!Bitwords} layout: lane [i mod lanes] of word [i / lanes]) and holds
     the non-register fields in a few template classes: a template state
-    and the lanes it stands for, at most 64 of them. A round with one
-    class and no partial delivery runs entirely at word granularity —
-    coins and the aux draw in one pass of the PRNG's word kernel
-    ({!Prng.Rng.Bank.draw_word}), per-register tallies carried across rounds
-    (set by popcount on packing, then kept up to date by the coin draw,
-    the victims' removal and the transition itself), the protocol's
+    and the lanes it stands for, at most 64 of them. A packed round runs
+    at word granularity — coins and the aux draw in one pass of the
+    PRNG's word kernel ({!Prng.Rng.Bank.draw_word}), the protocol's
     transition as a handful of plane loops — at O(n / word_size) cost
-    instead of O(n). Silent kills stay packed: the victims leave the
-    active mask and every survivor hears the same senders.
+    instead of O(n).
 
-    A round whose plan delivers victims' messages to some receivers stays
-    packed too. Each group of the plan ({!Adversary.fold_runs}) has its
-    recipient list walked once into a mask; the template classes, split
-    by those masks, give the receiver classes, and each receiver class
-    runs the transition once, on the survivors' tallies plus its groups'
-    victims' registers (their count added to [nrecv], their best
-    (priv, pid) competing for the leader), written to its own lanes.
-    Classes whose new templates agree merge again. Only a round that would
-    need more than 64 receiver classes (random per-victim recipient
-    lists, as random-partial plans, with seven victims or more)
-    materializes the scalar states, runs through the exact {!Engine}
-    aggregate delivery path, and re-packs as soon as the states fall into
+    Phase B runs once per receiver class: the survivors of one template
+    class that hear the same senders. Each group of the plan
+    ({!Adversary.fold_runs}) has its recipient list walked once into a
+    mask; the template classes, split by those masks, give the receiver
+    classes, and each receiver class runs the transition once, on the
+    survivors' tallies plus its groups' victims' registers (their count
+    added to [nrecv], their best (priv, pid) competing for the leader),
+    written to its own lanes. Classes whose new templates agree merge
+    again. A round of silent kills, or of none, over one template class
+    is the one-receiver-class case, and it carries the per-register
+    tallies across rounds: set by popcount on packing, they are kept up
+    to date by the coin draw, the victims' removal and the transition's
+    register sources, not recounted. Only a round that would need more
+    than 64 receiver classes (random per-victim recipient lists, as
+    random-partial plans, with seven victims or more) materializes the
+    scalar states, runs through the exact {!Engine} aggregate delivery
+    path, and re-packs as soon as the states fall into
     at most 64 templates. The kernel's scalar half is Engine's own state
     record, and its unpacked rounds call Engine's Phase A, delivery and
     commit code; kill validation, the decision discipline, events and the

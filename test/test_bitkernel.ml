@@ -888,16 +888,88 @@ let halting_step_words n =
     (Array.for_all Fun.id o.Sim.Engine.halted);
   words
 
+(* A FloodSet deciding round with a partial delivery, at size [n]: the
+   last of two rounds, where a victim's message reaches the odd pids
+   only, so the survivors form two receiver classes, both deciding and
+   halting. Round 1 is the same kind of split, whose classes merge again,
+   so round 2 finds its masks and recipient scratch made. *)
+let split_deciding_words n =
+  let protocol = Baselines.Floodset.protocol ~rounds:2 () in
+  let odd = List.filter (fun j -> j land 1 = 1) (List.init n Fun.id) in
+  let kill victim =
+    {
+      Sim.Adversary.name = "to-odd";
+      plan = (fun _ _ -> Sim.Adversary.kill_group [ victim ] ~recipients:odd);
+    }
+  in
+  let e =
+    Sim.Bitkernel.start protocol ~inputs:(Array.make n 1) ~t:2
+      ~rng:(Prng.Rng.create 9)
+  in
+  ignore (Sim.Bitkernel.step e (kill 0));
+  let before = Gc.minor_words () in
+  ignore (Sim.Bitkernel.step e (kill 2));
+  let words = Gc.minor_words () -. before in
+  let o = Sim.Bitkernel.outcome e in
+  Alcotest.(check int) (Printf.sprintf "n=%d: both rounds packed" n) 2
+    (Sim.Bitkernel.packed_rounds e);
+  Alcotest.(check bool) (Printf.sprintf "n=%d: every survivor decided" n) true
+    (Array.for_all Fun.id
+       (Array.mapi (fun j d -> o.Sim.Engine.faulty.(j) || Option.is_some d)
+          o.Sim.Engine.decisions));
+  words
+
+(* Both deciding rounds allocate a bounded constant, the same at n = 630
+   as at n = 6300. A commit walk that makes a closure per plane word
+   costs about 12 words a word: 500 words for the split round at
+   n = 630, 1,580 at n = 6300. *)
 let test_halting_step_allocation () =
+  if Sys.backend_type = Sys.Native then
+    List.iter
+      (fun (what, words, bound) ->
+        List.iter
+          (fun n ->
+            let w = words n in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s n=%d: %.0f words < %g" what n w bound)
+              true (w < bound))
+          [ 630; 6300 ])
+      [
+        ("synran null", halting_step_words, 200.);
+        ("floodset split", split_deciding_words, 256.);
+      ]
+
+(* A null FloodSet round has one receiver class: it receives as the
+   active mask, writes whole plane words and carries its tallies, so it
+   allocates only the transition's own words, the same at n = 4096 as at
+   n = 65536: 30 words at most, the mean over 20 rounds at n = 1024.
+   The first round, which makes the kernel's scratch, is not counted.
+   Native only, as above. *)
+let one_class_round_words n =
+  let e =
+    Sim.Bitkernel.start
+      (Baselines.Floodset.protocol ~rounds:n ())
+      ~inputs:(Prng.Sample.random_bits (Prng.Rng.create 5) n)
+      ~t:0 ~rng:(Prng.Rng.create 5)
+  in
+  ignore (Sim.Bitkernel.step e Sim.Adversary.null);
+  let before = Gc.minor_words () in
+  for _ = 1 to 20 do
+    ignore (Sim.Bitkernel.step e Sim.Adversary.null)
+  done;
+  let words = (Gc.minor_words () -. before) /. 20. in
+  Alcotest.(check int) (Printf.sprintf "n=%d: every round packed" n) 21
+    (Sim.Bitkernel.packed_rounds e);
+  words
+
+let test_one_class_round_allocation () =
   if Sys.backend_type = Sys.Native then begin
-    let small = halting_step_words 630 and large = halting_step_words 6300 in
-    let bound = 200.0 in
+    let small = one_class_round_words 1024 in
     Alcotest.(check bool)
-      (Printf.sprintf "n=630: %.0f words < %g" small bound)
-      true (small < bound);
-    Alcotest.(check bool)
-      (Printf.sprintf "n=6300: %.0f words < %g" large bound)
-      true (large < bound)
+      (Printf.sprintf "n=1024: %.1f words a round <= 30" small)
+      true (small <= 30.);
+    Alcotest.(check (float 0.)) "n=4096 = n=65536" (one_class_round_words 4096)
+      (one_class_round_words 65536)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -2103,6 +2175,8 @@ let suites =
             `Quick test_two_class_start;
           Alcotest.test_case "packed halting step allocates O(1)" `Quick
             test_halting_step_allocation;
+          Alcotest.test_case "packed one-class round allocates O(1)" `Quick
+            test_one_class_round_allocation;
           Alcotest.test_case "band control at n=8192 = engine" `Quick
             test_band_at_scale;
           Alcotest.test_case "packed band-control round allocates O(1)" `Quick
